@@ -24,6 +24,7 @@ import argparse
 import csv
 import hashlib
 import json
+import math
 import sys
 import time
 
@@ -115,6 +116,8 @@ def _parse_amp(path: str, where: str, item) -> complex:
     re, im = item["re"], item["im"]
     if isinstance(re, bool) or isinstance(im, bool) or not isinstance(re, (int, float)) or not isinstance(im, (int, float)):
         raise StateFileError(f"{path}: {where} 're'/'im' must be numbers")
+    if not (math.isfinite(re) and math.isfinite(im)):
+        raise StateFileError(f"{path}: {where} 're'/'im' must be finite, got {re!r}, {im!r}")
     return complex(re, im)
 
 
@@ -209,6 +212,8 @@ def render_json(value) -> str:
     if isinstance(value, (int, np.integer)):
         return str(int(value))
     if isinstance(value, (float, np.floating)):
+        if not math.isfinite(value):
+            raise ValueError(f"cannot render the non-finite value {float(value)!r} as JSON")
         return f"{float(value):.17g}"
     if value is None:
         return "null"
@@ -324,6 +329,7 @@ def cmd_table2(args) -> int:
             "closed_form": r.closed_value,
             "numerical": r.numerical,
             "exactness": r.exactness.value,
+            "known_discrepancy": r.known_discrepancy,
             "pass": r.passed,
         }
         for r in rows
@@ -340,7 +346,8 @@ def cmd_table2(args) -> int:
     elif args.format == "csv":
         writer = csv.writer(sys.stdout, lineterminator="\n")
         writer.writerow(
-            ["family", "group", "picture", "m", "params", "closed_form", "numerical", "exactness", "pass"]
+            ["family", "group", "picture", "m", "params", "closed_form", "numerical", "exactness",
+             "known_discrepancy", "pass"]
         )
         for r in rows:
             writer.writerow(
@@ -353,6 +360,7 @@ def cmd_table2(args) -> int:
                     r.closed_value,
                     r.numerical,
                     "exact" if r.exactness is Exactness.EXACT else "<=",
+                    "yes" if r.known_discrepancy else "no",
                     "PASS" if r.passed else "FAIL",
                 ]
             )
@@ -365,9 +373,13 @@ def cmd_table2(args) -> int:
                 f"{r.family:<22}{r.group.value:<6}{r.picture.value:<8}{r.modes:<3}"
                 f"{r.closed_value:<8}{r.numerical:<6}{kind:<7}"
                 + ("PASS" if r.passed else "FAIL")
-                + f"  {r.params}"
+                + ("*" if r.known_discrepancy else " ")
+                + f" {r.params}"
             )
-        print(f"rows: {len(rows)}  failures: {len(failed)}")
+        known = sum(1 for r in rows if r.known_discrepancy)
+        print(f"rows: {len(rows)}  failures: {len(failed)}  known discrepancies (*): {known}")
+        if known:
+            print("* tabulated value undercounts by one here; the cell passes at closed + 1")
         print(f"elapsed: {time.perf_counter() - started:.3f} s")
     return EXIT_MISMATCH if failed else EXIT_OK
 

@@ -319,6 +319,8 @@ def outer(psi: SparseKet, **tolerances: float) -> DensityOperator:
     nrm2 = sum(a.real * a.real + a.imag * a.imag for a in psi.terms.values())
     if nrm2 == 0.0:
         raise ValidationError("cannot form the projector of the zero ket")
+    if not math.isfinite(nrm2):
+        raise ValidationError(f"cannot form the projector of a ket with squared norm {nrm2!r}")
     entries: dict[OperatorKey, complex] = {}
     for bra, bamp in psi.terms.items():
         for ket, kamp in psi.terms.items():
@@ -338,6 +340,8 @@ def mixture(components: Sequence[tuple[float, SparseKet]], **tolerances: float) 
         nrm2 = sum(a.real * a.real + a.imag * a.imag for a in psi.terms.values())
         if nrm2 == 0.0:
             raise ValidationError("mixture component is the zero ket")
+        if not math.isfinite(nrm2):
+            raise ValidationError(f"mixture component has squared norm {nrm2!r}")
         for bra, bamp in psi.terms.items():
             for ket, kamp in psi.terms.items():
                 key = (bra, ket)

@@ -22,6 +22,7 @@ affects ranks.
 
 from __future__ import annotations
 
+import functools
 import math
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
@@ -206,6 +207,105 @@ def apply_generator(g: GeneratorDescriptor, psi: SparseKet) -> SparseKet:
             return scale(_SQRT_HALF, add(up, down))
         return scale(1j * _SQRT_HALF, add(up, scale(-1.0, down)))
     raise ValueError(f"unknown generator kind {kind!r}")
+
+
+#: Generators of the form c X + conj(c) X^dag: the coefficient c of X.
+_PAIR_COEFFICIENT = {
+    "e": 0.5, "E": 0.5j, "r": 0.5, "R": 0.5j, "s": 0.5, "S": 0.5j,
+    "q": _SQRT_HALF, "p": 1j * _SQRT_HALF,
+}
+
+
+def _ladder_monomials(g: GeneratorDescriptor) -> list[tuple[complex, tuple[tuple[int, int], ...]]]:
+    """H_g as a sum of ladder monomials (coefficient, steps). A step is a
+    (0-based mode, +1 for a^dag or -1 for a) pair; steps act in list order."""
+    kind = g.kind
+    if kind == IDENTITY_KIND:
+        return [(1.0, ())]
+    k = g.modes[0] - 1
+    if kind == "N":
+        return [(1.0, ((k, -1), (k, +1)))]
+    if kind in ("e", "E"):
+        raising = ((g.modes[1] - 1, -1), (k, +1))  # a+_k a_l
+    elif kind in ("r", "R"):
+        raising = ((g.modes[1] - 1, +1), (k, +1))  # a+_k a+_l
+    elif kind in ("s", "S"):
+        raising = ((k, +1), (k, +1))  # a+_k^2
+    else:
+        raising = ((k, +1),)  # a+_k
+    lowering = tuple((mode, -step) for mode, step in reversed(raising))
+    c = _PAIR_COEFFICIENT[kind]
+    return [(c, raising), (c.conjugate(), lowering)]
+
+
+@functools.lru_cache(maxsize=None)
+def _monomial_table(group: Group, m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Every ladder monomial of the (group, m) basis, as arrays over
+    monomials: generator index, coefficient, and two (mode, step) slots,
+    the unused slot holding step 0. The arrays are shared, so read-only."""
+    rows = [
+        (index, coeff, steps + ((0, 0),) * (2 - len(steps)))
+        for index, g in enumerate(lie_basis(group, m).elements)
+        for coeff, steps in _ladder_monomials(g)
+    ]
+    gen = np.array([r[0] for r in rows], dtype=np.intp)
+    coeff = np.array([r[1] for r in rows], dtype=complex)
+    slots = np.array([r[2] for r in rows], dtype=np.int64).reshape(len(rows), 2, 2)
+    table = (gen, coeff, slots[:, :, 0], slots[:, :, 1])
+    for array in table:
+        array.setflags(write=False)
+    return table
+
+
+def _generator_action(
+    group: Group, occupations: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, int, np.ndarray]:
+    """Every nonzero matrix element of the basis generators on a support.
+
+    ``occupations`` is the S x m array of support states. Returns
+    ``(gen, src, tgt, coeff, size, rows)``: entry k says that H_gen[k] maps
+    support row src[k] to union state tgt[k] with amplitude coeff[k]. The
+    union of the support and every target holds ``size`` states, ranked in
+    a fixed order, and ``rows`` gives each support row's rank in it.
+    For each generator and source the targets are distinct.
+    """
+    occupations = np.asarray(occupations, dtype=np.int64)
+    s_count, m = occupations.shape
+    gen, coeff, modes, steps = _monomial_table(group, m)
+    occ = np.repeat(occupations[None, :, :], len(gen), axis=0)
+    amp = np.ones((len(gen), s_count))
+    mono = np.arange(len(gen))[:, None]
+    src = np.arange(s_count)[None, :]
+    for slot in range(2):
+        mode = modes[:, slot, None]
+        step = steps[:, slot, None]
+        n = occ[mono, src, mode]
+        # a+ multiplies by sqrt(n + 1), a by sqrt(n); a state already
+        # annihilated (amplitude 0, n possibly -1) stays at zero
+        amp *= np.where(step != 0, np.sqrt(np.maximum(n + (step > 0), 0)), 1.0)
+        occ[mono, src, mode] = n + step
+    mono_k, src_k = np.nonzero(amp)
+    size, inverse = _rank_states(np.concatenate([occupations, occ[mono_k, src_k]]))
+    return (
+        gen[mono_k],
+        src_k,
+        inverse[s_count:],
+        coeff[mono_k] * amp[mono_k, src_k],
+        size,
+        inverse[:s_count],
+    )
+
+
+def _rank_states(states: np.ndarray) -> tuple[int, np.ndarray]:
+    """The number of distinct rows of an int64 array, and each row's rank
+    among them in a fixed order."""
+    # each row as one opaque byte string: np.unique(axis=0) sorts the same
+    # rows field by field, several times slower
+    rows = np.ascontiguousarray(states, dtype=np.int64)
+    distinct, inverse = np.unique(
+        rows.view(np.dtype((np.void, 8 * rows.shape[1]))).reshape(-1), return_inverse=True
+    )
+    return len(distinct), inverse.reshape(-1)
 
 
 def left_apply_generator(g: GeneratorDescriptor, a: SparseOperator) -> SparseOperator:

@@ -28,15 +28,16 @@ from .fock import (
     normalize,
     op_mul,
     op_trace,
-    outer,
     real_inner,
     trace_product,
 )
 from .generators import (
+    IDENTITY_KIND,
     Group,
     LieBasis,
+    _generator_action,
+    _rank_states,
     apply_generator,
-    commutator_with_density,
     left_apply_generator,
     lie_basis,
 )
@@ -104,59 +105,120 @@ def _check_normalized(psi: SparseKet, norm_tol: float) -> None:
         raise ValidationError(f"state is not normalized: measured norm {nrm!r} (tol {norm_tol:.1e})")
 
 
-def _stack_terms(vectors: Sequence[dict], keys: Sequence) -> np.ndarray:
-    index = {key: i for i, key in enumerate(keys)}
-    v = np.zeros((len(vectors), len(keys)), dtype=complex)
-    for row, vec in enumerate(vectors):
-        for key, amp in vec.items():
-            v[row, index[key]] = amp
-    return v
+def _ket_arrays(psi: SparseKet) -> tuple[np.ndarray, np.ndarray]:
+    """psi's support as an S x m array and its amplitudes."""
+    occupations = np.array(list(psi.terms), dtype=np.int64).reshape(len(psi.terms), psi.modes)
+    return occupations, np.fromiter(psi.terms.values(), dtype=complex, count=len(psi.terms))
 
 
-def _real_gram(vectors: Sequence[dict]) -> np.ndarray:
-    """Symmetric matrix of Re <v_I, v_J> over the union support."""
-    support = sorted(set().union(*vectors)) if vectors else []
-    v = _stack_terms(vectors, support)
-    g = (v.conj() @ v.T).real
+def _norm2(amps: np.ndarray) -> float:
+    return float(np.sum(amps.real * amps.real + amps.imag * amps.imag))
+
+
+def _ket_directions(group: Group, occupations: np.ndarray, amps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The d x D' matrix A with rows A[I] = H_I psi over the union support,
+    and the ranks of psi's support states in that union."""
+    gen, src, tgt, coeff, size, rows = _generator_action(group, occupations)
+    d = group.dimension(occupations.shape[1])
+    flat = gen * size + tgt
+    weights = coeff * amps[src]
+    a = np.bincount(flat, weights.real, d * size) + 1j * np.bincount(flat, weights.imag, d * size)
+    return a.reshape(d, size), rows
+
+
+def _re_gram(x: np.ndarray) -> np.ndarray:
+    """Symmetric matrix of Re <x_I, x_J> over the rows of a complex d x n matrix."""
+    pairs = np.ascontiguousarray(x).view(float)  # interleaved (re, im) per entry
+    g = pairs @ pairs.T
     return (g + g.T) / 2.0
 
 
+def _without_identity(basis: LieBasis, values: np.ndarray) -> np.ndarray:
+    """Zero the identity's row and column: [I, rho] = 0 for every rho, while
+    the subtraction formulas leave rounding residue of order 1e-17 there."""
+    for i, g in enumerate(basis.elements):
+        if g.kind == IDENTITY_KIND:
+            values[i, :] = 0.0
+            values[:, i] = 0.0
+    return values
+
+
+def _commutator_gram(group: Group, occupations: np.ndarray, r: np.ndarray) -> GramMatrix:
+    """Mixed-picture Gram matrix of the density matrix R, dense over the
+    support ``occupations``: 2 Re[<X_I, X_J>_F - Tr(M_I R M_J R)] with
+    X_I = H_I R, where M_I R is X_I restricted to the support rows."""
+    s_count, m = occupations.shape
+    basis = lie_basis(group, m)
+    d = len(basis)
+    gen, src, tgt, coeff, size, rows = _generator_action(group, occupations)
+    x = np.zeros((d * size, s_count), dtype=complex)
+    np.add.at(x, gen * size + tgt, coeff[:, None] * r[src])
+    x = x.reshape(d, size, s_count)
+    y = x[:, rows, :]
+    cross = (y.reshape(d, -1) @ y.transpose(0, 2, 1).reshape(d, -1).T).real
+    values = 2.0 * (_re_gram(x.reshape(d, -1)) - (cross + cross.T) / 2.0)
+    return GramMatrix(group, Picture.MIXED, m, _without_identity(basis, values), basis)
+
+
+def _density_arrays(rho: DensityOperator) -> tuple[np.ndarray, np.ndarray]:
+    """rho's support (every bra and ket state) and its dense matrix there."""
+    keys = np.array(list(rho.op.entries), dtype=np.int64).reshape(-1, rho.modes)
+    size, inverse = _rank_states(keys)
+    support = np.empty((size, rho.modes), dtype=np.int64)
+    support[inverse] = keys
+    bra_ket = inverse.reshape(-1, 2)
+    r = np.zeros((size, size), dtype=complex)
+    r[bra_ket[:, 0], bra_ket[:, 1]] = np.fromiter(
+        rho.op.entries.values(), dtype=complex, count=len(rho.op.entries)
+    )
+    return support, r
+
+
 def gram_ket(group: Group, psi: SparseKet, *, norm_tol: float = NORM_TOL) -> GramMatrix:
-    """Gram matrix of the ket-picture directions {H_I |psi>}."""
+    """Gram matrix of the ket-picture directions {H_I |psi>}:
+    G_IJ = Re <H_I psi, H_J psi> = Re (A* A^T)_IJ, where row I of A is
+    H_I psi over the union of psi's support and every generator's targets."""
     _check_normalized(psi, norm_tol)
     basis = lie_basis(group, psi.modes)
-    vectors = [apply_generator(g, psi).terms for g in basis.elements]
-    return GramMatrix(group, Picture.KET, psi.modes, _real_gram(vectors), basis)
+    a, _ = _ket_directions(group, *_ket_arrays(psi))
+    return GramMatrix(group, Picture.KET, psi.modes, _re_gram(a), basis)
 
 
 def gram_ketbra(group: Group, psi: SparseKet, *, norm_tol: float = NORM_TOL) -> GramMatrix:
-    """Gram matrix of the projector-picture directions {[H_I, |psi><psi|]}."""
+    """Gram matrix of the projector-picture directions {[H_I, |psi><psi|]}:
+    G = 2 (G_k - v v^T), where G_k is the ket Gram matrix of the normalized
+    psi and v_I = Re <psi| H_I |psi>. The identity's row and column are
+    exactly zero."""
     _check_normalized(psi, norm_tol)
     basis = lie_basis(group, psi.modes)
-    rho = outer(psi)
-    vectors = [commutator_with_density(g, rho).entries for g in basis.elements]
-    return GramMatrix(group, Picture.KETBRA, psi.modes, _real_gram(vectors), basis)
+    occupations, amps = _ket_arrays(psi)
+    amps = amps / math.sqrt(_norm2(amps))
+    a, rows = _ket_directions(group, occupations, amps)
+    v = (a[:, rows] @ amps.conj()).real
+    values = 2.0 * (_re_gram(a) - np.outer(v, v))
+    return GramMatrix(group, Picture.KETBRA, psi.modes, _without_identity(basis, values), basis)
 
 
 def gram_mixed(group: Group, rho: DensityOperator, *, method: str = "commutator") -> GramMatrix:
-    """Gram matrix of the density-picture directions {[H_I, rho]}.
+    """Gram matrix of the density-picture directions {[H_I, rho]}, whose
+    entries are the Hilbert-Schmidt products Re Tr([H_I, rho]^dag [H_J, rho]).
 
-    ``method="commutator"`` stacks the commutators and takes Hilbert-Schmidt
-    inner products (the primary path); ``method="trace"`` evaluates the
-    equivalent second-moment trace form entry by entry (kept as an
-    independent cross-check path).
+    ``method="commutator"`` evaluates them as
+    G_IJ = 2 Re[<X_I, X_J>_F - Tr(M_I R M_J R)], with R the dense matrix of
+    rho over its support, X_I = H_I R, and M_I R the support rows of X_I;
+    the identity's row and column are exactly zero (the primary path).
+    ``method="trace"`` evaluates the equivalent second-moment trace form
+    2 Tr[{H_I,H_J} rho^2] - 2 Tr[H_I rho H_J rho] entry by entry with sparse
+    operator arithmetic (kept as an independent cross-check path).
     """
     if not isinstance(rho, DensityOperator):
         raise PictureError("gram_mixed requires a validated DensityOperator")
-    basis = lie_basis(group, rho.modes)
     if method == "commutator":
-        vectors = [commutator_with_density(g, rho).entries for g in basis.elements]
-        values = _real_gram(vectors)
-    elif method == "trace":
-        values = _gram_mixed_trace(basis, rho)
-    else:
-        raise ValueError(f"unknown method {method!r}")
-    return GramMatrix(group, Picture.MIXED, rho.modes, values, basis)
+        return _commutator_gram(group, *_density_arrays(rho))
+    if method == "trace":
+        basis = lie_basis(group, rho.modes)
+        return GramMatrix(group, Picture.MIXED, rho.modes, _gram_mixed_trace(basis, rho), basis)
+    raise ValueError(f"unknown method {method!r}")
 
 
 def _gram_mixed_trace(basis: LieBasis, rho: DensityOperator) -> np.ndarray:
@@ -265,7 +327,9 @@ def gram_matrix(
     if picture is Picture.MIXED:
         if isinstance(state, SparseKet):
             _check_normalized(state, norm_tol)
-            return gram_mixed(group, outer(state))
+            occupations, amps = _ket_arrays(state)
+            # the projector normalized as ``outer`` does, without its dict
+            return _commutator_gram(group, occupations, np.outer(amps, amps.conj()) / _norm2(amps))
         if isinstance(state, DensityOperator):
             return gram_mixed(group, state)
         raise PictureError("the mixed picture requires a ket or a DensityOperator")
@@ -615,6 +679,10 @@ def table_families(m_max: int = 4) -> list[StateFamily]:
 
 @dataclass(frozen=True)
 class TableRow:
+    """One grid cell. ``closed_value`` is the tabulated value verbatim;
+    ``known_discrepancy`` marks the cells where it is known to undercount by
+    one (see ``closed_form``), which pass only at ``closed_value + 1``."""
+
     family: str
     params: str
     group: Group
@@ -624,6 +692,17 @@ class TableRow:
     exactness: Exactness
     numerical: int
     passed: bool
+    known_discrepancy: bool
+
+
+def _known_undercount(family: StateFamily, group: Group, picture: Picture) -> bool:
+    """The PLO ket cells of one-mode superpositions with an occupied tail."""
+    return (
+        group is Group.PLO
+        and picture is Picture.KET
+        and isinstance(family, OneModeSuperposition)
+        and any(family.tail)
+    )
 
 
 def closed_form_report(
@@ -632,7 +711,8 @@ def closed_form_report(
     families: Sequence[StateFamily] | None = None,
 ) -> list[TableRow]:
     """Numerically recompute the closed-form grid: exact cells must match,
-    upper-bound cells must dominate the numerical value."""
+    upper-bound cells must dominate the numerical value, and the cells of
+    the known undercount must equal the tabulated value + 1."""
     if families is None:
         families = table_families(m_max)
     rows: list[TableRow] = []
@@ -642,7 +722,10 @@ def closed_form_report(
             for picture in (Picture.KET, Picture.KETBRA):
                 expected = closed_form(family, group, picture)
                 numerical = orbit_dimension(group, psi, picture, tolerance).rank
-                if expected.exactness is Exactness.EXACT:
+                known = _known_undercount(family, group, picture)
+                if known:
+                    passed = numerical == expected.value + 1
+                elif expected.exactness is Exactness.EXACT:
                     passed = numerical == expected.value
                 else:
                     passed = numerical <= expected.value
@@ -657,6 +740,7 @@ def closed_form_report(
                         exactness=expected.exactness,
                         numerical=numerical,
                         passed=passed,
+                        known_discrepancy=known,
                     )
                 )
     return rows

@@ -146,6 +146,15 @@ def test_outer_zero_ket_rejected():
         outer(zero_ket(2))
 
 
+@pytest.mark.parametrize("amp", [float("nan"), 1e200], ids=["nan", "overflow"])
+def test_outer_and_mixture_reject_non_finite_norm(amp):
+    psi = SparseKet(1, {(0,): amp})
+    with pytest.raises(ValidationError, match="norm"):
+        outer(psi)
+    with pytest.raises(ValidationError, match="norm"):
+        mixture([(0.5, basis_ket((1,))), (0.5, psi)])
+
+
 def test_normalize_scales_back():
     psi = normalize(scale(2.0, basis_ket((0,))))
     assert_terms_close(psi.terms, {(0,): 1.0})

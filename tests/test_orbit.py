@@ -35,11 +35,19 @@ from orbitdim import (
     outer,
     perturb_state,
     rank_psd,
+    sample_sphere_state,
     scale,
     uniform_phase_state,
 )
 from _helpers import kets, random_ket
-from _oracle import oracle_gram_ket, oracle_gram_ketbra, oracle_gram_mixed, oracle_ket_rank
+from _oracle import (
+    basis_states,
+    dense_density,
+    oracle_gram_ket,
+    oracle_gram_ketbra,
+    oracle_gram_mixed,
+    oracle_ket_rank,
+)
 
 
 # ---------------------------------------------------------------- gram_ket
@@ -135,11 +143,12 @@ def test_gram_mixed_diagonal_mixture_plo_is_zero():
 @pytest.mark.parametrize("group", [Group.DPLO, Group.GO])
 def test_gram_mixed_identity_row_is_zero(group):
     rng = np.random.default_rng(5)
-    rho = outer(normalize(random_ket(rng, 1, max_photons=2)))
-    gram = gram_mixed(group, rho)
-    idx = gram.basis.index_of("id")
-    assert np.all(gram.values[idx, :] == 0.0)
-    assert np.all(gram.values[:, idx] == 0.0)
+    psi = normalize(random_ket(rng, 1, max_photons=2))
+    rho = outer(psi)
+    for gram in (gram_mixed(group, rho), gram_ketbra(group, psi)):
+        idx = gram.basis.index_of("id")
+        assert np.all(gram.values[idx, :] == 0.0)
+        assert np.all(gram.values[:, idx] == 0.0)
 
 
 def test_gram_mixed_trace_and_commutator_paths_agree():
@@ -167,6 +176,33 @@ def test_gram_mixed_matches_dense_oracle_on_proper_mixture():
     for group in (Group.PLO, Group.GO):
         ours = gram_mixed(group, rho).values
         assert np.abs(ours - oracle_gram_mixed(group, rho)).max() < 1e-11
+
+
+_THREE_MODE_KETS = {
+    "sphere": lambda: sample_sphere_state(3, 3, 31),
+    "noon": lambda: NoonState(3, (1,)).to_ket(),  # sparse, non-contiguous support
+}
+
+
+@pytest.mark.parametrize("state", sorted(_THREE_MODE_KETS))
+@pytest.mark.parametrize("group", list(Group))
+def test_gram_builders_match_dense_oracle_at_three_modes(group, state):
+    psi = _THREE_MODE_KETS[state]()
+    rho = outer(psi)
+    assert np.abs(gram_ket(group, psi).values - oracle_gram_ket(group, psi)).max() < 1e-11
+    assert np.abs(gram_ketbra(group, psi).values - oracle_gram_ketbra(group, psi)).max() < 1e-11
+    mixed = oracle_gram_mixed(group, rho)
+    assert np.abs(gram_mixed(group, rho).values - mixed).max() < 1e-11
+    assert np.abs(gram_matrix(group, psi, Picture.MIXED).values - mixed).max() < 1e-11
+
+
+@pytest.mark.parametrize("group", list(Group))
+def test_gram_mixed_matches_dense_oracle_on_rank3_mixture_at_three_modes(group):
+    rho = mixture([(w, sample_sphere_state(3, 3, seed)) for w, seed in ((0.5, 41), (0.3, 42), (0.2, 43))])
+    _, index = basis_states(3, 3)
+    assert np.linalg.matrix_rank(dense_density(rho, index), tol=1e-10) == 3
+    ours = gram_mixed(group, rho).values
+    assert np.abs(ours - oracle_gram_mixed(group, rho)).max() < 1e-11
 
 
 def test_gram_mixed_requires_density_operator():
