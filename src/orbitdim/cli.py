@@ -49,6 +49,7 @@ from .orbit import (
     Exactness,
     Picture,
     PictureError,
+    _check_normalized,
     closed_form_report,
     cnot_demo,
     generic_dimension,
@@ -480,8 +481,10 @@ def cmd_witness(args) -> int:
 def cmd_estimate(args) -> int:
     started = time.perf_counter()
     group = Group(args.group)
-    state = load_state(args.state)
-    rho = outer(state) if isinstance(state, SparseKet) else state
+    rho = load_state(args.state)
+    if isinstance(rho, SparseKet):
+        _check_normalized(rho)  # as dim and witness do; outer() would rescale
+        rho = outer(rho)
     cfg = EvolutionConfig(buffer=args.buffer, step=getattr(args, "h"), leakage_tolerance=args.leakage_tol)
     estimated = estimate_gram_matrix(rho, group, cfg)
     direct = gram_mixed(group, rho).values

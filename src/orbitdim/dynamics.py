@@ -12,7 +12,7 @@ deviations and never silently accepted.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,7 +24,6 @@ from .fock import (
     SparseOperator,
     ValidationError,
     add,
-    basis_ket,
     enumerate_occupations,
     normalize,
     scale,
@@ -32,7 +31,8 @@ from .fock import (
 from .generators import (
     GeneratorDescriptor,
     Group,
-    apply_generator,
+    _generator_action,
+    _monomials,
     lie_basis,
     number_shift,
 )
@@ -78,18 +78,8 @@ class EvolutionConfig:
     def __post_init__(self) -> None:
         if self.buffer < 0:
             raise ValueError("buffer must be >= 0")
-        if self.leakage_tolerance <= 0 or self.step <= 0:
+        if not (self.leakage_tolerance > 0 and self.step > 0):  # NaN fails too
             raise ValueError("tolerances and step must be positive")
-
-
-@dataclass(frozen=True)
-class BetaSample:
-    """One overlap sample beta_{I,J}(t); index 0 means the unevolved copy."""
-
-    i: int
-    j: int
-    t: float
-    value: float
 
 
 def dense_hamiltonian(g: GeneratorDescriptor, basis: TruncatedBasis) -> np.ndarray:
@@ -98,66 +88,93 @@ def dense_hamiltonian(g: GeneratorDescriptor, basis: TruncatedBasis) -> np.ndarr
     Couplings into states above the cutoff are dropped on both sides, so the
     projected matrix is Hermitian by construction.
     """
+    _, src, tgt, coeff, size, rows = _generator_action(_monomials([g]), np.array(basis.states))
+    # rows ranks the basis states among the union of basis and targets;
+    # a target above the cutoff keeps position -1 and is dropped
+    position = np.full(size, -1)
+    position[rows] = np.arange(basis.size)
+    row = position[tgt]
+    kept = row >= 0
     h = np.zeros((basis.size, basis.size), dtype=complex)
-    for col, occ in enumerate(basis.states):
-        for target, amp in apply_generator(g, basis_ket(occ)).terms.items():
-            row = basis.index.get(target)
-            if row is not None:
-                h[row, col] = amp
+    h[row[kept], src[kept]] = coeff[kept]
     return h
 
 
-class _Propagator:
-    """Cached eigendecomposition of one projected generator."""
+class _Workspace:
+    """The truncated working space for evolving one state under a set of
+    generators: the cutoff (the state's photon number, plus the buffer when
+    any generator shifts photon number), the basis and its guard band, one
+    cached eigendecomposition per generator, the conversions between sparse
+    states and dense arrays over the basis, and the leakage check."""
 
-    def __init__(self, g: GeneratorDescriptor, basis: TruncatedBasis) -> None:
-        h = dense_hamiltonian(g, basis)
-        self.eigenvalues, self.eigenvectors = np.linalg.eigh(h)
+    def __init__(
+        self, modes: int, max_total: int, generators: Iterable[GeneratorDescriptor], cfg: EvolutionConfig
+    ) -> None:
+        self.cfg = cfg
+        self.shifting = any(number_shift(g.kind) > 0 for g in generators)
+        self.basis = TruncatedBasis.build(modes, max_total + (cfg.buffer if self.shifting else 0))
+        self.band = np.array([sum(occ) for occ in self.basis.states]) > self.basis.cutoff - 2
+        self._eigh: dict[GeneratorDescriptor, tuple[np.ndarray, np.ndarray]] = {}
 
-    def unitary(self, t: float) -> np.ndarray:
-        phases = np.exp(-1j * self.eigenvalues * t)
-        return (self.eigenvectors * phases) @ self.eigenvectors.conj().T
+    def unitary(self, g: GeneratorDescriptor, t: float) -> np.ndarray:
+        """exp(-iHt) for g's Hamiltonian projected onto the basis."""
+        eigh = self._eigh.get(g)
+        if eigh is None:
+            eigh = self._eigh[g] = np.linalg.eigh(dense_hamiltonian(g, self.basis))
+        eigenvalues, eigenvectors = eigh
+        phases = np.exp(-1j * eigenvalues * t)
+        return (eigenvectors * phases) @ eigenvectors.conj().T
 
+    def conjugate(self, r: np.ndarray, g: GeneratorDescriptor, t: float) -> np.ndarray:
+        """The density matrix r evolved under g for time t, leakage-checked."""
+        u = self.unitary(g, t)
+        dense = u @ r @ u.conj().T
+        boundary = 0.0
+        if number_shift(g.kind) > 0:
+            boundary = float(np.sum(np.real(np.diag(dense))[self.band]))
+        self.check(
+            f"evolving under {g.label} for t={t:g}",
+            trace_deviation=abs(np.trace(dense) - 1.0),
+            hermiticity=float(np.max(np.abs(dense - dense.conj().T))),
+            boundary_weight=boundary,
+        )
+        return dense
 
-def _dense_operator(op: SparseOperator, basis: TruncatedBasis) -> np.ndarray:
-    r = np.zeros((basis.size, basis.size), dtype=complex)
-    for (bra, ket), amp in op.entries.items():
-        r[basis.index[bra], basis.index[ket]] = amp
-    return r
+    def check(self, context: str, **measured: float) -> None:
+        """Raise LeakageError unless every measured deviation is within the
+        leakage tolerance; a NaN deviation fails."""
+        tol = self.cfg.leakage_tolerance
+        if not all(value <= tol for value in measured.values()):
+            found = ", ".join(f"{name.replace('_', ' ')} {value:.3e}" for name, value in measured.items())
+            raise LeakageError(
+                f"{context}: {found} exceed tolerance {tol:.1e} "
+                f"(cutoff {self.basis.cutoff}); increase the buffer or reduce |t|"
+            )
 
+    def dense(self, state: SparseKet | DensityOperator) -> np.ndarray:
+        """A ket as a vector, or a density operator as a matrix, over the basis."""
+        index = self.basis.index
+        if isinstance(state, SparseKet):
+            vec = np.zeros(self.basis.size, dtype=complex)
+            for occ, amp in state.terms.items():
+                vec[index[occ]] = amp
+            return vec
+        r = np.zeros((self.basis.size, self.basis.size), dtype=complex)
+        for (bra, ket), amp in state.op.entries.items():
+            r[index[bra], index[ket]] = amp
+        return r
 
-def _sparse_operator(dense: np.ndarray, basis: TruncatedBasis) -> SparseOperator:
-    entries = {}
-    rows, cols = np.nonzero(dense)
-    for i, j in zip(rows.tolist(), cols.tolist()):
-        entries[(basis.states[i], basis.states[j])] = complex(dense[i, j])
-    return SparseOperator(basis.modes, entries)
-
-
-def _guard_band_mask(basis: TruncatedBasis) -> np.ndarray:
-    totals = np.array([sum(occ) for occ in basis.states])
-    return totals > basis.cutoff - 2
-
-
-def _check_density_leakage(
-    dense: np.ndarray,
-    basis: TruncatedBasis,
-    cfg: EvolutionConfig,
-    *,
-    shifting: bool,
-    context: str,
-) -> None:
-    trace_dev = abs(np.trace(dense) - 1.0)
-    herm_dev = float(np.max(np.abs(dense - dense.conj().T))) if dense.size else 0.0
-    boundary = 0.0
-    if shifting:
-        boundary = float(np.sum(np.real(np.diag(dense))[_guard_band_mask(basis)]))
-    worst = max(trace_dev, herm_dev, boundary)
-    if worst > cfg.leakage_tolerance:
-        raise LeakageError(
-            f"{context}: trace deviation {trace_dev:.3e}, hermiticity {herm_dev:.3e}, "
-            f"boundary weight {boundary:.3e} exceed tolerance {cfg.leakage_tolerance:.1e} "
-            f"(cutoff {basis.cutoff}); increase the buffer or reduce |t|"
+    def sparse(self, dense: np.ndarray) -> SparseKet | SparseOperator:
+        """The nonzero entries of a vector as a ket, or of a matrix as an
+        operator."""
+        states = self.basis.states
+        nonzero = np.nonzero(dense)
+        keys = zip(*(axis.tolist() for axis in nonzero))
+        values = dense[nonzero].tolist()
+        if dense.ndim == 1:
+            return SparseKet(self.basis.modes, {states[k]: v for (k,), v in zip(keys, values)})
+        return SparseOperator(
+            self.basis.modes, {(states[i], states[j]): v for (i, j), v in zip(keys, values)}
         )
 
 
@@ -170,30 +187,18 @@ def evolve_density(
     """Conjugate rho by exp(-iHt) on the truncated working basis."""
     if t == 0.0:
         return rho
-    shifting = g.kind != "I" and number_shift(g.kind) > 0
-    cutoff = rho.op.max_total() + (cfg.buffer if shifting else 0)
-    basis = TruncatedBasis.build(rho.modes, cutoff)
-    u = _Propagator(g, basis).unitary(t)
-    dense = u @ _dense_operator(rho.op, basis) @ u.conj().T
-    _check_density_leakage(
-        dense, basis, cfg, shifting=shifting,
-        context=f"evolving under {g.label} for t={t:g}",
-    )
-    return DensityOperator.validate(_sparse_operator(dense, basis))
+    ws = _Workspace(rho.modes, rho.op.max_total(), [g], cfg)
+    return DensityOperator.validate(ws.sparse(ws.conjugate(ws.dense(rho), g, t)))
 
 
-class _DensityWorkspace:
-    """Shared basis, propagators, and evolved-copy cache for one (rho, group)."""
+class _DensityWorkspace(_Workspace):
+    """The working space of one (rho, group), with rho's evolved copies cached."""
 
     def __init__(self, rho: DensityOperator, group: Group, cfg: EvolutionConfig) -> None:
-        self.cfg = cfg
         self.basis_elements = lie_basis(group, rho.modes).elements
-        self.shifting = any(number_shift(g.kind) > 0 for g in self.basis_elements)
-        cutoff = rho.op.max_total() + (cfg.buffer if self.shifting else 0)
-        self.basis = TruncatedBasis.build(rho.modes, cutoff)
-        self.initial = _dense_operator(rho.op, self.basis)
+        super().__init__(rho.modes, rho.op.max_total(), self.basis_elements, cfg)
+        self.initial = self.dense(rho)
         self.purity = float(np.vdot(self.initial, self.initial).real)
-        self._propagators: dict[int, _Propagator] = {}
         self._evolved: dict[tuple[int, float], np.ndarray] = {}
 
     @property
@@ -207,26 +212,13 @@ class _DensityWorkspace:
             return self.initial
         key = (index, t)
         cached = self._evolved.get(key)
-        if cached is not None:
-            return cached
-        prop = self._propagators.get(index)
-        if prop is None:
-            prop = _Propagator(self.basis_elements[index - 1], self.basis)
-            self._propagators[index] = prop
-        u = prop.unitary(t)
-        dense = u @ self.initial @ u.conj().T
-        g = self.basis_elements[index - 1]
-        _check_density_leakage(
-            dense, self.basis, self.cfg,
-            shifting=number_shift(g.kind) > 0,
-            context=f"evolving under {g.label} for t={t:g}",
-        )
-        self._evolved[key] = dense
-        return dense
+        if cached is None:
+            cached = self._evolved[key] = self.conjugate(self.initial, self.basis_elements[index - 1], t)
+        return cached
 
     def beta(self, i: int, j: int, t: float) -> float:
         value = np.vdot(self.evolved(i, t), self.evolved(j, t))
-        if abs(value.imag) > _IMAG_RESIDUE_TOL * max(1.0, abs(value.real)):
+        if not abs(value.imag) <= _IMAG_RESIDUE_TOL * max(1.0, abs(value.real)):
             raise ValidationError(f"beta overlap has imaginary residue {value.imag:.3e}")
         return float(value.real)
 
@@ -242,17 +234,6 @@ def beta(
     """Hilbert-Schmidt overlap of two evolved copies of rho, the copies
     driven by basis generators ``i`` and ``j`` (1-based; 0 = no evolution)."""
     return _DensityWorkspace(rho, group, cfg).beta(i, j, t)
-
-
-def beta_sample(
-    rho: DensityOperator,
-    i: int,
-    j: int,
-    t: float,
-    group: Group,
-    cfg: EvolutionConfig = EvolutionConfig(),
-) -> BetaSample:
-    return BetaSample(i=i, j=j, t=t, value=beta(rho, i, j, t, group, cfg))
 
 
 @dataclass(frozen=True)
@@ -359,35 +340,20 @@ def apply_group_word(
         return psi
     if psi.is_zero():
         raise ValidationError("cannot evolve the zero ket")
-    shifting = any(number_shift(g.kind) > 0 for g, _ in word)
-    cutoff = psi.max_total() + (cfg.buffer if shifting else 0)
-    basis = TruncatedBasis.build(psi.modes, cutoff)
-    vec = np.zeros(basis.size, dtype=complex)
-    for occ, amp in psi.terms.items():
-        vec[basis.index[occ]] = amp
+    ws = _Workspace(psi.modes, psi.max_total(), [g for g, _ in word], cfg)
+    vec = ws.dense(psi)
     norm0 = float(np.linalg.norm(vec))
-    propagators: dict[GeneratorDescriptor, _Propagator] = {}
-    band = _guard_band_mask(basis)
-    for g, t in reversed(list(word)):
+    for g, t in reversed(word):
         if t == 0.0:
             continue
-        prop = propagators.get(g)
-        if prop is None:
-            prop = _Propagator(g, basis)
-            propagators[g] = prop
-        vec = prop.unitary(t) @ vec
-        if shifting:
-            boundary = float(np.sum(np.abs(vec[band]) ** 2))
-            if boundary > cfg.leakage_tolerance:
-                raise LeakageError(
-                    f"group word factor {g.label} (t={t:g}) pushed weight {boundary:.3e} "
-                    f"into the guard band (cutoff {basis.cutoff}, tol {cfg.leakage_tolerance:.1e})"
-                )
-    norm_dev = abs(float(np.linalg.norm(vec)) - norm0)
-    if norm_dev > cfg.leakage_tolerance:
-        raise LeakageError(f"group word changed the norm by {norm_dev:.3e}")
-    terms = {basis.states[k]: complex(vec[k]) for k in np.nonzero(vec)[0].tolist()}
-    return SparseKet(psi.modes, terms)
+        vec = ws.unitary(g, t) @ vec
+        if ws.shifting:
+            ws.check(
+                f"group word factor {g.label} (t={t:g})",
+                boundary_weight=float(np.sum(np.abs(vec[ws.band]) ** 2)),
+            )
+    ws.check("group word", norm_change=abs(float(np.linalg.norm(vec)) - norm0))
+    return ws.sparse(vec)
 
 
 def perturb_state(

@@ -205,10 +205,6 @@ class SparseOperator:
         return max((max(sum(b), sum(k)) for b, k in self.entries), default=0)
 
 
-def zero_operator(modes: int) -> SparseOperator:
-    return SparseOperator(modes, {})
-
-
 def dagger(a: SparseOperator) -> SparseOperator:
     return SparseOperator(a.modes, {(k, b): amp.conjugate() for (b, k), amp in a.entries.items()})
 
@@ -227,35 +223,8 @@ def op_scale(c: complex, a: SparseOperator) -> SparseOperator:
     return SparseOperator(a.modes, {key: c * amp for key, amp in a.entries.items()})
 
 
-def op_mul(a: SparseOperator, b: SparseOperator) -> SparseOperator:
-    """Operator product a @ b."""
-    if a.modes != b.modes:
-        raise ValueError(f"mode mismatch: {a.modes} vs {b.modes}")
-    rows: dict[Occupation, list[tuple[Occupation, complex]]] = {}
-    for (j, k), amp in b.entries.items():
-        rows.setdefault(j, []).append((k, amp))
-    out: dict[OperatorKey, complex] = {}
-    for (bra, j), amp in a.entries.items():
-        for k, bamp in rows.get(j, ()):
-            key = (bra, k)
-            out[key] = out.get(key, 0j) + amp * bamp
-    return SparseOperator(a.modes, out)
-
-
 def op_trace(a: SparseOperator) -> complex:
     return sum((amp for (b, k), amp in a.entries.items() if b == k), 0j)
-
-
-def trace_product(a: SparseOperator, b: SparseOperator) -> complex:
-    """Tr[a @ b] without forming the product."""
-    if a.modes != b.modes:
-        raise ValueError(f"mode mismatch: {a.modes} vs {b.modes}")
-    total = 0j
-    for (bra, ket), amp in a.entries.items():
-        other = b.entries.get((ket, bra))
-        if other is not None:
-            total += amp * other
-    return total
 
 
 def hs_inner(a: SparseOperator, b: SparseOperator) -> complex:
@@ -298,23 +267,25 @@ class DensityOperator:
         trace_tol: float = TRACE_TOL,
         diagonal_floor: float = DIAGONAL_FLOOR,
     ) -> "DensityOperator":
+        # every check is written so that a NaN fails it
         herm = 0.0
         for (bra, ket), amp in op.entries.items():
-            mirror = op.entries.get((ket, bra), 0j)
-            herm = max(herm, abs(amp - mirror.conjugate()))
-        if herm > herm_tol:
+            residual = abs(amp - op.entries.get((ket, bra), 0j).conjugate())
+            if residual > herm or math.isnan(residual):  # max() would drop a NaN
+                herm = residual
+        if not herm <= herm_tol:
             raise ValidationError(f"hermiticity residual {herm:.3e} exceeds {herm_tol:.1e}")
         trace = op_trace(op)
         trace_res = abs(trace - 1.0)
-        if trace_res > trace_tol:
+        if not trace_res <= trace_tol:
             raise ValidationError(f"trace {trace!r} deviates from 1 by {trace_res:.3e} (tol {trace_tol:.1e})")
         for (bra, ket), amp in op.entries.items():
-            if bra == ket and amp.real < -diagonal_floor:
+            if bra == ket and not amp.real >= -diagonal_floor:
                 raise ValidationError(f"diagonal entry {amp!r} at {bra!r} below -{diagonal_floor:.1e}")
         return cls(op=op, hermiticity_residual=herm, trace_residual=trace_res)
 
 
-def outer(psi: SparseKet, **tolerances: float) -> DensityOperator:
+def outer(psi: SparseKet) -> DensityOperator:
     """The normalized projector |psi><psi| / <psi|psi>."""
     nrm2 = sum(a.real * a.real + a.imag * a.imag for a in psi.terms.values())
     if nrm2 == 0.0:
@@ -325,10 +296,10 @@ def outer(psi: SparseKet, **tolerances: float) -> DensityOperator:
     for bra, bamp in psi.terms.items():
         for ket, kamp in psi.terms.items():
             entries[(bra, ket)] = bamp * kamp.conjugate() / nrm2
-    return DensityOperator.validate(SparseOperator(psi.modes, entries), **tolerances)
+    return DensityOperator.validate(SparseOperator(psi.modes, entries))
 
 
-def mixture(components: Sequence[tuple[float, SparseKet]], **tolerances: float) -> DensityOperator:
+def mixture(components: Sequence[tuple[float, SparseKet]]) -> DensityOperator:
     """Convex mixture sum_i w_i |psi_i><psi_i| (each ket normalized internally)."""
     if not components:
         raise ValidationError("mixture needs at least one component")
@@ -346,4 +317,4 @@ def mixture(components: Sequence[tuple[float, SparseKet]], **tolerances: float) 
             for ket, kamp in psi.terms.items():
                 key = (bra, ket)
                 entries[key] = entries.get(key, 0j) + weight * bamp * kamp.conjugate() / nrm2
-    return DensityOperator.validate(SparseOperator(modes, entries), **tolerances)
+    return DensityOperator.validate(SparseOperator(modes, entries))

@@ -238,29 +238,40 @@ def _ladder_monomials(g: GeneratorDescriptor) -> list[tuple[complex, tuple[tuple
     return [(c, raising), (c.conjugate(), lowering)]
 
 
-@functools.lru_cache(maxsize=None)
-def _monomial_table(group: Group, m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Every ladder monomial of the (group, m) basis, as arrays over
-    monomials: generator index, coefficient, and two (mode, step) slots,
-    the unused slot holding step 0. The arrays are shared, so read-only."""
+#: Generator index, coefficient, mode slots and step slots per monomial.
+_MonomialTable = tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
+
+
+def _monomials(generators: Sequence[GeneratorDescriptor]) -> _MonomialTable:
+    """Every ladder monomial of the generators, as arrays over monomials:
+    generator index, coefficient, and two (mode, step) slots, the unused
+    slot holding step 0."""
     rows = [
         (index, coeff, steps + ((0, 0),) * (2 - len(steps)))
-        for index, g in enumerate(lie_basis(group, m).elements)
+        for index, g in enumerate(generators)
         for coeff, steps in _ladder_monomials(g)
     ]
     gen = np.array([r[0] for r in rows], dtype=np.intp)
     coeff = np.array([r[1] for r in rows], dtype=complex)
     slots = np.array([r[2] for r in rows], dtype=np.int64).reshape(len(rows), 2, 2)
-    table = (gen, coeff, slots[:, :, 0], slots[:, :, 1])
+    return gen, coeff, slots[:, :, 0], slots[:, :, 1]
+
+
+@functools.lru_cache(maxsize=None)
+def _monomial_table(group: Group, m: int) -> _MonomialTable:
+    """The monomials of the (group, m) basis. The arrays are shared, so
+    read-only."""
+    table = _monomials(lie_basis(group, m).elements)
     for array in table:
         array.setflags(write=False)
     return table
 
 
 def _generator_action(
-    group: Group, occupations: np.ndarray
+    table: _MonomialTable, occupations: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, int, np.ndarray]:
-    """Every nonzero matrix element of the basis generators on a support.
+    """Every nonzero matrix element of a monomial table's generators on a
+    support.
 
     ``occupations`` is the S x m array of support states. Returns
     ``(gen, src, tgt, coeff, size, rows)``: entry k says that H_gen[k] maps
@@ -270,8 +281,8 @@ def _generator_action(
     For each generator and source the targets are distinct.
     """
     occupations = np.asarray(occupations, dtype=np.int64)
-    s_count, m = occupations.shape
-    gen, coeff, modes, steps = _monomial_table(group, m)
+    s_count = len(occupations)
+    gen, coeff, modes, steps = table
     occ = np.repeat(occupations[None, :, :], len(gen), axis=0)
     amp = np.ones((len(gen), s_count))
     mono = np.arange(len(gen))[:, None]

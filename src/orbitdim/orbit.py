@@ -24,21 +24,15 @@ from .fock import (
     ValidationError,
     basis_ket,
     enumerate_occupations,
-    inner,
     normalize,
-    op_mul,
-    op_trace,
-    real_inner,
-    trace_product,
 )
 from .generators import (
     IDENTITY_KIND,
     Group,
     LieBasis,
     _generator_action,
+    _monomial_table,
     _rank_states,
-    apply_generator,
-    left_apply_generator,
     lie_basis,
 )
 
@@ -79,7 +73,7 @@ class GramMatrix:
         if values.shape != (d, d):
             raise ValidationError(f"Gram matrix shape {values.shape} does not match dimension {d}")
         asym = float(np.max(np.abs(values - values.T))) if d else 0.0
-        if asym > _SYMMETRY_TOL:
+        if not asym <= _SYMMETRY_TOL:
             raise ValidationError(f"Gram asymmetry {asym:.3e} exceeds {_SYMMETRY_TOL:.1e}")
         values.setflags(write=False)
         object.__setattr__(self, "values", values)
@@ -99,10 +93,10 @@ class RankResult:
     relative: bool
 
 
-def _check_normalized(psi: SparseKet, norm_tol: float) -> None:
+def _check_normalized(psi: SparseKet) -> None:
     nrm = psi.norm()
-    if abs(nrm - 1.0) > norm_tol:
-        raise ValidationError(f"state is not normalized: measured norm {nrm!r} (tol {norm_tol:.1e})")
+    if not abs(nrm - 1.0) <= NORM_TOL:  # a NaN norm fails too
+        raise ValidationError(f"state is not normalized: measured norm {nrm!r} (tol {NORM_TOL:.1e})")
 
 
 def _ket_arrays(psi: SparseKet) -> tuple[np.ndarray, np.ndarray]:
@@ -118,8 +112,9 @@ def _norm2(amps: np.ndarray) -> float:
 def _ket_directions(group: Group, occupations: np.ndarray, amps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The d x D' matrix A with rows A[I] = H_I psi over the union support,
     and the ranks of psi's support states in that union."""
-    gen, src, tgt, coeff, size, rows = _generator_action(group, occupations)
-    d = group.dimension(occupations.shape[1])
+    m = occupations.shape[1]
+    gen, src, tgt, coeff, size, rows = _generator_action(_monomial_table(group, m), occupations)
+    d = group.dimension(m)
     flat = gen * size + tgt
     weights = coeff * amps[src]
     a = np.bincount(flat, weights.real, d * size) + 1j * np.bincount(flat, weights.imag, d * size)
@@ -150,7 +145,7 @@ def _commutator_gram(group: Group, occupations: np.ndarray, r: np.ndarray) -> Gr
     s_count, m = occupations.shape
     basis = lie_basis(group, m)
     d = len(basis)
-    gen, src, tgt, coeff, size, rows = _generator_action(group, occupations)
+    gen, src, tgt, coeff, size, rows = _generator_action(_monomial_table(group, m), occupations)
     x = np.zeros((d * size, s_count), dtype=complex)
     np.add.at(x, gen * size + tgt, coeff[:, None] * r[src])
     x = x.reshape(d, size, s_count)
@@ -174,22 +169,22 @@ def _density_arrays(rho: DensityOperator) -> tuple[np.ndarray, np.ndarray]:
     return support, r
 
 
-def gram_ket(group: Group, psi: SparseKet, *, norm_tol: float = NORM_TOL) -> GramMatrix:
+def gram_ket(group: Group, psi: SparseKet) -> GramMatrix:
     """Gram matrix of the ket-picture directions {H_I |psi>}:
     G_IJ = Re <H_I psi, H_J psi> = Re (A* A^T)_IJ, where row I of A is
     H_I psi over the union of psi's support and every generator's targets."""
-    _check_normalized(psi, norm_tol)
+    _check_normalized(psi)
     basis = lie_basis(group, psi.modes)
     a, _ = _ket_directions(group, *_ket_arrays(psi))
     return GramMatrix(group, Picture.KET, psi.modes, _re_gram(a), basis)
 
 
-def gram_ketbra(group: Group, psi: SparseKet, *, norm_tol: float = NORM_TOL) -> GramMatrix:
+def gram_ketbra(group: Group, psi: SparseKet) -> GramMatrix:
     """Gram matrix of the projector-picture directions {[H_I, |psi><psi|]}:
     G = 2 (G_k - v v^T), where G_k is the ket Gram matrix of the normalized
     psi and v_I = Re <psi| H_I |psi>. The identity's row and column are
     exactly zero."""
-    _check_normalized(psi, norm_tol)
+    _check_normalized(psi)
     basis = lie_basis(group, psi.modes)
     occupations, amps = _ket_arrays(psi)
     amps = amps / math.sqrt(_norm2(amps))
@@ -199,77 +194,16 @@ def gram_ketbra(group: Group, psi: SparseKet, *, norm_tol: float = NORM_TOL) -> 
     return GramMatrix(group, Picture.KETBRA, psi.modes, _without_identity(basis, values), basis)
 
 
-def gram_mixed(group: Group, rho: DensityOperator, *, method: str = "commutator") -> GramMatrix:
+def gram_mixed(group: Group, rho: DensityOperator) -> GramMatrix:
     """Gram matrix of the density-picture directions {[H_I, rho]}, whose
-    entries are the Hilbert-Schmidt products Re Tr([H_I, rho]^dag [H_J, rho]).
-
-    ``method="commutator"`` evaluates them as
-    G_IJ = 2 Re[<X_I, X_J>_F - Tr(M_I R M_J R)], with R the dense matrix of
-    rho over its support, X_I = H_I R, and M_I R the support rows of X_I;
-    the identity's row and column are exactly zero (the primary path).
-    ``method="trace"`` evaluates the equivalent second-moment trace form
-    2 Tr[{H_I,H_J} rho^2] - 2 Tr[H_I rho H_J rho] entry by entry with sparse
-    operator arithmetic (kept as an independent cross-check path).
+    entries are the Hilbert-Schmidt products Re Tr([H_I, rho]^dag [H_J, rho]),
+    evaluated as G_IJ = 2 Re[<X_I, X_J>_F - Tr(M_I R M_J R)], with R the
+    dense matrix of rho over its support, X_I = H_I R, and M_I R the support
+    rows of X_I. The identity's row and column are exactly zero.
     """
     if not isinstance(rho, DensityOperator):
         raise PictureError("gram_mixed requires a validated DensityOperator")
-    if method == "commutator":
-        return _commutator_gram(group, *_density_arrays(rho))
-    if method == "trace":
-        basis = lie_basis(group, rho.modes)
-        return GramMatrix(group, Picture.MIXED, rho.modes, _gram_mixed_trace(basis, rho), basis)
-    raise ValueError(f"unknown method {method!r}")
-
-
-def _gram_mixed_trace(basis: LieBasis, rho: DensityOperator) -> np.ndarray:
-    """Entries 2 Tr[{H_I,H_J} rho^2] - 2 Tr[H_I rho H_J rho]."""
-    d = len(basis)
-    rho2 = op_mul(rho.op, rho.op)
-    h_rho = [left_apply_generator(g, rho.op) for g in basis.elements]
-    h_rho2 = [left_apply_generator(g, rho2) for g in basis.elements]
-    values = np.zeros((d, d))
-    for i in range(d):
-        gi = basis.elements[i]
-        for j in range(i, d):
-            gj = basis.elements[j]
-            tr_ij = op_trace(left_apply_generator(gi, h_rho2[j]))
-            tr_ji = op_trace(left_apply_generator(gj, h_rho2[i]))
-            tr_cross = trace_product(h_rho[i], h_rho[j])
-            entry = (tr_ij + tr_ji - 2.0 * tr_cross).real
-            values[i, j] = values[j, i] = entry
-    return values
-
-
-def gram_ket_expectation(group: Group, psi: SparseKet, *, norm_tol: float = NORM_TOL) -> np.ndarray:
-    """Cross-check path for gram_ket: entries as anticommutator expectation
-    values <psi| {H_I, H_J} |psi>, evaluated through sequential generator
-    applications."""
-    _check_normalized(psi, norm_tol)
-    basis = lie_basis(group, psi.modes)
-    applied = [apply_generator(g, psi) for g in basis.elements]
-    d = len(basis)
-    values = np.zeros((d, d))
-    for i in range(d):
-        for j in range(i, d):
-            ij = inner(psi, apply_generator(basis.elements[i], applied[j]))
-            ji = inner(psi, apply_generator(basis.elements[j], applied[i]))
-            values[i, j] = values[j, i] = 0.5 * (ij + ji).real
-    return values
-
-
-def gram_ketbra_covariance(group: Group, psi: SparseKet, *, norm_tol: float = NORM_TOL) -> np.ndarray:
-    """Cross-check path for gram_ketbra: entries as twice the symmetrized
-    covariance 2(E[{H_I,H_J}] - E[H_I] E[H_J])."""
-    basis = lie_basis(group, psi.modes)
-    anticomm = gram_ket_expectation(group, psi, norm_tol=norm_tol)
-    means = np.array([real_inner(psi, apply_generator(g, psi)) for g in basis.elements])
-    return 2.0 * (anticomm - np.outer(means, means))
-
-
-def generator_expectations(group: Group, psi: SparseKet) -> np.ndarray:
-    """The expectation values E[H_I] in basis order."""
-    basis = lie_basis(group, psi.modes)
-    return np.array([real_inner(psi, apply_generator(g, psi)) for g in basis.elements])
+    return _commutator_gram(group, *_density_arrays(rho))
 
 
 def rank_psd(gram: GramMatrix | np.ndarray, tolerance: float | None = None) -> RankResult:
@@ -295,6 +229,8 @@ def rank_psd(gram: GramMatrix | np.ndarray, tolerance: float | None = None) -> R
     else:
         tol = float(tolerance)
         relative = False
+        if math.isnan(tol):
+            raise ValidationError("rank tolerance is NaN")
     rank = int(np.count_nonzero(eigs > tol))
     return RankResult(
         rank=rank,
@@ -308,8 +244,6 @@ def gram_matrix(
     group: Group,
     state: SparseKet | DensityOperator,
     picture: Picture,
-    *,
-    norm_tol: float = NORM_TOL,
 ) -> GramMatrix:
     """Dispatch to the Gram construction matching ``picture``.
 
@@ -319,14 +253,14 @@ def gram_matrix(
     if picture is Picture.KET:
         if not isinstance(state, SparseKet):
             raise PictureError("the ket picture requires a pure-state ket")
-        return gram_ket(group, state, norm_tol=norm_tol)
+        return gram_ket(group, state)
     if picture is Picture.KETBRA:
         if not isinstance(state, SparseKet):
             raise PictureError("the ketbra picture requires a pure-state ket")
-        return gram_ketbra(group, state, norm_tol=norm_tol)
+        return gram_ketbra(group, state)
     if picture is Picture.MIXED:
         if isinstance(state, SparseKet):
-            _check_normalized(state, norm_tol)
+            _check_normalized(state)
             occupations, amps = _ket_arrays(state)
             # the projector normalized as ``outer`` does, without its dict
             return _commutator_gram(group, occupations, np.outer(amps, amps.conj()) / _norm2(amps))

@@ -1,10 +1,16 @@
-"""Independent dense brute-force oracle.
+"""Independent reference implementations.
 
-Everything here is rebuilt from first principles with dense numpy matrices:
-ladder operators from the sqrt(n) rule, generators by matrix algebra, Gram
-entries from the expectation-value / trace formulas, ranks from stacked
-real-imaginary matrices. None of the package's sparse kernels are reused, so
-agreement is a genuine cross-check.
+The dense oracle rebuilds everything from first principles with dense numpy
+matrices: ladder operators from the sqrt(n) rule, generators by matrix
+algebra, Gram entries from the expectation-value / trace formulas, ranks
+from stacked real-imaginary matrices. None of the package's kernels are
+reused, so agreement is a genuine cross-check.
+
+The sparse references at the end evaluate the same Gram formulas on states
+too large for dense matrices. They apply generators through the package's
+dict-based ladder arithmetic (``apply_generator``, ``left_apply_generator``),
+which shares no code with the vectorised kernel behind ``gram_ket``,
+``gram_ketbra`` and ``gram_mixed``.
 """
 
 import itertools
@@ -12,7 +18,15 @@ import math
 
 import numpy as np
 
-from orbitdim import lie_basis
+from orbitdim import (
+    SparseOperator,
+    apply_generator,
+    inner,
+    left_apply_generator,
+    lie_basis,
+    op_trace,
+    real_inner,
+)
 
 
 def basis_states(m, cutoff):
@@ -162,3 +176,73 @@ def oracle_ketbra_rank(group, psi, tol=1e-8):
         c = h @ rho - rho @ h
         rows.append(np.concatenate([c.real.ravel(), c.imag.ravel()]))
     return int(np.linalg.matrix_rank(np.array(rows), tol=tol))
+
+
+# ------------------------------------------------------- sparse references
+
+
+def generator_expectations(group, psi):
+    """The expectation values E[H_I] = Re <psi| H_I |psi> in basis order."""
+    return np.array([real_inner(psi, apply_generator(g, psi)) for g in lie_basis(group, psi.modes).elements])
+
+
+def gram_ket_expectation(group, psi):
+    """Ket Gram entries as anticommutator expectation values
+    <psi| {H_I, H_J} |psi>, through sequential generator applications."""
+    elements = lie_basis(group, psi.modes).elements
+    applied = [apply_generator(g, psi) for g in elements]
+    d = len(elements)
+    out = np.zeros((d, d))
+    for i in range(d):
+        for j in range(i, d):
+            ij = inner(psi, apply_generator(elements[i], applied[j]))
+            ji = inner(psi, apply_generator(elements[j], applied[i]))
+            out[i, j] = out[j, i] = 0.5 * (ij + ji).real
+    return out
+
+
+def gram_ketbra_covariance(group, psi):
+    """Ketbra Gram entries as twice the symmetrized covariance
+    2(E[{H_I,H_J}] - E[H_I] E[H_J])."""
+    means = generator_expectations(group, psi)
+    return 2.0 * (gram_ket_expectation(group, psi) - np.outer(means, means))
+
+
+def _op_mul(a, b):
+    """The sparse operator product a @ b."""
+    rows = {}
+    for (j, k), amp in b.entries.items():
+        rows.setdefault(j, []).append((k, amp))
+    out = {}
+    for (bra, j), amp in a.entries.items():
+        for k, bamp in rows.get(j, ()):
+            out[(bra, k)] = out.get((bra, k), 0j) + amp * bamp
+    return SparseOperator(a.modes, out)
+
+
+def _trace_product(a, b):
+    """Tr[a @ b] without forming the product."""
+    total = 0j
+    for (bra, ket), amp in a.entries.items():
+        if (ket, bra) in b.entries:
+            total += amp * b.entries[(ket, bra)]
+    return total
+
+
+def gram_mixed_trace(group, rho):
+    """Mixed Gram entries 2 Tr[{H_I,H_J} rho^2] - 2 Tr[H_I rho H_J rho] with
+    sparse operator arithmetic. rho^2 is formed from rho, so nothing assumes
+    a pure state."""
+    elements = lie_basis(group, rho.modes).elements
+    rho2 = _op_mul(rho.op, rho.op)
+    h_rho = [left_apply_generator(g, rho.op) for g in elements]
+    h_rho2 = [left_apply_generator(g, rho2) for g in elements]
+    d = len(elements)
+    out = np.zeros((d, d))
+    for i in range(d):
+        for j in range(i, d):
+            tr_ij = op_trace(left_apply_generator(elements[i], h_rho2[j]))
+            tr_ji = op_trace(left_apply_generator(elements[j], h_rho2[i]))
+            tr_cross = _trace_product(h_rho[i], h_rho[j])
+            out[i, j] = out[j, i] = (tr_ij + tr_ji - 2.0 * tr_cross).real
+    return out

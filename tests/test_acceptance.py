@@ -40,7 +40,6 @@ from orbitdim import (
     closed_form,
     cnot_demo,
     estimate_gram_matrix,
-    generator_expectations,
     generic_dimension,
     gram_ket,
     gram_ketbra,
@@ -59,7 +58,7 @@ from orbitdim import (
     verify_closure,
 )
 
-from _oracle import oracle_ket_rank
+from _oracle import generator_expectations, gram_mixed_trace, oracle_ket_rank
 
 GRID_M_MAX = 5
 ORACLE_M_MAX = 4  # the largest m = 5 cell would give the dense oracle a 4,368-dimensional space
@@ -312,7 +311,9 @@ def test_criterion_4_lie_closure():
 
 def test_criterion_5_cross_formula_consistency(grid):
     """Pure/mixed consistency, trace-form vs commutator-form agreement, and
-    the centered-covariance identity, entrywise <= 1e-10 over the grid."""
+    the centered-covariance identity, entrywise <= 1e-10 over the grid. The
+    trace form and the expectations are the sparse references of
+    ``tests/_oracle.py``."""
     started = time.perf_counter()
     worst = {"mixed_vs_ketbra": 0.0, "trace_vs_commutator": 0.0, "covariance_identity": 0.0}
     for row in grid.rows:
@@ -320,7 +321,7 @@ def test_criterion_5_cross_formula_consistency(grid):
         for group in Group:
             gkb = row.grams[(group, Picture.KETBRA)].values
             gm = gram_mixed(group, rho).values
-            gmt = gram_mixed(group, rho, method="trace").values
+            gmt = gram_mixed_trace(group, rho)
             gk = row.grams[(group, Picture.KET)].values
             v = generator_expectations(group, row.psi)
             worst["mixed_vs_ketbra"] = max(worst["mixed_vs_ketbra"], float(np.abs(gm - gkb).max()))

@@ -337,6 +337,15 @@ def test_estimate_accepts_ket_file_via_projector(capsys, tmp_path):
     assert json.loads(out)["max_abs_deviation"] < 1e-4
 
 
+def test_estimate_refuses_unnormalized_ket_file(capsys, tmp_path):
+    path = tmp_path / "ket.json"
+    path.write_text(json.dumps({"modes": 1, "kind": "ket", "terms": [{"occ": [1], "re": 2.0, "im": 0.0}]}))
+    code, out, err = run(capsys, "estimate", "--state", str(path), "--group", "go", "--json")
+    assert code == EXIT_INVALID
+    assert out == ""
+    assert "not normalized" in err
+
+
 def test_estimate_leakage_exits_4(capsys, tmp_path):
     path = tmp_path / "sup.json"
     write_state_file(str(path), normalize(SparseKet(1, {(0,): 1.0, (2,): 1.0})))

@@ -16,7 +16,6 @@ from orbitdim import (
     apply_group_word,
     basis_ket,
     beta,
-    beta_sample,
     dense_hamiltonian,
     estimate_gram_entry,
     estimate_gram_matrix,
@@ -32,6 +31,7 @@ from orbitdim import (
     sample_sphere_state,
 )
 from _helpers import assert_entries_close
+from _oracle import generator_matrix
 
 
 # ----------------------------------------------------------- TruncatedBasis
@@ -77,6 +77,16 @@ def test_dense_hamiltonians_hermitian_for_all_kinds():
         assert np.array_equal(h, h.conj().T), g.label
 
 
+@pytest.mark.parametrize("cutoff_above", [0, 3])
+@pytest.mark.parametrize("m", [1, 2, 3])
+@pytest.mark.parametrize("group", list(Group))
+def test_dense_hamiltonian_matches_dense_oracle(group, m, cutoff_above):
+    cutoff = m + cutoff_above
+    basis = TruncatedBasis.build(m, cutoff)
+    for g in lie_basis(group, m).elements:
+        assert np.array_equal(dense_hamiltonian(g, basis), generator_matrix(g, m, cutoff)), g.label
+
+
 # ------------------------------------------------------------ evolve_density
 
 
@@ -111,6 +121,21 @@ def test_active_evolution_leakage_within_tolerance_at_default_buffer():
         assert out.trace_residual <= 1e-6
 
 
+@pytest.mark.parametrize("kind, modes, t", [("e", (1, 2), 0.7), ("r", (1, 2), 0.05)])
+def test_evolve_density_matches_group_word_on_the_projector(kind, modes, t):
+    psi = normalize(SparseKet(2, {(1, 0): 1.0, (0, 2): 0.5j, (1, 1): -0.25}))
+    g = GeneratorDescriptor(kind, modes)
+    out = evolve_density(outer(psi), g, t)
+    assert_entries_close(out.op.entries, outer(apply_group_word(psi, [(g, t)])).op.entries, tol=1e-12)
+
+
+def test_evolution_config_rejects_nan():
+    with pytest.raises(ValueError):
+        EvolutionConfig(leakage_tolerance=math.nan)
+    with pytest.raises(ValueError):
+        EvolutionConfig(step=math.nan)
+
+
 def test_number_preserving_evolution_exact_at_long_times():
     rho = outer(normalize(SparseKet(2, {(1, 0): 1.0, (0, 1): 0.5j})))
     for kind, modes in (("e", (1, 2)), ("N", (1,))):
@@ -123,9 +148,12 @@ def test_number_preserving_evolution_exact_at_long_times():
 
 
 def test_beta_at_zero_time_is_purity():
-    rho = mixture([(0.5, basis_ket((0,))), (0.5, basis_ket((1,)))])
-    value = beta(rho, 1, 2, 0.0, Group.GO)
-    assert abs(value - 0.5) < 1e-12
+    cases = [
+        (mixture([(0.5, basis_ket((0,))), (0.5, basis_ket((1,)))]), 1, 2, Group.GO, 0.5),
+        (outer(basis_ket((0,))), 0, 0, Group.PLO, 1.0),
+    ]
+    for rho, i, j, group, purity in cases:
+        assert abs(beta(rho, i, j, 0.0, group) - purity) < 1e-12
 
 
 def test_beta_constant_for_commuting_generator():
@@ -148,13 +176,6 @@ def test_beta_index_validation():
     rho = outer(basis_ket((0,)))
     with pytest.raises(ValueError):
         beta(rho, 0, 99, 1e-3, Group.PLO)
-
-
-def test_beta_sample_record():
-    rho = outer(basis_ket((0,)))
-    sample = beta_sample(rho, 0, 0, 0.0, Group.PLO)
-    assert sample.value == pytest.approx(1.0)
-    assert (sample.i, sample.j, sample.t) == (0, 0, 0.0)
 
 
 # --------------------------------------------------------------- estimation
@@ -256,6 +277,12 @@ def test_plo_word_preserves_orbit_dimension():
         before = orbit_dimension(group, psi, Picture.KET).rank
         after = orbit_dimension(group, out, Picture.KET).rank
         assert before == after
+
+
+@pytest.mark.parametrize("kind", ["q", "N"])  # guard-band check, norm check
+def test_group_word_rejects_nan_amplitude(kind):
+    with pytest.raises(LeakageError):
+        apply_group_word(SparseKet(1, {(1,): math.nan}), [(GeneratorDescriptor(kind, (1,)), 0.1)])
 
 
 def test_squeezing_word_with_tiny_buffer_raises():

@@ -217,6 +217,15 @@ def test_density_validation_rejects_negative_diagonal():
         DensityOperator.validate(op)
 
 
+def test_density_validation_rejects_nan():
+    nan = math.nan
+    diagonal = {((0,), (0,)): nan}  # fails the trace and hermiticity checks
+    off_diagonal = {((0,), (0,)): 1.0, ((0,), (1,)): nan, ((1,), (0,)): nan}  # hermiticity only
+    for entries in (diagonal, off_diagonal):
+        with pytest.raises(ValidationError):
+            DensityOperator.validate(SparseOperator(1, entries))
+
+
 def test_density_validation_tolerances_overridable():
     op = SparseOperator(1, {((0,), (0,)): 1.0 + 1e-8})
     with pytest.raises(ValidationError):
