@@ -13,13 +13,6 @@ the human rendering.
 
 from __future__ import annotations
 
-import os
-
-_threads = os.environ.get("ORBITDIM_THREADS")
-if _threads:
-    for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-        os.environ.setdefault(_var, _threads)
-
 import argparse
 import csv
 import hashlib
@@ -387,6 +380,8 @@ def cmd_table2(args) -> int:
 
 def cmd_generic(args) -> int:
     started = time.perf_counter()
+    if args.seeds < 1:
+        raise ValueError(f"--seeds must be >= 1, got {args.seeds}")
     group = Group(args.group)
     picture = Picture(args.picture)
     expected = generic_dimension(group, args.m, args.N, picture)

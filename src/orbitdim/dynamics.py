@@ -88,10 +88,10 @@ def dense_hamiltonian(g: GeneratorDescriptor, basis: TruncatedBasis) -> np.ndarr
     Couplings into states above the cutoff are dropped on both sides, so the
     projected matrix is Hermitian by construction.
     """
-    _, src, tgt, coeff, size, rows = _generator_action(_monomials([g]), np.array(basis.states))
+    _, src, tgt, coeff, union, rows = _generator_action(_monomials([g]), np.array(basis.states))
     # rows ranks the basis states among the union of basis and targets;
     # a target above the cutoff keeps position -1 and is dropped
-    position = np.full(size, -1)
+    position = np.full(len(union), -1)
     position[rows] = np.arange(basis.size)
     row = position[tgt]
     kept = row >= 0

@@ -269,15 +269,15 @@ def _monomial_table(group: Group, m: int) -> _MonomialTable:
 
 def _generator_action(
     table: _MonomialTable, occupations: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, int, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Every nonzero matrix element of a monomial table's generators on a
     support.
 
     ``occupations`` is the S x m array of support states. Returns
-    ``(gen, src, tgt, coeff, size, rows)``: entry k says that H_gen[k] maps
+    ``(gen, src, tgt, coeff, union, rows)``: entry k says that H_gen[k] maps
     support row src[k] to union state tgt[k] with amplitude coeff[k]. The
-    union of the support and every target holds ``size`` states, ranked in
-    a fixed order, and ``rows`` gives each support row's rank in it.
+    array ``union`` holds the states of the support and every target, in a
+    fixed order, and ``rows`` gives each support row's rank in it.
     For each generator and source the targets are distinct.
     """
     occupations = np.asarray(occupations, dtype=np.int64)
@@ -296,27 +296,50 @@ def _generator_action(
         amp *= np.where(step != 0, np.sqrt(np.maximum(n + (step > 0), 0)), 1.0)
         occ[mono, src, mode] = n + step
     mono_k, src_k = np.nonzero(amp)
-    size, inverse = _rank_states(np.concatenate([occupations, occ[mono_k, src_k]]))
+    union, inverse = _rank_states(np.concatenate([occupations, occ[mono_k, src_k]]))
     return (
         gen[mono_k],
         src_k,
         inverse[s_count:],
         coeff[mono_k] * amp[mono_k, src_k],
-        size,
+        union,
         inverse[:s_count],
     )
 
 
-def _rank_states(states: np.ndarray) -> tuple[int, np.ndarray]:
-    """The number of distinct rows of an int64 array, and each row's rank
-    among them in a fixed order."""
+def _rank_states(states: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct rows of an int64 array, in a fixed order, and each
+    row's rank among them."""
     # each row as one opaque byte string: np.unique(axis=0) sorts the same
     # rows field by field, several times slower
     rows = np.ascontiguousarray(states, dtype=np.int64)
     distinct, inverse = np.unique(
         rows.view(np.dtype((np.void, 8 * rows.shape[1]))).reshape(-1), return_inverse=True
     )
-    return len(distinct), inverse.reshape(-1)
+    return distinct.view(np.int64).reshape(-1, rows.shape[1]), inverse.reshape(-1)
+
+
+def _directions(
+    table: _MonomialTable, occupations: np.ndarray, columns: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Each generator of a monomial table applied to each column of a block.
+
+    ``columns`` is S x r over the support ``occupations``. Returns
+    ``(x, union, rows)``: ``x[n, :, c]`` is H_n applied to column c over the
+    union of the support and every target, ``union`` holds the union's
+    states, and ``rows`` gives each support state's rank in the union.
+    """
+    gen, src, tgt, coeff, union, rows = _generator_action(table, occupations)
+    d = int(table[0][-1]) + 1  # generator indices ascend over the table
+    x = np.zeros((d * len(union), columns.shape[1]), dtype=complex)
+    np.add.at(x, gen * len(union) + tgt, coeff[:, None] * columns[src])
+    return x.reshape(d, len(union), -1), union, rows
+
+
+def _ket_arrays(psi: SparseKet) -> tuple[np.ndarray, np.ndarray]:
+    """psi's support as an S x m array and its amplitudes."""
+    occupations = np.array(list(psi.terms), dtype=np.int64).reshape(len(psi.terms), psi.modes)
+    return occupations, np.fromiter(psi.terms.values(), dtype=complex, count=len(psi.terms))
 
 
 def left_apply_generator(g: GeneratorDescriptor, a: SparseOperator) -> SparseOperator:
@@ -372,20 +395,6 @@ def default_closure_probes(m: int) -> list[SparseKet]:
     return probes
 
 
-def _stack_block(
-    vectors: Sequence[dict[Occupation, complex]],
-    support: Sequence[Occupation],
-) -> np.ndarray:
-    index = {occ: i for i, occ in enumerate(support)}
-    block = np.zeros((2 * len(support), len(vectors)), dtype=float)
-    for col, vec in enumerate(vectors):
-        for occ, amp in vec.items():
-            row = index[occ]
-            block[row, col] = amp.real
-            block[row + len(support), col] = amp.imag
-    return block
-
-
 def verify_closure(
     group: Group,
     m: int,
@@ -422,31 +431,28 @@ def verify_closure(
     fit.extend(g for g in extra_fit if g not in fit)
     d = len(basis.elements)
     pairs = [(i, j) for i in range(d) for j in range(i + 1, d)]
+    first, second = np.triu_indices(d, 1)
+    table = _monomials(basis.elements + tuple(fit))
 
     a_blocks: list[np.ndarray] = []
     b_blocks: list[np.ndarray] = []
+    off_norm2 = np.zeros(len(pairs))
     for psi in probes:
-        applied = [apply_generator(g, psi) for g in basis.elements]
-        columns = [scale(1j, apply_generator(g, psi)).terms for g in fit]
-        targets = []
-        for i, j in pairs:
-            # [iH_I, iH_J] psi = H_J (H_I psi) - H_I (H_J psi)
-            t = add(
-                apply_generator(basis.elements[j], applied[i]),
-                scale(-1.0, apply_generator(basis.elements[i], applied[j])),
-            )
-            targets.append(t.terms)
-        support: set[Occupation] = set(psi.terms)
-        for vec in columns:
-            support.update(vec)
-        for vec in targets:
-            support.update(vec)
-        ordered = sorted(support)
-        a_blocks.append(_stack_block(columns, ordered))
-        b_blocks.append(_stack_block(targets, ordered))
+        occupations, amps = _ket_arrays(psi)
+        applied, union, _ = _directions(table, occupations, amps[:, None])
+        # twice[J, :, I] = H_J H_I psi over a second, wider union
+        twice, _, rows = _directions(_monomial_table(group, m), union, applied[:d, :, 0].T)
+        # [iH_I, iH_J] psi = H_J (H_I psi) - H_I (H_J psi)
+        targets = twice[second, :, first] - twice[first, :, second]
+        # the fitted vectors vanish off the first union, so the target rows
+        # there enter the fit only through their norm
+        off_norm2 += np.sum(np.abs(np.delete(targets, rows, axis=1)) ** 2, axis=1)
+        # rows of (re, im) pairs, one pair per union state
+        a_blocks.append((1j * applied[d:, :, 0]).view(float).T)
+        b_blocks.append(np.ascontiguousarray(targets[:, rows]).view(float).T)
 
-    a_mat = np.vstack(a_blocks) if a_blocks else np.zeros((0, len(fit)))
-    b_mat = np.vstack(b_blocks) if b_blocks else np.zeros((0, len(pairs)))
+    a_mat = np.vstack(a_blocks)
+    b_mat = np.vstack(b_blocks)
     normal = a_mat.T @ a_mat
     min_eig = float(np.linalg.eigvalsh(normal)[0]) if len(fit) else 0.0
     if pairs:
@@ -455,7 +461,7 @@ def verify_closure(
             coeff = np.linalg.solve(normal, rhs)
         except np.linalg.LinAlgError:
             coeff = np.linalg.lstsq(a_mat, b_mat, rcond=None)[0]
-        resid = np.linalg.norm(a_mat @ coeff - b_mat, axis=0)
+        resid = np.sqrt(np.sum((a_mat @ coeff - b_mat) ** 2, axis=0) + off_norm2)
     else:
         coeff = np.zeros((len(fit), 0))
         resid = np.zeros(0)

@@ -30,7 +30,8 @@ from .generators import (
     IDENTITY_KIND,
     Group,
     LieBasis,
-    _generator_action,
+    _directions,
+    _ket_arrays,
     _monomial_table,
     _rank_states,
     lie_basis,
@@ -99,26 +100,8 @@ def _check_normalized(psi: SparseKet) -> None:
         raise ValidationError(f"state is not normalized: measured norm {nrm!r} (tol {NORM_TOL:.1e})")
 
 
-def _ket_arrays(psi: SparseKet) -> tuple[np.ndarray, np.ndarray]:
-    """psi's support as an S x m array and its amplitudes."""
-    occupations = np.array(list(psi.terms), dtype=np.int64).reshape(len(psi.terms), psi.modes)
-    return occupations, np.fromiter(psi.terms.values(), dtype=complex, count=len(psi.terms))
-
-
 def _norm2(amps: np.ndarray) -> float:
     return float(np.sum(amps.real * amps.real + amps.imag * amps.imag))
-
-
-def _ket_directions(group: Group, occupations: np.ndarray, amps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The d x D' matrix A with rows A[I] = H_I psi over the union support,
-    and the ranks of psi's support states in that union."""
-    m = occupations.shape[1]
-    gen, src, tgt, coeff, size, rows = _generator_action(_monomial_table(group, m), occupations)
-    d = group.dimension(m)
-    flat = gen * size + tgt
-    weights = coeff * amps[src]
-    a = np.bincount(flat, weights.real, d * size) + 1j * np.bincount(flat, weights.imag, d * size)
-    return a.reshape(d, size), rows
 
 
 def _re_gram(x: np.ndarray) -> np.ndarray:
@@ -138,35 +121,30 @@ def _without_identity(basis: LieBasis, values: np.ndarray) -> np.ndarray:
     return values
 
 
-def _commutator_gram(group: Group, occupations: np.ndarray, r: np.ndarray) -> GramMatrix:
-    """Mixed-picture Gram matrix of the density matrix R, dense over the
-    support ``occupations``: 2 Re[<X_I, X_J>_F - Tr(M_I R M_J R)] with
-    X_I = H_I R, where M_I R is X_I restricted to the support rows."""
-    s_count, m = occupations.shape
+def _commutator_gram(
+    group: Group, picture: Picture, occupations: np.ndarray, w: np.ndarray, phi: np.ndarray | None
+) -> GramMatrix:
+    """Gram matrix of {[H_I, rho]} for rho = Phi P Phi^dag, where the S x r
+    matrix Phi has orthonormal columns over the support ``occupations`` and
+    W = Phi P: 2 Re[<X_I, X_J>_F - Tr(M_I M_J)] with X_I = H_I W and
+    M_I = Phi^dag X_I restricted to the support rows. ``phi=None`` stands
+    for Phi = 1, a density given densely over its support (W = rho)."""
+    m = occupations.shape[1]
     basis = lie_basis(group, m)
     d = len(basis)
-    gen, src, tgt, coeff, size, rows = _generator_action(_monomial_table(group, m), occupations)
-    x = np.zeros((d * size, s_count), dtype=complex)
-    np.add.at(x, gen * size + tgt, coeff[:, None] * r[src])
-    x = x.reshape(d, size, s_count)
-    y = x[:, rows, :]
+    x, _, rows = _directions(_monomial_table(group, m), occupations, w)
+    y = x[:, rows, :] if phi is None else phi.conj().T @ x[:, rows, :]
     cross = (y.reshape(d, -1) @ y.transpose(0, 2, 1).reshape(d, -1).T).real
     values = 2.0 * (_re_gram(x.reshape(d, -1)) - (cross + cross.T) / 2.0)
-    return GramMatrix(group, Picture.MIXED, m, _without_identity(basis, values), basis)
+    return GramMatrix(group, picture, m, _without_identity(basis, values), basis)
 
 
-def _density_arrays(rho: DensityOperator) -> tuple[np.ndarray, np.ndarray]:
-    """rho's support (every bra and ket state) and its dense matrix there."""
-    keys = np.array(list(rho.op.entries), dtype=np.int64).reshape(-1, rho.modes)
-    size, inverse = _rank_states(keys)
-    support = np.empty((size, rho.modes), dtype=np.int64)
-    support[inverse] = keys
-    bra_ket = inverse.reshape(-1, 2)
-    r = np.zeros((size, size), dtype=complex)
-    r[bra_ket[:, 0], bra_ket[:, 1]] = np.fromiter(
-        rho.op.entries.values(), dtype=complex, count=len(rho.op.entries)
-    )
-    return support, r
+def _projector_gram(group: Group, psi: SparseKet, picture: Picture) -> GramMatrix:
+    """The commutator Gram matrix of |psi><psi|, with Phi = W = psi/|psi|."""
+    _check_normalized(psi)
+    occupations, amps = _ket_arrays(psi)
+    phi = (amps / math.sqrt(_norm2(amps)))[:, None]
+    return _commutator_gram(group, picture, occupations, phi, phi)
 
 
 def gram_ket(group: Group, psi: SparseKet) -> GramMatrix:
@@ -175,43 +153,46 @@ def gram_ket(group: Group, psi: SparseKet) -> GramMatrix:
     H_I psi over the union of psi's support and every generator's targets."""
     _check_normalized(psi)
     basis = lie_basis(group, psi.modes)
-    a, _ = _ket_directions(group, *_ket_arrays(psi))
-    return GramMatrix(group, Picture.KET, psi.modes, _re_gram(a), basis)
+    occupations, amps = _ket_arrays(psi)
+    a, _, _ = _directions(_monomial_table(group, psi.modes), occupations, amps[:, None])
+    return GramMatrix(group, Picture.KET, psi.modes, _re_gram(a.reshape(len(basis), -1)), basis)
 
 
 def gram_ketbra(group: Group, psi: SparseKet) -> GramMatrix:
     """Gram matrix of the projector-picture directions {[H_I, |psi><psi|]}:
-    G = 2 (G_k - v v^T), where G_k is the ket Gram matrix of the normalized
-    psi and v_I = Re <psi| H_I |psi>. The identity's row and column are
-    exactly zero."""
-    _check_normalized(psi)
-    basis = lie_basis(group, psi.modes)
-    occupations, amps = _ket_arrays(psi)
-    amps = amps / math.sqrt(_norm2(amps))
-    a, rows = _ket_directions(group, occupations, amps)
-    v = (a[:, rows] @ amps.conj()).real
-    values = 2.0 * (_re_gram(a) - np.outer(v, v))
-    return GramMatrix(group, Picture.KETBRA, psi.modes, _without_identity(basis, values), basis)
+    the commutator Gram matrix with Phi = W = psi/|psi|, which is
+    2 (G_k - v v^T) with G_k the ket Gram matrix of the normalized psi and
+    v_I = <psi| H_I |psi>. The identity's row and column are exactly zero."""
+    return _projector_gram(group, psi, Picture.KETBRA)
 
 
 def gram_mixed(group: Group, rho: DensityOperator) -> GramMatrix:
     """Gram matrix of the density-picture directions {[H_I, rho]}, whose
     entries are the Hilbert-Schmidt products Re Tr([H_I, rho]^dag [H_J, rho]),
-    evaluated as G_IJ = 2 Re[<X_I, X_J>_F - Tr(M_I R M_J R)], with R the
-    dense matrix of rho over its support, X_I = H_I R, and M_I R the support
-    rows of X_I. The identity's row and column are exactly zero.
+    evaluated as the commutator Gram matrix with Phi = 1 and W = R, the
+    dense matrix of rho over its support: G_IJ = 2 Re[<X_I, X_J>_F -
+    Tr(M_I M_J)], X_I = H_I R, M_I the support rows of X_I. The identity's
+    row and column are exactly zero.
     """
     if not isinstance(rho, DensityOperator):
         raise PictureError("gram_mixed requires a validated DensityOperator")
-    return _commutator_gram(group, *_density_arrays(rho))
+    keys = np.array(list(rho.op.entries), dtype=np.int64).reshape(-1, rho.modes)
+    support, inverse = _rank_states(keys)
+    bra_ket = inverse.reshape(-1, 2)
+    r = np.zeros((len(support), len(support)), dtype=complex)
+    r[bra_ket[:, 0], bra_ket[:, 1]] = np.fromiter(
+        rho.op.entries.values(), dtype=complex, count=len(rho.op.entries)
+    )
+    return _commutator_gram(group, Picture.MIXED, support, r, None)
 
 
 def rank_psd(gram: GramMatrix | np.ndarray, tolerance: float | None = None) -> RankResult:
     """Eigenvalue-thresholded rank of a symmetric PSD matrix.
 
     The default tolerance is ``1e-8 * max(1, lambda_max)`` (relative with an
-    absolute floor); passing ``tolerance`` uses it as an absolute threshold.
-    The full descending spectrum is returned so callers can re-threshold.
+    absolute floor); passing ``tolerance`` uses it as an absolute threshold,
+    which must be finite and non-negative. The full descending spectrum is
+    returned so callers can re-threshold.
     """
     values = gram.values if isinstance(gram, GramMatrix) else np.asarray(gram, dtype=float)
     if np.isnan(values).any():
@@ -229,8 +210,8 @@ def rank_psd(gram: GramMatrix | np.ndarray, tolerance: float | None = None) -> R
     else:
         tol = float(tolerance)
         relative = False
-        if math.isnan(tol):
-            raise ValidationError("rank tolerance is NaN")
+        if not (math.isfinite(tol) and tol >= 0.0):  # NaN fails too
+            raise ValidationError(f"rank tolerance must be finite and >= 0, got {tol!r}")
     rank = int(np.count_nonzero(eigs > tol))
     return RankResult(
         rank=rank,
@@ -260,10 +241,7 @@ def gram_matrix(
         return gram_ketbra(group, state)
     if picture is Picture.MIXED:
         if isinstance(state, SparseKet):
-            _check_normalized(state)
-            occupations, amps = _ket_arrays(state)
-            # the projector normalized as ``outer`` does, without its dict
-            return _commutator_gram(group, occupations, np.outer(amps, amps.conj()) / _norm2(amps))
+            return _projector_gram(group, state, Picture.MIXED)
         if isinstance(state, DensityOperator):
             return gram_mixed(group, state)
         raise PictureError("the mixed picture requires a ket or a DensityOperator")

@@ -232,7 +232,8 @@ def _trace_product(a, b):
 def gram_mixed_trace(group, rho):
     """Mixed Gram entries 2 Tr[{H_I,H_J} rho^2] - 2 Tr[H_I rho H_J rho] with
     sparse operator arithmetic. rho^2 is formed from rho, so nothing assumes
-    a pure state."""
+    a pure state. Tr[H_J H_I rho^2] is the conjugate of Tr[H_I H_J rho^2]
+    (the trace of its adjoint), so only the latter is formed."""
     elements = lie_basis(group, rho.modes).elements
     rho2 = _op_mul(rho.op, rho.op)
     h_rho = [left_apply_generator(g, rho.op) for g in elements]
@@ -242,7 +243,6 @@ def gram_mixed_trace(group, rho):
     for i in range(d):
         for j in range(i, d):
             tr_ij = op_trace(left_apply_generator(elements[i], h_rho2[j]))
-            tr_ji = op_trace(left_apply_generator(elements[j], h_rho2[i]))
             tr_cross = _trace_product(h_rho[i], h_rho[j])
-            out[i, j] = out[j, i] = (tr_ij + tr_ji - 2.0 * tr_cross).real
+            out[i, j] = out[j, i] = 2.0 * (tr_ij - tr_cross).real
     return out

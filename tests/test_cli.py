@@ -219,6 +219,16 @@ def test_dim_explicit_tolerance(capsys, fock11):
     assert doc["relative_tolerance_policy"] is False
 
 
+@pytest.mark.parametrize("tol", ["-1", "inf"])
+def test_dim_rejects_negative_or_infinite_tolerance(capsys, vacuum2, tol):
+    # the vacuum under GO in the ketbra picture has dimension 10; --tol -1
+    # used to print 15 and --tol inf 0, both with exit 0
+    code, out, err = run(capsys, "dim", "--state", vacuum2, "--group", "go", "--picture", "ketbra", "--tol", tol)
+    assert code == EXIT_INVALID
+    assert out == ""
+    assert "rank tolerance" in err
+
+
 def test_gram_prints_matrix(capsys, fock11):
     code, out, _ = run(capsys, "gram", "--state", fock11, "--group", "plo", "--picture", "ket")
     assert code == EXIT_OK
@@ -274,6 +284,17 @@ def test_generic_small_cell(capsys):
     assert doc["expected"] == 1
     assert doc["hit_rate"] == 1.0
     assert doc["uniform_phase_dimension"] == 1
+
+
+@pytest.mark.parametrize("seeds", ["0", "-2"])
+def test_generic_rejects_seed_count_below_one(capsys, seeds):
+    code, out, err = run(
+        capsys, "generic", "--group", "plo", "--m", "1", "--N", "1", "--picture", "ket", "--seeds", seeds
+    )
+    assert code == EXIT_INVALID
+    assert out == ""
+    assert "--seeds" in err
+    assert "Traceback" not in err
 
 
 def test_generic_vacuum_cell_without_sampling(capsys):

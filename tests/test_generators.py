@@ -8,10 +8,12 @@ import pytest
 from orbitdim import (
     GeneratorDescriptor,
     Group,
+    LieBasis,
     SparseKet,
     apply_generator,
     basis_ket,
     commutator_with_density,
+    default_closure_probes,
     inner,
     lie_basis,
     normalize,
@@ -19,8 +21,9 @@ from orbitdim import (
     outer,
     verify_closure,
 )
+import orbitdim.generators as generators
 from _helpers import assert_entries_close, assert_terms_close, random_ket
-from _oracle import oracle_apply
+from _oracle import basis_states, dense_ket, generator_matrix, oracle_apply
 
 _DIM_FORMULA = {
     Group.PLO: lambda m: m * m,
@@ -176,6 +179,43 @@ def test_closure_coefficients_for_beam_splitter_pair():
     assert abs(report.coefficient(pair, "e[1,2]")) < 1e-10
     # mirrored pair carries the negated coefficients
     assert abs(report.coefficient((1, 0), "N[1]") + 0.5) < 1e-10
+
+
+@pytest.mark.parametrize(
+    "group, extra", [(Group.GO, []), (Group.ALO, [GeneratorDescriptor("I")])], ids=["go", "alo+id"]
+)
+def test_closure_coefficients_match_dense_commutators(group, extra):
+    """Every fitted coefficient reproduces the dense commutator on every
+    default probe: (H_J H_I - H_I H_J) psi = sum_K c_K iH_K psi. Cutoff 6
+    holds H_J H_I psi exactly for probes of at most two photons."""
+    m, cutoff = 2, 6
+    report = verify_closure(group, m, extra_fit=extra)
+    basis = lie_basis(group, m).elements
+    _, index = basis_states(m, cutoff)
+    mats = [generator_matrix(g, m, cutoff) for g in basis]
+    by_label = {g.label: g for g in basis + tuple(extra)}
+    fit = [generator_matrix(by_label[label], m, cutoff) for label in report.fit_labels]
+    for psi in default_closure_probes(m):
+        v = dense_ket(psi, index)
+        directions = np.array([1j * (h @ v) for h in fit])
+        for i in range(len(basis)):
+            for j in range(i + 1, len(basis)):
+                target = mats[j] @ (mats[i] @ v) - mats[i] @ (mats[j] @ v)
+                fitted = report.coefficients[(i, j)] @ directions
+                assert np.max(np.abs(fitted - target)) < 1e-10, (basis[i].label, basis[j].label)
+
+
+def test_closure_counts_target_rows_outside_the_fitted_union(monkeypatch):
+    """The residual keeps the norm of target rows that no fitted direction
+    reaches. A closed basis has none, so this takes a two-element set that
+    is not closed: [q_1, r_12] is linear in a_2 and a_2^dag, and on the
+    vacuum it lands on |0,1>, which neither q_1 nor r_12 reaches."""
+    fake = LieBasis(Group.PLO, 2, (GeneratorDescriptor("q", (1,)), GeneratorDescriptor("r", (1, 2))))
+    monkeypatch.setattr(generators, "lie_basis", lambda group, m: fake)
+    monkeypatch.setattr(generators, "_monomial_table", lambda group, m: generators._monomials(fake.elements))
+    report = verify_closure(Group.PLO, 2, probes=[basis_ket((0, 0))])
+    # [iq_1, ir_12]|0,0> = -[q_1, r_12]|0,0> = -|0,1> / (2 sqrt 2)
+    assert abs(report.residuals[(0, 1)] - 1.0 / math.sqrt(8.0)) < 1e-12
 
 
 def test_closure_excluding_phase_shifter_breaks_fit():

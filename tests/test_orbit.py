@@ -267,6 +267,12 @@ def test_rank_psd_rejects_nan():
         rank_psd(np.eye(2), tolerance=math.nan)
 
 
+@pytest.mark.parametrize("tolerance", [-1.0, -1e-300, math.inf, -math.inf])
+def test_rank_psd_rejects_negative_or_infinite_tolerance(tolerance):
+    with pytest.raises(ValidationError, match="rank tolerance"):
+        rank_psd(np.eye(2), tolerance=tolerance)
+
+
 def test_rank_psd_rejects_indefinite_matrix():
     with pytest.raises(ValidationError):
         rank_psd(np.diag([1.0, -0.5]))
