@@ -494,11 +494,20 @@ def cmd_estimate(args) -> int:
         "step": cfg.step,
         "buffer": cfg.buffer,
         "max_abs_deviation": max_dev,
+        "working_dimension": estimated.working_dimension,
+        "cutoff": estimated.cutoff,
+        "max_boundary_weight": estimated.max_boundary_weight,
+        "max_trace_deviation": estimated.max_trace_deviation,
+        "hermiticity_residual": estimated.hermiticity_residual,
     }
     lines = [
         f"state: {args.state}  group: {group.value}",
         f"step h: {_fmt(cfg.step)}  buffer: {cfg.buffer}",
         f"max |estimated - direct| over all (I, J): {max_dev:.6e}",
+        f"working dimension: {estimated.working_dimension}  cutoff: {estimated.cutoff}  "
+        f"max boundary weight: {estimated.max_boundary_weight:.3e}  "
+        f"max trace deviation: {estimated.max_trace_deviation:.3e}  "
+        f"hermiticity residual: {estimated.hermiticity_residual:.3e}",
     ]
     if args.details:
         detail = []

@@ -2,9 +2,11 @@
 Gram estimation, and seeded random state sampling.
 
 Evolution exponentiates the generator Hamiltonian projected onto a
-photon-number-truncated basis, via Hermitian eigendecomposition, so it is
-exactly unitary on the working space. Photon-number-shifting generators get
-a configurable buffer of extra photons above the state's support; occupancy
+photon-number-truncated basis, via Hermitian eigendecomposition of the
+connected components of its coupling graph, so it is exactly unitary on the
+working space and never forms a D x D matrix. A density evolves as the r
+columns of its support. Photon-number-shifting generators get a
+configurable buffer of extra photons above the state's support; occupancy
 of the top two sectors of the working basis (the guard band) is the
 truncation-leakage proxy, checked together with trace and Hermiticity
 deviations and never silently accepted.
@@ -82,67 +84,119 @@ class EvolutionConfig:
             raise ValueError("tolerances and step must be positive")
 
 
-def dense_hamiltonian(g: GeneratorDescriptor, basis: TruncatedBasis) -> np.ndarray:
-    """Matrix elements <n|H|n'> of the generator over the truncated basis.
-
-    Couplings into states above the cutoff are dropped on both sides, so the
-    projected matrix is Hermitian by construction.
-    """
-    _, src, tgt, coeff, union, rows = _generator_action(_monomials([g]), np.array(basis.states))
+def _couplings(
+    generators: Sequence[GeneratorDescriptor], basis: TruncatedBasis
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Every matrix element <row|H_gen|col> of the generators inside the
+    truncated basis, as arrays ``(gen, row, col, coeff)``."""
+    gen, src, tgt, coeff, union, rows = _generator_action(_monomials(generators), np.array(basis.states))
     # rows ranks the basis states among the union of basis and targets;
     # a target above the cutoff keeps position -1 and is dropped
     position = np.full(len(union), -1)
     position[rows] = np.arange(basis.size)
     row = position[tgt]
     kept = row >= 0
+    return gen[kept], row[kept], src[kept], coeff[kept]
+
+
+def dense_hamiltonian(g: GeneratorDescriptor, basis: TruncatedBasis) -> np.ndarray:
+    """Matrix elements <n|H|n'> of the generator over the truncated basis.
+
+    Couplings into states above the cutoff are dropped on both sides, so the
+    projected matrix is Hermitian by construction.
+    """
+    _, row, col, coeff = _couplings([g], basis)
     h = np.zeros((basis.size, basis.size), dtype=complex)
-    h[row[kept], src[kept]] = coeff[kept]
+    h[row, col] = coeff
     return h
+
+
+def _blocks(
+    generators: Sequence[GeneratorDescriptor], basis: TruncatedBasis
+) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Each generator's projected Hamiltonian, block by block.
+
+    A node is a (generator, basis state) pair, numbered generator * D +
+    basis index. The blocks are the connected components of the coupling
+    graph, so no coupling crosses a block. Returns one ``(nodes, h)`` pair
+    per block size s: the n x s nodes of its blocks, in order of their
+    smallest node (hence of generator), and the n x s x s block matrices.
+    """
+    size = basis.size
+    gen, row, col, coeff = _couplings(generators, basis)
+    dst, src = gen * size + row, gen * size + col
+    # label every node by the smallest node of its component: take the
+    # neighbours' smallest label, then jump to that label's own label
+    label = np.arange(len(generators) * size)
+    while True:
+        lowest = label.copy()
+        np.minimum.at(lowest, dst, label[src])
+        lowest = lowest[lowest]
+        if np.array_equal(lowest, label):
+            break
+        label = lowest
+    _, block, counts = np.unique(label, return_inverse=True, return_counts=True)
+    order = np.argsort(block, kind="stable")
+    start = np.cumsum(counts) - counts
+    place = np.empty_like(order)
+    place[order] = np.arange(len(order)) - np.repeat(start, counts)
+    edge_size = counts[block[dst]]
+    out = []
+    for s in np.unique(counts).tolist():
+        blocks = np.flatnonzero(counts == s)
+        within = np.full(len(counts), -1)
+        within[blocks] = np.arange(len(blocks))
+        kept = edge_size == s
+        h = np.zeros((len(blocks), s, s), dtype=complex)
+        h[within[block[dst[kept]]], place[dst[kept]], place[src[kept]]] = coeff[kept]
+        out.append((order[start[blocks, None] + np.arange(s)], h))
+    return out
 
 
 class _Workspace:
     """The truncated working space for evolving one state under a set of
     generators: the cutoff (the state's photon number, plus the buffer when
-    any generator shifts photon number), the basis and its guard band, one
-    cached eigendecomposition per generator, the conversions between sparse
-    states and dense arrays over the basis, and the leakage check."""
+    any generator shifts photon number), the basis and its guard band, the
+    generators' eigendecomposed blocks, the conversions between sparse kets
+    and arrays over the basis, and the leakage check with the largest value
+    it has seen of each measured quantity."""
 
     def __init__(
         self, modes: int, max_total: int, generators: Iterable[GeneratorDescriptor], cfg: EvolutionConfig
     ) -> None:
         self.cfg = cfg
-        self.shifting = any(number_shift(g.kind) > 0 for g in generators)
+        self.generators = tuple(dict.fromkeys(generators))
+        self.shifting = any(number_shift(g.kind) > 0 for g in self.generators)
         self.basis = TruncatedBasis.build(modes, max_total + (cfg.buffer if self.shifting else 0))
         self.band = np.array([sum(occ) for occ in self.basis.states]) > self.basis.cutoff - 2
-        self._eigh: dict[GeneratorDescriptor, tuple[np.ndarray, np.ndarray]] = {}
+        # per block size: nodes, each generator's first block, eigenpairs
+        self.blocks = []
+        for nodes, h in _blocks(self.generators, self.basis):
+            first = np.searchsorted(nodes[:, 0] // self.basis.size, np.arange(len(self.generators) + 1))
+            self.blocks.append((nodes, first, *np.linalg.eigh(h)))
+        self.worst: dict[str, float] = {}
 
-    def unitary(self, g: GeneratorDescriptor, t: float) -> np.ndarray:
-        """exp(-iHt) for g's Hamiltonian projected onto the basis."""
-        eigh = self._eigh.get(g)
-        if eigh is None:
-            eigh = self._eigh[g] = np.linalg.eigh(dense_hamiltonian(g, self.basis))
-        eigenvalues, eigenvectors = eigh
-        phases = np.exp(-1j * eigenvalues * t)
-        return (eigenvectors * phases) @ eigenvectors.conj().T
-
-    def conjugate(self, r: np.ndarray, g: GeneratorDescriptor, t: float) -> np.ndarray:
-        """The density matrix r evolved under g for time t, leakage-checked."""
-        u = self.unitary(g, t)
-        dense = u @ r @ u.conj().T
-        boundary = 0.0
-        if number_shift(g.kind) > 0:
-            boundary = float(np.sum(np.real(np.diag(dense))[self.band]))
-        self.check(
-            f"evolving under {g.label} for t={t:g}",
-            trace_deviation=abs(np.trace(dense) - 1.0),
-            hermiticity=float(np.max(np.abs(dense - dense.conj().T))),
-            boundary_weight=boundary,
-        )
-        return dense
+    def evolve(self, t: float, columns: np.ndarray, first: int = 0, count: int = 1) -> np.ndarray:
+        """exp(-i H_n t) applied to a D x r block of columns, for the
+        generators n = first .. first + count - 1, stacked count*D x r."""
+        size = self.basis.size
+        if t == 0.0:
+            return np.tile(columns, (count, 1))
+        out = np.empty((count * size, columns.shape[1]), dtype=complex)
+        for nodes, firsts, eigenvalues, eigenvectors in self.blocks:
+            span = slice(firsts[first], firsts[first + count])
+            nodes = nodes[span]
+            v = eigenvectors[span]
+            x = columns[nodes % size]
+            phases = np.exp(-1j * t * eigenvalues[span])[:, :, None]
+            out[nodes - first * size] = v @ (phases * (v.conj().transpose(0, 2, 1) @ x))
+        return out
 
     def check(self, context: str, **measured: float) -> None:
         """Raise LeakageError unless every measured deviation is within the
         leakage tolerance; a NaN deviation fails."""
+        for name, value in measured.items():
+            self.worst[name] = max(self.worst.get(name, 0.0), value)
         tol = self.cfg.leakage_tolerance
         if not all(value <= tol for value in measured.values()):
             found = ", ".join(f"{name.replace('_', ' ')} {value:.3e}" for name, value in measured.items())
@@ -151,18 +205,12 @@ class _Workspace:
                 f"(cutoff {self.basis.cutoff}); increase the buffer or reduce |t|"
             )
 
-    def dense(self, state: SparseKet | DensityOperator) -> np.ndarray:
-        """A ket as a vector, or a density operator as a matrix, over the basis."""
-        index = self.basis.index
-        if isinstance(state, SparseKet):
-            vec = np.zeros(self.basis.size, dtype=complex)
-            for occ, amp in state.terms.items():
-                vec[index[occ]] = amp
-            return vec
-        r = np.zeros((self.basis.size, self.basis.size), dtype=complex)
-        for (bra, ket), amp in state.op.entries.items():
-            r[index[bra], index[ket]] = amp
-        return r
+    def column(self, psi: SparseKet) -> np.ndarray:
+        """A ket as a D x 1 column over the basis."""
+        vec = np.zeros((self.basis.size, 1), dtype=complex)
+        for occ, amp in psi.terms.items():
+            vec[self.basis.index[occ], 0] = amp
+        return vec
 
     def sparse(self, dense: np.ndarray) -> SparseKet | SparseOperator:
         """The nonzero entries of a vector as a ket, or of a matrix as an
@@ -178,6 +226,61 @@ class _Workspace:
         )
 
 
+class _DensityWorkspace(_Workspace):
+    """The working space of one density rho = Phi P Phi^dag under a set of
+    generators: Phi holds the basis vectors of rho's support and P is rho
+    over the support, so an evolved copy U rho U^dag is A P A^dag with the
+    D x r block A = U Phi."""
+
+    def __init__(self, rho: DensityOperator, generators: Sequence[GeneratorDescriptor], cfg: EvolutionConfig) -> None:
+        super().__init__(rho.modes, rho.op.max_total(), generators, cfg)
+        support = sorted({occ for key in rho.op.entries for occ in key})
+        local = {occ: k for k, occ in enumerate(support)}
+        self.phi = np.zeros((self.basis.size, len(support)), dtype=complex)
+        self.phi[[self.basis.index[occ] for occ in support], np.arange(len(support))] = 1.0
+        self.p = np.zeros((len(support), len(support)), dtype=complex)
+        for (bra, ket), amp in rho.op.entries.items():
+            self.p[local[bra], local[ket]] = amp
+        # (A P A^dag)^dag = A P^dag A^dag, so every copy inherits P's residual
+        self.hermiticity = float(np.max(np.abs(self.p - self.p.conj().T)))
+
+    @property
+    def dim(self) -> int:
+        return len(self.generators)
+
+    def evolved(self, t: float) -> np.ndarray:
+        """The blocks A_0 = Phi and A_n = exp(-i H_n t) Phi for every
+        generator n, as a (d + 1) x D x r array, each copy leakage-checked."""
+        copies = np.concatenate([self.phi, self.evolve(t, self.phi, 0, self.dim)])
+        copies = copies.reshape(self.dim + 1, self.basis.size, -1)
+        if t != 0.0:
+            # the diagonal of each A P A^dag: its band part and its trace
+            diagonal = np.sum((copies[1:] @ self.p) * copies[1:].conj(), axis=2)
+            boundary = np.sum(diagonal.real[:, self.band], axis=1).tolist()
+            deviation = np.abs(np.sum(diagonal, axis=1) - 1.0).tolist()
+            for n, g in enumerate(self.generators):
+                self.check(
+                    f"evolving under {g.label} for t={t:g}",
+                    trace_deviation=deviation[n],
+                    hermiticity=self.hermiticity,
+                    boundary_weight=boundary[n] if number_shift(g.kind) > 0 else 0.0,
+                )
+        return copies
+
+    def beta_matrix(self, t: float) -> np.ndarray:
+        """beta_ij = Tr[rho_i rho_j] at time t for i, j in 0..d, with rho_0 =
+        rho: Tr[P M_ij P M_ij^dag] with M_ij = A_i^dag A_j, all from one Gram
+        of the evolved columns. Symmetric bit for bit."""
+        copies = self.evolved(t)
+        m = np.tensordot(copies.conj(), copies, axes=(1, 1)).transpose(0, 2, 1, 3)
+        values = np.sum((self.p @ m @ self.p) * m.conj(), axis=(2, 3))
+        failed = ~(np.abs(values.imag) <= _IMAG_RESIDUE_TOL * np.maximum(1.0, np.abs(values.real)))
+        if failed.any():
+            raise ValidationError(f"beta overlap has imaginary residue {values.imag[failed][0]:.3e}")
+        upper = np.triu(values.real)
+        return upper + np.triu(upper, 1).T
+
+
 def evolve_density(
     rho: DensityOperator,
     g: GeneratorDescriptor,
@@ -187,40 +290,13 @@ def evolve_density(
     """Conjugate rho by exp(-iHt) on the truncated working basis."""
     if t == 0.0:
         return rho
-    ws = _Workspace(rho.modes, rho.op.max_total(), [g], cfg)
-    return DensityOperator.validate(ws.sparse(ws.conjugate(ws.dense(rho), g, t)))
+    ws = _DensityWorkspace(rho, (g,), cfg)
+    a = ws.evolved(t)[1]
+    return DensityOperator.validate(ws.sparse((a @ ws.p) @ a.conj().T))
 
 
-class _DensityWorkspace(_Workspace):
-    """The working space of one (rho, group), with rho's evolved copies cached."""
-
-    def __init__(self, rho: DensityOperator, group: Group, cfg: EvolutionConfig) -> None:
-        self.basis_elements = lie_basis(group, rho.modes).elements
-        super().__init__(rho.modes, rho.op.max_total(), self.basis_elements, cfg)
-        self.initial = self.dense(rho)
-        self.purity = float(np.vdot(self.initial, self.initial).real)
-        self._evolved: dict[tuple[int, float], np.ndarray] = {}
-
-    @property
-    def dim(self) -> int:
-        return len(self.basis_elements)
-
-    def evolved(self, index: int, t: float) -> np.ndarray:
-        if not 0 <= index <= self.dim:
-            raise ValueError(f"generator index {index} out of range 0..{self.dim}")
-        if index == 0 or t == 0.0:
-            return self.initial
-        key = (index, t)
-        cached = self._evolved.get(key)
-        if cached is None:
-            cached = self._evolved[key] = self.conjugate(self.initial, self.basis_elements[index - 1], t)
-        return cached
-
-    def beta(self, i: int, j: int, t: float) -> float:
-        value = np.vdot(self.evolved(i, t), self.evolved(j, t))
-        if not abs(value.imag) <= _IMAG_RESIDUE_TOL * max(1.0, abs(value.real)):
-            raise ValidationError(f"beta overlap has imaginary residue {value.imag:.3e}")
-        return float(value.real)
+def _workspace(rho: DensityOperator, group: Group, cfg: EvolutionConfig) -> _DensityWorkspace:
+    return _DensityWorkspace(rho, lie_basis(group, rho.modes).elements, cfg)
 
 
 def beta(
@@ -232,8 +308,13 @@ def beta(
     cfg: EvolutionConfig = EvolutionConfig(),
 ) -> float:
     """Hilbert-Schmidt overlap of two evolved copies of rho, the copies
-    driven by basis generators ``i`` and ``j`` (1-based; 0 = no evolution)."""
-    return _DensityWorkspace(rho, group, cfg).beta(i, j, t)
+    driven by basis generators ``i`` and ``j`` (1-based; 0 = no evolution).
+    Every generator's copy is evolved and leakage-checked."""
+    ws = _workspace(rho, group, cfg)
+    for index in (i, j):
+        if not 0 <= index <= ws.dim:
+            raise ValueError(f"generator index {index} out of range 0..{ws.dim}")
+    return float(ws.beta_matrix(t)[i, j])
 
 
 @dataclass(frozen=True)
@@ -247,26 +328,20 @@ class GramEntryEstimate:
     step: float
 
 
-def _second_derivative(ws: _DensityWorkspace, i: int, j: int, h: float) -> float:
-    return (ws.beta(i, j, h) - 2.0 * ws.purity + ws.beta(i, j, -h)) / (h * h)
+def _estimate(ws: _DensityWorkspace) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The Richardson, coarse (step h) and fine (h/2) Gram estimates, each
+    (d2 beta_ij - d2 beta_i0 - d2 beta_0j) / 2 from central stencils of the
+    beta matrix; symmetric bit for bit."""
+    b0 = ws.beta_matrix(0.0)
 
+    def stencil(h: float) -> np.ndarray:
+        dd = (ws.beta_matrix(h) - 2.0 * b0 + ws.beta_matrix(-h)) / (h * h)
+        # dd is symmetric and a sum commutes, so the entries are too
+        return 0.5 * (dd[1:, 1:] - (dd[1:, :1] + dd[:1, 1:]))
 
-def _entry_at_step(ws: _DensityWorkspace, i: int, j: int, h: float) -> float:
-    dd_ij = _second_derivative(ws, i, j, h)
-    dd_i0 = _second_derivative(ws, i, 0, h)
-    dd_0j = _second_derivative(ws, 0, j, h)
-    return 0.5 * (dd_ij - dd_i0 - dd_0j)
-
-
-def _estimate_entry(ws: _DensityWorkspace, i: int, j: int, h: float) -> GramEntryEstimate:
-    coarse = _entry_at_step(ws, i, j, h)
-    fine = _entry_at_step(ws, i, j, h / 2.0)
-    return GramEntryEstimate(
-        value=(4.0 * fine - coarse) / 3.0,
-        coarse=coarse,
-        fine=fine,
-        step=h,
-    )
+    coarse = stencil(ws.cfg.step)
+    fine = stencil(ws.cfg.step / 2.0)
+    return (4.0 * fine - coarse) / 3.0, coarse, fine
 
 
 def estimate_gram_entry(
@@ -279,21 +354,37 @@ def estimate_gram_entry(
     """Estimate one Gram entry from second time derivatives of the overlap
     curves: (d2 beta_ij - d2 beta_i0 - d2 beta_0j) / 2 at t = 0, each
     derivative from the central stencil at the configured step, with one
-    Richardson step (h and h/2) applied by default."""
-    ws = _DensityWorkspace(rho, group, cfg)
+    Richardson step (h and h/2) applied by default. It is the (i, j) entry
+    of ``estimate_gram_matrix``, bit for bit."""
+    ws = _workspace(rho, group, cfg)
     if not (1 <= i <= ws.dim and 1 <= j <= ws.dim):
         raise ValueError(f"generator indices must lie in 1..{ws.dim}")
-    return _estimate_entry(ws, i, j, cfg.step)
+    values, coarse, fine = _estimate(ws)
+    return GramEntryEstimate(
+        value=float(values[i - 1, j - 1]),
+        coarse=float(coarse[i - 1, j - 1]),
+        fine=float(fine[i - 1, j - 1]),
+        step=cfg.step,
+    )
 
 
 @dataclass(frozen=True)
 class EstimatedGram:
+    """The estimated Gram matrix with its raw stencil values, the working
+    space it was evolved in, and the largest leakage measured over every
+    evolved copy."""
+
     group: Group
     modes: int
     step: float
     values: np.ndarray
     coarse: np.ndarray
     fine: np.ndarray
+    working_dimension: int
+    cutoff: int
+    max_boundary_weight: float
+    max_trace_deviation: float
+    hermiticity_residual: float
 
 
 def estimate_gram_matrix(
@@ -303,18 +394,21 @@ def estimate_gram_matrix(
 ) -> EstimatedGram:
     """Estimate the whole Gram matrix; entries are symmetric because the
     overlap curves are symmetric in their two indices."""
-    ws = _DensityWorkspace(rho, group, cfg)
-    d = ws.dim
-    values = np.zeros((d, d))
-    coarse = np.zeros((d, d))
-    fine = np.zeros((d, d))
-    for i in range(1, d + 1):
-        for j in range(i, d + 1):
-            est = _estimate_entry(ws, i, j, cfg.step)
-            values[i - 1, j - 1] = values[j - 1, i - 1] = est.value
-            coarse[i - 1, j - 1] = coarse[j - 1, i - 1] = est.coarse
-            fine[i - 1, j - 1] = fine[j - 1, i - 1] = est.fine
-    return EstimatedGram(group=group, modes=rho.modes, step=cfg.step, values=values, coarse=coarse, fine=fine)
+    ws = _workspace(rho, group, cfg)
+    values, coarse, fine = _estimate(ws)
+    return EstimatedGram(
+        group=group,
+        modes=rho.modes,
+        step=cfg.step,
+        values=values,
+        coarse=coarse,
+        fine=fine,
+        working_dimension=ws.basis.size,
+        cutoff=ws.basis.cutoff,
+        max_boundary_weight=ws.worst["boundary_weight"],
+        max_trace_deviation=ws.worst["trace_deviation"],
+        hermiticity_residual=ws.worst["hermiticity"],
+    )
 
 
 def sample_sphere_state(m: int, n_cutoff: int, seed: int) -> SparseKet:
@@ -341,19 +435,19 @@ def apply_group_word(
     if psi.is_zero():
         raise ValidationError("cannot evolve the zero ket")
     ws = _Workspace(psi.modes, psi.max_total(), [g for g, _ in word], cfg)
-    vec = ws.dense(psi)
+    vec = ws.column(psi)
     norm0 = float(np.linalg.norm(vec))
     for g, t in reversed(word):
         if t == 0.0:
             continue
-        vec = ws.unitary(g, t) @ vec
+        vec = ws.evolve(t, vec, ws.generators.index(g))
         if ws.shifting:
             ws.check(
                 f"group word factor {g.label} (t={t:g})",
                 boundary_weight=float(np.sum(np.abs(vec[ws.band]) ** 2)),
             )
     ws.check("group word", norm_change=abs(float(np.linalg.norm(vec)) - norm0))
-    return ws.sparse(vec)
+    return ws.sparse(vec[:, 0])
 
 
 def perturb_state(

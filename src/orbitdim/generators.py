@@ -141,9 +141,10 @@ def _pairs(m: int) -> list[tuple[int, int]]:
     return [(k, l) for k in range(1, m) for l in range(k + 1, m + 1)]
 
 
+@functools.lru_cache(maxsize=None)
 def lie_basis(group: Group, m: int) -> LieBasis:
     """The canonical ordered basis for (group, m); its length equals
-    ``group.dimension(m)``.
+    ``group.dimension(m)``. One (frozen) basis is shared per (group, m).
 
     The ALO basis carries no identity element, so it is closed under
     commutators only modulo the identity (see ``LieBasis``)."""

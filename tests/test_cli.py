@@ -350,6 +350,20 @@ def test_estimate_details(capsys, density1):
     assert doc["entries"][0]["I"] == "N[1]"
 
 
+def test_estimate_reports_measured_leakage(capsys, density1):
+    argv = ("estimate", "--state", density1, "--group", "go", "--leakage-tol", "1e-6", "--json")
+    code, out, _ = run(capsys, *argv)
+    assert code == EXIT_OK
+    doc = json.loads(out)
+    assert doc["working_dimension"] == 18 and doc["cutoff"] == 17  # one mode, 1 + 16 photons
+    for field in ("max_boundary_weight", "max_trace_deviation", "hermiticity_residual"):
+        assert doc[field] <= 1e-6, field
+    assert run(capsys, *argv)[1] == out
+    code, text, _ = run(capsys, *argv[:-1])
+    assert code == EXIT_OK
+    assert "working dimension: 18  cutoff: 17  max boundary weight: " in text
+
+
 def test_estimate_accepts_ket_file_via_projector(capsys, tmp_path):
     path = tmp_path / "ket.json"
     write_state_file(str(path), basis_ket((1,)))

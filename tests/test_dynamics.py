@@ -1,17 +1,21 @@
 """Truncated evolution, beta overlaps, the Gram estimator, and sampling."""
 
+import functools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from orbitdim import (
+    DensityOperator,
     EvolutionConfig,
     GeneratorDescriptor,
     Group,
     LeakageError,
     Picture,
     SparseKet,
+    SparseOperator,
     TruncatedBasis,
     apply_group_word,
     basis_ket,
@@ -28,10 +32,12 @@ from orbitdim import (
     orbit_dimension,
     outer,
     perturb_state,
+    number_shift,
     sample_sphere_state,
 )
-from _helpers import assert_entries_close
-from _oracle import generator_matrix
+from orbitdim.dynamics import _blocks
+from _helpers import assert_entries_close, assert_terms_close
+from _oracle import basis_states, dense_density, dense_ket, generator_matrix
 
 
 # ----------------------------------------------------------- TruncatedBasis
@@ -85,6 +91,114 @@ def test_dense_hamiltonian_matches_dense_oracle(group, m, cutoff_above):
     basis = TruncatedBasis.build(m, cutoff)
     for g in lie_basis(group, m).elements:
         assert np.array_equal(dense_hamiltonian(g, basis), generator_matrix(g, m, cutoff)), g.label
+
+
+# ------------------------------------------------- block-diagonal evolution
+
+
+@pytest.mark.parametrize("group, m, cutoff", [(Group.GO, 2, 5), (Group.PLO, 3, 4)])
+def test_blocks_partition_the_basis_and_reassemble_the_hamiltonian(group, m, cutoff):
+    basis = TruncatedBasis.build(m, cutoff)
+    elements = lie_basis(group, m).elements
+    size = basis.size
+    h = np.zeros((len(elements), size, size), dtype=complex)
+    seen = []
+    for nodes, blocks in _blocks(elements, basis):
+        for block_nodes, block in zip(nodes, blocks):
+            gen = block_nodes // size
+            assert np.all(gen == gen[0])  # a block belongs to one generator
+            states = block_nodes % size
+            h[gen[0]][np.ix_(states, states)] = block
+            seen.extend(block_nodes.tolist())
+    assert sorted(seen) == list(range(len(elements) * size))
+    for n, g in enumerate(elements):
+        # no coupling crosses a block, or it would be missing here
+        assert np.array_equal(h[n], dense_hamiltonian(g, basis)), g.label
+
+
+def _dense_propagator(g, m, cutoff, t):
+    """exp(-iHt) from the oracle's generator matrix on the whole truncated basis."""
+    eigenvalues, eigenvectors = np.linalg.eigh(generator_matrix(g, m, cutoff))
+    return (eigenvectors * np.exp(-1j * eigenvalues * t)) @ eigenvectors.conj().T
+
+
+#: A small buffer keeps the dense reference cheap and puts real weight at
+#: the cutoff, where the projection drops couplings; the comparison is on
+#: the truncated space, so leakage is allowed here.
+_SMALL_BUFFER = EvolutionConfig(buffer=3, leakage_tolerance=1.0)
+
+_EVERY_KIND = [(g, 2) for g in lie_basis(Group.GO, 2).elements] + [
+    (g, 3) for g in lie_basis(Group.PLO, 3).elements
+]
+
+
+def _cutoff(g, photons):
+    return photons + (_SMALL_BUFFER.buffer if number_shift(g.kind) > 0 else 0)
+
+
+@pytest.mark.parametrize("g, m", _EVERY_KIND, ids=lambda x: getattr(x, "label", str(x)))
+def test_group_word_matches_dense_propagator(g, m):
+    psi = sample_sphere_state(m, 2, seed=7)
+    cutoff = _cutoff(g, 2)
+    _, index = basis_states(m, cutoff)
+    occs = list(index)
+    for t in (0.3, -1.1):
+        out = apply_group_word(psi, [(g, t)], _SMALL_BUFFER)
+        expected = _dense_propagator(g, m, cutoff, t) @ dense_ket(psi, index)
+        assert_terms_close(out.terms, dict(zip(occs, expected)), tol=1e-12)
+
+
+@pytest.mark.parametrize("g, m", _EVERY_KIND, ids=lambda x: getattr(x, "label", str(x)))
+def test_evolve_density_matches_dense_propagator(g, m):
+    # rank two, with coherences between the two kets' supports
+    rho = mixture([(0.6, sample_sphere_state(m, 1, seed=3)), (0.4, sample_sphere_state(m, 2, seed=4))])
+    cutoff = _cutoff(g, 2)
+    _, index = basis_states(m, cutoff)
+    occs = list(index)
+    u = _dense_propagator(g, m, cutoff, 0.4)
+    expected = u @ dense_density(rho, index) @ u.conj().T
+    out = evolve_density(rho, g, 0.4, _SMALL_BUFFER)
+    reference = {(a, b): expected[i, j] for i, a in enumerate(occs) for j, b in enumerate(occs)}
+    assert_entries_close(out.op.entries, reference, tol=1e-12)
+
+
+def test_beta_entry_and_matrix_estimates_agree_bitwise():
+    rho = mixture([(0.7, normalize(SparseKet(1, {(0,): 1.0, (2,): 0.5j}))), (0.3, basis_ket((1,)))])
+    group = Group.GO
+    d = len(lie_basis(group, 1))
+    est = estimate_gram_matrix(rho, group)
+
+    @functools.cache
+    def b(i, j, t):
+        return beta(rho, i, j, t, group)
+
+    def dd(i, j, h):
+        return (b(i, j, h) - 2.0 * b(i, j, 0.0) + b(i, j, -h)) / (h * h)
+
+    for i in range(1, d + 1):
+        for j in range(1, d + 1):
+            assert b(i, j, est.step) == b(j, i, est.step)
+            entry = estimate_gram_entry(rho, i, j, group)
+            assert entry.value == est.values[i - 1, j - 1]
+            assert entry.coarse == est.coarse[i - 1, j - 1]
+            assert entry.fine == est.fine[i - 1, j - 1]
+            for h, stencil in ((est.step, est.coarse), (est.step / 2.0, est.fine)):
+                assert 0.5 * (dd(i, j, h) - (dd(i, 0, h) + dd(0, j, h))) == stencil[i - 1, j - 1]
+
+
+def test_m3_evolution_allocates_no_dense_matrix():
+    basis = lie_basis(Group.GO, 3)
+    word = [(basis.elements[basis.index_of(label)], 0.05) for label in ("q[3]", "e[2,3]", "N[2]", "S[2]")]
+    psi = sample_sphere_state(3, 1, seed=0)
+    dense_bytes = 16 * math.comb(3 + 17, 3) ** 2  # one D x D complex array, D = 1,140
+    tracemalloc.start()
+    try:
+        apply_group_word(psi, word)
+        estimate_gram_matrix(outer(basis_ket((1, 0, 0))), Group.GO)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < dense_bytes
 
 
 # ------------------------------------------------------------ evolve_density
@@ -207,6 +321,44 @@ def test_estimate_second_order_convergence():
     err_fine = np.abs(est.fine - direct).max()
     assert err_coarse > 1e-12
     assert err_coarse / err_fine >= 2.8
+
+
+@pytest.mark.parametrize("occupation", [(1, 0, 0), (1, 0, 0, 0)])
+def test_estimate_reaches_three_and_four_modes(occupation):
+    rho = outer(basis_ket(occupation))
+    est = estimate_gram_matrix(rho, Group.GO)
+    direct = gram_mixed(Group.GO, rho).values
+    assert est.working_dimension == math.comb(len(occupation) + 17, 17)
+    assert np.all(np.abs(est.values - direct) <= 1e-4 + 1e-3 * np.abs(direct))
+    assert np.array_equal(est.values, est.values.T)
+
+
+@pytest.mark.parametrize("group", [Group.PLO, Group.GO])
+def test_estimate_with_complex_coherences_is_exactly_symmetric(group):
+    rho = outer(sample_sphere_state(2, 1, seed=0))
+    est = estimate_gram_matrix(rho, group)
+    direct = gram_mixed(group, rho).values
+    assert np.all(np.abs(est.values - direct) <= 1e-4 + 1e-3 * np.abs(direct))
+    for table in (est.values, est.coarse, est.fine):
+        assert np.array_equal(table, table.T)
+
+
+def test_estimate_reports_the_trace_and_hermiticity_it_measures():
+    # inside the validation tolerances, off by known amounts
+    entries = {((0,), (0,)): 0.5 + 4e-11, ((1,), (1,)): 0.5, ((0,), (1,)): 0.25 + 5e-13, ((1,), (0,)): 0.25}
+    rho = DensityOperator.validate(SparseOperator(1, entries))
+    est = estimate_gram_matrix(rho, Group.GO)
+    assert abs(est.max_trace_deviation - 4e-11) < 1e-14
+    assert est.hermiticity_residual == rho.hermiticity_residual > 0
+    for tol in (1e-11, 1e-13):  # the trace, then also the Hermiticity, over the tolerance
+        with pytest.raises(LeakageError):
+            estimate_gram_matrix(rho, Group.GO, EvolutionConfig(leakage_tolerance=tol))
+
+
+def test_estimate_squeezing_with_tiny_buffer_raises():
+    cfg = EvolutionConfig(buffer=2, leakage_tolerance=1e-10)
+    with pytest.raises(LeakageError):
+        estimate_gram_matrix(outer(basis_ket((0,))), Group.GO, cfg)
 
 
 def test_estimate_index_validation():

@@ -57,6 +57,14 @@ def test_basis_rejects_bad_mode_count():
         lie_basis(Group.PLO, 0)
 
 
+def test_basis_is_shared_per_group_and_mode_count():
+    assert lie_basis(Group.GO, 3) is lie_basis(Group.GO, 3)
+    assert lie_basis(Group.GO, 3) is not lie_basis(Group.ALO, 3)
+    for _ in range(2):  # a refused mode count is refused every time
+        with pytest.raises(ValueError):
+            lie_basis(Group.GO, 0)
+
+
 def test_descriptor_validation():
     with pytest.raises(ValueError):
         GeneratorDescriptor("e", (2, 1))
