@@ -86,7 +86,7 @@ def load_state(path: str) -> SparseKet | DensityOperator:
     if not isinstance(doc, dict):
         raise StateFileError(f"{path}: top level must be an object")
     modes = doc.get("modes")
-    if not isinstance(modes, int) or modes < 1:
+    if isinstance(modes, bool) or not isinstance(modes, int) or modes < 1:
         raise StateFileError(f"{path}: 'modes' must be a positive integer")
     kind = doc.get("kind")
     if kind == "ket":
@@ -99,7 +99,7 @@ def load_state(path: str) -> SparseKet | DensityOperator:
 def _parse_occ(path: str, where: str, value, modes: int) -> tuple[int, ...]:
     if not isinstance(value, list) or len(value) != modes:
         raise StateFileError(f"{path}: {where} must be a list of {modes} integers")
-    if any(not isinstance(n, int) or n < 0 for n in value):
+    if any(isinstance(n, bool) or not isinstance(n, int) or n < 0 for n in value):
         raise StateFileError(f"{path}: {where} entries must be nonnegative integers")
     return tuple(value)
 
@@ -175,9 +175,12 @@ def state_document(state: SparseKet | DensityOperator) -> dict:
 
 
 def write_state_file(path: str, state: SparseKet | DensityOperator) -> None:
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(render_json(state_document(state)))
-        fh.write("\n")
+    try:
+        with open(path, "w", encoding="ascii") as fh:
+            fh.write(render_json(state_document(state)))
+            fh.write("\n")
+    except OSError as exc:
+        raise StateFileError(f"{path}: {exc}") from exc
 
 
 def file_digest(path: str) -> str:

@@ -1,15 +1,14 @@
 """Sparse multimode Fock-space states and operators.
 
 States with finite support in the occupation-number basis are stored as
-dictionaries mapping occupation tuples to complex amplitudes; operators map
-(bra, ket) occupation pairs to complex entries. Only exact zeros are pruned
-(no epsilon thresholding), so everything here is exact up to floating-point
-rounding.
+dictionaries mapping occupation tuples to complex amplitudes; operators
+(parsed or evolved densities, commutators) map (bra, ket) occupation pairs
+to complex entries. Only exact zeros are pruned (no epsilon thresholding).
+Generators act on these states through the vectorised kernel in
+``generators``, not through arithmetic on the dictionaries.
 
-Mode indices in the public API are 1-based, matching the usual subscript
-convention for the ladder operators a_k and a^dag_k. Occupation tuples
-compare lexicographically; that ordering is the canonical one used for basis
-enumeration and file output throughout the package.
+Occupation tuples compare lexicographically; that ordering is the canonical
+one used for basis enumeration and file output throughout the package.
 """
 
 from __future__ import annotations
@@ -42,11 +41,6 @@ def validate_occupation(occ: Iterable[int], modes: int) -> Occupation:
     if any(n < 0 for n in out):
         raise ValidationError(f"occupation {out!r} has a negative entry")
     return out
-
-
-def _check_mode(k: int, modes: int) -> None:
-    if not 1 <= k <= modes:
-        raise ValueError(f"mode index {k} out of range 1..{modes}")
 
 
 def _occupations(modes: int, budget: int) -> Iterator[Occupation]:
@@ -109,36 +103,6 @@ def basis_ket(occ: Sequence[int]) -> SparseKet:
     return SparseKet(len(occ), {occ: 1.0 + 0.0j})
 
 
-def zero_ket(modes: int) -> SparseKet:
-    return SparseKet(modes, {})
-
-
-def apply_annihilation(k: int, psi: SparseKet) -> SparseKet:
-    """Apply a_k: each |..., n_k, ...> maps to sqrt(n_k) |..., n_k - 1, ...>."""
-    _check_mode(k, psi.modes)
-    out: dict[Occupation, complex] = {}
-    i = k - 1
-    for occ, amp in psi.terms.items():
-        n = occ[i]
-        if n == 0:
-            continue
-        target = occ[:i] + (n - 1,) + occ[i + 1 :]
-        out[target] = out.get(target, 0j) + amp * math.sqrt(n)
-    return SparseKet(psi.modes, out)
-
-
-def apply_creation(k: int, psi: SparseKet) -> SparseKet:
-    """Apply a^dag_k: each |..., n_k, ...> maps to sqrt(n_k + 1) |..., n_k + 1, ...>."""
-    _check_mode(k, psi.modes)
-    out: dict[Occupation, complex] = {}
-    i = k - 1
-    for occ, amp in psi.terms.items():
-        n = occ[i]
-        target = occ[:i] + (n + 1,) + occ[i + 1 :]
-        out[target] = out.get(target, 0j) + amp * math.sqrt(n + 1)
-    return SparseKet(psi.modes, out)
-
-
 def add(phi: SparseKet, psi: SparseKet) -> SparseKet:
     if phi.modes != psi.modes:
         raise ValueError(f"mode mismatch: {phi.modes} vs {psi.modes}")
@@ -158,26 +122,6 @@ def normalize(psi: SparseKet) -> SparseKet:
     if nrm == 0.0:
         raise ValidationError("cannot normalize the zero ket")
     return scale(1.0 / nrm, psi)
-
-
-def inner(phi: SparseKet, psi: SparseKet) -> complex:
-    """<phi|psi>, summed over the common support.
-
-    Terms are accumulated in sorted key order, so conjugate symmetry
-    inner(phi, psi) == conj(inner(psi, phi)) holds exactly on stored doubles.
-    """
-    if phi.modes != psi.modes:
-        raise ValueError(f"mode mismatch: {phi.modes} vs {psi.modes}")
-    common = phi.terms.keys() & psi.terms.keys()
-    total = 0j
-    for occ in sorted(common):
-        total += phi.terms[occ].conjugate() * psi.terms[occ]
-    return total
-
-
-def real_inner(phi: SparseKet, psi: SparseKet) -> float:
-    """Re <phi|psi>: the inner product of the underlying real Hilbert space."""
-    return inner(phi, psi).real
 
 
 @dataclass(frozen=True)
@@ -205,41 +149,8 @@ class SparseOperator:
         return max((max(sum(b), sum(k)) for b, k in self.entries), default=0)
 
 
-def dagger(a: SparseOperator) -> SparseOperator:
-    return SparseOperator(a.modes, {(k, b): amp.conjugate() for (b, k), amp in a.entries.items()})
-
-
-def op_add(a: SparseOperator, b: SparseOperator) -> SparseOperator:
-    if a.modes != b.modes:
-        raise ValueError(f"mode mismatch: {a.modes} vs {b.modes}")
-    out = dict(a.entries)
-    for key, amp in b.entries.items():
-        out[key] = out.get(key, 0j) + amp
-    return SparseOperator(a.modes, out)
-
-
-def op_scale(c: complex, a: SparseOperator) -> SparseOperator:
-    c = complex(c)
-    return SparseOperator(a.modes, {key: c * amp for key, amp in a.entries.items()})
-
-
 def op_trace(a: SparseOperator) -> complex:
     return sum((amp for (b, k), amp in a.entries.items() if b == k), 0j)
-
-
-def hs_inner(a: SparseOperator, b: SparseOperator) -> complex:
-    """Hilbert-Schmidt inner product Tr[a^dag b], summed over common entries."""
-    if a.modes != b.modes:
-        raise ValueError(f"mode mismatch: {a.modes} vs {b.modes}")
-    if len(a.entries) <= len(b.entries):
-        return sum(
-            (amp.conjugate() * b.entries[key] for key, amp in a.entries.items() if key in b.entries),
-            0j,
-        )
-    return sum(
-        (a.entries[key].conjugate() * amp for key, amp in b.entries.items() if key in a.entries),
-        0j,
-    )
 
 
 @dataclass(frozen=True)

@@ -32,18 +32,10 @@ import numpy as np
 
 from .fock import (
     DensityOperator,
-    Occupation,
     SparseKet,
     SparseOperator,
-    add,
-    apply_annihilation,
-    apply_creation,
     basis_ket,
-    dagger,
     enumerate_occupations,
-    op_add,
-    op_scale,
-    scale,
 )
 
 _SQRT_HALF = 1.0 / math.sqrt(2.0)
@@ -170,46 +162,6 @@ def lie_basis(group: Group, m: int) -> LieBasis:
     return basis
 
 
-def apply_generator(g: GeneratorDescriptor, psi: SparseKet) -> SparseKet:
-    """H psi for the Hermitian generator described by ``g``, built by
-    composing ladder-operator applications."""
-    kind = g.kind
-    if kind == IDENTITY_KIND:
-        return psi
-    if kind == "N":
-        (k,) = g.modes
-        return apply_creation(k, apply_annihilation(k, psi))
-    if kind in ("e", "E"):
-        k, l = g.modes
-        x = apply_creation(k, apply_annihilation(l, psi))
-        y = apply_creation(l, apply_annihilation(k, psi))
-        if kind == "e":
-            return scale(0.5, add(x, y))
-        return scale(0.5j, add(x, scale(-1.0, y)))
-    if kind in ("r", "R"):
-        k, l = g.modes
-        up = apply_creation(k, apply_creation(l, psi))
-        down = apply_annihilation(k, apply_annihilation(l, psi))
-        if kind == "r":
-            return scale(0.5, add(up, down))
-        return scale(0.5j, add(up, scale(-1.0, down)))
-    if kind in ("s", "S"):
-        (k,) = g.modes
-        up = apply_creation(k, apply_creation(k, psi))
-        down = apply_annihilation(k, apply_annihilation(k, psi))
-        if kind == "s":
-            return scale(0.5, add(up, down))
-        return scale(0.5j, add(up, scale(-1.0, down)))
-    if kind in ("q", "p"):
-        (k,) = g.modes
-        up = apply_creation(k, psi)
-        down = apply_annihilation(k, psi)
-        if kind == "q":
-            return scale(_SQRT_HALF, add(up, down))
-        return scale(1j * _SQRT_HALF, add(up, scale(-1.0, down)))
-    raise ValueError(f"unknown generator kind {kind!r}")
-
-
 #: Generators of the form c X + conj(c) X^dag: the coefficient c of X.
 _PAIR_COEFFICIENT = {
     "e": 0.5, "E": 0.5j, "r": 0.5, "R": 0.5j, "s": 0.5, "S": 0.5j,
@@ -284,6 +236,11 @@ def _generator_action(
     occupations = np.asarray(occupations, dtype=np.int64)
     s_count = len(occupations)
     gen, coeff, modes, steps = table
+    if int(modes.max()) >= occupations.shape[1]:
+        raise ValueError(
+            f"generator mode index {int(modes.max()) + 1} exceeds the "
+            f"{occupations.shape[1]}-mode register"
+        )
     occ = np.repeat(occupations[None, :, :], len(gen), axis=0)
     amp = np.ones((len(gen), s_count))
     mono = np.arange(len(gen))[:, None]
@@ -334,7 +291,7 @@ def _directions(
     d = int(table[0][-1]) + 1  # generator indices ascend over the table
     x = np.zeros((d * len(union), columns.shape[1]), dtype=complex)
     np.add.at(x, gen * len(union) + tgt, coeff[:, None] * columns[src])
-    return x.reshape(d, len(union), -1), union, rows
+    return x.reshape(d, len(union), columns.shape[1]), union, rows
 
 
 def _ket_arrays(psi: SparseKet) -> tuple[np.ndarray, np.ndarray]:
@@ -343,29 +300,41 @@ def _ket_arrays(psi: SparseKet) -> tuple[np.ndarray, np.ndarray]:
     return occupations, np.fromiter(psi.terms.values(), dtype=complex, count=len(psi.terms))
 
 
-def left_apply_generator(g: GeneratorDescriptor, a: SparseOperator) -> SparseOperator:
-    """The operator product H a, applying the generator to the bra slot."""
-    if g.kind == IDENTITY_KIND:
-        return a
-    actions: dict[Occupation, dict[Occupation, complex]] = {}
-    out: dict[tuple[Occupation, Occupation], complex] = {}
-    for (j, ket), amp in a.entries.items():
-        action = actions.get(j)
-        if action is None:
-            action = apply_generator(g, basis_ket(j)).terms
-            actions[j] = action
-        for target, coeff in action.items():
-            key = (target, ket)
-            out[key] = out.get(key, 0j) + coeff * amp
-    return SparseOperator(a.modes, out)
+def _density_arrays(rho: DensityOperator) -> tuple[np.ndarray, np.ndarray]:
+    """rho's support (every state in a bra or a ket) as an S x m array, and
+    R, rho's dense S x S matrix over it."""
+    keys = np.array(list(rho.op.entries), dtype=np.int64).reshape(-1, rho.modes)
+    support, inverse = _rank_states(keys)
+    bra_ket = inverse.reshape(-1, 2)
+    r = np.zeros((len(support), len(support)), dtype=complex)
+    r[bra_ket[:, 0], bra_ket[:, 1]] = np.fromiter(
+        rho.op.entries.values(), dtype=complex, count=len(rho.op.entries)
+    )
+    return support, r
+
+
+def apply_generator(g: GeneratorDescriptor, psi: SparseKet) -> SparseKet:
+    """H psi for the Hermitian generator described by ``g``."""
+    occupations, amps = _ket_arrays(psi)
+    x, union, _ = _directions(_monomials([g]), occupations, amps[:, None])
+    return SparseKet(psi.modes, dict(zip(map(tuple, union.tolist()), x[0, :, 0].tolist())))
 
 
 def commutator_with_density(g: GeneratorDescriptor, rho: DensityOperator) -> SparseOperator:
-    """[H, rho] = H rho - rho H; uses rho H = (H rho)^dag for Hermitian rho."""
-    if g.kind != IDENTITY_KIND and g.modes and max(g.modes) > rho.modes:
-        raise ValueError(f"generator {g.label} exceeds the {rho.modes}-mode register")
-    left = left_apply_generator(g, rho.op)
-    return op_add(left, op_scale(-1.0, dagger(left)))
+    """[H, rho] = H rho - rho H = X - X^dag for Hermitian rho, where X = H R
+    over the union of rho's support and every target, R being rho's dense
+    matrix over its support."""
+    support, r = _density_arrays(rho)
+    x, union, rows = _directions(_monomials([g]), support, r)
+    c = np.zeros((len(union), len(union)), dtype=complex)
+    c[:, rows] = x[0]
+    c -= c.conj().T
+    states = list(map(tuple, union.tolist()))
+    bra, ket = np.nonzero(c)
+    return SparseOperator(
+        rho.modes,
+        {(states[i], states[j]): v for i, j, v in zip(bra.tolist(), ket.tolist(), c[bra, ket].tolist())},
+    )
 
 
 @dataclass(frozen=True)

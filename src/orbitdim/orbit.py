@@ -30,10 +30,10 @@ from .generators import (
     IDENTITY_KIND,
     Group,
     LieBasis,
+    _density_arrays,
     _directions,
     _ket_arrays,
     _monomial_table,
-    _rank_states,
     lie_basis,
 )
 
@@ -176,13 +176,7 @@ def gram_mixed(group: Group, rho: DensityOperator) -> GramMatrix:
     """
     if not isinstance(rho, DensityOperator):
         raise PictureError("gram_mixed requires a validated DensityOperator")
-    keys = np.array(list(rho.op.entries), dtype=np.int64).reshape(-1, rho.modes)
-    support, inverse = _rank_states(keys)
-    bra_ket = inverse.reshape(-1, 2)
-    r = np.zeros((len(support), len(support)), dtype=complex)
-    r[bra_ket[:, 0], bra_ket[:, 1]] = np.fromiter(
-        rho.op.entries.values(), dtype=complex, count=len(rho.op.entries)
-    )
+    support, r = _density_arrays(rho)
     return _commutator_gram(group, Picture.MIXED, support, r, None)
 
 

@@ -7,10 +7,14 @@ from stacked real-imaginary matrices. None of the package's kernels are
 reused, so agreement is a genuine cross-check.
 
 The sparse references at the end evaluate the same Gram formulas on states
-too large for dense matrices. They apply generators through the package's
-dict-based ladder arithmetic (``apply_generator``, ``left_apply_generator``),
-which shares no code with the vectorised kernel behind ``gram_ket``,
-``gram_ketbra`` and ``gram_mixed``.
+too large for dense matrices. They apply generators through this module's
+own dict-based ladder arithmetic (``apply_creation`` / ``apply_annihilation``
+composed into ``apply_generator`` and ``left_apply_generator``), which
+shares no code with the package's vectorised generator-action kernel behind
+``gram_ket``, ``gram_ketbra``, ``gram_mixed``, ``orbitdim.apply_generator``
+and ``orbitdim.commutator_with_density``. From the package it takes only the
+state containers with ``basis_ket``, ``add``, ``scale`` and ``op_trace``,
+and ``lie_basis``.
 """
 
 import itertools
@@ -18,15 +22,7 @@ import math
 
 import numpy as np
 
-from orbitdim import (
-    SparseOperator,
-    apply_generator,
-    inner,
-    left_apply_generator,
-    lie_basis,
-    op_trace,
-    real_inner,
-)
+from orbitdim import SparseKet, SparseOperator, add, basis_ket, lie_basis, op_trace, scale
 
 
 def basis_states(m, cutoff):
@@ -176,6 +172,162 @@ def oracle_ketbra_rank(group, psi, tol=1e-8):
         c = h @ rho - rho @ h
         rows.append(np.concatenate([c.real.ravel(), c.imag.ravel()]))
     return int(np.linalg.matrix_rank(np.array(rows), tol=tol))
+
+
+# ------------------------------------------------- dict ladder arithmetic
+
+_SQRT_HALF = 1.0 / math.sqrt(2.0)
+
+
+def _check_mode(k, modes):
+    if not 1 <= k <= modes:
+        raise ValueError(f"mode index {k} out of range 1..{modes}")
+
+
+def zero_ket(modes):
+    return SparseKet(modes, {})
+
+
+def apply_annihilation(k, psi):
+    """Apply a_k: each |..., n_k, ...> maps to sqrt(n_k) |..., n_k - 1, ...>."""
+    _check_mode(k, psi.modes)
+    out = {}
+    i = k - 1
+    for occ, amp in psi.terms.items():
+        n = occ[i]
+        if n == 0:
+            continue
+        target = occ[:i] + (n - 1,) + occ[i + 1 :]
+        out[target] = out.get(target, 0j) + amp * math.sqrt(n)
+    return SparseKet(psi.modes, out)
+
+
+def apply_creation(k, psi):
+    """Apply a^dag_k: each |..., n_k, ...> maps to sqrt(n_k + 1) |..., n_k + 1, ...>."""
+    _check_mode(k, psi.modes)
+    out = {}
+    i = k - 1
+    for occ, amp in psi.terms.items():
+        n = occ[i]
+        target = occ[:i] + (n + 1,) + occ[i + 1 :]
+        out[target] = out.get(target, 0j) + amp * math.sqrt(n + 1)
+    return SparseKet(psi.modes, out)
+
+
+def inner(phi, psi):
+    """<phi|psi>, summed over the common support.
+
+    Terms are accumulated in sorted key order, so conjugate symmetry
+    inner(phi, psi) == conj(inner(psi, phi)) holds exactly on stored doubles.
+    """
+    if phi.modes != psi.modes:
+        raise ValueError(f"mode mismatch: {phi.modes} vs {psi.modes}")
+    common = phi.terms.keys() & psi.terms.keys()
+    total = 0j
+    for occ in sorted(common):
+        total += phi.terms[occ].conjugate() * psi.terms[occ]
+    return total
+
+
+def real_inner(phi, psi):
+    """Re <phi|psi>: the inner product of the underlying real Hilbert space."""
+    return inner(phi, psi).real
+
+
+def dagger(a):
+    return SparseOperator(a.modes, {(k, b): amp.conjugate() for (b, k), amp in a.entries.items()})
+
+
+def op_add(a, b):
+    if a.modes != b.modes:
+        raise ValueError(f"mode mismatch: {a.modes} vs {b.modes}")
+    out = dict(a.entries)
+    for key, amp in b.entries.items():
+        out[key] = out.get(key, 0j) + amp
+    return SparseOperator(a.modes, out)
+
+
+def op_scale(c, a):
+    c = complex(c)
+    return SparseOperator(a.modes, {key: c * amp for key, amp in a.entries.items()})
+
+
+def hs_inner(a, b):
+    """Hilbert-Schmidt inner product Tr[a^dag b], summed over common entries."""
+    if a.modes != b.modes:
+        raise ValueError(f"mode mismatch: {a.modes} vs {b.modes}")
+    if len(a.entries) <= len(b.entries):
+        return sum(
+            (amp.conjugate() * b.entries[key] for key, amp in a.entries.items() if key in b.entries),
+            0j,
+        )
+    return sum(
+        (a.entries[key].conjugate() * amp for key, amp in b.entries.items() if key in a.entries),
+        0j,
+    )
+
+
+def apply_generator(g, psi):
+    """H psi for the Hermitian generator described by ``g``, built by
+    composing ladder-operator applications."""
+    kind = g.kind
+    if kind == "I":
+        return psi
+    if kind == "N":
+        (k,) = g.modes
+        return apply_creation(k, apply_annihilation(k, psi))
+    if kind in ("e", "E"):
+        k, l = g.modes
+        x = apply_creation(k, apply_annihilation(l, psi))
+        y = apply_creation(l, apply_annihilation(k, psi))
+        if kind == "e":
+            return scale(0.5, add(x, y))
+        return scale(0.5j, add(x, scale(-1.0, y)))
+    if kind in ("r", "R"):
+        k, l = g.modes
+        up = apply_creation(k, apply_creation(l, psi))
+        down = apply_annihilation(k, apply_annihilation(l, psi))
+        if kind == "r":
+            return scale(0.5, add(up, down))
+        return scale(0.5j, add(up, scale(-1.0, down)))
+    if kind in ("s", "S"):
+        (k,) = g.modes
+        up = apply_creation(k, apply_creation(k, psi))
+        down = apply_annihilation(k, apply_annihilation(k, psi))
+        if kind == "s":
+            return scale(0.5, add(up, down))
+        return scale(0.5j, add(up, scale(-1.0, down)))
+    if kind in ("q", "p"):
+        (k,) = g.modes
+        up = apply_creation(k, psi)
+        down = apply_annihilation(k, psi)
+        if kind == "q":
+            return scale(_SQRT_HALF, add(up, down))
+        return scale(1j * _SQRT_HALF, add(up, scale(-1.0, down)))
+    raise ValueError(f"unknown generator kind {kind!r}")
+
+
+def left_apply_generator(g, a):
+    """The operator product H a, applying the generator to the bra slot."""
+    if g.kind == "I":
+        return a
+    actions = {}
+    out = {}
+    for (j, ket), amp in a.entries.items():
+        action = actions.get(j)
+        if action is None:
+            action = apply_generator(g, basis_ket(j)).terms
+            actions[j] = action
+        for target, coeff in action.items():
+            key = (target, ket)
+            out[key] = out.get(key, 0j) + coeff * amp
+    return SparseOperator(a.modes, out)
+
+
+def commutator_with_density(g, rho):
+    """[H, rho] = H rho - rho H; uses rho H = (H rho)^dag for Hermitian rho."""
+    left = left_apply_generator(g, rho.op)
+    return op_add(left, op_scale(-1.0, dagger(left)))
 
 
 # ------------------------------------------------------- sparse references

@@ -2,6 +2,7 @@
 
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -97,6 +98,30 @@ def test_load_rejects_wrong_occupation_length(tmp_path):
         load_state(str(path))
 
 
+_KET = {"modes": 1, "kind": "ket", "terms": [{"occ": [1], "re": 1.0, "im": 0.0}]}
+_DENSITY = {"modes": 1, "kind": "density", "entries": [{"bra": [1], "ket": [1], "re": 1.0, "im": 0.0}]}
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {**_KET, "modes": True},
+        {**_KET, "terms": [{"occ": [True], "re": 1.0, "im": 0.0}]},
+        {**_DENSITY, "modes": True},
+        {**_DENSITY, "entries": [{"bra": [True], "ket": [1], "re": 1.0, "im": 0.0}]},
+        {**_DENSITY, "entries": [{"bra": [1], "ket": [True], "re": 1.0, "im": 0.0}]},
+    ],
+    ids=["ket-modes", "ket-occ", "density-modes", "density-bra", "density-ket"],
+)
+def test_json_booleans_in_state_files_exit_2(capsys, tmp_path, doc):
+    path = tmp_path / "state.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "dim", "--state", str(path), "--group", "go", "--picture", "mixed")
+    assert code == EXIT_INVALID
+    assert out == ""
+    assert err.startswith("error:")
+
+
 def test_load_density_file(density1):
     rho = load_state(density1)
     assert isinstance(rho, DensityOperator)
@@ -178,9 +203,9 @@ def test_dim_json_deterministic(capsys, fock11):
 
 
 def test_dim_does_not_mutate_input(capsys, fock11):
-    before = open(fock11, "rb").read()
+    before = Path(fock11).read_bytes()
     run(capsys, "dim", "--state", fock11, "--group", "plo", "--picture", "ket")
-    assert open(fock11, "rb").read() == before
+    assert Path(fock11).read_bytes() == before
 
 
 def test_dim_mixed_picture_accepts_ket_file(capsys, fock11):
@@ -405,6 +430,15 @@ def test_sample_writes_deterministic_state(capsys, tmp_path):
     psi = load_state(str(out1))
     assert abs(psi.norm() - 1.0) < 1e-12
     assert len(psi.terms) == math.comb(4, 2)
+
+
+def test_sample_to_unwritable_path_exits_2(capsys, tmp_path):
+    target = tmp_path / "missing" / "x.json"
+    code, out, err = run(capsys, "sample", "--m", "1", "--N", "1", "--out", str(target))
+    assert code == EXIT_INVALID
+    assert out == ""
+    assert err.startswith("error:") and str(target) in err
+    assert not target.exists()
 
 
 # ----------------------------------------------------------------- cnot-demo

@@ -25,7 +25,6 @@ from orbitdim import (
     estimate_gram_matrix,
     evolve_density,
     gram_mixed,
-    inner,
     lie_basis,
     mixture,
     normalize,
@@ -37,7 +36,7 @@ from orbitdim import (
 )
 from orbitdim.dynamics import _blocks
 from _helpers import assert_entries_close, assert_terms_close
-from _oracle import basis_states, dense_density, dense_ket, generator_matrix
+from _oracle import basis_states, dense_density, dense_ket, generator_matrix, inner
 
 
 # ----------------------------------------------------------- TruncatedBasis

@@ -1,4 +1,6 @@
-"""Sparse Fock-space kernel: ladder actions, inner products, density checks."""
+"""Sparse Fock-space containers and density checks, plus the dict ladder
+arithmetic (ladder actions, inner products) of ``_oracle``, which the sparse
+reference formulas there are built on."""
 
 import math
 
@@ -12,21 +14,16 @@ from orbitdim import (
     SparseOperator,
     ValidationError,
     add,
-    apply_annihilation,
-    apply_creation,
     basis_ket,
     enumerate_occupations,
-    hs_inner,
-    inner,
     mixture,
     normalize,
     outer,
-    real_inner,
     scale,
     validate_occupation,
-    zero_ket,
 )
 from _helpers import assert_terms_close, ket_pairs, kets, random_ket
+from _oracle import apply_annihilation, apply_creation, hs_inner, inner, real_inner, zero_ket
 
 
 def test_annihilate_vacuum_is_zero_ket():

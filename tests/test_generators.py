@@ -10,12 +10,16 @@ from orbitdim import (
     Group,
     LieBasis,
     SparseKet,
+    TruncatedBasis,
     apply_generator,
+    apply_group_word,
     basis_ket,
     commutator_with_density,
     default_closure_probes,
-    inner,
+    dense_hamiltonian,
+    evolve_density,
     lie_basis,
+    mixture,
     normalize,
     number_shift,
     outer,
@@ -23,7 +27,8 @@ from orbitdim import (
 )
 import orbitdim.generators as generators
 from _helpers import assert_entries_close, assert_terms_close, random_ket
-from _oracle import basis_states, dense_ket, generator_matrix, oracle_apply
+import _oracle
+from _oracle import basis_states, dense_ket, generator_matrix, inner, oracle_apply
 
 _DIM_FORMULA = {
     Group.PLO: lambda m: m * m,
@@ -150,6 +155,40 @@ def test_apply_generator_matches_dense_oracle(m):
     for g in _all_descriptors(m):
         expected = oracle_apply(g, psi)
         assert_terms_close(apply_generator(g, psi).terms, expected, tol=1e-12)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_kernel_wrappers_match_dict_oracle(m):
+    rng = np.random.default_rng(3000 + m)
+    psi = random_ket(rng, m)
+    rho = mixture([(0.3, random_ket(rng, m)), (0.7, random_ket(rng, m))])
+    for g in _all_descriptors(m):
+        expected = _oracle.apply_generator(g, psi).terms
+        assert_terms_close(apply_generator(g, psi).terms, expected, tol=1e-12)
+        expected = _oracle.commutator_with_density(g, rho).entries
+        assert_entries_close(commutator_with_density(g, rho).entries, expected, tol=1e-12)
+
+
+@pytest.mark.parametrize("m", [1, 2])
+def test_apply_generator_on_zero_ket(m):
+    for g in _all_descriptors(m):
+        assert apply_generator(g, SparseKet(m, {})).is_zero()
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda g: apply_generator(g, basis_ket((1,))),
+        lambda g: commutator_with_density(g, outer(basis_ket((1,)))),
+        lambda g: apply_group_word(basis_ket((1,)), [(g, 0.1)]),
+        lambda g: evolve_density(outer(basis_ket((1,))), g, 0.1),
+        lambda g: dense_hamiltonian(g, TruncatedBasis.build(1, 2)),
+    ],
+    ids=["apply_generator", "commutator_with_density", "apply_group_word", "evolve_density", "dense_hamiltonian"],
+)
+def test_generator_beyond_the_register_is_refused(call):
+    with pytest.raises(ValueError, match="exceeds the 1-mode register"):
+        call(GeneratorDescriptor("e", (1, 2)))
 
 
 def test_commutator_with_diagonal_density_vanishes():
