@@ -42,6 +42,7 @@ from .orbit import (
     Exactness,
     Picture,
     PictureError,
+    RankResult,
     _check_normalized,
     closed_form_report,
     cnot_demo,
@@ -221,13 +222,24 @@ def _fmt(x: float) -> str:
     return f"{float(x):.6g}"
 
 
-def _emit(args, payload: dict, lines: list[str], started: float) -> None:
-    if getattr(args, "json", False):
-        print(render_json(payload))
+def _emit(args, payload: dict, lines: list[str]) -> None:
+    """Print the command's result: with --json the payload under the
+    schema version and command name, otherwise the lines and the time
+    elapsed since ``main`` parsed the arguments."""
+    if args.json:
+        print(render_json({"schema_version": SCHEMA_VERSION, "command": args.command, **payload}))
     else:
         for line in lines:
             print(line)
-        print(f"elapsed: {time.perf_counter() - started:.3f} s")
+        print(f"elapsed: {time.perf_counter() - args.started:.3f} s")
+
+
+def _rank_fields(result: RankResult) -> dict:
+    return {
+        "dimension": result.rank,
+        "eigenvalues": list(result.eigenvalues),
+        "tolerance_used": result.tolerance_used,
+    }
 
 
 def _spectrum_line(eigenvalues) -> str:
@@ -253,20 +265,15 @@ def _load_for_picture(path: str, picture: Picture) -> SparseKet | DensityOperato
 
 
 def cmd_dim(args) -> int:
-    started = time.perf_counter()
     group = Group(args.group)
     picture = Picture(args.picture)
     state = _load_for_picture(args.state, picture)
     result = rank_psd(gram_matrix(group, state, picture), args.tol)
     payload = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "dim",
         "input": _input_block(args.state),
         "group": group.value,
         "picture": picture.value,
-        "dimension": result.rank,
-        "eigenvalues": list(result.eigenvalues),
-        "tolerance_used": result.tolerance_used,
+        **_rank_fields(result),
         "relative_tolerance_policy": result.relative,
     }
     lines = [
@@ -277,28 +284,23 @@ def cmd_dim(args) -> int:
         + (" (relative policy 1e-8 * max(1, lambda_max))" if result.relative else " (absolute)"),
         _spectrum_line(result.eigenvalues),
     ]
-    _emit(args, payload, lines, started)
+    _emit(args, payload, lines)
     return EXIT_OK
 
 
 def cmd_gram(args) -> int:
-    started = time.perf_counter()
     group = Group(args.group)
     picture = Picture(args.picture)
     state = _load_for_picture(args.state, picture)
     gram = gram_matrix(group, state, picture)
     result = rank_psd(gram, args.tol)
     payload = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "gram",
         "input": _input_block(args.state),
         "group": group.value,
         "picture": picture.value,
         "basis_labels": list(gram.basis.labels),
         "matrix": gram.values,
-        "dimension": result.rank,
-        "eigenvalues": list(result.eigenvalues),
-        "tolerance_used": result.tolerance_used,
+        **_rank_fields(result),
     }
     lines = [
         f"state: {args.state}",
@@ -308,12 +310,11 @@ def cmd_gram(args) -> int:
     ]
     lines += ["  [" + ", ".join(_fmt(x) for x in row) + "]" for row in gram.values]
     lines += [f"dimension: {result.rank}", _spectrum_line(result.eigenvalues)]
-    _emit(args, payload, lines, started)
+    _emit(args, payload, lines)
     return EXIT_OK
 
 
 def cmd_table2(args) -> int:
-    started = time.perf_counter()
     rows = closed_form_report(args.m_max, args.tol)
     failed = [r for r in rows if not r.passed]
     payload_rows = [
@@ -331,16 +332,7 @@ def cmd_table2(args) -> int:
         }
         for r in rows
     ]
-    payload = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "table2",
-        "m_max": args.m_max,
-        "rows": payload_rows,
-        "failures": len(failed),
-    }
-    if args.json:
-        print(render_json(payload))
-    elif args.format == "csv":
+    if args.format == "csv" and not args.json:
         writer = csv.writer(sys.stdout, lineterminator="\n")
         writer.writerow(
             ["family", "group", "picture", "m", "params", "closed_form", "numerical", "exactness",
@@ -362,11 +354,10 @@ def cmd_table2(args) -> int:
                 ]
             )
     else:
-        header = f"{'family':<22}{'group':<6}{'pict':<8}{'m':<3}{'closed':<8}{'num':<6}{'kind':<7}result"
-        print(header)
+        lines = [f"{'family':<22}{'group':<6}{'pict':<8}{'m':<3}{'closed':<8}{'num':<6}{'kind':<7}result"]
         for r in rows:
             kind = "exact" if r.exactness is Exactness.EXACT else "<="
-            print(
+            lines.append(
                 f"{r.family:<22}{r.group.value:<6}{r.picture.value:<8}{r.modes:<3}"
                 f"{r.closed_value:<8}{r.numerical:<6}{kind:<7}"
                 + ("PASS" if r.passed else "FAIL")
@@ -374,15 +365,14 @@ def cmd_table2(args) -> int:
                 + f" {r.params}"
             )
         known = sum(1 for r in rows if r.known_discrepancy)
-        print(f"rows: {len(rows)}  failures: {len(failed)}  known discrepancies (*): {known}")
+        lines.append(f"rows: {len(rows)}  failures: {len(failed)}  known discrepancies (*): {known}")
         if known:
-            print("* tabulated value undercounts by one here; the cell passes at closed + 1")
-        print(f"elapsed: {time.perf_counter() - started:.3f} s")
+            lines.append("* tabulated value undercounts by one here; the cell passes at closed + 1")
+        _emit(args, {"m_max": args.m_max, "rows": payload_rows, "failures": len(failed)}, lines)
     return EXIT_MISMATCH if failed else EXIT_OK
 
 
 def cmd_generic(args) -> int:
-    started = time.perf_counter()
     if args.seeds < 1:
         raise ValueError(f"--seeds must be >= 1, got {args.seeds}")
     group = Group(args.group)
@@ -400,8 +390,6 @@ def cmd_generic(args) -> int:
     hits = sum(1 for d in dims if d == expected)
     hit_rate = hits / len(dims)
     payload = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "generic",
         "group": group.value,
         "picture": picture.value,
         "m": args.m,
@@ -420,18 +408,15 @@ def cmd_generic(args) -> int:
         f"samples: {len(dims)}  hits: {hits}  hit rate: {hit_rate:.0%}",
         f"uniform-phase state dimension: {uniform_dim}",
     ]
-    _emit(args, payload, lines, started)
+    _emit(args, payload, lines)
     return EXIT_OK if hit_rate == 1.0 else EXIT_MISMATCH
 
 
 def cmd_closure(args) -> int:
-    started = time.perf_counter()
     group = Group(args.group)
     report = verify_closure(group, args.m)
     d = len(lie_basis(group, args.m))
     payload = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "closure",
         "group": group.value,
         "m": args.m,
         "basis_size": d,
@@ -446,25 +431,20 @@ def cmd_closure(args) -> int:
         f"max residual: {report.max_residual:.3e} ({verdict})",
         f"min normal-matrix eigenvalue: {report.min_normal_eigenvalue:.3e}",
     ]
-    _emit(args, payload, lines, started)
+    _emit(args, payload, lines)
     return EXIT_OK
 
 
 def cmd_witness(args) -> int:
-    started = time.perf_counter()
     state = load_state(args.state)
     if isinstance(state, DensityOperator):
         raise PictureError("the witness requires a pure-state (ket) file")
     result = nongaussianity_witness(state, args.tol)
     payload = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "witness",
         "input": _input_block(args.state),
-        "dimension": result.dimension,
+        **_rank_fields(result.rank),
         "threshold": result.threshold,
         "witnessed": result.witnessed,
-        "eigenvalues": list(result.rank.eigenvalues),
-        "tolerance_used": result.rank.tolerance_used,
     }
     comparator = ">" if result.witnessed else "<="
     lines = [
@@ -472,12 +452,11 @@ def cmd_witness(args) -> int:
         f"gaussian-orbit dimension: {result.dimension}  threshold m(m+3): {result.threshold}",
         f"witnessed: {str(result.witnessed).lower()} ({result.dimension} {comparator} {result.threshold})",
     ]
-    _emit(args, payload, lines, started)
+    _emit(args, payload, lines)
     return EXIT_OK
 
 
 def cmd_estimate(args) -> int:
-    started = time.perf_counter()
     group = Group(args.group)
     rho = load_state(args.state)
     if isinstance(rho, SparseKet):
@@ -490,8 +469,6 @@ def cmd_estimate(args) -> int:
     max_dev = float(dev.max()) if dev.size else 0.0
     labels = lie_basis(group, rho.modes).labels
     payload = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "estimate",
         "input": _input_block(args.state),
         "group": group.value,
         "step": cfg.step,
@@ -533,17 +510,14 @@ def cmd_estimate(args) -> int:
                 f"{row['I']:<8}{row['J']:<8}{row['direct']:>14.6g}{row['estimate']:>14.6g}"
                 f"{abs(row['estimate'] - row['direct']):>12.3e}"
             )
-    _emit(args, payload, lines, started)
+    _emit(args, payload, lines)
     return EXIT_OK
 
 
 def cmd_sample(args) -> int:
-    started = time.perf_counter()
     psi = sample_sphere_state(args.m, args.N, args.seed)
     write_state_file(args.out, psi)
     payload = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "sample",
         "m": args.m,
         "N": args.N,
         "seed": args.seed,
@@ -556,19 +530,16 @@ def cmd_sample(args) -> int:
         f"wrote {args.out}: {len(psi.terms)} terms, norm {psi.norm():.12f}",
         f"m: {args.m}  N: {args.N}  seed: {args.seed}",
     ]
-    _emit(args, payload, lines, started)
+    _emit(args, payload, lines)
     return EXIT_OK
 
 
 def cmd_cnot_demo(args) -> int:
-    started = time.perf_counter()
     group = Group(args.group)
     report = cnot_demo(group, args.tol)
     expected_pair = (38, 37)
     matches_reference = (report.dim_plus_zero, report.dim_bell) == expected_pair
     payload = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "cnot-demo",
         "group": group.value,
         "picture": "ketbra",
         "dim_plus_zero": report.dim_plus_zero,
@@ -582,7 +553,7 @@ def cmd_cnot_demo(args) -> int:
         f"|Phi+>_L = (|1,0,1,0> + |0,1,0,1>)/sqrt(2): dimension {report.dim_bell}",
         f"verdict: {report.verdict}",
     ]
-    _emit(args, payload, lines, started)
+    _emit(args, payload, lines)
     if group is Group.GO and not matches_reference:
         return EXIT_MISMATCH
     return EXIT_OK
@@ -604,18 +575,18 @@ def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true", help="structured deterministic output")
     common.add_argument("--tol", type=float, default=None, help="absolute rank tolerance (default: 1e-8 * max(1, lambda_max))")
+    state = argparse.ArgumentParser(add_help=False)
+    state.add_argument("--state", required=True)
+    group = argparse.ArgumentParser(add_help=False)
+    group.add_argument("--group", required=True, choices=_GROUPS)
+    picture = argparse.ArgumentParser(add_help=False)
+    picture.add_argument("--picture", required=True, choices=_PICTURES)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("dim", parents=[common], help="orbit dimension of a state file")
-    p.add_argument("--state", required=True)
-    p.add_argument("--group", required=True, choices=_GROUPS)
-    p.add_argument("--picture", required=True, choices=_PICTURES)
+    p = sub.add_parser("dim", parents=[common, state, group, picture], help="orbit dimension of a state file")
     p.set_defaults(func=cmd_dim)
 
-    p = sub.add_parser("gram", parents=[common], help="print the Gram matrix of a state file")
-    p.add_argument("--state", required=True)
-    p.add_argument("--group", required=True, choices=_GROUPS)
-    p.add_argument("--picture", required=True, choices=_PICTURES)
+    p = sub.add_parser("gram", parents=[common, state, group, picture], help="print the Gram matrix of a state file")
     p.set_defaults(func=cmd_gram)
 
     p = sub.add_parser("table2", parents=[common], help="recompute the closed-form dimension grid")
@@ -623,27 +594,21 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=["text", "csv"], default="text")
     p.set_defaults(func=cmd_table2)
 
-    p = sub.add_parser("generic", parents=[common], help="sampled genericity check")
-    p.add_argument("--group", required=True, choices=_GROUPS)
+    p = sub.add_parser("generic", parents=[common, group, picture], help="sampled genericity check")
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--N", type=int, required=True)
-    p.add_argument("--picture", required=True, choices=_PICTURES)
     p.add_argument("--seeds", type=int, default=20)
     p.add_argument("--seed0", "--seed", dest="seed0", type=int, default=0)
     p.set_defaults(func=cmd_generic)
 
-    p = sub.add_parser("closure", parents=[common], help="verify Lie-algebra closure numerically")
-    p.add_argument("--group", required=True, choices=_GROUPS)
+    p = sub.add_parser("closure", parents=[common, group], help="verify Lie-algebra closure numerically")
     p.add_argument("--m", type=int, required=True)
     p.set_defaults(func=cmd_closure)
 
-    p = sub.add_parser("witness", parents=[common], help="non-Gaussianity witness for a ket file")
-    p.add_argument("--state", required=True)
+    p = sub.add_parser("witness", parents=[common, state], help="non-Gaussianity witness for a ket file")
     p.set_defaults(func=cmd_witness)
 
-    p = sub.add_parser("estimate", parents=[common], help="finite-difference Gram estimation vs direct")
-    p.add_argument("--state", required=True)
-    p.add_argument("--group", required=True, choices=_GROUPS)
+    p = sub.add_parser("estimate", parents=[common, state, group], help="finite-difference Gram estimation vs direct")
     p.add_argument("--h", type=float, default=1e-3, help="finite-difference step")
     p.add_argument("--buffer", type=int, default=16, help="photon buffer above the state support")
     p.add_argument("--leakage-tol", dest="leakage_tol", type=float, default=1e-6)
@@ -666,6 +631,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
+    args.started = time.perf_counter()
     try:
         return args.func(args)
     except LeakageError as exc:

@@ -156,10 +156,10 @@ def _blocks(
 class _Workspace:
     """The truncated working space for evolving one state under a set of
     generators: the cutoff (the state's photon number, plus the buffer when
-    any generator shifts photon number), the basis and its guard band, the
-    generators' eigendecomposed blocks, the conversions between sparse kets
-    and arrays over the basis, and the leakage check with the largest value
-    it has seen of each measured quantity."""
+    any generator shifts photon number), the basis (also as a D x m array)
+    and its guard band, the generators' eigendecomposed blocks, and the
+    leakage check with the largest value it has seen of each measured
+    quantity."""
 
     def __init__(
         self, modes: int, max_total: int, generators: Iterable[GeneratorDescriptor], cfg: EvolutionConfig
@@ -168,7 +168,8 @@ class _Workspace:
         self.generators = tuple(dict.fromkeys(generators))
         self.shifting = any(number_shift(g.kind) > 0 for g in self.generators)
         self.basis = TruncatedBasis.build(modes, max_total + (cfg.buffer if self.shifting else 0))
-        self.band = np.array([sum(occ) for occ in self.basis.states]) > self.basis.cutoff - 2
+        self.states = np.array(self.basis.states, dtype=np.int64)
+        self.band = self.states.sum(axis=1) > self.basis.cutoff - 2
         # per block size: nodes, each generator's first block, eigenpairs
         self.blocks = []
         for nodes, h in _blocks(self.generators, self.basis):
@@ -212,19 +213,6 @@ class _Workspace:
             vec[self.basis.index[occ], 0] = amp
         return vec
 
-    def sparse(self, dense: np.ndarray) -> SparseKet | SparseOperator:
-        """The nonzero entries of a vector as a ket, or of a matrix as an
-        operator."""
-        states = self.basis.states
-        nonzero = np.nonzero(dense)
-        keys = zip(*(axis.tolist() for axis in nonzero))
-        values = dense[nonzero].tolist()
-        if dense.ndim == 1:
-            return SparseKet(self.basis.modes, {states[k]: v for (k,), v in zip(keys, values)})
-        return SparseOperator(
-            self.basis.modes, {(states[i], states[j]): v for (i, j), v in zip(keys, values)}
-        )
-
 
 class _DensityWorkspace(_Workspace):
     """The working space of one density rho = Phi P Phi^dag under a set of
@@ -234,15 +222,12 @@ class _DensityWorkspace(_Workspace):
 
     def __init__(self, rho: DensityOperator, generators: Sequence[GeneratorDescriptor], cfg: EvolutionConfig) -> None:
         super().__init__(rho.modes, rho.op.max_total(), generators, cfg)
-        support = sorted({occ for key in rho.op.entries for occ in key})
-        local = {occ: k for k, occ in enumerate(support)}
-        self.phi = np.zeros((self.basis.size, len(support)), dtype=complex)
-        self.phi[[self.basis.index[occ] for occ in support], np.arange(len(support))] = 1.0
-        self.p = np.zeros((len(support), len(support)), dtype=complex)
-        for (bra, ket), amp in rho.op.entries.items():
-            self.p[local[bra], local[ket]] = amp
+        r = len(rho.support)
+        self.phi = np.zeros((self.basis.size, r), dtype=complex)
+        self.phi[[self.basis.index[occ] for occ in map(tuple, rho.support.tolist())], np.arange(r)] = 1.0
+        self.p = rho.matrix
         # (A P A^dag)^dag = A P^dag A^dag, so every copy inherits P's residual
-        self.hermiticity = float(np.max(np.abs(self.p - self.p.conj().T)))
+        self.hermiticity = rho.hermiticity_residual
 
     @property
     def dim(self) -> int:
@@ -288,11 +273,11 @@ def evolve_density(
     cfg: EvolutionConfig = EvolutionConfig(),
 ) -> DensityOperator:
     """Conjugate rho by exp(-iHt) on the truncated working basis."""
+    ws = _DensityWorkspace(rho, (g,), cfg)
     if t == 0.0:
         return rho
-    ws = _DensityWorkspace(rho, (g,), cfg)
     a = ws.evolved(t)[1]
-    return DensityOperator.validate(ws.sparse((a @ ws.p) @ a.conj().T))
+    return DensityOperator.validate(SparseOperator.from_arrays(ws.states, (a @ ws.p) @ a.conj().T))
 
 
 def _workspace(rho: DensityOperator, group: Group, cfg: EvolutionConfig) -> _DensityWorkspace:
@@ -447,7 +432,7 @@ def apply_group_word(
                 boundary_weight=float(np.sum(np.abs(vec[ws.band]) ** 2)),
             )
     ws.check("group word", norm_change=abs(float(np.linalg.norm(vec)) - norm0))
-    return ws.sparse(vec[:, 0])
+    return SparseKet.from_arrays(ws.states, vec[:, 0])
 
 
 def perturb_state(
@@ -455,12 +440,9 @@ def perturb_state(
     eps: float,
     n_cutoff: int,
     seed: int,
-    m: int | None = None,
 ) -> SparseKet:
     """normalize(psi + eps * chi) for a seeded sphere sample chi on the
     cutoff subspace; eps = 0 returns psi unchanged."""
-    if m is not None and m != psi.modes:
-        raise ValueError(f"mode count {m} does not match the ket ({psi.modes})")
     if eps == 0.0:
         return psi
     chi = sample_sphere_state(psi.modes, n_cutoff, seed)

@@ -5,7 +5,11 @@ dictionaries mapping occupation tuples to complex amplitudes; operators
 (parsed or evolved densities, commutators) map (bra, ket) occupation pairs
 to complex entries. Only exact zeros are pruned (no epsilon thresholding).
 Generators act on these states through the vectorised kernel in
-``generators``, not through arithmetic on the dictionaries.
+``generators``, not through arithmetic on the dictionaries. This module
+owns the conversions between the dictionaries and arrays over a support:
+``SparseKet.arrays`` / ``SparseKet.from_arrays``,
+``SparseOperator.from_arrays``, and a validated density's ``support`` and
+``matrix``.
 
 Occupation tuples compare lexicographically; that ordering is the canonical
 one used for basis enumeration and file output throughout the package.
@@ -16,7 +20,9 @@ from __future__ import annotations
 import math
 import operator
 from collections.abc import Iterable, Iterator, Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+
+import numpy as np
 
 Occupation = tuple[int, ...]
 OperatorKey = tuple[Occupation, Occupation]
@@ -24,6 +30,8 @@ OperatorKey = tuple[Occupation, Occupation]
 HERMITICITY_TOL = 1e-12
 TRACE_TOL = 1e-10
 DIAGONAL_FLOOR = 1e-12
+#: Largest occupation accepted: the generator kernel computes n + 2 in int64.
+MAX_OCCUPATION = 2**63 - 3
 
 
 class ValidationError(ValueError):
@@ -40,7 +48,21 @@ def validate_occupation(occ: Iterable[int], modes: int) -> Occupation:
         raise ValidationError(f"occupation {out!r} has length {len(out)}, expected {modes}")
     if any(n < 0 for n in out):
         raise ValidationError(f"occupation {out!r} has a negative entry")
+    if any(n > MAX_OCCUPATION for n in out):
+        raise ValidationError(f"occupation {out!r} has an entry above 2**63 - 3")
     return out
+
+
+def _rank_states(states: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct rows of an int64 array, in a fixed order, and each
+    row's rank among them."""
+    # each row as one opaque byte string: np.unique(axis=0) sorts the same
+    # rows field by field, several times slower
+    rows = np.ascontiguousarray(states, dtype=np.int64)
+    distinct, inverse = np.unique(
+        rows.view(np.dtype((np.void, 8 * rows.shape[1]))).reshape(-1), return_inverse=True
+    )
+    return distinct.view(np.int64).reshape(-1, rows.shape[1]), inverse.reshape(-1)
 
 
 def _occupations(modes: int, budget: int) -> Iterator[Occupation]:
@@ -96,6 +118,19 @@ class SparseKet:
         """Largest total photon number in the support (0 for the zero ket)."""
         return max((sum(occ) for occ in self.terms), default=0)
 
+    def arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        """The support as an S x m int64 array and the amplitudes, in term
+        order."""
+        states = np.array(list(self.terms), dtype=np.int64).reshape(len(self.terms), self.modes)
+        return states, np.fromiter(self.terms.values(), dtype=complex, count=len(self.terms))
+
+    @classmethod
+    def from_arrays(cls, states: np.ndarray, amps: np.ndarray) -> "SparseKet":
+        """The ket with amplitude ``amps[k]`` on the occupation ``states[k]``
+        (an S x m array); zero amplitudes are dropped."""
+        kept = np.flatnonzero(amps)
+        return cls(states.shape[1], dict(zip(map(tuple, states[kept].tolist()), amps[kept].tolist())))
+
 
 def basis_ket(occ: Sequence[int]) -> SparseKet:
     """The basis state |n1, ..., nm> for the given occupation vector."""
@@ -148,6 +183,17 @@ class SparseOperator:
     def max_total(self) -> int:
         return max((max(sum(b), sum(k)) for b, k in self.entries), default=0)
 
+    @classmethod
+    def from_arrays(cls, states: np.ndarray, matrix: np.ndarray) -> "SparseOperator":
+        """The operator with entry ``matrix[i, j]`` at (``states[i]``,
+        ``states[j]``), nonzero entries in row-major order."""
+        rows = list(map(tuple, states.tolist()))
+        bra, ket = np.nonzero(matrix)
+        return cls(
+            states.shape[1],
+            {(rows[i], rows[j]): v for i, j, v in zip(bra.tolist(), ket.tolist(), matrix[bra, ket].tolist())},
+        )
+
 
 def op_trace(a: SparseOperator) -> complex:
     return sum((amp for (b, k), amp in a.entries.items() if b == k), 0j)
@@ -158,56 +204,54 @@ class DensityOperator:
     """A validated density operator: Hermitian, unit trace, nonnegative diagonal.
 
     The measured residuals are kept so callers can audit how close the input
-    was to the constraints it claims to satisfy.
+    was to the constraints it claims to satisfy. ``support`` holds every
+    state in a bra or a ket as a read-only S x m int64 array, and ``matrix``
+    the read-only S x S matrix of the operator over it.
     """
 
     op: SparseOperator
     hermiticity_residual: float
     trace_residual: float
+    support: np.ndarray = field(compare=False, repr=False)
+    matrix: np.ndarray = field(compare=False, repr=False)
 
     @property
     def modes(self) -> int:
         return self.op.modes
 
     @classmethod
-    def validate(
-        cls,
-        op: SparseOperator,
-        *,
-        herm_tol: float = HERMITICITY_TOL,
-        trace_tol: float = TRACE_TOL,
-        diagonal_floor: float = DIAGONAL_FLOOR,
-    ) -> "DensityOperator":
-        # every check is written so that a NaN fails it
-        herm = 0.0
-        for (bra, ket), amp in op.entries.items():
-            residual = abs(amp - op.entries.get((ket, bra), 0j).conjugate())
-            if residual > herm or math.isnan(residual):  # max() would drop a NaN
-                herm = residual
-        if not herm <= herm_tol:
-            raise ValidationError(f"hermiticity residual {herm:.3e} exceeds {herm_tol:.1e}")
+    def validate(cls, op: SparseOperator) -> "DensityOperator":
+        keys = np.array(list(op.entries), dtype=np.int64).reshape(-1, op.modes)
+        support, inverse = _rank_states(keys)
+        bra, ket = inverse.reshape(-1, 2).T
+        values = np.fromiter(op.entries.values(), dtype=complex, count=len(op.entries))
+        matrix = np.zeros((len(support), len(support)), dtype=complex)
+        matrix[bra, ket] = values
+        # every check is written so that a NaN fails it (np.max keeps a NaN);
+        # an infinite entry gives inf - inf = NaN here, as Python's complex does
+        with np.errstate(invalid="ignore"):
+            herm = float(np.max(np.abs(matrix - matrix.conj().T), initial=0.0))
+        if not herm <= HERMITICITY_TOL:
+            raise ValidationError(f"hermiticity residual {herm:.3e} exceeds {HERMITICITY_TOL:.1e}")
         trace = op_trace(op)
         trace_res = abs(trace - 1.0)
-        if not trace_res <= trace_tol:
-            raise ValidationError(f"trace {trace!r} deviates from 1 by {trace_res:.3e} (tol {trace_tol:.1e})")
-        for (bra, ket), amp in op.entries.items():
-            if bra == ket and not amp.real >= -diagonal_floor:
-                raise ValidationError(f"diagonal entry {amp!r} at {bra!r} below -{diagonal_floor:.1e}")
-        return cls(op=op, hermiticity_residual=herm, trace_residual=trace_res)
+        if not trace_res <= TRACE_TOL:
+            raise ValidationError(f"trace {trace!r} deviates from 1 by {trace_res:.3e} (tol {TRACE_TOL:.1e})")
+        low = np.flatnonzero((bra == ket) & ~(values.real >= -DIAGONAL_FLOOR))
+        if low.size:  # the first in entry order
+            k = low[0]
+            raise ValidationError(
+                f"diagonal entry {complex(values[k])!r} at {tuple(support[bra[k]].tolist())!r} "
+                f"below -{DIAGONAL_FLOOR:.1e}"
+            )
+        support.setflags(write=False)
+        matrix.setflags(write=False)
+        return cls(op=op, hermiticity_residual=herm, trace_residual=trace_res, support=support, matrix=matrix)
 
 
 def outer(psi: SparseKet) -> DensityOperator:
     """The normalized projector |psi><psi| / <psi|psi>."""
-    nrm2 = sum(a.real * a.real + a.imag * a.imag for a in psi.terms.values())
-    if nrm2 == 0.0:
-        raise ValidationError("cannot form the projector of the zero ket")
-    if not math.isfinite(nrm2):
-        raise ValidationError(f"cannot form the projector of a ket with squared norm {nrm2!r}")
-    entries: dict[OperatorKey, complex] = {}
-    for bra, bamp in psi.terms.items():
-        for ket, kamp in psi.terms.items():
-            entries[(bra, ket)] = bamp * kamp.conjugate() / nrm2
-    return DensityOperator.validate(SparseOperator(psi.modes, entries))
+    return mixture([(1.0, psi)])
 
 
 def mixture(components: Sequence[tuple[float, SparseKet]]) -> DensityOperator:

@@ -34,6 +34,7 @@ from .fock import (
     DensityOperator,
     SparseKet,
     SparseOperator,
+    _rank_states,
     basis_ket,
     enumerate_occupations,
 )
@@ -265,18 +266,6 @@ def _generator_action(
     )
 
 
-def _rank_states(states: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The distinct rows of an int64 array, in a fixed order, and each
-    row's rank among them."""
-    # each row as one opaque byte string: np.unique(axis=0) sorts the same
-    # rows field by field, several times slower
-    rows = np.ascontiguousarray(states, dtype=np.int64)
-    distinct, inverse = np.unique(
-        rows.view(np.dtype((np.void, 8 * rows.shape[1]))).reshape(-1), return_inverse=True
-    )
-    return distinct.view(np.int64).reshape(-1, rows.shape[1]), inverse.reshape(-1)
-
-
 def _directions(
     table: _MonomialTable, occupations: np.ndarray, columns: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -294,47 +283,22 @@ def _directions(
     return x.reshape(d, len(union), columns.shape[1]), union, rows
 
 
-def _ket_arrays(psi: SparseKet) -> tuple[np.ndarray, np.ndarray]:
-    """psi's support as an S x m array and its amplitudes."""
-    occupations = np.array(list(psi.terms), dtype=np.int64).reshape(len(psi.terms), psi.modes)
-    return occupations, np.fromiter(psi.terms.values(), dtype=complex, count=len(psi.terms))
-
-
-def _density_arrays(rho: DensityOperator) -> tuple[np.ndarray, np.ndarray]:
-    """rho's support (every state in a bra or a ket) as an S x m array, and
-    R, rho's dense S x S matrix over it."""
-    keys = np.array(list(rho.op.entries), dtype=np.int64).reshape(-1, rho.modes)
-    support, inverse = _rank_states(keys)
-    bra_ket = inverse.reshape(-1, 2)
-    r = np.zeros((len(support), len(support)), dtype=complex)
-    r[bra_ket[:, 0], bra_ket[:, 1]] = np.fromiter(
-        rho.op.entries.values(), dtype=complex, count=len(rho.op.entries)
-    )
-    return support, r
-
-
 def apply_generator(g: GeneratorDescriptor, psi: SparseKet) -> SparseKet:
     """H psi for the Hermitian generator described by ``g``."""
-    occupations, amps = _ket_arrays(psi)
+    occupations, amps = psi.arrays()
     x, union, _ = _directions(_monomials([g]), occupations, amps[:, None])
-    return SparseKet(psi.modes, dict(zip(map(tuple, union.tolist()), x[0, :, 0].tolist())))
+    return SparseKet.from_arrays(union, x[0, :, 0])
 
 
 def commutator_with_density(g: GeneratorDescriptor, rho: DensityOperator) -> SparseOperator:
     """[H, rho] = H rho - rho H = X - X^dag for Hermitian rho, where X = H R
     over the union of rho's support and every target, R being rho's dense
     matrix over its support."""
-    support, r = _density_arrays(rho)
-    x, union, rows = _directions(_monomials([g]), support, r)
+    x, union, rows = _directions(_monomials([g]), rho.support, rho.matrix)
     c = np.zeros((len(union), len(union)), dtype=complex)
     c[:, rows] = x[0]
     c -= c.conj().T
-    states = list(map(tuple, union.tolist()))
-    bra, ket = np.nonzero(c)
-    return SparseOperator(
-        rho.modes,
-        {(states[i], states[j]): v for i, j, v in zip(bra.tolist(), ket.tolist(), c[bra, ket].tolist())},
-    )
+    return SparseOperator.from_arrays(union, c)
 
 
 @dataclass(frozen=True)
@@ -408,7 +372,7 @@ def verify_closure(
     b_blocks: list[np.ndarray] = []
     off_norm2 = np.zeros(len(pairs))
     for psi in probes:
-        occupations, amps = _ket_arrays(psi)
+        occupations, amps = psi.arrays()
         applied, union, _ = _directions(table, occupations, amps[:, None])
         # twice[J, :, I] = H_J H_I psi over a second, wider union
         twice, _, rows = _directions(_monomial_table(group, m), union, applied[:d, :, 0].T)

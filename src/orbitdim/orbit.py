@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from collections.abc import Sequence
 from dataclasses import dataclass
 from enum import Enum
 
@@ -30,9 +29,7 @@ from .generators import (
     IDENTITY_KIND,
     Group,
     LieBasis,
-    _density_arrays,
     _directions,
-    _ket_arrays,
     _monomial_table,
     lie_basis,
 )
@@ -142,7 +139,7 @@ def _commutator_gram(
 def _projector_gram(group: Group, psi: SparseKet, picture: Picture) -> GramMatrix:
     """The commutator Gram matrix of |psi><psi|, with Phi = W = psi/|psi|."""
     _check_normalized(psi)
-    occupations, amps = _ket_arrays(psi)
+    occupations, amps = psi.arrays()
     phi = (amps / math.sqrt(_norm2(amps)))[:, None]
     return _commutator_gram(group, picture, occupations, phi, phi)
 
@@ -153,7 +150,7 @@ def gram_ket(group: Group, psi: SparseKet) -> GramMatrix:
     H_I psi over the union of psi's support and every generator's targets."""
     _check_normalized(psi)
     basis = lie_basis(group, psi.modes)
-    occupations, amps = _ket_arrays(psi)
+    occupations, amps = psi.arrays()
     a, _, _ = _directions(_monomial_table(group, psi.modes), occupations, amps[:, None])
     return GramMatrix(group, Picture.KET, psi.modes, _re_gram(a.reshape(len(basis), -1)), basis)
 
@@ -176,8 +173,7 @@ def gram_mixed(group: Group, rho: DensityOperator) -> GramMatrix:
     """
     if not isinstance(rho, DensityOperator):
         raise PictureError("gram_mixed requires a validated DensityOperator")
-    support, r = _density_arrays(rho)
-    return _commutator_gram(group, Picture.MIXED, support, r, None)
+    return _commutator_gram(group, Picture.MIXED, rho.support, rho.matrix, None)
 
 
 def rank_psd(gram: GramMatrix | np.ndarray, tolerance: float | None = None) -> RankResult:
@@ -611,18 +607,12 @@ def _known_undercount(family: StateFamily, group: Group, picture: Picture) -> bo
     )
 
 
-def closed_form_report(
-    m_max: int = 4,
-    tolerance: float | None = None,
-    families: Sequence[StateFamily] | None = None,
-) -> list[TableRow]:
+def closed_form_report(m_max: int = 4, tolerance: float | None = None) -> list[TableRow]:
     """Numerically recompute the closed-form grid: exact cells must match,
     upper-bound cells must dominate the numerical value, and the cells of
     the known undercount must equal the tabulated value + 1."""
-    if families is None:
-        families = table_families(m_max)
     rows: list[TableRow] = []
-    for family in families:
+    for family in table_families(m_max):
         psi = family.to_ket()
         for group in Group:
             for picture in (Picture.KET, Picture.KETBRA):

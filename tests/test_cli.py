@@ -122,6 +122,25 @@ def test_json_booleans_in_state_files_exit_2(capsys, tmp_path, doc):
     assert err.startswith("error:")
 
 
+_HUGE_KET = {**_KET, "terms": [{"occ": [10**20], "re": 1.0, "im": 0.0}]}
+# 2**63 - 2 itself fits in int64, but n + 2 does not
+_HUGE_DENSITY = {**_DENSITY, "entries": [{"bra": [2**63 - 2], "ket": [2**63 - 2], "re": 1.0, "im": 0.0}]}
+
+
+@pytest.mark.parametrize(
+    "doc, picture",
+    [(_HUGE_KET, "ket"), (_HUGE_KET, "ketbra"), (_HUGE_DENSITY, "mixed")],
+    ids=["ket", "ketbra", "density"],
+)
+def test_occupations_beyond_int64_exit_2(capsys, tmp_path, doc, picture):
+    path = tmp_path / "state.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "dim", "--state", str(path), "--group", "go", "--picture", picture)
+    assert code == EXIT_INVALID
+    assert out == ""
+    assert err.startswith("error:") and "2**63 - 3" in err
+
+
 def test_load_density_file(density1):
     rho = load_state(density1)
     assert isinstance(rho, DensityOperator)
@@ -457,3 +476,27 @@ def test_cnot_demo_other_group_informational(capsys):
     assert code == EXIT_OK
     doc = json.loads(out)
     assert doc["group"] == "plo"
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["dim", "--state", "{ket}", "--group", "plo", "--picture", "ket"],
+        ["gram", "--state", "{ket}", "--group", "plo", "--picture", "ketbra"],
+        ["table2", "--m-max", "1"],
+        ["generic", "--group", "plo", "--m", "1", "--N", "1", "--picture", "ket", "--seeds", "1"],
+        ["closure", "--group", "plo", "--m", "1"],
+        ["witness", "--state", "{ket}"],
+        ["estimate", "--state", "{density}", "--group", "plo"],
+        ["sample", "--m", "1", "--N", "1", "--out", "{out}"],
+        ["cnot-demo", "--group", "plo"],
+    ],
+    ids=lambda c: c[0],
+)
+def test_json_envelope_names_schema_and_command(capsys, tmp_path, fock11, density1, command):
+    paths = {"ket": fock11, "density": density1, "out": str(tmp_path / "sampled.json")}
+    code, out, _ = run(capsys, *[arg.format(**paths) for arg in command], "--json")
+    assert code == EXIT_OK
+    doc = json.loads(out)
+    assert doc["schema_version"] == 1
+    assert doc["command"] == command[0]

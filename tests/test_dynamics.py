@@ -454,8 +454,3 @@ def test_perturb_returns_normalized_state():
     psi = basis_ket((1, 0))
     out = perturb_state(psi, 1e-3, 2, seed=4)
     assert abs(out.norm() - 1.0) < 1e-12
-
-
-def test_perturb_mode_mismatch_rejected():
-    with pytest.raises(ValueError):
-        perturb_state(basis_ket((1, 0)), 1e-3, 2, seed=0, m=3)

@@ -182,9 +182,17 @@ def test_apply_generator_on_zero_ket(m):
         lambda g: commutator_with_density(g, outer(basis_ket((1,)))),
         lambda g: apply_group_word(basis_ket((1,)), [(g, 0.1)]),
         lambda g: evolve_density(outer(basis_ket((1,))), g, 0.1),
+        lambda g: evolve_density(outer(basis_ket((1,))), g, 0.0),
         lambda g: dense_hamiltonian(g, TruncatedBasis.build(1, 2)),
     ],
-    ids=["apply_generator", "commutator_with_density", "apply_group_word", "evolve_density", "dense_hamiltonian"],
+    ids=[
+        "apply_generator",
+        "commutator_with_density",
+        "apply_group_word",
+        "evolve_density",
+        "evolve_density-t0",
+        "dense_hamiltonian",
+    ],
 )
 def test_generator_beyond_the_register_is_refused(call):
     with pytest.raises(ValueError, match="exceeds the 1-mode register"):
