@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import hashlib
 import json
 import math
@@ -567,7 +568,10 @@ _GROUPS = [g.value for g in Group]
 _PICTURES = [p.value for p in Picture]
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process; every ``parse_args`` returns a
+    fresh namespace."""
     parser = argparse.ArgumentParser(
         prog="orbitdim",
         description="Orbit dimensions of multimode bosonic states under linear and Gaussian optics groups.",

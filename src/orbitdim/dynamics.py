@@ -10,10 +10,17 @@ configurable buffer of extra photons above the state's support; occupancy
 of the top two sectors of the working basis (the guard band) is the
 truncation-leakage proxy, checked together with trace and Hermiticity
 deviations and never silently accepted.
+
+The basis of each (modes, cutoff) and the eigendecomposed blocks of each
+(generator, modes, cutoff) depend on no state, so they are built once per
+process and kept, read-only, under a fixed byte budget.
 """
 
 from __future__ import annotations
 
+import math
+import threading
+from collections import OrderedDict
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 
@@ -40,6 +47,14 @@ from .generators import (
 )
 
 _IMAG_RESIDUE_TOL = 1e-12
+
+#: Bytes of cached arrays kept per process; past it the least recently used
+#: bases and spectra are dropped.
+_CACHE_BUDGET = 64 << 20
+
+#: key -> (value, bytes of its arrays), least recently used first
+_cache: OrderedDict[tuple, tuple[object, int]] = OrderedDict()
+_cache_lock = threading.Lock()
 
 
 class LeakageError(RuntimeError):
@@ -80,8 +95,16 @@ class EvolutionConfig:
     def __post_init__(self) -> None:
         if self.buffer < 0:
             raise ValueError("buffer must be >= 0")
-        if not (self.leakage_tolerance > 0 and self.step > 0):  # NaN fails too
-            raise ValueError("tolerances and step must be positive")
+        if not (0 < self.leakage_tolerance < math.inf and 0 < self.step < math.inf):  # NaN fails too
+            raise ValueError("tolerances and step must be positive and finite")
+        half = self.step / 2.0
+        if half * half == 0.0:
+            raise ValueError(f"step {self.step:g} is too small: the square of h/2 underflows to 0")
+
+
+def _check_time(t: float) -> None:
+    if not math.isfinite(t):
+        raise ValueError(f"evolution time must be finite, got {t}")
 
 
 def _couplings(
@@ -153,6 +176,77 @@ def _blocks(
     return out
 
 
+def _recall(key: tuple) -> object | None:
+    with _cache_lock:
+        hit = _cache.get(key)
+        if hit is None:
+            return None
+        _cache.move_to_end(key)
+        return hit[0]
+
+
+def _remember(key: tuple, value: object, arrays: Iterable[np.ndarray]) -> None:
+    size = 0
+    for a in arrays:
+        a.flags.writeable = False
+        size += a.nbytes
+    with _cache_lock:
+        _cache[key] = (value, size)
+
+
+def _trim() -> None:
+    """Drop the least recently used entries until the cache fits its budget."""
+    with _cache_lock:
+        total = sum(size for _, size in _cache.values())
+        while total > _CACHE_BUDGET:
+            _, (_, size) = _cache.popitem(last=False)
+            total -= size
+
+
+def _basis(modes: int, cutoff: int) -> tuple[TruncatedBasis, np.ndarray, np.ndarray]:
+    """The basis, as itself and as a D x m array, and its guard band: the
+    states of the top two photon sectors."""
+    key = ("basis", modes, cutoff)
+    found = _recall(key)
+    if found is None:
+        basis = TruncatedBasis.build(modes, cutoff)
+        states = np.array(basis.states, dtype=np.int64)
+        band = states.sum(axis=1) > cutoff - 2
+        found = (basis, states, band)
+        _remember(key, found, (states, band))
+    return found
+
+
+def _spectra(
+    generators: Sequence[GeneratorDescriptor], basis: TruncatedBasis
+) -> list[dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]]]:
+    """Each generator's eigendecomposed blocks: per block size, the basis
+    indices of its blocks (in order of their smallest one), their
+    eigenvalues and eigenvectors. Misses are built together, one stacked
+    ``eigh`` per block size."""
+    keys = [(g, basis.modes, basis.cutoff) for g in generators]
+    found = [_recall(key) for key in keys]
+    missing = [n for n, spectrum in enumerate(found) if spectrum is None]
+    if missing:
+        for n in missing:
+            found[n] = {}
+        for nodes, h in _blocks([generators[n] for n in missing], basis):
+            first = np.searchsorted(nodes[:, 0] // basis.size, np.arange(len(missing) + 1)).tolist()
+            eigenvalues, eigenvectors = np.linalg.eigh(h)
+            for k, n in enumerate(missing):
+                span = slice(first[k], first[k + 1])
+                if span.start < span.stop:
+                    found[n][nodes.shape[1]] = (
+                        nodes[span] % basis.size,
+                        eigenvalues[span].copy(),
+                        eigenvectors[span].copy(),
+                    )
+        for n in missing:
+            _remember(keys[n], found[n], (a for piece in found[n].values() for a in piece))
+    _trim()
+    return found
+
+
 class _Workspace:
     """The truncated working space for evolving one state under a set of
     generators: the cutoff (the state's photon number, plus the buffer when
@@ -167,14 +261,19 @@ class _Workspace:
         self.cfg = cfg
         self.generators = tuple(dict.fromkeys(generators))
         self.shifting = any(number_shift(g.kind) > 0 for g in self.generators)
-        self.basis = TruncatedBasis.build(modes, max_total + (cfg.buffer if self.shifting else 0))
-        self.states = np.array(self.basis.states, dtype=np.int64)
-        self.band = self.states.sum(axis=1) > self.basis.cutoff - 2
-        # per block size: nodes, each generator's first block, eigenpairs
+        self.basis, self.states, self.band = _basis(modes, max_total + (cfg.buffer if self.shifting else 0))
+        # per block size: nodes (generator * D + basis index), each
+        # generator's first block, eigenpairs; generators in order
+        spectra = _spectra(self.generators, self.basis)
         self.blocks = []
-        for nodes, h in _blocks(self.generators, self.basis):
-            first = np.searchsorted(nodes[:, 0] // self.basis.size, np.arange(len(self.generators) + 1))
-            self.blocks.append((nodes, first, *np.linalg.eigh(h)))
+        for s in sorted(set().union(*spectra)):
+            pieces = [(n, *spectrum[s]) for n, spectrum in enumerate(spectra) if s in spectrum]
+            self.blocks.append((
+                np.concatenate([nodes + n * self.basis.size for n, nodes, _, _ in pieces]),
+                np.cumsum([0] + [len(spectrum[s][0]) if s in spectrum else 0 for spectrum in spectra]),
+                np.concatenate([eigenvalues for _, _, eigenvalues, _ in pieces]),
+                np.concatenate([eigenvectors for _, _, _, eigenvectors in pieces]),
+            ))
         self.worst: dict[str, float] = {}
 
     def evolve(self, t: float, columns: np.ndarray, first: int = 0, count: int = 1) -> np.ndarray:
@@ -273,6 +372,7 @@ def evolve_density(
     cfg: EvolutionConfig = EvolutionConfig(),
 ) -> DensityOperator:
     """Conjugate rho by exp(-iHt) on the truncated working basis."""
+    _check_time(t)
     ws = _DensityWorkspace(rho, (g,), cfg)
     if t == 0.0:
         return rho
@@ -295,6 +395,7 @@ def beta(
     """Hilbert-Schmidt overlap of two evolved copies of rho, the copies
     driven by basis generators ``i`` and ``j`` (1-based; 0 = no evolution).
     Every generator's copy is evolved and leakage-checked."""
+    _check_time(t)
     ws = _workspace(rho, group, cfg)
     for index in (i, j):
         if not 0 <= index <= ws.dim:
@@ -316,7 +417,8 @@ class GramEntryEstimate:
 def _estimate(ws: _DensityWorkspace) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The Richardson, coarse (step h) and fine (h/2) Gram estimates, each
     (d2 beta_ij - d2 beta_i0 - d2 beta_0j) / 2 from central stencils of the
-    beta matrix; symmetric bit for bit."""
+    beta matrix; symmetric bit for bit. A step so small that a stencil
+    overflows raises ValidationError."""
     b0 = ws.beta_matrix(0.0)
 
     def stencil(h: float) -> np.ndarray:
@@ -324,9 +426,13 @@ def _estimate(ws: _DensityWorkspace) -> tuple[np.ndarray, np.ndarray, np.ndarray
         # dd is symmetric and a sum commutes, so the entries are too
         return 0.5 * (dd[1:, 1:] - (dd[1:, :1] + dd[:1, 1:]))
 
-    coarse = stencil(ws.cfg.step)
-    fine = stencil(ws.cfg.step / 2.0)
-    return (4.0 * fine - coarse) / 3.0, coarse, fine
+    with np.errstate(over="ignore", invalid="ignore"):
+        coarse = stencil(ws.cfg.step)
+        fine = stencil(ws.cfg.step / 2.0)
+        values = (4.0 * fine - coarse) / 3.0
+    if not np.isfinite(values).all():  # so are coarse and fine, or values would not be
+        raise ValidationError(f"step {ws.cfg.step:g} is too small: the finite-difference estimate is not finite")
+    return values, coarse, fine
 
 
 def estimate_gram_entry(
@@ -415,6 +521,8 @@ def apply_group_word(
     """Apply exp(-i t_1 H_1) ... exp(-i t_a H_a) to the ket, rightmost factor
     first. Photon-number-preserving words are sector-exact; shifting words
     are guard-band checked after every factor."""
+    for _, t in word:
+        _check_time(t)
     if not word:
         return psi
     if psi.is_zero():

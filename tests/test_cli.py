@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from orbitdim import DensityOperator, SparseKet, basis_ket, normalize
+from orbitdim import cli
 from orbitdim.cli import (
     EXIT_INVALID,
     EXIT_LEAKAGE,
@@ -434,6 +435,55 @@ def test_estimate_leakage_exits_4(capsys, tmp_path):
     )
     assert code == EXIT_LEAKAGE
     assert "buffer" in err
+
+
+@pytest.mark.parametrize(
+    "option, value",
+    [
+        ("--h", "1e-300"),  # (h/2)^2 underflows to 0
+        ("--h", "1e-170"),
+        ("--h", "inf"),
+        ("--h", "nan"),
+        ("--leakage-tol", "inf"),  # would switch every leakage check off
+    ],
+)
+@pytest.mark.parametrize("as_json", [False, True])
+def test_estimate_non_finite_step_or_tolerance_exits_2(capsys, density1, option, value, as_json):
+    argv = ["estimate", "--state", density1, "--group", "go", option, value] + ["--json"] * as_json
+    code, out, err = run(capsys, *argv)
+    assert code == EXIT_INVALID
+    assert out == ""
+    assert err.startswith("error:")
+
+
+# -------------------------------------------------------------------- parser
+
+
+def test_parser_is_built_once_per_process(capsys, fock11):
+    cli._build_parser.cache_clear()
+    for _ in range(2):
+        code, _, _ = run(capsys, "dim", "--state", fock11, "--group", "plo", "--picture", "ket")
+        assert code == EXIT_OK
+    assert cli._build_parser.cache_info().misses == 1
+
+
+def test_parsed_options_do_not_leak_between_calls(capsys, fock11):
+    argv = ("dim", "--state", fock11, "--group", "plo", "--picture", "ket")
+    code, out, _ = run(capsys, *argv, "--json")
+    assert code == EXIT_OK and json.loads(out)["dimension"] == 3
+    code, out, _ = run(capsys, *argv)
+    assert code == EXIT_OK
+    assert out.startswith("state: ") and "dimension: 3" in out.splitlines()
+
+
+def test_parser_works_after_an_argparse_error(capsys, fock11):
+    with pytest.raises(SystemExit) as exc:
+        main(["dim", "--state", fock11, "--group", "nonsense", "--picture", "ket"])
+    assert exc.value.code == EXIT_INVALID
+    assert "invalid choice" in capsys.readouterr().err
+    code, out, _ = run(capsys, "dim", "--state", fock11, "--group", "plo", "--picture", "ket", "--json")
+    assert code == EXIT_OK
+    assert json.loads(out)["group"] == "plo"
 
 
 # -------------------------------------------------------------------- sample

@@ -2,7 +2,10 @@
 
 import functools
 import math
+import sys
+import threading
 import tracemalloc
+from collections import OrderedDict
 
 import numpy as np
 import pytest
@@ -17,6 +20,7 @@ from orbitdim import (
     SparseKet,
     SparseOperator,
     TruncatedBasis,
+    ValidationError,
     apply_group_word,
     basis_ket,
     beta,
@@ -34,7 +38,8 @@ from orbitdim import (
     number_shift,
     sample_sphere_state,
 )
-from orbitdim.dynamics import _blocks
+from orbitdim import dynamics
+from orbitdim.dynamics import _blocks, _Workspace
 from _helpers import assert_entries_close, assert_terms_close
 from _oracle import basis_states, dense_density, dense_ket, generator_matrix, inner
 
@@ -249,6 +254,29 @@ def test_evolution_config_rejects_nan():
         EvolutionConfig(step=math.nan)
 
 
+@pytest.mark.parametrize(
+    "knobs",
+    [{"step": math.inf}, {"leakage_tolerance": math.inf}, {"step": 1e-300}, {"step": 1e-170}],
+    ids=["inf step", "inf tolerance", "step 1e-300", "step 1e-170"],
+)
+def test_evolution_config_rejects_non_finite_or_underflowing_knobs(knobs):
+    with pytest.raises(ValueError):
+        EvolutionConfig(**knobs)
+
+
+@pytest.mark.parametrize("t", [math.inf, -math.inf, math.nan])
+@pytest.mark.parametrize("kind, modes", [("e", (1, 2)), ("q", (1,))])
+def test_non_finite_times_raise_value_error(kind, modes, t):
+    g = GeneratorDescriptor(kind, modes)
+    psi = basis_ket((1, 0))
+    with pytest.raises(ValueError, match="finite"):
+        apply_group_word(psi, [(g, 0.1), (g, t)])
+    with pytest.raises(ValueError, match="finite"):
+        evolve_density(outer(psi), g, t)
+    with pytest.raises(ValueError, match="finite"):
+        beta(outer(psi), 1, 1, t, Group.GO)
+
+
 def test_number_preserving_evolution_exact_at_long_times():
     rho = outer(normalize(SparseKet(2, {(1, 0): 1.0, (0, 1): 0.5j})))
     for kind, modes in (("e", (1, 2)), ("N", (1,))):
@@ -322,6 +350,17 @@ def test_estimate_second_order_convergence():
     assert err_coarse / err_fine >= 2.8
 
 
+def test_estimate_that_is_not_finite_raises(monkeypatch):
+    # beta curves that differ by O(1) over a step of 1e-160 make the
+    # stencils overflow, as rounding does at a tiny but accepted step
+    beta_matrix = dynamics._DensityWorkspace.beta_matrix
+    monkeypatch.setattr(
+        dynamics._DensityWorkspace, "beta_matrix", lambda ws, t: beta_matrix(ws, t) + (t != 0.0)
+    )
+    with pytest.raises(ValidationError, match="not finite"):
+        estimate_gram_matrix(outer(basis_ket((1,))), Group.PLO, EvolutionConfig(step=1e-160))
+
+
 @pytest.mark.parametrize("occupation", [(1, 0, 0), (1, 0, 0, 0)])
 def test_estimate_reaches_three_and_four_modes(occupation):
     rho = outer(basis_ket(occupation))
@@ -392,6 +431,147 @@ def test_sampled_states_attain_generic_dimension():
     for seed in range(3):
         psi = sample_sphere_state(2, 2, seed)
         assert orbit_dimension(Group.GO, psi, Picture.KET).rank == 15
+
+
+# ------------------------------------------------- per-process spectra cache
+
+
+@pytest.fixture
+def empty_cache(monkeypatch):
+    monkeypatch.setattr(dynamics, "_cache", OrderedDict())
+
+
+@pytest.fixture
+def eigh_calls(monkeypatch):
+    calls = []
+    eigh = np.linalg.eigh
+
+    def counted(a):
+        calls.append(a.shape)
+        return eigh(a)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    return calls
+
+
+def _cached_arrays():
+    for value, _ in dynamics._cache.values():
+        if isinstance(value, dict):  # spectra: size -> (nodes, eigenvalues, eigenvectors)
+            yield from (a for piece in value.values() for a in piece)
+        else:  # basis, D x m states, guard band
+            yield from value[1:]
+
+
+def test_second_workspace_calls_no_eigh(empty_cache, eigh_calls):
+    elements = lie_basis(Group.GO, 2).elements
+    first = _Workspace(2, 1, elements, EvolutionConfig())
+    assert eigh_calls
+    eigh_calls.clear()
+    second = _Workspace(2, 1, elements, EvolutionConfig())
+    assert eigh_calls == []
+    assert second.basis is first.basis
+    for a, b in zip(first.blocks, second.blocks, strict=True):
+        for x, y in zip(a, b, strict=True):
+            assert np.array_equal(x, y)
+
+
+def test_go_word_reuses_the_spectra_of_an_estimate(empty_cache, eigh_calls):
+    estimate_gram_matrix(outer(basis_ket((1, 0))), Group.GO)
+    eigh_calls.clear()
+    basis = lie_basis(Group.GO, 2)
+    word = [(basis.elements[basis.index_of(label)], 0.05) for label in ("q[1]", "S[2]", "E[1,2]", "N[2]", "r[1,2]")]
+    psi = sample_sphere_state(2, 1, seed=3)
+    out = apply_group_word(psi, word)
+    assert eigh_calls == []
+    assert abs(out.norm() - 1.0) < 1e-10
+
+
+def _cache_runs():
+    rho = outer(normalize(SparseKet(2, {(1, 0): 1.0, (0, 1): 0.5j})))
+    basis = lie_basis(Group.GO, 2)
+    word = [(basis.elements[basis.index_of(label)], t) for label, t in (("p[2]", 0.07), ("e[1,2]", -0.4), ("s[1]", 0.03))]
+    psi = sample_sphere_state(2, 1, seed=11)
+    est = estimate_gram_matrix(rho, Group.GO)
+    out = apply_group_word(psi, word)
+    return (est.values, est.coarse, est.fine), np.array(list(out.terms.values())), list(out.terms)
+
+
+def test_cold_and_warm_cache_give_identical_results(empty_cache, monkeypatch):
+    cold = _cache_runs()
+    warm = _cache_runs()
+    # part cached: the word's generators only
+    monkeypatch.setattr(dynamics, "_cache", OrderedDict())
+    basis = lie_basis(Group.GO, 2)
+    apply_group_word(basis_ket((1, 0)), [(basis.elements[basis.index_of("e[1,2]")], 0.3)])
+    mixed = _cache_runs()
+    for other in (warm, mixed):
+        for x, y in zip(cold[0], other[0], strict=True):
+            assert np.array_equal(x, y)
+        assert np.array_equal(cold[1], other[1])
+        assert cold[2] == other[2]
+
+
+def test_cached_arrays_are_read_only(empty_cache):
+    _Workspace(2, 1, lie_basis(Group.GO, 2).elements, EvolutionConfig())
+    arrays = list(_cached_arrays())
+    assert arrays and not any(a.flags.writeable for a in arrays)
+    with pytest.raises(ValueError):
+        arrays[0][...] = 0
+
+
+def test_cache_evicts_least_recently_used_past_its_budget(empty_cache, monkeypatch):
+    g1, g2, g3 = GeneratorDescriptor("e", (1, 2)), GeneratorDescriptor("E", (1, 2)), GeneratorDescriptor("N", (1,))
+    cfg = EvolutionConfig()
+    for g in (g1, g2, g1):  # g2 is now the least recently used
+        _Workspace(2, 3, [g], cfg)
+    total = sum(size for _, size in dynamics._cache.values())
+    monkeypatch.setattr(dynamics, "_CACHE_BUDGET", total)
+    ws = _Workspace(2, 3, [g3], cfg)
+    kept = sum(size for _, size in dynamics._cache.values())
+    assert kept <= total
+    assert list(dynamics._cache) == [(g1, 2, 3), ("basis", 2, 3), (g3, 2, 3)]
+    # past a budget of 0 nothing is kept, and evolution still works
+    monkeypatch.setattr(dynamics, "_CACHE_BUDGET", 0)
+    again = _Workspace(2, 3, [g3], cfg)
+    assert not dynamics._cache
+    x = ws.column(basis_ket((1, 2)))
+    assert np.array_equal(again.evolve(0.3, x), ws.evolve(0.3, x))
+
+
+def test_cache_survives_concurrent_workspaces(empty_cache, monkeypatch):
+    monkeypatch.setattr(dynamics, "_CACHE_BUDGET", 8192)  # every build evicts
+    elements = lie_basis(Group.GO, 1).elements
+    cfg = EvolutionConfig(buffer=2)
+
+    def evolved(max_total):
+        ws = _Workspace(1, max_total, elements, cfg)
+        return ws.evolve(0.3, ws.column(basis_ket((max_total,))), 0, len(elements))
+
+    expected = {n: evolved(n) for n in range(6)}
+    errors = []
+
+    def work():
+        try:
+            for _ in range(20):
+                for n in range(6):
+                    if not np.array_equal(evolved(n), expected[n]):
+                        errors.append(f"max_total {n} differs")
+        except Exception as exc:  # recorded and asserted on below
+            errors.append(repr(exc))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work) for _ in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert errors == []
+    assert sum(size for _, size in dynamics._cache.values()) <= 8192
 
 
 # ------------------------------------------------------------- group words
