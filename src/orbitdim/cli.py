@@ -3,8 +3,9 @@ grid, genericity sampling, Lie-closure verification, the non-Gaussianity
 witness, finite-difference estimation, state sampling, and the dual-rail
 CNOT demonstration.
 
-Exit codes: 0 success; 1 quantitative mismatch (table2 / generic / cnot-demo);
-2 parse or validation failure; 3 picture/kind mismatch; 4 truncation leakage.
+Exit codes: 0 success; 1 quantitative mismatch (table2 / generic / cnot-demo /
+estimate); 2 parse or validation failure; 3 picture/kind mismatch; 4
+truncation leakage.
 
 Structured (--json) output is deterministic: sorted keys, floats rendered
 with 17 significant digits, no timing fields. Elapsed time appears only in
@@ -74,6 +75,10 @@ class StateFileError(ValidationError):
 # --------------------------------------------------------------------------
 
 
+#: State-file kind -> (its entry-list field, the occupation fields keying an entry)
+_SCHEMA = {"ket": ("terms", ("occ",)), "density": ("entries", ("bra", "ket"))}
+
+
 def load_state(path: str) -> SparseKet | DensityOperator:
     """Parse and validate a state file (kind "ket" or "density")."""
     try:
@@ -91,11 +96,30 @@ def load_state(path: str) -> SparseKet | DensityOperator:
     if isinstance(modes, bool) or not isinstance(modes, int) or modes < 1:
         raise StateFileError(f"{path}: 'modes' must be a positive integer")
     kind = doc.get("kind")
-    if kind == "ket":
-        return _parse_ket(path, doc, modes)
-    if kind == "density":
-        return _parse_density(path, doc, modes)
-    raise StateFileError(f"{path}: 'kind' must be \"ket\" or \"density\", got {kind!r}")
+    if not isinstance(kind, str) or kind not in _SCHEMA:  # a list kind would not hash
+        kinds = " or ".join(json.dumps(k) for k in _SCHEMA)
+        raise StateFileError(f"{path}: 'kind' must be {kinds}, got {kind!r}")
+    field, occ_fields = _SCHEMA[kind]
+    items = doc.get(field)
+    if not isinstance(items, list):
+        article = "an" if field[0] in "aeiou" else "a"
+        raise StateFileError(f"{path}: {kind} files need {article} {field!r} list")
+    entries: dict[tuple[tuple[int, ...], ...], complex] = {}
+    for idx, item in enumerate(items):
+        where = f"{field}[{idx}]"
+        if not isinstance(item, dict):
+            raise StateFileError(f"{path}: {where} must be an object")
+        key = tuple(_parse_occ(path, f"{where}.{name}", item.get(name), modes) for name in occ_fields)
+        if key in entries:
+            occs = [list(occ) for occ in key]
+            raise StateFileError(f"{path}: {where}: duplicate {'/'.join(occ_fields)} {occs}")
+        entries[key] = _parse_amp(path, where, item)
+    try:
+        if kind == "ket":
+            return SparseKet(modes, {occ: amp for (occ,), amp in entries.items()})
+        return DensityOperator.validate(SparseOperator(modes, entries))
+    except ValidationError as exc:
+        raise StateFileError(f"{path}: {exc}") from exc
 
 
 def _parse_occ(path: str, where: str, value, modes: int) -> tuple[int, ...]:
@@ -117,61 +141,18 @@ def _parse_amp(path: str, where: str, item) -> complex:
     return complex(re, im)
 
 
-def _parse_ket(path: str, doc: dict, modes: int) -> SparseKet:
-    items = doc.get("terms")
-    if not isinstance(items, list):
-        raise StateFileError(f"{path}: ket files need a 'terms' list")
-    terms: dict[tuple[int, ...], complex] = {}
-    for idx, item in enumerate(items):
-        where = f"terms[{idx}]"
-        if not isinstance(item, dict):
-            raise StateFileError(f"{path}: {where} must be an object")
-        occ = _parse_occ(path, f"{where}.occ", item.get("occ"), modes)
-        if occ in terms:
-            raise StateFileError(f"{path}: {where}: duplicate occupation {list(occ)}")
-        terms[occ] = _parse_amp(path, where, item)
-    try:
-        return SparseKet(modes, terms)
-    except ValidationError as exc:
-        raise StateFileError(f"{path}: {exc}") from exc
-
-
-def _parse_density(path: str, doc: dict, modes: int) -> DensityOperator:
-    items = doc.get("entries")
-    if not isinstance(items, list):
-        raise StateFileError(f"{path}: density files need an 'entries' list")
-    entries: dict[tuple[tuple[int, ...], tuple[int, ...]], complex] = {}
-    for idx, item in enumerate(items):
-        where = f"entries[{idx}]"
-        if not isinstance(item, dict):
-            raise StateFileError(f"{path}: {where} must be an object")
-        bra = _parse_occ(path, f"{where}.bra", item.get("bra"), modes)
-        ket = _parse_occ(path, f"{where}.ket", item.get("ket"), modes)
-        if (bra, ket) in entries:
-            raise StateFileError(f"{path}: {where}: duplicate (bra, ket) pair")
-        entries[(bra, ket)] = _parse_amp(path, where, item)
-    try:
-        return DensityOperator.validate(SparseOperator(modes, entries))
-    except ValidationError as exc:
-        raise StateFileError(f"{path}: {exc}") from exc
-
-
 def state_document(state: SparseKet | DensityOperator) -> dict:
     if isinstance(state, SparseKet):
-        return {
-            "modes": state.modes,
-            "kind": "ket",
-            "terms": [
-                {"occ": list(occ), "re": amp.real, "im": amp.imag}
-                for occ, amp in sorted(state.terms.items())
-            ],
-        }
+        kind, entries = "ket", {(occ,): amp for occ, amp in state.terms.items()}
+    else:
+        kind, entries = "density", state.op.entries
+    field, occ_fields = _SCHEMA[kind]
     return {
         "modes": state.modes,
-        "kind": "density",
-        "entries": [
-            {"bra": list(bra), "ket": list(ket), "re": amp.real, "im": amp.imag}
-            for (bra, ket), amp in sorted(state.op.entries.items())
+        "kind": kind,
+        field: [
+            {**{name: list(occ) for name, occ in zip(occ_fields, key)}, "re": amp.real, "im": amp.imag}
+            for key, amp in sorted(entries.items())
         ],
     }
 
@@ -256,20 +237,10 @@ def _input_block(path: str) -> dict:
 # --------------------------------------------------------------------------
 
 
-def _load_for_picture(path: str, picture: Picture) -> SparseKet | DensityOperator:
-    state = load_state(path)
-    if isinstance(state, DensityOperator) and picture is not Picture.MIXED:
-        raise PictureError(
-            f"density state file requires --picture mixed, got {picture.value}"
-        )
-    return state
-
-
 def cmd_dim(args) -> int:
     group = Group(args.group)
     picture = Picture(args.picture)
-    state = _load_for_picture(args.state, picture)
-    result = rank_psd(gram_matrix(group, state, picture), args.tol)
+    result = rank_psd(gram_matrix(group, load_state(args.state), picture), args.tol)
     payload = {
         "input": _input_block(args.state),
         "group": group.value,
@@ -292,8 +263,7 @@ def cmd_dim(args) -> int:
 def cmd_gram(args) -> int:
     group = Group(args.group)
     picture = Picture(args.picture)
-    state = _load_for_picture(args.state, picture)
-    gram = gram_matrix(group, state, picture)
+    gram = gram_matrix(group, load_state(args.state), picture)
     result = rank_psd(gram, args.tol)
     payload = {
         "input": _input_block(args.state),
@@ -318,52 +288,44 @@ def cmd_gram(args) -> int:
 def cmd_table2(args) -> int:
     rows = closed_form_report(args.m_max, args.tol)
     failed = [r for r in rows if not r.passed]
+    # the csv header and the keys of a --json row
+    columns = ["family", "group", "picture", "m", "params", "closed_form", "numerical", "exactness",
+               "known_discrepancy", "pass"]
+    # one list of cells per row; --json keeps the last three typed
+    cells = [
+        [
+            r.family,
+            r.group.value,
+            r.picture.value,
+            r.modes,
+            r.params,
+            r.closed_value,
+            r.numerical,
+            "exact" if r.exactness is Exactness.EXACT else "<=",
+            "yes" if r.known_discrepancy else "no",
+            "PASS" if r.passed else "FAIL",
+        ]
+        for r in rows
+    ]
     payload_rows = [
         {
-            "family": r.family,
-            "params": r.params,
-            "group": r.group.value,
-            "picture": r.picture.value,
-            "m": r.modes,
-            "closed_form": r.closed_value,
-            "numerical": r.numerical,
+            **dict(zip(columns, row_cells)),
             "exactness": r.exactness.value,
             "known_discrepancy": r.known_discrepancy,
             "pass": r.passed,
         }
-        for r in rows
+        for r, row_cells in zip(rows, cells)
     ]
     if args.format == "csv" and not args.json:
         writer = csv.writer(sys.stdout, lineterminator="\n")
-        writer.writerow(
-            ["family", "group", "picture", "m", "params", "closed_form", "numerical", "exactness",
-             "known_discrepancy", "pass"]
-        )
-        for r in rows:
-            writer.writerow(
-                [
-                    r.family,
-                    r.group.value,
-                    r.picture.value,
-                    r.modes,
-                    r.params,
-                    r.closed_value,
-                    r.numerical,
-                    "exact" if r.exactness is Exactness.EXACT else "<=",
-                    "yes" if r.known_discrepancy else "no",
-                    "PASS" if r.passed else "FAIL",
-                ]
-            )
+        writer.writerow(columns)
+        writer.writerows(cells)
     else:
         lines = [f"{'family':<22}{'group':<6}{'pict':<8}{'m':<3}{'closed':<8}{'num':<6}{'kind':<7}result"]
-        for r in rows:
-            kind = "exact" if r.exactness is Exactness.EXACT else "<="
+        for family, group, picture, m, params, closed, num, kind, discrepancy, result in cells:
+            star = "*" if discrepancy == "yes" else " "
             lines.append(
-                f"{r.family:<22}{r.group.value:<6}{r.picture.value:<8}{r.modes:<3}"
-                f"{r.closed_value:<8}{r.numerical:<6}{kind:<7}"
-                + ("PASS" if r.passed else "FAIL")
-                + ("*" if r.known_discrepancy else " ")
-                + f" {r.params}"
+                f"{family:<22}{group:<6}{picture:<8}{m:<3}{closed:<8}{num:<6}{kind:<7}{result}{star} {params}"
             )
         known = sum(1 for r in rows if r.known_discrepancy)
         lines.append(f"rows: {len(rows)}  failures: {len(failed)}  known discrepancies (*): {known}")
@@ -437,10 +399,7 @@ def cmd_closure(args) -> int:
 
 
 def cmd_witness(args) -> int:
-    state = load_state(args.state)
-    if isinstance(state, DensityOperator):
-        raise PictureError("the witness requires a pure-state (ket) file")
-    result = nongaussianity_witness(state, args.tol)
+    result = nongaussianity_witness(load_state(args.state), args.tol)
     payload = {
         "input": _input_block(args.state),
         **_rank_fields(result.rank),
@@ -468,6 +427,10 @@ def cmd_estimate(args) -> int:
     direct = gram_mixed(group, rho).values
     dev = np.abs(estimated.values - direct)
     max_dev = float(dev.max()) if dev.size else 0.0
+    # acceptance check 7: every entry within 1e-4 + 1e-3 |direct|
+    with np.errstate(over="ignore"):  # a ratio past the float range reads inf
+        ratio = dev / (1e-4 + 1e-3 * np.abs(direct))
+    worst = np.unravel_index(np.argmax(ratio), ratio.shape)
     labels = lie_basis(group, rho.modes).labels
     payload = {
         "input": _input_block(args.state),
@@ -491,19 +454,17 @@ def cmd_estimate(args) -> int:
         f"hermiticity residual: {estimated.hermiticity_residual:.3e}",
     ]
     if args.details:
-        detail = []
-        for i, li in enumerate(labels):
-            for j in range(i, len(labels)):
-                detail.append(
-                    {
-                        "I": li,
-                        "J": labels[j],
-                        "direct": float(direct[i, j]),
-                        "estimate": float(estimated.values[i, j]),
-                        "coarse": float(estimated.coarse[i, j]),
-                        "fine": float(estimated.fine[i, j]),
-                    }
-                )
+        detail = [
+            {
+                "I": labels[i],
+                "J": labels[j],
+                "direct": float(direct[i, j]),
+                "estimate": float(estimated.values[i, j]),
+                "coarse": float(estimated.coarse[i, j]),
+                "fine": float(estimated.fine[i, j]),
+            }
+            for i, j in zip(*np.triu_indices(len(labels)))
+        ]
         payload["entries"] = detail
         lines.append(f"{'I':<8}{'J':<8}{'direct':>14}{'estimate':>14}{'|dev|':>12}")
         for row in detail:
@@ -512,6 +473,13 @@ def cmd_estimate(args) -> int:
                 f"{abs(row['estimate'] - row['direct']):>12.3e}"
             )
     _emit(args, payload, lines)
+    if ratio[worst] > 1.0:
+        print(
+            f"mismatch: |estimated - direct| at ({labels[worst[0]]}, {labels[worst[1]]}) is "
+            f"{ratio[worst]:.3g} times the bound 1e-4 + 1e-3 |direct|",
+            file=sys.stderr,
+        )
+        return EXIT_MISMATCH
     return EXIT_OK
 
 

@@ -59,6 +59,8 @@ def _rank_states(states: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     # each row as one opaque byte string: np.unique(axis=0) sorts the same
     # rows field by field, several times slower
     rows = np.ascontiguousarray(states, dtype=np.int64)
+    if not len(rows):  # nothing to rank, and 8 m bytes may exceed numpy's largest void
+        return rows, np.zeros(0, dtype=np.intp)
     distinct, inverse = np.unique(
         rows.view(np.dtype((np.void, 8 * rows.shape[1]))).reshape(-1), return_inverse=True
     )

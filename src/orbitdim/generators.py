@@ -1,7 +1,8 @@
 """Quadratic Hamiltonians of linear and Gaussian optics, their Lie-algebra
 bases per group, and a numerical closure check.
 
-Generator catalogue (1-based mode indices, k < l for two-mode kinds):
+Generator catalogue (1-based mode indices, k < l for two-mode kinds), defined
+once in ``_KINDS``, which every other fact about a kind is read from:
 
     e[k,l]  (a+_k a_l + a+_l a_k) / 2        beam splitter (pi/2 phase)
     E[k,l]  i (a+_k a_l - a+_l a_k) / 2      beam splitter
@@ -14,15 +15,16 @@ Generator catalogue (1-based mode indices, k < l for two-mode kinds):
     p[k]    i (a+_k - a_k) / sqrt(2)         displacement (momentum)
     id      identity
 
-Each group's basis is ordered canonically: e pairs in lexicographic (k, l)
-order, then E pairs, then N, then (when present) q, p, identity, then (when
-present) r, R, s, S. The ordering fixes matrix layouts everywhere; it never
-affects ranks.
+Each group's basis is ordered canonically (``_BASIS_KINDS``): e pairs in
+lexicographic (k, l) order, then E pairs, then N, then (when present) q, p,
+identity, then (when present) r, R, s, S. The ordering fixes matrix layouts
+everywhere; it never affects ranks.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
@@ -41,20 +43,29 @@ from .fock import (
 
 _SQRT_HALF = 1.0 / math.sqrt(2.0)
 
-TWO_MODE_KINDS = frozenset({"e", "E", "r", "R"})
-ONE_MODE_KINDS = frozenset({"N", "s", "S", "q", "p"})
 IDENTITY_KIND = "I"
 
-#: Largest change in total photon number a single application can cause.
-_NUMBER_SHIFT = {
-    "e": 0, "E": 0, "N": 0, IDENTITY_KIND: 0,
-    "q": 1, "p": 1,
-    "r": 2, "R": 2, "s": 2, "S": 2,
+#: The generator catalogue: kind -> (mode count, c, steps of X), where
+#: H = c X + conj(c) X^dag for a ladder monomial X, or H = X when c is None
+#: (the Hermitian N and identity). A step is (mode slot, +1 for a^dag or -1
+#: for a), the slot indexing the descriptor's modes; steps act in list order.
+_KINDS: dict[str, tuple[int, complex | None, tuple[tuple[int, int], ...]]] = {
+    "e": (2, 0.5, ((1, -1), (0, +1))),  # a+_k a_l
+    "E": (2, 0.5j, ((1, -1), (0, +1))),
+    "r": (2, 0.5, ((1, +1), (0, +1))),  # a+_k a+_l
+    "R": (2, 0.5j, ((1, +1), (0, +1))),
+    "N": (1, None, ((0, -1), (0, +1))),  # a+_k a_k
+    "s": (1, 0.5, ((0, +1), (0, +1))),  # a+_k^2
+    "S": (1, 0.5j, ((0, +1), (0, +1))),
+    "q": (1, _SQRT_HALF, ((0, +1),)),  # a+_k
+    "p": (1, 1j * _SQRT_HALF, ((0, +1),)),
+    IDENTITY_KIND: (0, None, ()),
 }
 
 
 def number_shift(kind: str) -> int:
-    return _NUMBER_SHIFT[kind]
+    """Largest change in total photon number a single application can cause."""
+    return abs(sum(step for _, step in _KINDS[kind][2]))
 
 
 @dataclass(frozen=True)
@@ -65,17 +76,12 @@ class GeneratorDescriptor:
     modes: tuple[int, ...] = ()
 
     def __post_init__(self) -> None:
-        if self.kind in TWO_MODE_KINDS:
-            if len(self.modes) != 2 or not self.modes[0] < self.modes[1] or self.modes[0] < 1:
-                raise ValueError(f"{self.kind} requires mode indices 1 <= k < l, got {self.modes}")
-        elif self.kind in ONE_MODE_KINDS:
-            if len(self.modes) != 1 or self.modes[0] < 1:
-                raise ValueError(f"{self.kind} requires one mode index >= 1, got {self.modes}")
-        elif self.kind == IDENTITY_KIND:
-            if self.modes:
-                raise ValueError("the identity carries no mode indices")
-        else:
+        if self.kind not in _KINDS:
             raise ValueError(f"unknown generator kind {self.kind!r}")
+        count = _KINDS[self.kind][0]
+        # 1 <= k (< l): each index exceeds the one before, starting from 0
+        if len(self.modes) != count or not all(a < b for a, b in zip((0, *self.modes), self.modes)):
+            raise ValueError(f"{self.kind} requires {count} increasing mode indices >= 1, got {self.modes}")
 
     @property
     def label(self) -> str:
@@ -93,14 +99,10 @@ class Group(Enum):
     GO = "go"
 
     def dimension(self, m: int) -> int:
+        """Basis size: each of the group's kinds on C(m, its mode count) tuples."""
         if m < 1:
             raise ValueError("mode count must be >= 1")
-        return {
-            Group.PLO: m * m,
-            Group.DPLO: m * m + 2 * m + 1,
-            Group.ALO: 2 * m * m + m,
-            Group.GO: 2 * m * m + 3 * m + 1,
-        }[self]
+        return sum(math.comb(m, _KINDS[kind][0]) for kind in _BASIS_KINDS[self])
 
 
 @dataclass(frozen=True)
@@ -130,8 +132,13 @@ class LieBasis:
         return self.labels.index(label)
 
 
-def _pairs(m: int) -> list[tuple[int, int]]:
-    return [(k, l) for k in range(1, m) for l in range(k + 1, m + 1)]
+#: Each group's basis kinds, in basis order.
+_BASIS_KINDS = {
+    Group.PLO: "eEN",
+    Group.DPLO: "eENqpI",
+    Group.ALO: "eENrRsS",
+    Group.GO: "eENqpIrRsS",
+}
 
 
 @functools.lru_cache(maxsize=None)
@@ -141,55 +148,27 @@ def lie_basis(group: Group, m: int) -> LieBasis:
 
     The ALO basis carries no identity element, so it is closed under
     commutators only modulo the identity (see ``LieBasis``)."""
-    if m < 1:
-        raise ValueError("mode count must be >= 1")
-    pairs = _pairs(m)
-    singles = range(1, m + 1)
-    elements: list[GeneratorDescriptor] = []
-    elements += [GeneratorDescriptor("e", kl) for kl in pairs]
-    elements += [GeneratorDescriptor("E", kl) for kl in pairs]
-    elements += [GeneratorDescriptor("N", (k,)) for k in singles]
-    if group in (Group.DPLO, Group.GO):
-        elements += [GeneratorDescriptor("q", (k,)) for k in singles]
-        elements += [GeneratorDescriptor("p", (k,)) for k in singles]
-        elements.append(GeneratorDescriptor(IDENTITY_KIND))
-    if group in (Group.ALO, Group.GO):
-        elements += [GeneratorDescriptor("r", kl) for kl in pairs]
-        elements += [GeneratorDescriptor("R", kl) for kl in pairs]
-        elements += [GeneratorDescriptor("s", (k,)) for k in singles]
-        elements += [GeneratorDescriptor("S", (k,)) for k in singles]
-    basis = LieBasis(group=group, modes=m, elements=tuple(elements))
-    assert len(basis) == group.dimension(m)
+    size = group.dimension(m)  # refuses m < 1
+    elements = tuple(
+        GeneratorDescriptor(kind, modes)
+        for kind in _BASIS_KINDS[group]
+        # each kind's increasing mode tuples, in lexicographic order
+        for modes in itertools.combinations(range(1, m + 1), _KINDS[kind][0])
+    )
+    basis = LieBasis(group=group, modes=m, elements=elements)
+    assert len(basis) == size
     return basis
-
-
-#: Generators of the form c X + conj(c) X^dag: the coefficient c of X.
-_PAIR_COEFFICIENT = {
-    "e": 0.5, "E": 0.5j, "r": 0.5, "R": 0.5j, "s": 0.5, "S": 0.5j,
-    "q": _SQRT_HALF, "p": 1j * _SQRT_HALF,
-}
 
 
 def _ladder_monomials(g: GeneratorDescriptor) -> list[tuple[complex, tuple[tuple[int, int], ...]]]:
     """H_g as a sum of ladder monomials (coefficient, steps). A step is a
     (0-based mode, +1 for a^dag or -1 for a) pair; steps act in list order."""
-    kind = g.kind
-    if kind == IDENTITY_KIND:
-        return [(1.0, ())]
-    k = g.modes[0] - 1
-    if kind == "N":
-        return [(1.0, ((k, -1), (k, +1)))]
-    if kind in ("e", "E"):
-        raising = ((g.modes[1] - 1, -1), (k, +1))  # a+_k a_l
-    elif kind in ("r", "R"):
-        raising = ((g.modes[1] - 1, +1), (k, +1))  # a+_k a+_l
-    elif kind in ("s", "S"):
-        raising = ((k, +1), (k, +1))  # a+_k^2
-    else:
-        raising = ((k, +1),)  # a+_k
-    lowering = tuple((mode, -step) for mode, step in reversed(raising))
-    c = _PAIR_COEFFICIENT[kind]
-    return [(c, raising), (c.conjugate(), lowering)]
+    _, c, slots = _KINDS[g.kind]
+    steps = tuple((g.modes[slot] - 1, step) for slot, step in slots)
+    if c is None:
+        return [(1.0, steps)]
+    adjoint = tuple((mode, -step) for mode, step in reversed(steps))
+    return [(c, steps), (c.conjugate(), adjoint)]
 
 
 #: Generator index, coefficient, mode slots and step slots per monomial.

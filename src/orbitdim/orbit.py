@@ -221,20 +221,19 @@ def gram_matrix(
     Kets are accepted in every picture (the mixed picture lifts them to the
     projector); density operators only in the mixed picture.
     """
+    if picture in (Picture.KET, Picture.KETBRA) and not isinstance(state, SparseKet):
+        raise PictureError(
+            f"the {picture.value} picture requires a pure-state ket; "
+            "a density operator needs the mixed picture"
+        )
     if picture is Picture.KET:
-        if not isinstance(state, SparseKet):
-            raise PictureError("the ket picture requires a pure-state ket")
         return gram_ket(group, state)
     if picture is Picture.KETBRA:
-        if not isinstance(state, SparseKet):
-            raise PictureError("the ketbra picture requires a pure-state ket")
         return gram_ketbra(group, state)
     if picture is Picture.MIXED:
         if isinstance(state, SparseKet):
             return _projector_gram(group, state, Picture.MIXED)
-        if isinstance(state, DensityOperator):
-            return gram_mixed(group, state)
-        raise PictureError("the mixed picture requires a ket or a DensityOperator")
+        return gram_mixed(group, state)
     raise PictureError(f"unknown picture {picture!r}")
 
 
@@ -418,11 +417,9 @@ def closed_form(family: StateFamily, group: Group, picture: Picture) -> ClosedFo
 def generic_dimension(group: Group, m: int, n_cutoff: int, picture: Picture) -> int:
     """Orbit dimension attained with probability one by a uniformly random
     state on the unit sphere of the photon-number-cutoff subspace."""
-    if m < 1:
-        raise ValueError("mode count must be >= 1")
+    value = group.dimension(m)  # refuses m < 1
     if n_cutoff < 0:
         raise ValueError("photon cutoff must be >= 0")
-    value = group.dimension(m)
     if n_cutoff == 0:
         value -= m * m
     elif n_cutoff == 1:
@@ -527,13 +524,7 @@ def _fock_patterns(m: int) -> list[tuple[int, ...]]:
             patterns.append(tuple(occupied + [0] * u))
     patterns.append(tuple(fill[(i + 1) % 3] for i in range(m)))
     patterns.append((3,) * m)
-    seen: set[tuple[int, ...]] = set()
-    unique = []
-    for occ in patterns:
-        if occ not in seen:
-            seen.add(occ)
-            unique.append(occ)
-    return unique
+    return list(dict.fromkeys(patterns))
 
 
 def _tails(length: int) -> list[tuple[int, ...]]:
@@ -542,13 +533,7 @@ def _tails(length: int) -> list[tuple[int, ...]]:
         tails.append(tuple([1, 2][i % 2] for i in range(length)))
     if length > 1:
         tails.append(tuple([1 if i == 0 else 0 for i in range(length)]))
-    seen: set[tuple[int, ...]] = set()
-    unique = []
-    for t in tails:
-        if t not in seen:
-            seen.add(t)
-            unique.append(t)
-    return unique
+    return list(dict.fromkeys(tails))
 
 
 _SUPERPOSITION_AMPLITUDES: tuple[tuple[complex, ...], ...] = (

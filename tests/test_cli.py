@@ -6,8 +6,19 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from orbitdim import DensityOperator, SparseKet, basis_ket, normalize
+from orbitdim import (
+    DensityOperator,
+    Group,
+    SparseKet,
+    basis_ket,
+    lie_basis,
+    mixture,
+    normalize,
+    sample_sphere_state,
+)
 from orbitdim import cli
 from orbitdim.cli import (
     EXIT_INVALID,
@@ -15,6 +26,7 @@ from orbitdim.cli import (
     EXIT_MISMATCH,
     EXIT_OK,
     EXIT_PICTURE,
+    StateFileError,
     load_state,
     main,
     render_json,
@@ -146,6 +158,66 @@ def test_load_density_file(density1):
     rho = load_state(density1)
     assert isinstance(rho, DensityOperator)
     assert rho.trace_residual <= 1e-10
+
+
+def test_density_state_file_round_trip(tmp_path):
+    psi = normalize(SparseKet(2, {(0, 1): 0.25 - 1.5j, (2, 0): 1 / 3}))
+    rho = mixture([(0.3, psi), (0.7, basis_ket((1, 1)))])
+    path = tmp_path / "density.json"
+    write_state_file(str(path), rho)
+    again = load_state(str(path))
+    assert isinstance(again, DensityOperator)
+    assert again.modes == 2
+    assert again.op.entries == rho.op.entries  # 17 significant digits round-trip losslessly
+    assert json.loads(path.read_text())["kind"] == "density"
+
+
+def test_unhashable_kind_exits_2_without_traceback(capsys, tmp_path):
+    path = tmp_path / "state.json"
+    path.write_text(json.dumps({**_KET, "kind": ["ket"]}))
+    code, out, err = run(capsys, "dim", "--state", str(path), "--group", "go", "--picture", "ket")
+    assert code == EXIT_INVALID
+    assert out == ""
+    assert err.startswith("error:") and "'kind'" in err
+    assert "Traceback" not in err
+
+
+# any JSON value, and documents built to come close to a valid state file
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=6,
+)
+_OCC = st.lists(st.integers(0, 2), min_size=1, max_size=2) | st.lists(st.integers(-1, 3), max_size=3) | _JSON
+_NUMBER = st.floats(-1, 1) | st.integers(-2, 2) | st.floats() | _JSON
+_FIELDS = {"occ": _OCC, "bra": _OCC, "ket": _OCC, "re": _NUMBER, "im": _NUMBER}
+_ENTRY = st.fixed_dictionaries(_FIELDS) | st.fixed_dictionaries({}, optional=_FIELDS) | _JSON
+_ENTRIES = st.lists(_ENTRY, max_size=4) | _JSON
+_KIND = st.sampled_from(["ket", "density"]) | _JSON
+_MODES = st.integers(1, 2) | st.integers(-1, 3) | _JSON
+_LISTS = {"terms": _ENTRIES, "entries": _ENTRIES}
+_DOCUMENT = (
+    st.fixed_dictionaries({"kind": st.sampled_from(["ket", "density"]), "modes": st.integers(1, 2)}, optional=_LISTS)
+    | st.fixed_dictionaries({"kind": _KIND, "modes": _MODES}, optional=_LISTS)
+    | st.fixed_dictionaries({}, optional={"kind": _KIND, "modes": _MODES, **_LISTS})
+    | _JSON
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(doc=_DOCUMENT)
+@example(doc=_KET)
+@example(doc=_DENSITY)
+@example(doc={**_DENSITY, "kind": ["density"]})
+@example(doc={**_DENSITY, "modes": 2**28, "entries": []})  # no (2**28)-mode row to rank
+def test_load_state_gives_a_state_or_a_state_file_error(tmp_path_factory, doc):
+    path = tmp_path_factory.getbasetemp() / "arbitrary.json"
+    path.write_text(json.dumps(doc))
+    try:
+        state = load_state(str(path))
+    except StateFileError:
+        return
+    assert isinstance(state, (SparseKet, DensityOperator))
 
 
 def test_render_json_is_deterministic_and_sorted():
@@ -454,6 +526,31 @@ def test_estimate_non_finite_step_or_tolerance_exits_2(capsys, density1, option,
     assert code == EXIT_INVALID
     assert out == ""
     assert err.startswith("error:")
+
+
+@pytest.mark.parametrize(
+    "m, n_cutoff, seed, group, step",
+    [(3, 1, 0, "go", "1e-8"), (1, 3, 1, "plo", "1e300")],
+    ids=["go-tiny-step", "plo-huge-step"],
+)
+def test_estimate_outside_the_acceptance_bound_exits_1(capsys, tmp_path, m, n_cutoff, seed, group, step):
+    path = str(tmp_path / "sample.json")
+    write_state_file(path, sample_sphere_state(m, n_cutoff, seed))
+    argv = ["estimate", "--state", path, "--group", group]
+    code, _, err = run(capsys, *argv)  # the default step meets the bound
+    assert code == EXIT_OK
+    assert err == ""
+    code, out, err = run(capsys, *argv, "--h", step)
+    assert code == EXIT_MISMATCH
+    assert "max |estimated - direct| over all (I, J): " in out  # the usual report
+    assert out.splitlines()[-1].startswith("elapsed: ")
+    assert len(err.splitlines()) == 1 and "times the bound" in err
+    labels = lie_basis(Group(group), m).labels
+    worst = err[err.index(" at (") + 5 : err.index(") is ")].split(", ")
+    assert len(worst) == 2 and set(worst) <= set(labels)
+    code, out, _ = run(capsys, *argv, "--h", step, "--json")
+    assert code == EXIT_MISMATCH
+    assert json.loads(out)["max_abs_deviation"] > 1e-4
 
 
 # -------------------------------------------------------------------- parser

@@ -81,6 +81,35 @@ def test_descriptor_validation():
         GeneratorDescriptor("z", (1,))
 
 
+@pytest.mark.parametrize("kind", sorted(generators._KINDS))
+def test_descriptor_validation_for_every_kind(kind):
+    count = generators._KINDS[kind][0]
+    assert GeneratorDescriptor(kind, tuple(range(1, count + 1))).modes == tuple(range(1, count + 1))
+    with pytest.raises(ValueError):  # one mode index too many; for the identity, any index
+        GeneratorDescriptor(kind, tuple(range(1, count + 2)))
+    if count:
+        with pytest.raises(ValueError):  # one mode index too few
+            GeneratorDescriptor(kind, tuple(range(1, count)))
+        with pytest.raises(ValueError):  # mode indices start at 1
+            GeneratorDescriptor(kind, (0, *range(2, count + 1)))
+    if count == 2:
+        for modes in [(2, 1), (1, 1)]:  # a pair must increase
+            with pytest.raises(ValueError):
+                GeneratorDescriptor(kind, modes)
+
+
+def test_number_shift_per_kind():
+    shifts = {kind: number_shift(kind) for kind in generators._KINDS}
+    assert shifts == {"e": 0, "E": 0, "N": 0, "I": 0, "q": 1, "p": 1, "r": 2, "R": 2, "s": 2, "S": 2}
+
+
+def test_basis_order_go_m2():
+    assert lie_basis(Group.GO, 2).labels == (
+        "e[1,2]", "E[1,2]", "N[1]", "N[2]", "q[1]", "q[2]", "p[1]", "p[2]", "id",
+        "r[1,2]", "R[1,2]", "s[1]", "s[2]", "S[1]", "S[2]",
+    )
+
+
 def test_beam_splitter_on_one_photon():
     out = apply_generator(GeneratorDescriptor("e", (1, 2)), basis_ket((1, 0)))
     assert_terms_close(out.terms, {(0, 1): 0.5})
