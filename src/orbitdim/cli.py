@@ -18,10 +18,12 @@ import argparse
 import csv
 import functools
 import hashlib
+import itertools
 import json
 import math
 import sys
 import time
+from typing import NoReturn
 
 import numpy as np
 
@@ -32,12 +34,14 @@ from .dynamics import (
     sample_sphere_state,
 )
 from .fock import (
+    MAX_OCCUPATION,
     DensityOperator,
     SparseKet,
-    SparseOperator,
     ValidationError,
+    _unchecked,
     basis_ket,
     outer,
+    validate_occupation,
 )
 from .generators import Group, lie_basis, verify_closure
 from .orbit import (
@@ -90,6 +94,10 @@ def load_state(path: str) -> SparseKet | DensityOperator:
         doc = json.loads(raw)
     except json.JSONDecodeError as exc:
         raise StateFileError(f"{path}: line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
+    except RecursionError:
+        raise StateFileError(f"{path}: nested too deeply to parse") from None
+    except ValueError as exc:  # an integer past the interpreter's digit limit, or bytes that are not text
+        raise StateFileError(f"{path}: {exc}") from exc
     if not isinstance(doc, dict):
         raise StateFileError(f"{path}: top level must be an object")
     modes = doc.get("modes")
@@ -104,22 +112,70 @@ def load_state(path: str) -> SparseKet | DensityOperator:
     if not isinstance(items, list):
         article = "an" if field[0] in "aeiou" else "a"
         raise StateFileError(f"{path}: {kind} files need {article} {field!r} list")
-    entries: dict[tuple[tuple[int, ...], ...], complex] = {}
+    columns = _entry_columns(items, modes, occ_fields)
+    if columns is None:
+        _raise_first_entry_error(path, field, occ_fields, items, modes)
+    occs, amps = columns
+    if kind == "ket":  # every term passed the checks above, so none is checked again
+        terms = {tuple(occ): amp for occ, amp in zip(occs[0], amps) if amp}
+        return _unchecked(SparseKet, modes=modes, terms=terms)
+    keys = np.array(occs, dtype=np.int64).reshape(len(occ_fields), len(items), modes).transpose(1, 0, 2)
+    try:
+        return DensityOperator.from_entries(keys, np.array(amps, dtype=complex))
+    except ValidationError as exc:
+        raise StateFileError(f"{path}: {exc}") from exc
+
+
+def _entry_columns(items: list, modes: int, occ_fields: tuple[str, ...]) -> tuple[list[list], list[complex]] | None:
+    """The entries of a state file as k columns of occupation lists, one
+    per occupation field, and their amplitudes; or None if any entry fails
+    a check of ``_raise_first_entry_error``. Each check runs over a whole
+    column in C (types compare by identity, so a bool is not an int) rather
+    than entry by entry in Python."""
+    if not set(map(type, items)) <= {dict}:
+        return None
+    occs = [list(map(dict.get, items, itertools.repeat(name))) for name in occ_fields]
+    if any(not set(map(type, col)) <= {list} or not set(map(len, col)) <= {modes} for col in occs):
+        return None
+    flat = list(itertools.chain.from_iterable(itertools.chain.from_iterable(occs)))
+    if not set(map(type, flat)) <= {int} or (flat and not (min(flat) >= 0 and max(flat) <= MAX_OCCUPATION)):
+        return None
+    if len(set(zip(*(map(tuple, col) for col in occs)))) < len(items):  # a duplicate entry
+        return None
+    re, im = (list(map(dict.get, items, itertools.repeat(name))) for name in ("re", "im"))
+    numbers = re + im
+    if not set(map(type, numbers)) <= {int, float}:
+        return None
+    try:
+        if not all(map(math.isfinite, numbers)):
+            return None
+    except OverflowError:  # an integer past the float range
+        return None
+    return occs, list(map(complex, re, im))
+
+
+def _raise_first_entry_error(path: str, field: str, occ_fields: tuple[str, ...], items: list, modes: int) -> NoReturn:
+    """Raise the error of the first entry that fails a check, checking entry
+    by entry in the order of the checks; when every entry passes them, the
+    error of the first occupation above ``MAX_OCCUPATION``."""
+    keys: dict[tuple[tuple[int, ...], ...], None] = {}  # in entry order
     for idx, item in enumerate(items):
         where = f"{field}[{idx}]"
         if not isinstance(item, dict):
             raise StateFileError(f"{path}: {where} must be an object")
         key = tuple(_parse_occ(path, f"{where}.{name}", item.get(name), modes) for name in occ_fields)
-        if key in entries:
+        if key in keys:
             occs = [list(occ) for occ in key]
             raise StateFileError(f"{path}: {where}: duplicate {'/'.join(occ_fields)} {occs}")
-        entries[key] = _parse_amp(path, where, item)
+        keys[key] = None
+        _parse_amp(path, where, item)
     try:
-        if kind == "ket":
-            return SparseKet(modes, {occ: amp for (occ,), amp in entries.items()})
-        return DensityOperator.validate(SparseOperator(modes, entries))
+        for occ in itertools.chain.from_iterable(keys):
+            validate_occupation(occ, modes)
     except ValidationError as exc:
         raise StateFileError(f"{path}: {exc}") from exc
+    # not reached: _entry_columns refuses no file that passes every check above
+    raise StateFileError(f"{path}: invalid {field}")
 
 
 def _parse_occ(path: str, where: str, value, modes: int) -> tuple[int, ...]:
@@ -130,15 +186,18 @@ def _parse_occ(path: str, where: str, value, modes: int) -> tuple[int, ...]:
     return tuple(value)
 
 
-def _parse_amp(path: str, where: str, item) -> complex:
+def _parse_amp(path: str, where: str, item) -> None:
     if not isinstance(item, dict) or not {"re", "im"} <= set(item):
         raise StateFileError(f"{path}: {where} must carry 're' and 'im' fields")
     re, im = item["re"], item["im"]
     if isinstance(re, bool) or isinstance(im, bool) or not isinstance(re, (int, float)) or not isinstance(im, (int, float)):
         raise StateFileError(f"{path}: {where} 're'/'im' must be numbers")
-    if not (math.isfinite(re) and math.isfinite(im)):
+    try:
+        finite = math.isfinite(re) and math.isfinite(im)
+    except OverflowError:  # an integer past the float range
+        finite = False
+    if not finite:
         raise StateFileError(f"{path}: {where} 're'/'im' must be finite, got {re!r}, {im!r}")
-    return complex(re, im)
 
 
 def state_document(state: SparseKet | DensityOperator) -> dict:
@@ -176,17 +235,23 @@ def file_digest(path: str) -> str:
 # --------------------------------------------------------------------------
 
 
+#: The element types of a list rendered in one pass; each formats as float.
+_FLOAT_TYPES = {float, np.float64}
+#: json.dumps of a str with the default settings, without its dispatch
+_quote = json.encoder.encode_basestring_ascii
+
+
 def render_json(value) -> str:
     """Deterministic JSON: sorted keys, floats at 17 significant digits."""
     if isinstance(value, dict):
-        inner = ",".join(
-            f"{json.dumps(str(k))}:{render_json(v)}" for k, v in sorted(value.items())
-        )
-        return "{" + inner + "}"
-    if isinstance(value, (list, tuple)):
-        return "[" + ",".join(render_json(v) for v in value) + "]"
+        return "{" + ",".join([_quote(str(k)) + ":" + render_json(v) for k, v in sorted(value.items())]) + "}"
     if isinstance(value, np.ndarray):
-        return render_json(value.tolist())
+        value = value.tolist()
+    if isinstance(value, (list, tuple)):
+        # a spectrum or a Gram row: finite floats, joined in one pass
+        if set(map(type, value)) <= _FLOAT_TYPES and all(map(math.isfinite, value)):
+            return "[" + ",".join(map(format, value, itertools.repeat(".17g"))) + "]"
+        return "[" + ",".join(map(render_json, value)) + "]"
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, (int, np.integer)):
@@ -197,7 +262,7 @@ def render_json(value) -> str:
         return f"{float(value):.17g}"
     if value is None:
         return "null"
-    return json.dumps(str(value))
+    return _quote(str(value))
 
 
 def _fmt(x: float) -> str:

@@ -8,11 +8,14 @@ Generators act on these states through the vectorised kernel in
 ``generators``, not through arithmetic on the dictionaries. This module
 owns the conversions between the dictionaries and arrays over a support:
 ``SparseKet.arrays`` / ``SparseKet.from_arrays``,
-``SparseOperator.from_arrays``, and a validated density's ``support`` and
-``matrix``.
+``SparseOperator.from_arrays``, ``DensityOperator.from_entries``, and a
+validated density's ``support`` and ``matrix``. Arrays are checked as
+arrays, not term by term.
 
 Occupation tuples compare lexicographically; that ordering is the canonical
-one used for basis enumeration and file output throughout the package.
+one used for basis enumeration and file output throughout the package. As
+arrays, a density's support and the union of a support with its generator
+targets (``_rank_states``) are in the same numeric lexicographic order.
 """
 
 from __future__ import annotations
@@ -53,18 +56,64 @@ def validate_occupation(occ: Iterable[int], modes: int) -> Occupation:
     return out
 
 
+def _check_rows(states: np.ndarray) -> None:
+    """Refuse an S x m occupation array as ``validate_occupation`` refuses
+    the first of its rows with an entry outside 0..MAX_OCCUPATION."""
+    if states.shape[1] < 1:
+        raise ValidationError("mode count must be >= 1")
+    if states.size and not (states.min() >= 0 and states.max() <= MAX_OCCUPATION):
+        first = np.flatnonzero(((states < 0) | (states > MAX_OCCUPATION)).any(axis=1))[0]
+        validate_occupation(states[first].tolist(), states.shape[1])
+
+
+def _unchecked(cls, **values):
+    """A ``SparseKet`` or ``SparseOperator`` with the given fields, whose map
+    has valid occupations (or pairs of them) as keys and nonzero complex
+    values, built without the per-term checks of ``__post_init__``."""
+    state = object.__new__(cls)
+    state.__dict__.update(values)
+    return state
+
+
+def _run_starts(ordered: np.ndarray) -> np.ndarray:
+    """Whether each element of a sorted array differs from the one before."""
+    first = np.empty(len(ordered), dtype=bool)
+    first[:1] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
+    return first
+
+
+def _dense_rank(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each key's rank among the distinct keys, and the position of one
+    occurrence of each distinct key, in ascending key order."""
+    order = keys.argsort()  # ties may come in any order: only their rank is kept
+    first = _run_starts(keys[order])
+    rank = np.empty_like(order)
+    rank[order] = first.cumsum() - 1
+    return rank, order[first]
+
+
 def _rank_states(states: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The distinct rows of an int64 array, in a fixed order, and each
-    row's rank among them."""
-    # each row as one opaque byte string: np.unique(axis=0) sorts the same
-    # rows field by field, several times slower
+    """The distinct rows of a nonnegative int64 array, in numeric
+    lexicographic order, and each row's rank among them."""
     rows = np.ascontiguousarray(states, dtype=np.int64)
-    if not len(rows):  # nothing to rank, and 8 m bytes may exceed numpy's largest void
+    if not len(rows):
         return rows, np.zeros(0, dtype=np.intp)
-    distinct, inverse = np.unique(
-        rows.view(np.dtype((np.void, 8 * rows.shape[1]))).reshape(-1), return_inverse=True
-    )
-    return distinct.view(np.int64).reshape(-1, rows.shape[1]), inverse.reshape(-1)
+    # pack as many columns into each 63-bit word as the largest entry
+    # allows, the first column highest, so that words compare as the columns
+    # they hold; then rank word by word, carrying the rank of the words before
+    width = max(int(rows.max()).bit_length(), 1)
+    weights = np.left_shift(1, width * np.arange(63 // width - 1, -1, -1, dtype=np.int64))
+
+    def word(start: int) -> np.ndarray:
+        block = rows[:, start : start + len(weights)]
+        return block @ weights[: block.shape[1]]
+
+    rank, first = _dense_rank(word(0))
+    for start in range(len(weights), rows.shape[1], len(weights)):
+        # both ranks are below len(rows), so the combined key fits
+        rank, first = _dense_rank(rank * len(rows) + _dense_rank(word(start))[0])
+    return rows[first], rank
 
 
 def _occupations(modes: int, budget: int) -> Iterator[Occupation]:
@@ -129,9 +178,13 @@ class SparseKet:
     @classmethod
     def from_arrays(cls, states: np.ndarray, amps: np.ndarray) -> "SparseKet":
         """The ket with amplitude ``amps[k]`` on the occupation ``states[k]``
-        (an S x m array); zero amplitudes are dropped."""
+        (an S x m array); zero amplitudes are dropped. The rows are checked
+        as one array, not term by term."""
+        _check_rows(states)
+        amps = np.asarray(amps, dtype=complex)
         kept = np.flatnonzero(amps)
-        return cls(states.shape[1], dict(zip(map(tuple, states[kept].tolist()), amps[kept].tolist())))
+        terms = dict(zip(map(tuple, states[kept].tolist()), amps[kept].tolist()))
+        return _unchecked(cls, modes=states.shape[1], terms=terms)
 
 
 def basis_ket(occ: Sequence[int]) -> SparseKet:
@@ -188,13 +241,14 @@ class SparseOperator:
     @classmethod
     def from_arrays(cls, states: np.ndarray, matrix: np.ndarray) -> "SparseOperator":
         """The operator with entry ``matrix[i, j]`` at (``states[i]``,
-        ``states[j]``), nonzero entries in row-major order."""
+        ``states[j]``), nonzero entries in row-major order. The rows are
+        checked as one array, not entry by entry."""
+        _check_rows(states)
         rows = list(map(tuple, states.tolist()))
+        matrix = np.asarray(matrix, dtype=complex)
         bra, ket = np.nonzero(matrix)
-        return cls(
-            states.shape[1],
-            {(rows[i], rows[j]): v for i, j, v in zip(bra.tolist(), ket.tolist(), matrix[bra, ket].tolist())},
-        )
+        entries = {(rows[i], rows[j]): v for i, j, v in zip(bra.tolist(), ket.tolist(), matrix[bra, ket].tolist())}
+        return _unchecked(cls, modes=states.shape[1], entries=entries)
 
 
 def op_trace(a: SparseOperator) -> complex:
@@ -207,8 +261,9 @@ class DensityOperator:
 
     The measured residuals are kept so callers can audit how close the input
     was to the constraints it claims to satisfy. ``support`` holds every
-    state in a bra or a ket as a read-only S x m int64 array, and ``matrix``
-    the read-only S x S matrix of the operator over it.
+    state in a bra or a ket as a read-only S x m int64 array, in numeric
+    lexicographic order, and ``matrix`` the read-only S x S matrix of the
+    operator over it.
     """
 
     op: SparseOperator
@@ -223,10 +278,29 @@ class DensityOperator:
 
     @classmethod
     def validate(cls, op: SparseOperator) -> "DensityOperator":
-        keys = np.array(list(op.entries), dtype=np.int64).reshape(-1, op.modes)
-        support, inverse = _rank_states(keys)
+        keys = np.array(list(op.entries), dtype=np.int64).reshape(-1, 2, op.modes)
+        return cls._checked(op, keys, np.fromiter(op.entries.values(), dtype=complex, count=len(op.entries)))
+
+    @classmethod
+    def from_entries(cls, keys: np.ndarray, values: np.ndarray) -> "DensityOperator":
+        """Validate the operator with entry ``values[k]`` at (``keys[k, 0]``,
+        ``keys[k, 1]``), an E x 2 x m array of distinct occupation pairs;
+        entries keep their order and zero entries are dropped. The pairs are
+        checked as one array, not entry by entry."""
+        _check_rows(keys.reshape(2 * len(keys), keys.shape[2]))
+        values = np.asarray(values, dtype=complex)
+        kept = np.flatnonzero(values)
+        keys, values = keys[kept], values[kept]
+        pairs = zip(map(tuple, keys[:, 0].tolist()), map(tuple, keys[:, 1].tolist()))
+        op = _unchecked(SparseOperator, modes=keys.shape[2], entries=dict(zip(pairs, values.tolist())))
+        return cls._checked(op, keys, values)
+
+    @classmethod
+    def _checked(cls, op: SparseOperator, keys: np.ndarray, values: np.ndarray) -> "DensityOperator":
+        """Run the density checks on ``op``, given as its E x 2 x m keys and
+        its values in entry order."""
+        support, inverse = _rank_states(keys.reshape(-1, op.modes))
         bra, ket = inverse.reshape(-1, 2).T
-        values = np.fromiter(op.entries.values(), dtype=complex, count=len(op.entries))
         matrix = np.zeros((len(support), len(support)), dtype=complex)
         matrix[bra, ket] = values
         # every check is written so that a NaN fails it (np.max keeps a NaN);

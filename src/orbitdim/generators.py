@@ -19,6 +19,11 @@ Each group's basis is ordered canonically (``_BASIS_KINDS``): e pairs in
 lexicographic (k, l) order, then E pairs, then N, then (when present) q, p,
 identity, then (when present) r, R, s, S. The ordering fixes matrix layouts
 everywhere; it never affects ranks.
+
+Generators act on a support through one kernel, ``_generator_action``: each
+ladder monomial moves a support row by a fixed step vector, and the
+support with every target forms a union of states in numeric lexicographic
+order.
 """
 
 from __future__ import annotations
@@ -37,6 +42,7 @@ from .fock import (
     SparseKet,
     SparseOperator,
     _rank_states,
+    _run_starts,
     basis_ket,
     enumerate_occupations,
 )
@@ -171,14 +177,19 @@ def _ladder_monomials(g: GeneratorDescriptor) -> list[tuple[complex, tuple[tuple
     return [(c, steps), (c.conjugate(), adjoint)]
 
 
-#: Generator index, coefficient, mode slots and step slots per monomial.
-_MonomialTable = tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
+#: Per monomial: generator index, coefficient, and for each of two step
+#: slots its mode, whether it is used and its offset; then the step vector.
+_MonomialTable = tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]
 
 
 def _monomials(generators: Sequence[GeneratorDescriptor]) -> _MonomialTable:
     """Every ladder monomial of the generators, as arrays over monomials:
-    generator index, coefficient, and two (mode, step) slots, the unused
-    slot holding step 0."""
+    generator index and coefficient; the mode each of two step slots acts
+    on, whether it holds a step (one-step monomials leave the second slot
+    empty) and the offset it adds to the support occupation of its mode
+    under the square root; and the monomial's step vector, as wide as the
+    highest mode it acts on. Only the support varies between applications,
+    so each target is a support row plus a step vector."""
     rows = [
         (index, coeff, steps + ((0, 0),) * (2 - len(steps)))
         for index, g in enumerate(generators)
@@ -187,7 +198,15 @@ def _monomials(generators: Sequence[GeneratorDescriptor]) -> _MonomialTable:
     gen = np.array([r[0] for r in rows], dtype=np.intp)
     coeff = np.array([r[1] for r in rows], dtype=complex)
     slots = np.array([r[2] for r in rows], dtype=np.int64).reshape(len(rows), 2, 2)
-    return gen, coeff, slots[:, :, 0], slots[:, :, 1]
+    modes, steps = slots[:, :, 0], slots[:, :, 1]
+    # a+ multiplies by sqrt(n + 1), a by sqrt(n); the second step reads n
+    # after the first, which moved it only when both act on the same mode
+    offsets = (steps > 0).astype(np.int64)
+    offsets[:, 1] += np.where(modes[:, 0] == modes[:, 1], steps[:, 0], 0)
+    delta = np.zeros((len(rows), int(modes.max()) + 1), dtype=np.int64)
+    for slot in range(2):  # one mode per row and slot: no index repeats
+        delta[np.arange(len(rows)), modes[:, slot]] += steps[:, slot]
+    return gen, coeff, modes, steps != 0, offsets, delta
 
 
 @functools.lru_cache(maxsize=None)
@@ -209,40 +228,28 @@ def _generator_action(
     ``occupations`` is the S x m array of support states. Returns
     ``(gen, src, tgt, coeff, union, rows)``: entry k says that H_gen[k] maps
     support row src[k] to union state tgt[k] with amplitude coeff[k]. The
-    array ``union`` holds the states of the support and every target, in a
-    fixed order, and ``rows`` gives each support row's rank in it.
-    For each generator and source the targets are distinct.
+    array ``union`` holds the states of the support and every target, in
+    numeric lexicographic order, and ``rows`` gives each support row's rank
+    in it. For each generator and source the targets are distinct.
     """
     occupations = np.asarray(occupations, dtype=np.int64)
-    s_count = len(occupations)
-    gen, coeff, modes, steps = table
-    if int(modes.max()) >= occupations.shape[1]:
+    gen, coeff, modes, used, offsets, delta = table
+    if delta.shape[1] > occupations.shape[1]:
         raise ValueError(
-            f"generator mode index {int(modes.max()) + 1} exceeds the "
+            f"generator mode index {delta.shape[1]} exceeds the "
             f"{occupations.shape[1]}-mode register"
         )
-    occ = np.repeat(occupations[None, :, :], len(gen), axis=0)
-    amp = np.ones((len(gen), s_count))
-    mono = np.arange(len(gen))[:, None]
-    src = np.arange(s_count)[None, :]
-    for slot in range(2):
-        mode = modes[:, slot, None]
-        step = steps[:, slot, None]
-        n = occ[mono, src, mode]
-        # a+ multiplies by sqrt(n + 1), a by sqrt(n); a state already
-        # annihilated (amplitude 0, n possibly -1) stays at zero
-        amp *= np.where(step != 0, np.sqrt(np.maximum(n + (step > 0), 0)), 1.0)
-        occ[mono, src, mode] = n + step
-    mono_k, src_k = np.nonzero(amp)
-    union, inverse = _rank_states(np.concatenate([occupations, occ[mono_k, src_k]]))
-    return (
-        gen[mono_k],
-        src_k,
-        inverse[s_count:],
-        coeff[mono_k] * amp[mono_k, src_k],
-        union,
-        inverse[:s_count],
-    )
+    # the occupation each slot reads, monomials x slots x sources; a state
+    # already annihilated (factor 0, n possibly -1) stays at zero
+    n = occupations.T[modes] + offsets[:, :, None]
+    factor = np.where(used[:, :, None], np.sqrt(np.maximum(n, 0)), 1.0)
+    amp = factor[:, 0] * factor[:, 1]
+    mono, src = np.nonzero(amp)
+    targets = occupations[src]
+    targets[:, : delta.shape[1]] += delta[mono]
+    union, inverse = _rank_states(np.concatenate([occupations, targets]))
+    s_count = len(occupations)
+    return gen[mono], src, inverse[s_count:], coeff[mono] * amp[mono, src], union, inverse[:s_count]
 
 
 def _directions(
@@ -258,7 +265,15 @@ def _directions(
     gen, src, tgt, coeff, union, rows = _generator_action(table, occupations)
     d = int(table[0][-1]) + 1  # generator indices ascend over the table
     x = np.zeros((d * len(union), columns.shape[1]), dtype=complex)
-    np.add.at(x, gen * len(union) + tgt, coeff[:, None] * columns[src])
+    # sum the elements landing on one cell in their order, as np.add.at
+    # would: a stable sort groups them, one reduceat adds each group
+    cell = gen * len(union) + tgt
+    order = cell.argsort(kind="stable")
+    cell = cell[order]
+    starts = _run_starts(cell).nonzero()[0]
+    sums = np.add.reduceat(coeff[order, None] * columns[src[order]], starts)
+    sums += 0.0  # np.add.at starts each cell from +0.0, which turns -0.0 into +0.0
+    x[cell[starts]] = sums
     return x.reshape(d, len(union), columns.shape[1]), union, rows
 
 

@@ -6,7 +6,7 @@ algebra, Gram entries from the expectation-value / trace formulas, ranks
 from stacked real-imaginary matrices. None of the package's kernels are
 reused, so agreement is a genuine cross-check.
 
-The sparse references at the end evaluate the same Gram formulas on states
+The sparse references after it evaluate the same Gram formulas on states
 too large for dense matrices. They apply generators through this module's
 own dict-based ladder arithmetic (``apply_creation`` / ``apply_annihilation``
 composed into ``apply_generator`` and ``left_apply_generator``), which
@@ -15,14 +15,33 @@ shares no code with the package's vectorised generator-action kernel behind
 and ``orbitdim.commutator_with_density``. From the package it takes only the
 state containers with ``basis_ket``, ``add``, ``scale`` and ``op_trace``,
 and ``lie_basis``.
+
+The last section holds references for the command line that work one
+value at a time: the recursive JSON renderer, and a state-file reader that
+checks each entry in turn and builds the state through the validating dict
+constructors. The package renders lists of floats in one pass and reads
+state files in bulk; these pin its bytes and its error messages. They take
+the state-file schema and error class from ``orbitdim.cli``.
 """
 
 import itertools
+import json
 import math
 
 import numpy as np
 
-from orbitdim import SparseKet, SparseOperator, add, basis_ket, lie_basis, op_trace, scale
+from orbitdim import (
+    DensityOperator,
+    SparseKet,
+    SparseOperator,
+    ValidationError,
+    add,
+    basis_ket,
+    lie_basis,
+    op_trace,
+    scale,
+)
+from orbitdim.cli import _SCHEMA, StateFileError
 
 
 def basis_states(m, cutoff):
@@ -398,3 +417,88 @@ def gram_mixed_trace(group, rho):
             tr_cross = _trace_product(h_rho[i], h_rho[j])
             out[i, j] = out[j, i] = 2.0 * (tr_ij - tr_cross).real
     return out
+
+
+# ------------------------------------------------- one entry at a time
+
+
+def render_json(value) -> str:
+    """Deterministic JSON: sorted keys, floats at 17 significant digits."""
+    if isinstance(value, dict):
+        inner = ",".join(
+            f"{json.dumps(str(k))}:{render_json(v)}" for k, v in sorted(value.items())
+        )
+        return "{" + inner + "}"
+    if isinstance(value, (list, tuple)):
+        return "[" + ",".join(render_json(v) for v in value) + "]"
+    if isinstance(value, np.ndarray):
+        return render_json(value.tolist())
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
+    if isinstance(value, (float, np.floating)):
+        if not math.isfinite(value):
+            raise ValueError(f"cannot render the non-finite value {float(value)!r} as JSON")
+        return f"{float(value):.17g}"
+    if value is None:
+        return "null"
+    return json.dumps(str(value))
+
+
+def _finite(x):
+    try:
+        return math.isfinite(x)
+    except OverflowError:  # an integer past the float range
+        return False
+
+
+def load_state_per_entry(path):
+    """Read a state file checking one entry at a time, in entry order, and
+    build the state from dicts through the validating constructors."""
+    with open(path, "rb") as fh:
+        doc = json.loads(fh.read())
+    if not isinstance(doc, dict):
+        raise StateFileError(f"{path}: top level must be an object")
+    modes = doc.get("modes")
+    if isinstance(modes, bool) or not isinstance(modes, int) or modes < 1:
+        raise StateFileError(f"{path}: 'modes' must be a positive integer")
+    kind = doc.get("kind")
+    if not isinstance(kind, str) or kind not in _SCHEMA:
+        kinds = " or ".join(json.dumps(k) for k in _SCHEMA)
+        raise StateFileError(f"{path}: 'kind' must be {kinds}, got {kind!r}")
+    field, occ_fields = _SCHEMA[kind]
+    items = doc.get(field)
+    if not isinstance(items, list):
+        article = "an" if field[0] in "aeiou" else "a"
+        raise StateFileError(f"{path}: {kind} files need {article} {field!r} list")
+    entries = {}
+    for idx, item in enumerate(items):
+        where = f"{field}[{idx}]"
+        if not isinstance(item, dict):
+            raise StateFileError(f"{path}: {where} must be an object")
+        key = []
+        for name in occ_fields:
+            value = item.get(name)
+            if not isinstance(value, list) or len(value) != modes:
+                raise StateFileError(f"{path}: {where}.{name} must be a list of {modes} integers")
+            if any(isinstance(n, bool) or not isinstance(n, int) or n < 0 for n in value):
+                raise StateFileError(f"{path}: {where}.{name} entries must be nonnegative integers")
+            key.append(tuple(value))
+        key = tuple(key)
+        if key in entries:
+            raise StateFileError(f"{path}: {where}: duplicate {'/'.join(occ_fields)} {[list(occ) for occ in key]}")
+        if not {"re", "im"} <= set(item):
+            raise StateFileError(f"{path}: {where} must carry 're' and 'im' fields")
+        re, im = item["re"], item["im"]
+        if any(isinstance(x, bool) or not isinstance(x, (int, float)) for x in (re, im)):
+            raise StateFileError(f"{path}: {where} 're'/'im' must be numbers")
+        if not all(map(_finite, (re, im))):
+            raise StateFileError(f"{path}: {where} 're'/'im' must be finite, got {re!r}, {im!r}")
+        entries[key] = complex(re, im)
+    try:
+        if kind == "ket":
+            return SparseKet(modes, {occ: amp for (occ,), amp in entries.items()})
+        return DensityOperator.validate(SparseOperator(modes, entries))
+    except ValidationError as exc:
+        raise StateFileError(f"{path}: {exc}") from exc

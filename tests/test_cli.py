@@ -20,6 +20,7 @@ from orbitdim import (
     sample_sphere_state,
 )
 from orbitdim import cli
+import _oracle
 from orbitdim.cli import (
     EXIT_INVALID,
     EXIT_LEAKAGE,
@@ -647,3 +648,111 @@ def test_json_envelope_names_schema_and_command(capsys, tmp_path, fock11, densit
     doc = json.loads(out)
     assert doc["schema_version"] == 1
     assert doc["command"] == command[0]
+
+
+# ------------------------------------------------- bulk reading, one-pass rendering
+
+
+def _outcome(read, path):
+    """A reader's error message, or the state it built, down to term order."""
+    try:
+        state = read(path)
+    except StateFileError as exc:
+        return "error", str(exc)
+    if isinstance(state, SparseKet):
+        return "ket", state.modes, list(state.terms.items())
+    return (
+        "density",
+        state.modes,
+        list(state.op.entries.items()),
+        state.hermiticity_residual,
+        state.trace_residual,
+        state.support.tolist(),
+        state.matrix.tolist(),
+    )
+
+
+# occupations around the int64 bound, so that the range check is reached
+_WIDE_OCC = st.lists(st.integers(0, 2) | st.sampled_from([2**63 - 3, 2**63 - 2, 10**20]), min_size=1, max_size=2)
+_WIDE_ENTRY = st.fixed_dictionaries({"occ": _WIDE_OCC, "bra": _WIDE_OCC, "ket": _WIDE_OCC, "re": _NUMBER, "im": _NUMBER})
+_WIDE_DOCUMENT = st.fixed_dictionaries(
+    {"kind": st.sampled_from(["ket", "density"]), "modes": st.integers(1, 2)},
+    optional={"terms": st.lists(_WIDE_ENTRY, max_size=4), "entries": st.lists(_WIDE_ENTRY, max_size=4)},
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(doc=_DOCUMENT | _WIDE_DOCUMENT)
+@example(doc={**_KET, "terms": [{"occ": [2**63 - 2], "re": 1.0, "im": 0.0}, {"occ": [0], "re": "x", "im": 0.0}]})
+@example(doc={**_KET, "terms": [{"occ": [1], "re": 0.0, "im": 0.0}, {"occ": [1], "re": 1.0, "im": 0.0}]})
+@example(doc={**_KET, "terms": [{"occ": [0], "re": 0.0, "im": -0.0}, {"occ": [1], "re": 1.0, "im": 0.0}]})
+@example(doc={**_KET, "terms": [{"occ": [1], "re": 10**400, "im": 0.0}]})
+@example(doc={**_DENSITY, "entries": [{"bra": [0], "ket": [2**64], "re": 0.0, "im": 0.0}, {"bra": [1], "ket": [1]}]})
+@example(doc={**_DENSITY, "modes": 2**28, "entries": []})
+def test_load_state_matches_the_per_entry_reference(tmp_path_factory, doc):
+    """The bulk reader names the same first failing entry with the same
+    message as a reader that checks one entry at a time, and otherwise
+    builds the same state, term for term and in the same order."""
+    path = str(tmp_path_factory.getbasetemp() / "reference.json")
+    Path(path).write_text(json.dumps(doc))
+    assert _outcome(load_state, path) == _outcome(_oracle.load_state_per_entry, path)
+
+
+def test_integer_amplitude_past_the_float_range_exits_2(capsys, tmp_path):
+    path = tmp_path / "huge.json"
+    path.write_text('{"modes": 1, "kind": "ket", "terms": [{"occ": [0], "re": 1' + "0" * 400 + ', "im": 0}]}')
+    code, out, err = run(capsys, "dim", "--state", str(path), "--group", "go", "--picture", "ket")
+    assert code == EXIT_INVALID and out == ""
+    assert err.startswith(f"error: {path}: terms[0] 're'/'im' must be finite, got 1000")
+
+
+_UNPARSEABLE = {
+    # each bracket opens a level: deeper than the parser's recursion limit
+    "nested": "[" * 200_000 + "]" * 200_000,
+    # past the interpreter's 4,300-digit limit on converting text to int
+    "digits": '{"modes": ' + "7" * 5_000 + ', "kind": "ket", "terms": []}',
+}
+
+
+@pytest.mark.parametrize("name", sorted(_UNPARSEABLE))
+@pytest.mark.parametrize("as_json", [False, True], ids=["text", "json"])
+def test_unparseable_state_file_exits_2_naming_the_file(capsys, tmp_path, name, as_json):
+    path = tmp_path / f"{name}.json"
+    path.write_text(_UNPARSEABLE[name])
+    flags = ["--json"] if as_json else []
+    code, out, err = run(capsys, "dim", "--state", str(path), "--group", "go", "--picture", "ket", *flags)
+    assert code == EXIT_INVALID
+    assert out == ""
+    assert err.startswith(f"error: {path}: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+_RENDER_LEAVES = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.floats()
+    | st.floats().map(np.float64)
+    | st.text(max_size=6)
+)
+_RENDERABLE = st.recursive(
+    _RENDER_LEAVES,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=4)
+    # lists of floats alone, rendered in one pass
+    | st.lists(st.floats() | st.floats().map(np.float64), max_size=6),
+    max_leaves=12,
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(value=_RENDERABLE)
+def test_render_json_matches_the_recursive_renderer(value):
+    try:
+        expected = _oracle.render_json(value)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as raised:
+            render_json(value)
+        assert str(raised.value) == str(exc)
+        return
+    assert render_json(value) == expected

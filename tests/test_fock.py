@@ -6,7 +6,8 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from orbitdim import (
     DensityOperator,
@@ -25,6 +26,7 @@ from orbitdim import (
     validate_occupation,
 )
 from orbitdim.cli import load_state, write_state_file
+from orbitdim.fock import MAX_OCCUPATION, _rank_states
 from _helpers import assert_terms_close, ket_pairs, kets, random_ket
 from _oracle import apply_annihilation, apply_creation, hs_inner, inner, real_inner, zero_ket
 
@@ -284,3 +286,88 @@ def test_density_validation_rejects_trace_off_by_1e_8():
 def test_mixture_half_half():
     rho = mixture([(0.5, basis_ket((0,))), (0.5, basis_ket((1,)))])
     assert_terms_close(rho.op.entries, {((0,), (0,)): 0.5, ((1,), (1,)): 0.5})
+
+
+# ------------------------------------------------------- ranking union states
+
+
+@st.composite
+def _state_rows(draw):
+    """Rows of m <= 70 entries up to a drawn bound, some repeated. A seeded
+    generator fills them, which keeps 500 examples of 70 columns fast."""
+    m = draw(st.integers(1, 70))
+    top = draw(st.sampled_from([1, 3, 255, 256, 2**20, 2**31, 2**62, MAX_OCCUPATION]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    # entries at the bound and at zero as often as inside the range
+    pool = rng.choice([0, top, *rng.integers(0, top, size=4, endpoint=True)], size=(draw(st.integers(1, 6)), m))
+    return pool[rng.integers(0, len(pool), size=draw(st.integers(0, 12)))]
+
+
+def _check_ranking(states):
+    union, inverse = _rank_states(states)
+    assert list(map(tuple, union.tolist())) == sorted(set(map(tuple, states.tolist())))
+    assert union.dtype == np.int64 and union.shape[1] == states.shape[1]
+    assert np.array_equal(union[inverse], states)
+
+
+@settings(max_examples=500, deadline=None)
+@given(states=_state_rows())
+# 63 one-bit columns fill a word, so 70 columns take two
+@example(states=np.array([[0] * 69 + [1], [1] + [0] * 69, [0] * 70, [0] * 69 + [1]], dtype=np.int64))
+@example(states=np.array([[1] * 63 + [0] * 7, [1] * 63 + [0] * 6 + [1]], dtype=np.int64))
+# entries of 63 bits take one word per column
+@example(states=np.array([[2**62, 0, 1], [2**62 - 1, 5, 0], [2**62, 0, 0], [0, MAX_OCCUPATION, 0]], dtype=np.int64))
+@example(states=np.zeros((0, 3), dtype=np.int64))
+def test_rank_states_orders_rows_lexicographically(states):
+    _check_ranking(states)
+
+
+def test_rank_states_order_is_numeric_above_255():
+    """Rows compare as numbers. Comparing the little-endian bytes of each
+    row, as a view of the rows as opaque bytes would, puts 256 (bytes 00 01)
+    before 1 (bytes 01 00)."""
+    union, inverse = _rank_states(np.array([[256, 0], [1, 7], [1, 0]], dtype=np.int64))
+    assert union.tolist() == [[1, 0], [1, 7], [256, 0]]
+    assert inverse.tolist() == [2, 1, 0]
+
+
+def test_rank_states_of_no_rows():
+    union, inverse = _rank_states(np.zeros((0, 4), dtype=np.int64))
+    assert union.shape == (0, 4) and inverse.shape == (0,)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda rows: SparseKet.from_arrays(rows, np.ones(len(rows))),
+        lambda rows: SparseOperator.from_arrays(rows, np.eye(len(rows))),
+        lambda rows: DensityOperator.from_entries(np.stack([rows, rows], axis=1), np.ones(len(rows)) / len(rows)),
+    ],
+    ids=["ket", "operator", "density"],
+)
+def test_array_constructors_refuse_rows_as_validate_occupation_does(build):
+    """The rows are checked as one array; the first bad row gets the
+    message ``validate_occupation`` gives it."""
+    with pytest.raises(ValidationError, match=r"occupation \(0, -1\) has a negative entry"):
+        build(np.array([[1, 0], [0, -1], [-1, 0]], dtype=np.int64))
+    with pytest.raises(ValidationError, match=r"has an entry above 2\*\*63 - 3"):
+        build(np.array([[0, 0], [2**63 - 2, 0]], dtype=np.int64))
+    with pytest.raises(ValidationError, match="mode count must be >= 1"):
+        build(np.zeros((1, 0), dtype=np.int64))
+    assert build(np.array([[MAX_OCCUPATION, 0]], dtype=np.int64)).modes == 2
+
+
+def test_density_from_entries_equals_validate():
+    """Same operator, residuals, support and matrix as validating the dict,
+    zero entries dropped and entry order kept."""
+    keys = np.array([[[1], [1]], [[0], [1]], [[0], [0]], [[1], [0]], [[2], [2]]], dtype=np.int64)
+    values = np.array([0.75, 0.25j, 0.25, -0.25j, 0.0])
+    built = DensityOperator.from_entries(keys, values)
+    pairs = [(tuple(b), tuple(k)) for b, k in keys.tolist()]
+    checked = DensityOperator.validate(SparseOperator(1, dict(zip(pairs, values.tolist()))))
+    assert list(built.op.entries.items()) == list(checked.op.entries.items())
+    assert (built.hermiticity_residual, built.trace_residual) == (checked.hermiticity_residual, checked.trace_residual)
+    assert np.array_equal(built.support, checked.support) and np.array_equal(built.matrix, checked.matrix)
+    assert built.support.tolist() == [[0], [1]]
+    real = DensityOperator.from_entries(keys[[0, 2]], np.array([0.75, 0.25]))
+    assert all(type(v) is complex for v in real.op.entries.values())

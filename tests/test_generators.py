@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from orbitdim import (
     GeneratorDescriptor,
@@ -26,6 +28,7 @@ from orbitdim import (
     verify_closure,
 )
 import orbitdim.generators as generators
+from orbitdim.fock import MAX_OCCUPATION
 from _helpers import assert_entries_close, assert_terms_close, random_ket
 import _oracle
 from _oracle import basis_states, dense_ket, generator_matrix, inner, oracle_apply
@@ -329,3 +332,82 @@ def test_alo_closes_only_modulo_identity(m):
         # [is, iS] = -i(2N + 1): coefficient -2 on iN, -1 on the identity
         assert abs(fixed.coefficient(pair, "N[1]") + 2.0) < 1e-10
         assert abs(fixed.coefficient(pair, "id") + 1.0) < 1e-10
+
+
+# ------------------------------------------- the generator-action kernel, exactly
+
+
+@st.composite
+def _supports(draw):
+    """A group, a mode count and distinct support rows, some with
+    occupations of 256 and more, up to the largest whose targets the
+    oracle's kets still accept."""
+    group = draw(st.sampled_from(list(Group)))
+    m = draw(st.integers(1, 3))
+    top = draw(st.sampled_from([3, 300, 2**40, MAX_OCCUPATION - 2]))
+    entry = st.integers(0, 3) | st.integers(0, top) | st.just(top)
+    rows = draw(st.lists(st.tuples(*[entry] * m), max_size=5, unique=True))
+    return group, m, rows
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_supports())
+def test_generator_action_equals_the_dict_ladder_arithmetic(case):
+    """Every element the kernel returns is a term of the oracle's H |row>,
+    with the same target and the same coefficient, and none is missing."""
+    group, m, rows = case
+    support = np.array(rows, dtype=np.int64).reshape(len(rows), m)
+    gen, src, tgt, coeff, union, ranks = generators._generator_action(
+        generators._monomial_table(group, m), support
+    )
+    assert list(map(tuple, union.tolist())) == sorted(set(map(tuple, union.tolist())))
+    assert np.array_equal(union[ranks], support)
+    targets = [tuple(union[t].tolist()) for t in tgt]
+    actual = {(i, s, t): c for i, s, t, c in zip(gen.tolist(), src.tolist(), targets, coeff.tolist())}
+    assert len(actual) == len(gen)  # distinct targets per generator and source
+    expected = {
+        (i, s, target): amp
+        for i, g in enumerate(lie_basis(group, m).elements)
+        for s, row in enumerate(rows)
+        for target, amp in _oracle.apply_generator(g, basis_ket(row)).terms.items()
+    }
+    assert actual == expected  # complex ==: exact coefficients
+    assert set(map(tuple, union.tolist())) == set(rows) | set(targets)
+
+
+def test_generator_action_beyond_the_register_raises():
+    table = generators._monomials([GeneratorDescriptor("N", (1,)), GeneratorDescriptor("e", (2, 3))])
+    with pytest.raises(ValueError, match="generator mode index 3 exceeds the 2-mode register"):
+        generators._generator_action(table, np.zeros((1, 2), dtype=np.int64))
+
+
+def _add_at_directions(table, occupations, columns):
+    """The directions as np.add.at accumulates them, element by element."""
+    gen, src, tgt, coeff, union, _ = generators._generator_action(table, occupations)
+    d = int(table[0][-1]) + 1
+    x = np.zeros((d * len(union), columns.shape[1]), dtype=complex)
+    np.add.at(x, gen * len(union) + tgt, coeff[:, None] * columns[src])
+    return x.reshape(d, len(union), columns.shape[1])
+
+
+def _bits(x):
+    return np.ascontiguousarray(x).view(np.uint64)
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=_supports(), seed=st.integers(0, 2**32 - 1))
+def test_directions_equal_np_add_at_bit_for_bit(case, seed):
+    """r = 1 (a ket's amplitudes) and r = d (the closure's second
+    application, one column per generator). Signed zeros count: the
+    columns hold +0.0 and -0.0 parts."""
+    group, m, rows = case
+    support = np.array(rows, dtype=np.int64).reshape(len(rows), m)
+    table = generators._monomial_table(group, m)
+    rng = np.random.default_rng(seed)
+    amps = rng.standard_normal((len(rows), 2)) * rng.choice([-0.0, 0.0, 1.0], size=(len(rows), 2))
+    amps = amps.view(complex)
+    x, union, _ = generators._directions(table, support, amps)
+    assert np.array_equal(_bits(x), _bits(_add_at_directions(table, support, amps)))
+    columns = np.ascontiguousarray(x[:, :, 0].T)  # U x d
+    twice, _, _ = generators._directions(table, union, columns)
+    assert np.array_equal(_bits(twice), _bits(_add_at_directions(table, union, columns)))
