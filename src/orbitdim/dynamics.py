@@ -30,7 +30,6 @@ from .fock import (
     DensityOperator,
     Occupation,
     SparseKet,
-    SparseOperator,
     ValidationError,
     add,
     enumerate_occupations,
@@ -320,7 +319,7 @@ class _DensityWorkspace(_Workspace):
     D x r block A = U Phi."""
 
     def __init__(self, rho: DensityOperator, generators: Sequence[GeneratorDescriptor], cfg: EvolutionConfig) -> None:
-        super().__init__(rho.modes, rho.op.max_total(), generators, cfg)
+        super().__init__(rho.modes, max(map(sum, rho.support.tolist()), default=0), generators, cfg)
         r = len(rho.support)
         self.phi = np.zeros((self.basis.size, r), dtype=complex)
         self.phi[[self.basis.index[occ] for occ in map(tuple, rho.support.tolist())], np.arange(r)] = 1.0
@@ -354,10 +353,14 @@ class _DensityWorkspace(_Workspace):
     def beta_matrix(self, t: float) -> np.ndarray:
         """beta_ij = Tr[rho_i rho_j] at time t for i, j in 0..d, with rho_0 =
         rho: Tr[P M_ij P M_ij^dag] with M_ij = A_i^dag A_j, all from one Gram
-        of the evolved columns. Symmetric bit for bit."""
-        copies = self.evolved(t)
-        m = np.tensordot(copies.conj(), copies, axes=(1, 1)).transpose(0, 2, 1, 3)
-        values = np.sum((self.p @ m @ self.p) * m.conj(), axis=(2, 3))
+        of the evolved columns. Symmetric bit for bit. An overlap that
+        overflows raises ValidationError."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            copies = self.evolved(t)
+            m = np.tensordot(copies.conj(), copies, axes=(1, 1)).transpose(0, 2, 1, 3)
+            values = np.sum((self.p @ m @ self.p) * m.conj(), axis=(2, 3))
+        if not np.isfinite(values).all():
+            raise ValidationError("beta overlap is not finite: the density's entries are too large")
         failed = ~(np.abs(values.imag) <= _IMAG_RESIDUE_TOL * np.maximum(1.0, np.abs(values.real)))
         if failed.any():
             raise ValidationError(f"beta overlap has imaginary residue {values.imag[failed][0]:.3e}")
@@ -377,7 +380,7 @@ def evolve_density(
     if t == 0.0:
         return rho
     a = ws.evolved(t)[1]
-    return DensityOperator.validate(SparseOperator.from_arrays(ws.states, (a @ ws.p) @ a.conj().T))
+    return DensityOperator._checked(ws.states, (a @ ws.p) @ a.conj().T)
 
 
 def _workspace(rho: DensityOperator, group: Group, cfg: EvolutionConfig) -> _DensityWorkspace:

@@ -2,15 +2,20 @@
 
 States with finite support in the occupation-number basis are stored as
 dictionaries mapping occupation tuples to complex amplitudes; operators
-(parsed or evolved densities, commutators) map (bra, ket) occupation pairs
-to complex entries. Only exact zeros are pruned (no epsilon thresholding).
+(commutators, and a density's ``op``) map (bra, ket) occupation pairs to
+complex entries. Only exact zeros are pruned (no epsilon thresholding).
 Generators act on these states through the vectorised kernel in
 ``generators``, not through arithmetic on the dictionaries. This module
 owns the conversions between the dictionaries and arrays over a support:
-``SparseKet.arrays`` / ``SparseKet.from_arrays``,
-``SparseOperator.from_arrays``, ``DensityOperator.from_entries``, and a
-validated density's ``support`` and ``matrix``. Arrays are checked as
-arrays, not term by term.
+``SparseKet.arrays`` / ``SparseKet.from_arrays`` and
+``SparseOperator.from_arrays``. Arrays are checked as arrays, not term by
+term.
+
+A validated density is its ``support`` (the states of its nonzero
+entries) and its ``matrix`` over the support; ``op`` is derived from them.
+``DensityOperator.validate``, ``DensityOperator.from_entries``, ``outer``,
+``mixture`` and ``dynamics.evolve_density`` all end in the same check over
+the two arrays.
 
 Occupation tuples compare lexicographically; that ordering is the canonical
 one used for basis enumeration and file output throughout the package. As
@@ -23,7 +28,7 @@ from __future__ import annotations
 import math
 import operator
 from collections.abc import Iterable, Iterator, Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -255,74 +260,92 @@ def op_trace(a: SparseOperator) -> complex:
     return sum((amp for (b, k), amp in a.entries.items() if b == k), 0j)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DensityOperator:
     """A validated density operator: Hermitian, unit trace, nonnegative diagonal.
 
+    A density is its ``support``, the states of its nonzero entries as a
+    read-only S x m int64 array in numeric lexicographic order, and its
+    ``matrix``, the read-only S x S matrix of the operator over the support.
     The measured residuals are kept so callers can audit how close the input
-    was to the constraints it claims to satisfy. ``support`` holds every
-    state in a bra or a ket as a read-only S x m int64 array, in numeric
-    lexicographic order, and ``matrix`` the read-only S x S matrix of the
-    operator over it.
+    was to the constraints it claims to satisfy. Every constructor ends in
+    the same check over the support and the matrix.
     """
 
-    op: SparseOperator
+    support: np.ndarray
+    matrix: np.ndarray
     hermiticity_residual: float
     trace_residual: float
-    support: np.ndarray = field(compare=False, repr=False)
-    matrix: np.ndarray = field(compare=False, repr=False)
 
     @property
     def modes(self) -> int:
-        return self.op.modes
+        return self.support.shape[1]
+
+    @property
+    def op(self) -> SparseOperator:
+        """The operator as a map over (bra, ket) pairs, derived from the
+        support and the matrix, in sorted (bra, ket) order."""
+        return SparseOperator.from_arrays(self.support, self.matrix)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, DensityOperator):
+            return NotImplemented
+        return (
+            (self.hermiticity_residual, self.trace_residual) == (other.hermiticity_residual, other.trace_residual)
+            and np.array_equal(self.support, other.support)
+            and np.array_equal(self.matrix, other.matrix)
+        )
 
     @classmethod
     def validate(cls, op: SparseOperator) -> "DensityOperator":
         keys = np.array(list(op.entries), dtype=np.int64).reshape(-1, 2, op.modes)
-        return cls._checked(op, keys, np.fromiter(op.entries.values(), dtype=complex, count=len(op.entries)))
+        return cls.from_entries(keys, np.fromiter(op.entries.values(), dtype=complex, count=len(op.entries)))
 
     @classmethod
     def from_entries(cls, keys: np.ndarray, values: np.ndarray) -> "DensityOperator":
         """Validate the operator with entry ``values[k]`` at (``keys[k, 0]``,
-        ``keys[k, 1]``), an E x 2 x m array of distinct occupation pairs;
-        entries keep their order and zero entries are dropped. The pairs are
-        checked as one array, not entry by entry."""
-        _check_rows(keys.reshape(2 * len(keys), keys.shape[2]))
-        values = np.asarray(values, dtype=complex)
-        kept = np.flatnonzero(values)
-        keys, values = keys[kept], values[kept]
-        pairs = zip(map(tuple, keys[:, 0].tolist()), map(tuple, keys[:, 1].tolist()))
-        op = _unchecked(SparseOperator, modes=keys.shape[2], entries=dict(zip(pairs, values.tolist())))
-        return cls._checked(op, keys, values)
-
-    @classmethod
-    def _checked(cls, op: SparseOperator, keys: np.ndarray, values: np.ndarray) -> "DensityOperator":
-        """Run the density checks on ``op``, given as its E x 2 x m keys and
-        its values in entry order."""
-        support, inverse = _rank_states(keys.reshape(-1, op.modes))
+        ``keys[k, 1]``), an E x 2 x m array of distinct occupation pairs.
+        The pairs are checked as one array, not entry by entry."""
+        rows = keys.reshape(2 * len(keys), keys.shape[2])
+        _check_rows(rows)
+        support, inverse = _rank_states(rows)
         bra, ket = inverse.reshape(-1, 2).T
         matrix = np.zeros((len(support), len(support)), dtype=complex)
         matrix[bra, ket] = values
+        return cls._checked(support, matrix)
+
+    @classmethod
+    def _checked(cls, states: np.ndarray, matrix: np.ndarray) -> "DensityOperator":
+        """The density of ``matrix``, an S x S array that the caller hands
+        over, on ``states``, S distinct occupations in numeric lexicographic
+        order: kept on the states of its nonzero entries, with every zero
+        entry +0, once it passes the Hermiticity, trace and diagonal
+        checks."""
+        zero = matrix == 0
+        matrix[zero] = 0
+        kept = ~(zero.all(axis=0) & zero.all(axis=1))
+        if not kept.all():
+            states, matrix = states[kept], matrix[np.ix_(kept, kept)]
         # every check is written so that a NaN fails it (np.max keeps a NaN);
         # an infinite entry gives inf - inf = NaN here, as Python's complex does
-        with np.errstate(invalid="ignore"):
+        with np.errstate(over="ignore", invalid="ignore"):
             herm = float(np.max(np.abs(matrix - matrix.conj().T), initial=0.0))
         if not herm <= HERMITICITY_TOL:
             raise ValidationError(f"hermiticity residual {herm:.3e} exceeds {HERMITICITY_TOL:.1e}")
-        trace = op_trace(op)
+        diagonal = matrix.diagonal()
+        trace = sum(diagonal.tolist(), 0j)
         trace_res = abs(trace - 1.0)
         if not trace_res <= TRACE_TOL:
             raise ValidationError(f"trace {trace!r} deviates from 1 by {trace_res:.3e} (tol {TRACE_TOL:.1e})")
-        low = np.flatnonzero((bra == ket) & ~(values.real >= -DIAGONAL_FLOOR))
-        if low.size:  # the first in entry order
-            k = low[0]
+        low = np.flatnonzero(~(diagonal.real >= -DIAGONAL_FLOOR))
+        if low.size:  # the first in support order
+            i = low[0]
             raise ValidationError(
-                f"diagonal entry {complex(values[k])!r} at {tuple(support[bra[k]].tolist())!r} "
-                f"below -{DIAGONAL_FLOOR:.1e}"
+                f"diagonal entry {complex(diagonal[i])!r} at {tuple(states[i].tolist())!r} below -{DIAGONAL_FLOOR:.1e}"
             )
-        support.setflags(write=False)
+        states.setflags(write=False)
         matrix.setflags(write=False)
-        return cls(op=op, hermiticity_residual=herm, trace_residual=trace_res, support=support, matrix=matrix)
+        return cls(support=states, matrix=matrix, hermiticity_residual=herm, trace_residual=trace_res)
 
 
 def outer(psi: SparseKet) -> DensityOperator:
@@ -331,12 +354,17 @@ def outer(psi: SparseKet) -> DensityOperator:
 
 
 def mixture(components: Sequence[tuple[float, SparseKet]]) -> DensityOperator:
-    """Convex mixture sum_i w_i |psi_i><psi_i| (each ket normalized internally)."""
+    """Convex mixture sum_i w_i |psi_i><psi_i| (each ket normalized internally).
+
+    Each component adds w psi psi^dag / <psi|psi> over the union of the
+    supports, in component order. The real and imaginary parts are formed
+    apart, so every entry is the one Python's complex arithmetic gives
+    (numpy's complex product may fuse a multiply and an add)."""
     if not components:
         raise ValidationError("mixture needs at least one component")
     modes = components[0][1].modes
-    entries: dict[OperatorKey, complex] = {}
-    for weight, psi in components:
+    norms = []
+    for _, psi in components:
         if psi.modes != modes:
             raise ValueError("all mixture components must share the mode count")
         nrm2 = sum(a.real * a.real + a.imag * a.imag for a in psi.terms.values())
@@ -344,8 +372,16 @@ def mixture(components: Sequence[tuple[float, SparseKet]]) -> DensityOperator:
             raise ValidationError("mixture component is the zero ket")
         if not math.isfinite(nrm2):
             raise ValidationError(f"mixture component has squared norm {nrm2!r}")
-        for bra, bamp in psi.terms.items():
-            for ket, kamp in psi.terms.items():
-                key = (bra, ket)
-                entries[key] = entries.get(key, 0j) + weight * bamp * kamp.conjugate() / nrm2
-    return DensityOperator.validate(SparseOperator(modes, entries))
+        norms.append(nrm2)
+    arrays = [psi.arrays() for _, psi in components]
+    support, inverse = _rank_states(np.concatenate([states for states, _ in arrays]))
+    matrix = np.zeros((len(support), len(support)), dtype=complex)
+    offsets = np.cumsum([len(amps) for _, amps in arrays])[:-1]
+    # a weight above 1 can overflow, silently as in Python; the check refuses the result
+    with np.errstate(over="ignore", invalid="ignore"):
+        for (weight, _), nrm2, (_, amps), rows in zip(components, norms, arrays, np.split(inverse, offsets)):
+            re, im = weight * amps.real, weight * amps.imag
+            cell = np.ix_(rows, rows)
+            matrix.real[cell] += (np.multiply.outer(re, amps.real) + np.multiply.outer(im, amps.imag)) / nrm2
+            matrix.imag[cell] += (np.multiply.outer(im, amps.real) - np.multiply.outer(re, amps.imag)) / nrm2
+    return DensityOperator._checked(support, matrix)

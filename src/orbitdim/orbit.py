@@ -71,7 +71,9 @@ class GramMatrix:
         if values.shape != (d, d):
             raise ValidationError(f"Gram matrix shape {values.shape} does not match dimension {d}")
         asym = float(np.max(np.abs(values - values.T))) if d else 0.0
-        if not asym <= _SYMMETRY_TOL:
+        if not asym <= _SYMMETRY_TOL:  # a non-finite entry makes asym inf or NaN
+            if not np.isfinite(values).all():
+                raise ValidationError("Gram matrix is not finite: a product of directions overflowed")
             raise ValidationError(f"Gram asymmetry {asym:.3e} exceeds {_SYMMETRY_TOL:.1e}")
         values.setflags(write=False)
         object.__setattr__(self, "values", values)
@@ -173,7 +175,10 @@ def gram_mixed(group: Group, rho: DensityOperator) -> GramMatrix:
     """
     if not isinstance(rho, DensityOperator):
         raise PictureError("gram_mixed requires a validated DensityOperator")
-    return _commutator_gram(group, Picture.MIXED, rho.support, rho.matrix, None)
+    # validation bounds no off-diagonal entry, so products of entries can
+    # overflow here, unlike for a normalized ket; GramMatrix refuses them
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _commutator_gram(group, Picture.MIXED, rho.support, rho.matrix, None)
 
 
 def rank_psd(gram: GramMatrix | np.ndarray, tolerance: float | None = None) -> RankResult:

@@ -16,12 +16,13 @@ and ``orbitdim.commutator_with_density``. From the package it takes only the
 state containers with ``basis_ket``, ``add``, ``scale`` and ``op_trace``,
 and ``lie_basis``.
 
-The last section holds references for the command line that work one
-value at a time: the recursive JSON renderer, and a state-file reader that
-checks each entry in turn and builds the state through the validating dict
-constructors. The package renders lists of floats in one pass and reads
-state files in bulk; these pin its bytes and its error messages. They take
-the state-file schema and error class from ``orbitdim.cli``.
+The last section holds references that work one value at a time: the
+recursive JSON renderer, a state-file reader that checks each entry in turn
+and builds the state through the validating dict constructors, and a
+mixture summed entry by entry in a dict. The package renders lists of floats
+in one pass, reads state files in bulk and sums a mixture as outer products
+of arrays; these pin its bytes, its error messages and its matrices. They
+take the state-file schema and error class from ``orbitdim.cli``.
 """
 
 import itertools
@@ -502,3 +503,25 @@ def load_state_per_entry(path):
         return DensityOperator.validate(SparseOperator(modes, entries))
     except ValidationError as exc:
         raise StateFileError(f"{path}: {exc}") from exc
+
+
+def mixture_per_entry(components):
+    """Convex mixture sum_i w_i |psi_i><psi_i| (each ket normalized internally),
+    summed one (bra, ket) entry at a time in Python complex arithmetic."""
+    if not components:
+        raise ValidationError("mixture needs at least one component")
+    modes = components[0][1].modes
+    entries = {}
+    for weight, psi in components:
+        if psi.modes != modes:
+            raise ValueError("all mixture components must share the mode count")
+        nrm2 = sum(a.real * a.real + a.imag * a.imag for a in psi.terms.values())
+        if nrm2 == 0.0:
+            raise ValidationError("mixture component is the zero ket")
+        if not math.isfinite(nrm2):
+            raise ValidationError(f"mixture component has squared norm {nrm2!r}")
+        for bra, bamp in psi.terms.items():
+            for ket, kamp in psi.terms.items():
+                key = (bra, ket)
+                entries[key] = entries.get(key, 0j) + weight * bamp * kamp.conjugate() / nrm2
+    return DensityOperator.validate(SparseOperator(modes, entries))

@@ -11,12 +11,15 @@ from hypothesis import strategies as st
 
 from orbitdim import (
     DensityOperator,
+    GeneratorDescriptor,
     Group,
     SparseKet,
     basis_ket,
+    evolve_density,
     lie_basis,
     mixture,
     normalize,
+    outer,
     sample_sphere_state,
 )
 from orbitdim import cli
@@ -173,6 +176,28 @@ def test_density_state_file_round_trip(tmp_path):
     assert json.loads(path.read_text())["kind"] == "density"
 
 
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: mixture([(0.3, normalize(SparseKet(2, {(2, 0): 1.0, (0, 1): -0.5j, (1, 1): 0.25}))), (0.7, basis_ket((0, 0)))]),
+        lambda: evolve_density(outer(basis_ket((1, 0))), GeneratorDescriptor("R", (1, 2)), 0.2),
+    ],
+    ids=["mixture", "evolve_density"],
+)
+def test_density_file_lists_the_sorted_entries(tmp_path, build):
+    """The file is the document of the operator's entries in sorted
+    (bra, ket) order, byte for byte."""
+    rho = build()
+    path = tmp_path / "rho.json"
+    write_state_file(str(path), rho)
+    entries = [
+        {"bra": list(bra), "ket": list(ket), "re": amp.real, "im": amp.imag}
+        for (bra, ket), amp in sorted(rho.op.entries.items())
+    ]
+    doc = {"modes": rho.modes, "kind": "density", "entries": entries}
+    assert path.read_bytes() == (_oracle.render_json(doc) + "\n").encode("ascii")
+
+
 def test_unhashable_kind_exits_2_without_traceback(capsys, tmp_path):
     path = tmp_path / "state.json"
     path.write_text(json.dumps({**_KET, "kind": ["ket"]}))
@@ -267,6 +292,36 @@ def test_non_finite_ket_file_exits_2_without_output(capsys, tmp_path, amp, comma
     assert out == ""
     # NaN is refused when the file is parsed, the overflow at the norm check
     assert ("finite" if math.isnan(amp) else "norm") in err
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["dim", "--group", "plo", "--picture", "mixed"],
+        ["gram", "--group", "go", "--picture", "mixed"],
+        ["estimate", "--group", "go"],
+    ],
+    ids=lambda c: c[0],
+)
+@pytest.mark.parametrize("as_json", [False, True], ids=["text", "json"])
+def test_density_whose_gram_overflows_exits_2_without_output(capsys, tmp_path, command, as_json):
+    """The density checks bound no off-diagonal entry, so this file passes
+    them; the products of its entries overflow in the Gram matrix and in
+    the overlaps of the estimator."""
+    path = tmp_path / "rho.json"
+    entries = [((0, 0), 0.5), ((0, 1), 1e160), ((1, 0), 1e160), ((1, 1), 0.5)]
+    states = [[1, 0], [0, 1]]
+    doc = {
+        "modes": 2,
+        "kind": "density",
+        "entries": [{"bra": states[i], "ket": states[j], "re": v, "im": 0.0} for (i, j), v in entries],
+    }
+    path.write_text(json.dumps(doc))
+    argv = [command[0], "--state", str(path), *command[1:]] + (["--json"] if as_json else [])
+    code, out, err = run(capsys, *argv)
+    assert code == EXIT_INVALID
+    assert out == ""
+    assert "not finite" in err
 
 
 # ------------------------------------------------------------------ dim/gram

@@ -219,6 +219,15 @@ def test_evolve_number_operator_fixes_fock_projector():
     assert_entries_close(out.op.entries, rho.op.entries, tol=1e-12)
 
 
+def test_evolve_density_support_is_the_states_of_its_nonzero_entries():
+    """A PLO beam splitter moves |1,0> within the one-photon states; the
+    vacuum, part of the working basis, carries no entry and stays out."""
+    out = evolve_density(outer(basis_ket((1, 0))), GeneratorDescriptor("e", (1, 2)), 0.3)
+    assert out.support.tolist() == [[0, 1], [1, 0]]
+    nonzero = out.matrix != 0
+    assert (nonzero.any(axis=0) | nonzero.any(axis=1)).all()
+
+
 def test_evolve_displacement_keeps_trace():
     rho = outer(basis_ket((0,)))
     out = evolve_density(rho, GeneratorDescriptor("q", (1,)), 1e-2)
@@ -317,6 +326,20 @@ def test_beta_index_validation():
     rho = outer(basis_ket((0,)))
     with pytest.raises(ValueError):
         beta(rho, 0, 99, 1e-3, Group.PLO)
+
+
+def test_overlaps_and_gram_that_overflow_are_refused():
+    """A density with off-diagonal entries of 1e160 passes validation; its
+    overlaps and its mixed-picture Gram overflow, and every entry point
+    refuses them, with no warning."""
+    keys = np.array([[[1, 0], [1, 0]], [[1, 0], [0, 1]], [[0, 1], [1, 0]], [[0, 1], [0, 1]]], dtype=np.int64)
+    rho = DensityOperator.from_entries(keys, np.array([0.5, 1e160, 1e160, 0.5]))
+    with pytest.raises(ValidationError, match="beta overlap is not finite"):
+        beta(rho, 0, 0, 0.0, Group.GO)
+    with pytest.raises(ValidationError, match="beta overlap is not finite"):
+        estimate_gram_entry(rho, 1, 1, Group.PLO)
+    with pytest.raises(ValidationError, match="Gram matrix is not finite"):
+        gram_mixed(Group.GO, rho)
 
 
 # --------------------------------------------------------------- estimation

@@ -27,6 +27,7 @@ from orbitdim import (
 )
 from orbitdim.cli import load_state, write_state_file
 from orbitdim.fock import MAX_OCCUPATION, _rank_states
+import _oracle
 from _helpers import assert_terms_close, ket_pairs, kets, random_ket
 from _oracle import apply_annihilation, apply_creation, hs_inner, inner, real_inner, zero_ket
 
@@ -277,6 +278,14 @@ def test_density_validation_rejects_nan():
             DensityOperator.validate(SparseOperator(1, entries))
 
 
+def test_density_validation_of_entries_near_the_float_limit():
+    """Finite entries whose difference overflows give an infinite residual,
+    with no warning."""
+    entries = {((0,), (0,)): 0.5, ((0,), (1,)): 1.7e308, ((1,), (0,)): -1.7e308, ((1,), (1,)): 0.5}
+    with pytest.raises(ValidationError, match="hermiticity residual inf"):
+        DensityOperator.validate(SparseOperator(1, entries))
+
+
 def test_density_validation_rejects_trace_off_by_1e_8():
     op = SparseOperator(1, {((0,), (0,)): 1.0 + 1e-8})
     with pytest.raises(ValidationError):
@@ -286,6 +295,81 @@ def test_density_validation_rejects_trace_off_by_1e_8():
 def test_mixture_half_half():
     rho = mixture([(0.5, basis_ket((0,))), (0.5, basis_ket((1,)))])
     assert_terms_close(rho.op.entries, {((0,), (0,)): 0.5, ((1,), (1,)): 0.5})
+
+
+def test_densities_compare_by_value():
+    def half_half():
+        return mixture([(0.5, basis_ket((0,))), (0.5, basis_ket((1,)))])
+
+    assert half_half() == half_half()
+    assert half_half() != outer(basis_ket((0,)))
+    assert half_half() != "density"
+
+
+def test_diagonal_error_names_the_first_state_in_support_order():
+    keys = np.array([[[1], [1]], [[0], [0]], [[2], [2]]], dtype=np.int64)
+    with pytest.raises(ValidationError, match=r"diagonal entry \(-0.25\+0j\) at \(0,\) below"):
+        DensityOperator.from_entries(keys, np.array([-0.5, -0.25, 1.75]))
+
+
+def test_a_signed_zero_entry_is_no_entry():
+    """An entry of -0.0 is a zero entry: the matrix holds +0.0 there, as
+    where no entry was given."""
+    keys = np.array([[[0], [0]], [[0], [1]], [[1], [0]], [[1], [1]]], dtype=np.int64)
+    rho = DensityOperator.from_entries(keys, np.array([0.5, complex(-0.0, -0.0), complex(-0.0, 0.0), 0.5]))
+    expected = np.diag([0.5, 0.5]).astype(complex)
+    assert rho.matrix.view(np.uint64).tolist() == expected.view(np.uint64).tolist()
+
+
+# ----------------------------------------------------- mixtures from arrays
+
+
+@st.composite
+def _mixture_components(draw):
+    """One to four components over a few shared states: unnormalised kets
+    at three scales, zero weights, and amplitudes whose products underflow
+    to 0 (or whose squared norm does, or overflows)."""
+    m = draw(st.integers(1, 2))
+    pool = draw(st.lists(st.tuples(*[st.integers(0, 3)] * m), min_size=1, max_size=5, unique=True))
+    amps = st.complex_numbers(max_magnitude=3.0, allow_nan=False, allow_infinity=False)
+    amps |= st.sampled_from([1e-30, -1e-300j, 5e-324])
+    components = []
+    for _ in range(draw(st.integers(1, 4))):
+        scale = draw(st.sampled_from([1.0, 1e-150, 1e150]))
+        terms = draw(st.dictionaries(st.sampled_from(pool), amps, min_size=1, max_size=len(pool)))
+        weight = draw(st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0))
+        components.append((weight, SparseKet(m, {occ: scale * amp for occ, amp in terms.items()})))
+    return components
+
+
+def _mixture_outcome(build, components):
+    try:
+        rho = build(components)
+    except (ValidationError, ValueError) as exc:
+        return type(exc).__name__, str(exc)
+    bits = rho.matrix.view(np.uint64).tolist()
+    return rho.support.tolist(), bits, rho.hermiticity_residual, rho.trace_residual
+
+
+@settings(max_examples=300, deadline=None)
+@given(components=_mixture_components())
+@example(components=[(0.0, basis_ket((2,))), (1.0, basis_ket((0,)))])
+@example(components=[(1.0, SparseKet(1, {(0,): 1e-30, (1,): 1e-300}))])
+@example(components=[(0.5, SparseKet(1, {(0,): 1.0, (1,): 2j})), (0.5, SparseKet(1, {(1,): -1.0, (2,): 0.5}))])
+@example(components=[(1e300, SparseKet(1, {(0,): 1e10 + 1e10j, (1,): -3j}))])  # overflows
+def test_mixture_equals_the_per_entry_sum(components):
+    """The same support, the same matrix bit for bit and the same
+    residuals (or the same error) as summing entry by entry in a dict."""
+    assert _mixture_outcome(mixture, components) == _mixture_outcome(_oracle.mixture_per_entry, components)
+
+
+def test_mixture_support_is_the_states_of_nonzero_entries():
+    """A zero weight and products that underflow leave no nonzero entry on
+    the state |2> or |1>, so neither is in the support."""
+    zero_weight = mixture([(0.0, basis_ket((2,))), (1.0, basis_ket((0,)))])
+    underflow = mixture([(1.0, SparseKet(1, {(0,): 1e-30, (1,): 1e-300}))])
+    for rho in (zero_weight, underflow):
+        assert rho.support.tolist() == [[0]] and rho.matrix.tolist() == [[1.0]]
 
 
 # ------------------------------------------------------- ranking union states
@@ -359,7 +443,7 @@ def test_array_constructors_refuse_rows_as_validate_occupation_does(build):
 
 def test_density_from_entries_equals_validate():
     """Same operator, residuals, support and matrix as validating the dict,
-    zero entries dropped and entry order kept."""
+    zero entries dropped."""
     keys = np.array([[[1], [1]], [[0], [1]], [[0], [0]], [[1], [0]], [[2], [2]]], dtype=np.int64)
     values = np.array([0.75, 0.25j, 0.25, -0.25j, 0.0])
     built = DensityOperator.from_entries(keys, values)
