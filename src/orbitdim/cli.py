@@ -27,12 +27,7 @@ from typing import NoReturn
 
 import numpy as np
 
-from .dynamics import (
-    EvolutionConfig,
-    LeakageError,
-    estimate_gram_matrix,
-    sample_sphere_state,
-)
+from .dynamics import EvolutionConfig, LeakageError, estimate_gram_matrix
 from .fock import (
     MAX_OCCUPATION,
     DensityOperator,
@@ -41,6 +36,8 @@ from .fock import (
     _unchecked,
     basis_ket,
     outer,
+    sample_sphere_state,
+    uniform_phase_state,
     validate_occupation,
 )
 from .generators import Group, lie_basis, verify_closure
@@ -58,7 +55,6 @@ from .orbit import (
     nongaussianity_witness,
     orbit_dimension,
     rank_psd,
-    uniform_phase_state,
 )
 
 SCHEMA_VERSION = 1
@@ -201,19 +197,20 @@ def _parse_amp(path: str, where: str, item) -> None:
 
 
 def state_document(state: SparseKet | DensityOperator) -> dict:
+    """A state file's document: a ket's terms in sorted order, a density's
+    nonzero entries in row-major order over its sorted support, which is
+    sorted (bra, ket) order."""
     if isinstance(state, SparseKet):
-        kind, entries = "ket", {(occ,): amp for occ, amp in state.terms.items()}
+        kind = "ket"
+        items = [{"occ": list(occ), "re": amp.real, "im": amp.imag} for occ, amp in sorted(state.terms.items())]
     else:
-        kind, entries = "density", state.op.entries
-    field, occ_fields = _SCHEMA[kind]
-    return {
-        "modes": state.modes,
-        "kind": kind,
-        field: [
-            {**{name: list(occ) for name, occ in zip(occ_fields, key)}, "re": amp.real, "im": amp.imag}
-            for key, amp in sorted(entries.items())
-        ],
-    }
+        kind, support = "density", state.support.tolist()
+        bra, ket = np.nonzero(state.matrix)
+        items = [
+            {"bra": support[i], "ket": support[j], "re": v.real, "im": v.imag}
+            for i, j, v in zip(bra.tolist(), ket.tolist(), state.matrix[bra, ket].tolist())
+        ]
+    return {"modes": state.modes, "kind": kind, _SCHEMA[kind][0]: items}
 
 
 def write_state_file(path: str, state: SparseKet | DensityOperator) -> None:

@@ -1,5 +1,7 @@
-"""Truncated-space time evolution, two-copy overlap curves, finite-difference
-Gram estimation, and seeded random state sampling.
+"""Truncated-space time evolution, two-copy overlap curves, and
+finite-difference Gram estimation: the truncated basis and projected
+Hamiltonians, ``evolve_density``, ``apply_group_word``, the overlaps
+``beta`` and the whole-matrix ``estimate_gram_matrix``.
 
 Evolution exponentiates the generator Hamiltonian projected onto a
 photon-number-truncated basis, via Hermitian eigendecomposition of the
@@ -26,16 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fock import (
-    DensityOperator,
-    Occupation,
-    SparseKet,
-    ValidationError,
-    add,
-    enumerate_occupations,
-    normalize,
-    scale,
-)
+from .fock import DensityOperator, Occupation, SparseKet, ValidationError, enumerate_occupations
 from .generators import (
     GeneratorDescriptor,
     Group,
@@ -407,62 +400,6 @@ def beta(
 
 
 @dataclass(frozen=True)
-class GramEntryEstimate:
-    """Finite-difference estimate of one Gram entry: the Richardson value
-    plus both raw central-stencil values it was built from."""
-
-    value: float
-    coarse: float
-    fine: float
-    step: float
-
-
-def _estimate(ws: _DensityWorkspace) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The Richardson, coarse (step h) and fine (h/2) Gram estimates, each
-    (d2 beta_ij - d2 beta_i0 - d2 beta_0j) / 2 from central stencils of the
-    beta matrix; symmetric bit for bit. A step so small that a stencil
-    overflows raises ValidationError."""
-    b0 = ws.beta_matrix(0.0)
-
-    def stencil(h: float) -> np.ndarray:
-        dd = (ws.beta_matrix(h) - 2.0 * b0 + ws.beta_matrix(-h)) / (h * h)
-        # dd is symmetric and a sum commutes, so the entries are too
-        return 0.5 * (dd[1:, 1:] - (dd[1:, :1] + dd[:1, 1:]))
-
-    with np.errstate(over="ignore", invalid="ignore"):
-        coarse = stencil(ws.cfg.step)
-        fine = stencil(ws.cfg.step / 2.0)
-        values = (4.0 * fine - coarse) / 3.0
-    if not np.isfinite(values).all():  # so are coarse and fine, or values would not be
-        raise ValidationError(f"step {ws.cfg.step:g} is too small: the finite-difference estimate is not finite")
-    return values, coarse, fine
-
-
-def estimate_gram_entry(
-    rho: DensityOperator,
-    i: int,
-    j: int,
-    group: Group,
-    cfg: EvolutionConfig = EvolutionConfig(),
-) -> GramEntryEstimate:
-    """Estimate one Gram entry from second time derivatives of the overlap
-    curves: (d2 beta_ij - d2 beta_i0 - d2 beta_0j) / 2 at t = 0, each
-    derivative from the central stencil at the configured step, with one
-    Richardson step (h and h/2) applied by default. It is the (i, j) entry
-    of ``estimate_gram_matrix``, bit for bit."""
-    ws = _workspace(rho, group, cfg)
-    if not (1 <= i <= ws.dim and 1 <= j <= ws.dim):
-        raise ValueError(f"generator indices must lie in 1..{ws.dim}")
-    values, coarse, fine = _estimate(ws)
-    return GramEntryEstimate(
-        value=float(values[i - 1, j - 1]),
-        coarse=float(coarse[i - 1, j - 1]),
-        fine=float(fine[i - 1, j - 1]),
-        step=cfg.step,
-    )
-
-
-@dataclass(frozen=True)
 class EstimatedGram:
     """The estimated Gram matrix with its raw stencil values, the working
     space it was evolved in, and the largest leakage measured over every
@@ -486,10 +423,26 @@ def estimate_gram_matrix(
     group: Group,
     cfg: EvolutionConfig = EvolutionConfig(),
 ) -> EstimatedGram:
-    """Estimate the whole Gram matrix; entries are symmetric because the
-    overlap curves are symmetric in their two indices."""
+    """Estimate the whole Gram matrix from second time derivatives of the
+    overlap curves: entry (i, j) is (d2 beta_ij - d2 beta_i0 - d2 beta_0j) / 2
+    at t = 0, each derivative from the central stencil of the beta matrix at
+    step h (``coarse``) and h/2 (``fine``), with one Richardson step between
+    them (``values``). All three are symmetric bit for bit. A step so small
+    that a stencil overflows raises ValidationError."""
     ws = _workspace(rho, group, cfg)
-    values, coarse, fine = _estimate(ws)
+    b0 = ws.beta_matrix(0.0)
+
+    def stencil(h: float) -> np.ndarray:
+        dd = (ws.beta_matrix(h) - 2.0 * b0 + ws.beta_matrix(-h)) / (h * h)
+        # dd is symmetric and a sum commutes, so the entries are too
+        return 0.5 * (dd[1:, 1:] - (dd[1:, :1] + dd[:1, 1:]))
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        coarse = stencil(cfg.step)
+        fine = stencil(cfg.step / 2.0)
+        values = (4.0 * fine - coarse) / 3.0
+    if not np.isfinite(values).all():  # so are coarse and fine, or values would not be
+        raise ValidationError(f"step {cfg.step:g} is too small: the finite-difference estimate is not finite")
     return EstimatedGram(
         group=group,
         modes=rho.modes,
@@ -503,17 +456,6 @@ def estimate_gram_matrix(
         max_trace_deviation=ws.worst["trace_deviation"],
         hermiticity_residual=ws.worst["hermiticity"],
     )
-
-
-def sample_sphere_state(m: int, n_cutoff: int, seed: int) -> SparseKet:
-    """Uniformly random state on the unit sphere of the cutoff subspace:
-    independent standard complex Gaussian amplitudes per basis element
-    (lexicographic order), then normalized. Deterministic under the seed."""
-    occs = enumerate_occupations(m, n_cutoff)
-    rng = np.random.default_rng(seed)
-    amps = rng.standard_normal(len(occs)) + 1j * rng.standard_normal(len(occs))
-    amps /= np.linalg.norm(amps)
-    return SparseKet(m, {occ: complex(a) for occ, a in zip(occs, amps)})
 
 
 def apply_group_word(
@@ -545,16 +487,3 @@ def apply_group_word(
     ws.check("group word", norm_change=abs(float(np.linalg.norm(vec)) - norm0))
     return SparseKet.from_arrays(ws.states, vec[:, 0])
 
-
-def perturb_state(
-    psi: SparseKet,
-    eps: float,
-    n_cutoff: int,
-    seed: int,
-) -> SparseKet:
-    """normalize(psi + eps * chi) for a seeded sphere sample chi on the
-    cutoff subspace; eps = 0 returns psi unchanged."""
-    if eps == 0.0:
-        return psi
-    chi = sample_sphere_state(psi.modes, n_cutoff, seed)
-    return normalize(add(psi, scale(eps, chi)))

@@ -1,4 +1,5 @@
-"""Sparse multimode Fock-space states and operators.
+"""Sparse multimode Fock-space states and operators, and the standard
+states built from them.
 
 States with finite support in the occupation-number basis are stored as
 dictionaries mapping occupation tuples to complex amplitudes; operators
@@ -17,6 +18,11 @@ entries) and its ``matrix`` over the support; ``op`` is derived from them.
 ``mixture`` and ``dynamics.evolve_density`` all end in the same check over
 the two arrays.
 
+The standard states live here too: ``basis_ket``, the seeded
+``sample_sphere_state`` on the photon-number-cutoff subspace, its
+``perturb_state`` of a given ket, and ``uniform_phase_state``, with the
+``normalize``, ``add`` and ``scale`` they are built from.
+
 Occupation tuples compare lexicographically; that ordering is the canonical
 one used for basis enumeration and file output throughout the package. As
 arrays, a density's support and the union of a support with its generator
@@ -25,6 +31,7 @@ targets (``_rank_states``) are in the same numeric lexicographic order.
 
 from __future__ import annotations
 
+import cmath
 import math
 import operator
 from collections.abc import Iterable, Iterator, Sequence
@@ -213,10 +220,47 @@ def scale(c: complex, psi: SparseKet) -> SparseKet:
 
 
 def normalize(psi: SparseKet) -> SparseKet:
+    """psi / |psi|; the zero ket and a ket of infinite or NaN norm are refused."""
     nrm = psi.norm()
     if nrm == 0.0:
         raise ValidationError("cannot normalize the zero ket")
+    if not math.isfinite(nrm):
+        raise ValidationError(f"cannot normalize a ket of norm {nrm!r}")
     return scale(1.0 / nrm, psi)
+
+
+def sample_sphere_state(m: int, n_cutoff: int, seed: int) -> SparseKet:
+    """Uniformly random state on the unit sphere of the cutoff subspace:
+    independent standard complex Gaussian amplitudes per basis element
+    (lexicographic order), then normalized. Deterministic under the seed."""
+    states = np.array(enumerate_occupations(m, n_cutoff), dtype=np.int64)
+    rng = np.random.default_rng(seed)
+    amps = rng.standard_normal(len(states)) + 1j * rng.standard_normal(len(states))
+    amps /= np.linalg.norm(amps)
+    return SparseKet.from_arrays(states, amps)
+
+
+def perturb_state(psi: SparseKet, eps: float, n_cutoff: int, seed: int) -> SparseKet:
+    """normalize(psi + eps * chi) for a seeded sphere sample chi on the
+    cutoff subspace; eps = 0 returns psi unchanged."""
+    if eps == 0.0:
+        return psi
+    chi = sample_sphere_state(psi.modes, n_cutoff, seed)
+    return normalize(add(psi, scale(eps, chi)))
+
+
+def uniform_phase_state(m: int, n_cutoff: int) -> SparseKet:
+    """Uniform superposition of every basis state with at most min(2, N)
+    photons, the j-th term (lexicographic order, 1-based) carrying phase
+    exp(2 pi i j / J)."""
+    occs = enumerate_occupations(m, min(2, n_cutoff))
+    j_count = len(occs)
+    amp = 1.0 / math.sqrt(j_count)
+    terms = {
+        occ: amp * cmath.exp(2j * math.pi * (j + 1) / j_count)
+        for j, occ in enumerate(occs)
+    }
+    return SparseKet(m, terms)
 
 
 @dataclass(frozen=True)

@@ -45,6 +45,7 @@ from .fock import (
     _run_starts,
     basis_ket,
     enumerate_occupations,
+    uniform_phase_state,
 )
 
 _SQRT_HALF = 1.0 / math.sqrt(2.0)
@@ -316,8 +317,6 @@ def default_closure_probes(m: int) -> list[SparseKet]:
     """Every Fock basis state of at most two photons, plus the two-photon
     uniform-phase state (which breaks residual degeneracies the basis states
     alone would leave)."""
-    from .orbit import uniform_phase_state
-
     probes = [basis_ket(occ) for occ in enumerate_occupations(m, 2)]
     probes.append(uniform_phase_state(m, 2))
     return probes

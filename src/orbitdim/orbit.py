@@ -10,7 +10,6 @@ eigenvalue spectrum.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -22,7 +21,6 @@ from .fock import (
     SparseKet,
     ValidationError,
     basis_ket,
-    enumerate_occupations,
     normalize,
 )
 from .generators import (
@@ -93,6 +91,16 @@ class RankResult:
     relative: bool
 
 
+def _check_pure(state: SparseKet | DensityOperator, picture: Picture) -> None:
+    """Refuse a density in a pure-state picture, and a ket that is not normalized."""
+    if not isinstance(state, SparseKet):
+        raise PictureError(
+            f"the {picture.value} picture requires a pure-state ket; "
+            "a density operator needs the mixed picture"
+        )
+    _check_normalized(state)
+
+
 def _check_normalized(psi: SparseKet) -> None:
     nrm = psi.norm()
     if not abs(nrm - 1.0) <= NORM_TOL:  # a NaN norm fails too
@@ -140,7 +148,7 @@ def _commutator_gram(
 
 def _projector_gram(group: Group, psi: SparseKet, picture: Picture) -> GramMatrix:
     """The commutator Gram matrix of |psi><psi|, with Phi = W = psi/|psi|."""
-    _check_normalized(psi)
+    _check_pure(psi, picture)
     occupations, amps = psi.arrays()
     phi = (amps / math.sqrt(_norm2(amps)))[:, None]
     return _commutator_gram(group, picture, occupations, phi, phi)
@@ -150,7 +158,7 @@ def gram_ket(group: Group, psi: SparseKet) -> GramMatrix:
     """Gram matrix of the ket-picture directions {H_I |psi>}:
     G_IJ = Re <H_I psi, H_J psi> = Re (A* A^T)_IJ, where row I of A is
     H_I psi over the union of psi's support and every generator's targets."""
-    _check_normalized(psi)
+    _check_pure(psi, Picture.KET)
     basis = lie_basis(group, psi.modes)
     occupations, amps = psi.arrays()
     a, _, _ = _directions(_monomial_table(group, psi.modes), occupations, amps[:, None])
@@ -224,13 +232,9 @@ def gram_matrix(
     """Dispatch to the Gram construction matching ``picture``.
 
     Kets are accepted in every picture (the mixed picture lifts them to the
-    projector); density operators only in the mixed picture.
+    projector); density operators only in the mixed picture, which
+    ``gram_ket`` and ``gram_ketbra`` enforce.
     """
-    if picture in (Picture.KET, Picture.KETBRA) and not isinstance(state, SparseKet):
-        raise PictureError(
-            f"the {picture.value} picture requires a pure-state ket; "
-            "a density operator needs the mixed picture"
-        )
     if picture is Picture.KET:
         return gram_ket(group, state)
     if picture is Picture.KETBRA:
@@ -432,20 +436,6 @@ def generic_dimension(group: Group, m: int, n_cutoff: int, picture: Picture) -> 
     if picture in (Picture.KETBRA, Picture.MIXED) and group in (Group.DPLO, Group.GO):
         value -= 1  # the identity commutes with every density operator
     return value
-
-
-def uniform_phase_state(m: int, n_cutoff: int) -> SparseKet:
-    """Uniform superposition of every basis state with at most min(2, N)
-    photons, the j-th term (lexicographic order, 1-based) carrying phase
-    exp(2 pi i j / J)."""
-    occs = enumerate_occupations(m, min(2, n_cutoff))
-    j_count = len(occs)
-    amp = 1.0 / math.sqrt(j_count)
-    terms = {
-        occ: amp * cmath.exp(2j * math.pi * (j + 1) / j_count)
-        for j, occ in enumerate(occs)
-    }
-    return SparseKet(m, terms)
 
 
 @dataclass(frozen=True)

@@ -181,8 +181,9 @@ def test_density_state_file_round_trip(tmp_path):
     [
         lambda: mixture([(0.3, normalize(SparseKet(2, {(2, 0): 1.0, (0, 1): -0.5j, (1, 1): 0.25}))), (0.7, basis_ket((0, 0)))]),
         lambda: evolve_density(outer(basis_ket((1, 0))), GeneratorDescriptor("R", (1, 2)), 0.2),
+        lambda: mixture([(0.4, sample_sphere_state(3, 3, 1)), (0.6, sample_sphere_state(3, 3, 2))]),
     ],
-    ids=["mixture", "evolve_density"],
+    ids=["mixture", "evolve_density", "rank2_m3_N3"],
 )
 def test_density_file_lists_the_sorted_entries(tmp_path, build):
     """The file is the document of the operator's entries in sorted

@@ -25,7 +25,6 @@ from orbitdim import (
     basis_ket,
     beta,
     dense_hamiltonian,
-    estimate_gram_entry,
     estimate_gram_matrix,
     evolve_density,
     gram_mixed,
@@ -182,10 +181,6 @@ def test_beta_entry_and_matrix_estimates_agree_bitwise():
     for i in range(1, d + 1):
         for j in range(1, d + 1):
             assert b(i, j, est.step) == b(j, i, est.step)
-            entry = estimate_gram_entry(rho, i, j, group)
-            assert entry.value == est.values[i - 1, j - 1]
-            assert entry.coarse == est.coarse[i - 1, j - 1]
-            assert entry.fine == est.fine[i - 1, j - 1]
             for h, stencil in ((est.step, est.coarse), (est.step / 2.0, est.fine)):
                 assert 0.5 * (dd(i, j, h) - (dd(i, 0, h) + dd(0, j, h))) == stencil[i - 1, j - 1]
 
@@ -337,7 +332,7 @@ def test_overlaps_and_gram_that_overflow_are_refused():
     with pytest.raises(ValidationError, match="beta overlap is not finite"):
         beta(rho, 0, 0, 0.0, Group.GO)
     with pytest.raises(ValidationError, match="beta overlap is not finite"):
-        estimate_gram_entry(rho, 1, 1, Group.PLO)
+        estimate_gram_matrix(rho, Group.PLO).values[0, 0]
     with pytest.raises(ValidationError, match="Gram matrix is not finite"):
         gram_mixed(Group.GO, rho)
 
@@ -349,9 +344,9 @@ def test_estimate_identity_pair_is_zero():
     rho = outer(basis_ket((1,)))
     basis = lie_basis(Group.GO, 1)
     idx = basis.index_of("id") + 1
-    est = estimate_gram_entry(rho, idx, idx, Group.GO)
-    assert abs(est.value) < 1e-12
-    assert abs(est.coarse) < 1e-12
+    est = estimate_gram_matrix(rho, Group.GO)
+    assert abs(est.values[idx - 1, idx - 1]) < 1e-12
+    assert abs(est.coarse[idx - 1, idx - 1]) < 1e-12
 
 
 def test_estimate_matches_direct_gram():
@@ -420,12 +415,6 @@ def test_estimate_squeezing_with_tiny_buffer_raises():
     cfg = EvolutionConfig(buffer=2, leakage_tolerance=1e-10)
     with pytest.raises(LeakageError):
         estimate_gram_matrix(outer(basis_ket((0,))), Group.GO, cfg)
-
-
-def test_estimate_index_validation():
-    rho = outer(basis_ket((0,)))
-    with pytest.raises(ValueError):
-        estimate_gram_entry(rho, 0, 1, Group.PLO)
 
 
 # ----------------------------------------------------------------- sampling

@@ -22,6 +22,8 @@ from orbitdim import (
     mixture,
     normalize,
     outer,
+    perturb_state,
+    sample_sphere_state,
     scale,
     validate_occupation,
 )
@@ -166,6 +168,35 @@ def test_normalize_scales_back():
 def test_normalize_zero_rejected():
     with pytest.raises(ValidationError):
         normalize(zero_ket(1))
+
+
+@pytest.mark.parametrize(
+    "terms", [{(0,): 1e308, (1,): 1e308}, {(0,): math.inf}, {(0,): 1.0, (1,): math.nan}], ids=["overflow", "inf", "nan"]
+)
+def test_normalize_refuses_a_non_finite_norm(terms):
+    """A norm that overflows would scale by 1/inf = 0 to the zero ket, an
+    infinite or NaN amplitude to NaN amplitudes."""
+    with pytest.raises(ValidationError, match="cannot normalize a ket of norm"):
+        normalize(SparseKet(1, terms))
+    with pytest.raises(ValidationError, match="cannot normalize the zero ket"):
+        normalize(zero_ket(1))
+
+
+@pytest.mark.parametrize("eps", [math.nan, math.inf, 1e308], ids=["nan", "inf", "overflow"])
+def test_perturb_state_refuses_a_non_finite_perturbation(eps):
+    with pytest.raises(ValidationError, match="cannot normalize a ket of norm"):
+        perturb_state(basis_ket((1, 0)), eps, 1, 3)
+
+
+def test_sphere_sample_equals_the_per_state_construction():
+    """The sample built from arrays has the terms, and the term order, of a
+    ket built state by state from the enumerated occupations."""
+    occs = enumerate_occupations(3, 2)
+    rng = np.random.default_rng(11)
+    amps = rng.standard_normal(len(occs)) + 1j * rng.standard_normal(len(occs))
+    amps /= np.linalg.norm(amps)
+    expected = SparseKet(3, {occ: complex(a) for occ, a in zip(occs, amps)})
+    assert list(sample_sphere_state(3, 2, 11).terms.items()) == list(expected.terms.items())
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)

@@ -292,6 +292,35 @@ def test_closure_coefficients_match_dense_commutators(group, extra):
                 assert np.max(np.abs(fitted - target)) < 1e-10, (basis[i].label, basis[j].label)
 
 
+@pytest.mark.parametrize("m", [1, 2])
+def test_closure_fit_falls_back_to_least_squares_on_a_singular_normal_matrix(monkeypatch, m):
+    """The vacuum alone leaves the normal matrix singular, so the fit takes
+    np.linalg.lstsq; its coefficients still reproduce every dense commutator
+    on the probe: (H_J H_I - H_I H_J) psi = sum_K c_K iH_K psi."""
+    calls = []
+    lstsq = np.linalg.lstsq
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return lstsq(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "lstsq", spy)
+    psi = basis_ket((0,) * m)
+    report = verify_closure(Group.GO, m, probes=[psi])
+    assert calls
+    assert report.min_normal_eigenvalue == 0.0
+    basis = lie_basis(Group.GO, m).elements
+    _, index = basis_states(m, 6)
+    mats = [generator_matrix(g, m, 6) for g in basis]
+    v = dense_ket(psi, index)
+    directions = np.array([1j * (h @ v) for h in mats])
+    for i in range(len(basis)):
+        for j in range(i + 1, len(basis)):
+            target = mats[j] @ (mats[i] @ v) - mats[i] @ (mats[j] @ v)
+            fitted = report.coefficients[(i, j)] @ directions
+            assert np.max(np.abs(fitted - target)) < 1e-10, (basis[i].label, basis[j].label)
+
+
 def test_closure_counts_target_rows_outside_the_fitted_union(monkeypatch):
     """The residual keeps the norm of target rows that no fitted direction
     reaches. A closed basis has none, so this takes a two-element set that

@@ -311,6 +311,14 @@ def test_picture_dispatch_rejects_mismatches():
         gram_matrix(Group.PLO, rho, Picture.KETBRA)
 
 
+@pytest.mark.parametrize("build, picture", [(gram_ket, "ket"), (gram_ketbra, "ketbra")], ids=["ket", "ketbra"])
+def test_pure_state_builders_refuse_a_density(build, picture):
+    """Each builder owns the rule, not only the dispatch in gram_matrix: a
+    density gets the PictureError naming the picture, not an AttributeError."""
+    with pytest.raises(PictureError, match=f"the {picture} picture requires a pure-state ket"):
+        build(Group.GO, outer(basis_ket((1, 0))))
+
+
 # -------------------------------------------------------------- closed_form
 
 
@@ -362,6 +370,13 @@ def test_family_invariants():
         OneModeSuperposition((0.0, 1.0))
     with pytest.raises(ValidationError):
         NoonState(0)
+
+
+def test_superposition_whose_norm_overflows_is_refused():
+    """The norm of (1e200, 1e200) overflows to inf; normalizing by it would
+    give the zero ket."""
+    with pytest.raises(ValidationError, match="cannot normalize a ket of norm inf"):
+        OneModeSuperposition((1e200, 1e200)).to_ket()
 
 
 def test_known_discrepancy_superposition_with_occupied_tail():
