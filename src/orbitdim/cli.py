@@ -240,6 +240,11 @@ _quote = json.encoder.encode_basestring_ascii
 
 def render_json(value) -> str:
     """Deterministic JSON: sorted keys, floats at 17 significant digits."""
+    kind = type(value)  # finite floats and strings, most leaves, by exact type first
+    if kind is float and math.isfinite(value):
+        return f"{value:.17g}"
+    if kind is str:
+        return _quote(value)
     if isinstance(value, dict):
         return "{" + ",".join([_quote(str(k)) + ":" + render_json(v) for k, v in sorted(value.items())]) + "}"
     if isinstance(value, np.ndarray):

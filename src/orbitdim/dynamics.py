@@ -7,11 +7,12 @@ Evolution exponentiates the generator Hamiltonian projected onto a
 photon-number-truncated basis, via Hermitian eigendecomposition of the
 connected components of its coupling graph, so it is exactly unitary on the
 working space and never forms a D x D matrix. A density evolves as the r
-columns of its support. Photon-number-shifting generators get a
-configurable buffer of extra photons above the state's support; occupancy
-of the top two sectors of the working basis (the guard band) is the
-truncation-leakage proxy, checked together with trace and Hermiticity
-deviations and never silently accepted.
+columns of its support, on the rows of the blocks that contain a support
+state, at all the times asked for in one pass. Photon-number-shifting
+generators get a configurable buffer of extra photons above the state's
+support; occupancy of the top two sectors of the working basis (the guard
+band) is the truncation-leakage proxy, checked together with trace and
+Hermiticity deviations and never silently accepted.
 
 The basis of each (modes, cutoff) and the eigendecomposed blocks of each
 (generator, modes, cutoff) depend on no state, so they are built once per
@@ -240,48 +241,67 @@ def _spectra(
 
 
 class _Workspace:
-    """The truncated working space for evolving one state under a set of
-    generators: the cutoff (the state's photon number, plus the buffer when
-    any generator shifts photon number), the basis (also as a D x m array)
-    and its guard band, the generators' eigendecomposed blocks, and the
-    leakage check with the largest value it has seen of each measured
-    quantity."""
+    """The truncated working space for evolving states under a set of
+    generators: the cutoff (the states' photon number, plus the buffer when
+    any generator shifts photon number), the basis, the generators'
+    eigendecomposed blocks, the rows it works on (basis indices) with their
+    states and guard band, and the leakage check with the largest value it
+    has seen of each measured quantity. Given the states' support (S x m),
+    it keeps only the blocks that contain a support state, and its rows are
+    the states they cover, ``support`` the support's rows among them."""
 
     def __init__(
-        self, modes: int, max_total: int, generators: Iterable[GeneratorDescriptor], cfg: EvolutionConfig
+        self, modes: int, max_total: int, generators: Iterable[GeneratorDescriptor], cfg: EvolutionConfig,
+        support: np.ndarray | None = None,
     ) -> None:
         self.cfg = cfg
         self.generators = tuple(dict.fromkeys(generators))
         self.shifting = any(number_shift(g.kind) > 0 for g in self.generators)
-        self.basis, self.states, self.band = _basis(modes, max_total + (cfg.buffer if self.shifting else 0))
-        # per block size: nodes (generator * D + basis index), each
-        # generator's first block, eigenpairs; generators in order
-        spectra = _spectra(self.generators, self.basis)
-        self.blocks = []
-        for s in sorted(set().union(*spectra)):
-            pieces = [(n, *spectrum[s]) for n, spectrum in enumerate(spectra) if s in spectrum]
-            self.blocks.append((
-                np.concatenate([nodes + n * self.basis.size for n, nodes, _, _ in pieces]),
-                np.cumsum([0] + [len(spectrum[s][0]) if s in spectrum else 0 for spectrum in spectra]),
-                np.concatenate([eigenvalues for _, _, eigenvalues, _ in pieces]),
-                np.concatenate([eigenvectors for _, _, _, eigenvectors in pieces]),
-            ))
+        self.basis, states, band = _basis(modes, max_total + (cfg.buffer if self.shifting else 0))
+        size = self.basis.size
+        reached = np.full(size, support is None)
+        if support is not None:
+            support = np.array([self.basis.index[occ] for occ in map(tuple, support.tolist())], dtype=np.int64)
+            reached[support] = True
+        # per block size, the kept blocks of each generator in turn
+        pieces: dict[int, list] = {}
+        for n, spectrum in enumerate(_spectra(self.generators, self.basis)):
+            for s, (nodes, eigenvalues, eigenvectors) in spectrum.items():
+                (kept,) = np.logical_or.reduce(reached[nodes], axis=1).nonzero()
+                if kept.size:
+                    kept = slice(None) if kept.size == len(nodes) else kept  # all kept: no copy
+                    pieces.setdefault(s, []).append((nodes[kept] + n * size, eigenvalues[kept], eigenvectors[kept]))
+        blocks = [[np.concatenate(arrays) for arrays in zip(*pieces[s])] for s in sorted(pieces)]
+        for nodes, _, _ in blocks:
+            reached[nodes % size] = True
+        self.rows = np.flatnonzero(reached)
+        self.states, self.band = states[self.rows], band[self.rows]
+        row = np.cumsum(reached) - 1
+        self.support = None if support is None else row[support]
+        # per block size: nodes (generator * R + row), each generator's first block, eigenpairs
+        firsts = np.arange(len(self.generators) + 1)
+        self.blocks = [
+            (nodes // size * len(self.rows) + row[nodes % size], np.searchsorted(nodes[:, 0] // size, firsts), *pairs)
+            for nodes, *pairs in blocks
+        ]
         self.worst: dict[str, float] = {}
 
-    def evolve(self, t: float, columns: np.ndarray, first: int = 0, count: int = 1) -> np.ndarray:
-        """exp(-i H_n t) applied to a D x r block of columns, for the
-        generators n = first .. first + count - 1, stacked count*D x r."""
-        size = self.basis.size
-        if t == 0.0:
-            return np.tile(columns, (count, 1))
-        out = np.empty((count * size, columns.shape[1]), dtype=complex)
-        for nodes, firsts, eigenvalues, eigenvectors in self.blocks:
+    def evolve(self, times: np.ndarray | float, columns: np.ndarray, first: int = 0, count: int = 1) -> np.ndarray:
+        """exp(-i H_n t) applied to an R x r block of columns for each t in
+        ``times`` (exactly the columns where t = 0) and the generators n =
+        first .. first + count - 1, stacked: times.shape + (count * R, r)."""
+        size = len(self.rows)
+        out = np.zeros(np.shape(times) + (count * size, columns.shape[1]), dtype=complex)
+        for nodes, firsts, eigenvalues, eigenvectors in self.blocks if np.any(times) else ():
             span = slice(firsts[first], firsts[first + count])
+            if span.start == span.stop:  # no block of this size among the generators
+                continue
             nodes = nodes[span]
             v = eigenvectors[span]
-            x = columns[nodes % size]
-            phases = np.exp(-1j * t * eigenvalues[span])[:, :, None]
-            out[nodes - first * size] = v @ (phases * (v.conj().transpose(0, 2, 1) @ x))
+            x = v.conj().transpose(0, 2, 1) @ columns[nodes % size]
+            phases = np.exp(-1j * np.multiply.outer(times, eigenvalues[span]))[..., None]
+            out[..., nodes - first * size, :] = v @ (phases * x)
+        out[np.equal(times, 0.0)] = np.tile(columns, (count, 1))
         return out
 
     def check(self, context: str, **measured: float) -> None:
@@ -307,58 +327,68 @@ class _Workspace:
 
 class _DensityWorkspace(_Workspace):
     """The working space of one density rho = Phi P Phi^dag under a set of
-    generators: Phi holds the basis vectors of rho's support and P is rho
-    over the support, so an evolved copy U rho U^dag is A P A^dag with the
-    D x r block A = U Phi."""
+    generators: Phi holds the rows of rho's support and P is rho over the
+    support, so an evolved copy U rho U^dag is A P A^dag with the R x r
+    block A = U Phi."""
 
     def __init__(self, rho: DensityOperator, generators: Sequence[GeneratorDescriptor], cfg: EvolutionConfig) -> None:
-        super().__init__(rho.modes, max(map(sum, rho.support.tolist()), default=0), generators, cfg)
+        super().__init__(rho.modes, max(map(sum, rho.support.tolist()), default=0), generators, cfg, rho.support)
         r = len(rho.support)
-        self.phi = np.zeros((self.basis.size, r), dtype=complex)
-        self.phi[[self.basis.index[occ] for occ in map(tuple, rho.support.tolist())], np.arange(r)] = 1.0
+        self.phi = np.zeros((len(self.rows), r), dtype=complex)
+        self.phi[self.support, np.arange(r)] = 1.0
         self.p = rho.matrix
         # (A P A^dag)^dag = A P^dag A^dag, so every copy inherits P's residual
         self.hermiticity = rho.hermiticity_residual
 
-    @property
-    def dim(self) -> int:
-        return len(self.generators)
-
-    def evolved(self, t: float) -> np.ndarray:
+    def evolved(self, times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The blocks A_0 = Phi and A_n = exp(-i H_n t) Phi for every
-        generator n, as a (d + 1) x D x r array, each copy leakage-checked."""
-        copies = np.concatenate([self.phi, self.evolve(t, self.phi, 0, self.dim)])
-        copies = copies.reshape(self.dim + 1, self.basis.size, -1)
-        if t != 0.0:
-            # the diagonal of each A P A^dag: its band part and its trace
-            diagonal = np.sum((copies[1:] @ self.p) * copies[1:].conj(), axis=2)
-            boundary = np.sum(diagonal.real[:, self.band], axis=1).tolist()
-            deviation = np.abs(np.sum(diagonal, axis=1) - 1.0).tolist()
-            for n, g in enumerate(self.generators):
-                self.check(
-                    f"evolving under {g.label} for t={t:g}",
-                    trace_deviation=deviation[n],
-                    hermiticity=self.hermiticity,
-                    boundary_weight=boundary[n] if number_shift(g.kind) > 0 else 0.0,
-                )
-        return copies
+        generator n and each of the T times, T x R x (d + 1) x r, and their
+        Gram, T x (d + 1) r x (d + 1) r. Every copy at t != 0 is
+        leakage-checked; the first to fail, by time then generator, raises."""
+        t, k, r = len(times), len(self.generators) + 1, self.phi.shape[1]
+        copies = np.empty((t, len(self.rows), k, r), dtype=complex)
+        copies[:, :, 0] = self.phi
+        copies[:, :, 1:] = self.evolve(times, self.phi, 0, k - 1).reshape(t, k - 1, -1, r).transpose(0, 2, 1, 3)
+        x = copies.reshape(t, -1, k * r)
+        gram = x.conj().transpose(0, 2, 1) @ x
+        moving = times != 0.0
+        if moving.any():
+            # the diagonal of each A P A^dag, summed in all (from A^dag A) and over the band
+            own = np.einsum("tiaib->tiab", gram.reshape(t, k, r, k, r)[:, 1:, :, 1:])
+            band = copies[:, self.band, 1:]
+            shifts = [number_shift(g.kind) > 0 for g in self.generators]
+            measured = {
+                "trace_deviation": np.abs(np.sum(self.p * own.conj(), axis=(2, 3)) - 1.0),
+                "hermiticity": np.full(own.shape[:2], self.hermiticity),
+                "boundary_weight": np.where(shifts, np.sum(((band @ self.p) * band.conj()).real, axis=(1, 3)), 0.0),
+            }
+            passed = np.logical_and.reduce([value <= self.cfg.leakage_tolerance for value in measured.values()])
+            for i, n in np.argwhere(moving[:, None] & ~passed)[:1].tolist():
+                context = f"evolving under {self.generators[n].label} for t={times[i]:g}"
+                self.check(context, **{name: float(value[i, n]) for name, value in measured.items()})
+            # every copy passed, so do the largest values: record them
+            self.check("evolving", **{name: float(value[moving].max()) for name, value in measured.items()})
+        return copies, gram
 
-    def beta_matrix(self, t: float) -> np.ndarray:
-        """beta_ij = Tr[rho_i rho_j] at time t for i, j in 0..d, with rho_0 =
-        rho: Tr[P M_ij P M_ij^dag] with M_ij = A_i^dag A_j, all from one Gram
-        of the evolved columns. Symmetric bit for bit. An overlap that
-        overflows raises ValidationError."""
+    def beta_matrix(self, times: np.ndarray) -> np.ndarray:
+        """beta_ij = Tr[rho_i rho_j] for i, j in 0..d at each of the T times,
+        with rho_0 = rho: Tr[P M_ij P M_ij^dag] with M_ij = A_i^dag A_j, from
+        the Gram of the evolved columns. Each d + 1 square is symmetric bit
+        for bit. An overlap that overflows raises ValidationError."""
         with np.errstate(over="ignore", invalid="ignore"):
-            copies = self.evolved(t)
-            m = np.tensordot(copies.conj(), copies, axes=(1, 1)).transpose(0, 2, 1, 3)
-            values = np.sum((self.p @ m @ self.p) * m.conj(), axis=(2, 3))
+            gram = self.evolved(times)[1]
+            t, k, r = len(times), len(self.generators) + 1, self.phi.shape[1]
+            m = gram.reshape(t, k, r, k, r).transpose(0, 1, 3, 2, 4)  # M_ij at [:, i, j]
+            pmp = self.p @ m @ self.p
+            pmp *= m.conj()
+            values = np.sum(pmp, axis=(3, 4))
         if not np.isfinite(values).all():
             raise ValidationError("beta overlap is not finite: the density's entries are too large")
         failed = ~(np.abs(values.imag) <= _IMAG_RESIDUE_TOL * np.maximum(1.0, np.abs(values.real)))
         if failed.any():
             raise ValidationError(f"beta overlap has imaginary residue {values.imag[failed][0]:.3e}")
         upper = np.triu(values.real)
-        return upper + np.triu(upper, 1).T
+        return upper + np.triu(upper, 1).transpose(0, 2, 1)
 
 
 def evolve_density(
@@ -372,12 +402,8 @@ def evolve_density(
     ws = _DensityWorkspace(rho, (g,), cfg)
     if t == 0.0:
         return rho
-    a = ws.evolved(t)[1]
+    a = ws.evolved(np.array([t]))[0][0, :, 1]
     return DensityOperator._checked(ws.states, (a @ ws.p) @ a.conj().T)
-
-
-def _workspace(rho: DensityOperator, group: Group, cfg: EvolutionConfig) -> _DensityWorkspace:
-    return _DensityWorkspace(rho, lie_basis(group, rho.modes).elements, cfg)
 
 
 def beta(
@@ -392,11 +418,11 @@ def beta(
     driven by basis generators ``i`` and ``j`` (1-based; 0 = no evolution).
     Every generator's copy is evolved and leakage-checked."""
     _check_time(t)
-    ws = _workspace(rho, group, cfg)
+    ws = _DensityWorkspace(rho, lie_basis(group, rho.modes).elements, cfg)
     for index in (i, j):
-        if not 0 <= index <= ws.dim:
-            raise ValueError(f"generator index {index} out of range 0..{ws.dim}")
-    return float(ws.beta_matrix(t)[i, j])
+        if not 0 <= index <= len(ws.generators):
+            raise ValueError(f"generator index {index} out of range 0..{len(ws.generators)}")
+    return float(ws.beta_matrix(np.array([t]))[0, i, j])
 
 
 @dataclass(frozen=True)
@@ -429,17 +455,14 @@ def estimate_gram_matrix(
     step h (``coarse``) and h/2 (``fine``), with one Richardson step between
     them (``values``). All three are symmetric bit for bit. A step so small
     that a stencil overflows raises ValidationError."""
-    ws = _workspace(rho, group, cfg)
-    b0 = ws.beta_matrix(0.0)
-
-    def stencil(h: float) -> np.ndarray:
-        dd = (ws.beta_matrix(h) - 2.0 * b0 + ws.beta_matrix(-h)) / (h * h)
-        # dd is symmetric and a sum commutes, so the entries are too
-        return 0.5 * (dd[1:, 1:] - (dd[1:, :1] + dd[:1, 1:]))
-
+    ws = _DensityWorkspace(rho, lie_basis(group, rho.modes).elements, cfg)
+    (b0,) = ws.beta_matrix(np.zeros(1))
+    steps = np.array([cfg.step, cfg.step / 2.0])
+    b = ws.beta_matrix(np.array([steps, -steps]).T.ravel())  # h, -h, h/2, -h/2
     with np.errstate(over="ignore", invalid="ignore"):
-        coarse = stencil(cfg.step)
-        fine = stencil(cfg.step / 2.0)
+        dd = (b[0::2] - 2.0 * b0 + b[1::2]) / (steps * steps)[:, None, None]
+        # dd is symmetric and a sum commutes, so the entries are too
+        coarse, fine = 0.5 * (dd[:, 1:, 1:] - (dd[:, 1:, :1] + dd[:, :1, 1:]))
         values = (4.0 * fine - coarse) / 3.0
     if not np.isfinite(values).all():  # so are coarse and fine, or values would not be
         raise ValidationError(f"step {cfg.step:g} is too small: the finite-difference estimate is not finite")

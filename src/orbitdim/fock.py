@@ -34,6 +34,7 @@ from __future__ import annotations
 import cmath
 import math
 import operator
+import sys
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 
@@ -220,12 +221,19 @@ def scale(c: complex, psi: SparseKet) -> SparseKet:
 
 
 def normalize(psi: SparseKet) -> SparseKet:
-    """psi / |psi|; the zero ket and a ket of infinite or NaN norm are refused."""
+    """psi / |psi|; the zero ket and a ket of infinite or NaN norm are
+    refused. A squared norm below the normal float range is taken after an
+    exact power-of-two scaling that brings the largest modulus into [1/2, 1)."""
     nrm = psi.norm()
-    if nrm == 0.0:
-        raise ValidationError("cannot normalize the zero ket")
     if not math.isfinite(nrm):
         raise ValidationError(f"cannot normalize a ket of norm {nrm!r}")
+    if nrm * nrm < sys.float_info.min:
+        shift = -math.frexp(max(map(abs, psi.terms.values()), default=0.0))[1]
+        terms = {occ: complex(math.ldexp(a.real, shift), math.ldexp(a.imag, shift)) for occ, a in psi.terms.items()}
+        psi = SparseKet(psi.modes, terms)
+        nrm = psi.norm()
+    if nrm == 0.0:
+        raise ValidationError("cannot normalize the zero ket")
     return scale(1.0 / nrm, psi)
 
 
@@ -407,25 +415,29 @@ def mixture(components: Sequence[tuple[float, SparseKet]]) -> DensityOperator:
     if not components:
         raise ValidationError("mixture needs at least one component")
     modes = components[0][1].modes
-    norms = []
+    arrays = []
     for _, psi in components:
         if psi.modes != modes:
             raise ValueError("all mixture components must share the mode count")
         nrm2 = sum(a.real * a.real + a.imag * a.imag for a in psi.terms.values())
-        if nrm2 == 0.0:
-            raise ValidationError("mixture component is the zero ket")
         if not math.isfinite(nrm2):
             raise ValidationError(f"mixture component has squared norm {nrm2!r}")
-        norms.append(nrm2)
-    arrays = [psi.arrays() for _, psi in components]
-    support, inverse = _rank_states(np.concatenate([states for states, _ in arrays]))
+        # a squared norm below the normal float range: scaled as in normalize
+        states, amps = psi.arrays()
+        shift = 0 if nrm2 >= sys.float_info.min else -math.frexp(np.max(np.abs(amps), initial=0.0))[1]
+        re, im = np.ldexp(amps.real, shift), np.ldexp(amps.imag, shift)
+        nrm2 = sum((re * re + im * im).tolist())
+        if nrm2 == 0.0:
+            raise ValidationError("mixture component is the zero ket")
+        arrays.append((states, re, im, nrm2))
+    support, inverse = _rank_states(np.concatenate([states for states, *_ in arrays]))
     matrix = np.zeros((len(support), len(support)), dtype=complex)
-    offsets = np.cumsum([len(amps) for _, amps in arrays])[:-1]
+    offsets = np.cumsum([len(re) for _, re, _, _ in arrays])[:-1]
     # a weight above 1 can overflow, silently as in Python; the check refuses the result
     with np.errstate(over="ignore", invalid="ignore"):
-        for (weight, _), nrm2, (_, amps), rows in zip(components, norms, arrays, np.split(inverse, offsets)):
-            re, im = weight * amps.real, weight * amps.imag
+        for (weight, _), (_, re, im, nrm2), rows in zip(components, arrays, np.split(inverse, offsets)):
+            wre, wim = weight * re, weight * im
             cell = np.ix_(rows, rows)
-            matrix.real[cell] += (np.multiply.outer(re, amps.real) + np.multiply.outer(im, amps.imag)) / nrm2
-            matrix.imag[cell] += (np.multiply.outer(im, amps.real) - np.multiply.outer(re, amps.imag)) / nrm2
+            matrix.real[cell] += (np.multiply.outer(wre, re) + np.multiply.outer(wim, im)) / nrm2
+            matrix.imag[cell] += (np.multiply.outer(wim, re) - np.multiply.outer(wre, im)) / nrm2
     return DensityOperator._checked(support, matrix)

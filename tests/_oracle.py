@@ -28,6 +28,7 @@ take the state-file schema and error class from ``orbitdim.cli``.
 import itertools
 import json
 import math
+import sys
 
 import numpy as np
 
@@ -516,12 +517,17 @@ def mixture_per_entry(components):
         if psi.modes != modes:
             raise ValueError("all mixture components must share the mode count")
         nrm2 = sum(a.real * a.real + a.imag * a.imag for a in psi.terms.values())
-        if nrm2 == 0.0:
-            raise ValidationError("mixture component is the zero ket")
         if not math.isfinite(nrm2):
             raise ValidationError(f"mixture component has squared norm {nrm2!r}")
-        for bra, bamp in psi.terms.items():
-            for ket, kamp in psi.terms.items():
+        # a squared norm below the normal float range: scaled by the power
+        # of two that brings the largest modulus into [1/2, 1)
+        shift = 0 if nrm2 >= sys.float_info.min else -math.frexp(max(map(abs, psi.terms.values()), default=0.0))[1]
+        terms = {occ: complex(math.ldexp(a.real, shift), math.ldexp(a.imag, shift)) for occ, a in psi.terms.items()}
+        nrm2 = sum(a.real * a.real + a.imag * a.imag for a in terms.values())
+        if nrm2 == 0.0:
+            raise ValidationError("mixture component is the zero ket")
+        for bra, bamp in terms.items():
+            for ket, kamp in terms.items():
                 key = (bra, ket)
                 entries[key] = entries.get(key, 0j) + weight * bamp * kamp.conjugate() / nrm2
     return DensityOperator.validate(SparseOperator(modes, entries))

@@ -2,6 +2,7 @@
 
 import functools
 import math
+import re
 import sys
 import threading
 import tracemalloc
@@ -183,6 +184,24 @@ def test_beta_entry_and_matrix_estimates_agree_bitwise():
             assert b(i, j, est.step) == b(j, i, est.step)
             for h, stencil in ((est.step, est.coarse), (est.step / 2.0, est.fine)):
                 assert 0.5 * (dd(i, j, h) - (dd(i, 0, h) + dd(0, j, h))) == stencil[i - 1, j - 1]
+
+
+def test_go_estimate_allocates_less_than_its_copies_on_the_whole_basis():
+    """The copies, their leakage check and their overlaps live on the rows
+    the support's blocks reach, so a GO estimate of |1,0,0> allocates less
+    than one complex array of 4 x d x D entries (the four stencil times, d =
+    28 generators, D = 1,140). The spectra are cached per process, so the
+    estimate is traced once they are."""
+    rho = outer(basis_ket((1, 0, 0)))
+    estimate_gram_matrix(rho, Group.GO)
+    bound = 16 * 4 * len(lie_basis(Group.GO, 3)) * math.comb(3 + 17, 3)
+    tracemalloc.start()
+    try:
+        estimate_gram_matrix(rho, Group.GO)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < bound
 
 
 def test_m3_evolution_allocates_no_dense_matrix():
@@ -373,7 +392,9 @@ def test_estimate_that_is_not_finite_raises(monkeypatch):
     # stencils overflow, as rounding does at a tiny but accepted step
     beta_matrix = dynamics._DensityWorkspace.beta_matrix
     monkeypatch.setattr(
-        dynamics._DensityWorkspace, "beta_matrix", lambda ws, t: beta_matrix(ws, t) + (t != 0.0)
+        dynamics._DensityWorkspace,
+        "beta_matrix",
+        lambda ws, times: beta_matrix(ws, times) + (times != 0.0)[:, None, None],
     )
     with pytest.raises(ValidationError, match="not finite"):
         estimate_gram_matrix(outer(basis_ket((1,))), Group.PLO, EvolutionConfig(step=1e-160))
@@ -415,6 +436,49 @@ def test_estimate_squeezing_with_tiny_buffer_raises():
     cfg = EvolutionConfig(buffer=2, leakage_tolerance=1e-10)
     with pytest.raises(LeakageError):
         estimate_gram_matrix(outer(basis_ket((0,))), Group.GO, cfg)
+
+
+def test_estimate_leakage_names_the_first_copy_to_fail():
+    """The four stencil times are checked together. All six squeezers leak
+    at every time, and the error names the first failing copy by time, then
+    by generator (r[1,2] at t = h), not the largest weight (s[2]'s). The
+    trace deviation is rounding, so only its form is pinned."""
+    cfg = EvolutionConfig(buffer=3, leakage_tolerance=1e-8)
+    with pytest.raises(LeakageError) as info:
+        estimate_gram_matrix(outer(basis_ket((0, 1))), Group.GO, cfg)
+    assert re.fullmatch(
+        r"evolving under r\[1,2\] for t=0\.001: trace deviation \d\.\d{3}e[+-]\d{2}, hermiticity 0\.000e\+00, "
+        r"boundary weight 5\.000e-07 exceed tolerance 1\.0e-08 \(cutoff 4\); increase the buffer or reduce \|t\|",
+        str(info.value),
+    )
+
+
+@pytest.mark.parametrize("state", ["m1_sphere", "m2_fock", "m2_sphere", "m2_rank2"])
+@pytest.mark.parametrize("group", list(Group))
+def test_overlaps_on_the_reached_rows_match_dense_propagators(group, state):
+    """beta_ij = Tr[rho_i rho_j] from the blocks that reach the support,
+    at every time of one batch, equals the overlaps of copies evolved by
+    dense propagators on the whole truncated basis."""
+    rho = {
+        "m1_sphere": lambda: outer(sample_sphere_state(1, 2, seed=5)),
+        "m2_fock": lambda: outer(basis_ket((1, 0))),
+        "m2_sphere": lambda: outer(sample_sphere_state(2, 2, seed=6)),
+        "m2_rank2": lambda: mixture([(0.6, sample_sphere_state(2, 1, seed=3)), (0.4, sample_sphere_state(2, 2, seed=4))]),
+    }[state]()
+    elements = lie_basis(group, rho.modes).elements
+    ws = dynamics._DensityWorkspace(rho, elements, _SMALL_BUFFER)
+    times = np.array([0.0, 0.37, -0.21])
+    got = ws.beta_matrix(times)
+    m, cutoff = rho.modes, ws.basis.cutoff
+    _, index = basis_states(m, cutoff)
+    dense = dense_density(rho, index)
+    for k, t in enumerate(times):
+        propagators = [_dense_propagator(g, m, cutoff, t) for g in elements]
+        copies = [dense] + [u @ dense @ u.conj().T for u in propagators]
+        expected = np.array([[np.trace(a @ b).real for b in copies] for a in copies])
+        assert np.abs(got[k] - expected).max() <= 1e-12
+    if state == "m2_fock" and group is not Group.PLO:
+        assert len(ws.rows) < ws.basis.size  # the restriction is exercised
 
 
 # ----------------------------------------------------------------- sampling

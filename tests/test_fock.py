@@ -165,6 +165,25 @@ def test_normalize_scales_back():
     assert_terms_close(psi.terms, {(0,): 1.0})
 
 
+def test_normalize_a_ket_whose_squared_norm_underflows():
+    """Each amplitude squared underflows to 0; scaled by a power of two
+    first, the ket normalizes, and its projector is a valid density."""
+    psi = SparseKet(1, {(0,): 1e-200, (1,): 1e-200})
+    assert list(normalize(psi).terms.values()) == [1 / math.sqrt(2)] * 2
+    rho = outer(psi)
+    assert rho.support.tolist() == [[0], [1]]
+    assert rho.matrix.tolist() == [[0.5, 0.5], [0.5, 0.5]]
+    assert rho.trace_residual == 0.0
+
+
+@pytest.mark.parametrize("factor", [1.0, 3.0, 1e-100, 1e100])
+@pytest.mark.parametrize("seed", range(3))
+def test_normalize_keeps_the_bits_of_a_normal_squared_norm(seed, factor):
+    psi = scale(factor, sample_sphere_state(2, 3, seed))
+    expected = scale(1.0 / psi.norm(), psi)
+    assert list(normalize(psi).terms.items()) == list(expected.terms.items())
+
+
 def test_normalize_zero_rejected():
     with pytest.raises(ValidationError):
         normalize(zero_ket(1))
