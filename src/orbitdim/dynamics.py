@@ -16,38 +16,31 @@ Hermiticity deviations and never silently accepted.
 
 The basis of each (modes, cutoff) and the eigendecomposed blocks of each
 (generator, modes, cutoff) depend on no state, so they are built once per
-process and kept, read-only, under a fixed byte budget.
+process and kept, read-only, in the byte-budgeted store of ``generators``.
 """
 
 from __future__ import annotations
 
 import math
-import threading
-from collections import OrderedDict
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
-from .fock import DensityOperator, Occupation, SparseKet, ValidationError, enumerate_occupations
+from .fock import DensityOperator, Occupation, SparseKet, ValidationError, _run_starts, enumerate_occupations
 from .generators import (
     GeneratorDescriptor,
     Group,
     _generator_action,
     _monomials,
+    _recall,
+    _remember,
+    _trim,
     lie_basis,
     number_shift,
 )
 
 _IMAG_RESIDUE_TOL = 1e-12
-
-#: Bytes of cached arrays kept per process; past it the least recently used
-#: bases and spectra are dropped.
-_CACHE_BUDGET = 64 << 20
-
-#: key -> (value, bytes of its arrays), least recently used first
-_cache: OrderedDict[tuple, tuple[object, int]] = OrderedDict()
-_cache_lock = threading.Lock()
 
 
 class LeakageError(RuntimeError):
@@ -105,7 +98,7 @@ def _couplings(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Every matrix element <row|H_gen|col> of the generators inside the
     truncated basis, as arrays ``(gen, row, col, coeff)``."""
-    gen, src, tgt, coeff, union, rows = _generator_action(_monomials(generators), np.array(basis.states))
+    gen, src, tgt, coeff, union, rows = _generator_action(_monomials(tuple(generators)), np.array(basis.states))
     # rows ranks the basis states among the union of basis and targets;
     # a target above the cutoff keeps position -1 and is dropped
     position = np.full(len(union), -1)
@@ -169,33 +162,6 @@ def _blocks(
     return out
 
 
-def _recall(key: tuple) -> object | None:
-    with _cache_lock:
-        hit = _cache.get(key)
-        if hit is None:
-            return None
-        _cache.move_to_end(key)
-        return hit[0]
-
-
-def _remember(key: tuple, value: object, arrays: Iterable[np.ndarray]) -> None:
-    size = 0
-    for a in arrays:
-        a.flags.writeable = False
-        size += a.nbytes
-    with _cache_lock:
-        _cache[key] = (value, size)
-
-
-def _trim() -> None:
-    """Drop the least recently used entries until the cache fits its budget."""
-    with _cache_lock:
-        total = sum(size for _, size in _cache.values())
-        while total > _CACHE_BUDGET:
-            _, (_, size) = _cache.popitem(last=False)
-            total -= size
-
-
 def _basis(modes: int, cutoff: int) -> tuple[TruncatedBasis, np.ndarray, np.ndarray]:
     """The basis, as itself and as a D x m array, and its guard band: the
     states of the top two photon sectors."""
@@ -212,30 +178,36 @@ def _basis(modes: int, cutoff: int) -> tuple[TruncatedBasis, np.ndarray, np.ndar
 
 def _spectra(
     generators: Sequence[GeneratorDescriptor], basis: TruncatedBasis
-) -> list[dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]]]:
+) -> list[tuple[dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]], np.ndarray]]:
     """Each generator's eigendecomposed blocks: per block size, the basis
     indices of its blocks (in order of their smallest one), their
-    eigenvalues and eigenvectors. Misses are built together, one stacked
-    ``eigh`` per block size."""
+    eigenvalues and eigenvectors; and the block of each basis index, the
+    blocks numbered in that order, by size and then within it. Misses are
+    built together, one stacked ``eigh`` per block size."""
+    size = basis.size
     keys = [(g, basis.modes, basis.cutoff) for g in generators]
     found = [_recall(key) for key in keys]
     missing = [n for n, spectrum in enumerate(found) if spectrum is None]
     if missing:
-        for n in missing:
-            found[n] = {}
+        pieces: dict[int, dict] = {n: {} for n in missing}
         for nodes, h in _blocks([generators[n] for n in missing], basis):
-            first = np.searchsorted(nodes[:, 0] // basis.size, np.arange(len(missing) + 1)).tolist()
+            first = np.searchsorted(nodes[:, 0] // size, np.arange(len(missing) + 1)).tolist()
             eigenvalues, eigenvectors = np.linalg.eigh(h)
             for k, n in enumerate(missing):
                 span = slice(first[k], first[k + 1])
                 if span.start < span.stop:
-                    found[n][nodes.shape[1]] = (
-                        nodes[span] % basis.size,
+                    pieces[n][nodes.shape[1]] = (
+                        nodes[span] % size,
                         eigenvalues[span].copy(),
                         eigenvectors[span].copy(),
                     )
         for n in missing:
-            _remember(keys[n], found[n], (a for piece in found[n].values() for a in piece))
+            block, start = np.empty(size, dtype=np.int64), 0
+            for nodes, _, _ in pieces[n].values():
+                block[nodes] = start + np.arange(len(nodes))[:, None]
+                start += len(nodes)
+            found[n] = (pieces[n], block)
+            _remember(keys[n], found[n], [block, *(a for piece in pieces[n].values() for a in piece)])
     _trim()
     return found
 
@@ -263,15 +235,27 @@ class _Workspace:
         if support is not None:
             support = np.array([self.basis.index[occ] for occ in map(tuple, support.tolist())], dtype=np.int64)
             reached[support] = True
+        spectra = _spectra(self.generators, self.basis)
+        # every (generator, block size) piece in turn, and its first block
+        # numbered over all of them; each block map starts from 0
+        pieces = [(n, s, piece) for n, (spectrum, _) in enumerate(spectra) for s, piece in spectrum.items()]
+        first = np.cumsum([0] + [len(piece[0]) for _, _, piece in pieces])
+        offset = first[np.searchsorted([n for n, _, _ in pieces], np.arange(len(spectra)))]
+        # the blocks that hold a support state, or every block without one
+        codes = np.array([block for _, block in spectra]).reshape(len(spectra), size) + offset[:, None]
+        chosen = np.zeros(first[-1], dtype=bool)
+        chosen[codes if support is None else codes[:, support]] = True
+        ids = np.flatnonzero(chosen)
+        owner = np.searchsorted(first, ids, side="right") - 1
         # per block size, the kept blocks of each generator in turn
-        pieces: dict[int, list] = {}
-        for n, spectrum in enumerate(_spectra(self.generators, self.basis)):
-            for s, (nodes, eigenvalues, eigenvectors) in spectrum.items():
-                (kept,) = np.logical_or.reduce(reached[nodes], axis=1).nonzero()
-                if kept.size:
-                    kept = slice(None) if kept.size == len(nodes) else kept  # all kept: no copy
-                    pieces.setdefault(s, []).append((nodes[kept] + n * size, eigenvalues[kept], eigenvectors[kept]))
-        blocks = [[np.concatenate(arrays) for arrays in zip(*pieces[s])] for s in sorted(pieces)]
+        kept: dict[int, list] = {}
+        bounds = np.flatnonzero(_run_starts(owner)).tolist() + [len(ids)]
+        for lo, hi in zip(bounds, bounds[1:]):
+            p = int(owner[lo])
+            n, s, (nodes, eigenvalues, eigenvectors) = pieces[p]
+            at = slice(None) if hi - lo == len(nodes) else ids[lo:hi] - first[p]  # all kept: no copy
+            kept.setdefault(s, []).append((nodes[at] + n * size, eigenvalues[at], eigenvectors[at]))
+        blocks = [[np.concatenate(arrays) for arrays in zip(*kept[s])] for s in sorted(kept)]
         for nodes, _, _ in blocks:
             reached[nodes % size] = True
         self.rows = np.flatnonzero(reached)

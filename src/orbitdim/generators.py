@@ -23,7 +23,14 @@ everywhere; it never affects ranks.
 Generators act on a support through one kernel, ``_generator_action``: each
 ladder monomial moves a support row by a fixed step vector, and the
 support with every target forms a union of states in numeric lexicographic
-order.
+order. Which elements land on which union state depends on the generators
+and the support alone, not on the amplitudes, so ``_directions`` plans it
+once per (monomial table, support) and applies the plan to each block of
+columns.
+
+State-independent arrays are built once per process and kept, read-only,
+in one store under a fixed budget of 64 MiB (least recently used first out):
+the plans here, and the truncated bases and block spectra of ``dynamics``.
 """
 
 from __future__ import annotations
@@ -31,6 +38,8 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import threading
+from collections import OrderedDict
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from enum import Enum
@@ -183,14 +192,18 @@ def _ladder_monomials(g: GeneratorDescriptor) -> list[tuple[complex, tuple[tuple
 _MonomialTable = tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]
 
 
-def _monomials(generators: Sequence[GeneratorDescriptor]) -> _MonomialTable:
+@functools.lru_cache(maxsize=None)
+def _monomials(generators: tuple[GeneratorDescriptor, ...]) -> _MonomialTable:
     """Every ladder monomial of the generators, as arrays over monomials:
     generator index and coefficient; the mode each of two step slots acts
     on, whether it holds a step (one-step monomials leave the second slot
     empty) and the offset it adds to the support occupation of its mode
     under the square root; and the monomial's step vector, as wide as the
     highest mode it acts on. Only the support varies between applications,
-    so each target is a support row plus a step vector."""
+    so each target is a support row plus a step vector.
+
+    One table is shared per generator tuple, so the arrays are read-only
+    and the table's identity names it in the plans of ``_directions``."""
     rows = [
         (index, coeff, steps + ((0, 0),) * (2 - len(steps)))
         for index, g in enumerate(generators)
@@ -207,17 +220,16 @@ def _monomials(generators: Sequence[GeneratorDescriptor]) -> _MonomialTable:
     delta = np.zeros((len(rows), int(modes.max()) + 1), dtype=np.int64)
     for slot in range(2):  # one mode per row and slot: no index repeats
         delta[np.arange(len(rows)), modes[:, slot]] += steps[:, slot]
-    return gen, coeff, modes, steps != 0, offsets, delta
+    table = gen, coeff, modes, steps != 0, offsets, delta
+    for array in table:
+        array.setflags(write=False)
+    return table
 
 
 @functools.lru_cache(maxsize=None)
 def _monomial_table(group: Group, m: int) -> _MonomialTable:
-    """The monomials of the (group, m) basis. The arrays are shared, so
-    read-only."""
-    table = _monomials(lie_basis(group, m).elements)
-    for array in table:
-        array.setflags(write=False)
-    return table
+    """The monomials of the (group, m) basis."""
+    return _monomials(lie_basis(group, m).elements)
 
 
 def _generator_action(
@@ -253,6 +265,81 @@ def _generator_action(
     return gen[mono], src, inverse[s_count:], coeff[mono] * amp[mono, src], union, inverse[:s_count]
 
 
+#: Bytes of cached arrays kept per process; past it the least recently used
+#: plans, bases and spectra are dropped.
+_CACHE_BUDGET = 64 << 20
+
+
+class _Store(OrderedDict):
+    """key -> (value, bytes of its arrays), least recently used first, with
+    the bytes of every entry summed in ``nbytes``."""
+
+    nbytes = 0
+
+
+_cache = _Store()
+_cache_lock = threading.Lock()
+
+
+def _recall(key: tuple) -> object | None:
+    with _cache_lock:
+        hit = _cache.get(key)
+        if hit is None:
+            return None
+        _cache.move_to_end(key)
+        return hit[0]
+
+
+def _remember(key: tuple, value: object, arrays: Iterable[np.ndarray]) -> None:
+    size = 0
+    for a in arrays:
+        a.flags.writeable = False
+        size += a.nbytes
+    with _cache_lock:
+        _, old = _cache.pop(key, (None, 0))  # another thread may have built it too
+        _cache[key] = (value, size)
+        _cache.nbytes += size - old
+
+
+def _trim() -> None:
+    """Drop the least recently used entries until the cache fits its budget."""
+    with _cache_lock:
+        while _cache.nbytes > _CACHE_BUDGET:
+            _, (_, size) = _cache.popitem(last=False)
+            _cache.nbytes -= size
+
+
+#: A monomial table's action on one support, as ``_directions`` applies it:
+#: the table; the source row and the coefficient (a column) of every
+#: element, stably sorted by the cell (generator * union size + target) it
+#: lands on; where each cell's run of elements starts, and the cell; the
+#: union and the support's rows in it.
+_Plan = tuple[_MonomialTable, np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]
+
+
+def _plan(table: _MonomialTable, occupations: np.ndarray) -> _Plan:
+    """The action of a monomial table on a support, built on the first call
+    and then kept in the cache, keyed by the table's identity and the
+    support's bytes. The plan holds its table, so no other table takes
+    that identity while the plan is cached."""
+    occupations = np.asarray(occupations, dtype=np.int64)
+    key = ("plan", id(table), occupations.shape, occupations.tobytes())
+    plan = _recall(key)
+    if plan is None:
+        gen, src, tgt, coeff, union, rows = _generator_action(table, occupations)
+        # sum the elements landing on one cell in their order, as np.add.at
+        # would: a stable sort groups them, one reduceat adds each group
+        cell = gen * len(union) + tgt
+        order = cell.argsort(kind="stable")
+        cell = cell[order]
+        starts = _run_starts(cell).nonzero()[0]
+        # rows views the whole rank array: a copy keeps only what the store counts
+        plan = (table, src[order], coeff[order, None], starts, cell[starts], union, rows.copy())
+        _remember(key, plan, plan[1:])
+        _trim()
+    return plan
+
+
 def _directions(
     table: _MonomialTable, occupations: np.ndarray, columns: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -261,27 +348,22 @@ def _directions(
     ``columns`` is S x r over the support ``occupations``. Returns
     ``(x, union, rows)``: ``x[n, :, c]`` is H_n applied to column c over the
     union of the support and every target, ``union`` holds the union's
-    states, and ``rows`` gives each support state's rank in the union.
+    states, and ``rows`` gives each support state's rank in the union; the
+    last two are shared, so read-only.
     """
-    gen, src, tgt, coeff, union, rows = _generator_action(table, occupations)
+    _, src, coeff, starts, cells, union, rows = _plan(table, occupations)
     d = int(table[0][-1]) + 1  # generator indices ascend over the table
     x = np.zeros((d * len(union), columns.shape[1]), dtype=complex)
-    # sum the elements landing on one cell in their order, as np.add.at
-    # would: a stable sort groups them, one reduceat adds each group
-    cell = gen * len(union) + tgt
-    order = cell.argsort(kind="stable")
-    cell = cell[order]
-    starts = _run_starts(cell).nonzero()[0]
-    sums = np.add.reduceat(coeff[order, None] * columns[src[order]], starts)
+    sums = np.add.reduceat(coeff * columns[src], starts)
     sums += 0.0  # np.add.at starts each cell from +0.0, which turns -0.0 into +0.0
-    x[cell[starts]] = sums
+    x[cells] = sums
     return x.reshape(d, len(union), columns.shape[1]), union, rows
 
 
 def apply_generator(g: GeneratorDescriptor, psi: SparseKet) -> SparseKet:
     """H psi for the Hermitian generator described by ``g``."""
     occupations, amps = psi.arrays()
-    x, union, _ = _directions(_monomials([g]), occupations, amps[:, None])
+    x, union, _ = _directions(_monomials((g,)), occupations, amps[:, None])
     return SparseKet.from_arrays(union, x[0, :, 0])
 
 
@@ -289,7 +371,7 @@ def commutator_with_density(g: GeneratorDescriptor, rho: DensityOperator) -> Spa
     """[H, rho] = H rho - rho H = X - X^dag for Hermitian rho, where X = H R
     over the union of rho's support and every target, R being rho's dense
     matrix over its support."""
-    x, union, rows = _directions(_monomials([g]), rho.support, rho.matrix)
+    x, union, rows = _directions(_monomials((g,)), rho.support, rho.matrix)
     c = np.zeros((len(union), len(union)), dtype=complex)
     c[:, rows] = x[0]
     c -= c.conj().T

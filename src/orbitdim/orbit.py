@@ -218,7 +218,7 @@ def rank_psd(gram: GramMatrix | np.ndarray, tolerance: float | None = None) -> R
     rank = int(np.count_nonzero(eigs > tol))
     return RankResult(
         rank=rank,
-        eigenvalues=tuple(float(x) for x in eigs[::-1]),
+        eigenvalues=tuple(eigs[::-1].tolist()),
         tolerance_used=tol,
         relative=relative,
     )

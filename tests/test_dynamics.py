@@ -6,7 +6,6 @@ import re
 import sys
 import threading
 import tracemalloc
-from collections import OrderedDict
 
 import numpy as np
 import pytest
@@ -38,7 +37,7 @@ from orbitdim import (
     number_shift,
     sample_sphere_state,
 )
-from orbitdim import dynamics
+from orbitdim import dynamics, generators
 from orbitdim.dynamics import _blocks, _Workspace
 from _helpers import assert_entries_close, assert_terms_close
 from _oracle import basis_states, dense_density, dense_ket, generator_matrix, inner
@@ -514,7 +513,7 @@ def test_sampled_states_attain_generic_dimension():
 
 @pytest.fixture
 def empty_cache(monkeypatch):
-    monkeypatch.setattr(dynamics, "_cache", OrderedDict())
+    monkeypatch.setattr(generators, "_cache", generators._Store())
 
 
 @pytest.fixture
@@ -531,10 +530,11 @@ def eigh_calls(monkeypatch):
 
 
 def _cached_arrays():
-    for value, _ in dynamics._cache.values():
-        if isinstance(value, dict):  # spectra: size -> (nodes, eigenvalues, eigenvectors)
-            yield from (a for piece in value.values() for a in piece)
-        else:  # basis, D x m states, guard band
+    for value, _ in generators._cache.values():
+        if isinstance(value[0], dict):  # spectra: size -> (nodes, eigenvalues, eigenvectors), block map
+            yield from (a for piece in value[0].values() for a in piece)
+            yield value[1]
+        else:  # basis, D x m states, guard band; or a plan: its table, then its arrays
             yield from value[1:]
 
 
@@ -576,7 +576,7 @@ def test_cold_and_warm_cache_give_identical_results(empty_cache, monkeypatch):
     cold = _cache_runs()
     warm = _cache_runs()
     # part cached: the word's generators only
-    monkeypatch.setattr(dynamics, "_cache", OrderedDict())
+    monkeypatch.setattr(generators, "_cache", generators._Store())
     basis = lie_basis(Group.GO, 2)
     apply_group_word(basis_ket((1, 0)), [(basis.elements[basis.index_of("e[1,2]")], 0.3)])
     mixed = _cache_runs()
@@ -600,22 +600,40 @@ def test_cache_evicts_least_recently_used_past_its_budget(empty_cache, monkeypat
     cfg = EvolutionConfig()
     for g in (g1, g2, g1):  # g2 is now the least recently used
         _Workspace(2, 3, [g], cfg)
-    total = sum(size for _, size in dynamics._cache.values())
-    monkeypatch.setattr(dynamics, "_CACHE_BUDGET", total)
+    total = sum(size for _, size in generators._cache.values())
+    monkeypatch.setattr(generators, "_CACHE_BUDGET", total)
     ws = _Workspace(2, 3, [g3], cfg)
-    kept = sum(size for _, size in dynamics._cache.values())
+    kept = sum(size for _, size in generators._cache.values())
     assert kept <= total
-    assert list(dynamics._cache) == [(g1, 2, 3), ("basis", 2, 3), (g3, 2, 3)]
+    assert list(generators._cache) == [(g1, 2, 3), ("basis", 2, 3), (g3, 2, 3)]
     # past a budget of 0 nothing is kept, and evolution still works
-    monkeypatch.setattr(dynamics, "_CACHE_BUDGET", 0)
+    monkeypatch.setattr(generators, "_CACHE_BUDGET", 0)
     again = _Workspace(2, 3, [g3], cfg)
-    assert not dynamics._cache
+    assert not generators._cache
     x = ws.column(basis_ket((1, 2)))
     assert np.array_equal(again.evolve(0.3, x), ws.evolve(0.3, x))
 
 
+def test_cache_evicts_least_recently_used_across_bases_spectra_and_plans(empty_cache, monkeypatch):
+    g = GeneratorDescriptor("e", (1, 2))
+    cfg = EvolutionConfig()
+    psi = basis_ket((1, 0))
+    _Workspace(2, 12, [g], cfg)
+    orbit_dimension(Group.GO, psi, Picture.KET)
+    (go_plan,) = [key for key in generators._cache if key[0] == "plan"]
+    _Workspace(2, 12, [g], cfg)  # the basis and the spectrum are used again,
+    orbit_dimension(Group.GO, psi, Picture.KET)  # then the plan
+    assert list(generators._cache) == [("basis", 2, 12), (g, 2, 12), go_plan]
+    # a smaller PLO plan than the basis: dropping the basis makes room
+    monkeypatch.setattr(generators, "_CACHE_BUDGET", generators._cache.nbytes)
+    orbit_dimension(Group.PLO, psi, Picture.KET)
+    (plo_plan,) = [key for key in generators._cache if key[0] == "plan" and key != go_plan]
+    assert list(generators._cache) == [(g, 2, 12), go_plan, plo_plan]
+    assert generators._cache.nbytes == sum(size for _, size in generators._cache.values())
+
+
 def test_cache_survives_concurrent_workspaces(empty_cache, monkeypatch):
-    monkeypatch.setattr(dynamics, "_CACHE_BUDGET", 8192)  # every build evicts
+    monkeypatch.setattr(generators, "_CACHE_BUDGET", 8192)  # every build evicts
     elements = lie_basis(Group.GO, 1).elements
     cfg = EvolutionConfig(buffer=2)
 
@@ -647,7 +665,7 @@ def test_cache_survives_concurrent_workspaces(empty_cache, monkeypatch):
         sys.setswitchinterval(interval)
     assert not any(thread.is_alive() for thread in threads)
     assert errors == []
-    assert sum(size for _, size in dynamics._cache.values()) <= 8192
+    assert sum(size for _, size in generators._cache.values()) <= 8192
 
 
 # ------------------------------------------------------------- group words

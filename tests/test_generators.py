@@ -1,6 +1,8 @@
 """Generator catalogue, Lie bases, generator actions, and closure checks."""
 
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -11,6 +13,7 @@ from orbitdim import (
     GeneratorDescriptor,
     Group,
     LieBasis,
+    Picture,
     SparseKet,
     TruncatedBasis,
     apply_generator,
@@ -20,11 +23,15 @@ from orbitdim import (
     default_closure_probes,
     dense_hamiltonian,
     evolve_density,
+    gram_matrix,
     lie_basis,
     mixture,
     normalize,
     number_shift,
+    orbit_dimension,
     outer,
+    rank_psd,
+    sample_sphere_state,
     verify_closure,
 )
 import orbitdim.generators as generators
@@ -405,7 +412,7 @@ def test_generator_action_equals_the_dict_ladder_arithmetic(case):
 
 
 def test_generator_action_beyond_the_register_raises():
-    table = generators._monomials([GeneratorDescriptor("N", (1,)), GeneratorDescriptor("e", (2, 3))])
+    table = generators._monomials((GeneratorDescriptor("N", (1,)), GeneratorDescriptor("e", (2, 3))))
     with pytest.raises(ValueError, match="generator mode index 3 exceeds the 2-mode register"):
         generators._generator_action(table, np.zeros((1, 2), dtype=np.int64))
 
@@ -440,3 +447,116 @@ def test_directions_equal_np_add_at_bit_for_bit(case, seed):
     columns = np.ascontiguousarray(x[:, :, 0].T)  # U x d
     twice, _, _ = generators._directions(table, union, columns)
     assert np.array_equal(_bits(twice), _bits(_add_at_directions(table, union, columns)))
+
+
+# ------------------------------------------- plans kept in the shared store
+
+
+@pytest.fixture
+def empty_store(monkeypatch):
+    monkeypatch.setattr(generators, "_cache", generators._Store())
+
+
+@pytest.fixture
+def actions(monkeypatch):
+    """Count the kernel calls, each of which builds a plan."""
+    calls = []
+    action = generators._generator_action
+
+    def counted(table, occupations):
+        calls.append(len(occupations))
+        return action(table, occupations)
+
+    monkeypatch.setattr(generators, "_generator_action", counted)
+    return calls
+
+
+def _plan_state(m, mixed):
+    psi = sample_sphere_state(m, 2 if m < 4 else 1, seed=m)
+    if mixed:
+        return mixture([(0.25, psi), (0.75, sample_sphere_state(m, 2 if m < 4 else 1, seed=10 + m))])
+    return psi
+
+
+@pytest.mark.parametrize("group", [Group.PLO, Group.GO])
+@pytest.mark.parametrize("m", [2, 3, 4])
+@pytest.mark.parametrize(
+    "picture, mixed", [(Picture.KET, False), (Picture.KETBRA, False), (Picture.MIXED, False), (Picture.MIXED, True)]
+)
+def test_cold_and_warm_plans_give_identical_grams_and_ranks(empty_store, actions, group, m, picture, mixed):
+    state = _plan_state(m, mixed)
+    cold = gram_matrix(group, state, picture)
+    assert actions, "the first call builds its plan"
+    actions.clear()
+    warm = gram_matrix(group, state, picture)
+    assert actions == []
+    assert cold.values.tobytes() == warm.values.tobytes()
+    cold_rank, warm_rank = rank_psd(cold), rank_psd(warm)
+    assert cold_rank == warm_rank
+    assert np.array(cold_rank.eigenvalues).tobytes() == np.array(warm_rank.eigenvalues).tobytes()
+
+
+@pytest.mark.parametrize(
+    "group, m, extra", [(Group.PLO, 2, ()), (Group.GO, 2, ()), (Group.ALO, 1, (GeneratorDescriptor("I"),))]
+)
+def test_cold_and_warm_plans_give_identical_closure_fits(empty_store, actions, group, m, extra):
+    cold = verify_closure(group, m, extra_fit=extra)
+    actions.clear()
+    warm = verify_closure(group, m, extra_fit=extra)
+    assert actions == []  # the fit table is interned, so its plans are found
+    assert cold.residuals == warm.residuals
+    assert cold.coefficients.keys() == warm.coefficients.keys()
+    for pair, coefficients in cold.coefficients.items():
+        assert coefficients.tobytes() == warm.coefficients[pair].tobytes()
+    assert cold.min_normal_eigenvalue == warm.min_normal_eigenvalue
+
+
+def test_plan_arrays_are_read_only(empty_store):
+    table = generators._monomial_table(Group.GO, 2)
+    support = np.array([[0, 1], [2, 0]], dtype=np.int64)
+    plan = generators._plan(table, support)
+    assert plan[0] is table
+    assert not any(a.flags.writeable for a in plan[1:])
+    _, union, rows = generators._directions(table, support, np.ones((2, 1), dtype=complex))
+    for shared in (union, rows):
+        with pytest.raises(ValueError):
+            shared[0] = 0
+    ((value, size),) = generators._cache.values()
+    assert value is plan and size == sum(a.nbytes for a in plan[1:]) == generators._cache.nbytes
+
+
+def test_plans_survive_concurrent_orbit_dimensions(empty_store, monkeypatch):
+    """Under an 8 KiB budget the GO plans of the support are evicted as
+    soon as they are built, and the PLO plans are evicted by them, while
+    other threads read the plans they hold."""
+    monkeypatch.setattr(generators, "_CACHE_BUDGET", 8192)
+    states = [sample_sphere_state(3, 2, seed) for seed in range(3)]
+    cases = [(group, picture) for group in (Group.PLO, Group.GO) for picture in Picture]
+
+    def dimensions():
+        return [orbit_dimension(group, psi, picture) for psi in states for group, picture in cases]
+
+    expected = dimensions()
+    errors = []
+
+    def work():
+        try:
+            for _ in range(5):
+                if dimensions() != expected:
+                    errors.append("a dimension differs")
+        except Exception as exc:  # recorded and asserted on below
+            errors.append(repr(exc))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work) for _ in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert errors == []
+    assert generators._cache.nbytes == sum(size for _, size in generators._cache.values()) <= 8192
