@@ -422,9 +422,11 @@ def mixture(components: Sequence[tuple[float, SparseKet]]) -> DensityOperator:
         nrm2 = sum(a.real * a.real + a.imag * a.imag for a in psi.terms.values())
         if not math.isfinite(nrm2):
             raise ValidationError(f"mixture component has squared norm {nrm2!r}")
-        # a squared norm below the normal float range: scaled as in normalize
+        # scaled by the power of two that brings the largest modulus into
+        # [1/2, 1), so that no product of two amplitudes underflows unless
+        # its normalized value does; exact, so it changes no other entry
         states, amps = psi.arrays()
-        shift = 0 if nrm2 >= sys.float_info.min else -math.frexp(np.max(np.abs(amps), initial=0.0))[1]
+        shift = -math.frexp(np.max(np.abs(amps), initial=0.0))[1]
         re, im = np.ldexp(amps.real, shift), np.ldexp(amps.imag, shift)
         nrm2 = sum((re * re + im * im).tolist())
         if nrm2 == 0.0:

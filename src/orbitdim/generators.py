@@ -28,6 +28,12 @@ and the support alone, not on the amplitudes, so ``_directions`` plans it
 once per (monomial table, support) and applies the plan to each block of
 columns.
 
+The closure check ``verify_closure`` applies the basis and the fitted set
+to each probe, then joins each nonzero of H_I psi with the plan of the
+basis on that first union, so no H_J H_I psi is formed densely; the
+commutator targets are fitted one block of pairs at a time under a fixed
+budget.
+
 State-independent arrays are built once per process and kept, read-only,
 in one store under a fixed budget of 64 MiB (least recently used first out):
 the plans here, and the truncated bases and block spectra of ``dynamics``.
@@ -40,7 +46,7 @@ import itertools
 import math
 import threading
 from collections import OrderedDict
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from enum import Enum
 
@@ -404,6 +410,100 @@ def default_closure_probes(m: int) -> list[SparseKet]:
     return probes
 
 
+#: Bytes of one block of the closure fit: the dense right-hand side of a
+#: block of pairs over every probe, or the products joined for a group of
+#: probes (at 16 bytes each).
+_FIT_BUDGET = 1 << 20
+
+
+def _commutator_targets(
+    applied: np.ndarray, plans: Sequence[_Plan], pairs: int
+) -> Iterator[tuple[int, int, np.ndarray, np.ndarray]]:
+    """The targets [iH_I, iH_J] psi = H_J H_I psi - H_I H_J psi of the pairs
+    I < J, in row-major order, in blocks of pairs under ``_FIT_BUDGET``.
+
+    ``applied`` is d x U: column u holds H_I psi on state u of a first
+    union, the first unions of all probes side by side. ``plans`` holds the
+    plan of the basis on each first union. Yields ``(start, stop, b,
+    off_norm2)`` per block of pairs: ``b`` holds their targets on the
+    first unions, as 2U rows of (re, im) pairs, and ``off_norm2`` the
+    squared norm of each pair's targets off them, on the second unions.
+
+    No H_J H_I psi is formed, since each is sparse: every element
+    (J, u -> v, c) of a plan meets the nonzeros (I, u, a) of its source u,
+    and a c enters the target of pair (I, J) on v, with + for I < J and -
+    for I > J. The two terms are summed apart, each in plan order."""
+    d, u_total = applied.shape
+    _, srcs, coeffs, starts, cells, unions, rows = zip(*plans)
+    # the elements of all plans in turn, their sources counted over the
+    # first unions and their targets over the second unions
+    n_u, n_v, n_e, n_r = ([len(a) for a in arrays] for arrays in (rows, unions, srcs, cells))
+    u_bound, v_bound, e_bound = (np.cumsum([0, *n]) for n in (n_u, n_v, n_e))
+    src = np.concatenate(srcs) + np.repeat(u_bound[:-1], n_e)
+    coeff = np.concatenate(coeffs)[:, 0]
+    gen, tgt = np.divmod(np.concatenate(cells), np.repeat(n_v, n_r))
+    tgt += np.repeat(v_bound[:-1], n_r)
+    length = np.diff(np.concatenate(starts) + np.repeat(e_bound[:-1], n_r), append=e_bound[-1])
+    gen, tgt = np.repeat(gen, length), np.repeat(tgt, length)
+    # each second-union state's column in ``applied``, -1 off the first unions
+    column = np.full(v_bound[-1], -1)
+    column[np.concatenate(rows) + np.repeat(v_bound[:-1], n_u)] = np.arange(u_total)
+
+    u, first = np.nonzero(applied.T)  # by column, then by row
+    amp = applied[first, u]
+    count = np.bincount(u, minlength=u_total)
+    begin = np.cumsum(count) - count
+    reach = count[src]  # the products of each element
+    # the elements in groups of whole probes under the budget: the targets
+    # of distinct probes share no row
+    done = np.concatenate([[0], np.cumsum(reach)])[e_bound]
+    off_norm2 = np.zeros(pairs)
+    hits = []
+    low = 0
+    while low < len(plans):
+        high = max(int(np.searchsorted(done, done[low] + _FIT_BUDGET // 16, "right")) - 1, low + 1)
+        span = slice(e_bound[low], e_bound[high])
+        low = high
+        n = reach[span]
+        element = np.repeat(np.arange(span.start, span.stop), n)
+        # each element's products run over its source's nonzeros in turn
+        nonzero = np.arange(len(element)) + np.repeat(begin[src[span]] - (np.cumsum(n) - n), n)
+        i, j = first[nonzero], gen[element]
+        kept = np.flatnonzero(i != j)
+        nonzero, element, i, j = nonzero[kept], element[kept], i[kept], j[kept]
+        value = amp[nonzero] * coeff[element]
+        swapped = i > j
+        value[swapped] *= -1
+        i, j = np.minimum(i, j), np.maximum(i, j)
+        # pair (i, j)'s index in the row-major order of the pairs i < j
+        key = (i * (2 * d - i - 1) // 2 + j - i - 1) * v_bound[-1] + tgt[element]
+        key = 2 * key + swapped
+        order = key.argsort(kind="stable")
+        key = key[order]
+        runs = _run_starts(key).nonzero()[0]
+        sums = np.add.reduceat(value[order], runs)
+        key = key[runs] >> 1
+        runs = _run_starts(key).nonzero()[0]
+        sums = np.add.reduceat(sums, runs)
+        pair, v = np.divmod(key[runs], v_bound[-1])
+        row = column[v]
+        on = row >= 0
+        off = ~on
+        off_norm2 += np.bincount(pair[off], weights=np.abs(sums[off]) ** 2, minlength=pairs)
+        hits.append((pair[on], row[on], sums[on]))
+
+    pair, row, sums = map(np.concatenate, zip(*hits))
+    order = pair.argsort(kind="stable")
+    pair, row, sums = pair[order], row[order], sums[order]
+    width = max(_FIT_BUDGET // (16 * u_total), 1)
+    for start in range(0, pairs, width):
+        stop = min(start + width, pairs)
+        lo, hi = np.searchsorted(pair, [start, stop])
+        b = np.zeros((stop - start, u_total), dtype=complex)
+        b[pair[lo:hi] - start, row[lo:hi]] = sums[lo:hi]
+        yield start, stop, b.view(float).T, off_norm2[start:stop]
+
+
 def verify_closure(
     group: Group,
     m: int,
@@ -424,6 +524,10 @@ def verify_closure(
     ``extra_fit`` is a diagnostic handle: it widens only the fitting set, not
     the commutator pairs, so it can localize exactly which direction a failed
     closure is missing (for ALO, adjoining the identity).
+
+    Refuses with ``ValueError`` an empty probe list, and a probe with the
+    wrong mode count, a probe that is the zero ket or one whose squared
+    norm is not finite: none of them supports a verdict.
     """
     basis = lie_basis(group, m)
     if probes is None:
@@ -434,52 +538,51 @@ def verify_closure(
     for psi in probes:
         if psi.modes != m:
             raise ValueError("probe mode count does not match the basis")
+        # the norm is finite exactly when the squared norm is
+        norm = psi.norm()
+        if not math.isfinite(norm):
+            raise ValueError(f"probe has squared norm {norm * norm!r}")
+        if psi.is_zero():
+            raise ValueError("probe is the zero ket")
 
     excluded = set(exclude)
     fit = [g for g in basis.elements if g not in excluded]
     fit.extend(g for g in extra_fit if g not in fit)
     d = len(basis.elements)
-    pairs = [(i, j) for i in range(d) for j in range(i + 1, d)]
-    first, second = np.triu_indices(d, 1)
+    pairs = d * (d - 1) // 2
     table = _monomials(basis.elements + tuple(fit))
+    second = _monomial_table(group, m)
 
-    a_blocks: list[np.ndarray] = []
-    b_blocks: list[np.ndarray] = []
-    off_norm2 = np.zeros(len(pairs))
+    # the first applications side by side, column u of every probe's first
+    # union after the columns of the probes before it; and the plan of the
+    # second application on each first union
+    applied, plans = [], []
     for psi in probes:
         occupations, amps = psi.arrays()
-        applied, union, _ = _directions(table, occupations, amps[:, None])
-        # twice[J, :, I] = H_J H_I psi over a second, wider union
-        twice, _, rows = _directions(_monomial_table(group, m), union, applied[:d, :, 0].T)
-        # [iH_I, iH_J] psi = H_J (H_I psi) - H_I (H_J psi)
-        targets = twice[second, :, first] - twice[first, :, second]
-        # the fitted vectors vanish off the first union, so the target rows
-        # there enter the fit only through their norm
-        off_norm2 += np.sum(np.abs(np.delete(targets, rows, axis=1)) ** 2, axis=1)
-        # rows of (re, im) pairs, one pair per union state
-        a_blocks.append((1j * applied[d:, :, 0]).view(float).T)
-        b_blocks.append(np.ascontiguousarray(targets[:, rows]).view(float).T)
-
-    a_mat = np.vstack(a_blocks)
-    b_mat = np.vstack(b_blocks)
+        x, union, _ = _directions(table, occupations, amps[:, None])
+        applied.append(x[:, :, 0])
+        plans.append(_plan(second, union))
+    applied = np.hstack(applied)
+    # rows of (re, im) pairs, one pair per first-union state
+    a_mat = (1j * applied[d:]).view(float).T
     normal = a_mat.T @ a_mat
     min_eig = float(np.linalg.eigvalsh(normal)[0]) if len(fit) else 0.0
-    if pairs:
+    coeff = np.zeros((len(fit), pairs))
+    resid = np.zeros(pairs)
+    for start, stop, b_mat, off_norm2 in _commutator_targets(applied[:d], plans, pairs):
         rhs = a_mat.T @ b_mat
         try:
-            coeff = np.linalg.solve(normal, rhs)
+            block = np.linalg.solve(normal, rhs)
         except np.linalg.LinAlgError:
-            coeff = np.linalg.lstsq(a_mat, b_mat, rcond=None)[0]
-        resid = np.sqrt(np.sum((a_mat @ coeff - b_mat) ** 2, axis=0) + off_norm2)
-    else:
-        coeff = np.zeros((len(fit), 0))
-        resid = np.zeros(0)
+            block = np.linalg.lstsq(a_mat, b_mat, rcond=None)[0]
+        coeff[:, start:stop] = block
+        resid[start:stop] = np.sqrt(np.sum((a_mat @ block - b_mat) ** 2, axis=0) + off_norm2)
 
     residuals: dict[tuple[int, int], float] = {(i, i): 0.0 for i in range(d)}
     coefficients: dict[tuple[int, int], np.ndarray] = {
         (i, i): np.zeros(len(fit)) for i in range(d)
     }
-    for col, (i, j) in enumerate(pairs):
+    for col, (i, j) in enumerate(itertools.combinations(range(d), 2)):
         residuals[(i, j)] = residuals[(j, i)] = float(resid[col])
         coefficients[(i, j)] = coeff[:, col].copy()
         coefficients[(j, i)] = -coeff[:, col]

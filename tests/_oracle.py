@@ -23,12 +23,16 @@ mixture summed entry by entry in a dict. The package renders lists of floats
 in one pass, reads state files in bulk and sums a mixture as outer products
 of arrays; these pin its bytes, its error messages and its matrices. They
 take the state-file schema and error class from ``orbitdim.cli``.
+
+The closure fit at the end forms every double application H_J H_I psi
+densely and fits all pairs in one solve.
+It applies generators through the package's kernel, so it pins the fit's
+sparse join and pair blocks, not the generator action.
 """
 
 import itertools
 import json
 import math
-import sys
 
 import numpy as np
 
@@ -44,6 +48,7 @@ from orbitdim import (
     scale,
 )
 from orbitdim.cli import _SCHEMA, StateFileError
+from orbitdim.generators import _directions, _monomial_table, _monomials
 
 
 def basis_states(m, cutoff):
@@ -519,9 +524,8 @@ def mixture_per_entry(components):
         nrm2 = sum(a.real * a.real + a.imag * a.imag for a in psi.terms.values())
         if not math.isfinite(nrm2):
             raise ValidationError(f"mixture component has squared norm {nrm2!r}")
-        # a squared norm below the normal float range: scaled by the power
-        # of two that brings the largest modulus into [1/2, 1)
-        shift = 0 if nrm2 >= sys.float_info.min else -math.frexp(max(map(abs, psi.terms.values()), default=0.0))[1]
+        # scaled by the power of two that brings the largest modulus into [1/2, 1)
+        shift = -math.frexp(max(map(abs, psi.terms.values()), default=0.0))[1]
         terms = {occ: complex(math.ldexp(a.real, shift), math.ldexp(a.imag, shift)) for occ, a in psi.terms.items()}
         nrm2 = sum(a.real * a.real + a.imag * a.imag for a in terms.values())
         if nrm2 == 0.0:
@@ -531,3 +535,56 @@ def mixture_per_entry(components):
                 key = (bra, ket)
                 entries[key] = entries.get(key, 0j) + weight * bamp * kamp.conjugate() / nrm2
     return DensityOperator.validate(SparseOperator(modes, entries))
+
+
+# ------------------------------------------------- the dense closure fit
+
+
+def closure_fit_dense(group, m, probes, exclude=(), extra_fit=()):
+    """The closure fit of ``verify_closure`` from dense double applications:
+    every H_J H_I psi as a d x U2 x d array, the commutator targets as a
+    pairs x U2 array, and one least-squares solve over all pairs. Returns
+    ``(coeff, resid, min_eig)``: the fitted-set x pairs coefficients, the
+    per-pair residual norms and the normal matrix's smallest eigenvalue,
+    the pairs (i, j), i < j, in row-major order."""
+    basis = lie_basis(group, m)
+    excluded = set(exclude)
+    fit = [g for g in basis.elements if g not in excluded]
+    fit.extend(g for g in extra_fit if g not in fit)
+    d = len(basis.elements)
+    pairs = [(i, j) for i in range(d) for j in range(i + 1, d)]
+    first, second = np.triu_indices(d, 1)
+    table = _monomials(basis.elements + tuple(fit))
+
+    a_blocks = []
+    b_blocks = []
+    off_norm2 = np.zeros(len(pairs))
+    for psi in probes:
+        occupations, amps = psi.arrays()
+        applied, union, _ = _directions(table, occupations, amps[:, None])
+        # twice[J, :, I] = H_J H_I psi over a second, wider union
+        twice, _, rows = _directions(_monomial_table(group, m), union, applied[:d, :, 0].T)
+        # [iH_I, iH_J] psi = H_J (H_I psi) - H_I (H_J psi)
+        targets = twice[second, :, first] - twice[first, :, second]
+        # the fitted vectors vanish off the first union, so the target rows
+        # there enter the fit only through their norm
+        off_norm2 += np.sum(np.abs(np.delete(targets, rows, axis=1)) ** 2, axis=1)
+        # rows of (re, im) pairs, one pair per union state
+        a_blocks.append((1j * applied[d:, :, 0]).view(float).T)
+        b_blocks.append(np.ascontiguousarray(targets[:, rows]).view(float).T)
+
+    a_mat = np.vstack(a_blocks)
+    b_mat = np.vstack(b_blocks)
+    normal = a_mat.T @ a_mat
+    min_eig = float(np.linalg.eigvalsh(normal)[0]) if len(fit) else 0.0
+    if pairs:
+        rhs = a_mat.T @ b_mat
+        try:
+            coeff = np.linalg.solve(normal, rhs)
+        except np.linalg.LinAlgError:
+            coeff = np.linalg.lstsq(a_mat, b_mat, rcond=None)[0]
+        resid = np.sqrt(np.sum((a_mat @ coeff - b_mat) ** 2, axis=0) + off_norm2)
+    else:
+        coeff = np.zeros((len(fit), 0))
+        resid = np.zeros(0)
+    return coeff, resid, min_eig

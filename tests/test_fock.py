@@ -414,12 +414,16 @@ def test_mixture_equals_the_per_entry_sum(components):
 
 
 def test_mixture_support_is_the_states_of_nonzero_entries():
-    """A zero weight and products that underflow leave no nonzero entry on
-    the state |2> or |1>, so neither is in the support."""
+    """A zero weight leaves no nonzero entry on the state |2>, so it is not
+    in the support. Amplitudes whose raw product underflows keep their
+    normalized coherence rho_01 = 1e-270, which is representable."""
     zero_weight = mixture([(0.0, basis_ket((2,))), (1.0, basis_ket((0,)))])
+    assert zero_weight.support.tolist() == [[0]] and zero_weight.matrix.tolist() == [[1.0]]
     underflow = mixture([(1.0, SparseKet(1, {(0,): 1e-30, (1,): 1e-300}))])
-    for rho in (zero_weight, underflow):
-        assert rho.support.tolist() == [[0]] and rho.matrix.tolist() == [[1.0]]
+    assert underflow.support.tolist() == [[0], [1]]
+    assert underflow.matrix[0, 0] == 1.0
+    assert underflow.matrix[0, 1] == underflow.matrix[1, 0]
+    assert abs(underflow.matrix[0, 1] - 1e-270) <= 1e-15 * 1e-270
 
 
 # ------------------------------------------------------- ranking union states

@@ -1,8 +1,10 @@
 """Generator catalogue, Lie bases, generator actions, and closure checks."""
 
+import itertools
 import math
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -30,6 +32,7 @@ from orbitdim import (
     number_shift,
     orbit_dimension,
     outer,
+    perturb_state,
     rank_psd,
     sample_sphere_state,
     verify_closure,
@@ -299,11 +302,25 @@ def test_closure_coefficients_match_dense_commutators(group, extra):
                 assert np.max(np.abs(fitted - target)) < 1e-10, (basis[i].label, basis[j].label)
 
 
+def _assert_fit_equals_the_dense_fit(report, group, m, probes, exclude=(), extra_fit=()):
+    """Coefficients and residuals within 1e-12 of the dense fit's (relative
+    past 1), and the normal matrix's smallest eigenvalue bit for bit."""
+    coeff, resid, min_eig = _oracle.closure_fit_dense(group, m, probes, exclude, extra_fit)
+    pairs = list(itertools.combinations(range(len(lie_basis(group, m))), 2))
+    fitted = np.array([report.coefficients[pair] for pair in pairs]).reshape(len(pairs), len(report.fit_labels)).T
+    residuals = np.array([report.residuals[pair] for pair in pairs])
+    assert np.all(np.abs(fitted - coeff) <= 1e-12 * np.maximum(1.0, np.abs(coeff)))
+    assert np.all(np.abs(residuals - resid) <= 1e-12 * np.maximum(1.0, resid))
+    assert report.min_normal_eigenvalue == min_eig
+    assert report.max_residual == (max(report.residuals.values()) if pairs else 0.0)
+
+
 @pytest.mark.parametrize("m", [1, 2])
 def test_closure_fit_falls_back_to_least_squares_on_a_singular_normal_matrix(monkeypatch, m):
     """The vacuum alone leaves the normal matrix singular, so the fit takes
     np.linalg.lstsq; its coefficients still reproduce every dense commutator
-    on the probe: (H_J H_I - H_I H_J) psi = sum_K c_K iH_K psi."""
+    on the probe: (H_J H_I - H_I H_J) psi = sum_K c_K iH_K psi, and they
+    equal the dense fit's."""
     calls = []
     lstsq = np.linalg.lstsq
 
@@ -326,6 +343,7 @@ def test_closure_fit_falls_back_to_least_squares_on_a_singular_normal_matrix(mon
             target = mats[j] @ (mats[i] @ v) - mats[i] @ (mats[j] @ v)
             fitted = report.coefficients[(i, j)] @ directions
             assert np.max(np.abs(fitted - target)) < 1e-10, (basis[i].label, basis[j].label)
+    _assert_fit_equals_the_dense_fit(report, Group.GO, m, [psi])
 
 
 def test_closure_counts_target_rows_outside_the_fitted_union(monkeypatch):
@@ -350,6 +368,83 @@ def test_closure_excluding_phase_shifter_breaks_fit():
 def test_closure_empty_probes_rejected():
     with pytest.raises(ValueError):
         verify_closure(Group.PLO, 2, probes=[])
+
+
+@pytest.mark.parametrize("group", [Group.PLO, Group.GO])
+@pytest.mark.parametrize(
+    "probe",
+    [SparseKet(2, {}), SparseKet(2, {(0, 0): math.nan}), SparseKet(2, {(1, 0): 1e200})],
+    ids=["zero", "nan", "overflow"],
+)
+def test_closure_refuses_probes_that_support_no_verdict(group, probe):
+    """The zero ket fits every commutator with residual 0, a NaN amplitude
+    reads as 0 too, and a squared norm past the float range breaks the
+    eigensolve: each is refused, beside a good probe as well as alone."""
+    for probes in ([probe], [basis_ket((1, 0)), probe]):
+        with pytest.raises(ValueError, match="probe"):
+            verify_closure(group, 2, probes=probes)
+
+
+@st.composite
+def _closure_cases(draw):
+    """A group, m <= 3 and one to three sphere samples of at most two
+    photons, each perhaps perturbed; ALO with or without the identity
+    adjoined, and any group with up to two basis elements excluded."""
+    group = draw(st.sampled_from(list(Group)))
+    m = draw(st.integers(1, 3))
+    probes = []
+    for _ in range(draw(st.integers(1, 3))):
+        n, seed = draw(st.integers(1, 2)), draw(st.integers(0, 2**16))
+        psi = sample_sphere_state(m, n, seed)
+        if draw(st.booleans()):
+            psi = perturb_state(psi, draw(st.sampled_from([1e-6, 1e-2, 0.5])), n, seed + 1)
+        probes.append(psi)
+    basis = lie_basis(group, m).elements
+    exclude = draw(st.lists(st.sampled_from(basis), max_size=2, unique=True))
+    extra = [GeneratorDescriptor("I")] if group is Group.ALO and draw(st.booleans()) else []
+    return group, m, probes, exclude, extra
+
+
+@given(case=_closure_cases())
+@settings(max_examples=80, deadline=None, derandomize=True)
+def test_closure_fit_equals_the_dense_fit(case):
+    group, m, probes, exclude, extra = case
+    report = verify_closure(group, m, probes, exclude=exclude, extra_fit=extra)
+    _assert_fit_equals_the_dense_fit(report, group, m, probes, exclude, extra)
+
+
+@pytest.mark.parametrize(
+    "group, m, exclude, extra",
+    [
+        (Group.PLO, 2, [GeneratorDescriptor("N", (1,))], []),
+        (Group.ALO, 2, [], []),
+        (Group.ALO, 2, [], [GeneratorDescriptor("I")]),
+        (Group.GO, 3, [], []),
+    ],
+    ids=["plo-exclude", "alo", "alo+id", "go"],
+)
+def test_closure_fit_equals_the_dense_fit_on_the_default_probes(monkeypatch, group, m, exclude, extra):
+    """At the default budget and at 4 KiB, where every probe is joined
+    alone and the pairs are fitted a few at a time."""
+    probes = default_closure_probes(m)
+    for budget in (generators._FIT_BUDGET, 4096):
+        monkeypatch.setattr(generators, "_FIT_BUDGET", budget)
+        report = verify_closure(group, m, probes, exclude=exclude, extra_fit=extra)
+        _assert_fit_equals_the_dense_fit(report, group, m, probes, exclude, extra)
+
+
+def test_closure_memory_stays_under_a_fixed_bound(empty_store):
+    """GO at m = 5 on an empty store peaks at about 21 MB under
+    tracemalloc, plans included: no H_J H_I psi is formed densely (the
+    dense fit peaks at 124 MB) and the targets are fitted in pair blocks
+    (unblocked, 75 MB)."""
+    tracemalloc.start()
+    try:
+        verify_closure(Group.GO, 5)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 50 * 2**20
 
 
 @pytest.mark.parametrize("m", [1, 2])
