@@ -23,6 +23,7 @@ import json
 import math
 import sys
 import time
+from collections.abc import Callable
 from typing import NoReturn
 
 import numpy as np
@@ -35,7 +36,6 @@ from .fock import (
     ValidationError,
     _unchecked,
     basis_ket,
-    outer,
     sample_sphere_state,
     uniform_phase_state,
     validate_occupation,
@@ -51,7 +51,6 @@ from .orbit import (
     cnot_demo,
     generic_dimension,
     gram_matrix,
-    gram_mixed,
     nongaussianity_witness,
     orbit_dimension,
     rank_psd,
@@ -271,14 +270,14 @@ def _fmt(x: float) -> str:
     return f"{float(x):.6g}"
 
 
-def _emit(args, payload: dict, lines: list[str]) -> None:
+def _emit(args, payload: dict, lines: Callable[[], list[str]]) -> None:
     """Print the command's result: with --json the payload under the
-    schema version and command name, otherwise the lines and the time
-    elapsed since ``main`` parsed the arguments."""
+    schema version and command name, otherwise the lines, built only
+    then, and the time elapsed since ``main`` parsed the arguments."""
     if args.json:
         print(render_json({"schema_version": SCHEMA_VERSION, "command": args.command, **payload}))
     else:
-        for line in lines:
+        for line in lines():
             print(line)
         print(f"elapsed: {time.perf_counter() - args.started:.3f} s")
 
@@ -315,15 +314,14 @@ def cmd_dim(args) -> int:
         **_rank_fields(result),
         "relative_tolerance_policy": result.relative,
     }
-    lines = [
+    _emit(args, payload, lambda: [
         f"state: {args.state} (sha256 {payload['input']['sha256'][:12]}...)",
         f"group: {group.value}  picture: {picture.value}",
         f"dimension: {result.rank}",
         f"tolerance: {_fmt(result.tolerance_used)}"
         + (" (relative policy 1e-8 * max(1, lambda_max))" if result.relative else " (absolute)"),
         _spectrum_line(result.eigenvalues),
-    ]
-    _emit(args, payload, lines)
+    ])
     return EXIT_OK
 
 
@@ -340,15 +338,15 @@ def cmd_gram(args) -> int:
         "matrix": gram.values,
         **_rank_fields(result),
     }
-    lines = [
+    _emit(args, payload, lambda: [
         f"state: {args.state}",
         f"group: {group.value}  picture: {picture.value}  d: {gram.dim}",
         "basis: " + " ".join(gram.basis.labels),
         "matrix:",
-    ]
-    lines += ["  [" + ", ".join(_fmt(x) for x in row) + "]" for row in gram.values]
-    lines += [f"dimension: {result.rank}", _spectrum_line(result.eigenvalues)]
-    _emit(args, payload, lines)
+        *("  [" + ", ".join(_fmt(x) for x in row) + "]" for row in gram.values),
+        f"dimension: {result.rank}",
+        _spectrum_line(result.eigenvalues),
+    ])
     return EXIT_OK
 
 
@@ -388,16 +386,20 @@ def cmd_table2(args) -> int:
         writer.writerow(columns)
         writer.writerows(cells)
     else:
-        lines = [f"{'family':<22}{'group':<6}{'pict':<8}{'m':<3}{'closed':<8}{'num':<6}{'kind':<7}result"]
-        for family, group, picture, m, params, closed, num, kind, discrepancy, result in cells:
-            star = "*" if discrepancy == "yes" else " "
-            lines.append(
-                f"{family:<22}{group:<6}{picture:<8}{m:<3}{closed:<8}{num:<6}{kind:<7}{result}{star} {params}"
-            )
-        known = sum(1 for r in rows if r.known_discrepancy)
-        lines.append(f"rows: {len(rows)}  failures: {len(failed)}  known discrepancies (*): {known}")
-        if known:
-            lines.append("* tabulated value undercounts by one here; the cell passes at closed + 1")
+
+        def lines() -> list[str]:
+            out = [f"{'family':<22}{'group':<6}{'pict':<8}{'m':<3}{'closed':<8}{'num':<6}{'kind':<7}result"]
+            for family, group, picture, m, params, closed, num, kind, discrepancy, result in cells:
+                star = "*" if discrepancy == "yes" else " "
+                out.append(
+                    f"{family:<22}{group:<6}{picture:<8}{m:<3}{closed:<8}{num:<6}{kind:<7}{result}{star} {params}"
+                )
+            known = sum(1 for r in rows if r.known_discrepancy)
+            out.append(f"rows: {len(rows)}  failures: {len(failed)}  known discrepancies (*): {known}")
+            if known:
+                out.append("* tabulated value undercounts by one here; the cell passes at closed + 1")
+            return out
+
         _emit(args, {"m_max": args.m_max, "rows": payload_rows, "failures": len(failed)}, lines)
     return EXIT_MISMATCH if failed else EXIT_OK
 
@@ -432,13 +434,12 @@ def cmd_generic(args) -> int:
         "hit_rate": hit_rate,
         "uniform_phase_dimension": uniform_dim,
     }
-    lines = [
+    _emit(args, payload, lambda: [
         f"group: {group.value}  picture: {picture.value}  m: {args.m}  N: {args.N}",
         f"expected generic dimension: {expected}",
         f"samples: {len(dims)}  hits: {hits}  hit rate: {hit_rate:.0%}",
         f"uniform-phase state dimension: {uniform_dim}",
-    ]
-    _emit(args, payload, lines)
+    ])
     return EXIT_OK if hit_rate == 1.0 else EXIT_MISMATCH
 
 
@@ -456,12 +457,11 @@ def cmd_closure(args) -> int:
         "min_normal_eigenvalue": report.min_normal_eigenvalue,
     }
     verdict = "< 1e-10" if report.max_residual < 1e-10 else ">= 1e-10 (NOT closed at probe resolution)"
-    lines = [
+    _emit(args, payload, lambda: [
         f"group: {group.value}  m: {args.m}  basis size: {d}  probes: {report.probe_count}",
         f"max residual: {report.max_residual:.3e} ({verdict})",
         f"min normal-matrix eigenvalue: {report.min_normal_eigenvalue:.3e}",
-    ]
-    _emit(args, payload, lines)
+    ])
     return EXIT_OK
 
 
@@ -474,31 +474,29 @@ def cmd_witness(args) -> int:
         "witnessed": result.witnessed,
     }
     comparator = ">" if result.witnessed else "<="
-    lines = [
+    _emit(args, payload, lambda: [
         f"state: {args.state}",
         f"gaussian-orbit dimension: {result.dimension}  threshold m(m+3): {result.threshold}",
         f"witnessed: {str(result.witnessed).lower()} ({result.dimension} {comparator} {result.threshold})",
-    ]
-    _emit(args, payload, lines)
+    ])
     return EXIT_OK
 
 
 def cmd_estimate(args) -> int:
     group = Group(args.group)
-    rho = load_state(args.state)
-    if isinstance(rho, SparseKet):
-        _check_normalized(rho)  # as dim and witness do; outer() would rescale
-        rho = outer(rho)
+    state = load_state(args.state)
+    if isinstance(state, SparseKet):
+        _check_normalized(state)  # as dim and witness do; the estimate would rescale
     cfg = EvolutionConfig(buffer=args.buffer, step=getattr(args, "h"), leakage_tolerance=args.leakage_tol)
-    estimated = estimate_gram_matrix(rho, group, cfg)
-    direct = gram_mixed(group, rho).values
+    estimated = estimate_gram_matrix(state, group, cfg)
+    direct = gram_matrix(group, state, Picture.MIXED).values
     dev = np.abs(estimated.values - direct)
     max_dev = float(dev.max()) if dev.size else 0.0
     # acceptance check 7: every entry within 1e-4 + 1e-3 |direct|
     with np.errstate(over="ignore"):  # a ratio past the float range reads inf
         ratio = dev / (1e-4 + 1e-3 * np.abs(direct))
     worst = np.unravel_index(np.argmax(ratio), ratio.shape)
-    labels = lie_basis(group, rho.modes).labels
+    labels = lie_basis(group, state.modes).labels
     payload = {
         "input": _input_block(args.state),
         "group": group.value,
@@ -511,17 +509,8 @@ def cmd_estimate(args) -> int:
         "max_trace_deviation": estimated.max_trace_deviation,
         "hermiticity_residual": estimated.hermiticity_residual,
     }
-    lines = [
-        f"state: {args.state}  group: {group.value}",
-        f"step h: {_fmt(cfg.step)}  buffer: {cfg.buffer}",
-        f"max |estimated - direct| over all (I, J): {max_dev:.6e}",
-        f"working dimension: {estimated.working_dimension}  cutoff: {estimated.cutoff}  "
-        f"max boundary weight: {estimated.max_boundary_weight:.3e}  "
-        f"max trace deviation: {estimated.max_trace_deviation:.3e}  "
-        f"hermiticity residual: {estimated.hermiticity_residual:.3e}",
-    ]
     if args.details:
-        detail = [
+        payload["entries"] = [
             {
                 "I": labels[i],
                 "J": labels[j],
@@ -532,13 +521,26 @@ def cmd_estimate(args) -> int:
             }
             for i, j in zip(*np.triu_indices(len(labels)))
         ]
-        payload["entries"] = detail
-        lines.append(f"{'I':<8}{'J':<8}{'direct':>14}{'estimate':>14}{'|dev|':>12}")
-        for row in detail:
-            lines.append(
-                f"{row['I']:<8}{row['J']:<8}{row['direct']:>14.6g}{row['estimate']:>14.6g}"
-                f"{abs(row['estimate'] - row['direct']):>12.3e}"
-            )
+
+    def lines() -> list[str]:
+        out = [
+            f"state: {args.state}  group: {group.value}",
+            f"step h: {_fmt(cfg.step)}  buffer: {cfg.buffer}",
+            f"max |estimated - direct| over all (I, J): {max_dev:.6e}",
+            f"working dimension: {estimated.working_dimension}  cutoff: {estimated.cutoff}  "
+            f"max boundary weight: {estimated.max_boundary_weight:.3e}  "
+            f"max trace deviation: {estimated.max_trace_deviation:.3e}  "
+            f"hermiticity residual: {estimated.hermiticity_residual:.3e}",
+        ]
+        if args.details:
+            out.append(f"{'I':<8}{'J':<8}{'direct':>14}{'estimate':>14}{'|dev|':>12}")
+            for row in payload["entries"]:
+                out.append(
+                    f"{row['I']:<8}{row['J']:<8}{row['direct']:>14.6g}{row['estimate']:>14.6g}"
+                    f"{abs(row['estimate'] - row['direct']):>12.3e}"
+                )
+        return out
+
     _emit(args, payload, lines)
     if ratio[worst] > 1.0:
         print(
@@ -562,11 +564,10 @@ def cmd_sample(args) -> int:
         "norm": psi.norm(),
         "sha256": file_digest(args.out),
     }
-    lines = [
+    _emit(args, payload, lambda: [
         f"wrote {args.out}: {len(psi.terms)} terms, norm {psi.norm():.12f}",
         f"m: {args.m}  N: {args.N}  seed: {args.seed}",
-    ]
-    _emit(args, payload, lines)
+    ])
     return EXIT_OK
 
 
@@ -583,13 +584,12 @@ def cmd_cnot_demo(args) -> int:
         "distinct": report.distinct,
         "verdict": report.verdict,
     }
-    lines = [
+    _emit(args, payload, lambda: [
         f"group: {group.value}  picture: ketbra",
         f"|+0>_L  = (|1,0,1,0> + |1,0,0,1>)/sqrt(2): dimension {report.dim_plus_zero}",
         f"|Phi+>_L = (|1,0,1,0> + |0,1,0,1>)/sqrt(2): dimension {report.dim_bell}",
         f"verdict: {report.verdict}",
-    ]
-    _emit(args, payload, lines)
+    ])
     if group is Group.GO and not matches_reference:
         return EXIT_MISMATCH
     return EXIT_OK

@@ -8,7 +8,9 @@ photon-number-truncated basis, via Hermitian eigendecomposition of the
 connected components of its coupling graph, so it is exactly unitary on the
 working space and never forms a D x D matrix. A density evolves as the r
 columns of its support, on the rows of the blocks that contain a support
-state, at all the times asked for in one pass. Photon-number-shifting
+state, at all the times asked for in one pass. ``beta`` and
+``estimate_gram_matrix`` accept a ket too: its projector evolves as the one
+column psi/|psi| (Phi = psi/|psi|, P = [[1]]). Photon-number-shifting
 generators get a configurable buffer of extra photons above the state's
 support; occupancy of the top two sectors of the working basis (the guard
 band) is the truncation-leakage proxy, checked together with trace and
@@ -27,7 +29,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fock import DensityOperator, Occupation, SparseKet, ValidationError, _run_starts, enumerate_occupations
+from .fock import (
+    DensityOperator,
+    Occupation,
+    SparseKet,
+    ValidationError,
+    _run_starts,
+    enumerate_occupations,
+    normalize,
+)
 from .generators import (
     GeneratorDescriptor,
     Group,
@@ -311,18 +321,29 @@ class _Workspace:
 
 class _DensityWorkspace(_Workspace):
     """The working space of one density rho = Phi P Phi^dag under a set of
-    generators: Phi holds the rows of rho's support and P is rho over the
-    support, so an evolved copy U rho U^dag is A P A^dag with the R x r
-    block A = U Phi."""
+    generators, so that an evolved copy U rho U^dag is A P A^dag with the
+    R x r block A = U Phi. For a density, Phi holds the rows of rho's
+    support and P is rho over the support; for a ket psi, the projector
+    |psi><psi| / <psi|psi> has Phi = psi/|psi| on the support rows and
+    P = [[1]], so r = 1."""
 
-    def __init__(self, rho: DensityOperator, generators: Sequence[GeneratorDescriptor], cfg: EvolutionConfig) -> None:
-        super().__init__(rho.modes, max(map(sum, rho.support.tolist()), default=0), generators, cfg, rho.support)
-        r = len(rho.support)
-        self.phi = np.zeros((len(self.rows), r), dtype=complex)
-        self.phi[self.support, np.arange(r)] = 1.0
-        self.p = rho.matrix
-        # (A P A^dag)^dag = A P^dag A^dag, so every copy inherits P's residual
-        self.hermiticity = rho.hermiticity_residual
+    def __init__(
+        self, state: SparseKet | DensityOperator, generators: Sequence[GeneratorDescriptor], cfg: EvolutionConfig
+    ) -> None:
+        if isinstance(state, SparseKet):
+            support, amps = normalize(state).arrays()
+            columns = amps[:, None]
+            self.p = np.ones((1, 1), dtype=complex)
+            # a ket's projector is Hermitian by construction
+            self.hermiticity = 0.0
+        else:
+            support, columns = state.support, np.eye(len(state.support), dtype=complex)
+            self.p = state.matrix
+            # (A P A^dag)^dag = A P^dag A^dag, so every copy inherits P's residual
+            self.hermiticity = state.hermiticity_residual
+        super().__init__(state.modes, max(map(sum, support.tolist()), default=0), generators, cfg, support)
+        self.phi = np.zeros((len(self.rows), columns.shape[1]), dtype=complex)
+        self.phi[self.support] = columns
 
     def evolved(self, times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The blocks A_0 = Phi and A_n = exp(-i H_n t) Phi for every
@@ -391,7 +412,7 @@ def evolve_density(
 
 
 def beta(
-    rho: DensityOperator,
+    rho: SparseKet | DensityOperator,
     i: int,
     j: int,
     t: float,
@@ -400,7 +421,8 @@ def beta(
 ) -> float:
     """Hilbert-Schmidt overlap of two evolved copies of rho, the copies
     driven by basis generators ``i`` and ``j`` (1-based; 0 = no evolution).
-    Every generator's copy is evolved and leakage-checked."""
+    A ket stands for its normalized projector. Every generator's copy is
+    evolved and leakage-checked."""
     _check_time(t)
     ws = _DensityWorkspace(rho, lie_basis(group, rho.modes).elements, cfg)
     for index in (i, j):
@@ -429,7 +451,7 @@ class EstimatedGram:
 
 
 def estimate_gram_matrix(
-    rho: DensityOperator,
+    rho: SparseKet | DensityOperator,
     group: Group,
     cfg: EvolutionConfig = EvolutionConfig(),
 ) -> EstimatedGram:
@@ -437,8 +459,9 @@ def estimate_gram_matrix(
     overlap curves: entry (i, j) is (d2 beta_ij - d2 beta_i0 - d2 beta_0j) / 2
     at t = 0, each derivative from the central stencil of the beta matrix at
     step h (``coarse``) and h/2 (``fine``), with one Richardson step between
-    them (``values``). All three are symmetric bit for bit. A step so small
-    that a stencil overflows raises ValidationError."""
+    them (``values``). All three are symmetric bit for bit. A ket stands for
+    its normalized projector and evolves as one column. A step so small that
+    a stencil overflows raises ValidationError."""
     ws = _DensityWorkspace(rho, lie_basis(group, rho.modes).elements, cfg)
     (b0,) = ws.beta_matrix(np.zeros(1))
     steps = np.array([cfg.step, cfg.step / 2.0])

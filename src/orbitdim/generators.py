@@ -44,6 +44,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import sys
 import threading
 from collections import OrderedDict
 from collections.abc import Iterable, Iterator, Sequence
@@ -527,7 +528,9 @@ def verify_closure(
 
     Refuses with ``ValueError`` an empty probe list, and a probe with the
     wrong mode count, a probe that is the zero ket or one whose squared
-    norm is not finite: none of them supports a verdict.
+    norm is not finite or falls below the normal float range (its targets,
+    directions and residuals underflow to 0): none of them supports a
+    verdict.
     """
     basis = lie_basis(group, m)
     if probes is None:
@@ -544,6 +547,8 @@ def verify_closure(
             raise ValueError(f"probe has squared norm {norm * norm!r}")
         if psi.is_zero():
             raise ValueError("probe is the zero ket")
+        if norm * norm < sys.float_info.min:
+            raise ValueError(f"probe has squared norm {norm * norm!r}, below the normal float range")
 
     excluded = set(exclude)
     fit = [g for g in basis.elements if g not in excluded]

@@ -36,6 +36,7 @@ from orbitdim import (
     perturb_state,
     number_shift,
     sample_sphere_state,
+    scale,
 )
 from orbitdim import dynamics, generators
 from orbitdim.dynamics import _blocks, _Workspace
@@ -165,15 +166,15 @@ def test_evolve_density_matches_dense_propagator(g, m):
     assert_entries_close(out.op.entries, reference, tol=1e-12)
 
 
-def test_beta_entry_and_matrix_estimates_agree_bitwise():
-    rho = mixture([(0.7, normalize(SparseKet(1, {(0,): 1.0, (2,): 0.5j}))), (0.3, basis_ket((1,)))])
-    group = Group.GO
-    d = len(lie_basis(group, 1))
-    est = estimate_gram_matrix(rho, group)
+def _assert_beta_entries_equal_the_estimate_stencils(state, group):
+    """Each entry ``beta`` evolves on its own gives the estimate's coarse
+    and fine stencils bit for bit, and beta_ij = beta_ji."""
+    d = len(lie_basis(group, state.modes))
+    est = estimate_gram_matrix(state, group)
 
     @functools.cache
     def b(i, j, t):
-        return beta(rho, i, j, t, group)
+        return beta(state, i, j, t, group)
 
     def dd(i, j, h):
         return (b(i, j, h) - 2.0 * b(i, j, 0.0) + b(i, j, -h)) / (h * h)
@@ -183,6 +184,11 @@ def test_beta_entry_and_matrix_estimates_agree_bitwise():
             assert b(i, j, est.step) == b(j, i, est.step)
             for h, stencil in ((est.step, est.coarse), (est.step / 2.0, est.fine)):
                 assert 0.5 * (dd(i, j, h) - (dd(i, 0, h) + dd(0, j, h))) == stencil[i - 1, j - 1]
+
+
+def test_beta_entry_and_matrix_estimates_agree_bitwise():
+    rho = mixture([(0.7, normalize(SparseKet(1, {(0,): 1.0, (2,): 0.5j}))), (0.3, basis_ket((1,)))])
+    _assert_beta_entries_equal_the_estimate_stencils(rho, Group.GO)
 
 
 def test_go_estimate_allocates_less_than_its_copies_on_the_whole_basis():
@@ -450,6 +456,91 @@ def test_estimate_leakage_names_the_first_copy_to_fail():
         r"boundary weight 5\.000e-07 exceed tolerance 1\.0e-08 \(cutoff 4\); increase the buffer or reduce \|t\|",
         str(info.value),
     )
+
+
+# ------------------------------------------------------------ ket estimation
+
+_KETS = {
+    "m1_fock": lambda: basis_ket((1,)),
+    "m2_fock": lambda: basis_ket((0, 2)),
+    "m1_sphere": lambda: sample_sphere_state(1, 3, seed=2),
+    "m2_sphere_N1": lambda: sample_sphere_state(2, 1, seed=8),
+    "m2_sphere_N2": lambda: sample_sphere_state(2, 2, seed=9),
+}
+
+
+@pytest.mark.parametrize("state", list(_KETS))
+@pytest.mark.parametrize("group", [Group.PLO, Group.GO])
+def test_ket_estimate_matches_its_outer_product(group, state):
+    """A ket evolves as the one column psi/|psi|, its projector's S support
+    columns as S; both estimate the same Gram matrix up to rounding, on the
+    same working space, and the ket's projector is exactly Hermitian."""
+    psi = _KETS[state]()
+    ket, rho = estimate_gram_matrix(psi, group), estimate_gram_matrix(outer(psi), group)
+    for name in ("values", "coarse", "fine"):
+        assert np.abs(getattr(ket, name) - getattr(rho, name)).max() <= 1e-7
+    assert (ket.working_dimension, ket.cutoff) == (rho.working_dimension, rho.cutoff)
+    assert abs(ket.max_boundary_weight - rho.max_boundary_weight) <= 1e-12
+    assert abs(ket.max_trace_deviation - rho.max_trace_deviation) <= 1e-12
+    assert ket.hermiticity_residual == 0.0
+
+
+@pytest.mark.parametrize("group", [Group.PLO, Group.GO])
+def test_ket_beta_entries_equal_the_ket_estimate_stencils_bitwise(group):
+    _assert_beta_entries_equal_the_estimate_stencils(sample_sphere_state(1, 2, seed=4), group)
+
+
+def test_leaking_ket_raises_as_its_outer_product():
+    """A Fock ket's one column is its projector's support column, so the
+    leakage check measures the same numbers and names the same copy."""
+    psi = basis_ket((0, 1))
+    cfg = EvolutionConfig(buffer=3, leakage_tolerance=1e-8)
+    messages = []
+    for state in (psi, outer(psi)):
+        with pytest.raises(LeakageError) as info:
+            estimate_gram_matrix(state, Group.GO, cfg)
+        messages.append(str(info.value))
+    assert messages[0] == messages[1]
+    assert messages[0].startswith("evolving under r[1,2] for t=0.001: ")
+
+
+@pytest.mark.parametrize("group", [Group.PLO, Group.GO])
+def test_unnormalized_ket_estimates_as_its_normalized_version(group):
+    """A ket is normalized as ``outer`` normalizes it: a power-of-two
+    multiple gives the same bits, any other multiple the same values up to
+    the stencils' rounding noise, and one whose squared norm underflows
+    still normalizes."""
+    psi = sample_sphere_state(2, 1, seed=3)
+    unit = estimate_gram_matrix(psi, group)
+    assert np.array_equal(estimate_gram_matrix(scale(4.0, psi), group).values, unit.values)
+    for factor in (3.0, 1e-200):
+        est = estimate_gram_matrix(scale(factor, psi), group)
+        assert np.abs(est.values - unit.values).max() <= 1e-7
+    assert beta(scale(3.0, psi), 1, 2, 0.1, group) == pytest.approx(beta(psi, 1, 2, 0.1, group), abs=1e-12)
+
+
+def test_zero_ket_is_refused():
+    zero = SparseKet(2, {})
+    with pytest.raises(ValidationError, match="zero ket"):
+        estimate_gram_matrix(zero, Group.GO)
+    with pytest.raises(ValidationError, match="zero ket"):
+        beta(zero, 0, 1, 0.1, Group.PLO)
+
+
+def test_go_ket_estimate_traces_no_support_columns():
+    """The GO estimate of an m = 3, N = 3 sphere ket (S = 20) evolves one
+    column, not the S columns of its outer product: its traced peak stays
+    below 16 MiB, where the S-column estimate peaks near 75 MiB. The spectra
+    are cached per process, so the estimate is traced once they are."""
+    psi = sample_sphere_state(3, 3, seed=0)
+    estimate_gram_matrix(psi, Group.GO)
+    tracemalloc.start()
+    try:
+        estimate_gram_matrix(psi, Group.GO)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
 
 
 @pytest.mark.parametrize("state", ["m1_sphere", "m2_fock", "m2_sphere", "m2_rank2"])

@@ -373,13 +373,20 @@ def test_closure_empty_probes_rejected():
 @pytest.mark.parametrize("group", [Group.PLO, Group.GO])
 @pytest.mark.parametrize(
     "probe",
-    [SparseKet(2, {}), SparseKet(2, {(0, 0): math.nan}), SparseKet(2, {(1, 0): 1e200})],
-    ids=["zero", "nan", "overflow"],
+    [
+        SparseKet(2, {}),
+        SparseKet(2, {(0, 0): math.nan}),
+        SparseKet(2, {(1, 0): 1e200}),
+        SparseKet(2, {(1, 0): 1e-200}),
+    ],
+    ids=["zero", "nan", "overflow", "underflow"],
 )
 def test_closure_refuses_probes_that_support_no_verdict(group, probe):
     """The zero ket fits every commutator with residual 0, a NaN amplitude
-    reads as 0 too, and a squared norm past the float range breaks the
-    eigensolve: each is refused, beside a good probe as well as alone."""
+    reads as 0 too, a squared norm past the float range breaks the
+    eigensolve, and one below the normal range makes every target and
+    residual square to 0: each is refused, beside a good probe as well as
+    alone."""
     for probes in ([probe], [basis_ket((1, 0)), probe]):
         with pytest.raises(ValueError, match="probe"):
             verify_closure(group, 2, probes=probes)
