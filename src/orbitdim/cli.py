@@ -407,6 +407,8 @@ def cmd_table2(args) -> int:
 def cmd_generic(args) -> int:
     if args.seeds < 1:
         raise ValueError(f"--seeds must be >= 1, got {args.seeds}")
+    if args.seed0 < 0:
+        raise ValueError(f"--seed0 must be >= 0, got {args.seed0}")
     group = Group(args.group)
     picture = Picture(args.picture)
     expected = generic_dimension(group, args.m, args.N, picture)
@@ -553,6 +555,8 @@ def cmd_estimate(args) -> int:
 
 
 def cmd_sample(args) -> int:
+    if args.seed < 0:
+        raise ValueError(f"--seed must be >= 0, got {args.seed}")
     psi = sample_sphere_state(args.m, args.N, args.seed)
     write_state_file(args.out, psi)
     payload = {
@@ -613,7 +617,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true", help="structured deterministic output")
-    common.add_argument("--tol", type=float, default=None, help="absolute rank tolerance (default: 1e-8 * max(1, lambda_max))")
+    ranking = argparse.ArgumentParser(add_help=False, parents=[common])
+    ranking.add_argument("--tol", type=float, default=None, help="absolute rank tolerance (default: 1e-8 * max(1, lambda_max))")
     state = argparse.ArgumentParser(add_help=False)
     state.add_argument("--state", required=True)
     group = argparse.ArgumentParser(add_help=False)
@@ -622,18 +627,18 @@ def _build_parser() -> argparse.ArgumentParser:
     picture.add_argument("--picture", required=True, choices=_PICTURES)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("dim", parents=[common, state, group, picture], help="orbit dimension of a state file")
+    p = sub.add_parser("dim", parents=[ranking, state, group, picture], help="orbit dimension of a state file")
     p.set_defaults(func=cmd_dim)
 
-    p = sub.add_parser("gram", parents=[common, state, group, picture], help="print the Gram matrix of a state file")
+    p = sub.add_parser("gram", parents=[ranking, state, group, picture], help="print the Gram matrix of a state file")
     p.set_defaults(func=cmd_gram)
 
-    p = sub.add_parser("table2", parents=[common], help="recompute the closed-form dimension grid")
+    p = sub.add_parser("table2", parents=[ranking], help="recompute the closed-form dimension grid")
     p.add_argument("--m-max", dest="m_max", type=int, default=4)
     p.add_argument("--format", choices=["text", "csv"], default="text")
     p.set_defaults(func=cmd_table2)
 
-    p = sub.add_parser("generic", parents=[common, group, picture], help="sampled genericity check")
+    p = sub.add_parser("generic", parents=[ranking, group, picture], help="sampled genericity check")
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--N", type=int, required=True)
     p.add_argument("--seeds", type=int, default=20)
@@ -644,7 +649,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", type=int, required=True)
     p.set_defaults(func=cmd_closure)
 
-    p = sub.add_parser("witness", parents=[common, state], help="non-Gaussianity witness for a ket file")
+    p = sub.add_parser("witness", parents=[ranking, state], help="non-Gaussianity witness for a ket file")
     p.set_defaults(func=cmd_witness)
 
     p = sub.add_parser("estimate", parents=[common, state, group], help="finite-difference Gram estimation vs direct")
@@ -661,7 +666,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_sample)
 
-    p = sub.add_parser("cnot-demo", parents=[common], help="dual-rail CNOT impossibility demonstration")
+    p = sub.add_parser("cnot-demo", parents=[ranking], help="dual-rail CNOT impossibility demonstration")
     p.add_argument("--group", choices=_GROUPS, default=Group.GO.value)
     p.set_defaults(func=cmd_cnot_demo)
 

@@ -348,32 +348,34 @@ class _DensityWorkspace(_Workspace):
     def evolved(self, times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The blocks A_0 = Phi and A_n = exp(-i H_n t) Phi for every
         generator n and each of the T times, T x R x (d + 1) x r, and their
-        Gram, T x (d + 1) r x (d + 1) r. Every copy at t != 0 is
-        leakage-checked; the first to fail, by time then generator, raises."""
+        Gram, T x (d + 1) r x (d + 1) r, not yet leakage-checked."""
         t, k, r = len(times), len(self.generators) + 1, self.phi.shape[1]
         copies = np.empty((t, len(self.rows), k, r), dtype=complex)
         copies[:, :, 0] = self.phi
         copies[:, :, 1:] = self.evolve(times, self.phi, 0, k - 1).reshape(t, k - 1, -1, r).transpose(0, 2, 1, 3)
         x = copies.reshape(t, -1, k * r)
-        gram = x.conj().transpose(0, 2, 1) @ x
+        return copies, x.conj().transpose(0, 2, 1) @ x
+
+    def check_copies(self, times: np.ndarray, copies: np.ndarray, gram: np.ndarray) -> None:
+        """Leakage-check every copy that ``evolved`` gave at t != 0; the
+        first to fail, by time then generator, raises."""
         moving = times != 0.0
-        if moving.any():
-            # the diagonal of each A P A^dag, summed in all (from A^dag A) and over the band
-            own = np.einsum("tiaib->tiab", gram.reshape(t, k, r, k, r)[:, 1:, :, 1:])
-            band = copies[:, self.band, 1:]
-            shifts = [number_shift(g.kind) > 0 for g in self.generators]
-            measured = {
-                "trace_deviation": np.abs(np.sum(self.p * own.conj(), axis=(2, 3)) - 1.0),
-                "hermiticity": np.full(own.shape[:2], self.hermiticity),
-                "boundary_weight": np.where(shifts, np.sum(((band @ self.p) * band.conj()).real, axis=(1, 3)), 0.0),
-            }
-            passed = np.logical_and.reduce([value <= self.cfg.leakage_tolerance for value in measured.values()])
-            for i, n in np.argwhere(moving[:, None] & ~passed)[:1].tolist():
-                context = f"evolving under {self.generators[n].label} for t={times[i]:g}"
-                self.check(context, **{name: float(value[i, n]) for name, value in measured.items()})
-            # every copy passed, so do the largest values: record them
+        t, k, r = len(times), len(self.generators) + 1, self.phi.shape[1]
+        # the diagonal of each A P A^dag, summed in all (from A^dag A) and over the band
+        own = np.einsum("tiaib->tiab", gram.reshape(t, k, r, k, r)[:, 1:, :, 1:])
+        band = copies[:, self.band, 1:]
+        shifts = [number_shift(g.kind) > 0 for g in self.generators]
+        measured = {
+            "trace_deviation": np.abs(np.sum(self.p * own.conj(), axis=(2, 3)) - 1.0),
+            "hermiticity": np.full(own.shape[:2], self.hermiticity),
+            "boundary_weight": np.where(shifts, np.sum(((band @ self.p) * band.conj()).real, axis=(1, 3)), 0.0),
+        }
+        passed = np.logical_and.reduce([value <= self.cfg.leakage_tolerance for value in measured.values()])
+        for i, n in np.argwhere(moving[:, None] & ~passed)[:1].tolist():
+            context = f"evolving under {self.generators[n].label} for t={times[i]:g}"
+            self.check(context, **{name: float(value[i, n]) for name, value in measured.items()})
+        if moving.any():  # every copy passed, so do the largest values: record them
             self.check("evolving", **{name: float(value[moving].max()) for name, value in measured.items()})
-        return copies, gram
 
     def beta_matrix(self, times: np.ndarray) -> np.ndarray:
         """beta_ij = Tr[rho_i rho_j] for i, j in 0..d at each of the T times,
@@ -381,19 +383,26 @@ class _DensityWorkspace(_Workspace):
         the Gram of the evolved columns. Each d + 1 square is symmetric bit
         for bit. An overlap that overflows raises ValidationError."""
         with np.errstate(over="ignore", invalid="ignore"):
-            gram = self.evolved(times)[1]
+            copies, gram = self.evolved(times)
             t, k, r = len(times), len(self.generators) + 1, self.phi.shape[1]
             m = gram.reshape(t, k, r, k, r).transpose(0, 1, 3, 2, 4)  # M_ij at [:, i, j]
             pmp = self.p @ m @ self.p
             pmp *= m.conj()
             values = np.sum(pmp, axis=(3, 4))
-        if not np.isfinite(values).all():
-            raise ValidationError("beta overlap is not finite: the density's entries are too large")
-        failed = ~(np.abs(values.imag) <= _IMAG_RESIDUE_TOL * np.maximum(1.0, np.abs(values.real)))
-        if failed.any():
-            raise ValidationError(f"beta overlap has imaginary residue {values.imag[failed][0]:.3e}")
+            _refuse_overlaps(values[times == 0.0])  # rho's own, refused before any copy is leakage-checked
+            self.check_copies(times, copies, gram)
+            _refuse_overlaps(values[times != 0.0])
         upper = np.triu(values.real)
         return upper + np.triu(upper, 1).transpose(0, 2, 1)
+
+
+def _refuse_overlaps(values: np.ndarray) -> None:
+    """Refuse overlaps that are not finite or have an imaginary residue."""
+    if not np.isfinite(values).all():
+        raise ValidationError("beta overlap is not finite: the density's entries are too large")
+    failed = ~(np.abs(values.imag) <= _IMAG_RESIDUE_TOL * np.maximum(1.0, np.abs(values.real)))
+    if failed.any():
+        raise ValidationError(f"beta overlap has imaginary residue {values.imag[failed][0]:.3e}")
 
 
 def evolve_density(
@@ -407,7 +416,9 @@ def evolve_density(
     ws = _DensityWorkspace(rho, (g,), cfg)
     if t == 0.0:
         return rho
-    a = ws.evolved(np.array([t]))[0][0, :, 1]
+    copies, gram = ws.evolved(np.array([t]))
+    ws.check_copies(np.array([t]), copies, gram)
+    a = copies[0, :, 1]
     return DensityOperator._checked(ws.states, (a @ ws.p) @ a.conj().T)
 
 
@@ -463,11 +474,10 @@ def estimate_gram_matrix(
     its normalized projector and evolves as one column. A step so small that
     a stencil overflows raises ValidationError."""
     ws = _DensityWorkspace(rho, lie_basis(group, rho.modes).elements, cfg)
-    (b0,) = ws.beta_matrix(np.zeros(1))
     steps = np.array([cfg.step, cfg.step / 2.0])
-    b = ws.beta_matrix(np.array([steps, -steps]).T.ravel())  # h, -h, h/2, -h/2
+    b = ws.beta_matrix(np.append(0.0, np.array([steps, -steps]).T.ravel()))  # 0, h, -h, h/2, -h/2
     with np.errstate(over="ignore", invalid="ignore"):
-        dd = (b[0::2] - 2.0 * b0 + b[1::2]) / (steps * steps)[:, None, None]
+        dd = (b[1::2] - 2.0 * b[0] + b[2::2]) / (steps * steps)[:, None, None]
         # dd is symmetric and a sum commutes, so the entries are too
         coarse, fine = 0.5 * (dd[:, 1:, 1:] - (dd[:, 1:, :1] + dd[:, :1, 1:]))
         values = (4.0 * fine - coarse) / 3.0

@@ -3,8 +3,8 @@ states built from them.
 
 States with finite support in the occupation-number basis are stored as
 dictionaries mapping occupation tuples to complex amplitudes; operators
-(commutators, and a density's ``op``) map (bra, ket) occupation pairs to
-complex entries. Only exact zeros are pruned (no epsilon thresholding).
+(commutators) map (bra, ket) occupation pairs to complex entries. Only
+exact zeros are pruned (no epsilon thresholding).
 Generators act on these states through the vectorised kernel in
 ``generators``, not through arithmetic on the dictionaries. This module
 owns the conversions between the dictionaries and arrays over a support:
@@ -13,7 +13,8 @@ owns the conversions between the dictionaries and arrays over a support:
 term.
 
 A validated density is its ``support`` (the states of its nonzero
-entries) and its ``matrix`` over the support; ``op`` is derived from them.
+entries) and its ``matrix`` over the support; its dict view over (bra, ket)
+pairs is ``SparseOperator.from_arrays(rho.support, rho.matrix)``.
 ``DensityOperator.validate``, ``DensityOperator.from_entries``, ``outer``,
 ``mixture`` and ``dynamics.evolve_density`` all end in the same check over
 the two arrays.
@@ -289,12 +290,6 @@ class SparseOperator:
                 clean[key] = value
         object.__setattr__(self, "entries", clean)
 
-    def is_zero(self) -> bool:
-        return not self.entries
-
-    def max_total(self) -> int:
-        return max((max(sum(b), sum(k)) for b, k in self.entries), default=0)
-
     @classmethod
     def from_arrays(cls, states: np.ndarray, matrix: np.ndarray) -> "SparseOperator":
         """The operator with entry ``matrix[i, j]`` at (``states[i]``,
@@ -306,10 +301,6 @@ class SparseOperator:
         bra, ket = np.nonzero(matrix)
         entries = {(rows[i], rows[j]): v for i, j, v in zip(bra.tolist(), ket.tolist(), matrix[bra, ket].tolist())}
         return _unchecked(cls, modes=states.shape[1], entries=entries)
-
-
-def op_trace(a: SparseOperator) -> complex:
-    return sum((amp for (b, k), amp in a.entries.items() if b == k), 0j)
 
 
 @dataclass(frozen=True, eq=False)
@@ -332,12 +323,6 @@ class DensityOperator:
     @property
     def modes(self) -> int:
         return self.support.shape[1]
-
-    @property
-    def op(self) -> SparseOperator:
-        """The operator as a map over (bra, ket) pairs, derived from the
-        support and the matrix, in sorted (bra, ket) order."""
-        return SparseOperator.from_arrays(self.support, self.matrix)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, DensityOperator):

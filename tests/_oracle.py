@@ -13,8 +13,9 @@ composed into ``apply_generator`` and ``left_apply_generator``), which
 shares no code with the package's vectorised generator-action kernel behind
 ``gram_ket``, ``gram_ketbra``, ``gram_mixed``, ``orbitdim.apply_generator``
 and ``orbitdim.commutator_with_density``. From the package it takes only the
-state containers with ``basis_ket``, ``add``, ``scale`` and ``op_trace``,
-and ``lie_basis``.
+state containers with ``basis_ket``, ``add`` and ``scale``, and
+``lie_basis``; a density enters through ``density_op``, its dict view
+``SparseOperator.from_arrays(rho.support, rho.matrix)``.
 
 The last section holds references that work one value at a time: the
 recursive JSON renderer, a state-file reader that checks each entry in turn
@@ -44,7 +45,6 @@ from orbitdim import (
     add,
     basis_ket,
     lie_basis,
-    op_trace,
     scale,
 )
 from orbitdim.cli import _SCHEMA, StateFileError
@@ -111,9 +111,14 @@ def dense_ket(psi, index):
     return v
 
 
+def density_op(rho):
+    """A density as a map over (bra, ket) pairs, in sorted (bra, ket) order."""
+    return SparseOperator.from_arrays(rho.support, rho.matrix)
+
+
 def dense_density(rho, index):
     r = np.zeros((len(index), len(index)), dtype=complex)
-    for (bra, ket), amp in rho.op.entries.items():
+    for (bra, ket), amp in density_op(rho).entries.items():
         r[index[bra], index[ket]] = amp
     return r
 
@@ -149,7 +154,7 @@ def oracle_gram_ketbra(group, psi):
 
 def oracle_gram_mixed(group, rho):
     """Entries 2 Tr[{H_I,H_J} rho^2] - 2 Tr[H_I rho H_J rho] via dense products."""
-    cutoff = _cutoff_for(rho.op.max_total())
+    cutoff = _cutoff_for(max((max(sum(b), sum(k)) for b, k in density_op(rho).entries), default=0))
     _, index = basis_states(rho.modes, cutoff)
     r = dense_density(rho, index)
     r2 = r @ r
@@ -278,6 +283,10 @@ def op_scale(c, a):
     return SparseOperator(a.modes, {key: c * amp for key, amp in a.entries.items()})
 
 
+def op_trace(a):
+    return sum((amp for (b, k), amp in a.entries.items() if b == k), 0j)
+
+
 def hs_inner(a, b):
     """Hilbert-Schmidt inner product Tr[a^dag b], summed over common entries."""
     if a.modes != b.modes:
@@ -352,7 +361,7 @@ def left_apply_generator(g, a):
 
 def commutator_with_density(g, rho):
     """[H, rho] = H rho - rho H; uses rho H = (H rho)^dag for Hermitian rho."""
-    left = left_apply_generator(g, rho.op)
+    left = left_apply_generator(g, density_op(rho))
     return op_add(left, op_scale(-1.0, dagger(left)))
 
 
@@ -413,8 +422,9 @@ def gram_mixed_trace(group, rho):
     a pure state. Tr[H_J H_I rho^2] is the conjugate of Tr[H_I H_J rho^2]
     (the trace of its adjoint), so only the latter is formed."""
     elements = lie_basis(group, rho.modes).elements
-    rho2 = _op_mul(rho.op, rho.op)
-    h_rho = [left_apply_generator(g, rho.op) for g in elements]
+    op = density_op(rho)
+    rho2 = _op_mul(op, op)
+    h_rho = [left_apply_generator(g, op) for g in elements]
     h_rho2 = [left_apply_generator(g, rho2) for g in elements]
     d = len(elements)
     out = np.zeros((d, d))

@@ -172,7 +172,7 @@ def test_density_state_file_round_trip(tmp_path):
     again = load_state(str(path))
     assert isinstance(again, DensityOperator)
     assert again.modes == 2
-    assert again.op.entries == rho.op.entries  # 17 significant digits round-trip losslessly
+    assert _oracle.density_op(again).entries == _oracle.density_op(rho).entries  # 17 significant digits round-trip losslessly
     assert json.loads(path.read_text())["kind"] == "density"
 
 
@@ -193,7 +193,7 @@ def test_density_file_lists_the_sorted_entries(tmp_path, build):
     write_state_file(str(path), rho)
     entries = [
         {"bra": list(bra), "ket": list(ket), "re": amp.real, "im": amp.imag}
-        for (bra, ket), amp in sorted(rho.op.entries.items())
+        for (bra, ket), amp in sorted(_oracle.density_op(rho).entries.items())
     ]
     doc = {"modes": rho.modes, "kind": "density", "entries": entries}
     assert path.read_bytes() == (_oracle.render_json(doc) + "\n").encode("ascii")
@@ -471,6 +471,25 @@ def test_generic_rejects_seed_count_below_one(capsys, seeds):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("json_flag", [[], ["--json"]], ids=["text", "json"])
+@pytest.mark.parametrize(
+    "command, option",
+    [
+        (["generic", "--group", "plo", "--m", "1", "--N", "1", "--picture", "ket", "--seeds", "1", "--seed0", "-1"], "--seed0"),
+        (["sample", "--m", "1", "--N", "1", "--seed", "-1", "--out", "{out}"], "--seed"),
+    ],
+    ids=["generic", "sample"],
+)
+def test_negative_seed_is_refused_by_name(capsys, tmp_path, command, option, json_flag):
+    out_path = tmp_path / "sampled.json"
+    code, out, err = run(capsys, *[arg.format(out=out_path) for arg in command], *json_flag)
+    assert code == EXIT_INVALID
+    assert out == ""
+    assert f"error: {option} must be >= 0, got -1" in err
+    assert "Traceback" not in err
+    assert not out_path.exists()
+
+
 def test_generic_vacuum_cell_without_sampling(capsys):
     code, out, _ = run(
         capsys, "generic", "--group", "plo", "--m", "3", "--N", "0", "--picture", "ket", "--json"
@@ -682,28 +701,45 @@ def test_cnot_demo_other_group_informational(capsys):
     assert doc["group"] == "plo"
 
 
-@pytest.mark.parametrize(
-    "command",
-    [
-        ["dim", "--state", "{ket}", "--group", "plo", "--picture", "ket"],
-        ["gram", "--state", "{ket}", "--group", "plo", "--picture", "ketbra"],
-        ["table2", "--m-max", "1"],
-        ["generic", "--group", "plo", "--m", "1", "--N", "1", "--picture", "ket", "--seeds", "1"],
-        ["closure", "--group", "plo", "--m", "1"],
-        ["witness", "--state", "{ket}"],
-        ["estimate", "--state", "{density}", "--group", "plo"],
-        ["sample", "--m", "1", "--N", "1", "--out", "{out}"],
-        ["cnot-demo", "--group", "plo"],
-    ],
-    ids=lambda c: c[0],
-)
-def test_json_envelope_names_schema_and_command(capsys, tmp_path, fock11, density1, command):
+_COMMANDS = {
+    "dim": ["dim", "--state", "{ket}", "--group", "plo", "--picture", "ket"],
+    "gram": ["gram", "--state", "{ket}", "--group", "plo", "--picture", "ketbra"],
+    "table2": ["table2", "--m-max", "1"],
+    "generic": ["generic", "--group", "plo", "--m", "1", "--N", "1", "--picture", "ket", "--seeds", "1"],
+    "closure": ["closure", "--group", "plo", "--m", "1"],
+    "witness": ["witness", "--state", "{ket}"],
+    "estimate": ["estimate", "--state", "{density}", "--group", "plo"],
+    "sample": ["sample", "--m", "1", "--N", "1", "--out", "{out}"],
+    "cnot-demo": ["cnot-demo", "--group", "plo"],
+}
+
+
+@pytest.mark.parametrize("name", list(_COMMANDS))
+def test_json_envelope_names_schema_and_command(capsys, tmp_path, fock11, density1, name):
     paths = {"ket": fock11, "density": density1, "out": str(tmp_path / "sampled.json")}
-    code, out, _ = run(capsys, *[arg.format(**paths) for arg in command], "--json")
+    code, out, _ = run(capsys, *[arg.format(**paths) for arg in _COMMANDS[name]], "--json")
     assert code == EXIT_OK
     doc = json.loads(out)
     assert doc["schema_version"] == 1
-    assert doc["command"] == command[0]
+    assert doc["command"] == name
+
+
+@pytest.mark.parametrize("name", list(_COMMANDS))
+def test_only_the_ranking_commands_take_tol(capsys, tmp_path, fock11, density1, name):
+    paths = {"ket": fock11, "density": density1, "out": str(tmp_path / "sampled.json")}
+    argv = [arg.format(**paths) for arg in _COMMANDS[name]] + ["--tol", "1e-6", "--json"]
+    if name in ("closure", "estimate", "sample"):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        captured = capsys.readouterr()
+        assert exc.value.code == EXIT_INVALID
+        assert captured.out == ""
+        assert "unrecognized arguments: --tol 1e-6" in captured.err
+        assert not (tmp_path / "sampled.json").exists()
+    else:
+        code, out, _ = run(capsys, *argv)
+        assert code == EXIT_OK
+        assert json.loads(out)["command"] == name
 
 
 # ------------------------------------------------- bulk reading, one-pass rendering
@@ -720,7 +756,7 @@ def _outcome(read, path):
     return (
         "density",
         state.modes,
-        list(state.op.entries.items()),
+        list(_oracle.density_op(state).entries.items()),
         state.hermiticity_residual,
         state.trace_residual,
         state.support.tolist(),

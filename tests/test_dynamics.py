@@ -41,7 +41,7 @@ from orbitdim import (
 from orbitdim import dynamics, generators
 from orbitdim.dynamics import _blocks, _Workspace
 from _helpers import assert_entries_close, assert_terms_close
-from _oracle import basis_states, dense_density, dense_ket, generator_matrix, inner
+from _oracle import basis_states, dense_density, dense_ket, density_op, generator_matrix, inner
 
 
 # ----------------------------------------------------------- TruncatedBasis
@@ -163,7 +163,7 @@ def test_evolve_density_matches_dense_propagator(g, m):
     expected = u @ dense_density(rho, index) @ u.conj().T
     out = evolve_density(rho, g, 0.4, _SMALL_BUFFER)
     reference = {(a, b): expected[i, j] for i, a in enumerate(occs) for j, b in enumerate(occs)}
-    assert_entries_close(out.op.entries, reference, tol=1e-12)
+    assert_entries_close(density_op(out).entries, reference, tol=1e-12)
 
 
 def _assert_beta_entries_equal_the_estimate_stencils(state, group):
@@ -235,7 +235,7 @@ def test_evolve_zero_time_returns_input_unchanged():
 def test_evolve_number_operator_fixes_fock_projector():
     rho = outer(basis_ket((1,)))
     out = evolve_density(rho, GeneratorDescriptor("N", (1,)), 0.7)
-    assert_entries_close(out.op.entries, rho.op.entries, tol=1e-12)
+    assert_entries_close(density_op(out).entries, density_op(rho).entries, tol=1e-12)
 
 
 def test_evolve_density_support_is_the_states_of_its_nonzero_entries():
@@ -272,7 +272,7 @@ def test_evolve_density_matches_group_word_on_the_projector(kind, modes, t):
     psi = normalize(SparseKet(2, {(1, 0): 1.0, (0, 2): 0.5j, (1, 1): -0.25}))
     g = GeneratorDescriptor(kind, modes)
     out = evolve_density(outer(psi), g, t)
-    assert_entries_close(out.op.entries, outer(apply_group_word(psi, [(g, t)])).op.entries, tol=1e-12)
+    assert_entries_close(density_op(out).entries, density_op(outer(apply_group_word(psi, [(g, t)]))).entries, tol=1e-12)
 
 
 def test_evolution_config_rejects_nan():
