@@ -408,7 +408,7 @@ def cmd_generic(args) -> int:
     if args.seeds < 1:
         raise ValueError(f"--seeds must be >= 1, got {args.seeds}")
     if args.seed0 < 0:
-        raise ValueError(f"--seed0 must be >= 0, got {args.seed0}")
+        raise ValueError(f"--seed0/--seed must be >= 0, got {args.seed0}")  # one option, two spellings
     group = Group(args.group)
     picture = Picture(args.picture)
     expected = generic_dimension(group, args.m, args.N, picture)

@@ -5,20 +5,21 @@ Hamiltonians, ``evolve_density``, ``apply_group_word``, the overlaps
 
 Evolution exponentiates the generator Hamiltonian projected onto a
 photon-number-truncated basis, via Hermitian eigendecomposition of the
-connected components of its coupling graph, so it is exactly unitary on the
-working space and never forms a D x D matrix. A density evolves as the r
-columns of its support, on the rows of the blocks that contain a support
-state, at all the times asked for in one pass. ``beta`` and
-``estimate_gram_matrix`` accept a ket too: its projector evolves as the one
-column psi/|psi| (Phi = psi/|psi|, P = [[1]]). Photon-number-shifting
-generators get a configurable buffer of extra photons above the state's
-support; occupancy of the top two sectors of the working basis (the guard
-band) is the truncation-leakage proxy, checked together with trace and
-Hermiticity deviations and never silently accepted.
+connected components (blocks) of its coupling graph, one stacked ``eigh``
+per true block size, so it is exactly unitary on the working space and
+never forms a D x D matrix. The blocks are padded into size classes, one
+per power of two, each evolved by two stacked products; a group word reads
+the classes as stored, and a density evolves as the r columns of its
+support under the blocks that hold a support state, all its times in one
+pass. ``beta`` and ``estimate_gram_matrix`` accept a ket too: its projector
+evolves as the one column psi/|psi|. Photon-number-shifting generators get
+a configurable buffer of photons above the state's support; the weight in
+the top two sectors (the guard band) is the truncation-leakage proxy,
+checked with trace and Hermiticity deviations and never silently passed.
 
-The basis of each (modes, cutoff) and the eigendecomposed blocks of each
-(generator, modes, cutoff) depend on no state, so they are built once per
-process and kept, read-only, in the byte-budgeted store of ``generators``.
+The basis of each (modes, cutoff) and the padded classes of each
+(generator, modes, cutoff) depend on no state: built once per process and
+kept, read-only, in the byte-budgeted store of ``generators``.
 """
 
 from __future__ import annotations
@@ -161,7 +162,7 @@ def _blocks(
     place[order] = np.arange(len(order)) - np.repeat(start, counts)
     edge_size = counts[block[dst]]
     out = []
-    for s in np.unique(counts).tolist():
+    for s in sorted(set(counts.tolist())):  # np.unique(counts) would import numpy.ma on its first call
         blocks = np.flatnonzero(counts == s)
         within = np.full(len(counts), -1)
         within[blocks] = np.arange(len(blocks))
@@ -186,38 +187,52 @@ def _basis(modes: int, cutoff: int) -> tuple[TruncatedBasis, np.ndarray, np.ndar
     return found
 
 
+def _flatten(classes: list) -> tuple:
+    """Per size class, node arrays (blocks x width) then eigenvectors; as
+    each class's span of the flat nodes and its eigenvectors, then each array flat."""
+    ends = np.cumsum([v.shape[0] * v.shape[1] for *_, v in classes]).tolist()
+    spans = [(slice(end - v.shape[0] * v.shape[1], end), v) for end, (*_, v) in zip(ends, classes)]
+    return spans, *(np.concatenate([c[i].ravel() for c in classes]) for i in range(len(classes[0]) - 1))
+
+
 def _spectra(
     generators: Sequence[GeneratorDescriptor], basis: TruncatedBasis
-) -> list[tuple[dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]], np.ndarray]]:
-    """Each generator's eigendecomposed blocks: per block size, the basis
-    indices of its blocks (in order of their smallest one), their
-    eigenvalues and eigenvectors; and the block of each basis index, the
-    blocks numbered in that order, by size and then within it. Misses are
-    built together, one stacked ``eigh`` per block size."""
+) -> list[tuple[list[tuple[slice, np.ndarray]], np.ndarray, np.ndarray, np.ndarray]]:
+    """Each generator's eigendecomposed blocks, laid out to evolve: blocks
+    of 2^(k-1) < s <= 2^k states form size class k, padded to its largest
+    block (the sentinel index D, eigenvalue 0, an identity eigenvector), and
+    run by class, size, then smallest basis index. Per class, its span of
+    the nodes and its eigenvectors; every node's basis index and eigenvalue,
+    flat; and the block of each basis index, numbered in that order. Misses
+    are built together, one stacked ``eigh`` per true block size."""
     size = basis.size
     keys = [(g, basis.modes, basis.cutoff) for g in generators]
     found = [_recall(key) for key in keys]
     missing = [n for n, spectrum in enumerate(found) if spectrum is None]
     if missing:
-        pieces: dict[int, dict] = {n: {} for n in missing}
+        classes: dict[int, list] = {}  # 2^k -> each missing generator's blocks of class k, by size
         for nodes, h in _blocks([generators[n] for n in missing], basis):
+            count, s = nodes.shape
+            width = 1 << (s - 1).bit_length()
+            padded = np.full((count, width), size), np.zeros((count, width)), np.zeros((count, width, width), complex)
+            padded[0][:, :s] = nodes % size
+            padded[1][:, :s], padded[2][:, :s, :s] = np.linalg.eigh(h)
+            padded[2][:, s:, s:] = np.eye(width - s)
             first = np.searchsorted(nodes[:, 0] // size, np.arange(len(missing) + 1)).tolist()
-            eigenvalues, eigenvectors = np.linalg.eigh(h)
-            for k, n in enumerate(missing):
-                span = slice(first[k], first[k + 1])
-                if span.start < span.stop:
-                    pieces[n][nodes.shape[1]] = (
-                        nodes[span] % size,
-                        eigenvalues[span].copy(),
-                        eigenvectors[span].copy(),
-                    )
-        for n in missing:
-            block, start = np.empty(size, dtype=np.int64), 0
-            for nodes, _, _ in pieces[n].values():
+            parts = classes.setdefault(width, [[] for _ in missing])
+            for k in range(len(missing)):
+                if first[k] < first[k + 1]:
+                    parts[k].append([a[first[k] : first[k + 1]] for a in padded])
+        for k, n in enumerate(missing):
+            pieces = [[np.concatenate(a) for a in zip(*parts[k])] for _, parts in sorted(classes.items()) if parts[k]]
+            tops = [int(np.sum(x[-1] < size)) for x, _, _ in pieces]  # each class as wide as its last, largest block
+            pieces = [(x[:, :w], y[:, :w], np.ascontiguousarray(z[:, :w, :w])) for (x, y, z), w in zip(pieces, tops)]
+            block, start = np.empty(size + 1, dtype=np.int64), 0  # the sentinel's entry is dropped
+            for nodes, _, _ in pieces:
                 block[nodes] = start + np.arange(len(nodes))[:, None]
                 start += len(nodes)
-            found[n] = (pieces[n], block)
-            _remember(keys[n], found[n], [block, *(a for piece in pieces[n].values() for a in piece)])
+            found[n] = (*_flatten(pieces), block[:size])
+            _remember(keys[n], found[n], [*(v for _, v in found[n][0]), *found[n][1:]])
     _trim()
     return found
 
@@ -226,11 +241,12 @@ class _Workspace:
     """The truncated working space for evolving states under a set of
     generators: the cutoff (the states' photon number, plus the buffer when
     any generator shifts photon number), the basis, the generators'
-    eigendecomposed blocks, the rows it works on (basis indices) with their
-    states and guard band, and the leakage check with the largest value it
-    has seen of each measured quantity. Given the states' support (S x m),
-    it keeps only the blocks that contain a support state, and its rows are
-    the states they cover, ``support`` the support's rows among them."""
+    eigendecomposed blocks in units, the rows it works on (basis indices)
+    with their states and guard band, and the leakage check with the largest
+    value it has seen of each measured quantity. Given the states' support
+    (S x m), one unit holds every block that contains a support state, and
+    the rows are the states they cover, ``support`` the support's rows
+    among them; without one, each generator's stored blocks are a unit."""
 
     def __init__(
         self, modes: int, max_total: int, generators: Iterable[GeneratorDescriptor], cfg: EvolutionConfig,
@@ -239,64 +255,68 @@ class _Workspace:
         self.cfg = cfg
         self.generators = tuple(dict.fromkeys(generators))
         self.shifting = any(number_shift(g.kind) > 0 for g in self.generators)
-        self.basis, states, band = _basis(modes, max_total + (cfg.buffer if self.shifting else 0))
+        self.basis, self.states, self.band = _basis(modes, max_total + (cfg.buffer if self.shifting else 0))
+        self.worst: dict[str, float] = {}
         size = self.basis.size
-        reached = np.full(size, support is None)
-        if support is not None:
-            support = np.array([self.basis.index[occ] for occ in map(tuple, support.tolist())], dtype=np.int64)
-            reached[support] = True
         spectra = _spectra(self.generators, self.basis)
-        # every (generator, block size) piece in turn, and its first block
+        # a unit: its first generator, each node's generator, per size class
+        # its span and eigenvectors, the nodes (rows; R the sentinel), eigenvalues
+        if support is None:
+            self.rows, self.support = np.arange(size), None
+            self.units = [(n, n, *spectrum[:3]) for n, spectrum in enumerate(spectra)]
+            return
+        support = np.array([self.basis.index[occ] for occ in map(tuple, support.tolist())], dtype=np.int64)
+        # every (generator, size class) piece in turn, and its first block
         # numbered over all of them; each block map starts from 0
-        pieces = [(n, s, piece) for n, (spectrum, _) in enumerate(spectra) for s, piece in spectrum.items()]
-        first = np.cumsum([0] + [len(piece[0]) for _, _, piece in pieces])
+        pieces = [(n, at, v) for n, (classes, *_) in enumerate(spectra) for at, v in classes]
+        first = np.cumsum([0] + [len(v) for _, _, v in pieces])
         offset = first[np.searchsorted([n for n, _, _ in pieces], np.arange(len(spectra)))]
-        # the blocks that hold a support state, or every block without one
-        codes = np.array([block for _, block in spectra]).reshape(len(spectra), size) + offset[:, None]
         chosen = np.zeros(first[-1], dtype=bool)
-        chosen[codes if support is None else codes[:, support]] = True
+        chosen[np.array([spectrum[3][support] + offset[n] for n, spectrum in enumerate(spectra)])] = True
         ids = np.flatnonzero(chosen)
         owner = np.searchsorted(first, ids, side="right") - 1
-        # per block size, the kept blocks of each generator in turn
+        # per size class, the kept blocks of each generator in turn
         kept: dict[int, list] = {}
         bounds = np.flatnonzero(_run_starts(owner)).tolist() + [len(ids)]
         for lo, hi in zip(bounds, bounds[1:]):
             p = int(owner[lo])
-            n, s, (nodes, eigenvalues, eigenvectors) = pieces[p]
-            at = slice(None) if hi - lo == len(nodes) else ids[lo:hi] - first[p]  # all kept: no copy
-            kept.setdefault(s, []).append((nodes[at] + n * size, eigenvalues[at], eigenvectors[at]))
-        blocks = [[np.concatenate(arrays) for arrays in zip(*kept[s])] for s in sorted(kept)]
-        for nodes, _, _ in blocks:
-            reached[nodes % size] = True
-        self.rows = np.flatnonzero(reached)
-        self.states, self.band = states[self.rows], band[self.rows]
+            n, span, v = pieces[p]
+            at = slice(None) if hi - lo == len(v) else ids[lo:hi] - first[p]  # all kept: no copy
+            nodes, eigenvalues = (a[span].reshape(v.shape[:2])[at] for a in spectra[n][1:3])
+            kept.setdefault(v.shape[1], []).append((np.full(nodes.shape, n), nodes, eigenvalues, v[at]))
+        classes, gens, nodes, eigenvalues = _flatten([[np.concatenate(a) for a in zip(*kept[w])] for w in sorted(kept)])
+        reached = np.zeros(size + 1, dtype=bool)
+        reached[nodes] = True  # the support too: every generator keeps the blocks that hold it
+        self.rows = np.flatnonzero(reached[:size])
+        self.states, self.band = self.states[self.rows], self.band[self.rows]
         row = np.cumsum(reached) - 1
-        self.support = None if support is None else row[support]
-        # per block size: nodes (generator * R + row), each generator's first block, eigenpairs
-        firsts = np.arange(len(self.generators) + 1)
-        self.blocks = [
-            (nodes // size * len(self.rows) + row[nodes % size], np.searchsorted(nodes[:, 0] // size, firsts), *pairs)
-            for nodes, *pairs in blocks
-        ]
-        self.worst: dict[str, float] = {}
+        row[size] = len(self.rows)  # the sentinel row
+        self.support = row[support]
+        self.units = [(0, gens, classes, row[nodes], eigenvalues)]
 
     def evolve(self, times: np.ndarray | float, columns: np.ndarray, first: int = 0, count: int = 1) -> np.ndarray:
-        """exp(-i H_n t) applied to an R x r block of columns for each t in
-        ``times`` (exactly the columns where t = 0) and the generators n =
-        first .. first + count - 1, stacked: times.shape + (count * R, r)."""
-        size = len(self.rows)
-        out = np.zeros(np.shape(times) + (count * size, columns.shape[1]), dtype=complex)
-        for nodes, firsts, eigenvalues, eigenvectors in self.blocks if np.any(times) else ():
-            span = slice(firsts[first], firsts[first + count])
-            if span.start == span.stop:  # no block of this size among the generators
+        """exp(-i H_n t) applied to an R x r block of columns for the
+        generators n = first .. first + count - 1 and the T times ``times``
+        (exactly the columns where t = 0): count x R x T x r. Per unit one
+        gather, exp and scatter, per size class two stacked products; padded
+        nodes read the zero sentinel row R, and their writes to it drop."""
+        size, r, t = len(self.rows), columns.shape[1], np.ravel(times)
+        # V^dag x is conj(V^T conj(x)), and V^T is a view where V^dag copies V
+        source = np.concatenate([columns.conj(), np.zeros((1, r))])
+        out = np.zeros((count, size + 1, len(t), r), dtype=complex)
+        for lo, gens, classes, nodes, eigenvalues in self.units if t.any() else ():
+            if not first <= lo < first + count:  # a unit is wholly inside or outside the generators asked for
                 continue
-            nodes = nodes[span]
-            v = eigenvectors[span]
-            x = v.conj().transpose(0, 2, 1) @ columns[nodes % size]
-            phases = np.exp(-1j * np.multiply.outer(times, eigenvalues[span]))[..., None]
-            out[..., nodes - first * size, :] = v @ (phases * x)
-        out[np.equal(times, 0.0)] = np.tile(columns, (count, 1))
-        return out
+            x = source[nodes]
+            phases = np.exp(np.multiply.outer(-1j * t, eigenvalues))[..., None]
+            y = np.empty((len(t), len(nodes), r), dtype=complex)
+            for at, v in classes:
+                z = (v.transpose(0, 2, 1) @ x[at].reshape(*v.shape[:2], r)).conj()
+                y[:, at] = (v @ (phases[:, at].reshape(len(t), *v.shape[:2], 1) * z)).reshape(len(t), -1, r)
+            out[gens - first, nodes] = y.transpose(1, 0, 2)
+        if not t.all():
+            out[:, :size, t == 0.0] = columns[:, None]
+        return out[:, :size]
 
     def check(self, context: str, **measured: float) -> None:
         """Raise LeakageError unless every measured deviation is within the
@@ -352,7 +372,7 @@ class _DensityWorkspace(_Workspace):
         t, k, r = len(times), len(self.generators) + 1, self.phi.shape[1]
         copies = np.empty((t, len(self.rows), k, r), dtype=complex)
         copies[:, :, 0] = self.phi
-        copies[:, :, 1:] = self.evolve(times, self.phi, 0, k - 1).reshape(t, k - 1, -1, r).transpose(0, 2, 1, 3)
+        copies[:, :, 1:] = self.evolve(times, self.phi, 0, k - 1).transpose(2, 1, 0, 3)
         x = copies.reshape(t, -1, k * r)
         return copies, x.conj().transpose(0, 2, 1) @ x
 
@@ -518,7 +538,7 @@ def apply_group_word(
     for g, t in reversed(word):
         if t == 0.0:
             continue
-        vec = ws.evolve(t, vec, ws.generators.index(g))
+        vec = ws.evolve(t, vec, ws.generators.index(g))[0, :, 0]
         if ws.shifting:
             ws.check(
                 f"group word factor {g.label} (t={t:g})",

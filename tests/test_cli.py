@@ -475,10 +475,11 @@ def test_generic_rejects_seed_count_below_one(capsys, seeds):
 @pytest.mark.parametrize(
     "command, option",
     [
-        (["generic", "--group", "plo", "--m", "1", "--N", "1", "--picture", "ket", "--seeds", "1", "--seed0", "-1"], "--seed0"),
+        (["generic", "--group", "plo", "--m", "1", "--N", "1", "--picture", "ket", "--seeds", "1", "--seed0", "-1"], "--seed0/--seed"),
+        (["generic", "--group", "plo", "--m", "1", "--N", "1", "--picture", "ket", "--seeds", "1", "--seed", "-1"], "--seed0/--seed"),
         (["sample", "--m", "1", "--N", "1", "--seed", "-1", "--out", "{out}"], "--seed"),
     ],
-    ids=["generic", "sample"],
+    ids=["generic", "generic-seed", "sample"],
 )
 def test_negative_seed_is_refused_by_name(capsys, tmp_path, command, option, json_flag):
     out_path = tmp_path / "sampled.json"

@@ -120,6 +120,43 @@ def test_blocks_partition_the_basis_and_reassemble_the_hamiltonian(group, m, cut
         assert np.array_equal(h[n], dense_hamiltonian(g, basis)), g.label
 
 
+@pytest.mark.parametrize("group, m, cutoff", [(Group.GO, 2, 5), (Group.PLO, 3, 4)])
+def test_padded_size_classes_reassemble_the_hamiltonian(group, m, cutoff):
+    """Every generator's stored spectrum: on real nodes V diag(lambda) V^dag
+    is its Hamiltonian, block by block; on padded nodes (the sentinel index
+    D) the eigenvectors are exactly the identity and the eigenvalues
+    exactly 0. A class holds the blocks of 2^(k-1) < s <= 2^k states for
+    one k, and is as wide as its largest block."""
+    basis = TruncatedBasis.build(m, cutoff)
+    elements = lie_basis(group, m).elements
+    size = basis.size
+    for g, (classes, nodes, eigenvalues, block) in zip(elements, dynamics._spectra(elements, basis), strict=True):
+        h = np.zeros((size, size), dtype=complex)
+        seen, start, number = [], 0, 0
+        for at, v in classes:
+            count, width = v.shape[:2]
+            assert at == slice(start, start + count * width)
+            start = at.stop
+            class_nodes, class_values = nodes[at].reshape(count, width), eigenvalues[at].reshape(count, width)
+            sizes = np.sum(class_nodes < size, axis=1)
+            assert sizes.max() == width and len({(int(s) - 1).bit_length() for s in sizes}) == 1
+            for block_nodes, values, vecs in zip(class_nodes, class_values, v):
+                s = int(np.sum(block_nodes < size))
+                assert np.all(block_nodes[s:] == size)
+                assert np.array_equal(vecs[s:, s:], np.eye(width - s))
+                assert not vecs[s:, :s].any() and not vecs[:s, s:].any()
+                assert np.all(values[s:] == 0.0)
+                states = block_nodes[:s]
+                h[np.ix_(states, states)] = (vecs[:s, :s] * values[:s]) @ vecs[:s, :s].conj().T
+                assert np.all(block[states] == number)
+                seen.extend(states.tolist())
+                number += 1
+        assert start == len(nodes) == len(eigenvalues)
+        assert sorted(seen) == list(range(size))
+        expected = dense_hamiltonian(g, basis)
+        assert np.abs(h - expected).max() <= 1e-12 * max(1.0, np.abs(expected).max()), g.label
+
+
 def _dense_propagator(g, m, cutoff, t):
     """exp(-iHt) from the oracle's generator matrix on the whole truncated basis."""
     eigenvalues, eigenvectors = np.linalg.eigh(generator_matrix(g, m, cutoff))
@@ -222,6 +259,24 @@ def test_m3_evolution_allocates_no_dense_matrix():
     finally:
         tracemalloc.stop()
     assert peak < dense_bytes
+
+
+def test_warm_m3_word_copies_no_cached_block():
+    """A warm m = 3 GO word evolves its generators' size classes as the
+    store holds them: its traced peak stays below half the stored bytes of
+    the four spectra, so no cached block is copied per call."""
+    basis = lie_basis(Group.GO, 3)
+    word = [(basis.elements[basis.index_of(label)], 0.05) for label in ("q[3]", "e[2,3]", "N[2]", "S[2]")]
+    psi = sample_sphere_state(3, 1, seed=0)
+    apply_group_word(psi, word)
+    stored = sum(generators._cache[(g, 3, 17)][1] for g, _ in word)
+    tracemalloc.start()
+    try:
+        apply_group_word(psi, word)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < stored / 2
 
 
 # ------------------------------------------------------------ evolve_density
@@ -622,9 +677,9 @@ def eigh_calls(monkeypatch):
 
 def _cached_arrays():
     for value, _ in generators._cache.values():
-        if isinstance(value[0], dict):  # spectra: size -> (nodes, eigenvalues, eigenvectors), block map
-            yield from (a for piece in value[0].values() for a in piece)
-            yield value[1]
+        if isinstance(value[0], list):  # spectra: (span, eigenvectors) per size class, nodes, eigenvalues, block map
+            yield from (v for _, v in value[0])
+            yield from value[1:]
         else:  # basis, D x m states, guard band; or a plan: its table, then its arrays
             yield from value[1:]
 
@@ -637,8 +692,10 @@ def test_second_workspace_calls_no_eigh(empty_cache, eigh_calls):
     second = _Workspace(2, 1, elements, EvolutionConfig())
     assert eigh_calls == []
     assert second.basis is first.basis
-    for a, b in zip(first.blocks, second.blocks, strict=True):
-        for x, y in zip(a, b, strict=True):
+    for a, b in zip(first.units, second.units, strict=True):
+        # a unit: first generator, node generators, (span, eigenvectors) per class, nodes, eigenvalues
+        arrays = [[gens, *(v for _, v in classes), *rest] for _, gens, classes, *rest in (a, b)]
+        for x, y in zip(*arrays, strict=True):
             assert np.array_equal(x, y)
 
 
