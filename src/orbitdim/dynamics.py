@@ -4,28 +4,29 @@ Hamiltonians, ``evolve_density``, ``apply_group_word``, the overlaps
 ``beta`` and the whole-matrix ``estimate_gram_matrix``.
 
 Evolution exponentiates the generator Hamiltonian projected onto a
-photon-number-truncated basis, via Hermitian eigendecomposition of the
-connected components (blocks) of its coupling graph, one stacked ``eigh``
-per true block size, so it is exactly unitary on the working space and
-never forms a D x D matrix. The blocks are padded into size classes, one
-per power of two, each evolved by two stacked products; a group word reads
-the classes as stored, and a density evolves as the r columns of its
-support under the blocks that hold a support state, all its times in one
-pass. ``beta`` and ``estimate_gram_matrix`` accept a ket too: its projector
-evolves as the one column psi/|psi|. Photon-number-shifting generators get
-a configurable buffer of photons above the state's support; the weight in
-the top two sectors (the guard band) is the truncation-leakage proxy,
-checked with trace and Hermiticity deviations and never silently passed.
+photon-number-truncated basis, block by block, so it is exactly unitary on
+the working space and never forms a D x D matrix. Each block is a chain
+along the step of the generator's monomial (``generators._chains``), and
+each distinct chain is eigendecomposed once per process. The blocks are
+padded into size classes, one per power of two, each evolved by two stacked
+products; a group word reads the classes as stored, and a density evolves
+as the r columns of its support under the blocks that hold a support
+state, all its times in one pass; a ket's projector evolves as the one
+column psi/|psi|. Photon-number-shifting generators get a buffer of photons
+above the state's support; the weight in the top two sectors (the guard
+band) is the truncation-leakage proxy, checked with trace and Hermiticity
+deviations and never silently passed. A working space too large for the
+store is refused before anything is allocated.
 
-The basis of each (modes, cutoff) and the padded classes of each
-(generator, modes, cutoff) depend on no state: built once per process and
-kept, read-only, in the byte-budgeted store of ``generators``.
+The basis of each (modes, cutoff), the decomposed chains and the padded
+classes of each (generator, modes, cutoff) depend on no state: built once
+per process and kept, read-only, in the byte-budgeted store of ``generators``.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable, Sequence
+from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,8 +41,12 @@ from .fock import (
     normalize,
 )
 from .generators import (
+    _CACHE_BUDGET,
+    _KIND_RISE,
     GeneratorDescriptor,
     Group,
+    _chains,
+    _decomposed,
     _generator_action,
     _monomials,
     _recall,
@@ -104,73 +109,22 @@ def _check_time(t: float) -> None:
         raise ValueError(f"evolution time must be finite, got {t}")
 
 
-def _couplings(
-    generators: Sequence[GeneratorDescriptor], basis: TruncatedBasis
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Every matrix element <row|H_gen|col> of the generators inside the
-    truncated basis, as arrays ``(gen, row, col, coeff)``."""
-    gen, src, tgt, coeff, union, rows = _generator_action(_monomials(tuple(generators)), np.array(basis.states))
-    # rows ranks the basis states among the union of basis and targets;
-    # a target above the cutoff keeps position -1 and is dropped
-    position = np.full(len(union), -1)
-    position[rows] = np.arange(basis.size)
-    row = position[tgt]
-    kept = row >= 0
-    return gen[kept], row[kept], src[kept], coeff[kept]
-
-
 def dense_hamiltonian(g: GeneratorDescriptor, basis: TruncatedBasis) -> np.ndarray:
     """Matrix elements <n|H|n'> of the generator over the truncated basis.
 
     Couplings into states above the cutoff are dropped on both sides, so the
     projected matrix is Hermitian by construction.
     """
-    _, row, col, coeff = _couplings([g], basis)
+    _, col, tgt, coeff, union, rows = _generator_action(_monomials((g,)), np.array(basis.states))
+    # rows ranks the basis states among the union of basis and targets;
+    # a target above the cutoff keeps position -1 and is dropped
+    position = np.full(len(union), -1)
+    position[rows] = np.arange(basis.size)
+    row = position[tgt]
+    kept = row >= 0
     h = np.zeros((basis.size, basis.size), dtype=complex)
-    h[row, col] = coeff
+    h[row[kept], col[kept]] = coeff[kept]
     return h
-
-
-def _blocks(
-    generators: Sequence[GeneratorDescriptor], basis: TruncatedBasis
-) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Each generator's projected Hamiltonian, block by block.
-
-    A node is a (generator, basis state) pair, numbered generator * D +
-    basis index. The blocks are the connected components of the coupling
-    graph, so no coupling crosses a block. Returns one ``(nodes, h)`` pair
-    per block size s: the n x s nodes of its blocks, in order of their
-    smallest node (hence of generator), and the n x s x s block matrices.
-    """
-    size = basis.size
-    gen, row, col, coeff = _couplings(generators, basis)
-    dst, src = gen * size + row, gen * size + col
-    # label every node by the smallest node of its component: take the
-    # neighbours' smallest label, then jump to that label's own label
-    label = np.arange(len(generators) * size)
-    while True:
-        lowest = label.copy()
-        np.minimum.at(lowest, dst, label[src])
-        lowest = lowest[lowest]
-        if np.array_equal(lowest, label):
-            break
-        label = lowest
-    _, block, counts = np.unique(label, return_inverse=True, return_counts=True)
-    order = np.argsort(block, kind="stable")
-    start = np.cumsum(counts) - counts
-    place = np.empty_like(order)
-    place[order] = np.arange(len(order)) - np.repeat(start, counts)
-    edge_size = counts[block[dst]]
-    out = []
-    for s in sorted(set(counts.tolist())):  # np.unique(counts) would import numpy.ma on its first call
-        blocks = np.flatnonzero(counts == s)
-        within = np.full(len(counts), -1)
-        within[blocks] = np.arange(len(blocks))
-        kept = edge_size == s
-        h = np.zeros((len(blocks), s, s), dtype=complex)
-        h[within[block[dst[kept]]], place[dst[kept]], place[src[kept]]] = coeff[kept]
-        out.append((order[start[blocks, None] + np.arange(s)], h))
-    return out
 
 
 def _basis(modes: int, cutoff: int) -> tuple[TruncatedBasis, np.ndarray, np.ndarray]:
@@ -198,43 +152,76 @@ def _flatten(classes: list) -> tuple:
 def _spectra(
     generators: Sequence[GeneratorDescriptor], basis: TruncatedBasis
 ) -> list[tuple[list[tuple[slice, np.ndarray]], np.ndarray, np.ndarray, np.ndarray]]:
-    """Each generator's eigendecomposed blocks, laid out to evolve: blocks
-    of 2^(k-1) < s <= 2^k states form size class k, padded to its largest
-    block (the sentinel index D, eigenvalue 0, an identity eigenvector), and
-    run by class, size, then smallest basis index. Per class, its span of
-    the nodes and its eigenvectors; every node's basis index and eigenvalue,
-    flat; and the block of each basis index, numbered in that order. Misses
-    are built together, one stacked ``eigh`` per true block size."""
-    size = basis.size
-    keys = [(g, basis.modes, basis.cutoff) for g in generators]
+    """Each generator's eigendecomposed chains, laid out to evolve: chains
+    of 2^(k-1) < L <= 2^k states form size class k, padded to its longest
+    chain (the sentinel index D, eigenvalue 0, an identity eigenvector), and
+    run by class, length, then start. Per class, its span of the nodes and
+    its eigenvectors; every node's basis index and eigenvalue, flat; and the
+    block of each basis index, numbered in that order. Misses are laid out together."""
+    size, m, cutoff = basis.size, basis.modes, basis.cutoff
+    keys = [(g, m, cutoff) for g in generators]
     found = [_recall(key) for key in keys]
     missing = [n for n, spectrum in enumerate(found) if spectrum is None]
     if missing:
-        classes: dict[int, list] = {}  # 2^k -> each missing generator's blocks of class k, by size
-        for nodes, h in _blocks([generators[n] for n in missing], basis):
-            count, s = nodes.shape
-            width = 1 << (s - 1).bit_length()
-            padded = np.full((count, width), size), np.zeros((count, width)), np.zeros((count, width, width), complex)
-            padded[0][:, :s] = nodes % size
-            padded[1][:, :s], padded[2][:, :s, :s] = np.linalg.eigh(h)
-            padded[2][:, s:, s:] = np.eye(width - s)
-            first = np.searchsorted(nodes[:, 0] // size, np.arange(len(missing) + 1)).tolist()
-            parts = classes.setdefault(width, [[] for _ in missing])
-            for k in range(len(missing)):
-                if first[k] < first[k + 1]:
-                    parts[k].append([a[first[k] : first[k + 1]] for a in padded])
+        states = _basis(m, cutoff)[1]
+        delta, gen, start, length, key = _chains([generators[n] for n in missing], states, cutoff)
+        eigenvalues, eigenvectors, at, square_at = _decomposed(key)
+        # a class: a generator's chains of one k, as wide as its longest; a chain
+        # has a slot per node, real or padded, and a square of eigenvectors
+        classes = np.flatnonzero(_run_starts(gen << 6 | np.frexp(length - 1)[1])).tolist() + [len(gen)]
+        width = np.repeat(length[np.array(classes[1:]) - 1], np.diff(classes))
+        ends = [np.cumsum(np.append(0, w)) for w in (width, width * width)]  # each chain's first slot, entry
+        chain = np.repeat(np.arange(len(width)), width)
+        j = np.arange(len(chain)) - ends[0][chain]
+        real, node = j < length[chain], np.minimum(j, length[chain] - 1)
+        # a node's basis index: at each mode i, the states that agree with it
+        # before i and hold fewer photons at i, C(u + m - i, m - i) states of
+        # modes i.. with at most u photons for u from R - x_i to R, R the photons left
+        counts = np.array([[math.comb(u + m - i, m - i) for u in range(cutoff + 1)] for i in range(m)])
+        nodes, left = 0, cutoff
+        for count, x in zip(counts, states.T[:, start[chain]] + delta.T[:, gen[chain]] * node):
+            nodes, left = nodes + count[left] - count[left - x], left - x
+        nodes, values = np.where(real, nodes, size), np.where(real, eigenvalues[at[chain] + node], 0.0)
+        # each chain's L x L eigenvectors at the top left of its square, the identity below
+        squares = np.zeros(ends[1][-1], dtype=complex)
+        squares[(ends[1][chain] + j * (width[chain] + 1))[~real]] = 1.0
+        order = np.lexsort((width, length))
+        runs = np.flatnonzero(_run_starts(length[order] << 32 | width[order])).tolist() + [len(order)]
+        for lo, hi in zip(runs, runs[1:]):
+            c, s, w = order[lo:hi, None], int(length[order[lo]]), int(width[order[lo]])
+            entry = (np.arange(s)[:, None] * w + np.arange(s)).ravel()  # the L x L entries of a W x W square
+            squares[ends[1][c] + entry] = eigenvectors[square_at[c] + np.arange(s * s)]
+        first, width = np.searchsorted(gen, np.arange(len(missing) + 1)).tolist(), width.tolist()
+        ends = [e.tolist() for e in ends]
         for k, n in enumerate(missing):
-            pieces = [[np.concatenate(a) for a in zip(*parts[k])] for _, parts in sorted(classes.items()) if parts[k]]
-            tops = [int(np.sum(x[-1] < size)) for x, _, _ in pieces]  # each class as wide as its last, largest block
-            pieces = [(x[:, :w], y[:, :w], np.ascontiguousarray(z[:, :w, :w])) for (x, y, z), w in zip(pieces, tops)]
-            block, start = np.empty(size + 1, dtype=np.int64), 0  # the sentinel's entry is dropped
-            for nodes, _, _ in pieces:
-                block[nodes] = start + np.arange(len(nodes))[:, None]
-                start += len(nodes)
-            found[n] = (*_flatten(pieces), block[:size])
-            _remember(keys[n], found[n], [*(v for _, v in found[n][0]), *found[n][1:]])
+            lo, hi = first[k], first[k + 1]
+            a, b = ends[0][lo], ends[0][hi]  # its slots
+            spans = [  # each class in its own array
+                (slice(ends[0][e] - a, ends[0][f] - a),
+                 squares[ends[1][e] : ends[1][f]].reshape(f - e, width[e], -1).copy())
+                for e, f in zip(classes, classes[1:]) if lo <= e < hi
+            ]
+            block = np.empty(size + 1, dtype=np.int64)  # the sentinel's entry is dropped
+            block[nodes[a:b]] = chain[a:b] - lo
+            found[n] = (spans, nodes[a:b].copy(), values[a:b].copy(), block[:size])
+            _remember(keys[n], found[n], [*(v for _, v in spans), *found[n][1:]])
     _trim()
     return found
+
+
+def _refuse_oversized(modes: int, cutoff: int, generators: Iterable[GeneratorDescriptor]) -> None:
+    """Refuse a working space whose basis array or longest chain's
+    eigenvectors would exceed the store's budget, before allocating them. A
+    chain's raised modes gain ``rise`` photons a node: it holds at most cutoff // rise + 1."""
+    states = math.comb(modes + cutoff, modes)
+    longest = max((cutoff // rise + 1 if rise else 1 for rise in {_KIND_RISE[g.kind] for g in generators}), default=1)
+    basis, block = 8 * modes * states, 16 * longest**2
+    if max(basis, block) > _CACHE_BUDGET:
+        nbytes, what = max((basis, "basis array"), (block, f"{longest:,}-state block's eigenvectors"))
+        raise ValidationError(
+            f"working space of {states:,} states (cutoff {cutoff}) too large: its {what} would take "
+            f"{nbytes / 2**20:,.0f} MiB, over the {_CACHE_BUDGET >> 20} MiB budget; use a smaller --buffer"
+        )
 
 
 class _Workspace:
@@ -255,7 +242,9 @@ class _Workspace:
         self.cfg = cfg
         self.generators = tuple(dict.fromkeys(generators))
         self.shifting = any(number_shift(g.kind) > 0 for g in self.generators)
-        self.basis, self.states, self.band = _basis(modes, max_total + (cfg.buffer if self.shifting else 0))
+        cutoff = max_total + (cfg.buffer if self.shifting else 0)
+        _refuse_oversized(modes, cutoff, self.generators)
+        self.basis, self.states, self.band = _basis(modes, cutoff)
         self.worst: dict[str, float] = {}
         size = self.basis.size
         spectra = _spectra(self.generators, self.basis)
@@ -318,13 +307,15 @@ class _Workspace:
             out[:, :size, t == 0.0] = columns[:, None]
         return out[:, :size]
 
-    def check(self, context: str, **measured: float) -> None:
+    def check(self, context: str | Callable[[], str], **measured: float) -> None:
         """Raise LeakageError unless every measured deviation is within the
-        leakage tolerance; a NaN deviation fails."""
+        leakage tolerance; a NaN deviation fails. ``context`` names what
+        was measured, or is called to name it when a value fails."""
         for name, value in measured.items():
             self.worst[name] = max(self.worst.get(name, 0.0), value)
         tol = self.cfg.leakage_tolerance
         if not all(value <= tol for value in measured.values()):
+            context = context() if callable(context) else context
             found = ", ".join(f"{name.replace('_', ' ')} {value:.3e}" for name, value in measured.items())
             raise LeakageError(
                 f"{context}: {found} exceed tolerance {tol:.1e} "
@@ -540,10 +531,8 @@ def apply_group_word(
             continue
         vec = ws.evolve(t, vec, ws.generators.index(g))[0, :, 0]
         if ws.shifting:
-            ws.check(
-                f"group word factor {g.label} (t={t:g})",
-                boundary_weight=float(np.sum(np.abs(vec[ws.band]) ** 2)),
-            )
+            band = vec[ws.band].view(float).ravel()  # re, im of each entry: the band's weight is its squared norm
+            ws.check(lambda: f"group word factor {g.label} (t={t:g})", boundary_weight=float(band @ band))
     ws.check("group word", norm_change=abs(float(np.linalg.norm(vec)) - norm0))
     return SparseKet.from_arrays(ws.states, vec[:, 0])
 

@@ -34,9 +34,14 @@ basis on that first union, so no H_J H_I psi is formed densely; the
 commutator targets are fitted one block of pairs at a time under a fixed
 budget.
 
+On a truncated basis each generator's blocks are chains along the step of
+its monomial, and ``_chain_matrices`` gives their matrices with the same
+amplitudes, from the kind, the length and the start alone.
+
 State-independent arrays are built once per process and kept, read-only,
 in one store under a fixed budget of 64 MiB (least recently used first out):
-the plans here, and the truncated bases and block spectra of ``dynamics``.
+the plans here, and the truncated bases, decomposed chains and block
+spectra of ``dynamics``.
 """
 
 from __future__ import annotations
@@ -272,8 +277,78 @@ def _generator_action(
     return gen[mono], src, inverse[s_count:], coeff[mono] * amp[mono, src], union, inverse[:s_count]
 
 
+#: One generator of each kind, in ``_KINDS`` order, on modes 1 (and 2),
+#: whose monomials give the amplitudes of every chain of that kind; each
+#: kind's index there, the step of its X on each of its modes, and the
+#: positive part of that step, summed.
+_KIND_GENERATORS = tuple(GeneratorDescriptor(kind, tuple(range(1, n + 1))) for kind, (n, *_) in _KINDS.items())
+_KIND_INDEX = {kind: k for k, kind in enumerate(_KINDS)}
+_KIND_STEP = tuple(tuple(sum(s for slot, s in steps if slot == i) for i in (0, 1)) for _, _, steps in _KINDS.values())
+_KIND_RISE = {kind: sum(max(s, 0) for s in step) for kind, step in zip(_KINDS, _KIND_STEP)}
+
+
+def _chains(generators: Sequence[GeneratorDescriptor], states: np.ndarray, cutoff: int) -> tuple[np.ndarray, ...]:
+    """The blocks of each generator on the basis (D x m states). H = c X +
+    conj(c) X^dag moves a state only by the step delta of X (first nonzero
+    entry positive; 0 for N and the identity), so its blocks are chains x +
+    j delta, j = 0 .. L - 1, in basis order, from each x where x - delta
+    leaves the basis. Returns the steps (G x m) and per chain, by generator,
+    length, then start: its generator, start (basis index), length and key,
+    as ``_chain_matrices`` reads it."""
+    kinds = np.array([_KIND_INDEX[g.kind] for g in generators], dtype=np.int64)
+    acted = np.array([(*(k - 1 for k in g.modes), -1, -1)[:2] for g in generators], dtype=np.int64).reshape(-1, 2)
+    if acted.size and acted.max() >= states.shape[1]:
+        raise ValueError(f"generator mode index {acted.max() + 1} exceeds the {states.shape[1]}-mode register")
+    step = np.array(_KIND_STEP)[kinds]
+    delta = np.zeros((len(generators), states.shape[1] + 1), dtype=np.int64)  # the last column is no mode
+    delta[np.arange(len(generators))[:, None], acted] = step
+    occupied = np.vstack([states.T, np.zeros(len(states), dtype=np.int64)])[acted]  # G x 2 x D
+    up = step > 0
+    still = ~(up[:, :1] | up[:, 1:])  # every state is a chain of one
+    gen, start = np.nonzero(np.any((occupied < step[..., None]) & up[..., None], axis=1) | still)
+    x, d = occupied[gen, :, start], step[gen]
+    rise = d[:, 0] + d[:, 1]
+    room = np.where(d < 0, x // np.maximum(-d, 1), cutoff).min(axis=1)  # until a lowered mode empties
+    room = np.minimum(room, np.where(rise > 0, (cutoff - states[start].sum(axis=1)) // np.maximum(rise, 1), cutoff))
+    length = np.where(still[gen, 0], 1, room + 1)
+    order = np.lexsort((length, gen))
+    key = length << 50 | kinds[gen] << 46 | x[:, 0] << 23 | x[:, 1]  # the size refusal keeps x below 2^23
+    return delta[:, :-1], gen[order], start[order], length[order], key[order]
+
+
+def _chain_matrices(keys: np.ndarray) -> list[np.ndarray]:
+    """The matrices of chains, in order of length, one n x L x L stack per
+    length. A chain's matrix depends only on its key, L << 50 | kind (its
+    ``_KINDS`` index) << 46 | the start's occupations of the kind's modes
+    << 23 and as they are. The amplitudes are those of
+    ``_generator_action``: X moves node j to j + 1 with a product a_j of a
+    square root per step, X^dag node j + 1 to j with the same factors in
+    reverse order; N and the identity keep each node."""
+    gen, coeff, modes, used, offsets, delta = _monomials(_KIND_GENERATORS)
+    keys = np.sort(keys)
+    length, kinds = keys >> 50, keys >> 46 & 0xF
+    mono, adjoint = np.searchsorted(gen, kinds), np.searchsorted(gen, kinds, side="right") - 1
+    chain = np.repeat(np.arange(len(keys)), length)
+    j = np.arange(len(chain)) - np.repeat(np.cumsum(length) - length, length)
+    x = np.stack([keys >> 23 & 0x7FFFFF, keys & 0x7FFFFF], axis=1)[chain] + j[:, None] * delta[mono[chain]]
+    mono, adjoint = mono[chain], adjoint[chain]
+    n = np.where(modes[mono] == 0, x[:, :1], x[:, 1:]) + offsets[mono]
+    factor = np.where(used[mono], np.sqrt(np.maximum(n, 0)), 1.0)
+    forward, backward = coeff[mono] * (factor[:, 0] * factor[:, 1]), coeff[adjoint] * (factor[:, 0] * factor[:, 1])
+    diagonal, stacks, ends = np.where(mono == adjoint, forward, 0), [], np.cumsum(np.append(0, length)).tolist()
+    runs = np.flatnonzero(_run_starts(length)).tolist() + [len(keys)]
+    for lo, hi in zip(runs, runs[1:]):
+        s, nodes = int(length[lo]), slice(ends[lo], ends[hi])
+        h, j = np.zeros((hi - lo, s, s), dtype=complex), np.arange(s)
+        h[:, j, j] = diagonal[nodes].reshape(-1, s)
+        h[:, j[1:], j[:-1]] = forward[nodes].reshape(-1, s)[:, :-1]
+        h[:, j[:-1], j[1:]] = backward[nodes].reshape(-1, s)[:, :-1]
+        stacks.append(h)
+    return stacks
+
+
 #: Bytes of cached arrays kept per process; past it the least recently used
-#: plans, bases and spectra are dropped.
+#: plans, bases, decomposed chains and spectra are dropped.
 _CACHE_BUDGET = 64 << 20
 
 
@@ -314,6 +389,28 @@ def _trim() -> None:
         while _cache.nbytes > _CACHE_BUDGET:
             _, (_, size) = _cache.popitem(last=False)
             _cache.nbytes -= size
+
+
+def _decomposed(key: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The eigenvalues and the eigenvectors (L x L, row-major) of every
+    decomposed chain, each flat, and the offsets in them of the given
+    chains' own. The store keeps them as one entry, read only to build a
+    spectrum; the chains it lacks are decomposed, one stacked ``eigh`` per
+    length, and added."""
+    empty = np.zeros(0, dtype=np.int64)
+    keys, begin, values, vectors = _recall(("chains",)) or (empty, empty.reshape(0, 2), empty, empty)
+    fresh = np.sort(key[np.append(keys, -1)[np.searchsorted(keys, key)] != key])
+    if len(fresh):
+        fresh = fresh[_run_starts(fresh)]
+        pairs = [np.linalg.eigh(h) for h in _chain_matrices(fresh)]
+        sizes = np.stack([fresh >> 50, (fresh >> 50) ** 2], axis=1)
+        begin = np.concatenate([begin, [len(values), len(vectors)] + np.cumsum(sizes, axis=0) - sizes])
+        values, vectors = (np.concatenate([a, *(p[i].ravel() for p in pairs)]) for i, a in enumerate((values, vectors)))
+        order = np.argsort(np.concatenate([keys, fresh]))
+        keys, begin = np.concatenate([keys, fresh])[order], begin[order]
+        _remember(("chains",), (keys, begin, values, vectors), (keys, begin, values, vectors))
+    at = np.searchsorted(keys, key)
+    return values, vectors, begin[at, 0], begin[at, 1]
 
 
 #: A monomial table's action on one support, as ``_directions`` applies it:

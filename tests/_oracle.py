@@ -29,8 +29,12 @@ The closure fit at the end forms every double application H_J H_I psi
 densely and fits all pairs in one solve.
 It applies generators through the package's kernel, so it pins the fit's
 sparse join and pair blocks, not the generator action.
+
+``connected_blocks`` finds the blocks of a projected Hamiltonian by
+breadth-first search over its nonzeros, with no knowledge of their shape.
 """
 
+import collections
 import itertools
 import json
 import math
@@ -102,6 +106,28 @@ def generator_matrix(descriptor, m, cutoff):
             return (ad[k - 1] + a[k - 1]) / math.sqrt(2)
         return 1j * (ad[k - 1] - a[k - 1]) / math.sqrt(2)
     raise ValueError(kind)
+
+
+def connected_blocks(h):
+    """The connected components of the nonzeros of a square matrix, found
+    by breadth-first search from each index not yet reached: each a sorted
+    list of indices, in order of its smallest index."""
+    seen = np.zeros(len(h), dtype=bool)
+    blocks = []
+    for root in range(len(h)):
+        if seen[root]:
+            continue
+        seen[root] = True
+        queue, block = collections.deque([root]), []
+        while queue:
+            node = queue.popleft()
+            block.append(node)
+            for other in np.flatnonzero((h[node] != 0) | (h[:, node] != 0)):
+                if not seen[other]:
+                    seen[other] = True
+                    queue.append(int(other))
+        blocks.append(sorted(block))
+    return blocks
 
 
 def dense_ket(psi, index):

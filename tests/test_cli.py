@@ -575,6 +575,23 @@ def test_estimate_refuses_unnormalized_ket_file(capsys, tmp_path):
     assert "not normalized" in err
 
 
+@pytest.mark.parametrize("as_json", [False, True])
+def test_estimate_refuses_a_working_space_past_the_budget(capsys, tmp_path, as_json):
+    """A 100,000-photon buffer on |1> gives a 100,002-state chain of q[1],
+    whose eigenvectors alone would take about 149 GiB: refused before
+    anything is allocated, exit 2, one line naming the size and the option
+    to lower, nothing on stdout."""
+    path = tmp_path / "ket.json"
+    write_state_file(str(path), basis_ket((1,)))
+    argv = ("estimate", "--state", str(path), "--group", "go", "--buffer", "100000", *(["--json"] * as_json))
+    code, out, err = run(capsys, *argv)
+    assert code == EXIT_INVALID
+    assert out == ""
+    assert err.startswith("error: working space of 100,002 states (cutoff 100001) too large: ")
+    assert "100,002-state block" in err and "152,594 MiB" in err and err.endswith("use a smaller --buffer\n")
+    assert "Traceback" not in err
+
+
 def test_estimate_leakage_exits_4(capsys, tmp_path):
     path = tmp_path / "sup.json"
     write_state_file(str(path), normalize(SparseKet(1, {(0,): 1.0, (2,): 1.0})))

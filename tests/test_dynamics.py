@@ -39,9 +39,9 @@ from orbitdim import (
     scale,
 )
 from orbitdim import dynamics, generators
-from orbitdim.dynamics import _blocks, _Workspace
+from orbitdim.dynamics import _Workspace
 from _helpers import assert_entries_close, assert_terms_close
-from _oracle import basis_states, dense_density, dense_ket, density_op, generator_matrix, inner
+from _oracle import basis_states, connected_blocks, dense_density, dense_ket, density_op, generator_matrix, inner
 
 
 # ----------------------------------------------------------- TruncatedBasis
@@ -100,6 +100,21 @@ def test_dense_hamiltonian_matches_dense_oracle(group, m, cutoff_above):
 # ------------------------------------------------- block-diagonal evolution
 
 
+def _chain_blocks(elements, basis):
+    """Every chain of every generator on the basis, as (generator index,
+    basis indices in chain order, block matrix), its states looked up in
+    the basis's index."""
+    states = np.array(basis.states, dtype=np.int64)
+    delta, gen, start, length, key = generators._chains(elements, states, basis.cutoff)
+    order = np.argsort(key, kind="stable")
+    blocks = [None] * len(key)
+    for c, h in zip(order, (h for stack in generators._chain_matrices(key[order]) for h in stack), strict=True):
+        blocks[c] = h
+    for c, block in enumerate(blocks):
+        nodes = [basis.index[tuple((states[start[c]] + j * delta[gen[c]]).tolist())] for j in range(length[c])]
+        yield int(gen[c]), nodes, block
+
+
 @pytest.mark.parametrize("group, m, cutoff", [(Group.GO, 2, 5), (Group.PLO, 3, 4)])
 def test_blocks_partition_the_basis_and_reassemble_the_hamiltonian(group, m, cutoff):
     basis = TruncatedBasis.build(m, cutoff)
@@ -107,17 +122,34 @@ def test_blocks_partition_the_basis_and_reassemble_the_hamiltonian(group, m, cut
     size = basis.size
     h = np.zeros((len(elements), size, size), dtype=complex)
     seen = []
-    for nodes, blocks in _blocks(elements, basis):
-        for block_nodes, block in zip(nodes, blocks):
-            gen = block_nodes // size
-            assert np.all(gen == gen[0])  # a block belongs to one generator
-            states = block_nodes % size
-            h[gen[0]][np.ix_(states, states)] = block
-            seen.extend(block_nodes.tolist())
+    for n, nodes, block in _chain_blocks(elements, basis):
+        h[n][np.ix_(nodes, nodes)] = block
+        seen.extend(n * size + i for i in nodes)
     assert sorted(seen) == list(range(len(elements) * size))
     for n, g in enumerate(elements):
         # no coupling crosses a block, or it would be missing here
         assert np.array_equal(h[n], dense_hamiltonian(g, basis)), g.label
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+@pytest.mark.parametrize("group", list(Group))
+def test_chains_are_the_connected_blocks_of_the_hamiltonian(group, m):
+    """Each generator's chains are exactly the connected components of its
+    projected Hamiltonian's nonzeros, so no block is merged or split; a
+    chain runs in basis order, and its matrix is the Hamiltonian on its
+    states, bit for bit."""
+    elements = lie_basis(group, m).elements
+    for cutoff in range(7):
+        basis = TruncatedBasis.build(m, cutoff)
+        chains = [[] for _ in elements]
+        for n, nodes, block in _chain_blocks(elements, basis):
+            assert all(a < b for a, b in zip(nodes, nodes[1:]))
+            chains[n].append((nodes, block))
+        for g, found in zip(elements, chains, strict=True):
+            h = dense_hamiltonian(g, basis)
+            assert sorted(nodes for nodes, _ in found) == connected_blocks(h), (g.label, cutoff)
+            for nodes, block in found:
+                assert np.array_equal(block, h[np.ix_(nodes, nodes)]), (g.label, cutoff)
 
 
 @pytest.mark.parametrize("group, m, cutoff", [(Group.GO, 2, 5), (Group.PLO, 3, 4)])
@@ -668,7 +700,7 @@ def eigh_calls(monkeypatch):
     eigh = np.linalg.eigh
 
     def counted(a):
-        calls.append(a.shape)
+        calls.append(np.array(a))
         return eigh(a)
 
     monkeypatch.setattr(np.linalg, "eigh", counted)
@@ -680,6 +712,8 @@ def _cached_arrays():
         if isinstance(value[0], list):  # spectra: (span, eigenvectors) per size class, nodes, eigenvalues, block map
             yield from (v for _, v in value[0])
             yield from value[1:]
+        elif isinstance(value[0], np.ndarray):  # chains: keys, offsets, eigenvalues, eigenvectors
+            yield from value
         else:  # basis, D x m states, guard band; or a plan: its table, then its arrays
             yield from value[1:]
 
@@ -697,6 +731,27 @@ def test_second_workspace_calls_no_eigh(empty_cache, eigh_calls):
         arrays = [[gens, *(v for _, v in classes), *rest] for _, gens, classes, *rest in (a, b)]
         for x, y in zip(*arrays, strict=True):
             assert np.array_equal(x, y)
+
+
+def test_eigh_decomposes_each_distinct_chain_once(empty_cache, eigh_calls):
+    """Building m = 2 GO at cutoff 17, then at 18, hands ``eigh`` each
+    distinct chain (kind, its modes' occupations at the start, length) once
+    in all, counting stacked matrices: 242 matrices for the 1,737 blocks of
+    the two builds, the second decomposing only the 45 chains the first
+    lacked."""
+    elements = lie_basis(Group.GO, 2).elements
+    keys, blocks, received = set(), 0, []
+    for cutoff in (17, 18):
+        basis, states, _ = dynamics._basis(2, cutoff)
+        chains = generators._chains(elements, states, cutoff)[4]
+        keys.update(chains.tolist())
+        blocks += len(chains)
+        dynamics._spectra(elements, basis)
+        received.append(sum(len(a) for a in eigh_calls))
+    assert received == [197, 242] and len(keys) == 242 and blocks == 1737
+    expected = [h for stack in generators._chain_matrices(np.array(sorted(keys))) for h in stack]
+    given = [h for stack in eigh_calls for h in stack]
+    assert sorted((h.shape, h.tobytes()) for h in given) == sorted((h.shape, h.tobytes()) for h in expected)
 
 
 def test_go_word_reuses_the_spectra_of_an_estimate(empty_cache, eigh_calls):
@@ -753,7 +808,8 @@ def test_cache_evicts_least_recently_used_past_its_budget(empty_cache, monkeypat
     ws = _Workspace(2, 3, [g3], cfg)
     kept = sum(size for _, size in generators._cache.values())
     assert kept <= total
-    assert list(generators._cache) == [(g1, 2, 3), ("basis", 2, 3), (g3, 2, 3)]
+    # the decomposed chains, one entry, were last used to build g3's spectrum
+    assert list(generators._cache) == [(g1, 2, 3), ("basis", 2, 3), ("chains",), (g3, 2, 3)]
     # past a budget of 0 nothing is kept, and evolution still works
     monkeypatch.setattr(generators, "_CACHE_BUDGET", 0)
     again = _Workspace(2, 3, [g3], cfg)
@@ -771,9 +827,10 @@ def test_cache_evicts_least_recently_used_across_bases_spectra_and_plans(empty_c
     (go_plan,) = [key for key in generators._cache if key[0] == "plan"]
     _Workspace(2, 12, [g], cfg)  # the basis and the spectrum are used again,
     orbit_dimension(Group.GO, psi, Picture.KET)  # then the plan
-    assert list(generators._cache) == [("basis", 2, 12), (g, 2, 12), go_plan]
-    # a smaller PLO plan than the basis: dropping the basis makes room
-    monkeypatch.setattr(generators, "_CACHE_BUDGET", generators._cache.nbytes)
+    # the decomposed chains are read only to build a spectrum, so they are the least recently used
+    assert list(generators._cache) == [("chains",), ("basis", 2, 12), (g, 2, 12), go_plan]
+    # a smaller PLO plan than the basis: dropping the chains, then the basis, makes room
+    monkeypatch.setattr(generators, "_CACHE_BUDGET", generators._cache.nbytes - generators._cache[("chains",)][1])
     orbit_dimension(Group.PLO, psi, Picture.KET)
     (plo_plan,) = [key for key in generators._cache if key[0] == "plan" and key != go_plan]
     assert list(generators._cache) == [(g, 2, 12), go_plan, plo_plan]
@@ -856,6 +913,16 @@ def test_plo_word_preserves_orbit_dimension():
 def test_group_word_rejects_nan_amplitude(kind):
     with pytest.raises(LeakageError):
         apply_group_word(SparseKet(1, {(1,): math.nan}), [(GeneratorDescriptor(kind, (1,)), 0.1)])
+
+
+def test_group_word_refuses_a_working_space_past_the_budget():
+    """A 60,000-photon buffer under q[1] gives a 60,001-state chain whose
+    eigenvectors alone would take about 54 GiB: refused before anything is
+    allocated."""
+    word = [(GeneratorDescriptor("q", (1,)), 1e-3)]
+    message = "working space of 60,001 states .*60,001-state block.*use a smaller --buffer"
+    with pytest.raises(ValidationError, match=message):
+        apply_group_word(basis_ket((0,)), word, EvolutionConfig(buffer=60000))
 
 
 def test_squeezing_word_with_tiny_buffer_raises():
