@@ -1,32 +1,29 @@
 """Truncated-space time evolution, two-copy overlap curves, and
 finite-difference Gram estimation: the truncated basis and projected
-Hamiltonians, ``evolve_density``, ``apply_group_word``, the overlaps
-``beta`` and the whole-matrix ``estimate_gram_matrix``.
+Hamiltonians (kept as references), ``evolve_density``,
+``apply_group_word``, the overlaps ``beta`` and ``estimate_gram_matrix``.
 
-Evolution exponentiates the generator Hamiltonian projected onto a
-photon-number-truncated basis, block by block, so it is exactly unitary on
-the working space and never forms a D x D matrix. Each block is a chain
-along the step of the generator's monomial (``generators._chains``), and
-each distinct chain is eigendecomposed once per process. The blocks are
-padded into size classes, one per power of two, each evolved by two stacked
-products; a group word reads the classes as stored, and a density evolves
-as the r columns of its support under the blocks that hold a support
-state, all its times in one pass; a ket's projector evolves as the one
-column psi/|psi|. Photon-number-shifting generators get a buffer of photons
-above the state's support; the weight in the top two sectors (the guard
-band) is the truncation-leakage proxy, checked with trace and Hermiticity
-deviations and never silently passed. A working space too large for the
-store is refused before anything is allocated.
-
-The basis of each (modes, cutoff), the decomposed chains and the padded
-classes of each (generator, modes, cutoff) depend on no state: built once
-per process and kept, read-only, in the byte-budgeted store of ``generators``.
+Evolution exponentiates the generator Hamiltonian projected onto the D
+states of at most a cutoff of photons, block by block, so it is exactly
+unitary on the working space; it never enumerates the D states. Each block
+is a chain along the step of the generator's monomial, found in closed
+form from any of its states (``generators._chains``), and a working space
+holds only the chains through its support; a group word's rows grow factor
+by factor. Each distinct chain is eigendecomposed once per process, and
+the chains are padded into size classes, each evolved by two stacked
+products. A density evolves as the r columns of its support, all its times
+in one pass; a ket's projector as the one column psi/|psi|. Photon-shifting
+generators get a buffer of photons above the support; the weight in the
+top two sectors (the guard band) is the truncation-leakage proxy, checked
+with trace and Hermiticity deviations. A working space whose longest chain
+or padded layout would not fit the store is refused before it is built;
+the layouts and the decomposed chains are kept in that store.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Callable, Iterable, Sequence
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,6 +33,7 @@ from .fock import (
     Occupation,
     SparseKet,
     ValidationError,
+    _rank_states,
     _run_starts,
     enumerate_occupations,
     normalize,
@@ -51,7 +49,9 @@ from .generators import (
     _monomials,
     _recall,
     _remember,
+    _steps,
     _trim,
+    _walk,
     lie_basis,
     number_shift,
 )
@@ -127,161 +127,140 @@ def dense_hamiltonian(g: GeneratorDescriptor, basis: TruncatedBasis) -> np.ndarr
     return h
 
 
-def _basis(modes: int, cutoff: int) -> tuple[TruncatedBasis, np.ndarray, np.ndarray]:
-    """The basis, as itself and as a D x m array, and its guard band: the
-    states of the top two photon sectors."""
-    key = ("basis", modes, cutoff)
+def _refuse_oversized(modes: int, cutoff: int, what: str, nbytes: int) -> None:
+    """Refuse a working space whose ``what`` would take more than the
+    store's budget, or whose cutoff does not fit a chain's key (23 bits an
+    occupation), before allocating it."""
+    if nbytes > _CACHE_BUDGET:
+        why = f"its {what} would take {nbytes / 2**20:,.0f} MiB, over the {_CACHE_BUDGET >> 20} MiB budget"
+    elif cutoff >> 23:
+        why = "a chain key holds occupations below 2^23"
+    else:
+        return
+    raise ValidationError(
+        f"working space of {math.comb(modes + cutoff, modes):,} states (cutoff {cutoff}) too large: {why}; "
+        "use a smaller --buffer"
+    )
+
+
+def _slots(width: np.ndarray, length: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per slot of chains laid out ``width`` slots each: its chain, its
+    place in the chain, and whether it holds a node."""
+    chain = np.repeat(np.arange(len(width)), width)
+    j = np.arange(len(chain)) - np.repeat(np.cumsum(width) - width, width)
+    return chain, j, j < length[chain]
+
+
+def _padded(length: np.ndarray, longest: np.ndarray | int) -> tuple[np.ndarray, int]:
+    """The slots of chains of ``length`` nodes, 2^k for 2^(k-1) < L <= 2^k
+    or their generator's ``longest`` chain if fewer, and the bytes of their
+    layout: 24 a slot (row, eigenvalue, generator), 16 an eigenvector entry."""
+    width = np.minimum(1 << np.frexp(length - 1)[1].astype(np.int64), longest)
+    return width, int(24 * width.sum() + 16 * (width * width).sum())
+
+
+def _grown(factors: tuple[GeneratorDescriptor, ...], support: np.ndarray, cutoff: int, longest: np.ndarray) -> tuple:
+    """Per generator of a word whose factors act in turn on the support, the
+    rows before its last factor, stacked, and their generator. Each factor
+    adds the chains through the rows before it, unless it is the last, its
+    chains are single nodes (N, the identity) or the rows hold them. A
+    generator keeps at least the chains found so far: refused early."""
+    modes, generators, final = support.shape[1], tuple(dict.fromkeys(factors)), {g: i for i, g in enumerate(factors)}
+    rows, steps, through, closed, nbytes = support, _steps(generators, modes)[2], {}, set(), {}
+    for i, g in enumerate(factors):
+        n = generators.index(g)
+        if final[g] == i:
+            through[n] = rows
+        if n in closed or longest[n] == 1 or i == len(factors) - 1:
+            continue
+        length, start = np.hsplit(_rank_states(np.column_stack(_walk(steps[n], rows, cutoff)[::-1]))[0], [1])
+        length = length[:, 0]  # of the distinct chains through the rows
+        nbytes[n] = _padded(length, longest[n])[1]
+        _refuse_oversized(modes, cutoff, "layout of padded chains", sum(nbytes.values()))
+        chain, j, _ = _slots(length, length)
+        rows, closed = _rank_states(np.vstack([rows, start[chain] + j[:, None] * steps[n]]))[0], {n}
+    through = [through[n] for n in range(len(generators))]
+    return np.vstack(through), np.repeat(np.arange(len(through)), [len(r) for r in through])
+
+
+def _layout(factors: tuple[GeneratorDescriptor, ...], cutoff: int, support: np.ndarray, grow: bool) -> tuple:
+    """The working space of ``factors`` (in the order they act) on a support
+    (S x m): its rows' states in basis order, their guard band (the top two
+    photon sectors), the support's rows, and its units. Each generator keeps
+    its chains through the support or, when the rows ``grow``, through the
+    rows before its last factor. A chain is ``_padded``, a padded slot the
+    sentinel row R with eigenvalue 0 and an identity eigenvector; a class
+    holds the chains of one width, of every generator or, when the rows
+    grow, of one. A unit: its first generator, each slot's generator, per
+    class its span of the slots and its eigenvectors, each slot's row and
+    eigenvalue. Kept in the store, keyed by the factors, cutoff and support."""
+    key = ("layout", grow, factors, cutoff, support.shape, support.tobytes())
     found = _recall(key)
-    if found is None:
-        basis = TruncatedBasis.build(modes, cutoff)
-        states = np.array(basis.states, dtype=np.int64)
-        band = states.sum(axis=1) > cutoff - 2
-        found = (basis, states, band)
-        _remember(key, found, (states, band))
-    return found
-
-
-def _flatten(classes: list) -> tuple:
-    """Per size class, node arrays (blocks x width) then eigenvectors; as
-    each class's span of the flat nodes and its eigenvectors, then each array flat."""
-    ends = np.cumsum([v.shape[0] * v.shape[1] for *_, v in classes]).tolist()
-    spans = [(slice(end - v.shape[0] * v.shape[1], end), v) for end, (*_, v) in zip(ends, classes)]
-    return spans, *(np.concatenate([c[i].ravel() for c in classes]) for i in range(len(classes[0]) - 1))
-
-
-def _spectra(
-    generators: Sequence[GeneratorDescriptor], basis: TruncatedBasis
-) -> list[tuple[list[tuple[slice, np.ndarray]], np.ndarray, np.ndarray, np.ndarray]]:
-    """Each generator's eigendecomposed chains, laid out to evolve: chains
-    of 2^(k-1) < L <= 2^k states form size class k, padded to its longest
-    chain (the sentinel index D, eigenvalue 0, an identity eigenvector), and
-    run by class, length, then start. Per class, its span of the nodes and
-    its eigenvectors; every node's basis index and eigenvalue, flat; and the
-    block of each basis index, numbered in that order. Misses are laid out together."""
-    size, m, cutoff = basis.size, basis.modes, basis.cutoff
-    keys = [(g, m, cutoff) for g in generators]
-    found = [_recall(key) for key in keys]
-    missing = [n for n, spectrum in enumerate(found) if spectrum is None]
-    if missing:
-        states = _basis(m, cutoff)[1]
-        delta, gen, start, length, key = _chains([generators[n] for n in missing], states, cutoff)
-        eigenvalues, eigenvectors, at, square_at = _decomposed(key)
-        # a class: a generator's chains of one k, as wide as its longest; a chain
-        # has a slot per node, real or padded, and a square of eigenvectors
-        classes = np.flatnonzero(_run_starts(gen << 6 | np.frexp(length - 1)[1])).tolist() + [len(gen)]
-        width = np.repeat(length[np.array(classes[1:]) - 1], np.diff(classes))
-        ends = [np.cumsum(np.append(0, w)) for w in (width, width * width)]  # each chain's first slot, entry
-        chain = np.repeat(np.arange(len(width)), width)
-        j = np.arange(len(chain)) - ends[0][chain]
-        real, node = j < length[chain], np.minimum(j, length[chain] - 1)
-        # a node's basis index: at each mode i, the states that agree with it
-        # before i and hold fewer photons at i, C(u + m - i, m - i) states of
-        # modes i.. with at most u photons for u from R - x_i to R, R the photons left
-        counts = np.array([[math.comb(u + m - i, m - i) for u in range(cutoff + 1)] for i in range(m)])
-        nodes, left = 0, cutoff
-        for count, x in zip(counts, states.T[:, start[chain]] + delta.T[:, gen[chain]] * node):
-            nodes, left = nodes + count[left] - count[left - x], left - x
-        nodes, values = np.where(real, nodes, size), np.where(real, eigenvalues[at[chain] + node], 0.0)
-        # each chain's L x L eigenvectors at the top left of its square, the identity below
-        squares = np.zeros(ends[1][-1], dtype=complex)
-        squares[(ends[1][chain] + j * (width[chain] + 1))[~real]] = 1.0
-        order = np.lexsort((width, length))
-        runs = np.flatnonzero(_run_starts(length[order] << 32 | width[order])).tolist() + [len(order)]
-        for lo, hi in zip(runs, runs[1:]):
-            c, s, w = order[lo:hi, None], int(length[order[lo]]), int(width[order[lo]])
-            entry = (np.arange(s)[:, None] * w + np.arange(s)).ravel()  # the L x L entries of a W x W square
-            squares[ends[1][c] + entry] = eigenvectors[square_at[c] + np.arange(s * s)]
-        first, width = np.searchsorted(gen, np.arange(len(missing) + 1)).tolist(), width.tolist()
-        ends = [e.tolist() for e in ends]
-        for k, n in enumerate(missing):
-            lo, hi = first[k], first[k + 1]
-            a, b = ends[0][lo], ends[0][hi]  # its slots
-            spans = [  # each class in its own array
-                (slice(ends[0][e] - a, ends[0][f] - a),
-                 squares[ends[1][e] : ends[1][f]].reshape(f - e, width[e], -1).copy())
-                for e, f in zip(classes, classes[1:]) if lo <= e < hi
-            ]
-            block = np.empty(size + 1, dtype=np.int64)  # the sentinel's entry is dropped
-            block[nodes[a:b]] = chain[a:b] - lo
-            found[n] = (spans, nodes[a:b].copy(), values[a:b].copy(), block[:size])
-            _remember(keys[n], found[n], [*(v for _, v in spans), *found[n][1:]])
+    if found is not None:
+        _trim()  # as after a build: the budget may have changed since
+        return found
+    modes, generators = support.shape[1], tuple(dict.fromkeys(factors))
+    # a chain's raised modes gain ``rise`` photons a node
+    longest = np.array([cutoff // rise + 1 if rise else 1 for rise in (_KIND_RISE[g.kind] for g in generators)])
+    _refuse_oversized(modes, cutoff, f"{longest.max():,}-state block's eigenvectors", 16 * int(longest.max()) ** 2)
+    walked, gen = _grown(factors, support, cutoff, longest) if grow else (support, None)
+    delta, gen, start, length, keys = _chains(generators, walked, cutoff, gen)
+    width, nbytes = _padded(length, longest[gen])
+    _refuse_oversized(modes, cutoff, "layout of padded chains", nbytes)
+    unit = gen if grow else np.zeros_like(gen)
+    order = np.lexsort((width, unit))  # stable: by generator, length, then start within a class
+    gen, start, length, keys, width, unit = (a[order] for a in (gen, start, length, keys, width, unit))
+    chain, j, real = _slots(width, length)
+    c = chain[real]
+    states, rank = _rank_states(np.vstack([support, start[c] + j[real, None] * delta[gen[c]]]))
+    nodes = np.full(len(chain), len(states))
+    nodes[real] = rank[len(support) :]
+    eigenvalues, eigenvectors, at, square_at = _decomposed(keys)
+    values = np.zeros(len(chain))
+    values[real] = eigenvalues[at[c] + j[real]]
+    # each chain's L x L eigenvectors at the top left of its square, the identity below
+    first, corner = (np.append(0, np.cumsum(a)) for a in (width, width * width))
+    squares = np.zeros(corner[-1], dtype=complex)
+    squares[(corner[chain] + j * (width[chain] + 1))[~real]] = 1.0
+    q, k, _ = _slots(length * length, length)  # per eigenvector entry: its chain, its place in the L x L square
+    squares[corner[q] + k // length[q] * width[q] + k % length[q]] = eigenvectors[square_at[q] + k]
+    gens = np.repeat(gen, width)
+    arrays = (states, states.sum(axis=1) > cutoff - 2, rank[: len(support)].copy(), gens, nodes, values, squares)
+    for a in arrays:
+        a.flags.writeable = False  # before any view is taken
+    classes = np.flatnonzero(_run_starts(unit << 32 | width)).tolist() + [len(width)]
+    bounds = np.flatnonzero(_run_starts(unit)).tolist() + [len(unit)]
+    first, corner, width = first.tolist(), corner.tolist(), width.tolist()
+    units = []
+    for lo, hi in zip(bounds, bounds[1:]):
+        a, b = first[lo], first[hi]
+        spans = [
+            (slice(first[e] - a, first[f] - a), squares[corner[e] : corner[f]].reshape(f - e, width[e], width[e]))
+            for e, f in zip(classes, classes[1:]) if lo <= e < hi
+        ]
+        units.append((int(unit[lo]), gens[a:b], spans, nodes[a:b], values[a:b]))
+    found = (*arrays[:3], units)
+    _remember(key, found, arrays)
     _trim()
     return found
 
 
-def _refuse_oversized(modes: int, cutoff: int, generators: Iterable[GeneratorDescriptor]) -> None:
-    """Refuse a working space whose basis array or longest chain's
-    eigenvectors would exceed the store's budget, before allocating them. A
-    chain's raised modes gain ``rise`` photons a node: it holds at most cutoff // rise + 1."""
-    states = math.comb(modes + cutoff, modes)
-    longest = max((cutoff // rise + 1 if rise else 1 for rise in {_KIND_RISE[g.kind] for g in generators}), default=1)
-    basis, block = 8 * modes * states, 16 * longest**2
-    if max(basis, block) > _CACHE_BUDGET:
-        nbytes, what = max((basis, "basis array"), (block, f"{longest:,}-state block's eigenvectors"))
-        raise ValidationError(
-            f"working space of {states:,} states (cutoff {cutoff}) too large: its {what} would take "
-            f"{nbytes / 2**20:,.0f} MiB, over the {_CACHE_BUDGET >> 20} MiB budget; use a smaller --buffer"
-        )
-
-
 class _Workspace:
-    """The truncated working space for evolving states under a set of
-    generators: the cutoff (the states' photon number, plus the buffer when
-    any generator shifts photon number), the basis, the generators'
-    eigendecomposed blocks in units, the rows it works on (basis indices)
-    with their states and guard band, and the leakage check with the largest
-    value it has seen of each measured quantity. Given the states' support
-    (S x m), one unit holds every block that contains a support state, and
-    the rows are the states they cover, ``support`` the support's rows
-    among them; without one, each generator's stored blocks are a unit."""
+    """The truncated working space for evolving states on a support (S x m)
+    under generators ``factors``, in the order they act: the cutoff (the
+    support's photon number, plus the buffer when any generator shifts
+    photon number), the layout of ``_layout``, and the leakage check with
+    the largest value it has seen of each measured quantity."""
 
     def __init__(
-        self, modes: int, max_total: int, generators: Iterable[GeneratorDescriptor], cfg: EvolutionConfig,
-        support: np.ndarray | None = None,
+        self, support: np.ndarray, factors: Sequence[GeneratorDescriptor], cfg: EvolutionConfig, grow: bool = False
     ) -> None:
         self.cfg = cfg
-        self.generators = tuple(dict.fromkeys(generators))
+        self.generators = tuple(dict.fromkeys(factors))
         self.shifting = any(number_shift(g.kind) > 0 for g in self.generators)
-        cutoff = max_total + (cfg.buffer if self.shifting else 0)
-        _refuse_oversized(modes, cutoff, self.generators)
-        self.basis, self.states, self.band = _basis(modes, cutoff)
+        self.cutoff = max(map(sum, support.tolist()), default=0) + (cfg.buffer if self.shifting else 0)
+        self.states, self.band, self.support, self.units = _layout(tuple(factors), self.cutoff, support, grow)
         self.worst: dict[str, float] = {}
-        size = self.basis.size
-        spectra = _spectra(self.generators, self.basis)
-        # a unit: its first generator, each node's generator, per size class
-        # its span and eigenvectors, the nodes (rows; R the sentinel), eigenvalues
-        if support is None:
-            self.rows, self.support = np.arange(size), None
-            self.units = [(n, n, *spectrum[:3]) for n, spectrum in enumerate(spectra)]
-            return
-        support = np.array([self.basis.index[occ] for occ in map(tuple, support.tolist())], dtype=np.int64)
-        # every (generator, size class) piece in turn, and its first block
-        # numbered over all of them; each block map starts from 0
-        pieces = [(n, at, v) for n, (classes, *_) in enumerate(spectra) for at, v in classes]
-        first = np.cumsum([0] + [len(v) for _, _, v in pieces])
-        offset = first[np.searchsorted([n for n, _, _ in pieces], np.arange(len(spectra)))]
-        chosen = np.zeros(first[-1], dtype=bool)
-        chosen[np.array([spectrum[3][support] + offset[n] for n, spectrum in enumerate(spectra)])] = True
-        ids = np.flatnonzero(chosen)
-        owner = np.searchsorted(first, ids, side="right") - 1
-        # per size class, the kept blocks of each generator in turn
-        kept: dict[int, list] = {}
-        bounds = np.flatnonzero(_run_starts(owner)).tolist() + [len(ids)]
-        for lo, hi in zip(bounds, bounds[1:]):
-            p = int(owner[lo])
-            n, span, v = pieces[p]
-            at = slice(None) if hi - lo == len(v) else ids[lo:hi] - first[p]  # all kept: no copy
-            nodes, eigenvalues = (a[span].reshape(v.shape[:2])[at] for a in spectra[n][1:3])
-            kept.setdefault(v.shape[1], []).append((np.full(nodes.shape, n), nodes, eigenvalues, v[at]))
-        classes, gens, nodes, eigenvalues = _flatten([[np.concatenate(a) for a in zip(*kept[w])] for w in sorted(kept)])
-        reached = np.zeros(size + 1, dtype=bool)
-        reached[nodes] = True  # the support too: every generator keeps the blocks that hold it
-        self.rows = np.flatnonzero(reached[:size])
-        self.states, self.band = self.states[self.rows], self.band[self.rows]
-        row = np.cumsum(reached) - 1
-        row[size] = len(self.rows)  # the sentinel row
-        self.support = row[support]
-        self.units = [(0, gens, classes, row[nodes], eigenvalues)]
 
     def evolve(self, times: np.ndarray | float, columns: np.ndarray, first: int = 0, count: int = 1) -> np.ndarray:
         """exp(-i H_n t) applied to an R x r block of columns for the
@@ -289,7 +268,7 @@ class _Workspace:
         (exactly the columns where t = 0): count x R x T x r. Per unit one
         gather, exp and scatter, per size class two stacked products; padded
         nodes read the zero sentinel row R, and their writes to it drop."""
-        size, r, t = len(self.rows), columns.shape[1], np.ravel(times)
+        size, r, t = len(self.states), columns.shape[1], np.ravel(times)
         # V^dag x is conj(V^T conj(x)), and V^T is a view where V^dag copies V
         source = np.concatenate([columns.conj(), np.zeros((1, r))])
         out = np.zeros((count, size + 1, len(t), r), dtype=complex)
@@ -319,15 +298,8 @@ class _Workspace:
             found = ", ".join(f"{name.replace('_', ' ')} {value:.3e}" for name, value in measured.items())
             raise LeakageError(
                 f"{context}: {found} exceed tolerance {tol:.1e} "
-                f"(cutoff {self.basis.cutoff}); increase the buffer or reduce |t|"
+                f"(cutoff {self.cutoff}); increase the buffer or reduce |t|"
             )
-
-    def column(self, psi: SparseKet) -> np.ndarray:
-        """A ket as a D x 1 column over the basis."""
-        vec = np.zeros((self.basis.size, 1), dtype=complex)
-        for occ, amp in psi.terms.items():
-            vec[self.basis.index[occ], 0] = amp
-        return vec
 
 
 class _DensityWorkspace(_Workspace):
@@ -352,8 +324,8 @@ class _DensityWorkspace(_Workspace):
             self.p = state.matrix
             # (A P A^dag)^dag = A P^dag A^dag, so every copy inherits P's residual
             self.hermiticity = state.hermiticity_residual
-        super().__init__(state.modes, max(map(sum, support.tolist()), default=0), generators, cfg, support)
-        self.phi = np.zeros((len(self.rows), columns.shape[1]), dtype=complex)
+        super().__init__(support, generators, cfg)
+        self.phi = np.zeros((len(self.states), columns.shape[1]), dtype=complex)
         self.phi[self.support] = columns
 
     def evolved(self, times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -361,7 +333,7 @@ class _DensityWorkspace(_Workspace):
         generator n and each of the T times, T x R x (d + 1) x r, and their
         Gram, T x (d + 1) r x (d + 1) r, not yet leakage-checked."""
         t, k, r = len(times), len(self.generators) + 1, self.phi.shape[1]
-        copies = np.empty((t, len(self.rows), k, r), dtype=complex)
+        copies = np.empty((t, len(self.states), k, r), dtype=complex)
         copies[:, :, 0] = self.phi
         copies[:, :, 1:] = self.evolve(times, self.phi, 0, k - 1).transpose(2, 1, 0, 3)
         x = copies.reshape(t, -1, k * r)
@@ -501,8 +473,8 @@ def estimate_gram_matrix(
         values=values,
         coarse=coarse,
         fine=fine,
-        working_dimension=ws.basis.size,
-        cutoff=ws.basis.cutoff,
+        working_dimension=math.comb(rho.modes + ws.cutoff, rho.modes),
+        cutoff=ws.cutoff,
         max_boundary_weight=ws.worst["boundary_weight"],
         max_trace_deviation=ws.worst["trace_deviation"],
         hermiticity_residual=ws.worst["hermiticity"],
@@ -523,8 +495,10 @@ def apply_group_word(
         return psi
     if psi.is_zero():
         raise ValidationError("cannot evolve the zero ket")
-    ws = _Workspace(psi.modes, psi.max_total(), [g for g, _ in word], cfg)
-    vec = ws.column(psi)
+    support, amps = psi.arrays()
+    ws = _Workspace(support, [g for g, _ in reversed(word)], cfg, grow=True)
+    vec = np.zeros((len(ws.states), 1), dtype=complex)
+    vec[ws.support, 0] = amps
     norm0 = float(np.linalg.norm(vec))
     for g, t in reversed(word):
         if t == 0.0:

@@ -38,10 +38,10 @@ On a truncated basis each generator's blocks are chains along the step of
 its monomial, and ``_chain_matrices`` gives their matrices with the same
 amplitudes, from the kind, the length and the start alone.
 
-State-independent arrays are built once per process and kept, read-only,
-in one store under a fixed budget of 64 MiB (least recently used first out):
-the plans here, and the truncated bases, decomposed chains and block
-spectra of ``dynamics``.
+Arrays that depend on no amplitude are built once per process and kept,
+read-only, in one store under a fixed budget of 64 MiB (least recently used
+first out): the plans here, and the decomposed chains and working-space
+layouts of ``dynamics``.
 """
 
 from __future__ import annotations
@@ -283,37 +283,60 @@ def _generator_action(
 #: positive part of that step, summed.
 _KIND_GENERATORS = tuple(GeneratorDescriptor(kind, tuple(range(1, n + 1))) for kind, (n, *_) in _KINDS.items())
 _KIND_INDEX = {kind: k for k, kind in enumerate(_KINDS)}
-_KIND_STEP = tuple(tuple(sum(s for slot, s in steps if slot == i) for i in (0, 1)) for _, _, steps in _KINDS.values())
-_KIND_RISE = {kind: sum(max(s, 0) for s in step) for kind, step in zip(_KINDS, _KIND_STEP)}
+_KIND_STEP = np.array([[sum(s for slot, s in steps if slot == i) for i in (0, 1)] for _, _, steps in _KINDS.values()])
+_KIND_RISE = {kind: int(np.maximum(step, 0).sum()) for kind, step in zip(_KINDS, _KIND_STEP)}
 
 
-def _chains(generators: Sequence[GeneratorDescriptor], states: np.ndarray, cutoff: int) -> tuple[np.ndarray, ...]:
-    """The blocks of each generator on the basis (D x m states). H = c X +
-    conj(c) X^dag moves a state only by the step delta of X (first nonzero
-    entry positive; 0 for N and the identity), so its blocks are chains x +
-    j delta, j = 0 .. L - 1, in basis order, from each x where x - delta
-    leaves the basis. Returns the steps (G x m) and per chain, by generator,
-    length, then start: its generator, start (basis index), length and key,
-    as ``_chain_matrices`` reads it."""
+def _steps(generators: Sequence[GeneratorDescriptor], modes: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Each generator's kind (its ``_KINDS`` index), the modes its X steps
+    (-1 for none), and its step delta over the register (G x m)."""
     kinds = np.array([_KIND_INDEX[g.kind] for g in generators], dtype=np.int64)
     acted = np.array([(*(k - 1 for k in g.modes), -1, -1)[:2] for g in generators], dtype=np.int64).reshape(-1, 2)
-    if acted.size and acted.max() >= states.shape[1]:
-        raise ValueError(f"generator mode index {acted.max() + 1} exceeds the {states.shape[1]}-mode register")
-    step = np.array(_KIND_STEP)[kinds]
-    delta = np.zeros((len(generators), states.shape[1] + 1), dtype=np.int64)  # the last column is no mode
-    delta[np.arange(len(generators))[:, None], acted] = step
-    occupied = np.vstack([states.T, np.zeros(len(states), dtype=np.int64)])[acted]  # G x 2 x D
-    up = step > 0
-    still = ~(up[:, :1] | up[:, 1:])  # every state is a chain of one
-    gen, start = np.nonzero(np.any((occupied < step[..., None]) & up[..., None], axis=1) | still)
-    x, d = occupied[gen, :, start], step[gen]
-    rise = d[:, 0] + d[:, 1]
-    room = np.where(d < 0, x // np.maximum(-d, 1), cutoff).min(axis=1)  # until a lowered mode empties
-    room = np.minimum(room, np.where(rise > 0, (cutoff - states[start].sum(axis=1)) // np.maximum(rise, 1), cutoff))
-    length = np.where(still[gen, 0], 1, room + 1)
-    order = np.lexsort((length, gen))
+    if acted.size and acted.max() >= modes:
+        raise ValueError(f"generator mode index {acted.max() + 1} exceeds the {modes}-mode register")
+    delta = np.zeros((len(generators), modes + 1), dtype=np.int64)  # the last column is no mode
+    delta[np.arange(len(generators))[:, None], acted] = _KIND_STEP[kinds]
+    return kinds, acted, delta[:, :-1]
+
+
+def _walk(delta: np.ndarray, states: np.ndarray, cutoff: int) -> tuple[np.ndarray, np.ndarray]:
+    """The start and length of the chain through each state (S x m) along
+    delta (first nonzero entry positive; m, or a row per state), at most
+    ``cutoff`` photons: it starts as many steps back as keep every occupation
+    >= 0 (a step back adds no photons) and runs until a lowered mode empties
+    or the cutoff is reached. N and the identity (delta 0) give chains of one."""
+    up, rise = delta > 0, delta.sum(axis=-1)
+    back = np.where(up, states // np.maximum(delta, 1), cutoff).min(axis=1) * up.any(axis=-1)
+    start = states - back[:, None] * delta
+    room = np.where(delta < 0, start // np.maximum(-delta, 1), cutoff).min(axis=1)
+    top = np.where(rise > 0, (cutoff - start.sum(axis=1)) // np.maximum(rise, 1), cutoff)
+    return start, np.where(up.any(axis=-1), np.minimum(room, top) + 1, 1)
+
+
+def _chains(
+    generators: Sequence[GeneratorDescriptor], states: np.ndarray, cutoff: int, gen: np.ndarray | None = None
+) -> tuple[np.ndarray, ...]:
+    """The blocks of generator ``gen[i]`` through state i (S x m), or of
+    every generator through every state, at most ``cutoff`` photons. H = c
+    X + conj(c) X^dag moves a state only by the step delta of X, so its
+    blocks are chains x + j delta in basis order (``_walk``). Returns the
+    steps (G x m) and per distinct chain, by generator, length, then start:
+    its generator, start, length and key, as ``_chain_matrices`` reads it.
+    An r or R chain keys its start's two occupations as (min, max): the
+    mirrored chains' matrices are equal bit for bit, each amplitude's two
+    square roots only swapping."""
+    kinds, acted, delta = _steps(generators, states.shape[1])
+    if gen is None:
+        gen, states = np.repeat(np.arange(len(generators)), len(states)), np.tile(states, (len(generators), 1))
+    start, length = _walk(delta[gen], states, cutoff)
+    # the distinct chains, by generator, length, then start
+    chains = _rank_states(np.column_stack([gen, length, start]))[0]
+    gen, length, start = chains[:, 0], chains[:, 1], chains[:, 2:]
+    x = np.hstack([start, np.zeros((len(gen), 1), dtype=np.int64)])[np.arange(len(gen))[:, None], acted[gen]]
+    d = _KIND_STEP[kinds[gen]]
+    x = np.where((d[:, :1] == d[:, 1:]) & (d > 0), np.sort(x, axis=1), x)
     key = length << 50 | kinds[gen] << 46 | x[:, 0] << 23 | x[:, 1]  # the size refusal keeps x below 2^23
-    return delta[:, :-1], gen[order], start[order], length[order], key[order]
+    return delta, gen, start, length, key
 
 
 def _chain_matrices(keys: np.ndarray) -> list[np.ndarray]:
@@ -348,7 +371,7 @@ def _chain_matrices(keys: np.ndarray) -> list[np.ndarray]:
 
 
 #: Bytes of cached arrays kept per process; past it the least recently used
-#: plans, bases, decomposed chains and spectra are dropped.
+#: plans, decomposed chains and layouts are dropped.
 _CACHE_BUDGET = 64 << 20
 
 
@@ -395,14 +418,15 @@ def _decomposed(key: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np
     """The eigenvalues and the eigenvectors (L x L, row-major) of every
     decomposed chain, each flat, and the offsets in them of the given
     chains' own. The store keeps them as one entry, read only to build a
-    spectrum; the chains it lacks are decomposed, one stacked ``eigh`` per
-    length, and added."""
+    layout; the chains it lacks are decomposed, one stacked ``eigh`` per
+    length, and added. A one-node chain is its own eigenpair, its entry
+    and 1, as ``eigh`` returns it."""
     empty = np.zeros(0, dtype=np.int64)
     keys, begin, values, vectors = _recall(("chains",)) or (empty, empty.reshape(0, 2), empty, empty)
     fresh = np.sort(key[np.append(keys, -1)[np.searchsorted(keys, key)] != key])
     if len(fresh):
         fresh = fresh[_run_starts(fresh)]
-        pairs = [np.linalg.eigh(h) for h in _chain_matrices(fresh)]
+        pairs = [np.linalg.eigh(h) if h.shape[1] > 1 else (h[:, 0].real, np.ones_like(h)) for h in _chain_matrices(fresh)]
         sizes = np.stack([fresh >> 50, (fresh >> 50) ** 2], axis=1)
         begin = np.concatenate([begin, [len(values), len(vectors)] + np.cumsum(sizes, axis=0) - sizes])
         values, vectors = (np.concatenate([a, *(p[i].ravel() for p in pairs)]) for i, a in enumerate((values, vectors)))

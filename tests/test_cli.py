@@ -22,7 +22,7 @@ from orbitdim import (
     outer,
     sample_sphere_state,
 )
-from orbitdim import cli
+from orbitdim import cli, dynamics, generators
 import _oracle
 from orbitdim.cli import (
     EXIT_INVALID,
@@ -590,6 +590,21 @@ def test_estimate_refuses_a_working_space_past_the_budget(capsys, tmp_path, as_j
     assert err.startswith("error: working space of 100,002 states (cutoff 100001) too large: ")
     assert "100,002-state block" in err and "152,594 MiB" in err and err.endswith("use a smaller --buffer\n")
     assert "Traceback" not in err
+
+
+def test_estimate_refuses_a_layout_past_the_budget(capsys, tmp_path, monkeypatch):
+    """Under a 64 KiB budget the padded layout of an m = 2, N = 2 GO
+    estimate is refused, though each of its chains fits: exit 2, one line,
+    nothing on stdout. A layout already in the store passed the refusal
+    when it was built, so the store starts empty."""
+    monkeypatch.setattr(generators, "_cache", generators._Store())
+    monkeypatch.setattr(dynamics, "_CACHE_BUDGET", 64 << 10)
+    path = tmp_path / "ket.json"
+    write_state_file(str(path), sample_sphere_state(2, 2, seed=1))
+    code, out, err = run(capsys, "estimate", "--state", str(path), "--group", "go", "--json")
+    assert (code, out) == (EXIT_INVALID, "")
+    assert err.startswith("error: working space of 190 states (cutoff 18) too large: its layout of ")
+    assert err.endswith("use a smaller --buffer\n") and err.count("\n") == 1
 
 
 def test_estimate_leakage_exits_4(capsys, tmp_path):

@@ -105,13 +105,13 @@ def _chain_blocks(elements, basis):
     basis indices in chain order, block matrix), its states looked up in
     the basis's index."""
     states = np.array(basis.states, dtype=np.int64)
-    delta, gen, start, length, key = generators._chains(elements, states, basis.cutoff)
+    delta, gen, start, length, key = generators._chains(elements, states, basis.cutoff)  # through every state
     order = np.argsort(key, kind="stable")
     blocks = [None] * len(key)
     for c, h in zip(order, (h for stack in generators._chain_matrices(key[order]) for h in stack), strict=True):
         blocks[c] = h
     for c, block in enumerate(blocks):
-        nodes = [basis.index[tuple((states[start[c]] + j * delta[gen[c]]).tolist())] for j in range(length[c])]
+        nodes = [basis.index[tuple((start[c] + j * delta[gen[c]]).tolist())] for j in range(length[c])]
         yield int(gen[c]), nodes, block
 
 
@@ -154,39 +154,42 @@ def test_chains_are_the_connected_blocks_of_the_hamiltonian(group, m):
 
 @pytest.mark.parametrize("group, m, cutoff", [(Group.GO, 2, 5), (Group.PLO, 3, 4)])
 def test_padded_size_classes_reassemble_the_hamiltonian(group, m, cutoff):
-    """Every generator's stored spectrum: on real nodes V diag(lambda) V^dag
-    is its Hamiltonian, block by block; on padded nodes (the sentinel index
-    D) the eigenvectors are exactly the identity and the eigenvalues
-    exactly 0. A class holds the blocks of 2^(k-1) < s <= 2^k states for
-    one k, and is as wide as its largest block."""
+    """The layout of every generator on the whole basis as its support: on
+    real nodes V diag(lambda) V^dag is each generator's Hamiltonian, block
+    by block; on padded nodes (the sentinel row D) the eigenvectors are
+    exactly the identity and the eigenvalues exactly 0. A class holds blocks
+    of one width: a block of 2^(k-1) < s <= 2^k states is padded to 2^k, or
+    to its generator's largest block if that is smaller."""
     basis = TruncatedBasis.build(m, cutoff)
     elements = lie_basis(group, m).elements
     size = basis.size
-    for g, (classes, nodes, eigenvalues, block) in zip(elements, dynamics._spectra(elements, basis), strict=True):
-        h = np.zeros((size, size), dtype=complex)
-        seen, start, number = [], 0, 0
-        for at, v in classes:
-            count, width = v.shape[:2]
-            assert at == slice(start, start + count * width)
-            start = at.stop
-            class_nodes, class_values = nodes[at].reshape(count, width), eigenvalues[at].reshape(count, width)
-            sizes = np.sum(class_nodes < size, axis=1)
-            assert sizes.max() == width and len({(int(s) - 1).bit_length() for s in sizes}) == 1
-            for block_nodes, values, vecs in zip(class_nodes, class_values, v):
-                s = int(np.sum(block_nodes < size))
-                assert np.all(block_nodes[s:] == size)
-                assert np.array_equal(vecs[s:, s:], np.eye(width - s))
-                assert not vecs[s:, :s].any() and not vecs[:s, s:].any()
-                assert np.all(values[s:] == 0.0)
-                states = block_nodes[:s]
-                h[np.ix_(states, states)] = (vecs[:s, :s] * values[:s]) @ vecs[:s, :s].conj().T
-                assert np.all(block[states] == number)
-                seen.extend(states.tolist())
-                number += 1
-        assert start == len(nodes) == len(eigenvalues)
-        assert sorted(seen) == list(range(size))
-        expected = dense_hamiltonian(g, basis)
-        assert np.abs(h - expected).max() <= 1e-12 * max(1.0, np.abs(expected).max()), g.label
+    dense = [dense_hamiltonian(g, basis) for g in elements]
+    largest = [max(map(len, connected_blocks(h))) for h in dense]
+    states, band, support, units = dynamics._layout(elements, cutoff, np.array(basis.states), False)
+    assert states.tolist() == [list(occ) for occ in basis.states] and support.tolist() == list(range(size))
+    assert band.tolist() == [sum(occ) > cutoff - 2 for occ in basis.states]
+    ((first, gens, classes, nodes, eigenvalues),) = units
+    h = np.zeros((len(elements), size, size), dtype=complex)
+    seen, start = [], 0
+    for at, v in classes:
+        count, width = v.shape[:2]
+        assert at == slice(start, start + count * width)
+        start = at.stop
+        class_nodes, class_values, class_gens = (a[at].reshape(count, width) for a in (nodes, eigenvalues, gens))
+        for block_nodes, values, block_gens, vecs in zip(class_nodes, class_values, class_gens, v):
+            n, s = int(block_gens[0]), int(np.sum(block_nodes < size))
+            assert np.all(block_gens == n) and width == min(1 << (s - 1).bit_length(), largest[n])
+            assert np.all(block_nodes[s:] == size)
+            assert np.array_equal(vecs[s:, s:], np.eye(width - s))
+            assert not vecs[s:, :s].any() and not vecs[:s, s:].any()
+            assert np.all(values[s:] == 0.0)
+            states = block_nodes[:s]
+            h[n][np.ix_(states, states)] = (vecs[:s, :s] * values[:s]) @ vecs[:s, :s].conj().T
+            seen.extend((n * size + states).tolist())
+    assert first == 0 and start == len(nodes) == len(eigenvalues)
+    assert sorted(seen) == list(range(len(elements) * size))
+    for g, got, expected in zip(elements, h, dense, strict=True):
+        assert np.abs(got - expected).max() <= 1e-12 * max(1.0, np.abs(expected).max()), g.label
 
 
 def _dense_propagator(g, m, cutoff, t):
@@ -235,6 +238,59 @@ def test_evolve_density_matches_dense_propagator(g, m):
     assert_entries_close(density_op(out).entries, reference, tol=1e-12)
 
 
+_SUPPORTS = {
+    "fock": lambda m: basis_ket((1,) + (0,) * (m - 1)),
+    "sphere": lambda m: sample_sphere_state(m, 2, seed=2),
+    "rank2": lambda m: mixture([(0.6, sample_sphere_state(m, 1, seed=3)), (0.4, basis_ket((0,) * (m - 1) + (2,)))]),
+}
+
+
+@pytest.mark.parametrize("state", list(_SUPPORTS))
+@pytest.mark.parametrize("m", [1, 2, 3])
+@pytest.mark.parametrize("group", list(Group))
+def test_working_space_rows_are_the_blocks_through_the_support(group, m, state):
+    """A state's working space holds exactly the states of the connected
+    blocks of each generator's projected Hamiltonian that hold a support
+    state, in basis order, found on the whole truncated basis."""
+    rho = _SUPPORTS[state](m)
+    elements = lie_basis(group, m).elements
+    ws = dynamics._DensityWorkspace(rho, elements, _SMALL_BUFFER)
+    basis = TruncatedBasis.build(m, ws.cutoff)
+    occupations = rho.support if state == "rank2" else rho.arrays()[0]
+    support = {basis.index[occ] for occ in map(tuple, occupations.tolist())}
+    reached = set()
+    for g in elements:
+        reached.update(i for block in connected_blocks(dense_hamiltonian(g, basis)) if support & set(block) for i in block)
+    assert [tuple(occ) for occ in ws.states.tolist()] == [basis.states[i] for i in sorted(reached)]
+    assert ws.states[ws.support].tolist() == occupations.tolist()
+
+
+_WORDS = {
+    (Group.PLO, 2): ("e[1,2]", "N[1]", "E[1,2]", "e[1,2]"),
+    (Group.PLO, 3): ("e[1,2]", "E[2,3]", "e[1,3]", "N[2]", "e[1,2]"),
+    (Group.GO, 2): ("q[1]", "e[1,2]", "s[2]", "q[1]", "R[1,2]"),
+    (Group.GO, 3): ("e[1,2]", "q[3]", "e[2,3]", "S[1]", "e[1,2]", "r[1,3]"),
+}
+
+
+@pytest.mark.parametrize("group, m", list(_WORDS), ids=lambda x: getattr(x, "value", str(x)))
+def test_word_matches_the_product_of_dense_propagators(group, m):
+    """Each factor of a word evolves the rows the factors before it reach:
+    the word equals the product of dense propagators on the whole truncated
+    basis, a generator acting again after the rows have grown."""
+    basis = lie_basis(group, m)
+    rng = np.random.default_rng(m)
+    word = [(basis.elements[basis.index_of(label)], float(rng.uniform(-1, 1))) for label in _WORDS[group, m]]
+    psi = normalize(SparseKet(m, {(1,) + (0,) * (m - 1): 1.0, (0,) * (m - 1) + (2,): 0.5j}))
+    cutoff = 2 + (_SMALL_BUFFER.buffer if group is Group.GO else 0)
+    _, index = basis_states(m, cutoff)
+    expected = dense_ket(psi, index)
+    for g, t in reversed(word):
+        expected = _dense_propagator(g, m, cutoff, t) @ expected
+    out = apply_group_word(psi, word, _SMALL_BUFFER)
+    assert_terms_close(out.terms, dict(zip(index, expected)), tol=1e-12)
+
+
 def _assert_beta_entries_equal_the_estimate_stencils(state, group):
     """Each entry ``beta`` evolves on its own gives the estimate's coarse
     and fine stencils bit for bit, and beta_ij = beta_ji."""
@@ -264,7 +320,7 @@ def test_go_estimate_allocates_less_than_its_copies_on_the_whole_basis():
     """The copies, their leakage check and their overlaps live on the rows
     the support's blocks reach, so a GO estimate of |1,0,0> allocates less
     than one complex array of 4 x d x D entries (the four stencil times, d =
-    28 generators, D = 1,140). The spectra are cached per process, so the
+    28 generators, D = 1,140). The layouts are cached per process, so the
     estimate is traced once they are."""
     rho = outer(basis_ket((1, 0, 0)))
     estimate_gram_matrix(rho, Group.GO)
@@ -293,15 +349,15 @@ def test_m3_evolution_allocates_no_dense_matrix():
     assert peak < dense_bytes
 
 
-def test_warm_m3_word_copies_no_cached_block():
+def test_warm_m3_word_copies_no_cached_block(empty_cache):
     """A warm m = 3 GO word evolves its generators' size classes as the
     store holds them: its traced peak stays below half the stored bytes of
-    the four spectra, so no cached block is copied per call."""
+    its layout, so no cached block is copied per call."""
     basis = lie_basis(Group.GO, 3)
     word = [(basis.elements[basis.index_of(label)], 0.05) for label in ("q[3]", "e[2,3]", "N[2]", "S[2]")]
     psi = sample_sphere_state(3, 1, seed=0)
     apply_group_word(psi, word)
-    stored = sum(generators._cache[(g, 3, 17)][1] for g, _ in word)
+    (stored,) = [size for key, (_, size) in generators._cache.items() if key[0] == "layout"]
     tracemalloc.start()
     try:
         apply_group_word(psi, word)
@@ -617,7 +673,7 @@ def test_zero_ket_is_refused():
 def test_go_ket_estimate_traces_no_support_columns():
     """The GO estimate of an m = 3, N = 3 sphere ket (S = 20) evolves one
     column, not the S columns of its outer product: its traced peak stays
-    below 16 MiB, where the S-column estimate peaks near 75 MiB. The spectra
+    below 16 MiB, where the S-column estimate peaks near 75 MiB. The layouts
     are cached per process, so the estimate is traced once they are."""
     psi = sample_sphere_state(3, 3, seed=0)
     estimate_gram_matrix(psi, Group.GO)
@@ -646,7 +702,7 @@ def test_overlaps_on_the_reached_rows_match_dense_propagators(group, state):
     ws = dynamics._DensityWorkspace(rho, elements, _SMALL_BUFFER)
     times = np.array([0.0, 0.37, -0.21])
     got = ws.beta_matrix(times)
-    m, cutoff = rho.modes, ws.basis.cutoff
+    m, cutoff = rho.modes, ws.cutoff
     _, index = basis_states(m, cutoff)
     dense = dense_density(rho, index)
     for k, t in enumerate(times):
@@ -655,7 +711,29 @@ def test_overlaps_on_the_reached_rows_match_dense_propagators(group, state):
         expected = np.array([[np.trace(a @ b).real for b in copies] for a in copies])
         assert np.abs(got[k] - expected).max() <= 1e-12
     if state == "m2_fock" and group is not Group.PLO:
-        assert len(ws.rows) < ws.basis.size  # the restriction is exercised
+        assert len(ws.states) < math.comb(m + cutoff, m)  # the restriction is exercised
+
+
+def test_layout_past_the_budget_is_refused_before_it_is_allocated(empty_cache, eigh_calls, monkeypatch):
+    """Under a 64 KiB budget each chain of an m = 2, N = 2 GO working space
+    fits, but its padded layout does not: an estimate and a word are
+    refused before any chain is decomposed or anything is stored."""
+    monkeypatch.setattr(dynamics, "_CACHE_BUDGET", 64 << 10)
+    psi = sample_sphere_state(2, 2, seed=1)
+    with pytest.raises(ValidationError, match=r"^working space of 190 states \(cutoff 18\) too large: its layout"):
+        estimate_gram_matrix(psi, Group.GO)
+    with pytest.raises(ValidationError, match="too large: its layout"):
+        apply_group_word(psi, [(g, 0.01) for g in lie_basis(Group.GO, 2).elements])
+    assert eigh_calls == [] and not generators._cache
+
+
+def test_photons_past_a_chain_key_are_refused():
+    """A chain's key holds each occupation in 23 bits. A one-mode PLO
+    working space has only N[1]'s one-node chains, as small as layouts
+    get, and is refused from 2^23 photons on."""
+    assert estimate_gram_matrix(basis_ket(((1 << 23) - 1,)), Group.PLO).cutoff == (1 << 23) - 1
+    with pytest.raises(ValidationError, match=r"\(cutoff 8388608\) too large: a chain key holds occupations below 2\^23"):
+        estimate_gram_matrix(basis_ket((1 << 23,)), Group.PLO)
 
 
 # ----------------------------------------------------------------- sampling
@@ -686,7 +764,7 @@ def test_sampled_states_attain_generic_dimension():
         assert orbit_dimension(Group.GO, psi, Picture.KET).rank == 15
 
 
-# ------------------------------------------------- per-process spectra cache
+# ---------------------------------------------------- per-process store
 
 
 @pytest.fixture
@@ -708,24 +786,28 @@ def eigh_calls(monkeypatch):
 
 
 def _cached_arrays():
-    for value, _ in generators._cache.values():
-        if isinstance(value[0], list):  # spectra: (span, eigenvectors) per size class, nodes, eigenvalues, block map
-            yield from (v for _, v in value[0])
-            yield from value[1:]
-        elif isinstance(value[0], np.ndarray):  # chains: keys, offsets, eigenvalues, eigenvectors
+    for key, (value, _) in generators._cache.items():
+        if key[0] == "layout":  # states, guard band, support rows, then per unit its arrays
+            yield from value[:3]
+            for _, gens, classes, nodes, eigenvalues in value[3]:
+                yield from (gens, *(v for _, v in classes), nodes, eigenvalues)
+        elif key[0] == "chains":  # keys, offsets, eigenvalues, eigenvectors
             yield from value
-        else:  # basis, D x m states, guard band; or a plan: its table, then its arrays
+        else:  # a plan: its table, then its arrays
             yield from value[1:]
+
+
+_SUPPORT = sample_sphere_state(2, 1, seed=0).arrays()[0]
 
 
 def test_second_workspace_calls_no_eigh(empty_cache, eigh_calls):
     elements = lie_basis(Group.GO, 2).elements
-    first = _Workspace(2, 1, elements, EvolutionConfig())
+    first = _Workspace(_SUPPORT, elements, EvolutionConfig())
     assert eigh_calls
     eigh_calls.clear()
-    second = _Workspace(2, 1, elements, EvolutionConfig())
+    second = _Workspace(_SUPPORT, elements, EvolutionConfig())
     assert eigh_calls == []
-    assert second.basis is first.basis
+    assert second.states is first.states
     for a, b in zip(first.units, second.units, strict=True):
         # a unit: first generator, node generators, (span, eigenvectors) per class, nodes, eigenvalues
         arrays = [[gens, *(v for _, v in classes), *rest] for _, gens, classes, *rest in (a, b)]
@@ -734,35 +816,53 @@ def test_second_workspace_calls_no_eigh(empty_cache, eigh_calls):
 
 
 def test_eigh_decomposes_each_distinct_chain_once(empty_cache, eigh_calls):
-    """Building m = 2 GO at cutoff 17, then at 18, hands ``eigh`` each
-    distinct chain (kind, its modes' occupations at the start, length) once
-    in all, counting stacked matrices: 242 matrices for the 1,737 blocks of
-    the two builds, the second decomposing only the 45 chains the first
-    lacked."""
+    """Decomposing every chain of m = 2 GO at cutoff 17, then at 18, hands
+    ``eigh`` each distinct chain (kind, its modes' occupations at the
+    start, length) of more than one node once in all, counting stacked
+    matrices: 156 matrices for the 1,737 blocks of the two cutoffs, the
+    second decomposing only the 24 chains the first lacked. Mirrored r
+    and R starts share a key, so the 1,737 blocks have 190 keys."""
     elements = lie_basis(Group.GO, 2).elements
     keys, blocks, received = set(), 0, []
     for cutoff in (17, 18):
-        basis, states, _ = dynamics._basis(2, cutoff)
+        states = np.array(TruncatedBasis.build(2, cutoff).states)
         chains = generators._chains(elements, states, cutoff)[4]
         keys.update(chains.tolist())
         blocks += len(chains)
-        dynamics._spectra(elements, basis)
+        generators._decomposed(chains)
         received.append(sum(len(a) for a in eigh_calls))
-    assert received == [197, 242] and len(keys) == 242 and blocks == 1737
-    expected = [h for stack in generators._chain_matrices(np.array(sorted(keys))) for h in stack]
+    assert received == [132, 156] and len(keys) == 190 and blocks == 1737
+    expected = [h for stack in generators._chain_matrices(np.array(sorted(keys))) for h in stack if len(h) > 1]
     given = [h for stack in eigh_calls for h in stack]
     assert sorted((h.shape, h.tobytes()) for h in given) == sorted((h.shape, h.tobytes()) for h in expected)
 
 
-def test_go_word_reuses_the_spectra_of_an_estimate(empty_cache, eigh_calls):
-    estimate_gram_matrix(outer(basis_ket((1, 0))), Group.GO)
-    eigh_calls.clear()
+def test_cold_estimates_and_words_hand_eigh_no_matrix_twice(empty_cache, eigh_calls):
+    """Mirrored r and R chain starts, (a, 0) against (0, a), share a key,
+    and a one-node chain is its own eigenpair: from an empty store, GO
+    estimates and words whose supports hold mirrored states hand ``eigh``
+    no two matrices with equal bytes."""
     basis = lie_basis(Group.GO, 2)
     word = [(basis.elements[basis.index_of(label)], 0.05) for label in ("q[1]", "S[2]", "E[1,2]", "N[2]", "r[1,2]")]
+    for psi in (normalize(SparseKet(2, {(1, 0): 1.0, (0, 1): 0.5j})), sample_sphere_state(2, 2, seed=1)):
+        estimate_gram_matrix(psi, Group.GO)
+        estimate_gram_matrix(outer(psi), Group.PLO)
+        apply_group_word(psi, word)
+    estimate_gram_matrix(basis_ket((0, 2, 1)), Group.GO)
+    given = [(h.shape, h.tobytes()) for stack in eigh_calls for h in stack]
+    assert given and len(set(given)) == len(given)
+
+
+def test_go_word_reuses_the_chains_of_an_estimate(empty_cache, eigh_calls):
+    """A word's first factor sees only the support, so a one-factor word of
+    any generator on an estimated state decomposes no chain."""
     psi = sample_sphere_state(2, 1, seed=3)
-    out = apply_group_word(psi, word)
+    estimate_gram_matrix(psi, Group.GO)
+    eigh_calls.clear()
+    for g in lie_basis(Group.GO, 2).elements:
+        out = apply_group_word(psi, [(g, 0.05)])
+        assert abs(out.norm() - 1.0) < 1e-10
     assert eigh_calls == []
-    assert abs(out.norm() - 1.0) < 1e-10
 
 
 def _cache_runs():
@@ -791,49 +891,56 @@ def test_cold_and_warm_cache_give_identical_results(empty_cache, monkeypatch):
 
 
 def test_cached_arrays_are_read_only(empty_cache):
-    _Workspace(2, 1, lie_basis(Group.GO, 2).elements, EvolutionConfig())
+    _Workspace(_SUPPORT, lie_basis(Group.GO, 2).elements, EvolutionConfig())
     arrays = list(_cached_arrays())
     assert arrays and not any(a.flags.writeable for a in arrays)
     with pytest.raises(ValueError):
         arrays[0][...] = 0
 
 
+def _layout_key(generators, cutoff, support):
+    return ("layout", False, tuple(generators), cutoff, support.shape, support.tobytes())
+
+
 def test_cache_evicts_least_recently_used_past_its_budget(empty_cache, monkeypatch):
     g1, g2, g3 = GeneratorDescriptor("e", (1, 2)), GeneratorDescriptor("E", (1, 2)), GeneratorDescriptor("N", (1,))
     cfg = EvolutionConfig()
+    support = np.array([[1, 2]])
     for g in (g1, g2, g1):  # g2 is now the least recently used
-        _Workspace(2, 3, [g], cfg)
+        _Workspace(support, [g], cfg)
     total = sum(size for _, size in generators._cache.values())
     monkeypatch.setattr(generators, "_CACHE_BUDGET", total)
-    ws = _Workspace(2, 3, [g3], cfg)
+    ws = _Workspace(support, [g3], cfg)
     kept = sum(size for _, size in generators._cache.values())
     assert kept <= total
-    # the decomposed chains, one entry, were last used to build g3's spectrum
-    assert list(generators._cache) == [(g1, 2, 3), ("basis", 2, 3), ("chains",), (g3, 2, 3)]
+    # the decomposed chains, one entry, were last used to build g3's layout
+    assert list(generators._cache) == [_layout_key([g1], 3, support), ("chains",), _layout_key([g3], 3, support)]
     # past a budget of 0 nothing is kept, and evolution still works
     monkeypatch.setattr(generators, "_CACHE_BUDGET", 0)
-    again = _Workspace(2, 3, [g3], cfg)
+    again = _Workspace(support, [g3], cfg)
     assert not generators._cache
-    x = ws.column(basis_ket((1, 2)))
+    x = np.zeros((len(ws.states), 1), dtype=complex)
+    x[ws.support] = 1.0
     assert np.array_equal(again.evolve(0.3, x), ws.evolve(0.3, x))
 
 
-def test_cache_evicts_least_recently_used_across_bases_spectra_and_plans(empty_cache, monkeypatch):
+def test_cache_evicts_least_recently_used_across_layouts_chains_and_plans(empty_cache, monkeypatch):
     g = GeneratorDescriptor("e", (1, 2))
     cfg = EvolutionConfig()
     psi = basis_ket((1, 0))
-    _Workspace(2, 12, [g], cfg)
+    support = np.array([[12, 0]])
+    _Workspace(support, [g], cfg)
     orbit_dimension(Group.GO, psi, Picture.KET)
     (go_plan,) = [key for key in generators._cache if key[0] == "plan"]
-    _Workspace(2, 12, [g], cfg)  # the basis and the spectrum are used again,
+    _Workspace(support, [g], cfg)  # the layout is used again,
     orbit_dimension(Group.GO, psi, Picture.KET)  # then the plan
-    # the decomposed chains are read only to build a spectrum, so they are the least recently used
-    assert list(generators._cache) == [("chains",), ("basis", 2, 12), (g, 2, 12), go_plan]
-    # a smaller PLO plan than the basis: dropping the chains, then the basis, makes room
+    # the decomposed chains are read only to build a layout, so they are the least recently used
+    assert list(generators._cache) == [("chains",), _layout_key([g], 12, support), go_plan]
+    # room for a PLO plan: dropping the chains, then the layout, makes it
     monkeypatch.setattr(generators, "_CACHE_BUDGET", generators._cache.nbytes - generators._cache[("chains",)][1])
     orbit_dimension(Group.PLO, psi, Picture.KET)
     (plo_plan,) = [key for key in generators._cache if key[0] == "plan" and key != go_plan]
-    assert list(generators._cache) == [(g, 2, 12), go_plan, plo_plan]
+    assert list(generators._cache) == [go_plan, plo_plan]
     assert generators._cache.nbytes == sum(size for _, size in generators._cache.values())
 
 
@@ -843,8 +950,10 @@ def test_cache_survives_concurrent_workspaces(empty_cache, monkeypatch):
     cfg = EvolutionConfig(buffer=2)
 
     def evolved(max_total):
-        ws = _Workspace(1, max_total, elements, cfg)
-        return ws.evolve(0.3, ws.column(basis_ket((max_total,))), 0, len(elements))
+        ws = _Workspace(np.array([[max_total]]), elements, cfg)
+        x = np.zeros((len(ws.states), 1), dtype=complex)
+        x[ws.support] = 1.0
+        return ws.evolve(0.3, x, 0, len(elements))
 
     expected = {n: evolved(n) for n in range(6)}
     errors = []
