@@ -5,19 +5,23 @@ Hamiltonians (kept as references), ``evolve_density``,
 
 Evolution exponentiates the generator Hamiltonian projected onto the D
 states of at most a cutoff of photons, block by block, so it is exactly
-unitary on the working space; it never enumerates the D states. Each block
-is a chain along the step of the generator's monomial, found in closed
-form from any of its states (``generators._chains``), and a working space
-holds only the chains through its support; a group word's rows grow factor
-by factor. Each distinct chain is eigendecomposed once per process, and
-the chains are padded into size classes, each evolved by two stacked
-products. A density evolves as the r columns of its support, all its times
-in one pass; a ket's projector as the one column psi/|psi|. Photon-shifting
-generators get a buffer of photons above the support; the weight in the
-top two sectors (the guard band) is the truncation-leakage proxy, checked
-with trace and Hermiticity deviations. A working space whose longest chain
-or padded layout would not fit the store is refused before it is built;
-the layouts and the decomposed chains are kept in that store.
+unitary on the working space; a working space never enumerates the D
+states. Each block is a chain along the step of the generator's monomial,
+found in closed form from any of its states (``generators._chains``), and a
+working space holds only the chains through its support; a group word's
+rows grow factor by factor. Each distinct chain matrix is eigendecomposed
+once per process, with every chain of its kind at the working space's size
+(those through the states of at most three modes), so that any support of
+that size finds its chains; the chains are padded into size classes, each
+evolved by two stacked products. A density evolves as the r columns of its
+support, its times in as few passes as their copies fit the store's budget;
+a ket's projector as the one column psi/|psi|. Photon-shifting generators
+get a buffer of photons above the support; the weight in the top two
+sectors (the guard band) is the truncation-leakage proxy, checked with
+trace and Hermiticity deviations. A working space whose longest chain,
+padded layout or evolved copies at one time would not fit the store's
+budget is refused before they are allocated; the layouts and the decomposed
+chains are kept in that store.
 """
 
 from __future__ import annotations
@@ -215,7 +219,7 @@ def _layout(factors: tuple[GeneratorDescriptor, ...], cutoff: int, support: np.n
     states, rank = _rank_states(np.vstack([support, start[c] + j[real, None] * delta[gen[c]]]))
     nodes = np.full(len(chain), len(states))
     nodes[real] = rank[len(support) :]
-    eigenvalues, eigenvectors, at, square_at = _decomposed(keys)
+    eigenvalues, eigenvectors, at, square_at = _decomposed(keys, modes, cutoff)
     values = np.zeros(len(chain))
     values[real] = eigenvalues[at[c] + j[real]]
     # each chain's L x L eigenvectors at the top left of its square, the identity below
@@ -263,15 +267,17 @@ class _Workspace:
         self.worst: dict[str, float] = {}
 
     def evolve(self, times: np.ndarray | float, columns: np.ndarray, first: int = 0, count: int = 1) -> np.ndarray:
-        """exp(-i H_n t) applied to an R x r block of columns for the
+        """An R x r block of columns and exp(-i H_n t) applied to it for the
         generators n = first .. first + count - 1 and the T times ``times``
-        (exactly the columns where t = 0): count x R x T x r. Per unit one
-        gather, exp and scatter, per size class two stacked products; padded
-        nodes read the zero sentinel row R, and their writes to it drop."""
+        (exactly the columns where t = 0): T x R x (1 + count) x r, the
+        columns first. Per unit one gather, exp and scatter, per size class
+        two stacked products; padded nodes read the zero sentinel row R,
+        and their writes to it drop."""
         size, r, t = len(self.states), columns.shape[1], np.ravel(times)
         # V^dag x is conj(V^T conj(x)), and V^T is a view where V^dag copies V
         source = np.concatenate([columns.conj(), np.zeros((1, r))])
-        out = np.zeros((count, size + 1, len(t), r), dtype=complex)
+        out = np.zeros((len(t), size + 1, count + 1, r), dtype=complex)
+        out[:, :size, 0] = columns
         for lo, gens, classes, nodes, eigenvalues in self.units if t.any() else ():
             if not first <= lo < first + count:  # a unit is wholly inside or outside the generators asked for
                 continue
@@ -281,9 +287,9 @@ class _Workspace:
             for at, v in classes:
                 z = (v.transpose(0, 2, 1) @ x[at].reshape(*v.shape[:2], r)).conj()
                 y[:, at] = (v @ (phases[:, at].reshape(len(t), *v.shape[:2], 1) * z)).reshape(len(t), -1, r)
-            out[gens - first, nodes] = y.transpose(1, 0, 2)
+            out[:, nodes, gens - first + 1] = y
         if not t.all():
-            out[:, :size, t == 0.0] = columns[:, None]
+            out[t == 0.0, :size, 1:] = columns[:, None]
         return out[:, :size]
 
     def check(self, context: str | Callable[[], str], **measured: float) -> None:
@@ -331,12 +337,13 @@ class _DensityWorkspace(_Workspace):
     def evolved(self, times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The blocks A_0 = Phi and A_n = exp(-i H_n t) Phi for every
         generator n and each of the T times, T x R x (d + 1) x r, and their
-        Gram, T x (d + 1) r x (d + 1) r, not yet leakage-checked."""
+        Gram, T x (d + 1) r x (d + 1) r, not yet leakage-checked. Blocks
+        that would take more than the store's budget are refused first."""
         t, k, r = len(times), len(self.generators) + 1, self.phi.shape[1]
-        copies = np.empty((t, len(self.states), k, r), dtype=complex)
-        copies[:, :, 0] = self.phi
-        copies[:, :, 1:] = self.evolve(times, self.phi, 0, k - 1).transpose(2, 1, 0, 3)
-        x = copies.reshape(t, -1, k * r)
+        nbytes = 16 * t * len(self.states) * k * r
+        _refuse_oversized(self.states.shape[1], self.cutoff, f"{t} x {k} evolved copies", nbytes)
+        copies = self.evolve(times, self.phi, 0, k - 1)
+        x = copies.reshape(t, len(self.states), k * r)
         return copies, x.conj().transpose(0, 2, 1) @ x
 
     def check_copies(self, times: np.ndarray, copies: np.ndarray, gram: np.ndarray) -> None:
@@ -365,15 +372,19 @@ class _DensityWorkspace(_Workspace):
         with rho_0 = rho: Tr[P M_ij P M_ij^dag] with M_ij = A_i^dag A_j, from
         the Gram of the evolved columns. Each d + 1 square is symmetric bit
         for bit. An overlap that overflows raises ValidationError."""
+        t, k, r = len(times), len(self.generators) + 1, self.phi.shape[1]
+        step = max(_CACHE_BUDGET // (16 * len(self.states) * k * r), 1)  # the times whose copies fit the budget
+        values = np.empty((t, k, k), dtype=complex)
         with np.errstate(over="ignore", invalid="ignore"):
-            copies, gram = self.evolved(times)
-            t, k, r = len(times), len(self.generators) + 1, self.phi.shape[1]
-            m = gram.reshape(t, k, r, k, r).transpose(0, 1, 3, 2, 4)  # M_ij at [:, i, j]
-            pmp = self.p @ m @ self.p
-            pmp *= m.conj()
-            values = np.sum(pmp, axis=(3, 4))
-            _refuse_overlaps(values[times == 0.0])  # rho's own, refused before any copy is leakage-checked
-            self.check_copies(times, copies, gram)
+            for lo in range(0, t, step):
+                part = times[lo : lo + step]
+                copies, gram = self.evolved(part)
+                m = gram.reshape(len(part), k, r, k, r).transpose(0, 1, 3, 2, 4)  # M_ij at [:, i, j]
+                pmp = self.p @ m @ self.p
+                pmp *= m.conj()
+                values[lo : lo + step] = np.sum(pmp, axis=(3, 4))
+                _refuse_overlaps(values[lo : lo + step][part == 0.0])  # rho's own, refused before its copies are checked
+                self.check_copies(part, copies, gram)
             _refuse_overlaps(values[times != 0.0])
         upper = np.triu(values.real)
         return upper + np.triu(upper, 1).transpose(0, 2, 1)
@@ -503,7 +514,7 @@ def apply_group_word(
     for g, t in reversed(word):
         if t == 0.0:
             continue
-        vec = ws.evolve(t, vec, ws.generators.index(g))[0, :, 0]
+        vec = ws.evolve(t, vec, ws.generators.index(g))[0, :, 1]
         if ws.shifting:
             band = vec[ws.band].view(float).ravel()  # re, im of each entry: the band's weight is its squared norm
             ws.check(lambda: f"group word factor {g.label} (t={t:g})", boundary_weight=float(band @ band))

@@ -340,15 +340,14 @@ def _chains(
 
 
 def _chain_matrices(keys: np.ndarray) -> list[np.ndarray]:
-    """The matrices of chains, in order of length, one n x L x L stack per
-    length. A chain's matrix depends only on its key, L << 50 | kind (its
-    ``_KINDS`` index) << 46 | the start's occupations of the kind's modes
-    << 23 and as they are. The amplitudes are those of
+    """The matrices of chains given in order of length, one n x L x L stack
+    per length, each in the order given. A chain's matrix depends only on
+    its key, L << 50 | kind (its ``_KINDS`` index) << 46 | the start's
+    occupations of the kind's modes << 23 and as they are. The amplitudes are those of
     ``_generator_action``: X moves node j to j + 1 with a product a_j of a
     square root per step, X^dag node j + 1 to j with the same factors in
     reverse order; N and the identity keep each node."""
     gen, coeff, modes, used, offsets, delta = _monomials(_KIND_GENERATORS)
-    keys = np.sort(keys)
     length, kinds = keys >> 50, keys >> 46 & 0xF
     mono, adjoint = np.searchsorted(gen, kinds), np.searchsorted(gen, kinds, side="right") - 1
     chain = np.repeat(np.arange(len(keys)), length)
@@ -414,24 +413,48 @@ def _trim() -> None:
             _cache.nbytes -= size
 
 
-def _decomposed(key: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+def _decomposed(key: np.ndarray, modes: int = 0, cutoff: int = 0) -> tuple[np.ndarray, ...]:
     """The eigenvalues and the eigenvectors (L x L, row-major) of every
     decomposed chain, each flat, and the offsets in them of the given
     chains' own. The store keeps them as one entry, read only to build a
     layout; the chains it lacks are decomposed, one stacked ``eigh`` per
-    length, and added. A one-node chain is its own eigenpair, its entry
-    and 1, as ``eigh`` returns it."""
+    length, and added. Given a working space's ``modes`` and ``cutoff``,
+    every chain of its kinds at that size comes with them when these surely
+    fit the store, so that any later support of that size finds its
+    chains: those through the states of min(m, 3) modes, since further
+    modes only shorten a chain. ``eigh`` sees each distinct matrix once; a
+    one-node chain is its own eigenpair, its entry and 1."""
     empty = np.zeros(0, dtype=np.int64)
     keys, begin, values, vectors = _recall(("chains",)) or (empty, empty.reshape(0, 2), empty, empty)
-    fresh = np.sort(key[np.append(keys, -1)[np.searchsorted(keys, key)] != key])
+    fresh = key[np.append(keys, -1)[np.searchsorted(keys, key)] != key]
+    small, kinds = min(modes, 3), [_KIND_GENERATORS[k] for k in np.flatnonzero(np.bincount(key >> 46 & 0xF))]
+    # each state is in one chain of a kind, of at most cutoff + 1 nodes
+    if len(fresh) and modes and 16 * (cutoff + 1) * len(kinds) * math.comb(small + cutoff, cutoff) <= _CACHE_BUDGET:
+        family = _chains(kinds, np.array(enumerate_occupations(small, cutoff)), cutoff)[4]
+        fresh = np.concatenate([fresh, family[np.append(keys, -1)[np.searchsorted(keys, family)] != family]])
     if len(fresh):
-        fresh = fresh[_run_starts(fresh)]
-        pairs = [np.linalg.eigh(h) if h.shape[1] > 1 else (h[:, 0].real, np.ones_like(h)) for h in _chain_matrices(fresh)]
-        sizes = np.stack([fresh >> 50, (fresh >> 50) ** 2], axis=1)
-        begin = np.concatenate([begin, [len(values), len(vectors)] + np.cumsum(sizes, axis=0) - sizes])
+        # by length, each length's stored chains before its fresh ones: a
+        # matrix stored under another key keeps its eigenpairs
+        fresh = np.sort(fresh)
+        fresh, known = fresh[_run_starts(fresh)], keys[np.isin(keys >> 50, fresh >> 50)]
+        order = np.argsort(np.concatenate([known, fresh]) >> 50, kind="stable")
+        every, stored = np.concatenate([known, fresh])[order], order < len(known)
+        offset = np.zeros((len(every), 2), dtype=np.int64)
+        offset[stored] = begin[np.searchsorted(keys, every[stored])]
+        size, pairs, lo = np.array([len(values), len(vectors)]), [], 0
+        for h in _chain_matrices(every):
+            n, s = h.shape[:2]
+            _, first, again = np.unique(h.reshape(n, -1).view(f"V{h[0].nbytes}")[:, 0], True, True)
+            new = first[~stored[lo + first]]  # the distinct matrices not stored
+            pairs.append(np.linalg.eigh(h[new]) if s > 1 else (h[new, 0].real, np.ones_like(h[new])))
+            offset[lo + new] = size + np.outer(np.arange(len(new)), [s, s * s])
+            offset[lo : lo + n] = offset[lo + first[again]]  # each chain takes its matrix's first chain's
+            size += len(new) * np.array([s, s * s])
+            lo += n
         values, vectors = (np.concatenate([a, *(p[i].ravel() for p in pairs)]) for i, a in enumerate((values, vectors)))
-        order = np.argsort(np.concatenate([keys, fresh]))
-        keys, begin = np.concatenate([keys, fresh])[order], begin[order]
+        keys, begin = np.concatenate([keys, every[~stored]]), np.concatenate([begin, offset[~stored]])
+        order = np.argsort(keys)
+        keys, begin = keys[order], begin[order]
         _remember(("chains",), (keys, begin, values, vectors), (keys, begin, values, vectors))
     at = np.searchsorted(keys, key)
     return values, vectors, begin[at, 0], begin[at, 1]

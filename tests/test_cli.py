@@ -607,6 +607,21 @@ def test_estimate_refuses_a_layout_past_the_budget(capsys, tmp_path, monkeypatch
     assert err.endswith("use a smaller --buffer\n") and err.count("\n") == 1
 
 
+def test_estimate_refuses_copies_past_the_budget(capsys, tmp_path, monkeypatch):
+    """Under a budget that the layout of a rank-3 m = 2 GO estimate fits
+    but one time's 16 evolved copies of its 6 columns do not: exit 2, one
+    line, nothing on stdout."""
+    monkeypatch.setattr(generators, "_cache", generators._Store())
+    monkeypatch.setattr(dynamics, "_CACHE_BUDGET", 160_000)
+    path = tmp_path / "rho.json"
+    kets = [sample_sphere_state(2, 2, seed=s) for s in (1, 2, 3)]
+    write_state_file(str(path), mixture(list(zip((0.3, 0.3, 0.4), kets))))
+    code, out, err = run(capsys, "estimate", "--state", str(path), "--group", "go", "--json")
+    assert (code, out) == (EXIT_INVALID, "")
+    assert err.startswith("error: working space of 190 states (cutoff 18) too large: its 1 x 16 evolved copies would take ")
+    assert err.endswith("use a smaller --buffer\n") and err.count("\n") == 1
+
+
 def test_estimate_leakage_exits_4(capsys, tmp_path):
     path = tmp_path / "sup.json"
     write_state_file(str(path), normalize(SparseKet(1, {(0,): 1.0, (2,): 1.0})))

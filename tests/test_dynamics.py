@@ -727,6 +727,60 @@ def test_layout_past_the_budget_is_refused_before_it_is_allocated(empty_cache, e
     assert eigh_calls == [] and not generators._cache
 
 
+def _rank3_density():
+    return mixture([(w, sample_sphere_state(2, 2, seed=s)) for w, s in ((0.3, 1), (0.3, 2), (0.4, 3))])
+
+
+def _copy_bytes(rho, group):
+    """Bytes of one time's evolved copies, 16 R (d + 1) r."""
+    ws = dynamics._DensityWorkspace(rho, lie_basis(group, rho.modes).elements, EvolutionConfig())
+    return 16 * len(ws.states) * (len(ws.generators) + 1) * ws.phi.shape[1]
+
+
+@pytest.fixture
+def evolved_times(monkeypatch):
+    calls = []
+    evolved = dynamics._DensityWorkspace.evolved
+
+    def counted(self, times):
+        calls.append(len(times))
+        return evolved(self, times)
+
+    monkeypatch.setattr(dynamics._DensityWorkspace, "evolved", counted)
+    return calls
+
+
+@pytest.mark.parametrize("per_chunk, chunks", [(1, [1] * 5), (2, [2, 2, 1]), (4, [4, 1]), (5, [5])])
+def test_estimate_evolves_its_times_in_chunks_that_fit_the_budget(empty_cache, monkeypatch, evolved_times, per_chunk, chunks):
+    """A rank-3 m = 2 GO estimate evolves its five times in chunks whose
+    copies fit the budget, and each chunk gives the bits it gives when all
+    five times are evolved at once."""
+    rho = _rank3_density()
+    whole = estimate_gram_matrix(rho, Group.GO)
+    assert evolved_times == [5]
+    evolved_times.clear()
+    monkeypatch.setattr(dynamics, "_CACHE_BUDGET", per_chunk * _copy_bytes(rho, Group.GO))
+    part = estimate_gram_matrix(rho, Group.GO)
+    assert evolved_times == chunks
+    for name in ("values", "coarse", "fine", "max_boundary_weight", "max_trace_deviation", "hermiticity_residual"):
+        assert np.array_equal(getattr(whole, name), getattr(part, name))
+
+
+def test_copies_past_the_budget_are_refused_before_they_are_evolved(empty_cache, monkeypatch, evolved_times):
+    """Under a budget that the layout of a rank-3 m = 2 GO density fits but
+    one time's copies do not, an estimate and an overlap are refused
+    before any copy is evolved."""
+    rho = _rank3_density()
+    monkeypatch.setattr(dynamics, "_CACHE_BUDGET", _copy_bytes(rho, Group.GO) - 1)
+    monkeypatch.setattr(dynamics._Workspace, "evolve", lambda *args: pytest.fail("copies evolved"))
+    message = r"^working space of 190 states \(cutoff 18\) too large: its 1 x 16 evolved copies would take"
+    with pytest.raises(ValidationError, match=message):
+        estimate_gram_matrix(rho, Group.GO)
+    with pytest.raises(ValidationError, match=message):
+        beta(rho, 1, 2, 0.1, Group.GO)
+    assert evolved_times == [1, 1]  # refused inside, at one time each
+
+
 def test_photons_past_a_chain_key_are_refused():
     """A chain's key holds each occupation in 23 bits. A one-mode PLO
     working space has only N[1]'s one-node chains, as small as layouts
@@ -853,16 +907,15 @@ def test_cold_estimates_and_words_hand_eigh_no_matrix_twice(empty_cache, eigh_ca
     assert given and len(set(given)) == len(given)
 
 
-def test_go_word_reuses_the_chains_of_an_estimate(empty_cache, eigh_calls):
-    """A word's first factor sees only the support, so a one-factor word of
-    any generator on an estimated state decomposes no chain."""
-    psi = sample_sphere_state(2, 1, seed=3)
-    estimate_gram_matrix(psi, Group.GO)
+def test_go_word_reuses_the_spectra_of_an_estimate(empty_cache, eigh_calls):
+    estimate_gram_matrix(outer(basis_ket((1, 0))), Group.GO)
     eigh_calls.clear()
-    for g in lie_basis(Group.GO, 2).elements:
-        out = apply_group_word(psi, [(g, 0.05)])
-        assert abs(out.norm() - 1.0) < 1e-10
+    basis = lie_basis(Group.GO, 2)
+    word = [(basis.elements[basis.index_of(label)], 0.05) for label in ("q[1]", "S[2]", "E[1,2]", "N[2]", "r[1,2]")]
+    psi = sample_sphere_state(2, 1, seed=3)
+    out = apply_group_word(psi, word)
     assert eigh_calls == []
+    assert abs(out.norm() - 1.0) < 1e-10
 
 
 def _cache_runs():
