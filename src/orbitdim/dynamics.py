@@ -9,19 +9,17 @@ unitary on the working space; a working space never enumerates the D
 states. Each block is a chain along the step of the generator's monomial,
 found in closed form from any of its states (``generators._chains``), and a
 working space holds only the chains through its support; a group word's
-rows grow factor by factor. Each distinct chain matrix is eigendecomposed
-once per process, with every chain of its kind at the working space's size
-(those through the states of at most three modes), so that any support of
-that size finds its chains; the chains are padded into size classes, each
-evolved by two stacked products. A density evolves as the r columns of its
-support, its times in as few passes as their copies fit the store's budget;
-a ket's projector as the one column psi/|psi|. Photon-shifting generators
-get a buffer of photons above the support; the weight in the top two
-sectors (the guard band) is the truncation-leakage proxy, checked with
-trace and Hermiticity deviations. A working space whose longest chain,
-padded layout or evolved copies at one time would not fit the store's
-budget is refused before they are allocated; the layouts and the decomposed
-chains are kept in that store.
+rows grow factor by factor. Each chain key is eigendecomposed on its first
+use in the process and then read from the store's memo; the chains are
+padded into size classes, each evolved by two stacked products. A density
+evolves as the r columns of its support, its times in as few passes as
+their copies fit the store's budget; a ket's projector as the one column
+psi/|psi|. Photon-shifting generators get a buffer of photons above the
+support; the weight in the top two sectors (the guard band) is the
+truncation-leakage proxy, checked with trace and Hermiticity deviations. A
+working space whose longest chain, padded layout or evolved copies at one
+time would not fit the store's budget is refused before they are
+allocated; the layouts and the decomposed chains are kept in that store.
 """
 
 from __future__ import annotations
@@ -219,7 +217,7 @@ def _layout(factors: tuple[GeneratorDescriptor, ...], cutoff: int, support: np.n
     states, rank = _rank_states(np.vstack([support, start[c] + j[real, None] * delta[gen[c]]]))
     nodes = np.full(len(chain), len(states))
     nodes[real] = rank[len(support) :]
-    eigenvalues, eigenvectors, at, square_at = _decomposed(keys, modes, cutoff)
+    eigenvalues, eigenvectors, at, square_at = _decomposed(keys)
     values = np.zeros(len(chain))
     values[real] = eigenvalues[at[c] + j[real]]
     # each chain's L x L eigenvectors at the top left of its square, the identity below
@@ -506,6 +504,9 @@ def apply_group_word(
         return psi
     if psi.is_zero():
         raise ValidationError("cannot evolve the zero ket")
+    nrm = psi.norm()
+    if not math.isfinite(nrm):
+        raise ValidationError(f"cannot evolve a ket of norm {nrm!r}")
     support, amps = psi.arrays()
     ws = _Workspace(support, [g for g, _ in reversed(word)], cfg, grow=True)
     vec = np.zeros((len(ws.states), 1), dtype=complex)

@@ -413,46 +413,23 @@ def _trim() -> None:
             _cache.nbytes -= size
 
 
-def _decomposed(key: np.ndarray, modes: int = 0, cutoff: int = 0) -> tuple[np.ndarray, ...]:
-    """The eigenvalues and the eigenvectors (L x L, row-major) of every
-    decomposed chain, each flat, and the offsets in them of the given
-    chains' own. The store keeps them as one entry, read only to build a
-    layout; the chains it lacks are decomposed, one stacked ``eigh`` per
-    length, and added. Given a working space's ``modes`` and ``cutoff``,
-    every chain of its kinds at that size comes with them when these surely
-    fit the store, so that any later support of that size finds its
-    chains: those through the states of min(m, 3) modes, since further
-    modes only shorten a chain. ``eigh`` sees each distinct matrix once; a
-    one-node chain is its own eigenpair, its entry and 1."""
+def _decomposed(key: np.ndarray) -> tuple[np.ndarray, ...]:
+    """A memo by chain key, kept as one store entry read only to build a
+    layout: the eigenvalues and the eigenvectors (L x L, row-major) of every
+    chain decomposed so far, each flat, and the offsets in them of the given
+    chains' own. The keys it lacks are decomposed on first use, one stacked
+    ``eigh`` per length; a one-node chain is its own eigenpair, its entry and 1."""
     empty = np.zeros(0, dtype=np.int64)
     keys, begin, values, vectors = _recall(("chains",)) or (empty, empty.reshape(0, 2), empty, empty)
-    fresh = key[np.append(keys, -1)[np.searchsorted(keys, key)] != key]
-    small, kinds = min(modes, 3), [_KIND_GENERATORS[k] for k in np.flatnonzero(np.bincount(key >> 46 & 0xF))]
-    # each state is in one chain of a kind, of at most cutoff + 1 nodes
-    if len(fresh) and modes and 16 * (cutoff + 1) * len(kinds) * math.comb(small + cutoff, cutoff) <= _CACHE_BUDGET:
-        family = _chains(kinds, np.array(enumerate_occupations(small, cutoff)), cutoff)[4]
-        fresh = np.concatenate([fresh, family[np.append(keys, -1)[np.searchsorted(keys, family)] != family]])
+    fresh = np.sort(key[np.append(keys, -1)[np.searchsorted(keys, key)] != key])  # by length: L leads the key
     if len(fresh):
-        # by length, each length's stored chains before its fresh ones: a
-        # matrix stored under another key keeps its eigenpairs
-        fresh = np.sort(fresh)
-        fresh, known = fresh[_run_starts(fresh)], keys[np.isin(keys >> 50, fresh >> 50)]
-        order = np.argsort(np.concatenate([known, fresh]) >> 50, kind="stable")
-        every, stored = np.concatenate([known, fresh])[order], order < len(known)
-        offset = np.zeros((len(every), 2), dtype=np.int64)
-        offset[stored] = begin[np.searchsorted(keys, every[stored])]
-        size, pairs, lo = np.array([len(values), len(vectors)]), [], 0
-        for h in _chain_matrices(every):
-            n, s = h.shape[:2]
-            _, first, again = np.unique(h.reshape(n, -1).view(f"V{h[0].nbytes}")[:, 0], True, True)
-            new = first[~stored[lo + first]]  # the distinct matrices not stored
-            pairs.append(np.linalg.eigh(h[new]) if s > 1 else (h[new, 0].real, np.ones_like(h[new])))
-            offset[lo + new] = size + np.outer(np.arange(len(new)), [s, s * s])
-            offset[lo : lo + n] = offset[lo + first[again]]  # each chain takes its matrix's first chain's
-            size += len(new) * np.array([s, s * s])
-            lo += n
+        fresh = fresh[_run_starts(fresh)]
+        sizes = (fresh >> 50)[:, None] ** [1, 2]  # L eigenvalues and L^2 eigenvector entries per chain
+        offsets = [len(values), len(vectors)] + np.cumsum(sizes, axis=0) - sizes
+        stacks = _chain_matrices(fresh)
+        pairs = [np.linalg.eigh(h) if h.shape[1] > 1 else (h[:, 0].real, np.ones_like(h)) for h in stacks]
         values, vectors = (np.concatenate([a, *(p[i].ravel() for p in pairs)]) for i, a in enumerate((values, vectors)))
-        keys, begin = np.concatenate([keys, every[~stored]]), np.concatenate([begin, offset[~stored]])
+        keys, begin = np.concatenate([keys, fresh]), np.concatenate([begin, offsets])
         order = np.argsort(keys)
         keys, begin = keys[order], begin[order]
         _remember(("chains",), (keys, begin, values, vectors), (keys, begin, values, vectors))

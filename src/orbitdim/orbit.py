@@ -198,8 +198,8 @@ def rank_psd(gram: GramMatrix | np.ndarray, tolerance: float | None = None) -> R
     returned so callers can re-threshold.
     """
     values = gram.values if isinstance(gram, GramMatrix) else np.asarray(gram, dtype=float)
-    if np.isnan(values).any():
-        raise ValidationError("Gram matrix contains NaN entries")
+    if not np.isfinite(values).all():
+        raise ValidationError("Gram matrix contains NaN or infinite entries")
     eigs = np.linalg.eigvalsh(values)
     lam_max = float(eigs[-1]) if eigs.size else 0.0
     floor = -_PSD_FLOOR * max(1.0, lam_max)

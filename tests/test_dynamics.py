@@ -907,14 +907,23 @@ def test_cold_estimates_and_words_hand_eigh_no_matrix_twice(empty_cache, eigh_ca
     assert given and len(set(given)) == len(given)
 
 
-def test_go_word_reuses_the_spectra_of_an_estimate(empty_cache, eigh_calls):
+def test_a_word_after_an_estimate_decomposes_only_the_chains_the_store_lacked(empty_cache, eigh_calls):
+    """The store is a memo by chain key: after an estimate, a GO word on
+    another state hands ``eigh`` exactly the matrices of more than one node
+    among the chain keys the store lacked, each once: 46 matrices for 58
+    new keys."""
     estimate_gram_matrix(outer(basis_ket((1, 0))), Group.GO)
+    before = set(generators._recall(("chains",))[0].tolist())
     eigh_calls.clear()
     basis = lie_basis(Group.GO, 2)
     word = [(basis.elements[basis.index_of(label)], 0.05) for label in ("q[1]", "S[2]", "E[1,2]", "N[2]", "r[1,2]")]
-    psi = sample_sphere_state(2, 1, seed=3)
-    out = apply_group_word(psi, word)
-    assert eigh_calls == []
+    out = apply_group_word(sample_sphere_state(2, 1, seed=3), word)
+    after = set(generators._recall(("chains",))[0].tolist())
+    new = np.array(sorted(after - before))
+    expected = [h for stack in generators._chain_matrices(new) for h in stack if len(h) > 1]
+    given = [h for stack in eigh_calls for h in stack]
+    assert before <= after and len(new) == 58 and len(given) == 46
+    assert sorted((h.shape, h.tobytes()) for h in given) == sorted((h.shape, h.tobytes()) for h in expected)
     assert abs(out.norm() - 1.0) < 1e-10
 
 
@@ -1071,10 +1080,24 @@ def test_plo_word_preserves_orbit_dimension():
         assert before == after
 
 
-@pytest.mark.parametrize("kind", ["q", "N"])  # guard-band check, norm check
+@pytest.mark.parametrize("kind", ["q", "N"])  # photon-shifting, number-preserving
 def test_group_word_rejects_nan_amplitude(kind):
-    with pytest.raises(LeakageError):
+    with pytest.raises(ValidationError, match="cannot evolve a ket of norm nan"):
         apply_group_word(SparseKet(1, {(1,): math.nan}), [(GeneratorDescriptor(kind, (1,)), 0.1)])
+
+
+@pytest.mark.parametrize(
+    "factor", [GeneratorDescriptor("e", (1, 2)), GeneratorDescriptor("q", (1,))], ids=lambda g: g.label
+)
+@pytest.mark.parametrize("amplitude", [math.inf, math.nan, 1e200], ids=["inf", "nan", "overflow"])
+def test_group_word_refuses_a_non_finite_norm_before_its_working_space(amplitude, factor, monkeypatch):
+    """An infinite or NaN amplitude, or one whose square overflows, is
+    refused as ``normalize`` refuses it, before any working space is built:
+    no matmul warning and no leakage advice to increase the buffer."""
+    monkeypatch.setattr(dynamics, "_Workspace", None)  # calling it would raise TypeError
+    psi = SparseKet(2, {(1, 0): amplitude, (0, 1): 1.0})
+    with pytest.raises(ValidationError, match="cannot evolve a ket of norm (inf|nan)$"):
+        apply_group_word(psi, [(factor, 0.1)])
 
 
 def test_group_word_refuses_a_working_space_past_the_budget():

@@ -267,6 +267,14 @@ def test_rank_psd_rejects_nan():
         rank_psd(np.eye(2), tolerance=math.nan)
 
 
+def test_rank_psd_rejects_infinite_entries():
+    """An infinite entry would give NaN eigenvalues, or an infinite default
+    tolerance, and rank 0."""
+    for bad in (np.diag([math.inf, 1.0]), np.array([[math.inf]]), np.diag([-math.inf, 1.0])):
+        with pytest.raises(ValidationError, match="infinite entries"):
+            rank_psd(bad)
+
+
 @pytest.mark.parametrize("tolerance", [-1.0, -1e-300, math.inf, -math.inf])
 def test_rank_psd_rejects_negative_or_infinite_tolerance(tolerance):
     with pytest.raises(ValidationError, match="rank tolerance"):
