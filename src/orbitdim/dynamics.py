@@ -511,14 +511,18 @@ def apply_group_word(
     ws = _Workspace(support, [g for g, _ in reversed(word)], cfg, grow=True)
     vec = np.zeros((len(ws.states), 1), dtype=complex)
     vec[ws.support, 0] = amps
-    norm0 = float(np.linalg.norm(vec))
+    # the verdicts are relative to the ket's norm, each vector divided by it
+    # before it is squared, so that no scale moves them
+    peak = float(np.abs(amps).max())
+    norm0 = peak * float(np.linalg.norm(amps / peak))
     for g, t in reversed(word):
         if t == 0.0:
             continue
         vec = ws.evolve(t, vec, ws.generators.index(g))[0, :, 1]
         if ws.shifting:
-            band = vec[ws.band].view(float).ravel()  # re, im of each entry: the band's weight is its squared norm
+            # re, im of each entry: the band's weight is its squared norm
+            band = vec[ws.band].view(float).ravel() / norm0
             ws.check(lambda: f"group word factor {g.label} (t={t:g})", boundary_weight=float(band @ band))
-    ws.check("group word", norm_change=abs(float(np.linalg.norm(vec)) - norm0))
+    ws.check("group word", norm_change=abs(float(np.linalg.norm(vec / norm0)) - 1.0))
     return SparseKet.from_arrays(ws.states, vec[:, 0])
 

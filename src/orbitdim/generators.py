@@ -28,11 +28,13 @@ and the support alone, not on the amplitudes, so ``_directions`` plans it
 once per (monomial table, support) and applies the plan to each block of
 columns.
 
-The closure check ``verify_closure`` applies the basis and the fitted set
-to each probe, then joins each nonzero of H_I psi with the plan of the
-basis on that first union, so no H_J H_I psi is formed densely; the
-commutator targets are fitted one block of pairs at a time under a fixed
-budget.
+The closure check ``verify_closure`` applies each distinct generator of
+the basis and the fitted set to each probe once, then joins each nonzero
+of H_I psi with the plan of the basis on that first union, so no H_J H_I
+psi is formed densely. The commutator targets stay sparse and are made
+dense one block of pairs at a time under a fixed budget; the right-hand
+sides of all pairs are solved with one factorisation of the normal matrix,
+and the residuals are taken block by block in a second pass.
 
 On a truncated basis each generator's blocks are chains along the step of
 its monomial, and ``_chain_matrices`` gives their matrices with the same
@@ -532,29 +534,60 @@ def default_closure_probes(m: int) -> list[SparseKet]:
     return probes
 
 
+@functools.lru_cache(maxsize=None)
+def _shared_closure_probes(m: int) -> tuple[SparseKet, ...]:
+    """The default probes, built once per mode count (kets are immutable)."""
+    return tuple(default_closure_probes(m))
+
+
 #: Bytes of one block of the closure fit: the dense right-hand side of a
 #: block of pairs over every probe, or the products joined for a group of
 #: probes (at 16 bytes each).
 _FIT_BUDGET = 1 << 20
 
 
+def _stable_sort(key: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The keys (>= 0) sorted, and the permutation ``argsort(kind="stable")``
+    gives: one default (faster) sort of the unique words key << b |
+    position, with 2^b > every position, read back by shifts and masks; the
+    stable sort itself when those words could overflow int64."""
+    bits = max(len(key) - 1, 0).bit_length()
+    if len(key) and key.max() < 1 << (63 - bits):
+        words = np.sort(key << bits | np.arange(len(key)))
+        return words >> bits, words & ((1 << bits) - 1)
+    order = key.argsort(kind="stable")
+    return key[order], order
+
+
+@functools.lru_cache(maxsize=None)
+def _pair_index(d: int) -> np.ndarray:
+    """d x d: the index of the pair (I, J) or (J, I) in the row-major order
+    of the pairs I < J, and one past the last pair on the diagonal."""
+    i, j = np.triu_indices(d, 1)
+    index = np.full((d, d), len(i))
+    index[i, j] = index[j, i] = np.arange(len(i))
+    index.setflags(write=False)
+    return index
+
+
 def _commutator_targets(
     applied: np.ndarray, plans: Sequence[_Plan], pairs: int
-) -> Iterator[tuple[int, int, np.ndarray, np.ndarray]]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """The targets [iH_I, iH_J] psi = H_J H_I psi - H_I H_J psi of the pairs
-    I < J, in row-major order, in blocks of pairs under ``_FIT_BUDGET``.
+    I < J, numbered in row-major order.
 
     ``applied`` is d x U: column u holds H_I psi on state u of a first
     union, the first unions of all probes side by side. ``plans`` holds the
-    plan of the basis on each first union. Yields ``(start, stop, b,
-    off_norm2)`` per block of pairs: ``b`` holds their targets on the
-    first unions, as 2U rows of (re, im) pairs, and ``off_norm2`` the
-    squared norm of each pair's targets off them, on the second unions.
+    plan of the basis on each first union. Returns ``(pair, row, value,
+    off_norm2)``: the nonzeros of the targets on the first unions, sorted
+    by pair, each a pair's value on column ``row``, and the squared norm of
+    each pair's targets off them, on the second unions.
 
     No H_J H_I psi is formed, since each is sparse: every element
     (J, u -> v, c) of a plan meets the nonzeros (I, u, a) of its source u,
     and a c enters the target of pair (I, J) on v, with + for I < J and -
-    for I > J. The two terms are summed apart, each in plan order."""
+    for I > J. The two terms are summed apart, each in plan order; the
+    products are joined for groups of probes under ``_FIT_BUDGET``."""
     d, u_total = applied.shape
     _, srcs, coeffs, starts, cells, unions, rows = zip(*plans)
     # the elements of all plans in turn, their sources counted over the
@@ -570,6 +603,9 @@ def _commutator_targets(
     # each second-union state's column in ``applied``, -1 off the first unions
     column = np.full(v_bound[-1], -1)
     column[np.concatenate(rows) + np.repeat(v_bound[:-1], n_u)] = np.arange(u_total)
+    v_bits = (int(v_bound[-1]) - 1).bit_length()
+    v_mask = (1 << v_bits) - 1
+    pair_index = _pair_index(d)
 
     u, first = np.nonzero(applied.T)  # by column, then by row
     amp = applied[first, u]
@@ -591,39 +627,50 @@ def _commutator_targets(
         # each element's products run over its source's nonzeros in turn
         nonzero = np.arange(len(element)) + np.repeat(begin[src[span]] - (np.cumsum(n) - n), n)
         i, j = first[nonzero], gen[element]
-        kept = np.flatnonzero(i != j)
-        nonzero, element, i, j = nonzero[kept], element[kept], i[kept], j[kept]
         value = amp[nonzero] * coeff[element]
         swapped = i > j
         value[swapped] *= -1
-        i, j = np.minimum(i, j), np.maximum(i, j)
-        # pair (i, j)'s index in the row-major order of the pairs i < j
-        key = (i * (2 * d - i - 1) // 2 + j - i - 1) * v_bound[-1] + tgt[element]
-        key = 2 * key + swapped
-        order = key.argsort(kind="stable")
-        key = key[order]
+        # (pair, second-union state, swapped) in bit fields; a product with
+        # I = J keys one past the last pair and is dropped once summed
+        key, order = _stable_sort((pair_index[i, j] << v_bits | tgt[element]) << 1 | swapped)
         runs = _run_starts(key).nonzero()[0]
         sums = np.add.reduceat(value[order], runs)
         key = key[runs] >> 1
         runs = _run_starts(key).nonzero()[0]
         sums = np.add.reduceat(sums, runs)
-        pair, v = np.divmod(key[runs], v_bound[-1])
-        row = column[v]
+        key = key[runs]
+        pair = key >> v_bits
+        cut = np.searchsorted(pair, pairs)
+        pair, row, sums = pair[:cut], column[key[:cut] & v_mask], sums[:cut]
         on = row >= 0
         off = ~on
         off_norm2 += np.bincount(pair[off], weights=np.abs(sums[off]) ** 2, minlength=pairs)
         hits.append((pair[on], row[on], sums[on]))
 
     pair, row, sums = map(np.concatenate, zip(*hits))
-    order = pair.argsort(kind="stable")
-    pair, row, sums = pair[order], row[order], sums[order]
+    pair, order = _stable_sort(pair)
+    return pair, row[order], sums[order], off_norm2
+
+
+def _target_blocks(pair: np.ndarray, pairs: int, u_total: int) -> Iterator[tuple[int, int, slice]]:
+    """The pairs in blocks whose targets, held densely over the U first-union
+    states, fit ``_FIT_BUDGET``: yields ``(start, stop, at)`` per block of
+    pairs start .. stop - 1, ``at`` spanning its nonzeros in the targets of
+    ``_commutator_targets`` (sorted by pair)."""
     width = max(_FIT_BUDGET // (16 * u_total), 1)
     for start in range(0, pairs, width):
         stop = min(start + width, pairs)
         lo, hi = np.searchsorted(pair, [start, stop])
-        b = np.zeros((stop - start, u_total), dtype=complex)
-        b[pair[lo:hi] - start, row[lo:hi]] = sums[lo:hi]
-        yield start, stop, b.view(float).T, off_norm2[start:stop]
+        yield start, stop, slice(lo, hi)
+
+
+@functools.lru_cache(maxsize=None)
+def _report_keys(d: int) -> tuple[tuple[int, int], ...]:
+    """The keys of a closure report over d basis elements, in its order:
+    (i, i) for each i, then (i, j) and (j, i) for each pair i < j in
+    row-major order."""
+    pairs = itertools.combinations(range(d), 2)
+    return (*zip(range(d), range(d)), *itertools.chain.from_iterable(((i, j), (j, i)) for i, j in pairs))
 
 
 def verify_closure(
@@ -654,9 +701,7 @@ def verify_closure(
     verdict.
     """
     basis = lie_basis(group, m)
-    if probes is None:
-        probes = default_closure_probes(m)
-    probes = list(probes)
+    probes = list(_shared_closure_probes(m) if probes is None else probes)
     if not probes:
         raise ValueError("empty probe list")
     for psi in probes:
@@ -676,7 +721,11 @@ def verify_closure(
     fit.extend(g for g in extra_fit if g not in fit)
     d = len(basis.elements)
     pairs = d * (d - 1) // 2
-    table = _monomials(basis.elements + tuple(fit))
+    # each distinct generator of the basis and the fitted set, basis first
+    index = {g: k for k, g in enumerate(basis.elements)}
+    for g in fit:
+        index.setdefault(g, len(index))
+    table = _monomials(tuple(index))
     second = _monomial_table(group, m)
 
     # the first applications side by side, column u of every probe's first
@@ -690,35 +739,56 @@ def verify_closure(
         plans.append(_plan(second, union))
     applied = np.hstack(applied)
     # rows of (re, im) pairs, one pair per first-union state
-    a_mat = (1j * applied[d:]).view(float).T
+    a_mat = (1j * applied.take([index[g] for g in fit], axis=0)).view(float).T
     normal = a_mat.T @ a_mat
     min_eig = float(np.linalg.eigvalsh(normal)[0]) if len(fit) else 0.0
-    coeff = np.zeros((len(fit), pairs))
-    resid = np.zeros(pairs)
-    for start, stop, b_mat, off_norm2 in _commutator_targets(applied[:d], plans, pairs):
-        rhs = a_mat.T @ b_mat
-        try:
-            block = np.linalg.solve(normal, rhs)
-        except np.linalg.LinAlgError:
-            block = np.linalg.lstsq(a_mat, b_mat, rcond=None)[0]
-        coeff[:, start:stop] = block
-        resid[start:stop] = np.sqrt(np.sum((a_mat @ block - b_mat) ** 2, axis=0) + off_norm2)
+    pair, row, value, off_norm2 = _commutator_targets(applied[:d], plans, pairs)
+    u_total = applied.shape[1]
+    blocks = list(_target_blocks(pair, pairs, u_total))
 
-    residuals: dict[tuple[int, int], float] = {(i, i): 0.0 for i in range(d)}
-    coefficients: dict[tuple[int, int], np.ndarray] = {
-        (i, i): np.zeros(len(fit)) for i in range(d)
-    }
-    for col, (i, j) in enumerate(itertools.combinations(range(d), 2)):
-        residuals[(i, j)] = residuals[(j, i)] = float(resid[col])
-        coefficients[(i, j)] = coeff[:, col].copy()
-        coefficients[(j, i)] = -coeff[:, col]
+    def targets(start: int, stop: int, at: slice) -> np.ndarray:
+        """A block's targets densely, as 2U rows of (re, im) pairs."""
+        b = np.zeros((stop - start, u_total), dtype=complex)
+        b[pair[at] - start, row[at]] = value[at]
+        return b.view(float).T
+
+    # the right-hand sides of every block into one table, solved with one
+    # factorisation of the normal matrix (or, if it is singular, by least
+    # squares block by block)
+    coeff = np.zeros((len(fit), pairs))
+    for start, stop, at in blocks:
+        coeff[:, start:stop] = a_mat.T @ targets(start, stop, at)
+    try:
+        coeff = np.linalg.solve(normal, coeff) if pairs else coeff
+    except np.linalg.LinAlgError:
+        for start, stop, at in blocks:
+            coeff[:, start:stop] = np.linalg.lstsq(a_mat, targets(start, stop, at), rcond=None)[0]
+    resid = np.zeros(pairs)
+    for start, stop, at in blocks:
+        # the fit minus the targets, subtracted at their nonzeros alone:
+        # subtracting the +0.0 elsewhere would change no bit
+        r = a_mat @ coeff[:, start:stop]
+        # each nonzero's real part in r, flat; its imaginary part is a row on
+        re_at = 2 * row[at] * (stop - start) + pair[at] - start
+        flat = r.reshape(-1)
+        flat[re_at] -= value[at].real
+        flat[re_at + (stop - start)] -= value[at].imag
+        resid[start:stop] = np.sum(np.square(r, out=r), axis=0)
+    resid = np.sqrt(resid + off_norm2)
+
+    # the report's rows in the order of its keys: zeros, then each pair's
+    # coefficients and their negation
+    keys = _report_keys(d)
+    report_rows = np.zeros((len(keys), len(fit)))
+    report_rows[d::2] = coeff.T
+    report_rows[d + 1 :: 2] = -coeff.T
     return ClosureReport(
         group=group,
         modes=m,
         probe_count=len(probes),
         fit_labels=tuple(g.label for g in fit),
         max_residual=float(resid.max()) if resid.size else 0.0,
-        residuals=residuals,
-        coefficients=coefficients,
+        residuals=dict(zip(keys, [0.0] * d + np.repeat(resid, 2).tolist())),
+        coefficients=dict(zip(keys, report_rows)),
         min_normal_eigenvalue=min_eig,
     )

@@ -876,11 +876,10 @@ _RENDER_LEAVES = (
     | st.text(max_size=6)
 )
 _RENDERABLE = st.recursive(
-    _RENDER_LEAVES,
-    lambda inner: st.lists(inner, max_size=4)
-    | st.dictionaries(st.text(max_size=4), inner, max_size=4)
-    # lists of floats alone, rendered in one pass
-    | st.lists(st.floats() | st.floats().map(np.float64), max_size=6),
+    # lists of floats alone, rendered in one pass, drawn as leaves: a branch
+    # of the extension that ignores its argument is deprecated
+    _RENDER_LEAVES | st.lists(st.floats() | st.floats().map(np.float64), max_size=6),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=4), inner, max_size=4),
     max_leaves=12,
 )
 

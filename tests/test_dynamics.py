@@ -1116,6 +1116,28 @@ def test_squeezing_word_with_tiny_buffer_raises():
         apply_group_word(basis_ket((0,)), [(GeneratorDescriptor("s", (1,)), 0.5)], cfg)
 
 
+@pytest.mark.parametrize("scale", [1.0, 1e-150, 1e-200, 1e100])
+def test_group_word_guard_band_weight_is_relative_to_the_ket(scale):
+    """s[1](0.5) on the vacuum leaves 0.12 of the ket's weight in a
+    two-photon guard band at every scale, a tiny one included: the band is
+    divided by the ket's norm before it is squared."""
+    word = [(GeneratorDescriptor("s", (1,)), 0.5)]
+    with pytest.raises(LeakageError, match=r"^group word factor s\[1\] \(t=0\.5\): boundary weight 1\.199e-01 "):
+        apply_group_word(SparseKet(1, {(0,): scale}), word, EvolutionConfig(buffer=2))
+
+
+@pytest.mark.parametrize("seed", range(1, 6))
+def test_group_word_norm_change_is_relative_to_the_ket(seed):
+    """A sector-exact PLO word on a 1e20-scaled ket keeps its norm to
+    rounding relative to that norm, and returns the unit ket's image scaled."""
+    basis = lie_basis(Group.PLO, 2)
+    word = [(basis.elements[basis.index_of("e[1,2]")], 0.7), (basis.elements[basis.index_of("E[1,2]")], -0.4)]
+    psi = sample_sphere_state(2, 2, seed)
+    states, amps = psi.arrays()
+    out = apply_group_word(SparseKet.from_arrays(states, 1e20 * amps), word)
+    assert_terms_close(scale(1e-20, out).terms, apply_group_word(psi, word).terms, tol=1e-14)
+
+
 # ------------------------------------------------------------ perturb_state
 
 

@@ -440,6 +440,64 @@ def test_closure_fit_equals_the_dense_fit_on_the_default_probes(monkeypatch, gro
         _assert_fit_equals_the_dense_fit(report, group, m, probes, exclude, extra)
 
 
+@pytest.mark.parametrize(
+    "group, m, exclude, extra",
+    [
+        (Group.GO, 3, [], []),
+        (Group.ALO, 2, [], [GeneratorDescriptor("I")]),
+        (Group.PLO, 2, [GeneratorDescriptor("N", (1,))], []),
+    ],
+    ids=["go", "alo+id", "plo-exclude"],
+)
+def test_closure_fit_factors_the_normal_matrix_once(monkeypatch, group, m, exclude, extra):
+    """One np.linalg.solve per closure, at the default budget and at 4 KiB,
+    where the pairs are fitted in many blocks; and one first application
+    per probe, of each distinct generator of the basis and the fitted set."""
+    solves, applications, named = [], [], {}
+    solve, directions, monomials = np.linalg.solve, generators._directions, generators._monomials
+
+    def counted_solve(*args, **kwargs):
+        solves.append(args)
+        return solve(*args, **kwargs)
+
+    def counted_directions(table, occupations, columns):
+        applications.append((named[id(table)], np.asarray(occupations).tobytes()))
+        return directions(table, occupations, columns)
+
+    def naming_monomials(elements):
+        table = monomials(elements)
+        named[id(table)] = elements
+        return table
+
+    monkeypatch.setattr(np.linalg, "solve", counted_solve)
+    monkeypatch.setattr(generators, "_directions", counted_directions)
+    monkeypatch.setattr(generators, "_monomials", naming_monomials)
+    probes = default_closure_probes(m)
+    basis = lie_basis(group, m).elements
+    distinct = set(basis) | set(extra)
+    for budget in (generators._FIT_BUDGET, 4096):
+        monkeypatch.setattr(generators, "_FIT_BUDGET", budget)
+        solves.clear()
+        applications.clear()
+        verify_closure(group, m, probes, exclude=exclude, extra_fit=extra)
+        assert len(solves) == 1
+        assert sorted(support for _, support in applications) == sorted(psi.arrays()[0].tobytes() for psi in probes)
+        for elements, _ in applications:
+            assert len(elements) == len(distinct) and set(elements) == distinct
+
+
+@pytest.mark.parametrize("high", [7, 1 << 40, 1 << 62], ids=["small", "wide", "past-the-words"])
+def test_stable_sort_equals_the_stable_argsort(high):
+    """Keys with many ties, sorted through the words key << b | position
+    and, where those would overflow int64, by the stable argsort itself:
+    the same keys and the same permutation either way."""
+    key = np.random.default_rng(high % 1000).integers(0, high, 5000)
+    key[::3] = key[0]
+    order = key.argsort(kind="stable")
+    ordered, permutation = generators._stable_sort(key)
+    assert np.array_equal(permutation, order) and np.array_equal(ordered, key[order])
+
+
 def test_closure_memory_stays_under_a_fixed_bound(empty_store):
     """GO at m = 5 on an empty store peaks at about 21 MB under
     tracemalloc, plans included: no H_J H_I psi is formed densely (the
