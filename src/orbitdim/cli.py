@@ -506,6 +506,7 @@ def cmd_estimate(args) -> int:
         "buffer": cfg.buffer,
         "max_abs_deviation": max_dev,
         "working_dimension": estimated.working_dimension,
+        "working_rows": estimated.working_rows,
         "cutoff": estimated.cutoff,
         "max_boundary_weight": estimated.max_boundary_weight,
         "max_trace_deviation": estimated.max_trace_deviation,
@@ -529,6 +530,7 @@ def cmd_estimate(args) -> int:
             f"state: {args.state}  group: {group.value}",
             f"step h: {_fmt(cfg.step)}  buffer: {cfg.buffer}",
             f"max |estimated - direct| over all (I, J): {max_dev:.6e}",
+            f"working rows: {estimated.working_rows}  "
             f"working dimension: {estimated.working_dimension}  cutoff: {estimated.cutoff}  "
             f"max boundary weight: {estimated.max_boundary_weight:.3e}  "
             f"max trace deviation: {estimated.max_trace_deviation:.3e}  "

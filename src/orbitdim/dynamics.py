@@ -7,25 +7,27 @@ Evolution exponentiates the generator Hamiltonian projected onto the D
 states of at most a cutoff of photons, block by block, so it is exactly
 unitary on the working space; a working space never enumerates the D
 states. Each block is a chain along the step of the generator's monomial,
-found in closed form from any of its states (``generators._chains``), and a
-working space holds only the chains through its support; a group word's
-rows grow factor by factor. Each chain key is eigendecomposed on its first
-use in the process and then read from the store's memo; the chains are
-padded into size classes, each evolved by two stacked products. A density
-evolves as the r columns of its support, its times in as few passes as
-their copies fit the store's budget; a ket's projector as the one column
-psi/|psi|. Photon-shifting generators get a buffer of photons above the
-support; the weight in the top two sectors (the guard band) is the
-truncation-leakage proxy, checked with trace and Hermiticity deviations. A
-working space whose longest chain, padded layout or evolved copies at one
-time would not fit the store's budget is refused before they are
-allocated; the layouts and the decomposed chains are kept in that store.
+found in closed form from any of its states (``generators._chains``). A
+working space is the chains of one set of generators through one support
+at one cutoff; a group word evolves factor by factor, each factor on the
+working space of its one generator through the rows of the factor before
+it. Each chain key is eigendecomposed on its first use in the process and
+then read from the store's memo; the chains are padded into size classes,
+each evolved by two stacked products. A density evolves as the r columns
+of its support, its times in as few passes as their copies fit the
+store's budget; a ket's projector as the one column psi/|psi|.
+Photon-shifting generators get a buffer of photons above the support; the
+weight in the top two sectors (the guard band) is the truncation-leakage
+proxy, checked with trace and Hermiticity deviations. A working space
+whose longest chain, padded layout or evolved copies at one time would not
+fit the store's budget is refused before they are allocated; the layouts
+and the decomposed chains are kept in that store.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Callable, Sequence
+from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,9 +53,7 @@ from .generators import (
     _monomials,
     _recall,
     _remember,
-    _steps,
     _trim,
-    _walk,
     lie_basis,
     number_shift,
 )
@@ -129,6 +129,13 @@ def dense_hamiltonian(g: GeneratorDescriptor, basis: TruncatedBasis) -> np.ndarr
     return h
 
 
+def _cutoff(support: np.ndarray, generators: Iterable[GeneratorDescriptor], cfg: EvolutionConfig) -> int:
+    """The photon number of a support (S x m), plus the buffer when any of
+    the generators shifts photon number."""
+    shifting = any(number_shift(g.kind) > 0 for g in generators)
+    return max(map(sum, support.tolist()), default=0) + (cfg.buffer if shifting else 0)
+
+
 def _refuse_oversized(modes: int, cutoff: int, what: str, nbytes: int) -> None:
     """Refuse a working space whose ``what`` would take more than the
     store's budget, or whose cutoff does not fit a chain's key (23 bits an
@@ -161,57 +168,30 @@ def _padded(length: np.ndarray, longest: np.ndarray | int) -> tuple[np.ndarray, 
     return width, int(24 * width.sum() + 16 * (width * width).sum())
 
 
-def _grown(factors: tuple[GeneratorDescriptor, ...], support: np.ndarray, cutoff: int, longest: np.ndarray) -> tuple:
-    """Per generator of a word whose factors act in turn on the support, the
-    rows before its last factor, stacked, and their generator. Each factor
-    adds the chains through the rows before it, unless it is the last, its
-    chains are single nodes (N, the identity) or the rows hold them. A
-    generator keeps at least the chains found so far: refused early."""
-    modes, generators, final = support.shape[1], tuple(dict.fromkeys(factors)), {g: i for i, g in enumerate(factors)}
-    rows, steps, through, closed, nbytes = support, _steps(generators, modes)[2], {}, set(), {}
-    for i, g in enumerate(factors):
-        n = generators.index(g)
-        if final[g] == i:
-            through[n] = rows
-        if n in closed or longest[n] == 1 or i == len(factors) - 1:
-            continue
-        length, start = np.hsplit(_rank_states(np.column_stack(_walk(steps[n], rows, cutoff)[::-1]))[0], [1])
-        length = length[:, 0]  # of the distinct chains through the rows
-        nbytes[n] = _padded(length, longest[n])[1]
-        _refuse_oversized(modes, cutoff, "layout of padded chains", sum(nbytes.values()))
-        chain, j, _ = _slots(length, length)
-        rows, closed = _rank_states(np.vstack([rows, start[chain] + j[:, None] * steps[n]]))[0], {n}
-    through = [through[n] for n in range(len(generators))]
-    return np.vstack(through), np.repeat(np.arange(len(through)), [len(r) for r in through])
-
-
-def _layout(factors: tuple[GeneratorDescriptor, ...], cutoff: int, support: np.ndarray, grow: bool) -> tuple:
-    """The working space of ``factors`` (in the order they act) on a support
-    (S x m): its rows' states in basis order, their guard band (the top two
-    photon sectors), the support's rows, and its units. Each generator keeps
-    its chains through the support or, when the rows ``grow``, through the
-    rows before its last factor. A chain is ``_padded``, a padded slot the
-    sentinel row R with eigenvalue 0 and an identity eigenvector; a class
-    holds the chains of one width, of every generator or, when the rows
-    grow, of one. A unit: its first generator, each slot's generator, per
-    class its span of the slots and its eigenvectors, each slot's row and
-    eigenvalue. Kept in the store, keyed by the factors, cutoff and support."""
-    key = ("layout", grow, factors, cutoff, support.shape, support.tobytes())
+def _layout(generators: tuple[GeneratorDescriptor, ...], cutoff: int, support: np.ndarray) -> tuple:
+    """The working space of ``generators`` on a support (S x m): its rows'
+    states in basis order, their guard band (the top two photon sectors),
+    the support's rows, then the chains of every generator through the
+    support: each slot's generator, per class its span of the slots and its
+    eigenvectors, each slot's row and eigenvalue. A chain is ``_padded``, a
+    padded slot the sentinel row R with eigenvalue 0 and an identity
+    eigenvector; a class holds the chains of one width, of every
+    generator. Kept in the store, keyed by the generators, cutoff and
+    support."""
+    key = ("layout", generators, cutoff, support.shape, support.tobytes())
     found = _recall(key)
     if found is not None:
         _trim()  # as after a build: the budget may have changed since
         return found
-    modes, generators = support.shape[1], tuple(dict.fromkeys(factors))
+    modes = support.shape[1]
     # a chain's raised modes gain ``rise`` photons a node
     longest = np.array([cutoff // rise + 1 if rise else 1 for rise in (_KIND_RISE[g.kind] for g in generators)])
     _refuse_oversized(modes, cutoff, f"{longest.max():,}-state block's eigenvectors", 16 * int(longest.max()) ** 2)
-    walked, gen = _grown(factors, support, cutoff, longest) if grow else (support, None)
-    delta, gen, start, length, keys = _chains(generators, walked, cutoff, gen)
+    delta, gen, start, length, keys = _chains(generators, support, cutoff)
     width, nbytes = _padded(length, longest[gen])
     _refuse_oversized(modes, cutoff, "layout of padded chains", nbytes)
-    unit = gen if grow else np.zeros_like(gen)
-    order = np.lexsort((width, unit))  # stable: by generator, length, then start within a class
-    gen, start, length, keys, width, unit = (a[order] for a in (gen, start, length, keys, width, unit))
+    order = np.argsort(width, kind="stable")  # by length class, then as ``_chains`` gives them
+    gen, start, length, keys, width = (a[order] for a in (gen, start, length, keys, width))
     chain, j, real = _slots(width, length)
     c = chain[real]
     states, rank = _rank_states(np.vstack([support, start[c] + j[real, None] * delta[gen[c]]]))
@@ -226,22 +206,17 @@ def _layout(factors: tuple[GeneratorDescriptor, ...], cutoff: int, support: np.n
     squares[(corner[chain] + j * (width[chain] + 1))[~real]] = 1.0
     q, k, _ = _slots(length * length, length)  # per eigenvector entry: its chain, its place in the L x L square
     squares[corner[q] + k // length[q] * width[q] + k % length[q]] = eigenvectors[square_at[q] + k]
-    gens = np.repeat(gen, width)
-    arrays = (states, states.sum(axis=1) > cutoff - 2, rank[: len(support)].copy(), gens, nodes, values, squares)
+    band, rows = states.sum(axis=1) > cutoff - 2, rank[: len(support)].copy()
+    arrays = (states, band, rows, np.repeat(gen, width), nodes, values, squares)
     for a in arrays:
         a.flags.writeable = False  # before any view is taken
-    classes = np.flatnonzero(_run_starts(unit << 32 | width)).tolist() + [len(width)]
-    bounds = np.flatnonzero(_run_starts(unit)).tolist() + [len(unit)]
+    bounds = np.flatnonzero(_run_starts(width)).tolist() + [len(width)]
     first, corner, width = first.tolist(), corner.tolist(), width.tolist()
-    units = []
-    for lo, hi in zip(bounds, bounds[1:]):
-        a, b = first[lo], first[hi]
-        spans = [
-            (slice(first[e] - a, first[f] - a), squares[corner[e] : corner[f]].reshape(f - e, width[e], width[e]))
-            for e, f in zip(classes, classes[1:]) if lo <= e < hi
-        ]
-        units.append((int(unit[lo]), gens[a:b], spans, nodes[a:b], values[a:b]))
-    found = (*arrays[:3], units)
+    classes = [
+        (slice(first[e], first[f]), squares[corner[e] : corner[f]].reshape(f - e, width[e], width[e]))
+        for e, f in zip(bounds, bounds[1:])
+    ]
+    found = (*arrays[:4], classes, *arrays[4:6])
     _remember(key, found, arrays)
     _trim()
     return found
@@ -249,43 +224,41 @@ def _layout(factors: tuple[GeneratorDescriptor, ...], cutoff: int, support: np.n
 
 class _Workspace:
     """The truncated working space for evolving states on a support (S x m)
-    under generators ``factors``, in the order they act: the cutoff (the
-    support's photon number, plus the buffer when any generator shifts
-    photon number), the layout of ``_layout``, and the leakage check with
-    the largest value it has seen of each measured quantity."""
+    under a set of generators: the cutoff (unless given, the support's
+    photon number, plus the buffer when any generator shifts photon
+    number), the layout of ``_layout``, and the leakage check with the
+    largest value it has seen of each measured quantity."""
 
     def __init__(
-        self, support: np.ndarray, factors: Sequence[GeneratorDescriptor], cfg: EvolutionConfig, grow: bool = False
+        self, support: np.ndarray, generators: Sequence[GeneratorDescriptor], cfg: EvolutionConfig, cutoff: int | None = None
     ) -> None:
-        self.cfg = cfg
-        self.generators = tuple(dict.fromkeys(factors))
-        self.shifting = any(number_shift(g.kind) > 0 for g in self.generators)
-        self.cutoff = max(map(sum, support.tolist()), default=0) + (cfg.buffer if self.shifting else 0)
-        self.states, self.band, self.support, self.units = _layout(tuple(factors), self.cutoff, support, grow)
+        self.cfg, self.generators = cfg, tuple(generators)
+        self.cutoff = _cutoff(support, self.generators, cfg) if cutoff is None else cutoff
+        self.states, self.band, self.support, self.gens, self.classes, self.nodes, self.values = _layout(
+            self.generators, self.cutoff, support
+        )
         self.worst: dict[str, float] = {}
 
-    def evolve(self, times: np.ndarray | float, columns: np.ndarray, first: int = 0, count: int = 1) -> np.ndarray:
-        """An R x r block of columns and exp(-i H_n t) applied to it for the
-        generators n = first .. first + count - 1 and the T times ``times``
-        (exactly the columns where t = 0): T x R x (1 + count) x r, the
-        columns first. Per unit one gather, exp and scatter, per size class
-        two stacked products; padded nodes read the zero sentinel row R,
-        and their writes to it drop."""
+    def evolve(self, times: np.ndarray | float, columns: np.ndarray) -> np.ndarray:
+        """An R x r block of columns and exp(-i H_n t) applied to it for
+        every generator n and each of the T times ``times`` (exactly the
+        columns where t = 0): T x R x (1 + G) x r, the columns first. One
+        gather, exp and scatter, and two stacked products per size class;
+        padded nodes read the zero sentinel row R, and their writes to it
+        drop."""
         size, r, t = len(self.states), columns.shape[1], np.ravel(times)
         # V^dag x is conj(V^T conj(x)), and V^T is a view where V^dag copies V
         source = np.concatenate([columns.conj(), np.zeros((1, r))])
-        out = np.zeros((len(t), size + 1, count + 1, r), dtype=complex)
+        out = np.zeros((len(t), size + 1, len(self.generators) + 1, r), dtype=complex)
         out[:, :size, 0] = columns
-        for lo, gens, classes, nodes, eigenvalues in self.units if t.any() else ():
-            if not first <= lo < first + count:  # a unit is wholly inside or outside the generators asked for
-                continue
-            x = source[nodes]
-            phases = np.exp(np.multiply.outer(-1j * t, eigenvalues))[..., None]
-            y = np.empty((len(t), len(nodes), r), dtype=complex)
-            for at, v in classes:
+        if t.any():
+            x = source[self.nodes]
+            phases = np.exp(np.multiply.outer(-1j * t, self.values))[..., None]
+            y = np.empty((len(t), len(self.nodes), r), dtype=complex)
+            for at, v in self.classes:
                 z = (v.transpose(0, 2, 1) @ x[at].reshape(*v.shape[:2], r)).conj()
                 y[:, at] = (v @ (phases[:, at].reshape(len(t), *v.shape[:2], 1) * z)).reshape(len(t), -1, r)
-            out[:, nodes, gens - first + 1] = y
+            out[:, self.nodes, self.gens + 1] = y
         if not t.all():
             out[t == 0.0, :size, 1:] = columns[:, None]
         return out[:, :size]
@@ -340,7 +313,7 @@ class _DensityWorkspace(_Workspace):
         t, k, r = len(times), len(self.generators) + 1, self.phi.shape[1]
         nbytes = 16 * t * len(self.states) * k * r
         _refuse_oversized(self.states.shape[1], self.cutoff, f"{t} x {k} evolved copies", nbytes)
-        copies = self.evolve(times, self.phi, 0, k - 1)
+        copies = self.evolve(times, self.phi)
         x = copies.reshape(t, len(self.states), k * r)
         return copies, x.conj().transpose(0, 2, 1) @ x
 
@@ -377,8 +350,9 @@ class _DensityWorkspace(_Workspace):
             for lo in range(0, t, step):
                 part = times[lo : lo + step]
                 copies, gram = self.evolved(part)
-                m = gram.reshape(len(part), k, r, k, r).transpose(0, 1, 3, 2, 4)  # M_ij at [:, i, j]
-                pmp = self.p @ m @ self.p
+                # G holds M_ij = A_i^dag A_j and (I (x) P) G (I (x) P) holds P M_ij P, both at [:, i, j] once transposed
+                pgp = (self.p @ gram.reshape(len(part), k, r, k * r)).reshape(len(part), k * r * k, r) @ self.p
+                m, pmp = (a.reshape(len(part), k, r, k, r).transpose(0, 1, 3, 2, 4) for a in (gram, pgp))
                 pmp *= m.conj()
                 values[lo : lo + step] = np.sum(pmp, axis=(3, 4))
                 _refuse_overlaps(values[lo : lo + step][part == 0.0])  # rho's own, refused before its copies are checked
@@ -437,7 +411,8 @@ def beta(
 @dataclass(frozen=True)
 class EstimatedGram:
     """The estimated Gram matrix with its raw stencil values, the working
-    space it was evolved in, and the largest leakage measured over every
+    space it was evolved in (the D states of at most ``cutoff`` photons, of
+    which it holds R rows), and the largest leakage measured over every
     evolved copy."""
 
     group: Group
@@ -447,6 +422,7 @@ class EstimatedGram:
     coarse: np.ndarray
     fine: np.ndarray
     working_dimension: int
+    working_rows: int
     cutoff: int
     max_boundary_weight: float
     max_trace_deviation: float
@@ -483,6 +459,7 @@ def estimate_gram_matrix(
         coarse=coarse,
         fine=fine,
         working_dimension=math.comb(rho.modes + ws.cutoff, rho.modes),
+        working_rows=len(ws.states),
         cutoff=ws.cutoff,
         max_boundary_weight=ws.worst["boundary_weight"],
         max_trace_deviation=ws.worst["trace_deviation"],
@@ -496,7 +473,10 @@ def apply_group_word(
     cfg: EvolutionConfig = EvolutionConfig(),
 ) -> SparseKet:
     """Apply exp(-i t_1 H_1) ... exp(-i t_a H_a) to the ket, rightmost factor
-    first. Photon-number-preserving words are sector-exact; shifting words
+    first, each factor with t != 0 on the working space of its generator
+    through the rows of the factor before it, all at the word's cutoff: the
+    support's photon number, plus the buffer when any factor shifts photon
+    number. Photon-number-preserving words are sector-exact; shifting words
     are guard-band checked after every factor."""
     for _, t in word:
         _check_time(t)
@@ -507,22 +487,26 @@ def apply_group_word(
     nrm = psi.norm()
     if not math.isfinite(nrm):
         raise ValidationError(f"cannot evolve a ket of norm {nrm!r}")
-    support, amps = psi.arrays()
-    ws = _Workspace(support, [g for g, _ in reversed(word)], cfg, grow=True)
-    vec = np.zeros((len(ws.states), 1), dtype=complex)
-    vec[ws.support, 0] = amps
+    states, amps = psi.arrays()
+    generators = [g for g, _ in word]
+    shifting = any(number_shift(g.kind) > 0 for g in generators)
+    cutoff = _cutoff(states, generators, cfg)
     # the verdicts are relative to the ket's norm, each vector divided by it
     # before it is squared, so that no scale moves them
     peak = float(np.abs(amps).max())
     norm0 = peak * float(np.linalg.norm(amps / peak))
+    vec, ws = amps[:, None], None
     for g, t in reversed(word):
         if t == 0.0:
             continue
-        vec = ws.evolve(t, vec, ws.generators.index(g))[0, :, 1]
-        if ws.shifting:
+        ws = _Workspace(states, (g,), cfg, cutoff)
+        x = np.zeros((len(ws.states), 1), dtype=complex)
+        x[ws.support] = vec
+        states, vec = ws.states, ws.evolve(t, x)[0, :, 1]
+        if shifting:
             # re, im of each entry: the band's weight is its squared norm
             band = vec[ws.band].view(float).ravel() / norm0
             ws.check(lambda: f"group word factor {g.label} (t={t:g})", boundary_weight=float(band @ band))
-    ws.check("group word", norm_change=abs(float(np.linalg.norm(vec / norm0)) - 1.0))
-    return SparseKet.from_arrays(ws.states, vec[:, 0])
-
+    if ws is not None:  # else every time is 0, and the ket is as it came
+        ws.check("group word", norm_change=abs(float(np.linalg.norm(vec / norm0)) - 1.0))
+    return SparseKet.from_arrays(states, vec[:, 0])

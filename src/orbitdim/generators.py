@@ -315,21 +315,18 @@ def _walk(delta: np.ndarray, states: np.ndarray, cutoff: int) -> tuple[np.ndarra
     return start, np.where(up.any(axis=-1), np.minimum(room, top) + 1, 1)
 
 
-def _chains(
-    generators: Sequence[GeneratorDescriptor], states: np.ndarray, cutoff: int, gen: np.ndarray | None = None
-) -> tuple[np.ndarray, ...]:
-    """The blocks of generator ``gen[i]`` through state i (S x m), or of
-    every generator through every state, at most ``cutoff`` photons. H = c
-    X + conj(c) X^dag moves a state only by the step delta of X, so its
-    blocks are chains x + j delta in basis order (``_walk``). Returns the
-    steps (G x m) and per distinct chain, by generator, length, then start:
+def _chains(generators: Sequence[GeneratorDescriptor], states: np.ndarray, cutoff: int) -> tuple[np.ndarray, ...]:
+    """The blocks of every generator through every state (S x m), at most
+    ``cutoff`` photons. H = c X + conj(c) X^dag moves a state only by the
+    step delta of X, so its blocks are chains x + j delta in basis order
+    (``_walk``). Returns the steps (G x m) and per distinct chain, by
+    generator, length, then start:
     its generator, start, length and key, as ``_chain_matrices`` reads it.
     An r or R chain keys its start's two occupations as (min, max): the
     mirrored chains' matrices are equal bit for bit, each amplitude's two
     square roots only swapping."""
     kinds, acted, delta = _steps(generators, states.shape[1])
-    if gen is None:
-        gen, states = np.repeat(np.arange(len(generators)), len(states)), np.tile(states, (len(generators), 1))
+    gen, states = np.repeat(np.arange(len(generators)), len(states)), np.tile(states, (len(generators), 1))
     start, length = _walk(delta[gen], states, cutoff)
     # the distinct chains, by generator, length, then start
     chains = _rank_states(np.column_stack([gen, length, start]))[0]

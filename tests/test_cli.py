@@ -566,6 +566,19 @@ def test_estimate_accepts_ket_file_via_projector(capsys, tmp_path):
     assert json.loads(out)["max_abs_deviation"] < 1e-4
 
 
+def test_estimate_reports_the_rows_of_its_working_space(capsys, tmp_path):
+    """At m = 1 the GO chains through |1> reach every state of at most 17
+    photons, so the working space holds R = D = 18 rows."""
+    path = tmp_path / "ket.json"
+    write_state_file(str(path), basis_ket((1,)))
+    argv = ("estimate", "--state", str(path), "--group", "go")
+    code, out, _ = run(capsys, *argv, "--json")
+    doc = json.loads(out)
+    assert (code, doc["working_rows"], doc["working_dimension"]) == (EXIT_OK, 18, 18)
+    code, text, _ = run(capsys, *argv)
+    assert code == EXIT_OK and "working rows: 18  working dimension: 18  cutoff: 17  " in text
+
+
 def test_estimate_refuses_unnormalized_ket_file(capsys, tmp_path):
     path = tmp_path / "ket.json"
     path.write_text(json.dumps({"modes": 1, "kind": "ket", "terms": [{"occ": [1], "re": 2.0, "im": 0.0}]}))

@@ -165,10 +165,9 @@ def test_padded_size_classes_reassemble_the_hamiltonian(group, m, cutoff):
     size = basis.size
     dense = [dense_hamiltonian(g, basis) for g in elements]
     largest = [max(map(len, connected_blocks(h))) for h in dense]
-    states, band, support, units = dynamics._layout(elements, cutoff, np.array(basis.states), False)
+    states, band, support, gens, classes, nodes, eigenvalues = dynamics._layout(elements, cutoff, np.array(basis.states))
     assert states.tolist() == [list(occ) for occ in basis.states] and support.tolist() == list(range(size))
     assert band.tolist() == [sum(occ) > cutoff - 2 for occ in basis.states]
-    ((first, gens, classes, nodes, eigenvalues),) = units
     h = np.zeros((len(elements), size, size), dtype=complex)
     seen, start = [], 0
     for at, v in classes:
@@ -186,7 +185,7 @@ def test_padded_size_classes_reassemble_the_hamiltonian(group, m, cutoff):
             states = block_nodes[:s]
             h[n][np.ix_(states, states)] = (vecs[:s, :s] * values[:s]) @ vecs[:s, :s].conj().T
             seen.extend((n * size + states).tolist())
-    assert first == 0 and start == len(nodes) == len(eigenvalues)
+    assert start == len(nodes) == len(eigenvalues)
     assert sorted(seen) == list(range(len(elements) * size))
     for g, got, expected in zip(elements, h, dense, strict=True):
         assert np.abs(got - expected).max() <= 1e-12 * max(1.0, np.abs(expected).max()), g.label
@@ -350,14 +349,16 @@ def test_m3_evolution_allocates_no_dense_matrix():
 
 
 def test_warm_m3_word_copies_no_cached_block(empty_cache):
-    """A warm m = 3 GO word evolves its generators' size classes as the
-    store holds them: its traced peak stays below half the stored bytes of
-    its layout, so no cached block is copied per call."""
+    """A warm m = 3 GO word evolves its factors' size classes as the store
+    holds them: its traced peak stays below half the stored bytes of its
+    factors' layouts, one a factor, so no cached block is copied per call."""
     basis = lie_basis(Group.GO, 3)
     word = [(basis.elements[basis.index_of(label)], 0.05) for label in ("q[3]", "e[2,3]", "N[2]", "S[2]")]
     psi = sample_sphere_state(3, 1, seed=0)
     apply_group_word(psi, word)
-    (stored,) = [size for key, (_, size) in generators._cache.items() if key[0] == "layout"]
+    layouts = [(key[1], size) for key, (_, size) in generators._cache.items() if key[0] == "layout"]
+    assert [held for held, _ in layouts] == [(g,) for g, _ in reversed(word)]
+    stored = sum(size for _, size in layouts)
     tracemalloc.start()
     try:
         apply_group_word(psi, word)
@@ -716,15 +717,42 @@ def test_overlaps_on_the_reached_rows_match_dense_propagators(group, state):
 
 def test_layout_past_the_budget_is_refused_before_it_is_allocated(empty_cache, eigh_calls, monkeypatch):
     """Under a 64 KiB budget each chain of an m = 2, N = 2 GO working space
-    fits, but its padded layout does not: an estimate and a word are
-    refused before any chain is decomposed or anything is stored."""
+    fits, but its padded layout does not: an estimate is refused before
+    any chain is decomposed or anything is stored."""
     monkeypatch.setattr(dynamics, "_CACHE_BUDGET", 64 << 10)
     psi = sample_sphere_state(2, 2, seed=1)
     with pytest.raises(ValidationError, match=r"^working space of 190 states \(cutoff 18\) too large: its layout"):
         estimate_gram_matrix(psi, Group.GO)
-    with pytest.raises(ValidationError, match="too large: its layout"):
-        apply_group_word(psi, [(g, 0.01) for g in lie_basis(Group.GO, 2).elements])
     assert eigh_calls == [] and not generators._cache
+
+
+def test_word_whose_factors_each_fit_the_budget_runs(empty_cache, monkeypatch):
+    """Under the same 64 KiB budget, a word of every m = 2 GO generator
+    lays out each factor on its own (at most 60,256 bytes), though the
+    layout of all its factors' chains at once would not fit: it runs and
+    equals the product of dense propagators."""
+    monkeypatch.setattr(dynamics, "_CACHE_BUDGET", 64 << 10)
+    psi = sample_sphere_state(2, 2, seed=1)
+    word = [(g, 0.01) for g in lie_basis(Group.GO, 2).elements]
+    _, index = basis_states(2, 18)
+    expected = dense_ket(psi, index)
+    for g, t in reversed(word):
+        expected = _dense_propagator(g, 2, 18, t) @ expected
+    assert_terms_close(apply_group_word(psi, word).terms, dict(zip(index, expected)), tol=1e-12)
+
+
+def test_factor_past_the_budget_is_refused_before_its_layout_is_stored(empty_cache, monkeypatch):
+    """Under a 40,000-byte budget the first factor of an m = 2, N = 2 GO
+    word, s[2], fits (9,200 bytes), but the padded layout of e[1,2]'s
+    chains through the rows s[2] reaches (60,256 bytes) does not: the word
+    is refused before that layout is stored."""
+    monkeypatch.setattr(dynamics, "_CACHE_BUDGET", 40_000)
+    basis = lie_basis(Group.GO, 2)
+    e, s = (basis.elements[basis.index_of(label)] for label in ("e[1,2]", "s[2]"))
+    message = r"^working space of 190 states \(cutoff 18\) too large: its layout of padded chains would take"
+    with pytest.raises(ValidationError, match=message):
+        apply_group_word(sample_sphere_state(2, 2, seed=1), [(e, 0.01), (s, 0.01)])
+    assert [key[1] for key in generators._cache if key[0] == "layout"] == [(s,)]
 
 
 def _rank3_density():
@@ -841,10 +869,9 @@ def eigh_calls(monkeypatch):
 
 def _cached_arrays():
     for key, (value, _) in generators._cache.items():
-        if key[0] == "layout":  # states, guard band, support rows, then per unit its arrays
-            yield from value[:3]
-            for _, gens, classes, nodes, eigenvalues in value[3]:
-                yield from (gens, *(v for _, v in classes), nodes, eigenvalues)
+        if key[0] == "layout":  # states, guard band, support rows, slot generators, classes, nodes, eigenvalues
+            states, band, support, gens, classes, nodes, eigenvalues = value
+            yield from (states, band, support, gens, *(v for _, v in classes), nodes, eigenvalues)
         elif key[0] == "chains":  # keys, offsets, eigenvalues, eigenvectors
             yield from value
         else:  # a plan: its table, then its arrays
@@ -862,11 +889,9 @@ def test_second_workspace_calls_no_eigh(empty_cache, eigh_calls):
     second = _Workspace(_SUPPORT, elements, EvolutionConfig())
     assert eigh_calls == []
     assert second.states is first.states
-    for a, b in zip(first.units, second.units, strict=True):
-        # a unit: first generator, node generators, (span, eigenvectors) per class, nodes, eigenvalues
-        arrays = [[gens, *(v for _, v in classes), *rest] for _, gens, classes, *rest in (a, b)]
-        for x, y in zip(*arrays, strict=True):
-            assert np.array_equal(x, y)
+    arrays = [[ws.gens, *(v for _, v in ws.classes), ws.nodes, ws.values] for ws in (first, second)]
+    for x, y in zip(*arrays, strict=True):
+        assert np.array_equal(x, y)
 
 
 def test_eigh_decomposes_each_distinct_chain_once(empty_cache, eigh_calls):
@@ -961,7 +986,7 @@ def test_cached_arrays_are_read_only(empty_cache):
 
 
 def _layout_key(generators, cutoff, support):
-    return ("layout", False, tuple(generators), cutoff, support.shape, support.tobytes())
+    return ("layout", tuple(generators), cutoff, support.shape, support.tobytes())
 
 
 def test_cache_evicts_least_recently_used_past_its_budget(empty_cache, monkeypatch):
@@ -1015,7 +1040,7 @@ def test_cache_survives_concurrent_workspaces(empty_cache, monkeypatch):
         ws = _Workspace(np.array([[max_total]]), elements, cfg)
         x = np.zeros((len(ws.states), 1), dtype=complex)
         x[ws.support] = 1.0
-        return ws.evolve(0.3, x, 0, len(elements))
+        return ws.evolve(0.3, x)
 
     expected = {n: evolved(n) for n in range(6)}
     errors = []
@@ -1050,6 +1075,12 @@ def test_cache_survives_concurrent_workspaces(empty_cache, monkeypatch):
 def test_empty_word_is_identity():
     psi = basis_ket((1, 1))
     assert apply_group_word(psi, []) is psi
+
+
+def test_word_of_zero_times_builds_no_working_space(monkeypatch):
+    monkeypatch.setattr(dynamics, "_Workspace", None)  # calling it would raise TypeError
+    psi = sample_sphere_state(2, 2, seed=5)
+    assert apply_group_word(psi, [(g, 0.0) for g in lie_basis(Group.GO, 2).elements]) == psi
 
 
 def test_plo_word_preserves_norm_exactly():
