@@ -29,12 +29,16 @@ once per (monomial table, support) and applies the plan to each block of
 columns.
 
 The closure check ``verify_closure`` applies each distinct generator of
-the basis and the fitted set to each probe once, then joins each nonzero
-of H_I psi with the plan of the basis on that first union, so no H_J H_I
-psi is formed densely. The commutator targets stay sparse and are made
-dense one block of pairs at a time under a fixed budget; the right-hand
-sides of all pairs are solved with one factorisation of the normal matrix,
-and the residuals are taken block by block in a second pass.
+the basis and the fitted set to all probes as one block: their supports
+are stacked, each row followed by its probe's index, so the union keeps
+each probe's first union apart. Each nonzero of H_I psi is then joined
+with the elements of the basis applied once per group of probes to their
+stacked first unions, so no H_J H_I psi is formed densely. Only the
+values of that join depend on the amplitudes: its structure is planned
+once per nonzero pattern and kept. The commutator targets stay sparse and
+are made dense one block of pairs at a time under a fixed budget; the
+right-hand sides of all pairs are solved with one factorisation of the
+normal matrix, and the residuals are taken block by block in a second pass.
 
 On a truncated basis each generator's blocks are chains along the step of
 its monomial, and ``_chain_matrices`` gives their matrices with the same
@@ -42,8 +46,8 @@ amplitudes, from the kind, the length and the start alone.
 
 Arrays that depend on no amplitude are built once per process and kept,
 read-only, in one store under a fixed budget of 64 MiB (least recently used
-first out): the plans here, and the decomposed chains and working-space
-layouts of ``dynamics``.
+first out): the plans and closure joins here, and the decomposed chains
+and working-space layouts of ``dynamics``.
 """
 
 from __future__ import annotations
@@ -217,7 +221,8 @@ def _monomials(generators: tuple[GeneratorDescriptor, ...]) -> _MonomialTable:
     so each target is a support row plus a step vector.
 
     One table is shared per generator tuple, so the arrays are read-only
-    and the table's identity names it in the plans of ``_directions``."""
+    and the table's identity names it in the plans of ``_directions`` and
+    the joins of ``_commutator_targets``."""
     rows = [
         (index, coeff, steps + ((0, 0),) * (2 - len(steps)))
         for index, g in enumerate(generators)
@@ -246,6 +251,24 @@ def _monomial_table(group: Group, m: int) -> _MonomialTable:
     return _monomials(lie_basis(group, m).elements)
 
 
+def _check_register(table: _MonomialTable, modes: int) -> None:
+    """Refuse a table whose generators act past a register of ``modes``."""
+    if table[5].shape[1] > modes:
+        raise ValueError(f"generator mode index {table[5].shape[1]} exceeds the {modes}-mode register")
+
+
+def _amplitudes(table: _MonomialTable, occupations: np.ndarray) -> np.ndarray:
+    """Monomials x support rows: the square roots each monomial of a table
+    takes on each row (S x m, or wider: no column past a monomial's modes
+    is read), 0 where the monomial annihilates the row."""
+    _, _, modes, used, offsets, _ = table
+    # the occupation each slot reads, monomials x slots x sources; a state
+    # already annihilated (factor 0, n possibly -1) stays at zero
+    n = occupations.T[modes] + offsets[:, :, None]
+    factor = np.where(used[:, :, None], np.sqrt(np.maximum(n, 0)), 1.0)
+    return factor[:, 0] * factor[:, 1]
+
+
 def _generator_action(
     table: _MonomialTable, occupations: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -260,17 +283,9 @@ def _generator_action(
     in it. For each generator and source the targets are distinct.
     """
     occupations = np.asarray(occupations, dtype=np.int64)
-    gen, coeff, modes, used, offsets, delta = table
-    if delta.shape[1] > occupations.shape[1]:
-        raise ValueError(
-            f"generator mode index {delta.shape[1]} exceeds the "
-            f"{occupations.shape[1]}-mode register"
-        )
-    # the occupation each slot reads, monomials x slots x sources; a state
-    # already annihilated (factor 0, n possibly -1) stays at zero
-    n = occupations.T[modes] + offsets[:, :, None]
-    factor = np.where(used[:, :, None], np.sqrt(np.maximum(n, 0)), 1.0)
-    amp = factor[:, 0] * factor[:, 1]
+    gen, coeff, _, _, _, delta = table
+    _check_register(table, occupations.shape[1])
+    amp = _amplitudes(table, occupations)
     mono, src = np.nonzero(amp)
     targets = occupations[src]
     targets[:, : delta.shape[1]] += delta[mono]
@@ -369,7 +384,7 @@ def _chain_matrices(keys: np.ndarray) -> list[np.ndarray]:
 
 
 #: Bytes of cached arrays kept per process; past it the least recently used
-#: plans, decomposed chains and layouts are dropped.
+#: plans, joins, decomposed chains and layouts are dropped.
 _CACHE_BUDGET = 64 << 20
 
 
@@ -532,9 +547,51 @@ def default_closure_probes(m: int) -> list[SparseKet]:
 
 
 @functools.lru_cache(maxsize=None)
-def _shared_closure_probes(m: int) -> tuple[SparseKet, ...]:
-    """The default probes, built once per mode count (kets are immutable)."""
-    return tuple(default_closure_probes(m))
+def _shared_closure_probes(m: int) -> tuple[tuple[SparseKet, ...], np.ndarray, np.ndarray]:
+    """The default probes, built once per mode count (kets are immutable),
+    with their stacked arrays (``_stacked_probes``)."""
+    probes = tuple(default_closure_probes(m))
+    return (probes, *_stacked_probes(probes))
+
+
+def _stacked_probes(probes: Sequence[SparseKet]) -> tuple[np.ndarray, np.ndarray]:
+    """The supports of one or more probes stacked, each row followed by its
+    probe's index, and their amplitudes; both read-only. The index sits in a
+    column past the register, which no generator reads, so a union of
+    states taken over the stacked rows keeps each probe's states apart."""
+    occupations, amps = zip(*(psi.arrays() for psi in probes))
+    tag = np.repeat(np.arange(len(probes)), [len(a) for a in amps])
+    stacked = np.column_stack([np.concatenate(occupations), tag]), np.concatenate(amps)
+    for array in stacked:
+        array.setflags(write=False)
+    return stacked
+
+
+def _checked_probes(probes: Sequence[SparseKet], m: int) -> tuple[np.ndarray, np.ndarray]:
+    """The stacked arrays of closure probes (``_stacked_probes``). Refuses
+    as ``verify_closure`` states, naming the first probe that supports no
+    verdict and, for it, the first of: another mode count, a squared norm
+    that is not finite, no term, a squared norm below the normal range."""
+    if not probes:
+        raise ValueError("empty probe list")
+    same = next((k for k, psi in enumerate(probes) if psi.modes != m), len(probes))
+    if same:
+        occupations, amps = _stacked_probes(probes[:same])
+        # each probe's squared norm, summed term by term as SparseKet.norm
+        # sums it; past the float range it is inf, and refused
+        with np.errstate(over="ignore"):
+            norm2 = np.bincount(occupations[:, -1], weights=amps.real**2 + amps.imag**2, minlength=same)
+        refused = np.flatnonzero(~np.isfinite(norm2) | (norm2 < sys.float_info.min))
+        if len(refused):
+            k = refused[0]
+            if not np.isfinite(norm2[k]):
+                raise ValueError(f"probe has squared norm {float(norm2[k])!r}")
+            if probes[k].is_zero():
+                raise ValueError("probe is the zero ket")
+            raise ValueError(f"probe has squared norm {float(norm2[k])!r}, below the normal float range")
+    if same < len(probes):
+        raise ValueError("probe mode count does not match the basis")
+    return occupations, amps
 
 
 #: Bytes of one block of the closure fit: the dense right-hand side of a
@@ -567,86 +624,126 @@ def _pair_index(d: int) -> np.ndarray:
     return index
 
 
+def _narrow(index: np.ndarray) -> np.ndarray:
+    """An index array as int32 when its entries fit, to keep a join compact."""
+    return index.astype(np.int32) if not len(index) or index.max() < 1 << 31 else index
+
+
+#: The structure of a commutator join, as ``_commutator_targets`` evaluates
+#: it: the second table; per group of probes, the coefficients of its second
+#: elements and, per product in key order, the nonzero of ``applied`` and the
+#: element it multiplies and whether it is negated, the run starts of the
+#: two sums, and the sums off the first unions with their pairs; then which
+#: sum is each target nonzero, and the pair and column of each.
+_Join = tuple[_MonomialTable, list[tuple[np.ndarray, ...]], np.ndarray, np.ndarray, np.ndarray]
+
+
+def _join(applied: np.ndarray, first: np.ndarray, second: _MonomialTable, pairs: int) -> _Join:
+    """The join of ``_commutator_targets`` on the first unions ``first``
+    with the nonzero pattern of ``applied``, built from one second
+    application per group of probes (``_FIT_BUDGET``).
+
+    Every element (J, u -> v, c) of the second application meets the
+    nonzeros (I, u, a) of its source u, and a c enters the target of pair
+    (I, J) on v, with + for I < J and - for I > J. The products are sorted
+    stably by (pair, probe, v, swapped), the second-union states being
+    tagged with their probe; the two terms of a pair are summed apart, each
+    in the order of the elements, then added. Of the sums with I != J, those
+    on the first unions are the target nonzeros, sorted stably by pair; the
+    others enter through their squared norm, summed group by group."""
+    d, u_total = applied.shape
+    tag = first[:, -1]
+    bounds = np.searchsorted(tag, np.arange(tag[-1] + 2))  # each probe's columns
+    u, nonzero_row = np.nonzero(applied.T)  # by column, then by row
+    count = np.bincount(u, minlength=u_total)
+    begin = np.cumsum(count) - count
+    # the products of each column: its nonzeros times the second elements
+    # it is the source of; the probes in groups of whole probes under the
+    # budget, the targets of distinct probes sharing no row
+    states, inverse = _rank_states(first[:, :-1])
+    degree = np.count_nonzero(_amplitudes(second, states), axis=0)[inverse]
+    done = np.concatenate([[0], np.cumsum(count * degree)])[bounds]
+    pair_index = _pair_index(d)
+    groups, hits, low, offset = [], [], 0, 0
+    while low < len(bounds) - 1:
+        high = max(int(np.searchsorted(done, done[low] + _FIT_BUDGET // 16, "right")) - 1, low + 1)
+        lo, hi = bounds[low], bounds[high]
+        low = high
+        gen, src, tgt, coeff, union, rows = _generator_action(second, first[lo:hi])
+        src += lo
+        # each second-union state's place probe by probe, and the column in
+        # ``applied`` at each place (-1 off the first unions)
+        by_probe = np.argsort(union[:, -1], kind="stable")
+        place = np.empty_like(by_probe)
+        place[by_probe] = np.arange(len(union))
+        column = np.full(len(union), -1)
+        column[place[rows]] = np.arange(lo, hi)
+        v_bits = (len(union) - 1).bit_length()
+        # each element's products run over its source's nonzeros in turn
+        n = count[src]
+        element = np.repeat(np.arange(len(src)), n)
+        nonzero = np.arange(len(element)) + np.repeat(begin[src] - (np.cumsum(n) - n), n)
+        i, j = nonzero_row[nonzero], gen[element]
+        swapped = i > j
+        # (pair, place, swapped) in bit fields; a product with I = J keys
+        # one past the last pair and is dropped once summed
+        key, order = _stable_sort((pair_index[i, j] << v_bits | place[tgt[element]]) << 1 | swapped)
+        runs = _run_starts(key).nonzero()[0]
+        key = key[runs] >> 1
+        merge = _run_starts(key).nonzero()[0]
+        key = key[merge]
+        pair = key >> v_bits
+        cut = np.searchsorted(pair, pairs)
+        row = column[key[:cut] & ((1 << v_bits) - 1)]
+        on, off = np.flatnonzero(row >= 0), np.flatnonzero(row < 0)
+        at = (i * u_total + u[nonzero])[order]
+        groups.append(
+            (coeff, *map(_narrow, (at, element[order])), swapped[order], *map(_narrow, (runs, merge, off, pair[off])))
+        )
+        hits.append((pair[on], row[on], on + offset))
+        offset += len(key)
+    pair, row, take = map(np.concatenate, zip(*hits))
+    pair, order = _stable_sort(pair)
+    return second, groups, *map(_narrow, (take[order], pair, row[order]))
+
+
 def _commutator_targets(
-    applied: np.ndarray, plans: Sequence[_Plan], pairs: int
+    applied: np.ndarray, first: np.ndarray, second: _MonomialTable, pairs: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """The targets [iH_I, iH_J] psi = H_J H_I psi - H_I H_J psi of the pairs
     I < J, numbered in row-major order.
 
     ``applied`` is d x U: column u holds H_I psi on state u of a first
-    union, the first unions of all probes side by side. ``plans`` holds the
-    plan of the basis on each first union. Returns ``(pair, row, value,
-    off_norm2)``: the nonzeros of the targets on the first unions, sorted
-    by pair, each a pair's value on column ``row``, and the squared norm of
-    each pair's targets off them, on the second unions.
+    union, the first unions of all probes side by side. ``first`` holds
+    their states, each followed by its probe's index. Returns ``(pair, row,
+    value, off_norm2)``: the nonzeros of the targets on the first unions,
+    sorted by pair, each a pair's value on column ``row``, and the squared
+    norm of each pair's targets off them, on the second unions.
 
-    No H_J H_I psi is formed, since each is sparse: every element
-    (J, u -> v, c) of a plan meets the nonzeros (I, u, a) of its source u,
-    and a c enters the target of pair (I, J) on v, with + for I < J and -
-    for I > J. The two terms are summed apart, each in plan order; the
-    products are joined for groups of probes under ``_FIT_BUDGET``."""
-    d, u_total = applied.shape
-    _, srcs, coeffs, starts, cells, unions, rows = zip(*plans)
-    # the elements of all plans in turn, their sources counted over the
-    # first unions and their targets over the second unions
-    n_u, n_v, n_e, n_r = ([len(a) for a in arrays] for arrays in (rows, unions, srcs, cells))
-    u_bound, v_bound, e_bound = (np.cumsum([0, *n]) for n in (n_u, n_v, n_e))
-    src = np.concatenate(srcs) + np.repeat(u_bound[:-1], n_e)
-    coeff = np.concatenate(coeffs)[:, 0]
-    gen, tgt = np.divmod(np.concatenate(cells), np.repeat(n_v, n_r))
-    tgt += np.repeat(v_bound[:-1], n_r)
-    length = np.diff(np.concatenate(starts) + np.repeat(e_bound[:-1], n_r), append=e_bound[-1])
-    gen, tgt = np.repeat(gen, length), np.repeat(tgt, length)
-    # each second-union state's column in ``applied``, -1 off the first unions
-    column = np.full(v_bound[-1], -1)
-    column[np.concatenate(rows) + np.repeat(v_bound[:-1], n_u)] = np.arange(u_total)
-    v_bits = (int(v_bound[-1]) - 1).bit_length()
-    v_mask = (1 << v_bits) - 1
-    pair_index = _pair_index(d)
-
-    u, first = np.nonzero(applied.T)  # by column, then by row
-    amp = applied[first, u]
-    count = np.bincount(u, minlength=u_total)
-    begin = np.cumsum(count) - count
-    reach = count[src]  # the products of each element
-    # the elements in groups of whole probes under the budget: the targets
-    # of distinct probes share no row
-    done = np.concatenate([[0], np.cumsum(reach)])[e_bound]
+    No H_J H_I psi is formed, since each is sparse: the products of the
+    nonzeros of ``applied`` with the elements of the second application
+    (the basis ``second`` on the first unions) are joined and summed
+    (``_join``). Only their values depend on the amplitudes, so the join is
+    planned once per (second table, first unions, nonzero pattern) and kept
+    in the cache; a call makes the products in key order with one
+    gather-multiply per group of probes and sums them with two reduceats."""
+    key = ("join", id(second), first.shape, first.tobytes(), np.packbits(applied != 0).tobytes(), _FIT_BUDGET)
+    join = _recall(key)
+    if join is None:
+        join = _join(applied, first, second, pairs)
+        _remember(key, join, [*itertools.chain.from_iterable(join[1]), *join[2:]])
+        _trim()
+    _, groups, take, pair, row = join
+    flat = applied.reshape(-1)
     off_norm2 = np.zeros(pairs)
-    hits = []
-    low = 0
-    while low < len(plans):
-        high = max(int(np.searchsorted(done, done[low] + _FIT_BUDGET // 16, "right")) - 1, low + 1)
-        span = slice(e_bound[low], e_bound[high])
-        low = high
-        n = reach[span]
-        element = np.repeat(np.arange(span.start, span.stop), n)
-        # each element's products run over its source's nonzeros in turn
-        nonzero = np.arange(len(element)) + np.repeat(begin[src[span]] - (np.cumsum(n) - n), n)
-        i, j = first[nonzero], gen[element]
-        value = amp[nonzero] * coeff[element]
-        swapped = i > j
+    sums = []
+    for coeff, at, element, swapped, runs, merge, off, off_pair in groups:
+        value = flat[at] * coeff[element]
         value[swapped] *= -1
-        # (pair, second-union state, swapped) in bit fields; a product with
-        # I = J keys one past the last pair and is dropped once summed
-        key, order = _stable_sort((pair_index[i, j] << v_bits | tgt[element]) << 1 | swapped)
-        runs = _run_starts(key).nonzero()[0]
-        sums = np.add.reduceat(value[order], runs)
-        key = key[runs] >> 1
-        runs = _run_starts(key).nonzero()[0]
-        sums = np.add.reduceat(sums, runs)
-        key = key[runs]
-        pair = key >> v_bits
-        cut = np.searchsorted(pair, pairs)
-        pair, row, sums = pair[:cut], column[key[:cut] & v_mask], sums[:cut]
-        on = row >= 0
-        off = ~on
-        off_norm2 += np.bincount(pair[off], weights=np.abs(sums[off]) ** 2, minlength=pairs)
-        hits.append((pair[on], row[on], sums[on]))
-
-    pair, row, sums = map(np.concatenate, zip(*hits))
-    pair, order = _stable_sort(pair)
-    return pair, row[order], sums[order], off_norm2
+        value = np.add.reduceat(np.add.reduceat(value, runs), merge)
+        off_norm2 += np.bincount(off_pair, weights=np.abs(value[off]) ** 2, minlength=pairs)
+        sums.append(value)
+    return pair, row, np.concatenate(sums)[take], off_norm2
 
 
 def _target_blocks(pair: np.ndarray, pairs: int, u_total: int) -> Iterator[tuple[int, int, slice]]:
@@ -655,10 +752,10 @@ def _target_blocks(pair: np.ndarray, pairs: int, u_total: int) -> Iterator[tuple
     pairs start .. stop - 1, ``at`` spanning its nonzeros in the targets of
     ``_commutator_targets`` (sorted by pair)."""
     width = max(_FIT_BUDGET // (16 * u_total), 1)
-    for start in range(0, pairs, width):
-        stop = min(start + width, pairs)
-        lo, hi = np.searchsorted(pair, [start, stop])
-        yield start, stop, slice(lo, hi)
+    starts = range(0, pairs, width)
+    at = np.searchsorted(pair, [*starts, pairs]).tolist()
+    for start, lo, hi in zip(starts, at, at[1:]):
+        yield start, min(start + width, pairs), slice(lo, hi)
 
 
 @functools.lru_cache(maxsize=None)
@@ -698,20 +795,11 @@ def verify_closure(
     verdict.
     """
     basis = lie_basis(group, m)
-    probes = list(_shared_closure_probes(m) if probes is None else probes)
-    if not probes:
-        raise ValueError("empty probe list")
-    for psi in probes:
-        if psi.modes != m:
-            raise ValueError("probe mode count does not match the basis")
-        # the norm is finite exactly when the squared norm is
-        norm = psi.norm()
-        if not math.isfinite(norm):
-            raise ValueError(f"probe has squared norm {norm * norm!r}")
-        if psi.is_zero():
-            raise ValueError("probe is the zero ket")
-        if norm * norm < sys.float_info.min:
-            raise ValueError(f"probe has squared norm {norm * norm!r}, below the normal float range")
+    if probes is None:
+        probes, occupations, amps = _shared_closure_probes(m)
+    else:
+        probes = tuple(probes)
+        occupations, amps = _checked_probes(probes, m)
 
     excluded = set(exclude)
     fit = [g for g in basis.elements if g not in excluded]
@@ -723,24 +811,22 @@ def verify_closure(
     for g in fit:
         index.setdefault(g, len(index))
     table = _monomials(tuple(index))
+    _check_register(table, m)  # the probe column is no mode
     second = _monomial_table(group, m)
 
-    # the first applications side by side, column u of every probe's first
-    # union after the columns of the probes before it; and the plan of the
-    # second application on each first union
-    applied, plans = [], []
-    for psi in probes:
-        occupations, amps = psi.arrays()
-        x, union, _ = _directions(table, occupations, amps[:, None])
-        applied.append(x[:, :, 0])
-        plans.append(_plan(second, union))
-    applied = np.hstack(applied)
+    # the first applications, all probes' supports in one block: the union
+    # holds each probe's first union, its states followed by the probe's
+    # index; taken probe by probe, they are the columns of ``applied``
+    applied, union, _ = _directions(table, occupations, amps[:, None])
+    by_probe = np.argsort(union[:, -1], kind="stable")
+    applied = applied[:, :, 0].take(by_probe, axis=1)
     # rows of (re, im) pairs, one pair per first-union state
     a_mat = (1j * applied.take([index[g] for g in fit], axis=0)).view(float).T
     normal = a_mat.T @ a_mat
     min_eig = float(np.linalg.eigvalsh(normal)[0]) if len(fit) else 0.0
-    pair, row, value, off_norm2 = _commutator_targets(applied[:d], plans, pairs)
-    u_total = applied.shape[1]
+    pair, row, value, off_norm2 = _commutator_targets(applied[:d], union[by_probe], second, pairs)
+    del applied  # the fit reads the directions from a_mat alone
+    u_total = len(union)
     blocks = list(_target_blocks(pair, pairs, u_total))
 
     def targets(start: int, stop: int, at: slice) -> np.ndarray:

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import pickle
 import sys
 import threading
 import tracemalloc
@@ -451,8 +452,9 @@ def test_closure_fit_equals_the_dense_fit_on_the_default_probes(monkeypatch, gro
 )
 def test_closure_fit_factors_the_normal_matrix_once(monkeypatch, group, m, exclude, extra):
     """One np.linalg.solve per closure, at the default budget and at 4 KiB,
-    where the pairs are fitted in many blocks; and one first application
-    per probe, of each distinct generator of the basis and the fitted set."""
+    where the pairs are fitted in many blocks; the first application takes
+    each distinct generator of the basis and the fitted set, and the stacked
+    supports it is applied to cover each probe's support exactly once."""
     solves, applications, named = [], [], {}
     solve, directions, monomials = np.linalg.solve, generators._directions, generators._monomials
 
@@ -461,7 +463,7 @@ def test_closure_fit_factors_the_normal_matrix_once(monkeypatch, group, m, exclu
         return solve(*args, **kwargs)
 
     def counted_directions(table, occupations, columns):
-        applications.append((named[id(table)], np.asarray(occupations).tobytes()))
+        applications.append((named[id(table)], np.array(occupations)))
         return directions(table, occupations, columns)
 
     def naming_monomials(elements):
@@ -475,15 +477,58 @@ def test_closure_fit_factors_the_normal_matrix_once(monkeypatch, group, m, exclu
     probes = default_closure_probes(m)
     basis = lie_basis(group, m).elements
     distinct = set(basis) | set(extra)
+    supports = sorted((k, *occ) for k, psi in enumerate(probes) for occ in psi.terms)
     for budget in (generators._FIT_BUDGET, 4096):
         monkeypatch.setattr(generators, "_FIT_BUDGET", budget)
         solves.clear()
         applications.clear()
         verify_closure(group, m, probes, exclude=exclude, extra_fit=extra)
         assert len(solves) == 1
-        assert sorted(support for _, support in applications) == sorted(psi.arrays()[0].tobytes() for psi in probes)
+        # each stacked row is a probe's state followed by the probe's index
+        applied = sorted((int(row[-1]), *map(int, row[:-1])) for _, rows in applications for row in rows)
+        assert applied == supports
         for elements, _ in applications:
             assert len(elements) == len(distinct) and set(elements) == distinct
+
+
+@pytest.mark.parametrize(
+    "group, exclude, extra",
+    [
+        (Group.ALO, [], []),
+        (Group.ALO, [], [GeneratorDescriptor("I")]),
+        (Group.PLO, [], []),
+        (Group.PLO, [GeneratorDescriptor("N", (1,))], []),
+    ],
+    ids=["alo", "alo+id", "plo", "plo-exclude"],
+)
+def test_closure_plans_its_join_once(empty_store, monkeypatch, group, exclude, extra):
+    """The join of the commutator targets is built on a closure's first call
+    and kept: at the default budget and at 4 KiB, a second call builds no
+    join and sorts nothing, and its report pickles byte for byte as the one
+    made on an emptied store."""
+    builds = []
+    join, stable_sort = generators._join, generators._stable_sort
+
+    def counted_join(*args):
+        builds.append("join")
+        return join(*args)
+
+    def counted_sort(key):
+        builds.append("sort")
+        return stable_sort(key)
+
+    monkeypatch.setattr(generators, "_join", counted_join)
+    monkeypatch.setattr(generators, "_stable_sort", counted_sort)
+    for budget in (generators._FIT_BUDGET, 4096):
+        monkeypatch.setattr(generators, "_FIT_BUDGET", budget)
+        monkeypatch.setattr(generators, "_cache", generators._Store())
+        builds.clear()
+        cold = verify_closure(group, 2, exclude=exclude, extra_fit=extra)
+        assert builds.count("join") == 1
+        builds.clear()
+        warm = verify_closure(group, 2, exclude=exclude, extra_fit=extra)
+        assert builds == []
+        assert pickle.dumps(warm) == pickle.dumps(cold)
 
 
 @pytest.mark.parametrize("high", [7, 1 << 40, 1 << 62], ids=["small", "wide", "past-the-words"])
