@@ -12,15 +12,16 @@ working space is the chains of one set of generators through one support
 at one cutoff; a group word evolves factor by factor, each factor on the
 working space of its one generator through the rows of the factor before
 it. Each chain key is eigendecomposed on its first use in the process and
-then read from the store's memo; the chains are padded into size classes,
-each evolved by two stacked products. A density evolves as the r columns
+then read from the store's memo; the chains of one key are evolved as one
+group, by two products with a copy of the key's eigenvectors, and every
+one-node chain in one more group. A density evolves as the r columns
 of its support, its times in as few passes as their copies fit the
 store's budget; a ket's projector as the one column psi/|psi|.
 Photon-shifting generators get a buffer of photons above the support; the
 weight in the top two sectors (the guard band) is the truncation-leakage
 proxy, checked with trace and Hermiticity deviations. A working space
-whose longest chain, padded layout or evolved copies at one time would not
-fit the store's budget is refused before they are allocated; the layouts
+whose longest chain, layout of chains or evolved copies at one time would
+not fit the store's budget is refused before they are allocated; the layouts
 and the decomposed chains are kept in that store.
 """
 
@@ -86,6 +87,11 @@ class TruncatedBasis:
         return len(self.states)
 
 
+def _integer(value: object) -> bool:
+    """Whether a value is an integer, numpy's too, and not a bool."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class EvolutionConfig:
     """Knobs of the truncated evolution: extra photons above the state's
@@ -97,8 +103,8 @@ class EvolutionConfig:
     step: float = 1e-3
 
     def __post_init__(self) -> None:
-        if self.buffer < 0:
-            raise ValueError("buffer must be >= 0")
+        if not _integer(self.buffer) or self.buffer < 0:
+            raise ValueError(f"buffer must be an integer >= 0, got {self.buffer!r}")
         if not (0 < self.leakage_tolerance < math.inf and 0 < self.step < math.inf):  # NaN fails too
             raise ValueError("tolerances and step must be positive and finite")
         half = self.step / 2.0
@@ -152,32 +158,16 @@ def _refuse_oversized(modes: int, cutoff: int, what: str, nbytes: int) -> None:
     )
 
 
-def _slots(width: np.ndarray, length: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per slot of chains laid out ``width`` slots each: its chain, its
-    place in the chain, and whether it holds a node."""
-    chain = np.repeat(np.arange(len(width)), width)
-    j = np.arange(len(chain)) - np.repeat(np.cumsum(width) - width, width)
-    return chain, j, j < length[chain]
-
-
-def _padded(length: np.ndarray, longest: np.ndarray | int) -> tuple[np.ndarray, int]:
-    """The slots of chains of ``length`` nodes, 2^k for 2^(k-1) < L <= 2^k
-    or their generator's ``longest`` chain if fewer, and the bytes of their
-    layout: 24 a slot (row, eigenvalue, generator), 16 an eigenvector entry."""
-    width = np.minimum(1 << np.frexp(length - 1)[1].astype(np.int64), longest)
-    return width, int(24 * width.sum() + 16 * (width * width).sum())
-
-
 def _layout(generators: tuple[GeneratorDescriptor, ...], cutoff: int, support: np.ndarray) -> tuple:
     """The working space of ``generators`` on a support (S x m): its rows'
     states in basis order, their guard band (the top two photon sectors),
     the support's rows, then the chains of every generator through the
-    support: each slot's generator, per class its span of the slots and its
-    eigenvectors, each slot's row and eigenvalue. A chain is ``_padded``, a
-    padded slot the sentinel row R with eigenvalue 0 and an identity
-    eigenvector; a class holds the chains of one width, of every
-    generator. Kept in the store, keyed by the generators, cutoff and
-    support."""
+    support: each node's generator, per group its span of the nodes and its
+    eigenvectors, each node's row and eigenvalue. A group holds the n
+    chains of one key, of every generator, node j n + c of its span being
+    place j of its c-th chain, with a copy of the key's L x L eigenvectors;
+    one more group holds every one-node chain, its eigenvectors [[1]]. Kept
+    in the store, keyed by the generators, cutoff and support."""
     key = ("layout", generators, cutoff, support.shape, support.tobytes())
     found = _recall(key)
     if found is not None:
@@ -185,39 +175,29 @@ def _layout(generators: tuple[GeneratorDescriptor, ...], cutoff: int, support: n
         return found
     modes = support.shape[1]
     # a chain's raised modes gain ``rise`` photons a node
-    longest = np.array([cutoff // rise + 1 if rise else 1 for rise in (_KIND_RISE[g.kind] for g in generators)])
-    _refuse_oversized(modes, cutoff, f"{longest.max():,}-state block's eigenvectors", 16 * int(longest.max()) ** 2)
+    longest = max(cutoff // rise + 1 if rise else 1 for rise in (_KIND_RISE[g.kind] for g in generators))
+    _refuse_oversized(modes, cutoff, f"{longest:,}-state block's eigenvectors", 16 * longest**2)
     delta, gen, start, length, keys = _chains(generators, support, cutoff)
-    width, nbytes = _padded(length, longest[gen])
-    _refuse_oversized(modes, cutoff, "layout of padded chains", nbytes)
-    order = np.argsort(width, kind="stable")  # by length class, then as ``_chains`` gives them
-    gen, start, length, keys, width = (a[order] for a in (gen, start, length, keys, width))
-    chain, j, real = _slots(width, length)
-    c = chain[real]
-    states, rank = _rank_states(np.vstack([support, start[c] + j[real, None] * delta[gen[c]]]))
-    nodes = np.full(len(chain), len(states))
-    nodes[real] = rank[len(support) :]
+    order = np.argsort(keys, kind="stable")  # by key, so the one-node chains first
+    gen, start, length, keys = (a[order] for a in (gen, start, length, keys))
+    first = np.flatnonzero(_run_starts(np.where(length > 1, keys, 0)))  # each group's first chain
+    count, size = np.diff(np.append(first, len(keys))), length[first]
+    span = count * size
+    # node i of a group's span is place i // n of its chain i % n
+    group = np.repeat(np.arange(len(first)), span)
+    i = np.arange(len(group)) - np.repeat(np.cumsum(span) - span, span)
+    j, chain = i // count[group], first[group] + i % count[group]
+    states, rank = _rank_states(np.vstack([support, start[chain] + j[:, None] * delta[gen[chain]]]))
+    # the bytes of the arrays below: 24 a node (generator, row, eigenvalue), 16 an eigenvector entry
+    nbytes = states.nbytes + len(states) + 8 * len(support) + 24 * len(chain) + 16 * int(size @ size)
+    _refuse_oversized(modes, cutoff, "layout of chains", nbytes)
     eigenvalues, eigenvectors, at, square_at = _decomposed(keys)
-    values = np.zeros(len(chain))
-    values[real] = eigenvalues[at[c] + j[real]]
-    # each chain's L x L eigenvectors at the top left of its square, the identity below
-    first, corner = (np.append(0, np.cumsum(a)) for a in (width, width * width))
-    squares = np.zeros(corner[-1], dtype=complex)
-    squares[(corner[chain] + j * (width[chain] + 1))[~real]] = 1.0
-    q, k, _ = _slots(length * length, length)  # per eigenvector entry: its chain, its place in the L x L square
-    squares[corner[q] + k // length[q] * width[q] + k % length[q]] = eigenvectors[square_at[q] + k]
-    band, rows = states.sum(axis=1) > cutoff - 2, rank[: len(support)].copy()
-    arrays = (states, band, rows, np.repeat(gen, width), nodes, values, squares)
-    for a in arrays:
-        a.flags.writeable = False  # before any view is taken
-    bounds = np.flatnonzero(_run_starts(width)).tolist() + [len(width)]
-    first, corner, width = first.tolist(), corner.tolist(), width.tolist()
-    classes = [
-        (slice(first[e], first[f]), squares[corner[e] : corner[f]].reshape(f - e, width[e], width[e]))
-        for e, f in zip(bounds, bounds[1:])
-    ]
-    found = (*arrays[:4], classes, *arrays[4:6])
-    _remember(key, found, arrays)
+    squares = [eigenvectors[s : s + n * n].reshape(n, n).copy() for s, n in zip(square_at[first].tolist(), size.tolist())]
+    band, rows, nodes = states.sum(axis=1) > cutoff - 2, rank[: len(support)].copy(), rank[len(support) :].copy()
+    arrays = (states, band, rows, gen[chain], nodes, eigenvalues[at[chain] + j])
+    ends = np.append(0, np.cumsum(span)).tolist()
+    found = (*arrays[:4], [(slice(lo, hi), v) for lo, hi, v in zip(ends, ends[1:], squares)], *arrays[4:])
+    _remember(key, found, (*arrays, *squares))
     _trim()
     return found
 
@@ -234,7 +214,7 @@ class _Workspace:
     ) -> None:
         self.cfg, self.generators = cfg, tuple(generators)
         self.cutoff = _cutoff(support, self.generators, cfg) if cutoff is None else cutoff
-        self.states, self.band, self.support, self.gens, self.classes, self.nodes, self.values = _layout(
+        self.states, self.band, self.support, self.gens, self.groups, self.nodes, self.values = _layout(
             self.generators, self.cutoff, support
         )
         self.worst: dict[str, float] = {}
@@ -243,25 +223,25 @@ class _Workspace:
         """An R x r block of columns and exp(-i H_n t) applied to it for
         every generator n and each of the T times ``times`` (exactly the
         columns where t = 0): T x R x (1 + G) x r, the columns first. One
-        gather, exp and scatter, and two stacked products per size class;
-        padded nodes read the zero sentinel row R, and their writes to it
-        drop."""
-        size, r, t = len(self.states), columns.shape[1], np.ravel(times)
-        # V^dag x is conj(V^T conj(x)), and V^T is a view where V^dag copies V
-        source = np.concatenate([columns.conj(), np.zeros((1, r))])
-        out = np.zeros((len(t), size + 1, len(self.generators) + 1, r), dtype=complex)
-        out[:, :size, 0] = columns
+        gather, exp and scatter over the nodes; per group of n chains of L
+        nodes, its L x L eigenvectors V^dag, the phases and V applied to
+        the L x n r block of its nodes."""
+        r, t = columns.shape[1], np.ravel(times)
+        out = np.zeros((len(t), len(self.states), len(self.generators) + 1, r), dtype=complex)
+        out[:, :, 0] = columns
         if t.any():
-            x = source[self.nodes]
-            phases = np.exp(np.multiply.outer(-1j * t, self.values))[..., None]
+            # V^dag x is conj(V^T conj(x)), and V^T is a view where V^dag copies V
+            x = columns.conj()[self.nodes]
+            phases = np.exp(np.multiply.outer(-1j * t, self.values))
             y = np.empty((len(t), len(self.nodes), r), dtype=complex)
-            for at, v in self.classes:
-                z = (v.transpose(0, 2, 1) @ x[at].reshape(*v.shape[:2], r)).conj()
-                y[:, at] = (v @ (phases[:, at].reshape(len(t), *v.shape[:2], 1) * z)).reshape(len(t), -1, r)
+            for at, v in self.groups:
+                z = (v.T @ x[at].reshape(len(v), -1)).conj().reshape(len(v), -1, r)
+                phased = (phases[:, at].reshape(len(t), len(v), -1, 1) * z).reshape(len(t), len(v), -1)
+                y[:, at] = (v @ phased).reshape(len(t), -1, r)
             out[:, self.nodes, self.gens + 1] = y
         if not t.all():
-            out[t == 0.0, :size, 1:] = columns[:, None]
-        return out[:, :size]
+            out[t == 0.0, :, 1:] = columns[:, None]
+        return out
 
     def check(self, context: str | Callable[[], str], **measured: float) -> None:
         """Raise LeakageError unless every measured deviation is within the
@@ -401,10 +381,11 @@ def beta(
     A ket stands for its normalized projector. Every generator's copy is
     evolved and leakage-checked."""
     _check_time(t)
-    ws = _DensityWorkspace(rho, lie_basis(group, rho.modes).elements, cfg)
+    elements = lie_basis(group, rho.modes).elements
     for index in (i, j):
-        if not 0 <= index <= len(ws.generators):
-            raise ValueError(f"generator index {index} out of range 0..{len(ws.generators)}")
+        if not (_integer(index) and 0 <= index <= len(elements)):
+            raise ValueError(f"generator index {index!r} is not an integer in 0..{len(elements)}")
+    ws = _DensityWorkspace(rho, elements, cfg)
     return float(ws.beta_matrix(np.array([t]))[0, i, j])
 
 

@@ -606,17 +606,17 @@ def test_estimate_refuses_a_working_space_past_the_budget(capsys, tmp_path, as_j
 
 
 def test_estimate_refuses_a_layout_past_the_budget(capsys, tmp_path, monkeypatch):
-    """Under a 64 KiB budget the padded layout of an m = 2, N = 2 GO
+    """Under a 56 KiB budget the layout of chains of an m = 2, N = 2 GO
     estimate is refused, though each of its chains fits: exit 2, one line,
     nothing on stdout. A layout already in the store passed the refusal
     when it was built, so the store starts empty."""
     monkeypatch.setattr(generators, "_cache", generators._Store())
-    monkeypatch.setattr(dynamics, "_CACHE_BUDGET", 64 << 10)
+    monkeypatch.setattr(dynamics, "_CACHE_BUDGET", 56 << 10)
     path = tmp_path / "ket.json"
     write_state_file(str(path), sample_sphere_state(2, 2, seed=1))
     code, out, err = run(capsys, "estimate", "--state", str(path), "--group", "go", "--json")
     assert (code, out) == (EXIT_INVALID, "")
-    assert err.startswith("error: working space of 190 states (cutoff 18) too large: its layout of ")
+    assert err.startswith("error: working space of 190 states (cutoff 18) too large: its layout of chains would take ")
     assert err.endswith("use a smaller --buffer\n") and err.count("\n") == 1
 
 

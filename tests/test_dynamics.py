@@ -153,38 +153,38 @@ def test_chains_are_the_connected_blocks_of_the_hamiltonian(group, m):
 
 
 @pytest.mark.parametrize("group, m, cutoff", [(Group.GO, 2, 5), (Group.PLO, 3, 4)])
-def test_padded_size_classes_reassemble_the_hamiltonian(group, m, cutoff):
-    """The layout of every generator on the whole basis as its support: on
-    real nodes V diag(lambda) V^dag is each generator's Hamiltonian, block
-    by block; on padded nodes (the sentinel row D) the eigenvectors are
-    exactly the identity and the eigenvalues exactly 0. A class holds blocks
-    of one width: a block of 2^(k-1) < s <= 2^k states is padded to 2^k, or
-    to its generator's largest block if that is smaller."""
+def test_key_groups_reassemble_the_hamiltonian(empty_cache, group, m, cutoff):
+    """The layout of every generator on the whole basis as its support:
+    V diag(lambda) V^dag is each generator's Hamiltonian, block by block. A
+    group holds n chains of L nodes, node j n + c being place j of chain c,
+    and one copy of their L x L eigenvectors, no view of the chain memo;
+    the chains of a group of L > 1 share a key, so their eigenvalues, and
+    the chains of one node, all in one group, have eigenvectors [[1]]."""
     basis = TruncatedBasis.build(m, cutoff)
     elements = lie_basis(group, m).elements
     size = basis.size
     dense = [dense_hamiltonian(g, basis) for g in elements]
-    largest = [max(map(len, connected_blocks(h))) for h in dense]
-    states, band, support, gens, classes, nodes, eigenvalues = dynamics._layout(elements, cutoff, np.array(basis.states))
+    states, band, support, gens, groups, nodes, eigenvalues = dynamics._layout(elements, cutoff, np.array(basis.states))
     assert states.tolist() == [list(occ) for occ in basis.states] and support.tolist() == list(range(size))
     assert band.tolist() == [sum(occ) > cutoff - 2 for occ in basis.states]
+    memo = generators._recall(("chains",))[3]
     h = np.zeros((len(elements), size, size), dtype=complex)
     seen, start = [], 0
-    for at, v in classes:
-        count, width = v.shape[:2]
-        assert at == slice(start, start + count * width)
+    for at, v in groups:
+        width = len(v)
+        assert at.start == start and (at.stop - start) % width == 0 and not np.shares_memory(v, memo)
         start = at.stop
-        class_nodes, class_values, class_gens = (a[at].reshape(count, width) for a in (nodes, eigenvalues, gens))
-        for block_nodes, values, block_gens, vecs in zip(class_nodes, class_values, class_gens, v):
-            n, s = int(block_gens[0]), int(np.sum(block_nodes < size))
-            assert np.all(block_gens == n) and width == min(1 << (s - 1).bit_length(), largest[n])
-            assert np.all(block_nodes[s:] == size)
-            assert np.array_equal(vecs[s:, s:], np.eye(width - s))
-            assert not vecs[s:, :s].any() and not vecs[:s, s:].any()
-            assert np.all(values[s:] == 0.0)
-            states = block_nodes[:s]
-            h[n][np.ix_(states, states)] = (vecs[:s, :s] * values[:s]) @ vecs[:s, :s].conj().T
-            seen.extend((n * size + states).tolist())
+        group_nodes, group_values, group_gens = (a[at].reshape(width, -1).T for a in (nodes, eigenvalues, gens))
+        if width == 1:
+            assert np.array_equal(v, [[1.0]])
+        else:
+            assert np.all(group_values == group_values[0])
+        for block_nodes, values, block_gens in zip(group_nodes, group_values, group_gens):
+            n = int(block_gens[0])
+            assert np.all(block_gens == n)
+            h[n][np.ix_(block_nodes, block_nodes)] = (v * values) @ v.conj().T
+            seen.extend((n * size + block_nodes).tolist())
+    assert [len(v) for _, v in groups].count(1) == 1
     assert start == len(nodes) == len(eigenvalues)
     assert sorted(seen) == list(range(len(elements) * size))
     for g, got, expected in zip(elements, h, dense, strict=True):
@@ -349,23 +349,26 @@ def test_m3_evolution_allocates_no_dense_matrix():
 
 
 def test_warm_m3_word_copies_no_cached_block(empty_cache):
-    """A warm m = 3 GO word evolves its factors' size classes as the store
-    holds them: its traced peak stays below half the stored bytes of its
-    factors' layouts, one a factor, so no cached block is copied per call."""
+    """A warm m = 3 GO word evolves its factors' key groups as the store
+    holds them, one layout a factor: its traced peak stays below the bytes
+    that a copy of the eigenvectors for each of its factors' chains would
+    take (16 L^2 a chain of L nodes), so no cached block is copied per
+    chain or per call."""
     basis = lie_basis(Group.GO, 3)
     word = [(basis.elements[basis.index_of(label)], 0.05) for label in ("q[3]", "e[2,3]", "N[2]", "S[2]")]
     psi = sample_sphere_state(3, 1, seed=0)
     apply_group_word(psi, word)
-    layouts = [(key[1], size) for key, (_, size) in generators._cache.items() if key[0] == "layout"]
+    layouts = [(key[1], value[4]) for key, (value, _) in generators._cache.items() if key[0] == "layout"]
     assert [held for held, _ in layouts] == [(g,) for g, _ in reversed(word)]
-    stored = sum(size for _, size in layouts)
+    # a group of n chains of L nodes spans n L nodes
+    per_chain = sum(16 * (at.stop - at.start) * len(v) for _, groups in layouts for at, v in groups)
     tracemalloc.start()
     try:
         apply_group_word(psi, word)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < stored / 2
+    assert peak < per_chain
 
 
 # ------------------------------------------------------------ evolve_density
@@ -426,10 +429,18 @@ def test_evolution_config_rejects_nan():
         EvolutionConfig(step=math.nan)
 
 
+def test_evolution_config_takes_a_numpy_integer_buffer():
+    assert estimate_gram_matrix(basis_ket((1,)), Group.GO, EvolutionConfig(buffer=np.int64(4))).cutoff == 5
+
+
+_NON_INTEGER_BUFFERS = [1.5, 16.0, math.inf, math.nan, True, "16"]
+
+
 @pytest.mark.parametrize(
     "knobs",
-    [{"step": math.inf}, {"leakage_tolerance": math.inf}, {"step": 1e-300}, {"step": 1e-170}],
-    ids=["inf step", "inf tolerance", "step 1e-300", "step 1e-170"],
+    [{"step": math.inf}, {"leakage_tolerance": math.inf}, {"step": 1e-300}, {"step": 1e-170}]
+    + [{"buffer": b} for b in _NON_INTEGER_BUFFERS],
+    ids=["inf step", "inf tolerance", "step 1e-300", "step 1e-170"] + [f"buffer {b!r}" for b in _NON_INTEGER_BUFFERS],
 )
 def test_evolution_config_rejects_non_finite_or_underflowing_knobs(knobs):
     with pytest.raises(ValueError):
@@ -489,6 +500,15 @@ def test_beta_index_validation():
     rho = outer(basis_ket((0,)))
     with pytest.raises(ValueError):
         beta(rho, 0, 99, 1e-3, Group.PLO)
+
+
+@pytest.mark.parametrize("i, j", [(1.5, 0), (True, 0), (0, np.float64(1.0)), (0, -1), ("1", 0)])
+def test_beta_refuses_an_index_that_is_no_generator_before_evolving(monkeypatch, i, j):
+    """An index that is not an integer in 0..d is refused before any
+    working space is built, so before any copy is evolved."""
+    monkeypatch.setattr(dynamics, "_DensityWorkspace", lambda *args: pytest.fail("working space built"))
+    with pytest.raises(ValueError, match="is not an integer in 0..4"):
+        beta(outer(basis_ket((1, 0))), i, j, 0.1, Group.PLO)
 
 
 def test_overlaps_and_gram_that_overflow_are_refused():
@@ -716,22 +736,22 @@ def test_overlaps_on_the_reached_rows_match_dense_propagators(group, state):
 
 
 def test_layout_past_the_budget_is_refused_before_it_is_allocated(empty_cache, eigh_calls, monkeypatch):
-    """Under a 64 KiB budget each chain of an m = 2, N = 2 GO working space
-    fits, but its padded layout does not: an estimate is refused before
-    any chain is decomposed or anything is stored."""
-    monkeypatch.setattr(dynamics, "_CACHE_BUDGET", 64 << 10)
+    """Under a 56 KiB budget each chain of an m = 2, N = 2 GO working space
+    fits, but its layout of chains (63,154 bytes) does not: an estimate is
+    refused before any chain is decomposed or anything is stored."""
+    monkeypatch.setattr(dynamics, "_CACHE_BUDGET", 56 << 10)
     psi = sample_sphere_state(2, 2, seed=1)
-    with pytest.raises(ValidationError, match=r"^working space of 190 states \(cutoff 18\) too large: its layout"):
+    with pytest.raises(ValidationError, match=r"^working space of 190 states \(cutoff 18\) too large: its layout of chains"):
         estimate_gram_matrix(psi, Group.GO)
     assert eigh_calls == [] and not generators._cache
 
 
 def test_word_whose_factors_each_fit_the_budget_runs(empty_cache, monkeypatch):
-    """Under the same 64 KiB budget, a word of every m = 2 GO generator
-    lays out each factor on its own (at most 60,256 bytes), though the
+    """Under the same 56 KiB budget, a word of every m = 2 GO generator
+    lays out each factor on its own (at most 48,830 bytes), though the
     layout of all its factors' chains at once would not fit: it runs and
     equals the product of dense propagators."""
-    monkeypatch.setattr(dynamics, "_CACHE_BUDGET", 64 << 10)
+    monkeypatch.setattr(dynamics, "_CACHE_BUDGET", 56 << 10)
     psi = sample_sphere_state(2, 2, seed=1)
     word = [(g, 0.01) for g in lie_basis(Group.GO, 2).elements]
     _, index = basis_states(2, 18)
@@ -743,13 +763,13 @@ def test_word_whose_factors_each_fit_the_budget_runs(empty_cache, monkeypatch):
 
 def test_factor_past_the_budget_is_refused_before_its_layout_is_stored(empty_cache, monkeypatch):
     """Under a 40,000-byte budget the first factor of an m = 2, N = 2 GO
-    word, s[2], fits (9,200 bytes), but the padded layout of e[1,2]'s
-    chains through the rows s[2] reaches (60,256 bytes) does not: the word
-    is refused before that layout is stored."""
+    word, s[2], fits (6,126 bytes), but the layout of e[1,2]'s chains
+    through the rows s[2] reaches (47,678 bytes) does not: the word is
+    refused before that layout is stored."""
     monkeypatch.setattr(dynamics, "_CACHE_BUDGET", 40_000)
     basis = lie_basis(Group.GO, 2)
     e, s = (basis.elements[basis.index_of(label)] for label in ("e[1,2]", "s[2]"))
-    message = r"^working space of 190 states \(cutoff 18\) too large: its layout of padded chains would take"
+    message = r"^working space of 190 states \(cutoff 18\) too large: its layout of chains would take"
     with pytest.raises(ValidationError, match=message):
         apply_group_word(sample_sphere_state(2, 2, seed=1), [(e, 0.01), (s, 0.01)])
     assert [key[1] for key in generators._cache if key[0] == "layout"] == [(s,)]
@@ -869,9 +889,9 @@ def eigh_calls(monkeypatch):
 
 def _cached_arrays():
     for key, (value, _) in generators._cache.items():
-        if key[0] == "layout":  # states, guard band, support rows, slot generators, classes, nodes, eigenvalues
-            states, band, support, gens, classes, nodes, eigenvalues = value
-            yield from (states, band, support, gens, *(v for _, v in classes), nodes, eigenvalues)
+        if key[0] == "layout":  # states, guard band, support rows, node generators, groups, nodes, eigenvalues
+            states, band, support, gens, groups, nodes, eigenvalues = value
+            yield from (states, band, support, gens, *(v for _, v in groups), nodes, eigenvalues)
         elif key[0] == "chains":  # keys, offsets, eigenvalues, eigenvectors
             yield from value
         else:  # a plan: its table, then its arrays
@@ -889,7 +909,7 @@ def test_second_workspace_calls_no_eigh(empty_cache, eigh_calls):
     second = _Workspace(_SUPPORT, elements, EvolutionConfig())
     assert eigh_calls == []
     assert second.states is first.states
-    arrays = [[ws.gens, *(v for _, v in ws.classes), ws.nodes, ws.values] for ws in (first, second)]
+    arrays = [[ws.gens, *(v for _, v in ws.groups), ws.nodes, ws.values] for ws in (first, second)]
     for x, y in zip(*arrays, strict=True):
         assert np.array_equal(x, y)
 
