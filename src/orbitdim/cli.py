@@ -80,11 +80,22 @@ _SCHEMA = {"ket": ("terms", ("occ",)), "density": ("entries", ("bra", "ket"))}
 
 def load_state(path: str) -> SparseKet | DensityOperator:
     """Parse and validate a state file (kind "ket" or "density")."""
+    return _read_state(path)[0]
+
+
+def _read_state(path: str) -> tuple[SparseKet | DensityOperator, bytes]:
+    """The state of a state file and the bytes it was parsed from, the file
+    read once."""
     try:
         with open(path, "rb") as fh:
             raw = fh.read()
     except OSError as exc:
         raise StateFileError(f"{path}: {exc}") from exc
+    return _parse_state(path, raw), raw
+
+
+def _parse_state(path: str, raw: bytes) -> SparseKet | DensityOperator:
+    """Parse and validate the bytes of the state file ``path``."""
     try:
         doc = json.loads(raw)
     except json.JSONDecodeError as exc:
@@ -252,6 +263,9 @@ def render_json(value) -> str:
         # a spectrum or a Gram row: finite floats, joined in one pass
         if set(map(type, value)) <= _FLOAT_TYPES and all(map(math.isfinite, value)):
             return "[" + ",".join(map(format, value, itertools.repeat(".17g"))) + "]"
+        rows = _render_rows(value)
+        if rows is not None:
+            return rows
         return "[" + ",".join(map(render_json, value)) + "]"
     if isinstance(value, bool):
         return "true" if value else "false"
@@ -264,6 +278,34 @@ def render_json(value) -> str:
     if value is None:
         return "null"
     return _quote(str(value))
+
+
+def _render_rows(value: list | tuple) -> str | None:
+    """A list of two or more dicts with one set of string keys, each
+    column all finite floats or all strings, each row rendered by one
+    %-format of a template of the keys; None for any other list."""
+    if len(value) < 2 or set(map(type, value)) != {dict}:
+        return None
+    first = value[0].keys()
+    if not all(map(first.__eq__, map(dict.keys, value))):
+        return None
+    keys = sorted(first)
+    if set(map(type, keys)) != {str}:
+        return None
+    columns, fields = [], []
+    for key in keys:
+        column = list(map(dict.__getitem__, value, itertools.repeat(key)))
+        kinds = set(map(type, column))
+        if kinds <= _FLOAT_TYPES and all(map(math.isfinite, column)):
+            fields.append("%.17g")
+        elif kinds == {str}:
+            fields.append("%s")
+            column = list(map(_quote, column))
+        else:
+            return None
+        columns.append(column)
+    template = "{" + ",".join(_quote(k).replace("%", "%%") + ":" + f for k, f in zip(keys, fields)) + "}"
+    return "[" + ",".join(map(template.__mod__, zip(*columns))) + "]"
 
 
 def _fmt(x: float) -> str:
@@ -294,8 +336,9 @@ def _spectrum_line(eigenvalues) -> str:
     return "spectrum: [" + ", ".join(_fmt(x) for x in eigenvalues) + "]"
 
 
-def _input_block(path: str) -> dict:
-    return {"path": path, "sha256": file_digest(path)}
+def _input_block(path: str, raw: bytes) -> dict:
+    """The input file and the digest of the bytes its state was parsed from."""
+    return {"path": path, "sha256": hashlib.sha256(raw).hexdigest()}
 
 
 # --------------------------------------------------------------------------
@@ -306,9 +349,10 @@ def _input_block(path: str) -> dict:
 def cmd_dim(args) -> int:
     group = Group(args.group)
     picture = Picture(args.picture)
-    result = rank_psd(gram_matrix(group, load_state(args.state), picture), args.tol)
+    state, raw = _read_state(args.state)
+    result = rank_psd(gram_matrix(group, state, picture), args.tol)
     payload = {
-        "input": _input_block(args.state),
+        "input": _input_block(args.state, raw),
         "group": group.value,
         "picture": picture.value,
         **_rank_fields(result),
@@ -328,10 +372,11 @@ def cmd_dim(args) -> int:
 def cmd_gram(args) -> int:
     group = Group(args.group)
     picture = Picture(args.picture)
-    gram = gram_matrix(group, load_state(args.state), picture)
+    state, raw = _read_state(args.state)
+    gram = gram_matrix(group, state, picture)
     result = rank_psd(gram, args.tol)
     payload = {
-        "input": _input_block(args.state),
+        "input": _input_block(args.state, raw),
         "group": group.value,
         "picture": picture.value,
         "basis_labels": list(gram.basis.labels),
@@ -468,9 +513,10 @@ def cmd_closure(args) -> int:
 
 
 def cmd_witness(args) -> int:
-    result = nongaussianity_witness(load_state(args.state), args.tol)
+    state, raw = _read_state(args.state)
+    result = nongaussianity_witness(state, args.tol)
     payload = {
-        "input": _input_block(args.state),
+        "input": _input_block(args.state, raw),
         **_rank_fields(result.rank),
         "threshold": result.threshold,
         "witnessed": result.witnessed,
@@ -486,7 +532,7 @@ def cmd_witness(args) -> int:
 
 def cmd_estimate(args) -> int:
     group = Group(args.group)
-    state = load_state(args.state)
+    state, raw = _read_state(args.state)
     if isinstance(state, SparseKet):
         _check_normalized(state)  # as dim and witness do; the estimate would rescale
     cfg = EvolutionConfig(buffer=args.buffer, step=getattr(args, "h"), leakage_tolerance=args.leakage_tol)
@@ -500,7 +546,7 @@ def cmd_estimate(args) -> int:
     worst = np.unravel_index(np.argmax(ratio), ratio.shape)
     labels = lie_basis(group, state.modes).labels
     payload = {
-        "input": _input_block(args.state),
+        "input": _input_block(args.state, raw),
         "group": group.value,
         "step": cfg.step,
         "buffer": cfg.buffer,
@@ -513,17 +559,11 @@ def cmd_estimate(args) -> int:
         "hermiticity_residual": estimated.hermiticity_residual,
     }
     if args.details:
-        payload["entries"] = [
-            {
-                "I": labels[i],
-                "J": labels[j],
-                "direct": float(direct[i, j]),
-                "estimate": float(estimated.values[i, j]),
-                "coarse": float(estimated.coarse[i, j]),
-                "fine": float(estimated.fine[i, j]),
-            }
-            for i, j in zip(*np.triu_indices(len(labels)))
-        ]
+        upper = np.triu_indices(len(labels))
+        columns = [[labels[i] for i in index.tolist()] for index in upper]
+        columns += [a[upper].tolist() for a in (direct, estimated.values, estimated.coarse, estimated.fine)]
+        names = ("I", "J", "direct", "estimate", "coarse", "fine")
+        payload["entries"] = [dict(zip(names, row)) for row in zip(*columns)]
 
     def lines() -> list[str]:
         out = [

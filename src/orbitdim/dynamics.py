@@ -142,12 +142,13 @@ def _cutoff(support: np.ndarray, generators: Iterable[GeneratorDescriptor], cfg:
     return max(map(sum, support.tolist()), default=0) + (cfg.buffer if shifting else 0)
 
 
-def _refuse_oversized(modes: int, cutoff: int, what: str, nbytes: int) -> None:
+def _refuse_oversized(modes: int, cutoff: int, what: str, nbytes: int, least: bool = False) -> None:
     """Refuse a working space whose ``what`` would take more than the
-    store's budget, or whose cutoff does not fit a chain's key (23 bits an
-    occupation), before allocating it."""
+    store's budget (``least``: at least ``nbytes``), or whose cutoff does
+    not fit a chain's key (23 bits an occupation), before allocating it."""
     if nbytes > _CACHE_BUDGET:
-        why = f"its {what} would take {nbytes / 2**20:,.0f} MiB, over the {_CACHE_BUDGET >> 20} MiB budget"
+        at_least = "at least " if least else ""
+        why = f"its {what} would take {at_least}{nbytes / 2**20:,.0f} MiB, over the {_CACHE_BUDGET >> 20} MiB budget"
     elif cutoff >> 23:
         why = "a chain key holds occupations below 2^23"
     else:
@@ -166,8 +167,11 @@ def _layout(generators: tuple[GeneratorDescriptor, ...], cutoff: int, support: n
     eigenvectors, each node's row and eigenvalue. A group holds the n
     chains of one key, of every generator, node j n + c of its span being
     place j of its c-th chain, with a copy of the key's L x L eigenvectors;
-    one more group holds every one-node chain, its eigenvectors [[1]]. Kept
-    in the store, keyed by the generators, cutoff and support."""
+    one more group holds every one-node chain, its eigenvectors [[1]]. The
+    support's and the nodes' states are built in one array and ranked once;
+    a layout is refused on a lower bound of its bytes before that array is
+    built, then on its exact bytes. Kept in the store, keyed by the
+    generators, cutoff and support."""
     key = ("layout", generators, cutoff, support.shape, support.tobytes())
     found = _recall(key)
     if found is not None:
@@ -179,23 +183,38 @@ def _layout(generators: tuple[GeneratorDescriptor, ...], cutoff: int, support: n
     _refuse_oversized(modes, cutoff, f"{longest:,}-state block's eigenvectors", 16 * longest**2)
     delta, gen, start, length, keys = _chains(generators, support, cutoff)
     order = np.argsort(keys, kind="stable")  # by key, so the one-node chains first
-    gen, start, length, keys = (a[order] for a in (gen, start, length, keys))
+    gen, length, keys = (a[order] for a in (gen, length, keys))
     first = np.flatnonzero(_run_starts(np.where(length > 1, keys, 0)))  # each group's first chain
-    count, size = np.diff(np.append(first, len(keys))), length[first]
+    bounds = np.concatenate((first, [len(keys)]))
+    count, size = bounds[1:] - bounds[:-1], length[first]
     span = count * size
+    stop = np.cumsum(span)  # each group's span of the nodes ends here
+    # the bytes of the arrays below besides the rows' states and guard band: 8 a support row, 24 a node
+    # (generator, row, eigenvalue), 16 an eigenvector entry; the rows hold at least the nodes of any one
+    # generator, whose chains are disjoint, so that many rows are refused before any is built
+    nbytes = 8 * len(support) + 24 * int(span.sum()) + 16 * int(size @ size)
+    fewest = int(np.bincount(gen, weights=length, minlength=len(generators)).max())
+    _refuse_oversized(modes, cutoff, "layout of chains", (8 * modes + 1) * fewest + nbytes, least=True)
     # node i of a group's span is place i // n of its chain i % n
     group = np.repeat(np.arange(len(first)), span)
-    i = np.arange(len(group)) - np.repeat(np.cumsum(span) - span, span)
+    i = np.arange(len(group)) - np.repeat(stop - span, span)
     j, chain = i // count[group], first[group] + i % count[group]
-    states, rank = _rank_states(np.vstack([support, start[chain] + j[:, None] * delta[gen[chain]]]))
-    # the bytes of the arrays below: 24 a node (generator, row, eigenvalue), 16 an eigenvector entry
-    nbytes = states.nbytes + len(states) + 8 * len(support) + 24 * len(chain) + 16 * int(size @ size)
+    # the support, then each node: its chain's start plus j steps, a mode at a time so that no other
+    # nodes x m array is made
+    states = np.empty((len(support) + len(chain), modes), dtype=np.int64)
+    states[: len(support)] = support
+    source, node_gen = order[chain], gen[chain]
+    for k in range(modes):
+        states[len(support) :, k] = start[source, k] + j * delta[node_gen, k]
+    del start  # a view of the chains' array, freed before the rows are ranked
+    states, rank = _rank_states(states)
+    nbytes += states.nbytes + len(states)
     _refuse_oversized(modes, cutoff, "layout of chains", nbytes)
     eigenvalues, eigenvectors, at, square_at = _decomposed(keys)
     squares = [eigenvectors[s : s + n * n].reshape(n, n).copy() for s, n in zip(square_at[first].tolist(), size.tolist())]
     band, rows, nodes = states.sum(axis=1) > cutoff - 2, rank[: len(support)].copy(), rank[len(support) :].copy()
-    arrays = (states, band, rows, gen[chain], nodes, eigenvalues[at[chain] + j])
-    ends = np.append(0, np.cumsum(span)).tolist()
+    arrays = (states, band, rows, node_gen, nodes, eigenvalues[at[chain] + j])
+    ends = [0, *stop.tolist()]
     found = (*arrays[:4], [(slice(lo, hi), v) for lo, hi, v in zip(ends, ends[1:], squares)], *arrays[4:])
     _remember(key, found, (*arrays, *squares))
     _trim()
@@ -223,21 +242,24 @@ class _Workspace:
         """An R x r block of columns and exp(-i H_n t) applied to it for
         every generator n and each of the T times ``times`` (exactly the
         columns where t = 0): T x R x (1 + G) x r, the columns first. One
-        gather, exp and scatter over the nodes; per group of n chains of L
-        nodes, its L x L eigenvectors V^dag, the phases and V applied to
-        the L x n r block of its nodes."""
+        gather over the nodes; per group of n chains of L nodes, V^T of its
+        L x L eigenvectors V applied to the L x n r block of its nodes and
+        written in place into one array over all nodes; then its conjugate
+        (so V^dag x) times the phases, once over all nodes; per group, V
+        applied likewise; one scatter."""
         r, t = columns.shape[1], np.ravel(times)
         out = np.zeros((len(t), len(self.states), len(self.generators) + 1, r), dtype=complex)
         out[:, :, 0] = columns
         if t.any():
             # V^dag x is conj(V^T conj(x)), and V^T is a view where V^dag copies V
             x = columns.conj()[self.nodes]
-            phases = np.exp(np.multiply.outer(-1j * t, self.values))
-            y = np.empty((len(t), len(self.nodes), r), dtype=complex)
+            z = np.empty_like(x)
             for at, v in self.groups:
-                z = (v.T @ x[at].reshape(len(v), -1)).conj().reshape(len(v), -1, r)
-                phased = (phases[:, at].reshape(len(t), len(v), -1, 1) * z).reshape(len(t), len(v), -1)
-                y[:, at] = (v @ phased).reshape(len(t), -1, r)
+                np.matmul(v.T, x[at].reshape(len(v), -1), out=z[at].reshape(len(v), -1))
+            phased = np.exp(np.multiply.outer(-1j * t, self.values))[:, :, None] * z.conj()
+            y = np.empty_like(phased)
+            for at, v in self.groups:
+                np.matmul(v, phased[:, at].reshape(len(t), len(v), -1), out=y[:, at].reshape(len(t), len(v), -1))
             out[:, self.nodes, self.gens + 1] = y
         if not t.all():
             out[t == 0.0, :, 1:] = columns[:, None]

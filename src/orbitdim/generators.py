@@ -316,18 +316,30 @@ def _steps(generators: Sequence[GeneratorDescriptor], modes: int) -> tuple[np.nd
     return kinds, acted, delta[:, :-1]
 
 
-def _walk(delta: np.ndarray, states: np.ndarray, cutoff: int) -> tuple[np.ndarray, np.ndarray]:
-    """The start and length of the chain through each state (S x m) along
-    delta (first nonzero entry positive; m, or a row per state), at most
-    ``cutoff`` photons: it starts as many steps back as keep every occupation
-    >= 0 (a step back adds no photons) and runs until a lowered mode empties
-    or the cutoff is reached. N and the identity (delta 0) give chains of one."""
-    up, rise = delta > 0, delta.sum(axis=-1)
-    back = np.where(up, states // np.maximum(delta, 1), cutoff).min(axis=1) * up.any(axis=-1)
-    start = states - back[:, None] * delta
-    room = np.where(delta < 0, start // np.maximum(-delta, 1), cutoff).min(axis=1)
-    top = np.where(rise > 0, (cutoff - start.sum(axis=1)) // np.maximum(rise, 1), cutoff)
-    return start, np.where(up.any(axis=-1), np.minimum(room, top) + 1, 1)
+def _walk(kinds: np.ndarray, acted: np.ndarray, delta: np.ndarray, states: np.ndarray, cutoff: int) -> np.ndarray:
+    """The chain of each generator (``_steps``) through each state (S x m),
+    at most ``cutoff`` photons, as one row of its generator, length and
+    start, generator by generator (G S x (m + 2)): it starts as many steps
+    back as keep every occupation >= 0 (a step back adds no photons) and
+    runs until a lowered mode empties or the cutoff is reached. N and the
+    identity (delta 0) give chains of one. The walk reads only the acted
+    modes, and the rows are written into one array."""
+    step = _KIND_STEP[kinds][:, :, None]  # each generator's step on its (up to) two acted modes, G x 2 x 1
+    # G x 2 x S; no mode (-1) reads the last, where the step is 0 and nothing reads it
+    x = states.T[acted]
+    up = step > 0
+    moves = up.any(axis=1)
+    back = np.where(up, x // np.maximum(step, 1), cutoff).min(axis=1) * moves
+    rows = np.empty((len(kinds), len(states), states.shape[1] + 2), dtype=np.int64)
+    start = rows[:, :, 2:]
+    np.multiply(back[:, :, None], delta[:, None], out=start)
+    np.subtract(states, start, out=start)
+    room = np.where(step < 0, (x - back[:, None] * step) // np.maximum(-step, 1), cutoff).min(axis=1)
+    rise = step.sum(axis=1)
+    top = np.where(rise > 0, (cutoff - start.sum(axis=2)) // np.maximum(rise, 1), cutoff)
+    rows[:, :, 0] = np.arange(len(kinds))[:, None]
+    rows[:, :, 1] = np.where(moves, np.minimum(room, top) + 1, 1)
+    return rows.reshape(-1, states.shape[1] + 2)
 
 
 def _chains(generators: Sequence[GeneratorDescriptor], states: np.ndarray, cutoff: int) -> tuple[np.ndarray, ...]:
@@ -341,12 +353,10 @@ def _chains(generators: Sequence[GeneratorDescriptor], states: np.ndarray, cutof
     mirrored chains' matrices are equal bit for bit, each amplitude's two
     square roots only swapping."""
     kinds, acted, delta = _steps(generators, states.shape[1])
-    gen, states = np.repeat(np.arange(len(generators)), len(states)), np.tile(states, (len(generators), 1))
-    start, length = _walk(delta[gen], states, cutoff)
     # the distinct chains, by generator, length, then start
-    chains = _rank_states(np.column_stack([gen, length, start]))[0]
+    chains = _rank_states(_walk(kinds, acted, delta, states, cutoff))[0]
     gen, length, start = chains[:, 0], chains[:, 1], chains[:, 2:]
-    x = np.hstack([start, np.zeros((len(gen), 1), dtype=np.int64)])[np.arange(len(gen))[:, None], acted[gen]]
+    x = np.where(acted[gen] >= 0, start[np.arange(len(gen))[:, None], acted[gen]], 0)
     d = _KIND_STEP[kinds[gen]]
     x = np.where((d[:, :1] == d[:, 1:]) & (d > 0), np.sort(x, axis=1), x)
     key = length << 50 | kinds[gen] << 46 | x[:, 0] << 23 | x[:, 1]  # the size refusal keeps x below 2^23

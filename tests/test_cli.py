@@ -1,5 +1,6 @@
 """Command-line surface: state files, reports, exit codes, determinism."""
 
+import hashlib
 import json
 import math
 from pathlib import Path
@@ -197,6 +198,28 @@ def test_density_file_lists_the_sorted_entries(tmp_path, build):
     ]
     doc = {"modes": rho.modes, "kind": "density", "entries": entries}
     assert path.read_bytes() == (_oracle.render_json(doc) + "\n").encode("ascii")
+
+
+@pytest.mark.parametrize("command", ["dim", "gram", "witness", "estimate"])
+def test_state_commands_read_the_state_file_once(capsys, tmp_path, monkeypatch, command):
+    """dim, gram, witness and estimate open the state file once and report
+    the digest of the bytes they parsed."""
+    path = tmp_path / "psi.json"
+    write_state_file(str(path), sample_sphere_state(2, 1, seed=2))
+    opened = []
+    real_open = open
+
+    def counted(file, *args, **kwargs):
+        opened.append(file)
+        return real_open(file, *args, **kwargs)
+
+    monkeypatch.setattr("builtins.open", counted)
+    flags = {"dim": ["--group", "go", "--picture", "ket"], "gram": ["--group", "go", "--picture", "ket"],
+             "witness": [], "estimate": ["--group", "plo"]}[command]
+    code, out, _ = run(capsys, command, "--state", str(path), *flags, "--json")
+    assert code == EXIT_OK
+    assert opened.count(str(path)) == 1
+    assert json.loads(out)["input"] == {"path": str(path), "sha256": hashlib.sha256(path.read_bytes()).hexdigest()}
 
 
 def test_unhashable_kind_exits_2_without_traceback(capsys, tmp_path):
@@ -566,6 +589,32 @@ def test_estimate_accepts_ket_file_via_projector(capsys, tmp_path):
     assert json.loads(out)["max_abs_deviation"] < 1e-4
 
 
+@pytest.mark.parametrize("kind", ["ket", "rank2"])
+def test_estimate_details_json_matches_the_recursive_renderer(capsys, tmp_path, monkeypatch, kind):
+    """The --details --json stdout of an m = 2 GO estimate, a ket's and a
+    rank-2 density's, equals the recursive renderer's bytes of the same
+    payload, its 120 entries (d = 15) rendered as rows in one pass."""
+    state = {
+        "ket": lambda: sample_sphere_state(2, 2, seed=3),
+        "rank2": lambda: mixture([(0.7, sample_sphere_state(2, 1, seed=4)), (0.3, sample_sphere_state(2, 1, seed=5))]),
+    }[kind]()
+    path = tmp_path / f"{kind}.json"
+    write_state_file(str(path), state)
+    payloads = []
+    render = cli.render_json
+
+    def recorded(value):
+        payloads.append(value)
+        return render(value)
+
+    monkeypatch.setattr(cli, "render_json", recorded)
+    code, out, _ = run(capsys, "estimate", "--state", str(path), "--group", "go", "--details", "--json")
+    assert code == EXIT_OK
+    payload = payloads[0]  # the outermost call; the renderer recurses by name
+    assert len(payload["entries"]) == 15 * 16 // 2 and cli._render_rows(payload["entries"]) is not None
+    assert out == _oracle.render_json(payload) + "\n"
+
+
 def test_estimate_reports_the_rows_of_its_working_space(capsys, tmp_path):
     """At m = 1 the GO chains through |1> reach every state of at most 17
     photons, so the working space holds R = D = 18 rows."""
@@ -908,3 +957,43 @@ def test_render_json_matches_the_recursive_renderer(value):
         assert str(raised.value) == str(exc)
         return
     assert render_json(value) == expected
+
+
+_ROW_TEXT = st.text(alphabet=st.sampled_from('%ab"\\\u00e9') | st.characters(), max_size=4)
+#: The values of one column of same-keyed rows: the floats, np.float64 and
+#: strings that render in one pass (NaN and inf among the floats, which
+#: raise, and % among the strings), and the ints, bools, None, nested
+#: values and mixed columns that fall back to the recursive path.
+_ROW_COLUMNS = {
+    "float": st.floats(),
+    "float64": st.floats().map(np.float64),
+    "floats": st.floats() | st.floats().map(np.float64),
+    "str": _ROW_TEXT,
+    "int": st.integers(),
+    "bool": st.booleans(),
+    "none": st.none(),
+    "nested": st.lists(st.floats(), max_size=3) | st.dictionaries(_ROW_TEXT, st.integers(), max_size=2),
+    "mixed": _RENDER_LEAVES,
+}
+
+
+@st.composite
+def _same_keyed_rows(draw):
+    keys = draw(st.lists(_ROW_TEXT, unique=True, max_size=4))
+    # half the lists draw only the columns that render in one pass
+    kinds = sorted(_ROW_COLUMNS) if draw(st.booleans()) else ["float", "float64", "floats", "str"]
+    columns = [_ROW_COLUMNS[draw(st.sampled_from(kinds))] for _ in keys]
+    return [{key: draw(column) for key, column in zip(keys, columns)} for _ in range(draw(st.integers(0, 5)))]
+
+
+@settings(max_examples=500, deadline=None)
+@given(rows=_same_keyed_rows())
+def test_render_json_renders_same_keyed_rows_as_the_recursive_renderer(rows):
+    try:
+        expected = _oracle.render_json(rows)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as raised:
+            render_json(rows)
+        assert str(raised.value) == str(exc)
+        return
+    assert render_json(rows) == expected

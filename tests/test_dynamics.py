@@ -25,6 +25,7 @@ from orbitdim import (
     basis_ket,
     beta,
     dense_hamiltonian,
+    enumerate_occupations,
     estimate_gram_matrix,
     evolve_density,
     gram_mixed,
@@ -773,6 +774,66 @@ def test_factor_past_the_budget_is_refused_before_its_layout_is_stored(empty_cac
     with pytest.raises(ValidationError, match=message):
         apply_group_word(sample_sphere_state(2, 2, seed=1), [(e, 0.01), (s, 0.01)])
     assert [key[1] for key in generators._cache if key[0] == "layout"] == [(s,)]
+
+
+def _stored_bytes(layout):
+    """The bytes of the arrays a layout holds: its rows' states and guard
+    band, its support rows, each node's generator, row and eigenvalue, and
+    each group's eigenvectors."""
+    states, band, support, gens, groups, nodes, values = layout
+    return sum(a.nbytes for a in (states, band, support, gens, nodes, values)) + sum(v.nbytes for _, v in groups)
+
+
+@pytest.mark.parametrize("label", ["N[1]", "e[1,2]"])
+def test_layout_refusal_boundary_is_its_stored_bytes(empty_cache, monkeypatch, label):
+    """A layout fits a budget of exactly the bytes it stores and is refused
+    at one byte less, the lower bound taken before its rows are built
+    included (for N, whose chains are the support's states, it is exact)."""
+    basis = lie_basis(Group.GO, 2)
+    g = basis.elements[basis.index_of(label)]
+    support = np.array(enumerate_occupations(2, 3))
+    nbytes = _stored_bytes(dynamics._layout((g,), 3, support))
+    for budget in (nbytes, nbytes - 1):
+        monkeypatch.setattr(generators, "_cache", generators._Store())
+        monkeypatch.setattr(dynamics, "_CACHE_BUDGET", budget)
+        if budget < nbytes:
+            with pytest.raises(ValidationError, match=r"too large: its layout of chains would take "):
+                dynamics._layout((g,), 3, support)
+        else:
+            dynamics._layout((g,), 3, support)
+
+
+def test_layout_past_its_lower_bound_is_refused_before_its_rows_are_ranked(empty_cache, monkeypatch):
+    """The rows of a working space hold at least the nodes of any one of
+    its generators, whose chains are disjoint: a layout whose bytes by that
+    count exceed the budget is refused before its rows are built and
+    ranked, saying it would take at least that much."""
+    monkeypatch.setattr(dynamics, "_CACHE_BUDGET", 8 << 10)  # past its longest block's 5,776 bytes
+    ranked = []
+    monkeypatch.setattr(dynamics, "_rank_states", lambda states: ranked.append(states))
+    message = r"^working space of 190 states \(cutoff 18\) too large: its layout of chains would take at least "
+    with pytest.raises(ValidationError, match=message):
+        estimate_gram_matrix(sample_sphere_state(2, 2, seed=1), Group.GO)
+    assert ranked == [] and not generators._cache
+
+
+def test_layout_builds_its_node_states_once(empty_cache):
+    """The N[1] layout on the 92,378 states of at most 9 photons in 10
+    modes (one-node chains, so as many nodes) stores about 10 MiB; building
+    it peaks below four times that. Building the node states from several
+    full-size copies and stacking them with the support peaked at 4.6
+    times."""
+    basis = lie_basis(Group.GO, 10)
+    g = basis.elements[basis.index_of("N[1]")]
+    support = np.array(enumerate_occupations(10, 9))
+    tracemalloc.start()
+    try:
+        layout = dynamics._layout((g,), 19, support)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(layout[0]) == len(support) == 92_378
+    assert peak < 4 * _stored_bytes(layout)
 
 
 def _rank3_density():
