@@ -223,13 +223,17 @@ def state_document(state: SparseKet | DensityOperator) -> dict:
     return {"modes": state.modes, "kind": kind, _SCHEMA[kind][0]: items}
 
 
-def write_state_file(path: str, state: SparseKet | DensityOperator) -> None:
+def write_state_file(path: str, state: SparseKet | DensityOperator) -> bytes:
+    """Write the state file of ``state`` to ``path``; returns the bytes
+    written, so that they are digested without reading ``path`` back (a
+    pipe cannot be)."""
+    raw = f"{render_json(state_document(state))}\n".encode("ascii")
     try:
-        with open(path, "w", encoding="ascii") as fh:
-            fh.write(render_json(state_document(state)))
-            fh.write("\n")
+        with open(path, "wb") as fh:
+            fh.write(raw)
     except OSError as exc:
         raise StateFileError(f"{path}: {exc}") from exc
+    return raw
 
 
 def file_digest(path: str) -> str:
@@ -600,7 +604,7 @@ def cmd_sample(args) -> int:
     if args.seed < 0:
         raise ValueError(f"--seed must be >= 0, got {args.seed}")
     psi = sample_sphere_state(args.m, args.N, args.seed)
-    write_state_file(args.out, psi)
+    raw = write_state_file(args.out, psi)
     payload = {
         "m": args.m,
         "N": args.N,
@@ -608,7 +612,7 @@ def cmd_sample(args) -> int:
         "out": args.out,
         "terms": len(psi.terms),
         "norm": psi.norm(),
-        "sha256": file_digest(args.out),
+        "sha256": hashlib.sha256(raw).hexdigest(),
     }
     _emit(args, payload, lambda: [
         f"wrote {args.out}: {len(psi.terms)} terms, norm {psi.norm():.12f}",

@@ -32,13 +32,13 @@ The closure check ``verify_closure`` applies each distinct generator of
 the basis and the fitted set to all probes as one block: their supports
 are stacked, each row followed by its probe's index, so the union keeps
 each probe's first union apart. Each nonzero of H_I psi is then joined
-with the elements of the basis applied once per group of probes to their
-stacked first unions, so no H_J H_I psi is formed densely. Only the
-values of that join depend on the amplitudes: its structure is planned
-once per nonzero pattern and kept. The commutator targets stay sparse and
-are made dense one block of pairs at a time under a fixed budget; the
-right-hand sides of all pairs are solved with one factorisation of the
-normal matrix, and the residuals are taken block by block in a second pass.
+with the elements of the basis applied once to all the stacked first
+unions, so no H_J H_I psi is formed densely. Only the values of that join
+depend on the amplitudes: its structure is planned once per nonzero
+pattern and kept. The commutator targets stay sparse and are made dense
+one block of pairs at a time under a fixed budget; the right-hand sides of
+all pairs are solved with one factorisation of the normal matrix, and the
+residuals are taken block by block in a second pass.
 
 On a truncated basis each generator's blocks are chains along the step of
 its monomial, and ``_chain_matrices`` gives their matrices with the same
@@ -393,14 +393,14 @@ def _chain_matrices(keys: np.ndarray) -> list[np.ndarray]:
     return stacks
 
 
-#: Bytes of cached arrays kept per process; past it the least recently used
-#: plans, joins, decomposed chains and layouts are dropped.
+#: Bytes of cached arrays and key states kept per process; past it the least
+#: recently used plans, joins, decomposed chains and layouts are dropped.
 _CACHE_BUDGET = 64 << 20
 
 
 class _Store(OrderedDict):
-    """key -> (value, bytes of its arrays), least recently used first, with
-    the bytes of every entry summed in ``nbytes``."""
+    """key -> (value, bytes of its arrays and key), least recently used
+    first, with the bytes of every entry summed in ``nbytes``."""
 
     nbytes = 0
 
@@ -419,7 +419,9 @@ def _recall(key: tuple) -> object | None:
 
 
 def _remember(key: tuple, value: object, arrays: Iterable[np.ndarray]) -> None:
-    size = 0
+    """Store a value under its key, counting the bytes of its arrays and of
+    the key's ``bytes`` parts, the copies of states a key holds."""
+    size = sum(len(part) for part in key if isinstance(part, bytes))
     for a in arrays:
         a.flags.writeable = False
         size += a.nbytes
@@ -605,8 +607,7 @@ def _checked_probes(probes: Sequence[SparseKet], m: int) -> tuple[np.ndarray, np
 
 
 #: Bytes of one block of the closure fit: the dense right-hand side of a
-#: block of pairs over every probe, or the products joined for a group of
-#: probes (at 16 bytes each).
+#: block of pairs over every probe.
 _FIT_BUDGET = 1 << 20
 
 
@@ -640,18 +641,18 @@ def _narrow(index: np.ndarray) -> np.ndarray:
 
 
 #: The structure of a commutator join, as ``_commutator_targets`` evaluates
-#: it: the second table; per group of probes, the coefficients of its second
-#: elements and, per product in key order, the nonzero of ``applied`` and the
-#: element it multiplies and whether it is negated, the run starts of the
-#: two sums, and the sums off the first unions with their pairs; then which
-#: sum is each target nonzero, and the pair and column of each.
-_Join = tuple[_MonomialTable, list[tuple[np.ndarray, ...]], np.ndarray, np.ndarray, np.ndarray]
+#: it: the second table; the coefficients of its second elements and, per
+#: product in key order, the nonzero of ``applied`` and the element it
+#: multiplies and whether it is negated; the run starts of the two sums, and
+#: the sums off the first unions with their pairs; then which sum is each
+#: target nonzero, and the pair and column of each.
+_Join = tuple[_MonomialTable | np.ndarray, ...]
 
 
 def _join(applied: np.ndarray, first: np.ndarray, second: _MonomialTable, pairs: int) -> _Join:
     """The join of ``_commutator_targets`` on the first unions ``first``
     with the nonzero pattern of ``applied``, built from one second
-    application per group of probes (``_FIT_BUDGET``).
+    application to all of them.
 
     Every element (J, u -> v, c) of the second application meets the
     nonzeros (I, u, a) of its source u, and a c enters the target of pair
@@ -659,62 +660,45 @@ def _join(applied: np.ndarray, first: np.ndarray, second: _MonomialTable, pairs:
     stably by (pair, probe, v, swapped), the second-union states being
     tagged with their probe; the two terms of a pair are summed apart, each
     in the order of the elements, then added. Of the sums with I != J, those
-    on the first unions are the target nonzeros, sorted stably by pair; the
-    others enter through their squared norm, summed group by group."""
+    on the first unions are the target nonzeros, in key order and so sorted
+    by pair; the others enter through their squared norm."""
     d, u_total = applied.shape
-    tag = first[:, -1]
-    bounds = np.searchsorted(tag, np.arange(tag[-1] + 2))  # each probe's columns
     u, nonzero_row = np.nonzero(applied.T)  # by column, then by row
     count = np.bincount(u, minlength=u_total)
     begin = np.cumsum(count) - count
-    # the products of each column: its nonzeros times the second elements
-    # it is the source of; the probes in groups of whole probes under the
-    # budget, the targets of distinct probes sharing no row
-    states, inverse = _rank_states(first[:, :-1])
-    degree = np.count_nonzero(_amplitudes(second, states), axis=0)[inverse]
-    done = np.concatenate([[0], np.cumsum(count * degree)])[bounds]
-    pair_index = _pair_index(d)
-    groups, hits, low, offset = [], [], 0, 0
-    while low < len(bounds) - 1:
-        high = max(int(np.searchsorted(done, done[low] + _FIT_BUDGET // 16, "right")) - 1, low + 1)
-        lo, hi = bounds[low], bounds[high]
-        low = high
-        gen, src, tgt, coeff, union, rows = _generator_action(second, first[lo:hi])
-        src += lo
-        # each second-union state's place probe by probe, and the column in
-        # ``applied`` at each place (-1 off the first unions)
-        by_probe = np.argsort(union[:, -1], kind="stable")
-        place = np.empty_like(by_probe)
-        place[by_probe] = np.arange(len(union))
-        column = np.full(len(union), -1)
-        column[place[rows]] = np.arange(lo, hi)
-        v_bits = (len(union) - 1).bit_length()
-        # each element's products run over its source's nonzeros in turn
-        n = count[src]
-        element = np.repeat(np.arange(len(src)), n)
-        nonzero = np.arange(len(element)) + np.repeat(begin[src] - (np.cumsum(n) - n), n)
-        i, j = nonzero_row[nonzero], gen[element]
-        swapped = i > j
-        # (pair, place, swapped) in bit fields; a product with I = J keys
-        # one past the last pair and is dropped once summed
-        key, order = _stable_sort((pair_index[i, j] << v_bits | place[tgt[element]]) << 1 | swapped)
-        runs = _run_starts(key).nonzero()[0]
-        key = key[runs] >> 1
-        merge = _run_starts(key).nonzero()[0]
-        key = key[merge]
-        pair = key >> v_bits
-        cut = np.searchsorted(pair, pairs)
-        row = column[key[:cut] & ((1 << v_bits) - 1)]
-        on, off = np.flatnonzero(row >= 0), np.flatnonzero(row < 0)
-        at = (i * u_total + u[nonzero])[order]
-        groups.append(
-            (coeff, *map(_narrow, (at, element[order])), swapped[order], *map(_narrow, (runs, merge, off, pair[off])))
-        )
-        hits.append((pair[on], row[on], on + offset))
-        offset += len(key)
-    pair, row, take = map(np.concatenate, zip(*hits))
-    pair, order = _stable_sort(pair)
-    return second, groups, *map(_narrow, (take[order], pair, row[order]))
+    gen, src, tgt, coeff, union, rows = _generator_action(second, first)
+    # each second-union state's place probe by probe, and the column in
+    # ``applied`` at each place (-1 off the first unions)
+    by_probe = np.argsort(union[:, -1], kind="stable")
+    place = np.empty_like(by_probe)
+    place[by_probe] = np.arange(len(union))
+    column = np.full(len(union), -1)
+    column[place[rows]] = np.arange(u_total)
+    v_bits = (len(union) - 1).bit_length()
+    # each element's products run over its source's nonzeros in turn
+    n = count[src]
+    element = _narrow(np.repeat(np.arange(len(src)), n))
+    nonzero = np.arange(len(element)) + np.repeat(begin[src] - (np.cumsum(n) - n), n)
+    i, j = nonzero_row[nonzero], gen[element]
+    at = _narrow(i * u_total + u[nonzero])
+    swapped = i > j
+    del nonzero
+    # (pair, place, swapped) in bit fields; a product with I = J keys one
+    # past the last pair and is dropped once summed
+    key = (_pair_index(d)[i, j] << v_bits | place[tgt[element]]) << 1 | swapped
+    del gen, src, tgt, n, i, j  # the sort's peak holds only what the join keeps
+    key, order = _stable_sort(key)
+    at, element, swapped = at[order], element[order], swapped[order]
+    del order
+    runs = _run_starts(key).nonzero()[0]
+    key = key[runs] >> 1
+    merge = _run_starts(key).nonzero()[0]
+    key = key[merge]
+    pair = key >> v_bits
+    cut = np.searchsorted(pair, pairs)
+    row = column[key[:cut] & ((1 << v_bits) - 1)]
+    on, off = np.flatnonzero(row >= 0), np.flatnonzero(row < 0)
+    return second, coeff, at, element, swapped, *map(_narrow, (runs, merge, off, pair[off], on, pair[on], row[on]))
 
 
 def _commutator_targets(
@@ -736,24 +720,19 @@ def _commutator_targets(
     (``_join``). Only their values depend on the amplitudes, so the join is
     planned once per (second table, first unions, nonzero pattern) and kept
     in the cache; a call makes the products in key order with one
-    gather-multiply per group of probes and sums them with two reduceats."""
-    key = ("join", id(second), first.shape, first.tobytes(), np.packbits(applied != 0).tobytes(), _FIT_BUDGET)
+    gather-multiply and sums them with two reduceats."""
+    key = ("join", id(second), first.shape, first.tobytes(), np.packbits(applied != 0).tobytes())
     join = _recall(key)
     if join is None:
         join = _join(applied, first, second, pairs)
-        _remember(key, join, [*itertools.chain.from_iterable(join[1]), *join[2:]])
+        _remember(key, join, join[1:])
         _trim()
-    _, groups, take, pair, row = join
-    flat = applied.reshape(-1)
-    off_norm2 = np.zeros(pairs)
-    sums = []
-    for coeff, at, element, swapped, runs, merge, off, off_pair in groups:
-        value = flat[at] * coeff[element]
-        value[swapped] *= -1
-        value = np.add.reduceat(np.add.reduceat(value, runs), merge)
-        off_norm2 += np.bincount(off_pair, weights=np.abs(value[off]) ** 2, minlength=pairs)
-        sums.append(value)
-    return pair, row, np.concatenate(sums)[take], off_norm2
+    _, coeff, at, element, swapped, runs, merge, off, off_pair, take, pair, row = join
+    value = applied.reshape(-1)[at] * coeff[element]
+    value[swapped] *= -1
+    value = np.add.reduceat(np.add.reduceat(value, runs), merge)
+    off_norm2 = np.bincount(off_pair, weights=np.abs(value[off]) ** 2, minlength=pairs)
+    return pair, row, value[take], off_norm2
 
 
 def _target_blocks(pair: np.ndarray, pairs: int, u_total: int) -> Iterator[tuple[int, int, slice]]:

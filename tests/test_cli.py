@@ -3,6 +3,9 @@
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -775,8 +778,9 @@ def test_parser_works_after_an_argparse_error(capsys, fock11):
 def test_sample_writes_deterministic_state(capsys, tmp_path):
     out1 = tmp_path / "a.json"
     out2 = tmp_path / "b.json"
-    code, _, _ = run(capsys, "sample", "--m", "2", "--N", "2", "--seed", "9", "--out", str(out1))
+    code, report, _ = run(capsys, "sample", "--m", "2", "--N", "2", "--seed", "9", "--out", str(out1), "--json")
     assert code == EXIT_OK
+    assert json.loads(report)["sha256"] == hashlib.sha256(out1.read_bytes()).hexdigest()
     run(capsys, "sample", "--m", "2", "--N", "2", "--seed", "9", "--out", str(out2))
     assert out1.read_bytes() == out2.read_bytes()
     psi = load_state(str(out1))
@@ -791,6 +795,19 @@ def test_sample_to_unwritable_path_exits_2(capsys, tmp_path):
     assert out == ""
     assert err.startswith("error:") and str(target) in err
     assert not target.exists()
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/stdout"), reason="needs /dev/stdout")
+def test_sample_json_to_a_pipe_returns(tmp_path):
+    """Written to stdout through a pipe, which cannot be read back, the
+    state file and then the report arrive, the report's sha256 that of the
+    state file's bytes."""
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+    argv = [sys.executable, "-W", "error", "-m", "orbitdim.cli", "sample", "--m", "1", "--N", "1", "--json"]
+    done = subprocess.run([*argv, "--out", "/dev/stdout"], capture_output=True, timeout=30, env=env, check=True)
+    state, report = done.stdout.splitlines(keepends=True)
+    assert json.loads(report)["sha256"] == hashlib.sha256(state).hexdigest()
+    assert write_state_file(str(tmp_path / "psi.json"), sample_sphere_state(1, 1, 0)) == state
 
 
 # ----------------------------------------------------------------- cnot-demo

@@ -803,6 +803,16 @@ def test_layout_refusal_boundary_is_its_stored_bytes(empty_cache, monkeypatch, l
             dynamics._layout((g,), 3, support)
 
 
+def test_stored_layout_counts_its_support_bytes(empty_cache):
+    """The store counts a layout's key, which holds a copy of its support,
+    beside the arrays the layout holds."""
+    g = GeneratorDescriptor("e", (1, 2))
+    support = np.array(enumerate_occupations(2, 3))
+    layout = dynamics._layout((g,), 3, support)
+    ((_, size),) = [entry for key, entry in generators._cache.items() if key[0] == "layout"]
+    assert size == _stored_bytes(layout) + support.nbytes
+
+
 def test_layout_past_its_lower_bound_is_refused_before_its_rows_are_ranked(empty_cache, monkeypatch):
     """The rows of a working space hold at least the nodes of any one of
     its generators, whose chains are disjoint: a layout whose bytes by that

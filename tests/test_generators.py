@@ -432,8 +432,8 @@ def test_closure_fit_equals_the_dense_fit(case):
     ids=["plo-exclude", "alo", "alo+id", "go"],
 )
 def test_closure_fit_equals_the_dense_fit_on_the_default_probes(monkeypatch, group, m, exclude, extra):
-    """At the default budget and at 4 KiB, where every probe is joined
-    alone and the pairs are fitted a few at a time."""
+    """At the default budget and at 4 KiB, where the pairs are fitted a
+    few at a time."""
     probes = default_closure_probes(m)
     for budget in (generators._FIT_BUDGET, 4096):
         monkeypatch.setattr(generators, "_FIT_BUDGET", budget)
@@ -529,6 +529,54 @@ def test_closure_plans_its_join_once(empty_store, monkeypatch, group, exclude, e
         warm = verify_closure(group, 2, exclude=exclude, extra_fit=extra)
         assert builds == []
         assert pickle.dumps(warm) == pickle.dumps(cold)
+
+
+@pytest.mark.parametrize("budget", [generators._FIT_BUDGET, 4096], ids=["default", "4KiB"])
+def test_closure_join_applies_the_basis_once(empty_store, monkeypatch, budget):
+    """GO at m = 5 joins its 22 default probes from one second application
+    to all their stacked first unions, whatever the fit budget."""
+    monkeypatch.setattr(generators, "_FIT_BUDGET", budget)
+    joins, calls = [], []
+    join, action = generators._join, generators._generator_action
+
+    def counted_action(table, occupations):
+        calls.append((table, np.array(occupations)))
+        return action(table, occupations)
+
+    def counted_join(applied, first, second, pairs):
+        calls.clear()
+        built = join(applied, first, second, pairs)
+        joins.append((first, second, list(calls)))
+        return built
+
+    monkeypatch.setattr(generators, "_generator_action", counted_action)
+    monkeypatch.setattr(generators, "_join", counted_join)
+    verify_closure(Group.GO, 5)
+    ((first, second, applications),) = joins
+    ((table, occupations),) = applications
+    assert table is second is generators._monomial_table(Group.GO, 5)
+    assert np.array_equal(occupations, first) and len(np.unique(first[:, -1])) == 22
+
+
+def test_closure_join_is_kept_across_fit_budgets(empty_store, monkeypatch):
+    """The join does not depend on the fit budget: one built at the default
+    budget serves a closure at 4 KiB with no rebuild, whose report pickles
+    byte for byte as the one made on an emptied store."""
+    builds = []
+    join = generators._join
+
+    def counted_join(*args):
+        builds.append(args)
+        return join(*args)
+
+    monkeypatch.setattr(generators, "_join", counted_join)
+    verify_closure(Group.GO, 3)
+    monkeypatch.setattr(generators, "_FIT_BUDGET", 4096)
+    warm = verify_closure(Group.GO, 3)
+    assert len(builds) == 1
+    monkeypatch.setattr(generators, "_cache", generators._Store())
+    assert pickle.dumps(verify_closure(Group.GO, 3)) == pickle.dumps(warm)
+    assert len(builds) == 2
 
 
 @pytest.mark.parametrize("high", [7, 1 << 40, 1 << 62], ids=["small", "wide", "past-the-words"])
@@ -727,7 +775,8 @@ def test_plan_arrays_are_read_only(empty_store):
         with pytest.raises(ValueError):
             shared[0] = 0
     ((value, size),) = generators._cache.values()
-    assert value is plan and size == sum(a.nbytes for a in plan[1:]) == generators._cache.nbytes
+    # the key's copy of the support counts too
+    assert value is plan and size == sum(a.nbytes for a in plan[1:]) + support.nbytes == generators._cache.nbytes
 
 
 def test_plans_survive_concurrent_orbit_dimensions(empty_store, monkeypatch):
