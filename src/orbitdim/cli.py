@@ -695,7 +695,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", type=int, required=True)
     p.set_defaults(func=cmd_closure)
 
-    p = sub.add_parser("witness", parents=[ranking, state], help="non-Gaussianity witness for a ket file")
+    p = sub.add_parser("witness", parents=[ranking, state], help="non-Gaussianity witness for a ket file",
+                       description=nongaussianity_witness.__doc__)
     p.set_defaults(func=cmd_witness)
 
     p = sub.add_parser("estimate", parents=[common, state, group], help="finite-difference Gram estimation vs direct")

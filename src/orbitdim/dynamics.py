@@ -15,20 +15,22 @@ it. Each chain key is eigendecomposed on its first use in the process and
 then read from the store's memo; the chains of one key are evolved as one
 group, by two products with a copy of the key's eigenvectors, and every
 one-node chain in one more group. A density evolves as the r columns
-of its support, its times in as few passes as their copies fit the
-store's budget; a ket's projector as the one column psi/|psi|.
-Photon-shifting generators get a buffer of photons above the support; the
-weight in the top two sectors (the guard band) is the truncation-leakage
-proxy, checked with trace and Hermiticity deviations. A working space
-whose longest chain, layout of chains or evolved copies at one time would
-not fit the store's budget is refused before they are allocated; the layouts
-and the decomposed chains are kept in that store.
+of its support, a ket's projector as the one column psi/|psi|, each copy
+on its own nodes, its times in as few groups as their copies made dense,
+or their Grams where larger, fit the store's budget; a time whose dense
+copies do not fit sums its Gram over blocks of rows that do. Photon-shifting
+generators get a buffer of photons above the support; the weight in the
+top two sectors (the guard band) is the truncation-leakage proxy, checked
+with trace and Hermiticity deviations. A working space whose longest
+chain, layout of chains, or one time's copies on their nodes or Gram would
+not fit the store's budget is refused before they are allocated; the
+layouts and the decomposed chains are kept there.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Callable, Iterable, Sequence
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,6 +50,7 @@ from .generators import (
     _KIND_RISE,
     GeneratorDescriptor,
     Group,
+    _blocks,
     _chains,
     _decomposed,
     _generator_action,
@@ -142,10 +145,11 @@ def _cutoff(support: np.ndarray, generators: Iterable[GeneratorDescriptor], cfg:
     return max(map(sum, support.tolist()), default=0) + (cfg.buffer if shifting else 0)
 
 
-def _refuse_oversized(modes: int, cutoff: int, what: str, nbytes: int, least: bool = False) -> None:
-    """Refuse a working space whose ``what`` would take more than the
-    store's budget (``least``: at least ``nbytes``), or whose cutoff does
-    not fit a chain's key (23 bits an occupation), before allocating it."""
+def _refuse_oversized(modes: int, cutoff: int, what: str, nbytes: int, least: bool = False, advice: str = "") -> None:
+    """Refuse, before allocating it, a working space whose ``what`` would
+    take more than the store's budget (``least``: at least ``nbytes``) or
+    whose cutoff does not fit a chain's key (23 bits an occupation), with
+    ``advice`` on what shrinks it (unless given, a smaller buffer)."""
     if nbytes > _CACHE_BUDGET:
         at_least = "at least " if least else ""
         why = f"its {what} would take {at_least}{nbytes / 2**20:,.0f} MiB, over the {_CACHE_BUDGET >> 20} MiB budget"
@@ -153,9 +157,9 @@ def _refuse_oversized(modes: int, cutoff: int, what: str, nbytes: int, least: bo
         why = "a chain key holds occupations below 2^23"
     else:
         return
+    advice = advice or "use a smaller --buffer"
     raise ValidationError(
-        f"working space of {math.comb(modes + cutoff, modes):,} states (cutoff {cutoff}) too large: {why}; "
-        "use a smaller --buffer"
+        f"working space of {math.comb(modes + cutoff, modes):,} states (cutoff {cutoff}) too large: {why}; {advice}"
     )
 
 
@@ -239,31 +243,24 @@ class _Workspace:
         self.worst: dict[str, float] = {}
 
     def evolve(self, times: np.ndarray | float, columns: np.ndarray) -> np.ndarray:
-        """An R x r block of columns and exp(-i H_n t) applied to it for
-        every generator n and each of the T times ``times`` (exactly the
-        columns where t = 0): T x R x (1 + G) x r, the columns first. One
-        gather over the nodes; per group of n chains of L nodes, V^T of its
-        L x L eigenvectors V applied to the L x n r block of its nodes and
-        written in place into one array over all nodes; then its conjugate
-        (so V^dag x) times the phases, once over all nodes; per group, V
-        applied likewise; one scatter."""
-        r, t = columns.shape[1], np.ravel(times)
-        out = np.zeros((len(t), len(self.states), len(self.generators) + 1, r), dtype=complex)
-        out[:, :, 0] = columns
-        if t.any():
-            # V^dag x is conj(V^T conj(x)), and V^T is a view where V^dag copies V
-            x = columns.conj()[self.nodes]
-            z = np.empty_like(x)
-            for at, v in self.groups:
-                np.matmul(v.T, x[at].reshape(len(v), -1), out=z[at].reshape(len(v), -1))
-            phased = np.exp(np.multiply.outer(-1j * t, self.values))[:, :, None] * z.conj()
-            y = np.empty_like(phased)
-            for at, v in self.groups:
-                np.matmul(v, phased[:, at].reshape(len(t), len(v), -1), out=y[:, at].reshape(len(t), len(v), -1))
-            out[:, self.nodes, self.gens + 1] = y
-        if not t.all():
-            out[t == 0.0, :, 1:] = columns[:, None]
-        return out
+        """exp(-i H_n t) applied to an R x r block of columns at each of the
+        T times, on the nodes alone: T x nodes x r, node i on row nodes[i]
+        under generator gens[i] (the columns where t = 0). One gather over
+        the nodes; per group of n chains of L nodes, V^T of its L x L
+        eigenvectors V applied to the L x n r block of its nodes in place;
+        its conjugate (so V^dag x) times the phases; per group, V again."""
+        t = np.ravel(times)
+        # V^dag x is conj(V^T conj(x)), and V^T is a view where V^dag copies V
+        x = columns.conj()[self.nodes]
+        z = np.empty_like(x)
+        for at, v in self.groups:
+            np.matmul(v.T, x[at].reshape(len(v), -1), out=z[at].reshape(len(v), -1))
+        phased = np.exp(np.multiply.outer(-1j * t, self.values))[:, :, None] * z.conj()
+        y = np.empty_like(phased)
+        for at, v in self.groups:
+            np.matmul(v, phased[:, at].reshape(len(t), len(v), -1), out=y[:, at].reshape(len(t), len(v), -1))
+        y[t == 0.0] = columns[self.nodes]
+        return y
 
     def check(self, context: str | Callable[[], str], **measured: float) -> None:
         """Raise LeakageError unless every measured deviation is within the
@@ -307,31 +304,53 @@ class _DensityWorkspace(_Workspace):
         self.phi = np.zeros((len(self.states), columns.shape[1]), dtype=complex)
         self.phi[self.support] = columns
 
-    def evolved(self, times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The blocks A_0 = Phi and A_n = exp(-i H_n t) Phi for every
-        generator n and each of the T times, T x R x (d + 1) x r, and their
-        Gram, T x (d + 1) r x (d + 1) r, not yet leakage-checked. Blocks
-        that would take more than the store's budget are refused first."""
-        t, k, r = len(times), len(self.generators) + 1, self.phi.shape[1]
-        nbytes = 16 * t * len(self.states) * k * r
-        _refuse_oversized(self.states.shape[1], self.cutoff, f"{t} x {k} evolved copies", nbytes)
-        copies = self.evolve(times, self.phi)
-        x = copies.reshape(t, len(self.states), k * r)
-        return copies, x.conj().transpose(0, 2, 1) @ x
+    def evolved(self, times: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
+        """Per group of the T times whose dense copies and Grams fit the
+        store's budget: its times, their copies A_n = exp(-i H_n t) Phi on
+        their nodes (``evolve``), the Gram of A_0 = Phi and them,
+        t x (d + 1) r x (d + 1) r, and each copy's guard-band weight, t x d,
+        not leakage-checked. Both are sums over blocks of rows made dense,
+        t x rows x (d + 1) x r, as many as fit the budget, the first block's
+        products kept as they are. One time's copies on their nodes or Gram
+        past the budget are refused before any is evolved."""
+        k, r = len(self.generators) + 1, self.phi.shape[1]
+        modes, size, nodes = self.states.shape[1], len(self.states), len(self.nodes)
+        _refuse_oversized(modes, self.cutoff, f"evolved copies on {nodes:,} nodes", 16 * nodes * r)
+        advice = "the Gram grows with the support and the group, not the buffer"
+        _refuse_oversized(modes, self.cutoff, f"overlap Gram of {k * r:,} columns", 16 * (k * r) ** 2, advice=advice)
+        order = np.argsort(self.nodes, kind="stable")  # the nodes by row
+        # the times whose dense copies (or Grams, if larger) fit the budget: one block of rows unless one time's do not
+        step = max(_CACHE_BUDGET // (16 * k * r * max(size, k * r)), 1)
+        for part in (times[lo : lo + step] for lo in range(0, len(times), step)):
+            t, y = len(part), self.evolve(part, self.phi)
+            for lo, hi, at in _blocks(self.nodes[order], size, max(_CACHE_BUDGET // (16 * t * k * r), 1)):
+                at = order[at]
+                x = np.zeros((t, hi - lo, k, r), dtype=complex)
+                x[:, :, 0] = self.phi[lo:hi]
+                x[:, self.nodes[at] - lo, self.gens[at] + 1] = y[:, at]
+                flat = x.reshape(t, hi - lo, k * r)
+                product = flat.conj().transpose(0, 2, 1) @ flat  # first, so its conjugate copy is freed before the band's
+                band = x[:, self.band[lo:hi], 1:]
+                weight = np.sum(((band @ self.p) * band.conj()).real, axis=(1, 3))
+                if lo:
+                    gram += product
+                    boundary += weight
+                else:
+                    gram, boundary = product, weight
+            yield part, y, gram, boundary
 
-    def check_copies(self, times: np.ndarray, copies: np.ndarray, gram: np.ndarray) -> None:
-        """Leakage-check every copy that ``evolved`` gave at t != 0; the
-        first to fail, by time then generator, raises."""
+    def check_copies(self, times: np.ndarray, gram: np.ndarray, boundary: np.ndarray) -> None:
+        """Leakage-check every copy ``evolved`` gave at t != 0 from its Gram
+        and band weights; the first to fail, by time then generator, raises."""
         moving = times != 0.0
         t, k, r = len(times), len(self.generators) + 1, self.phi.shape[1]
-        # the diagonal of each A P A^dag, summed in all (from A^dag A) and over the band
+        # the diagonal of each A P A^dag, summed in all (from A^dag A); the band's sum is ``boundary``
         own = np.einsum("tiaib->tiab", gram.reshape(t, k, r, k, r)[:, 1:, :, 1:])
-        band = copies[:, self.band, 1:]
         shifts = [number_shift(g.kind) > 0 for g in self.generators]
         measured = {
             "trace_deviation": np.abs(np.sum(self.p * own.conj(), axis=(2, 3)) - 1.0),
             "hermiticity": np.full(own.shape[:2], self.hermiticity),
-            "boundary_weight": np.where(shifts, np.sum(((band @ self.p) * band.conj()).real, axis=(1, 3)), 0.0),
+            "boundary_weight": np.where(shifts, boundary, 0.0),
         }
         passed = np.logical_and.reduce([value <= self.cfg.leakage_tolerance for value in measured.values()])
         for i, n in np.argwhere(moving[:, None] & ~passed)[:1].tolist():
@@ -345,20 +364,19 @@ class _DensityWorkspace(_Workspace):
         with rho_0 = rho: Tr[P M_ij P M_ij^dag] with M_ij = A_i^dag A_j, from
         the Gram of the evolved columns. Each d + 1 square is symmetric bit
         for bit. An overlap that overflows raises ValidationError."""
-        t, k, r = len(times), len(self.generators) + 1, self.phi.shape[1]
-        step = max(_CACHE_BUDGET // (16 * len(self.states) * k * r), 1)  # the times whose copies fit the budget
-        values = np.empty((t, k, k), dtype=complex)
+        k, r = len(self.generators) + 1, self.phi.shape[1]
+        values = []
         with np.errstate(over="ignore", invalid="ignore"):
-            for lo in range(0, t, step):
-                part = times[lo : lo + step]
-                copies, gram = self.evolved(part)
+            for part, _, gram, boundary in self.evolved(times):
+                t = len(part)
                 # G holds M_ij = A_i^dag A_j and (I (x) P) G (I (x) P) holds P M_ij P, both at [:, i, j] once transposed
-                pgp = (self.p @ gram.reshape(len(part), k, r, k * r)).reshape(len(part), k * r * k, r) @ self.p
-                m, pmp = (a.reshape(len(part), k, r, k, r).transpose(0, 1, 3, 2, 4) for a in (gram, pgp))
+                pgp = (self.p @ gram.reshape(t, k, r, k * r)).reshape(t, k * r * k, r) @ self.p
+                m, pmp = (a.reshape(t, k, r, k, r).transpose(0, 1, 3, 2, 4) for a in (gram, pgp))
                 pmp *= m.conj()
-                values[lo : lo + step] = np.sum(pmp, axis=(3, 4))
-                _refuse_overlaps(values[lo : lo + step][part == 0.0])  # rho's own, refused before its copies are checked
-                self.check_copies(part, copies, gram)
+                values.append(np.sum(pmp, axis=(3, 4)))
+                _refuse_overlaps(values[-1][part == 0.0])  # rho's own, refused before its copies are checked
+                self.check_copies(part, gram, boundary)
+            values = np.concatenate(values)
             _refuse_overlaps(values[times != 0.0])
         upper = np.triu(values.real)
         return upper + np.triu(upper, 1).transpose(0, 2, 1)
@@ -384,9 +402,10 @@ def evolve_density(
     ws = _DensityWorkspace(rho, (g,), cfg)
     if t == 0.0:
         return rho
-    copies, gram = ws.evolved(np.array([t]))
-    ws.check_copies(np.array([t]), copies, gram)
-    a = copies[0, :, 1]
+    ((_, y, gram, boundary),) = ws.evolved(np.array([t]))
+    ws.check_copies(np.array([t]), gram, boundary)
+    a = np.empty_like(ws.phi)
+    a[ws.nodes] = y[0]  # one generator's nodes are its rows, each once
     return DensityOperator._checked(ws.states, (a @ ws.p) @ a.conj().T)
 
 
@@ -505,7 +524,8 @@ def apply_group_word(
         ws = _Workspace(states, (g,), cfg, cutoff)
         x = np.zeros((len(ws.states), 1), dtype=complex)
         x[ws.support] = vec
-        states, vec = ws.states, ws.evolve(t, x)[0, :, 1]
+        states, vec = ws.states, np.empty_like(x)
+        vec[ws.nodes] = ws.evolve(t, x)[0]  # one generator's nodes are its rows, each once
         if shifting:
             # re, im of each entry: the band's weight is its squared norm
             band = vec[ws.band].view(float).ravel() / norm0

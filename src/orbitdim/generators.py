@@ -257,15 +257,19 @@ def _check_register(table: _MonomialTable, modes: int) -> None:
         raise ValueError(f"generator mode index {table[5].shape[1]} exceeds the {modes}-mode register")
 
 
-def _amplitudes(table: _MonomialTable, occupations: np.ndarray) -> np.ndarray:
+def _amplitudes(table: _MonomialTable, occupations: np.ndarray, mono: np.ndarray | None = None) -> np.ndarray:
     """Monomials x support rows: the square roots each monomial of a table
     takes on each row (S x m, or wider: no column past a monomial's modes
-    is read), 0 where the monomial annihilates the row."""
+    is read), 0 where the monomial annihilates the row; given ``mono``, the
+    one that monomial mono[i] takes on row i."""
     _, _, modes, used, offsets, _ = table
-    # the occupation each slot reads, monomials x slots x sources; a state
-    # already annihilated (factor 0, n possibly -1) stays at zero
-    n = occupations.T[modes] + offsets[:, :, None]
-    factor = np.where(used[:, :, None], np.sqrt(np.maximum(n, 0)), 1.0)
+    # the occupation each slot reads, monomials x slots x sources (or rows x
+    # slots); a state already annihilated (factor 0, n possibly -1) stays at zero
+    if mono is None:
+        n, used = occupations.T[modes] + offsets[:, :, None], used[:, :, None]
+    else:
+        n, used = np.take_along_axis(occupations, modes[mono], axis=1) + offsets[mono], used[mono]
+    factor = np.where(used, np.sqrt(np.maximum(n, 0)), 1.0)
     return factor[:, 0] * factor[:, 1]
 
 
@@ -367,20 +371,19 @@ def _chain_matrices(keys: np.ndarray) -> list[np.ndarray]:
     """The matrices of chains given in order of length, one n x L x L stack
     per length, each in the order given. A chain's matrix depends only on
     its key, L << 50 | kind (its ``_KINDS`` index) << 46 | the start's
-    occupations of the kind's modes << 23 and as they are. The amplitudes are those of
-    ``_generator_action``: X moves node j to j + 1 with a product a_j of a
-    square root per step, X^dag node j + 1 to j with the same factors in
-    reverse order; N and the identity keep each node."""
-    gen, coeff, modes, used, offsets, delta = _monomials(_KIND_GENERATORS)
+    occupations of the kind's modes << 23 and as they are. A node's amplitude
+    is ``_amplitudes``' on its two occupations, as in ``_generator_action``:
+    X moves node j to j + 1 with a product a_j of a square root per step,
+    X^dag node j + 1 to j with the same factors; N and the identity keep it."""
+    gen, coeff, *_, delta = table = _monomials(_KIND_GENERATORS)
     length, kinds = keys >> 50, keys >> 46 & 0xF
     mono, adjoint = np.searchsorted(gen, kinds), np.searchsorted(gen, kinds, side="right") - 1
     chain = np.repeat(np.arange(len(keys)), length)
     j = np.arange(len(chain)) - np.repeat(np.cumsum(length) - length, length)
     x = np.stack([keys >> 23 & 0x7FFFFF, keys & 0x7FFFFF], axis=1)[chain] + j[:, None] * delta[mono[chain]]
     mono, adjoint = mono[chain], adjoint[chain]
-    n = np.where(modes[mono] == 0, x[:, :1], x[:, 1:]) + offsets[mono]
-    factor = np.where(used[mono], np.sqrt(np.maximum(n, 0)), 1.0)
-    forward, backward = coeff[mono] * (factor[:, 0] * factor[:, 1]), coeff[adjoint] * (factor[:, 0] * factor[:, 1])
+    amp = _amplitudes(table, x, mono)
+    forward, backward = coeff[mono] * amp, coeff[adjoint] * amp
     diagonal, stacks, ends = np.where(mono == adjoint, forward, 0), [], np.cumsum(np.append(0, length)).tolist()
     runs = np.flatnonzero(_run_starts(length)).tolist() + [len(keys)]
     for lo, hi in zip(runs, runs[1:]):
@@ -735,16 +738,14 @@ def _commutator_targets(
     return pair, row, value[take], off_norm2
 
 
-def _target_blocks(pair: np.ndarray, pairs: int, u_total: int) -> Iterator[tuple[int, int, slice]]:
-    """The pairs in blocks whose targets, held densely over the U first-union
-    states, fit ``_FIT_BUDGET``: yields ``(start, stop, at)`` per block of
-    pairs start .. stop - 1, ``at`` spanning its nonzeros in the targets of
-    ``_commutator_targets`` (sorted by pair)."""
-    width = max(_FIT_BUDGET // (16 * u_total), 1)
-    starts = range(0, pairs, width)
-    at = np.searchsorted(pair, [*starts, pairs]).tolist()
+def _blocks(keys: np.ndarray, total: int, width: int) -> Iterator[tuple[int, int, slice]]:
+    """The numbers 0 .. total - 1 in blocks of ``width``: yields ``(start,
+    stop, at)`` per block start .. stop - 1, ``at`` spanning the sorted
+    ``keys`` (each below ``total``) that fall in it."""
+    starts = range(0, total, width)
+    at = np.searchsorted(keys, [*starts, total]).tolist()
     for start, lo, hi in zip(starts, at, at[1:]):
-        yield start, min(start + width, pairs), slice(lo, hi)
+        yield start, min(start + width, total), slice(lo, hi)
 
 
 @functools.lru_cache(maxsize=None)
@@ -816,7 +817,8 @@ def verify_closure(
     pair, row, value, off_norm2 = _commutator_targets(applied[:d], union[by_probe], second, pairs)
     del applied  # the fit reads the directions from a_mat alone
     u_total = len(union)
-    blocks = list(_target_blocks(pair, pairs, u_total))
+    # the pairs in blocks whose targets, held densely over the U first-union states, fit the budget
+    blocks = list(_blocks(pair, pairs, max(_FIT_BUDGET // (16 * u_total), 1)))
 
     def targets(start: int, stop: int, at: slice) -> np.ndarray:
         """A block's targets densely, as 2U rows of (re, im) pairs."""

@@ -450,7 +450,8 @@ def nongaussianity_witness(psi: SparseKet, tolerance: float | None = None) -> Wi
     """Witness non-Gaussianity of a pure state: its projector-picture orbit
     dimension under the full Gaussian group exceeds m(m+3) only for
     non-Gaussian states (every Gaussian pure state sits in the vacuum orbit,
-    whose dimension is exactly m(m+3))."""
+    whose dimension is exactly m(m+3)). The witness is one-sided and never
+    fires on a one-mode Fock state |n>: its dimension 4 is the threshold at m = 1."""
     result = orbit_dimension(Group.GO, psi, Picture.KETBRA, tolerance)
     threshold = psi.modes * (psi.modes + 3)
     return WitnessResult(

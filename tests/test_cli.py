@@ -548,6 +548,28 @@ def test_witness_fock11(capsys, fock11):
     assert "witnessed: true (12 > 10)" in out
 
 
+@pytest.mark.parametrize(
+    "occupation, verdict", [((1,), "false (4 <= 4)"), ((2,), "false (4 <= 4)"), ((1, 1), "true (12 > 10)")]
+)
+def test_witness_never_fires_on_one_mode_fock_states(capsys, tmp_path, occupation, verdict):
+    """The witness is one-sided: the one-mode Fock states |1> and |2> read
+    GO ketbra dimension 4, the threshold m(m + 3) at m = 1, and are not
+    witnessed, while |1,1> is."""
+    path = tmp_path / "fock.json"
+    write_state_file(str(path), basis_ket(occupation))
+    code, out, _ = run(capsys, "witness", "--state", str(path))
+    assert code == EXIT_OK
+    assert f"witnessed: {verdict}" in out
+
+
+def test_witness_help_names_its_blind_spot(capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["witness", "--help"])
+    assert exit_info.value.code == 0
+    help_text = " ".join(capsys.readouterr().out.split())
+    assert "one-sided" in help_text and "never fires on a one-mode Fock state" in help_text
+
+
 def test_witness_rejects_density_file(capsys, density1):
     code, _, err = run(capsys, "witness", "--state", density1)
     assert code == EXIT_PICTURE
@@ -673,17 +695,18 @@ def test_estimate_refuses_a_layout_past_the_budget(capsys, tmp_path, monkeypatch
 
 
 def test_estimate_refuses_copies_past_the_budget(capsys, tmp_path, monkeypatch):
-    """Under a budget that the layout of a rank-3 m = 2 GO estimate fits
-    but one time's 16 evolved copies of its 6 columns do not: exit 2, one
-    line, nothing on stdout."""
+    """Under a budget that the layout of a rank-3 m = 2, N = 3 GO estimate
+    fits but one time's copies of its 10 columns on its 742 nodes (118,720
+    bytes) do not: exit 2, one line, nothing on stdout."""
     monkeypatch.setattr(generators, "_cache", generators._Store())
-    monkeypatch.setattr(dynamics, "_CACHE_BUDGET", 160_000)
+    monkeypatch.setattr(dynamics, "_CACHE_BUDGET", 118_000)
     path = tmp_path / "rho.json"
-    kets = [sample_sphere_state(2, 2, seed=s) for s in (1, 2, 3)]
+    kets = [sample_sphere_state(2, 3, seed=s) for s in (1, 2, 3)]
     write_state_file(str(path), mixture(list(zip((0.3, 0.3, 0.4), kets))))
     code, out, err = run(capsys, "estimate", "--state", str(path), "--group", "go", "--json")
     assert (code, out) == (EXIT_INVALID, "")
-    assert err.startswith("error: working space of 190 states (cutoff 18) too large: its 1 x 16 evolved copies would take ")
+    copies = "its evolved copies on 742 nodes would take "
+    assert err.startswith(f"error: working space of 210 states (cutoff 19) too large: {copies}")
     assert err.endswith("use a smaller --buffer\n") and err.count("\n") == 1
 
 

@@ -224,8 +224,19 @@ def test_group_word_matches_dense_propagator(g, m):
         assert_terms_close(out.terms, dict(zip(occs, expected)), tol=1e-12)
 
 
+def _rows_per_block(monkeypatch, height, generators, columns):
+    """Lift the working space's refusals and set the store's budget to
+    ``height`` rows of one time's dense copies, so that, ``height`` being
+    below its rows, the overlap Gram of ``columns`` evolved under
+    ``generators`` is summed a time at a time over blocks of that many rows."""
+    monkeypatch.setattr(dynamics, "_refuse_oversized", lambda *args, **kwargs: None)
+    monkeypatch.setattr(dynamics, "_CACHE_BUDGET", height * 16 * (generators + 1) * columns)
+
+
 @pytest.mark.parametrize("g, m", _EVERY_KIND, ids=lambda x: getattr(x, "label", str(x)))
-def test_evolve_density_matches_dense_propagator(g, m):
+def test_evolve_density_matches_dense_propagator(monkeypatch, g, m):
+    """evolve_density conjugates by the dense propagator, also when the
+    copy's overlap Gram is summed over blocks of two rows."""
     # rank two, with coherences between the two kets' supports
     rho = mixture([(0.6, sample_sphere_state(m, 1, seed=3)), (0.4, sample_sphere_state(m, 2, seed=4))])
     cutoff = _cutoff(g, 2)
@@ -233,9 +244,12 @@ def test_evolve_density_matches_dense_propagator(g, m):
     occs = list(index)
     u = _dense_propagator(g, m, cutoff, 0.4)
     expected = u @ dense_density(rho, index) @ u.conj().T
-    out = evolve_density(rho, g, 0.4, _SMALL_BUFFER)
     reference = {(a, b): expected[i, j] for i, a in enumerate(occs) for j, b in enumerate(occs)}
-    assert_entries_close(density_op(out).entries, reference, tol=1e-12)
+    for height in (None, 2):
+        if height is not None:
+            _rows_per_block(monkeypatch, height, 1, len(rho.support))
+        out = evolve_density(rho, g, 0.4, _SMALL_BUFFER)
+        assert_entries_close(density_op(out).entries, reference, tol=1e-12)
 
 
 _SUPPORTS = {
@@ -710,10 +724,11 @@ def test_go_ket_estimate_traces_no_support_columns():
 
 @pytest.mark.parametrize("state", ["m1_sphere", "m2_fock", "m2_sphere", "m2_rank2"])
 @pytest.mark.parametrize("group", list(Group))
-def test_overlaps_on_the_reached_rows_match_dense_propagators(group, state):
+def test_overlaps_on_the_reached_rows_match_dense_propagators(monkeypatch, group, state):
     """beta_ij = Tr[rho_i rho_j] from the blocks that reach the support,
-    at every time of one batch, equals the overlaps of copies evolved by
-    dense propagators on the whole truncated basis."""
+    at every time of one call, equals the overlaps of copies evolved by
+    dense propagators on the whole truncated basis, also when the overlap
+    Gram is summed a row at a time."""
     rho = {
         "m1_sphere": lambda: outer(sample_sphere_state(1, 2, seed=5)),
         "m2_fock": lambda: outer(basis_ket((1, 0))),
@@ -724,6 +739,9 @@ def test_overlaps_on_the_reached_rows_match_dense_propagators(group, state):
     ws = dynamics._DensityWorkspace(rho, elements, _SMALL_BUFFER)
     times = np.array([0.0, 0.37, -0.21])
     got = ws.beta_matrix(times)
+    assert len(ws.states) > 1
+    _rows_per_block(monkeypatch, 1, len(elements), ws.phi.shape[1])
+    in_blocks = ws.beta_matrix(times)
     m, cutoff = rho.modes, ws.cutoff
     _, index = basis_states(m, cutoff)
     dense = dense_density(rho, index)
@@ -732,6 +750,7 @@ def test_overlaps_on_the_reached_rows_match_dense_propagators(group, state):
         copies = [dense] + [u @ dense @ u.conj().T for u in propagators]
         expected = np.array([[np.trace(a @ b).real for b in copies] for a in copies])
         assert np.abs(got[k] - expected).max() <= 1e-12
+        assert np.abs(in_blocks[k] - expected).max() <= 1e-12
     if state == "m2_fock" and group is not Group.PLO:
         assert len(ws.states) < math.comb(m + cutoff, m)  # the restriction is exercised
 
@@ -850,54 +869,116 @@ def _rank3_density():
     return mixture([(w, sample_sphere_state(2, 2, seed=s)) for w, s in ((0.3, 1), (0.3, 2), (0.4, 3))])
 
 
-def _copy_bytes(rho, group):
-    """Bytes of one time's evolved copies, 16 R (d + 1) r."""
-    ws = dynamics._DensityWorkspace(rho, lie_basis(group, rho.modes).elements, EvolutionConfig())
-    return 16 * len(ws.states) * (len(ws.generators) + 1) * ws.phi.shape[1]
-
-
 @pytest.fixture
 def evolved_times(monkeypatch):
-    calls = []
-    evolved = dynamics._DensityWorkspace.evolved
+    """The number of times of each ``evolve`` call, and the rows of each
+    block that ``evolved`` makes dense."""
+    calls, heights = [], []
+    evolve, blocks = dynamics._Workspace.evolve, dynamics._blocks
 
-    def counted(self, times):
-        calls.append(len(times))
-        return evolved(self, times)
+    def counted(self, times, columns):
+        calls.append(np.size(times))
+        return evolve(self, times, columns)
 
-    monkeypatch.setattr(dynamics._DensityWorkspace, "evolved", counted)
-    return calls
+    def measured(keys, total, width):
+        for lo, hi, at in blocks(keys, total, width):
+            heights.append(hi - lo)
+            yield lo, hi, at
+
+    monkeypatch.setattr(dynamics._Workspace, "evolve", counted)
+    monkeypatch.setattr(dynamics, "_blocks", measured)
+    return calls, heights
+
+
+def _dense_copy_bytes(rho, group):
+    """Bytes of one time's evolved copies made dense, 16 R (d + 1) r."""
+    ws = dynamics._DensityWorkspace(rho, lie_basis(group, rho.modes).elements, EvolutionConfig())
+    return 16 * len(ws.states) * (len(ws.generators) + 1) * ws.phi.shape[1]
 
 
 @pytest.mark.parametrize("per_chunk, chunks", [(1, [1] * 5), (2, [2, 2, 1]), (4, [4, 1]), (5, [5])])
 def test_estimate_evolves_its_times_in_chunks_that_fit_the_budget(empty_cache, monkeypatch, evolved_times, per_chunk, chunks):
     """A rank-3 m = 2 GO estimate evolves its five times in chunks whose
-    copies fit the budget, and each chunk gives the bits it gives when all
-    five times are evolved at once."""
+    dense copies fit the budget, all 130 rows of a chunk in one block, and
+    each chunk gives the bits it gives when all five times are evolved at
+    once. Its five overlap Grams (737,280 bytes) pass a budget of one
+    time's dense copies (199,680), which one time's Gram (147,456) fits."""
+    calls, heights = evolved_times
     rho = _rank3_density()
     whole = estimate_gram_matrix(rho, Group.GO)
-    assert evolved_times == [5]
-    evolved_times.clear()
-    monkeypatch.setattr(dynamics, "_CACHE_BUDGET", per_chunk * _copy_bytes(rho, Group.GO))
+    assert (calls, heights, whole.working_rows) == ([5], [130], 130)
+    calls.clear()
+    heights.clear()
+    assert _dense_copy_bytes(rho, Group.GO) == 199_680
+    monkeypatch.setattr(dynamics, "_CACHE_BUDGET", per_chunk * 199_680)
     part = estimate_gram_matrix(rho, Group.GO)
-    assert evolved_times == chunks
+    assert (calls, heights) == (chunks, [130] * len(chunks))
     for name in ("values", "coarse", "fine", "max_boundary_weight", "max_trace_deviation", "hermiticity_residual"):
         assert np.array_equal(getattr(whole, name), getattr(part, name))
 
 
-def test_copies_past_the_budget_are_refused_before_they_are_evolved(empty_cache, monkeypatch, evolved_times):
-    """Under a budget that the layout of a rank-3 m = 2 GO density fits but
-    one time's copies do not, an estimate and an overlap are refused
-    before any copy is evolved."""
-    rho = _rank3_density()
-    monkeypatch.setattr(dynamics, "_CACHE_BUDGET", _copy_bytes(rho, Group.GO) - 1)
+@pytest.mark.parametrize("state", ["rank3", "ket"])
+def test_overlaps_summed_over_row_blocks_match_one_block(empty_cache, monkeypatch, evolved_times, state):
+    """The overlap Gram of a rank-3 m = 2 GO density and of an m = 2, N = 2
+    GO ket at an estimate's five times, summed a time at a time over the 2,
+    3 or 130 blocks of its 130 rows that the budget allows (its refusals
+    lifted), gives every beta within 1e-14 max(1, |beta|) of one block's,
+    and every copy's guard-band weight, a sum of terms >= 0, within 1e-12 of
+    it relative; the default budget makes one block of all five times."""
+    calls, heights = evolved_times
+    rho = _rank3_density() if state == "rank3" else sample_sphere_state(2, 2, seed=1)
+    ws = dynamics._DensityWorkspace(rho, lie_basis(Group.GO, 2).elements, EvolutionConfig())
+    times = np.array([0.0, 1e-3, -1e-3, 5e-4, -5e-4])
+    whole = ws.beta_matrix(times)
+    ((_, _, _, boundary),) = ws.evolved(times)
+    assert boundary[1:].max() > 0.0
+    rows = len(ws.states)
+    assert (calls, heights, rows) == ([5, 5], [rows] * 2, 130)
+    for blocks in (2, 3, rows):
+        calls.clear()
+        heights.clear()
+        height = -(-rows // blocks)
+        _rows_per_block(monkeypatch, height, len(ws.generators), ws.phi.shape[1])
+        got = ws.beta_matrix(times)
+        band = np.concatenate([found[3] for found in ws.evolved(times)])
+        assert (calls, len(heights)) == ([1] * 10, 10 * blocks)
+        assert np.all(np.abs(got - whole) <= 1e-14 * np.maximum(1.0, np.abs(whole)))
+        assert np.all(np.abs(band - boundary) <= 1e-12 * boundary)
+
+
+def _refused_before_evolving(monkeypatch, budget, message, call):
+    """``call`` is refused with ``message`` under ``budget`` before any copy
+    is evolved."""
+    monkeypatch.setattr(dynamics, "_CACHE_BUDGET", budget)
     monkeypatch.setattr(dynamics._Workspace, "evolve", lambda *args: pytest.fail("copies evolved"))
-    message = r"^working space of 190 states \(cutoff 18\) too large: its 1 x 16 evolved copies would take"
     with pytest.raises(ValidationError, match=message):
-        estimate_gram_matrix(rho, Group.GO)
-    with pytest.raises(ValidationError, match=message):
-        beta(rho, 1, 2, 0.1, Group.GO)
-    assert evolved_times == [1, 1]  # refused inside, at one time each
+        call()
+
+
+def test_copies_past_the_budget_are_refused_before_they_are_evolved(empty_cache, monkeypatch):
+    """A rank-3 m = 2 GO density evolves its 6 columns on 522 nodes, 50,112
+    bytes a time. Under a budget one byte short of them, an estimate and an
+    overlap are refused before any copy is evolved; the layout was stored
+    before the budget fell."""
+    rho = _rank3_density()
+    ws = dynamics._DensityWorkspace(rho, lie_basis(Group.GO, 2).elements, EvolutionConfig())
+    assert (len(ws.nodes), ws.phi.shape[1]) == (522, 6)
+    message = r"^working space of 190 states \(cutoff 18\) too large: its evolved copies on 522 nodes would take"
+    _refused_before_evolving(monkeypatch, 50_112 - 1, message, lambda: estimate_gram_matrix(rho, Group.GO))
+    _refused_before_evolving(monkeypatch, 50_112 - 1, message, lambda: beta(rho, 1, 2, 0.1, Group.GO))
+
+
+def test_overlap_gram_past_the_budget_is_refused_before_copies_are_evolved(empty_cache, monkeypatch):
+    """One time's overlap Gram of a rank-3 m = 2 GO density, over its 16 x 6
+    evolved columns, takes 147,456 bytes: under a budget one byte short of
+    it, which its copies (50,112 bytes a time) and layout fit, an estimate
+    is refused before any copy is evolved, and not told to shrink the buffer."""
+    rho = _rank3_density()
+    message = (
+        r"^working space of 190 states \(cutoff 18\) too large: its overlap Gram of 96 columns would take 0 MiB, "
+        r"over the 0 MiB budget; the Gram grows with the support and the group, not the buffer$"
+    )
+    _refused_before_evolving(monkeypatch, 147_456 - 1, message, lambda: estimate_gram_matrix(rho, Group.GO))
 
 
 def test_photons_past_a_chain_key_are_refused():
