@@ -14,10 +14,11 @@ working space of its one generator through the rows of the factor before
 it. Each chain key is eigendecomposed on its first use in the process and
 then read from the store's memo; the chains of one key are evolved as one
 group, by two products with a copy of the key's eigenvectors, and every
-one-node chain in one more group. A density evolves as the r columns
-of its support, a ket's projector as the one column psi/|psi|, each copy
-on its own nodes, its times in as few groups as their copies made dense,
-or their Grams where larger, fit the store's budget; a time whose dense
+one-node chain in one more group. A density evolves as the r
+eigenvectors of its matrix over its support, each weighted by its
+eigenvalue, a ket's projector as the one column psi/|psi|, each copy on
+its own nodes, its times in as few groups as their copies made dense, or
+their Grams where larger, fit the store's budget; a time whose dense
 copies do not fit sums its Gram over blocks of rows that do. Photon-shifting
 generators get a buffer of photons above the support; the weight in the
 top two sectors (the guard band) is the truncation-leakage proxy, checked
@@ -30,7 +31,7 @@ layouts and the decomposed chains are kept there.
 from __future__ import annotations
 
 import math
-from collections.abc import Callable, Iterable, Iterator, Sequence
+from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -61,8 +62,6 @@ from .generators import (
     lie_basis,
     number_shift,
 )
-
-_IMAG_RESIDUE_TOL = 1e-12
 
 
 class LeakageError(RuntimeError):
@@ -279,37 +278,39 @@ class _Workspace:
 
 
 class _DensityWorkspace(_Workspace):
-    """The working space of one density rho = Phi P Phi^dag under a set of
-    generators, so that an evolved copy U rho U^dag is A P A^dag with the
-    R x r block A = U Phi. For a density, Phi holds the rows of rho's
-    support and P is rho over the support; for a ket psi, the projector
-    |psi><psi| / <psi|psi> has Phi = psi/|psi| on the support rows and
-    P = [[1]], so r = 1."""
+    """The working space of one density rho = Phi diag(w) Phi^dag under a set
+    of generators, so that an evolved copy U rho U^dag is A diag(w) A^dag
+    with the R x r block A = U Phi. For a density, w and the columns of Phi
+    on the support rows are the eigenvalues and eigenvectors of rho over the
+    support; for a ket psi, the projector |psi><psi| / <psi|psi> has
+    Phi = psi/|psi| on the support rows and w = [1], so r = 1."""
 
     def __init__(
         self, state: SparseKet | DensityOperator, generators: Sequence[GeneratorDescriptor], cfg: EvolutionConfig
     ) -> None:
         if isinstance(state, SparseKet):
             support, amps = normalize(state).arrays()
-            columns = amps[:, None]
-            self.p = np.ones((1, 1), dtype=complex)
+            self.w, columns = np.ones(1), amps[:, None]
             # a ket's projector is Hermitian by construction
             self.hermiticity = 0.0
         else:
-            support, columns = state.support, np.eye(len(state.support), dtype=complex)
-            self.p = state.matrix
-            # (A P A^dag)^dag = A P^dag A^dag, so every copy inherits P's residual
+            support, (self.w, columns) = state.support, np.linalg.eigh(state.matrix)
+            # eigh reads rho's lower triangle alone, so the copies are of the Hermitian matrix it makes;
+            # the residual max|rho - rho^dag| bounds each entry of rho that it leaves out
             self.hermiticity = state.hermiticity_residual
         super().__init__(support, generators, cfg)
         self.phi = np.zeros((len(self.states), columns.shape[1]), dtype=complex)
         self.phi[self.support] = columns
 
-    def evolved(self, times: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
-        """Per group of the T times whose dense copies and Grams fit the
-        store's budget: its times, their copies A_n = exp(-i H_n t) Phi on
-        their nodes (``evolve``), the Gram of A_0 = Phi and them,
-        t x (d + 1) r x (d + 1) r, and each copy's guard-band weight, t x d,
-        not leakage-checked. Both are sums over blocks of rows made dense,
+    def overlaps(self, times: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """At each of the T times, from the copies A_n = exp(-i H_n t) Phi on
+        their nodes (``evolve``) and A_0 = Phi: beta, T x (d + 1) x (d + 1),
+        sum_ab w_a w_b |M_ij[a, b]|^2 with M_ij = A_i^dag A_j; each copy's
+        trace, T x d, sum_a w_a (A_n^dag A_n)[a, a], complex; and its
+        guard-band weight, T x d; neither is leakage-checked. M is read from
+        the Gram of the copies, (d + 1) r x (d + 1) r, formed per group of
+        times whose dense copies and Grams fit the store's budget; the Gram
+        and band weights are sums over blocks of rows made dense,
         t x rows x (d + 1) x r, as many as fit the budget, the first block's
         products kept as they are. One time's copies on their nodes or Gram
         past the budget are refused before any is evolved."""
@@ -321,6 +322,8 @@ class _DensityWorkspace(_Workspace):
         order = np.argsort(self.nodes, kind="stable")  # the nodes by row
         # the times whose dense copies (or Grams, if larger) fit the budget: one block of rows unless one time's do not
         step = max(_CACHE_BUDGET // (16 * k * r * max(size, k * r)), 1)
+        weights = np.outer(self.w, self.w)[:, None]  # against the Gram's two column axes
+        found = []
         for part in (times[lo : lo + step] for lo in range(0, len(times), step)):
             t, y = len(part), self.evolve(part, self.phi)
             for lo, hi, at in _blocks(self.nodes[order], size, max(_CACHE_BUDGET // (16 * t * k * r), 1)):
@@ -331,25 +334,25 @@ class _DensityWorkspace(_Workspace):
                 flat = x.reshape(t, hi - lo, k * r)
                 product = flat.conj().transpose(0, 2, 1) @ flat  # first, so its conjugate copy is freed before the band's
                 band = x[:, self.band[lo:hi], 1:]
-                weight = np.sum(((band @ self.p) * band.conj()).real, axis=(1, 3))
+                weight = np.sum((band * band.conj()).real * self.w, axis=(1, 3))
                 if lo:
                     gram += product
                     boundary += weight
                 else:
                     gram, boundary = product, weight
-            yield part, y, gram, boundary
+            m = gram.reshape(t, k, r, k, r)
+            trace = np.einsum("tiaia->tia", m[:, 1:, :, 1:]) @ self.w
+            found.append((np.sum((m * m.conj()).real * weights, axis=(2, 4)), trace, boundary))
+        return tuple(np.concatenate(a) for a in zip(*found))
 
-    def check_copies(self, times: np.ndarray, gram: np.ndarray, boundary: np.ndarray) -> None:
-        """Leakage-check every copy ``evolved`` gave at t != 0 from its Gram
-        and band weights; the first to fail, by time then generator, raises."""
+    def check_copies(self, times: np.ndarray, trace: np.ndarray, boundary: np.ndarray) -> None:
+        """Leakage-check every copy at t != 0 from its trace and guard-band
+        weight (T x d); the first to fail, by time then generator, raises."""
         moving = times != 0.0
-        t, k, r = len(times), len(self.generators) + 1, self.phi.shape[1]
-        # the diagonal of each A P A^dag, summed in all (from A^dag A); the band's sum is ``boundary``
-        own = np.einsum("tiaib->tiab", gram.reshape(t, k, r, k, r)[:, 1:, :, 1:])
         shifts = [number_shift(g.kind) > 0 for g in self.generators]
         measured = {
-            "trace_deviation": np.abs(np.sum(self.p * own.conj(), axis=(2, 3)) - 1.0),
-            "hermiticity": np.full(own.shape[:2], self.hermiticity),
+            "trace_deviation": np.abs(trace - 1.0),
+            "hermiticity": np.full(trace.shape, self.hermiticity),
             "boundary_weight": np.where(shifts, boundary, 0.0),
         }
         passed = np.logical_and.reduce([value <= self.cfg.leakage_tolerance for value in measured.values()])
@@ -361,34 +364,22 @@ class _DensityWorkspace(_Workspace):
 
     def beta_matrix(self, times: np.ndarray) -> np.ndarray:
         """beta_ij = Tr[rho_i rho_j] for i, j in 0..d at each of the T times,
-        with rho_0 = rho: Tr[P M_ij P M_ij^dag] with M_ij = A_i^dag A_j, from
-        the Gram of the evolved columns. Each d + 1 square is symmetric bit
-        for bit. An overlap that overflows raises ValidationError."""
-        k, r = len(self.generators) + 1, self.phi.shape[1]
-        values = []
+        with rho_0 = rho, from ``overlaps``, every copy leakage-checked. Each
+        d + 1 square is symmetric bit for bit. An overlap that overflows
+        raises ValidationError."""
         with np.errstate(over="ignore", invalid="ignore"):
-            for part, _, gram, boundary in self.evolved(times):
-                t = len(part)
-                # G holds M_ij = A_i^dag A_j and (I (x) P) G (I (x) P) holds P M_ij P, both at [:, i, j] once transposed
-                pgp = (self.p @ gram.reshape(t, k, r, k * r)).reshape(t, k * r * k, r) @ self.p
-                m, pmp = (a.reshape(t, k, r, k, r).transpose(0, 1, 3, 2, 4) for a in (gram, pgp))
-                pmp *= m.conj()
-                values.append(np.sum(pmp, axis=(3, 4)))
-                _refuse_overlaps(values[-1][part == 0.0])  # rho's own, refused before its copies are checked
-                self.check_copies(part, gram, boundary)
-            values = np.concatenate(values)
+            values, trace, boundary = self.overlaps(times)
+            _refuse_overlaps(values[times == 0.0])  # rho's own, refused before its copies are checked
+            self.check_copies(times, trace, boundary)
             _refuse_overlaps(values[times != 0.0])
-        upper = np.triu(values.real)
+        upper = np.triu(values)
         return upper + np.triu(upper, 1).transpose(0, 2, 1)
 
 
 def _refuse_overlaps(values: np.ndarray) -> None:
-    """Refuse overlaps that are not finite or have an imaginary residue."""
+    """Refuse overlaps that are not finite."""
     if not np.isfinite(values).all():
         raise ValidationError("beta overlap is not finite: the density's entries are too large")
-    failed = ~(np.abs(values.imag) <= _IMAG_RESIDUE_TOL * np.maximum(1.0, np.abs(values.real)))
-    if failed.any():
-        raise ValidationError(f"beta overlap has imaginary residue {values.imag[failed][0]:.3e}")
 
 
 def evolve_density(
@@ -402,11 +393,11 @@ def evolve_density(
     ws = _DensityWorkspace(rho, (g,), cfg)
     if t == 0.0:
         return rho
-    ((_, y, gram, boundary),) = ws.evolved(np.array([t]))
-    ws.check_copies(np.array([t]), gram, boundary)
     a = np.empty_like(ws.phi)
-    a[ws.nodes] = y[0]  # one generator's nodes are its rows, each once
-    return DensityOperator._checked(ws.states, (a @ ws.p) @ a.conj().T)
+    a[ws.nodes] = ws.evolve(t, ws.phi)[0]  # one generator's nodes are its rows, each once
+    weighted = (a * a.conj()).real * ws.w  # summed over its columns, the diagonal of A diag(w) A^dag
+    ws.check_copies(np.array([t]), weighted.sum(keepdims=True), weighted[ws.band].sum(keepdims=True))
+    return DensityOperator._checked(ws.states, (a * ws.w) @ a.conj().T)
 
 
 def beta(
@@ -435,7 +426,8 @@ class EstimatedGram:
     """The estimated Gram matrix with its raw stencil values, the working
     space it was evolved in (the D states of at most ``cutoff`` photons, of
     which it holds R rows), and the largest leakage measured over every
-    evolved copy."""
+    evolved copy A diag(w) A^dag; ``hermiticity_residual`` is rho's own,
+    which no copy carries."""
 
     group: Group
     modes: int

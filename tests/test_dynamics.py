@@ -722,18 +722,28 @@ def test_go_ket_estimate_traces_no_support_columns():
     assert peak < 16 * 2**20
 
 
-@pytest.mark.parametrize("state", ["m1_sphere", "m2_fock", "m2_sphere", "m2_rank2"])
+def _indefinite_density():
+    """The m = 2 density [[0.5, 0.6 + 0.2j], [0.6 - 0.2j, 0.5]] on |1,0> and
+    |0,1>, whose eigenvalues are -0.132 and 1.132: it has unit trace and is
+    Hermitian, so it validates."""
+    keys = np.array([[[1, 0], [1, 0]], [[1, 0], [0, 1]], [[0, 1], [1, 0]], [[0, 1], [0, 1]]], dtype=np.int64)
+    return DensityOperator.from_entries(keys, np.array([0.5, 0.6 + 0.2j, 0.6 - 0.2j, 0.5]))
+
+
+@pytest.mark.parametrize("state", ["m1_sphere", "m2_fock", "m2_sphere", "m2_rank2", "m2_indefinite"])
 @pytest.mark.parametrize("group", list(Group))
 def test_overlaps_on_the_reached_rows_match_dense_propagators(monkeypatch, group, state):
     """beta_ij = Tr[rho_i rho_j] from the blocks that reach the support,
     at every time of one call, equals the overlaps of copies evolved by
     dense propagators on the whole truncated basis, also when the overlap
-    Gram is summed a row at a time."""
+    Gram is summed a row at a time, and also for a density with a negative
+    eigenvalue."""
     rho = {
         "m1_sphere": lambda: outer(sample_sphere_state(1, 2, seed=5)),
         "m2_fock": lambda: outer(basis_ket((1, 0))),
         "m2_sphere": lambda: outer(sample_sphere_state(2, 2, seed=6)),
         "m2_rank2": lambda: mixture([(0.6, sample_sphere_state(2, 1, seed=3)), (0.4, sample_sphere_state(2, 2, seed=4))]),
+        "m2_indefinite": _indefinite_density,
     }[state]()
     elements = lie_basis(group, rho.modes).elements
     ws = dynamics._DensityWorkspace(rho, elements, _SMALL_BUFFER)
@@ -930,7 +940,7 @@ def test_overlaps_summed_over_row_blocks_match_one_block(empty_cache, monkeypatc
     ws = dynamics._DensityWorkspace(rho, lie_basis(Group.GO, 2).elements, EvolutionConfig())
     times = np.array([0.0, 1e-3, -1e-3, 5e-4, -5e-4])
     whole = ws.beta_matrix(times)
-    ((_, _, _, boundary),) = ws.evolved(times)
+    boundary = ws.overlaps(times)[2]
     assert boundary[1:].max() > 0.0
     rows = len(ws.states)
     assert (calls, heights, rows) == ([5, 5], [rows] * 2, 130)
@@ -940,7 +950,7 @@ def test_overlaps_summed_over_row_blocks_match_one_block(empty_cache, monkeypatc
         height = -(-rows // blocks)
         _rows_per_block(monkeypatch, height, len(ws.generators), ws.phi.shape[1])
         got = ws.beta_matrix(times)
-        band = np.concatenate([found[3] for found in ws.evolved(times)])
+        band = ws.overlaps(times)[2]
         assert (calls, len(heights)) == ([1] * 10, 10 * blocks)
         assert np.all(np.abs(got - whole) <= 1e-14 * np.maximum(1.0, np.abs(whole)))
         assert np.all(np.abs(band - boundary) <= 1e-12 * boundary)
