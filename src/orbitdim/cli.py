@@ -4,8 +4,8 @@ witness, finite-difference estimation, state sampling, and the dual-rail
 CNOT demonstration.
 
 Exit codes: 0 success; 1 quantitative mismatch (table2 / generic / cnot-demo /
-estimate); 2 parse or validation failure; 3 picture/kind mismatch; 4
-truncation leakage.
+estimate); 2 parse or validation failure, or out of memory; 3 picture/kind
+mismatch; 4 truncation leakage.
 
 Structured (--json) output is deterministic: sorted keys, floats rendered
 with 17 significant digits, no timing fields. Elapsed time appears only in
@@ -733,6 +733,10 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_PICTURE
     except (ValidationError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INVALID
+    except MemoryError as exc:
+        detail = f": {exc}" if str(exc) else ""  # numpy's names the array it could not allocate
+        print(f"error: out of memory{detail}", file=sys.stderr)
         return EXIT_INVALID
 
 

@@ -33,6 +33,7 @@ targets (``_rank_states``) are in the same numeric lexicographic order.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 import operator
 import sys
@@ -87,6 +88,12 @@ def _unchecked(cls, **values):
     state = object.__new__(cls)
     state.__dict__.update(values)
     return state
+
+
+def _frozen(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
+    for a in arrays:
+        a.setflags(write=False)
+    return arrays
 
 
 def _run_starts(ordered: np.ndarray) -> np.ndarray:
@@ -156,7 +163,8 @@ class SparseKet:
     """Finite complex combination of occupation-number basis states.
 
     Exact zeros are dropped at construction; an empty term map is the zero
-    ket. Instances are treated as immutable.
+    ket. A ket keeps its arrays, its norm and its unit column psi/|psi|
+    once they are first asked for, so its terms must not be mutated.
     """
 
     modes: int
@@ -173,10 +181,17 @@ class SparseKet:
                 clean[key] = value
         object.__setattr__(self, "terms", clean)
 
+    def __getstate__(self) -> dict:
+        return {"modes": self.modes, "terms": self.terms}  # what it keeps is derived again
+
     def is_zero(self) -> bool:
         return not self.terms
 
     def norm(self) -> float:
+        return self._norm
+
+    @functools.cached_property
+    def _norm(self) -> float:
         return math.sqrt(sum(a.real * a.real + a.imag * a.imag for a in self.terms.values()))
 
     def max_total(self) -> int:
@@ -185,9 +200,22 @@ class SparseKet:
 
     def arrays(self) -> tuple[np.ndarray, np.ndarray]:
         """The support as an S x m int64 array and the amplitudes, in term
-        order."""
+        order; both read-only, and the same two objects on every call."""
+        return self._arrays
+
+    @functools.cached_property
+    def _arrays(self) -> tuple[np.ndarray, np.ndarray]:
         states = np.array(list(self.terms), dtype=np.int64).reshape(len(self.terms), self.modes)
-        return states, np.fromiter(self.terms.values(), dtype=complex, count=len(self.terms))
+        return _frozen(states, np.fromiter(self.terms.values(), dtype=complex, count=len(self.terms)))
+
+    @functools.cached_property
+    def _unit(self) -> np.ndarray:
+        """psi/|psi| as a read-only S x 1 column over the support of
+        ``arrays``, the squared norm summed by numpy."""
+        amps = self._arrays[1]
+        column = (amps / math.sqrt(float(np.sum(amps.real * amps.real + amps.imag * amps.imag))))[:, None]
+        column.setflags(write=False)
+        return column
 
     @classmethod
     def from_arrays(cls, states: np.ndarray, amps: np.ndarray) -> "SparseKet":
@@ -197,8 +225,11 @@ class SparseKet:
         _check_rows(states)
         amps = np.asarray(amps, dtype=complex)
         kept = np.flatnonzero(amps)
-        terms = dict(zip(map(tuple, states[kept].tolist()), amps[kept].tolist()))
-        return _unchecked(cls, modes=states.shape[1], terms=terms)
+        states, amps = np.asarray(states[kept], dtype=np.int64), amps[kept]
+        terms = dict(zip(map(tuple, states.tolist()), amps.tolist()))
+        if len(terms) < len(kept):  # a repeated row: the map keeps its last amplitude
+            return _unchecked(cls, modes=states.shape[1], terms=terms)
+        return _unchecked(cls, modes=states.shape[1], terms=terms, _arrays=_frozen(states, amps))
 
 
 def basis_ket(occ: Sequence[int]) -> SparseKet:

@@ -10,6 +10,7 @@ eigenvalue spectrum.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -55,7 +56,12 @@ class Exactness(Enum):
 
 @dataclass(frozen=True)
 class GramMatrix:
-    """Real symmetric PSD matrix of generator-direction correlations."""
+    """Real symmetric PSD matrix of generator-direction correlations.
+
+    The one place a Gram is validated: an array the constructor does not
+    own is copied, the shape is checked against the (group, modes)
+    dimension, the entries must be finite and symmetric within
+    ``_SYMMETRY_TOL``, and ``values`` is frozen."""
 
     group: Group
     picture: Picture
@@ -64,15 +70,21 @@ class GramMatrix:
     basis: LieBasis
 
     def __post_init__(self) -> None:
-        values = np.asarray(self.values, dtype=float)
-        d = self.group.dimension(self.modes)
+        values = self.values
+        if not (type(values) is np.ndarray and values.dtype == float and values.flags.owndata):
+            values = np.array(values, dtype=float)  # a view's base could still write to it
+        d = _dimension(self.group, self.modes)
         if values.shape != (d, d):
             raise ValidationError(f"Gram matrix shape {values.shape} does not match dimension {d}")
-        asym = float(np.max(np.abs(values - values.T))) if d else 0.0
-        if not asym <= _SYMMETRY_TOL:  # a non-finite entry makes asym inf or NaN
-            if not np.isfinite(values).all():
-                raise ValidationError("Gram matrix is not finite: a product of directions overflowed")
-            raise ValidationError(f"Gram asymmetry {asym:.3e} exceeds {_SYMMETRY_TOL:.1e}")
+        # a NaN or inf entry differs from its mirror entry by NaN or inf, so
+        # all-zero differences mean finite and exactly symmetric: only a
+        # nonzero difference needs the maximum
+        if (values - values.T).any():
+            asym = float(np.max(np.abs(values - values.T)))
+            if not asym <= _SYMMETRY_TOL:  # a non-finite entry makes asym inf or NaN
+                if not np.isfinite(values).all():
+                    raise ValidationError("Gram matrix is not finite: a product of directions overflowed")
+                raise ValidationError(f"Gram asymmetry {asym:.3e} exceeds {_SYMMETRY_TOL:.1e}")
         values.setflags(write=False)
         object.__setattr__(self, "values", values)
 
@@ -107,8 +119,14 @@ def _check_normalized(psi: SparseKet) -> None:
         raise ValidationError(f"state is not normalized: measured norm {nrm!r} (tol {NORM_TOL:.1e})")
 
 
-def _norm2(amps: np.ndarray) -> float:
-    return float(np.sum(amps.real * amps.real + amps.imag * amps.imag))
+@functools.lru_cache(maxsize=None)
+def _dimension(group: Group, m: int) -> int:
+    return group.dimension(m)
+
+
+@functools.lru_cache(maxsize=None)
+def _identity_rows(group: Group, m: int) -> tuple[int, ...]:
+    return tuple(i for i, g in enumerate(lie_basis(group, m).elements) if g.kind == IDENTITY_KIND)
 
 
 def _re_gram(x: np.ndarray) -> np.ndarray:
@@ -121,10 +139,9 @@ def _re_gram(x: np.ndarray) -> np.ndarray:
 def _without_identity(basis: LieBasis, values: np.ndarray) -> np.ndarray:
     """Zero the identity's row and column: [I, rho] = 0 for every rho, while
     the subtraction formulas leave rounding residue of order 1e-17 there."""
-    for i, g in enumerate(basis.elements):
-        if g.kind == IDENTITY_KIND:
-            values[i, :] = 0.0
-            values[:, i] = 0.0
+    for i in _identity_rows(basis.group, basis.modes):
+        values[i, :] = 0.0
+        values[:, i] = 0.0
     return values
 
 
@@ -149,9 +166,8 @@ def _commutator_gram(
 def _projector_gram(group: Group, psi: SparseKet, picture: Picture) -> GramMatrix:
     """The commutator Gram matrix of |psi><psi|, with Phi = W = psi/|psi|."""
     _check_pure(psi, picture)
-    occupations, amps = psi.arrays()
-    phi = (amps / math.sqrt(_norm2(amps)))[:, None]
-    return _commutator_gram(group, picture, occupations, phi, phi)
+    phi = psi._unit
+    return _commutator_gram(group, picture, psi.arrays()[0], phi, phi)
 
 
 def gram_ket(group: Group, psi: SparseKet) -> GramMatrix:
@@ -197,9 +213,12 @@ def rank_psd(gram: GramMatrix | np.ndarray, tolerance: float | None = None) -> R
     which must be finite and non-negative. The full descending spectrum is
     returned so callers can re-threshold.
     """
-    values = gram.values if isinstance(gram, GramMatrix) else np.asarray(gram, dtype=float)
-    if not np.isfinite(values).all():
-        raise ValidationError("Gram matrix contains NaN or infinite entries")
+    if isinstance(gram, GramMatrix):  # validated where it was built
+        values = gram.values
+    else:
+        values = np.asarray(gram, dtype=float)
+        if not np.isfinite(values).all():
+            raise ValidationError("Gram matrix contains NaN or infinite entries")
     eigs = np.linalg.eigvalsh(values)
     lam_max = float(eigs[-1]) if eigs.size else 0.0
     floor = -_PSD_FLOOR * max(1.0, lam_max)

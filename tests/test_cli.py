@@ -351,6 +351,25 @@ def test_density_whose_gram_overflows_exits_2_without_output(capsys, tmp_path, c
     assert "not finite" in err
 
 
+@pytest.mark.parametrize(
+    "message, line",
+    [
+        (("Unable to allocate 1.72 GiB for an array",), "error: out of memory: Unable to allocate 1.72 GiB for an array\n"),
+        ((), "error: out of memory\n"),
+    ],
+    ids=["numpy", "bare"],
+)
+def test_out_of_memory_exits_2_without_traceback(capsys, monkeypatch, message, line):
+    def exhausted(*args, **kwargs):
+        raise MemoryError(*message)
+
+    monkeypatch.setattr(cli, "verify_closure", exhausted)
+    code, out, err = run(capsys, "closure", "--group", "go", "--m", "16", "--json")
+    assert code == EXIT_INVALID
+    assert out == ""
+    assert err == line
+
+
 # ------------------------------------------------------------------ dim/gram
 
 

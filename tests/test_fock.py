@@ -2,7 +2,9 @@
 arithmetic (ladder actions, inner products) of ``_oracle``, which the sparse
 reference formulas there are built on."""
 
+import copy
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -272,6 +274,34 @@ def test_ket_arrays_round_trip(terms):
     states, amps = psi.arrays()
     assert states.dtype == np.int64 and states.shape == (len(terms), 2)
     assert SparseKet.from_arrays(states, amps) == psi
+
+
+def test_ket_keeps_its_arrays_read_only():
+    psi = SparseKet(2, {(2, 1): 0.5j, (0, 3): -0.25, (1, 0): 1e-300})
+    states, amps = psi.arrays()
+    again = psi.arrays()
+    assert again[0] is states and again[1] is amps
+    assert not states.flags.writeable and not amps.flags.writeable
+    fresh = SparseKet(2, dict(psi.terms)).arrays()
+    assert states.tobytes() == fresh[0].tobytes() and amps.tobytes() == fresh[1].tobytes()
+    # a copy holds only the terms, and builds read-only arrays of its own
+    assert pickle.dumps(psi) == pickle.dumps(SparseKet(2, dict(psi.terms)))
+    for twin in (pickle.loads(pickle.dumps(psi)), copy.deepcopy(psi)):
+        assert twin == psi and not twin.arrays()[1].flags.writeable
+
+
+def test_ket_from_arrays_seeds_its_arrays_in_term_order():
+    states = np.array([[2, 0], [0, 1], [1, 1], [0, 0]], dtype=np.int64)
+    psi = SparseKet.from_arrays(states, np.array([0.5, 0.0, -0.5j, 0.25 + 0.5j]))
+    assert list(psi.terms) == [(2, 0), (1, 1), (0, 0)]
+    seeded, fresh = psi.arrays(), SparseKet(2, dict(psi.terms)).arrays()
+    assert seeded[0].shape == fresh[0].shape == (3, 2)
+    assert seeded[0].tobytes() == fresh[0].tobytes() and seeded[1].tobytes() == fresh[1].tobytes()
+    assert not seeded[0].flags.writeable and not seeded[1].flags.writeable
+    # a repeated row leaves one term, which the arrays follow
+    twice = SparseKet.from_arrays(np.array([[1, 0], [1, 0]], dtype=np.int64), np.array([1.0, 2.0]))
+    assert twice.terms == {(1, 0): 2.0}
+    assert twice.arrays()[0].tolist() == [[1, 0]] and twice.arrays()[1].tolist() == [2.0]
 
 
 def _parsed_density(tmp_path):

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from orbitdim import (
     Exactness,
     FockBasisState,
+    GramMatrix,
     Group,
     NoonState,
     OneModeSuperposition,
@@ -25,6 +26,7 @@ from orbitdim import (
     gram_ketbra,
     gram_matrix,
     gram_mixed,
+    lie_basis,
     mixture,
     nongaussianity_witness,
     normalize,
@@ -284,6 +286,62 @@ def test_rank_psd_rejects_negative_or_infinite_tolerance(tolerance):
 def test_rank_psd_rejects_indefinite_matrix():
     with pytest.raises(ValidationError):
         rank_psd(np.diag([1.0, -0.5]))
+
+
+# --------------------------------------------------------------- GramMatrix
+
+
+def _plo_gram(values) -> GramMatrix:
+    return GramMatrix(Group.PLO, Picture.KET, 2, values, lie_basis(Group.PLO, 2))
+
+
+def test_gram_matrix_refuses_a_shape_off_the_group_dimension():
+    with pytest.raises(ValidationError, match=r"shape \(3, 3\) does not match dimension 4"):
+        _plo_gram(np.eye(3))
+
+
+def test_gram_matrix_refuses_an_asymmetry_above_its_tolerance():
+    values = np.eye(4)
+    values[0, 1] = 1e-11
+    with pytest.raises(ValidationError, match="asymmetry 1.000e-11 exceeds 1.0e-12"):
+        _plo_gram(values)
+    values[0, 1] = 1e-13  # within the tolerance: kept as given
+    assert _plo_gram(values).values[0, 1] == 1e-13
+
+
+@pytest.mark.parametrize(
+    "entry, mirror",
+    [(math.nan, 0.0), (math.inf, math.inf), (-math.inf, -math.inf)],
+    ids=["nan", "inf_pair", "minus_inf_pair"],
+)
+def test_gram_matrix_refuses_non_finite_entries(entry, mirror):
+    """A symmetric pair of infinities passes an exact symmetry test; its
+    difference with its mirror entry is NaN, so it is refused as well."""
+    values = np.eye(4)
+    values[0, 1], values[1, 0] = entry, mirror
+    with np.errstate(invalid="ignore"), pytest.raises(ValidationError, match="not finite"):
+        _plo_gram(values)
+
+
+def test_gram_matrix_keeps_its_own_copy_of_a_view():
+    base = np.eye(4)
+    gram = _plo_gram(base[:])
+    base[0, 1] = 3.0
+    assert gram.values[0, 1] == 0.0 and np.array_equal(gram.values, gram.values.T)
+    assert not gram.values.flags.writeable
+    owned = np.eye(4)
+    assert _plo_gram(owned).values is owned and not owned.flags.writeable  # frozen in place
+
+
+def test_a_ranked_ket_ranks_as_a_fresh_one():
+    """A ket keeps its arrays and unit column after its first rank; every
+    later rank equals that of a fresh ket with the same terms."""
+    psi = sample_sphere_state(2, 2, 5)
+    pairs = [(group, picture) for group in Group for picture in Picture]
+    first = [orbit_dimension(group, psi, picture) for group, picture in pairs]
+    for (group, picture), before in zip(pairs, first):
+        fresh = SparseKet(psi.modes, dict(psi.terms))
+        assert orbit_dimension(group, psi, picture) == before == orbit_dimension(group, fresh, picture)
 
 
 # ---------------------------------------------------------- orbit_dimension
