@@ -59,7 +59,7 @@ import sys
 import threading
 from collections import OrderedDict
 from collections.abc import Iterable, Iterator, Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
@@ -158,7 +158,7 @@ class LieBasis:
     def __len__(self) -> int:
         return len(self.elements)
 
-    @property
+    @functools.cached_property
     def labels(self) -> tuple[str, ...]:
         return tuple(g.label for g in self.elements)
 
@@ -291,8 +291,12 @@ def _generator_action(
     _check_register(table, occupations.shape[1])
     amp = _amplitudes(table, occupations)
     mono, src = np.nonzero(amp)
-    targets = occupations[src]
-    targets[:, : delta.shape[1]] += delta[mono]
+    # each step over the whole register: whole rows are gathered and added
+    # many times faster than a slice of their columns
+    step = np.zeros((len(delta), occupations.shape[1]), dtype=np.int64)
+    step[:, : delta.shape[1]] = delta
+    targets = occupations.take(src, axis=0)
+    targets += step.take(mono, axis=0)
     union, inverse = _rank_states(np.concatenate([occupations, targets]))
     s_count = len(occupations)
     return gen[mono], src, inverse[s_count:], coeff[mono] * amp[mono, src], union, inverse[:s_count]
@@ -537,19 +541,58 @@ def commutator_with_density(g: GeneratorDescriptor, rho: DensityOperator) -> Spa
 
 @dataclass(frozen=True)
 class ClosureReport:
-    """Result of fitting every basis-pair commutator back onto the basis."""
+    """Result of fitting every basis-pair commutator back onto the basis.
+
+    The fit keeps one residual norm per pair I < J, in row-major order
+    (``pair_residuals``), and the fitted set x pairs table of coefficients
+    (``pair_coefficients``), both read-only. The per-pair dicts
+    ``residuals`` and ``coefficients`` are built from them on first read."""
 
     group: Group
     modes: int
     probe_count: int
     fit_labels: tuple[str, ...]
     max_residual: float
-    residuals: dict[tuple[int, int], float]
-    coefficients: dict[tuple[int, int], np.ndarray]
     min_normal_eigenvalue: float
+    pair_residuals: np.ndarray = field(repr=False, compare=False)
+    pair_coefficients: np.ndarray = field(repr=False, compare=False)
+
+    @property
+    def _size(self) -> int:
+        """The basis size d, from its d (d - 1) / 2 pairs."""
+        return (1 + math.isqrt(1 + 8 * len(self.pair_residuals))) // 2
+
+    @functools.cached_property
+    def residuals(self) -> dict[tuple[int, int], float]:
+        """(I, J) -> residual norm: 0.0 on the diagonal, each pair's for
+        (I, J) and (J, I), keyed in ``_report_keys`` order."""
+        d = self._size
+        return dict(zip(_report_keys(d), [0.0] * d + np.repeat(self.pair_residuals, 2).tolist()))
+
+    @functools.cached_property
+    def coefficients(self) -> dict[tuple[int, int], np.ndarray]:
+        """(I, J) -> coefficients over the fitted set: zeros on the
+        diagonal, each pair's for I < J and their negation for I > J, keyed
+        in ``_report_keys`` order."""
+        d = self._size
+        keys = _report_keys(d)
+        rows = np.zeros((len(keys), len(self.fit_labels)))
+        rows[d::2] = self.pair_coefficients.T
+        rows[d + 1 :: 2] = -self.pair_coefficients.T
+        return dict(zip(keys, rows))
 
     def coefficient(self, pair: tuple[int, int], fit_label: str) -> float:
-        return float(self.coefficients[pair][self.fit_labels.index(fit_label)])
+        """The coefficient of one fitted direction for the pair (I, J), read
+        from the table: negated for I > J and 0.0 for I = J."""
+        d = self._size
+        i, j = pair
+        if not (0 <= i < d and 0 <= j < d):
+            raise KeyError(pair)
+        k = self.fit_labels.index(fit_label)
+        if i == j:
+            return 0.0
+        c = float(self.pair_coefficients[k, _pair_index(d)[i, j]])
+        return -c if i > j else c
 
 
 def default_closure_probes(m: int) -> list[SparseKet]:
@@ -644,11 +687,11 @@ def _narrow(index: np.ndarray) -> np.ndarray:
 
 
 #: The structure of a commutator join, as ``_commutator_targets`` evaluates
-#: it: the second table; the coefficients of its second elements and, per
-#: product in key order, the nonzero of ``applied`` and the element it
-#: multiplies and whether it is negated; the run starts of the two sums, and
-#: the sums off the first unions with their pairs; then which sum is each
-#: target nonzero, and the pair and column of each.
+#: it: the second table; the coefficients c of its second elements and, per
+#: product in key order, the nonzero of ``applied`` and its factor's index
+#: in the signed table [c, -c]; the run starts of the two sums, and the sums
+#: off the first unions with their pairs; then which sum is each target
+#: nonzero, and the pair and column of each.
 _Join = tuple[_MonomialTable | np.ndarray, ...]
 
 
@@ -659,12 +702,14 @@ def _join(applied: np.ndarray, first: np.ndarray, second: _MonomialTable, pairs:
 
     Every element (J, u -> v, c) of the second application meets the
     nonzeros (I, u, a) of its source u, and a c enters the target of pair
-    (I, J) on v, with + for I < J and - for I > J. The products are sorted
-    stably by (pair, probe, v, swapped), the second-union states being
-    tagged with their probe; the two terms of a pair are summed apart, each
-    in the order of the elements, then added. Of the sums with I != J, those
-    on the first unions are the target nonzeros, in key order and so sorted
-    by pair; the others enter through their squared norm."""
+    (I, J) on v, with + for I < J and - for I > J: the product's index in
+    the signed table [c, -c] holds its sign, so no sign is applied per
+    product. The products are sorted stably by (pair, probe, v, swapped), the
+    second-union states being tagged with their probe; the two terms of a
+    pair are summed apart, each in the order of the elements, then added.
+    Of the sums with I != J, those on the first unions are the target
+    nonzeros, in key order and so sorted by pair; the others enter through
+    their squared norm."""
     d, u_total = applied.shape
     u, nonzero_row = np.nonzero(applied.T)  # by column, then by row
     count = np.bincount(u, minlength=u_total)
@@ -672,7 +717,7 @@ def _join(applied: np.ndarray, first: np.ndarray, second: _MonomialTable, pairs:
     gen, src, tgt, coeff, union, rows = _generator_action(second, first)
     # each second-union state's place probe by probe, and the column in
     # ``applied`` at each place (-1 off the first unions)
-    by_probe = np.argsort(union[:, -1], kind="stable")
+    by_probe = _stable_sort(union[:, -1])[1]
     place = np.empty_like(by_probe)
     place[by_probe] = np.arange(len(union))
     column = np.full(len(union), -1)
@@ -680,18 +725,19 @@ def _join(applied: np.ndarray, first: np.ndarray, second: _MonomialTable, pairs:
     v_bits = (len(union) - 1).bit_length()
     # each element's products run over its source's nonzeros in turn
     n = count[src]
-    element = _narrow(np.repeat(np.arange(len(src)), n))
+    element = np.repeat(np.arange(len(src), dtype=np.int32 if 2 * len(src) <= 1 << 31 else np.int64), n)
     nonzero = np.arange(len(element)) + np.repeat(begin[src] - (np.cumsum(n) - n), n)
-    i, j = nonzero_row[nonzero], gen[element]
+    i, j = nonzero_row[nonzero], np.repeat(gen, n)
     at = _narrow(i * u_total + u[nonzero])
     swapped = i > j
     del nonzero
     # (pair, place, swapped) in bit fields; a product with I = J keys one
     # past the last pair and is dropped once summed
-    key = (_pair_index(d)[i, j] << v_bits | place[tgt[element]]) << 1 | swapped
-    del gen, src, tgt, n, i, j  # the sort's peak holds only what the join keeps
+    key = (_pair_index(d)[i, j] << v_bits | np.repeat(place[tgt], n)) << 1 | swapped
+    np.add(element, len(src), out=element, where=swapped)  # in place: the negation's entry
+    del gen, src, tgt, n, i, j, swapped  # the sort's peak holds only what the join keeps
     key, order = _stable_sort(key)
-    at, element, swapped = at[order], element[order], swapped[order]
+    at, element = at[order], element[order]
     del order
     runs = _run_starts(key).nonzero()[0]
     key = key[runs] >> 1
@@ -701,7 +747,7 @@ def _join(applied: np.ndarray, first: np.ndarray, second: _MonomialTable, pairs:
     cut = np.searchsorted(pair, pairs)
     row = column[key[:cut] & ((1 << v_bits) - 1)]
     on, off = np.flatnonzero(row >= 0), np.flatnonzero(row < 0)
-    return second, coeff, at, element, swapped, *map(_narrow, (runs, merge, off, pair[off], on, pair[on], row[on]))
+    return second, coeff, at, element, *map(_narrow, (runs, merge, off, pair[off], on, pair[on], row[on]))
 
 
 def _commutator_targets(
@@ -722,17 +768,17 @@ def _commutator_targets(
     (the basis ``second`` on the first unions) are joined and summed
     (``_join``). Only their values depend on the amplitudes, so the join is
     planned once per (second table, first unions, nonzero pattern) and kept
-    in the cache; a call makes the products in key order with one
-    gather-multiply and sums them with two reduceats."""
+    in the cache; a call makes the products, signs included, in key order
+    with one gather-multiply from the signed table and sums them with two
+    reduceats."""
     key = ("join", id(second), first.shape, first.tobytes(), np.packbits(applied != 0).tobytes())
     join = _recall(key)
     if join is None:
         join = _join(applied, first, second, pairs)
         _remember(key, join, join[1:])
         _trim()
-    _, coeff, at, element, swapped, runs, merge, off, off_pair, take, pair, row = join
-    value = applied.reshape(-1)[at] * coeff[element]
-    value[swapped] *= -1
+    _, coeff, at, element, runs, merge, off, off_pair, take, pair, row = join
+    value = applied.reshape(-1)[at] * np.concatenate([coeff, -coeff])[element]
     value = np.add.reduceat(np.add.reduceat(value, runs), merge)
     off_norm2 = np.bincount(off_pair, weights=np.abs(value[off]) ** 2, minlength=pairs)
     return pair, row, value[take], off_norm2
@@ -849,20 +895,17 @@ def verify_closure(
         flat[re_at + (stop - start)] -= value[at].imag
         resid[start:stop] = np.sum(np.square(r, out=r), axis=0)
     resid = np.sqrt(resid + off_norm2)
-
-    # the report's rows in the order of its keys: zeros, then each pair's
-    # coefficients and their negation
-    keys = _report_keys(d)
-    report_rows = np.zeros((len(keys), len(fit)))
-    report_rows[d::2] = coeff.T
-    report_rows[d + 1 :: 2] = -coeff.T
+    for array in (resid, coeff):
+        array.setflags(write=False)
+    # with nothing excluded the fitted set starts with the basis, whose labels are kept
+    known = () if excluded else basis.labels
     return ClosureReport(
         group=group,
         modes=m,
         probe_count=len(probes),
-        fit_labels=tuple(g.label for g in fit),
+        fit_labels=known + tuple(g.label for g in fit[len(known) :]),
         max_residual=float(resid.max()) if resid.size else 0.0,
-        residuals=dict(zip(keys, [0.0] * d + np.repeat(resid, 2).tolist())),
-        coefficients=dict(zip(keys, report_rows)),
         min_normal_eigenvalue=min_eig,
+        pair_residuals=resid,
+        pair_coefficients=coeff,
     )

@@ -78,9 +78,15 @@ class GramMatrix:
             raise ValidationError(f"Gram matrix shape {values.shape} does not match dimension {d}")
         # a NaN or inf entry differs from its mirror entry by NaN or inf, so
         # all-zero differences mean finite and exactly symmetric: only a
-        # nonzero difference needs the maximum
-        if (values - values.T).any():
-            asym = float(np.max(np.abs(values - values.T)))
+        # nonzero difference needs the maximum. inf - inf warns, and a
+        # warnings filter may raise that warning: it means a nonzero difference
+        try:
+            asymmetric = (values - values.T).any()
+        except (RuntimeWarning, FloatingPointError):
+            asymmetric = True
+        if asymmetric:
+            with np.errstate(invalid="ignore", over="ignore"):
+                asym = float(np.max(np.abs(values - values.T)))
             if not asym <= _SYMMETRY_TOL:  # a non-finite entry makes asym inf or NaN
                 if not np.isfinite(values).all():
                     raise ValidationError("Gram matrix is not finite: a product of directions overflowed")

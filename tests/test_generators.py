@@ -303,6 +303,82 @@ def test_closure_coefficients_match_dense_commutators(group, extra):
                 assert np.max(np.abs(fitted - target)) < 1e-10, (basis[i].label, basis[j].label)
 
 
+def _dicts_built_eagerly(report, d):
+    """The per-pair dicts as a report once held them: keys (i, i) for each
+    i, then (i, j) and (j, i) for each pair i < j in row-major order; 0.0
+    and zeros on the diagonal, then each pair's residual twice and its
+    coefficients and their negation."""
+    keys = [(i, i) for i in range(d)]
+    for i, j in itertools.combinations(range(d), 2):
+        keys += [(i, j), (j, i)]
+    rows = np.zeros((len(keys), len(report.fit_labels)))
+    rows[d::2] = report.pair_coefficients.T
+    rows[d + 1 :: 2] = -report.pair_coefficients.T
+    return dict(zip(keys, [0.0] * d + np.repeat(report.pair_residuals, 2).tolist())), dict(zip(keys, rows))
+
+
+def _closure_options(group, m, case):
+    basis = lie_basis(group, m)
+    return {
+        "default": {},
+        "exclude": {"exclude": [basis.elements[0]]},
+        "extra_fit": {"extra_fit": [GeneratorDescriptor("I")]},
+        "probes": {"probes": [sample_sphere_state(m, 2, seed) for seed in range(2)] + [basis_ket((1,) + (0,) * (m - 1))]},
+    }[case]
+
+
+@pytest.mark.parametrize("case", ["default", "exclude", "extra_fit", "probes"])
+@pytest.mark.parametrize("m", [1, 2, 3])
+@pytest.mark.parametrize("group", list(Group))
+def test_closure_report_builds_its_per_pair_dicts_on_first_read(group, m, case):
+    """The report keeps the residual vector and the fitted set x pairs
+    coefficient table, read-only; its dicts, built on first read and kept,
+    equal those rebuilt from the arrays as the report once built them, key
+    order and bits included."""
+    report = verify_closure(group, m, **_closure_options(group, m, case))
+    d = len(lie_basis(group, m))
+    assert report.pair_residuals.shape == (d * (d - 1) // 2,)
+    assert report.pair_coefficients.shape == (len(report.fit_labels), d * (d - 1) // 2)
+    assert not report.pair_residuals.flags.writeable and not report.pair_coefficients.flags.writeable
+    residuals, coefficients = _dicts_built_eagerly(report, d)
+    assert list(report.residuals) == list(residuals)
+    assert np.array(list(report.residuals.values())).tobytes() == np.array(list(residuals.values())).tobytes()
+    assert list(report.coefficients) == list(coefficients)
+    for pair, row in coefficients.items():
+        assert report.coefficients[pair].tobytes() == row.tobytes()
+    assert report.residuals is report.residuals and report.coefficients is report.coefficients
+
+
+@pytest.mark.parametrize(
+    "group, m, extra",
+    [(group, m, ()) for group in Group for m in (1, 2)] + [(Group.ALO, 2, (GeneratorDescriptor("I"),))],
+)
+def test_closure_coefficient_reads_the_table_as_the_dict_holds_it(group, m, extra):
+    """coefficient(pair, label) is coefficients[pair][fit_labels.index(label)]
+    bit for bit for every pair, (i, i) and I > J included; a pair off the
+    basis is a KeyError, as in the dict."""
+    report = verify_closure(group, m, extra_fit=extra)
+    for pair, row in report.coefficients.items():
+        for label in report.fit_labels:
+            expected = row[report.fit_labels.index(label)]
+            assert np.float64(report.coefficient(pair, label)).tobytes() == expected.tobytes()
+    d = len(lie_basis(group, m))
+    for pair in [(d, 0), (0, d), (-1, 0)]:
+        with pytest.raises(KeyError):
+            report.coefficient(pair, report.fit_labels[0])
+
+
+def test_closure_fit_labels_are_the_basis_labels_unless_the_fit_set_changes():
+    basis = lie_basis(Group.GO, 2)
+    assert verify_closure(Group.GO, 2).fit_labels is basis.labels is lie_basis(Group.GO, 2).labels
+    extra = verify_closure(Group.GO, 2, extra_fit=[GeneratorDescriptor("r", (1, 2))])
+    assert extra.fit_labels == basis.labels
+    alo = lie_basis(Group.ALO, 2)
+    assert verify_closure(Group.ALO, 2, extra_fit=[GeneratorDescriptor("I")]).fit_labels == (*alo.labels, "id")
+    excluded = verify_closure(Group.GO, 2, exclude=[basis.elements[0]], extra_fit=[basis.elements[0]])
+    assert excluded.fit_labels == (*basis.labels[1:], basis.labels[0])
+
+
 def _assert_fit_equals_the_dense_fit(report, group, m, probes, exclude=(), extra_fit=()):
     """Coefficients and residuals within 1e-12 of the dense fit's (relative
     past 1), and the normal matrix's smallest eigenvalue bit for bit."""
@@ -750,13 +826,23 @@ def test_cold_and_warm_plans_give_identical_grams_and_ranks(empty_store, actions
 
 
 @pytest.mark.parametrize(
-    "group, m, extra", [(Group.PLO, 2, ()), (Group.GO, 2, ()), (Group.ALO, 1, (GeneratorDescriptor("I"),))]
+    "group, m, options",
+    [
+        (Group.PLO, 2, {}),
+        (Group.GO, 2, {}),
+        (Group.ALO, 1, {"extra_fit": (GeneratorDescriptor("I"),)}),
+        (Group.GO, 2, {"exclude": (GeneratorDescriptor("N", (1,)),)}),
+        (Group.DPLO, 2, {"probes": (sample_sphere_state(2, 2, 3), basis_ket((1, 0)))}),
+    ],
+    ids=["plo-2", "go-2", "alo-1-id", "go-2-exclude", "dplo-2-probes"],
 )
-def test_cold_and_warm_plans_give_identical_closure_fits(empty_store, actions, group, m, extra):
-    cold = verify_closure(group, m, extra_fit=extra)
+def test_cold_and_warm_plans_give_identical_closure_fits(empty_store, actions, group, m, options):
+    cold = verify_closure(group, m, **options)
     actions.clear()
-    warm = verify_closure(group, m, extra_fit=extra)
+    warm = verify_closure(group, m, **options)
     assert actions == []  # the fit table is interned, so its plans are found
+    assert cold.pair_residuals.tobytes() == warm.pair_residuals.tobytes()
+    assert cold.pair_coefficients.tobytes() == warm.pair_coefficients.tobytes()
     assert cold.residuals == warm.residuals
     assert cold.coefficients.keys() == warm.coefficients.keys()
     for pair, coefficients in cold.coefficients.items():

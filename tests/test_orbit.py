@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -321,6 +322,24 @@ def test_gram_matrix_refuses_non_finite_entries(entry, mirror):
     values[0, 1], values[1, 0] = entry, mirror
     with np.errstate(invalid="ignore"), pytest.raises(ValidationError, match="not finite"):
         _plo_gram(values)
+
+
+@pytest.mark.parametrize("action", ["error", "ignore", "always", "default"])
+@pytest.mark.parametrize(
+    "entry, mirror, at",
+    [(math.inf, math.inf, (0, 1)), (-math.inf, -math.inf, (0, 1)), (math.inf, math.inf, (2, 2))],
+    ids=["inf_pair", "minus_inf_pair", "inf_diagonal"],
+)
+def test_gram_matrix_refuses_non_finite_entries_under_every_warnings_filter(action, entry, mirror, at):
+    """inf - inf warns before the refusal; whatever the warnings filter
+    makes of that warning, with no np.errstate at the caller, the Gram is
+    refused with a ValidationError."""
+    values = np.eye(4)
+    values[at], values[at[::-1]] = entry, mirror
+    with warnings.catch_warnings(record=True):
+        warnings.simplefilter(action)
+        with pytest.raises(ValidationError, match="not finite"):
+            _plo_gram(values)
 
 
 def test_gram_matrix_keeps_its_own_copy_of_a_view():
