@@ -539,14 +539,15 @@ def commutator_with_density(g: GeneratorDescriptor, rho: DensityOperator) -> Spa
     return SparseOperator.from_arrays(union, c)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ClosureReport:
     """Result of fitting every basis-pair commutator back onto the basis.
 
     The fit keeps one residual norm per pair I < J, in row-major order
     (``pair_residuals``), and the fitted set x pairs table of coefficients
     (``pair_coefficients``), both read-only. The per-pair dicts
-    ``residuals`` and ``coefficients`` are built from them on first read."""
+    ``residuals`` and ``coefficients`` are built from them on first read.
+    Reports compare and hash by identity: the fit is held in arrays."""
 
     group: Group
     modes: int
@@ -554,8 +555,8 @@ class ClosureReport:
     fit_labels: tuple[str, ...]
     max_residual: float
     min_normal_eigenvalue: float
-    pair_residuals: np.ndarray = field(repr=False, compare=False)
-    pair_coefficients: np.ndarray = field(repr=False, compare=False)
+    pair_residuals: np.ndarray = field(repr=False)
+    pair_coefficients: np.ndarray = field(repr=False)
 
     @property
     def _size(self) -> int:
@@ -582,17 +583,7 @@ class ClosureReport:
         return dict(zip(keys, rows))
 
     def coefficient(self, pair: tuple[int, int], fit_label: str) -> float:
-        """The coefficient of one fitted direction for the pair (I, J), read
-        from the table: negated for I > J and 0.0 for I = J."""
-        d = self._size
-        i, j = pair
-        if not (0 <= i < d and 0 <= j < d):
-            raise KeyError(pair)
-        k = self.fit_labels.index(fit_label)
-        if i == j:
-            return 0.0
-        c = float(self.pair_coefficients[k, _pair_index(d)[i, j]])
-        return -c if i > j else c
+        return float(self.coefficients[pair][self.fit_labels.index(fit_label)])
 
 
 def default_closure_probes(m: int) -> list[SparseKet]:
@@ -717,7 +708,7 @@ def _join(applied: np.ndarray, first: np.ndarray, second: _MonomialTable, pairs:
     gen, src, tgt, coeff, union, rows = _generator_action(second, first)
     # each second-union state's place probe by probe, and the column in
     # ``applied`` at each place (-1 off the first unions)
-    by_probe = _stable_sort(union[:, -1])[1]
+    by_probe = np.argsort(union[:, -1], kind="stable")
     place = np.empty_like(by_probe)
     place[by_probe] = np.arange(len(union))
     column = np.full(len(union), -1)
@@ -897,13 +888,11 @@ def verify_closure(
     resid = np.sqrt(resid + off_norm2)
     for array in (resid, coeff):
         array.setflags(write=False)
-    # with nothing excluded the fitted set starts with the basis, whose labels are kept
-    known = () if excluded else basis.labels
     return ClosureReport(
         group=group,
         modes=m,
         probe_count=len(probes),
-        fit_labels=known + tuple(g.label for g in fit[len(known) :]),
+        fit_labels=tuple(g.label for g in fit),
         max_residual=float(resid.max()) if resid.size else 0.0,
         min_normal_eigenvalue=min_eig,
         pair_residuals=resid,

@@ -1,5 +1,6 @@
 """Generator catalogue, Lie bases, generator actions, and closure checks."""
 
+import dataclasses
 import itertools
 import math
 import pickle
@@ -353,7 +354,7 @@ def test_closure_report_builds_its_per_pair_dicts_on_first_read(group, m, case):
     "group, m, extra",
     [(group, m, ()) for group in Group for m in (1, 2)] + [(Group.ALO, 2, (GeneratorDescriptor("I"),))],
 )
-def test_closure_coefficient_reads_the_table_as_the_dict_holds_it(group, m, extra):
+def test_closure_coefficient_is_the_dict_entry(group, m, extra):
     """coefficient(pair, label) is coefficients[pair][fit_labels.index(label)]
     bit for bit for every pair, (i, i) and I > J included; a pair off the
     basis is a KeyError, as in the dict."""
@@ -370,13 +371,22 @@ def test_closure_coefficient_reads_the_table_as_the_dict_holds_it(group, m, extr
 
 def test_closure_fit_labels_are_the_basis_labels_unless_the_fit_set_changes():
     basis = lie_basis(Group.GO, 2)
-    assert verify_closure(Group.GO, 2).fit_labels is basis.labels is lie_basis(Group.GO, 2).labels
+    assert verify_closure(Group.GO, 2).fit_labels == basis.labels
     extra = verify_closure(Group.GO, 2, extra_fit=[GeneratorDescriptor("r", (1, 2))])
     assert extra.fit_labels == basis.labels
     alo = lie_basis(Group.ALO, 2)
     assert verify_closure(Group.ALO, 2, extra_fit=[GeneratorDescriptor("I")]).fit_labels == (*alo.labels, "id")
     excluded = verify_closure(Group.GO, 2, exclude=[basis.elements[0]], extra_fit=[basis.elements[0]])
     assert excluded.fit_labels == (*basis.labels[1:], basis.labels[0])
+
+
+def test_closure_reports_with_different_fits_are_not_equal():
+    """A report's fit is held in arrays, so reports compare by identity:
+    two that differ only in their coefficients are not equal."""
+    report = verify_closure(Group.GO, 2)
+    other = dataclasses.replace(report, pair_coefficients=report.pair_coefficients + 1.0)
+    assert report == report
+    assert report != other and other != report
 
 
 def _assert_fit_equals_the_dense_fit(report, group, m, probes, exclude=(), extra_fit=()):
@@ -834,7 +844,7 @@ def test_cold_and_warm_plans_give_identical_grams_and_ranks(empty_store, actions
         (Group.GO, 2, {"exclude": (GeneratorDescriptor("N", (1,)),)}),
         (Group.DPLO, 2, {"probes": (sample_sphere_state(2, 2, 3), basis_ket((1, 0)))}),
     ],
-    ids=["plo-2", "go-2", "alo-1-id", "go-2-exclude", "dplo-2-probes"],
+    ids=["Group.PLO-2-extra0", "Group.GO-2-extra1", "Group.ALO-1-extra2", "Group.GO-2-exclude", "Group.DPLO-2-probes"],
 )
 def test_cold_and_warm_plans_give_identical_closure_fits(empty_store, actions, group, m, options):
     cold = verify_closure(group, m, **options)
