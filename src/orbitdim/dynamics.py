@@ -421,13 +421,14 @@ def beta(
     return float(ws.beta_matrix(np.array([t]))[0, i, j])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EstimatedGram:
     """The estimated Gram matrix with its raw stencil values, the working
     space it was evolved in (the D states of at most ``cutoff`` photons, of
     which it holds R rows), and the largest leakage measured over every
     evolved copy A diag(w) A^dag; ``hermiticity_residual`` is rho's own,
-    which no copy carries."""
+    which no copy carries. Estimates compare and hash by identity: they
+    hold arrays."""
 
     group: Group
     modes: int

@@ -162,6 +162,16 @@ class LieBasis:
     def labels(self) -> tuple[str, ...]:
         return tuple(g.label for g in self.elements)
 
+    @functools.cached_property
+    def _table(self) -> _MonomialTable:
+        """The monomials of the elements: the one table ``_monomials``
+        shares for them, whose identity keys plans and joins."""
+        return _monomials(self.elements)
+
+    @functools.cached_property
+    def _id_rows(self) -> tuple[int, ...]:
+        return tuple(i for i, g in enumerate(self.elements) if g.kind == IDENTITY_KIND)
+
     def index_of(self, label: str) -> int:
         return self.labels.index(label)
 
@@ -178,7 +188,8 @@ _BASIS_KINDS = {
 @functools.lru_cache(maxsize=None)
 def lie_basis(group: Group, m: int) -> LieBasis:
     """The canonical ordered basis for (group, m); its length equals
-    ``group.dimension(m)``. One (frozen) basis is shared per (group, m).
+    ``group.dimension(m)``. One (frozen) basis is shared per (group, m),
+    and with it the table and identity rows it keeps.
 
     The ALO basis carries no identity element, so it is closed under
     commutators only modulo the identity (see ``LieBasis``)."""
@@ -243,12 +254,6 @@ def _monomials(generators: tuple[GeneratorDescriptor, ...]) -> _MonomialTable:
     for array in table:
         array.setflags(write=False)
     return table
-
-
-@functools.lru_cache(maxsize=None)
-def _monomial_table(group: Group, m: int) -> _MonomialTable:
-    """The monomials of the (group, m) basis."""
-    return _monomials(lie_basis(group, m).elements)
 
 
 def _check_register(table: _MonomialTable, modes: int) -> None:
@@ -839,7 +844,7 @@ def verify_closure(
         index.setdefault(g, len(index))
     table = _monomials(tuple(index))
     _check_register(table, m)  # the probe column is no mode
-    second = _monomial_table(group, m)
+    second = basis._table
 
     # the first applications, all probes' supports in one block: the union
     # holds each probe's first union, its states followed by the probe's

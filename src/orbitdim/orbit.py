@@ -10,7 +10,6 @@ eigenvalue spectrum.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -25,11 +24,9 @@ from .fock import (
     normalize,
 )
 from .generators import (
-    IDENTITY_KIND,
     Group,
     LieBasis,
     _directions,
-    _monomial_table,
     lie_basis,
 )
 
@@ -54,26 +51,24 @@ class Exactness(Enum):
     UPPER_BOUND = "upper_bound"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GramMatrix:
-    """Real symmetric PSD matrix of generator-direction correlations.
+    """Real symmetric PSD matrix of generator-direction correlations over
+    ``basis``.
 
-    The one place a Gram is validated: an array the constructor does not
-    own is copied, the shape is checked against the (group, modes)
-    dimension, the entries must be finite and symmetric within
-    ``_SYMMETRY_TOL``, and ``values`` is frozen."""
+    The one place a Gram is validated: the input is copied to a float
+    array of the Gram's own, whose shape must be d x d for the d elements
+    of ``basis`` and whose entries must be finite and symmetric within
+    ``_SYMMETRY_TOL``; the copy is frozen, so no array of the caller can
+    write to it. Grams compare and hash by identity: they hold an array."""
 
-    group: Group
     picture: Picture
-    modes: int
     values: np.ndarray
     basis: LieBasis
 
     def __post_init__(self) -> None:
-        values = self.values
-        if not (type(values) is np.ndarray and values.dtype == float and values.flags.owndata):
-            values = np.array(values, dtype=float)  # a view's base could still write to it
-        d = _dimension(self.group, self.modes)
+        values = np.array(self.values, dtype=float)
+        d = len(self.basis)
         if values.shape != (d, d):
             raise ValidationError(f"Gram matrix shape {values.shape} does not match dimension {d}")
         # a NaN or inf entry differs from its mirror entry by NaN or inf, so
@@ -125,16 +120,6 @@ def _check_normalized(psi: SparseKet) -> None:
         raise ValidationError(f"state is not normalized: measured norm {nrm!r} (tol {NORM_TOL:.1e})")
 
 
-@functools.lru_cache(maxsize=None)
-def _dimension(group: Group, m: int) -> int:
-    return group.dimension(m)
-
-
-@functools.lru_cache(maxsize=None)
-def _identity_rows(group: Group, m: int) -> tuple[int, ...]:
-    return tuple(i for i, g in enumerate(lie_basis(group, m).elements) if g.kind == IDENTITY_KIND)
-
-
 def _re_gram(x: np.ndarray) -> np.ndarray:
     """Symmetric matrix of Re <x_I, x_J> over the rows of a complex d x n matrix."""
     pairs = np.ascontiguousarray(x).view(float)  # interleaved (re, im) per entry
@@ -145,7 +130,7 @@ def _re_gram(x: np.ndarray) -> np.ndarray:
 def _without_identity(basis: LieBasis, values: np.ndarray) -> np.ndarray:
     """Zero the identity's row and column: [I, rho] = 0 for every rho, while
     the subtraction formulas leave rounding residue of order 1e-17 there."""
-    for i in _identity_rows(basis.group, basis.modes):
+    for i in basis._id_rows:
         values[i, :] = 0.0
         values[:, i] = 0.0
     return values
@@ -162,11 +147,11 @@ def _commutator_gram(
     m = occupations.shape[1]
     basis = lie_basis(group, m)
     d = len(basis)
-    x, _, rows = _directions(_monomial_table(group, m), occupations, w)
+    x, _, rows = _directions(basis._table, occupations, w)
     y = x[:, rows, :] if phi is None else phi.conj().T @ x[:, rows, :]
     cross = (y.reshape(d, -1) @ y.transpose(0, 2, 1).reshape(d, -1).T).real
     values = 2.0 * (_re_gram(x.reshape(d, -1)) - (cross + cross.T) / 2.0)
-    return GramMatrix(group, picture, m, _without_identity(basis, values), basis)
+    return GramMatrix(picture, _without_identity(basis, values), basis)
 
 
 def _projector_gram(group: Group, psi: SparseKet, picture: Picture) -> GramMatrix:
@@ -183,8 +168,8 @@ def gram_ket(group: Group, psi: SparseKet) -> GramMatrix:
     _check_pure(psi, Picture.KET)
     basis = lie_basis(group, psi.modes)
     occupations, amps = psi.arrays()
-    a, _, _ = _directions(_monomial_table(group, psi.modes), occupations, amps[:, None])
-    return GramMatrix(group, Picture.KET, psi.modes, _re_gram(a.reshape(len(basis), -1)), basis)
+    a, _, _ = _directions(basis._table, occupations, amps[:, None])
+    return GramMatrix(Picture.KET, _re_gram(a.reshape(len(basis), -1)), basis)
 
 
 def gram_ketbra(group: Group, psi: SparseKet) -> GramMatrix:
@@ -217,12 +202,16 @@ def rank_psd(gram: GramMatrix | np.ndarray, tolerance: float | None = None) -> R
     The default tolerance is ``1e-8 * max(1, lambda_max)`` (relative with an
     absolute floor); passing ``tolerance`` uses it as an absolute threshold,
     which must be finite and non-negative. The full descending spectrum is
-    returned so callers can re-threshold.
+    returned so callers can re-threshold. A ``GramMatrix`` was validated
+    where it was built; a raw array must be a square 2-D matrix with finite
+    entries.
     """
-    if isinstance(gram, GramMatrix):  # validated where it was built
+    if isinstance(gram, GramMatrix):
         values = gram.values
     else:
         values = np.asarray(gram, dtype=float)
+        if values.ndim != 2 or values.shape[0] != values.shape[1]:
+            raise ValidationError(f"Gram matrix shape {values.shape} is not that of a square matrix")
         if not np.isfinite(values).all():
             raise ValidationError("Gram matrix contains NaN or infinite entries")
     eigs = np.linalg.eigvalsh(values)

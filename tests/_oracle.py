@@ -52,7 +52,7 @@ from orbitdim import (
     scale,
 )
 from orbitdim.cli import _SCHEMA, StateFileError
-from orbitdim.generators import _directions, _monomial_table, _monomials
+from orbitdim.generators import _directions, _monomials
 
 
 def basis_states(m, cutoff):
@@ -599,7 +599,7 @@ def closure_fit_dense(group, m, probes, exclude=(), extra_fit=()):
         occupations, amps = psi.arrays()
         applied, union, _ = _directions(table, occupations, amps[:, None])
         # twice[J, :, I] = H_J H_I psi over a second, wider union
-        twice, _, rows = _directions(_monomial_table(group, m), union, applied[:d, :, 0].T)
+        twice, _, rows = _directions(basis._table, union, applied[:d, :, 0].T)
         # [iH_I, iH_J] psi = H_J (H_I psi) - H_I (H_J psi)
         targets = twice[second, :, first] - twice[first, :, second]
         # the fitted vectors vanish off the first union, so the target rows

@@ -552,6 +552,14 @@ def test_estimate_identity_pair_is_zero():
     assert abs(est.coarse[idx - 1, idx - 1]) < 1e-12
 
 
+def test_estimates_compare_and_hash_by_identity():
+    psi = sample_sphere_state(2, 2, 0)
+    first, second = (estimate_gram_matrix(psi, Group.PLO) for _ in range(2))
+    assert np.array_equal(first.values, second.values)
+    assert first == first and first != second
+    assert len({first, second, first}) == 2
+
+
 def test_estimate_matches_direct_gram():
     rho = outer(normalize(SparseKet(1, {(0,): 1.0, (2,): 1.0})))
     est = estimate_gram_matrix(rho, Group.GO)

@@ -60,6 +60,18 @@ def test_basis_length_matches_group_dimension(group, m):
     assert len(basis) == _DIM_FORMULA[group](m) == group.dimension(m)
 
 
+@pytest.mark.parametrize("group", list(Group))
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_basis_keeps_its_monomial_table_and_identity_rows(group, m):
+    """The table is the one ``_monomials`` shares for the elements, since
+    plans and joins are keyed by its identity; the identity rows are the
+    positions of id, which only DPLO and GO contain."""
+    basis = lie_basis(group, m)
+    assert basis._table is generators._monomials(basis.elements)
+    expected = (basis.index_of("id"),) if group in (Group.DPLO, Group.GO) else ()
+    assert basis._id_rows == expected == tuple(i for i, label in enumerate(basis.labels) if label == "id")
+
+
 def test_basis_order_plo_m2():
     assert lie_basis(Group.PLO, 2).labels == ("e[1,2]", "E[1,2]", "N[1]", "N[2]")
 
@@ -440,7 +452,6 @@ def test_closure_counts_target_rows_outside_the_fitted_union(monkeypatch):
     vacuum it lands on |0,1>, which neither q_1 nor r_12 reaches."""
     fake = LieBasis(Group.PLO, 2, (GeneratorDescriptor("q", (1,)), GeneratorDescriptor("r", (1, 2))))
     monkeypatch.setattr(generators, "lie_basis", lambda group, m: fake)
-    monkeypatch.setattr(generators, "_monomial_table", lambda group, m: generators._monomials(fake.elements))
     report = verify_closure(Group.PLO, 2, probes=[basis_ket((0, 0))])
     # [iq_1, ir_12]|0,0> = -[q_1, r_12]|0,0> = -|0,1> / (2 sqrt 2)
     assert abs(report.residuals[(0, 1)] - 1.0 / math.sqrt(8.0)) < 1e-12
@@ -640,7 +651,7 @@ def test_closure_join_applies_the_basis_once(empty_store, monkeypatch, budget):
     verify_closure(Group.GO, 5)
     ((first, second, applications),) = joins
     ((table, occupations),) = applications
-    assert table is second is generators._monomial_table(Group.GO, 5)
+    assert table is second is lie_basis(Group.GO, 5)._table
     assert np.array_equal(occupations, first) and len(np.unique(first[:, -1])) == 22
 
 
@@ -733,7 +744,7 @@ def test_generator_action_equals_the_dict_ladder_arithmetic(case):
     group, m, rows = case
     support = np.array(rows, dtype=np.int64).reshape(len(rows), m)
     gen, src, tgt, coeff, union, ranks = generators._generator_action(
-        generators._monomial_table(group, m), support
+        lie_basis(group, m)._table, support
     )
     assert list(map(tuple, union.tolist())) == sorted(set(map(tuple, union.tolist())))
     assert np.array_equal(union[ranks], support)
@@ -777,7 +788,7 @@ def test_directions_equal_np_add_at_bit_for_bit(case, seed):
     columns hold +0.0 and -0.0 parts."""
     group, m, rows = case
     support = np.array(rows, dtype=np.int64).reshape(len(rows), m)
-    table = generators._monomial_table(group, m)
+    table = lie_basis(group, m)._table
     rng = np.random.default_rng(seed)
     amps = rng.standard_normal((len(rows), 2)) * rng.choice([-0.0, 0.0, 1.0], size=(len(rows), 2))
     amps = amps.view(complex)
@@ -861,7 +872,7 @@ def test_cold_and_warm_plans_give_identical_closure_fits(empty_store, actions, g
 
 
 def test_plan_arrays_are_read_only(empty_store):
-    table = generators._monomial_table(Group.GO, 2)
+    table = lie_basis(Group.GO, 2)._table
     support = np.array([[0, 1], [2, 0]], dtype=np.int64)
     plan = generators._plan(table, support)
     assert plan[0] is table

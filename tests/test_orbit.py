@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import re
 import warnings
 
 import numpy as np
@@ -284,6 +285,15 @@ def test_rank_psd_rejects_negative_or_infinite_tolerance(tolerance):
         rank_psd(np.eye(2), tolerance=tolerance)
 
 
+@pytest.mark.parametrize(
+    "shape", [(2, 3), (3,), (2, 2, 2), ()], ids=["rectangular", "vector", "stack", "scalar"]
+)
+def test_rank_psd_rejects_an_array_that_is_not_a_square_matrix(shape):
+    """Refused before the eigensolve, whose errors would name no shape."""
+    with pytest.raises(ValidationError, match=rf"shape {re.escape(str(shape))} is not that of a square matrix"):
+        rank_psd(np.ones(shape))
+
+
 def test_rank_psd_rejects_indefinite_matrix():
     with pytest.raises(ValidationError):
         rank_psd(np.diag([1.0, -0.5]))
@@ -293,7 +303,7 @@ def test_rank_psd_rejects_indefinite_matrix():
 
 
 def _plo_gram(values) -> GramMatrix:
-    return GramMatrix(Group.PLO, Picture.KET, 2, values, lie_basis(Group.PLO, 2))
+    return GramMatrix(Picture.KET, values, lie_basis(Group.PLO, 2))
 
 
 def test_gram_matrix_refuses_a_shape_off_the_group_dimension():
@@ -349,7 +359,27 @@ def test_gram_matrix_keeps_its_own_copy_of_a_view():
     assert gram.values[0, 1] == 0.0 and np.array_equal(gram.values, gram.values.T)
     assert not gram.values.flags.writeable
     owned = np.eye(4)
-    assert _plo_gram(owned).values is owned and not owned.flags.writeable  # frozen in place
+    assert _plo_gram(owned).values is not owned and owned.flags.writeable  # a copy; the caller's array is left writable
+
+
+def test_a_view_made_before_construction_cannot_write_to_the_gram():
+    """An array owning its data is copied too: a view of it made before the
+    Gram was built writes to the array alone."""
+    base = np.eye(4)
+    v = base[:]
+    gram = _plo_gram(base)
+    v[0, 1] = 3.0
+    assert gram.values[0, 1] == 0.0 and np.array_equal(gram.values, gram.values.T)
+    assert not gram.values.flags.writeable and base.flags.writeable
+    assert rank_psd(gram).rank == 4
+
+
+def test_grams_compare_and_hash_by_identity():
+    psi = sample_sphere_state(2, 2, 5)
+    first, second = (gram_matrix(Group.PLO, psi, Picture.KET) for _ in range(2))
+    assert np.array_equal(first.values, second.values)
+    assert first == first and first != second
+    assert len({first, second, first}) == 2
 
 
 def test_a_ranked_ket_ranks_as_a_fresh_one():
