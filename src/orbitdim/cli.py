@@ -700,9 +700,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_witness)
 
     p = sub.add_parser("estimate", parents=[common, state, group], help="finite-difference Gram estimation vs direct")
-    p.add_argument("--h", type=float, default=1e-3, help="finite-difference step")
-    p.add_argument("--buffer", type=int, default=16, help="photon buffer above the state support")
-    p.add_argument("--leakage-tol", dest="leakage_tol", type=float, default=1e-6)
+    p.add_argument("--h", type=float, default=EvolutionConfig.step, help="finite-difference step")
+    p.add_argument("--buffer", type=int, default=EvolutionConfig.buffer, help="photon buffer above the state support")
+    p.add_argument("--leakage-tol", dest="leakage_tol", type=float, default=EvolutionConfig.leakage_tolerance)
     p.add_argument("--details", action="store_true", help="per-entry detail")
     p.set_defaults(func=cmd_estimate)
 

@@ -1,7 +1,8 @@
 """Truncated-space time evolution, two-copy overlap curves, and
 finite-difference Gram estimation: the truncated basis and projected
-Hamiltonians (kept as references), ``evolve_density``,
-``apply_group_word``, the overlaps ``beta`` and ``estimate_gram_matrix``.
+Hamiltonians (kept as references), and the only two entry points that
+evolve: ``estimate_gram_matrix``, from the overlaps beta of evolved
+copies, and ``apply_group_word``.
 
 Evolution exponentiates the generator Hamiltonian projected onto the D
 states of at most a cutoff of photons, block by block, so it is exactly
@@ -380,45 +381,6 @@ def _refuse_overlaps(values: np.ndarray) -> None:
     """Refuse overlaps that are not finite."""
     if not np.isfinite(values).all():
         raise ValidationError("beta overlap is not finite: the density's entries are too large")
-
-
-def evolve_density(
-    rho: DensityOperator,
-    g: GeneratorDescriptor,
-    t: float,
-    cfg: EvolutionConfig = EvolutionConfig(),
-) -> DensityOperator:
-    """Conjugate rho by exp(-iHt) on the truncated working basis."""
-    _check_time(t)
-    ws = _DensityWorkspace(rho, (g,), cfg)
-    if t == 0.0:
-        return rho
-    a = np.empty_like(ws.phi)
-    a[ws.nodes] = ws.evolve(t, ws.phi)[0]  # one generator's nodes are its rows, each once
-    weighted = (a * a.conj()).real * ws.w  # summed over its columns, the diagonal of A diag(w) A^dag
-    ws.check_copies(np.array([t]), weighted.sum(keepdims=True), weighted[ws.band].sum(keepdims=True))
-    return DensityOperator._checked(ws.states, (a * ws.w) @ a.conj().T)
-
-
-def beta(
-    rho: SparseKet | DensityOperator,
-    i: int,
-    j: int,
-    t: float,
-    group: Group,
-    cfg: EvolutionConfig = EvolutionConfig(),
-) -> float:
-    """Hilbert-Schmidt overlap of two evolved copies of rho, the copies
-    driven by basis generators ``i`` and ``j`` (1-based; 0 = no evolution).
-    A ket stands for its normalized projector. Every generator's copy is
-    evolved and leakage-checked."""
-    _check_time(t)
-    elements = lie_basis(group, rho.modes).elements
-    for index in (i, j):
-        if not (_integer(index) and 0 <= index <= len(elements)):
-            raise ValueError(f"generator index {index!r} is not an integer in 0..{len(elements)}")
-    ws = _DensityWorkspace(rho, elements, cfg)
-    return float(ws.beta_matrix(np.array([t]))[0, i, j])
 
 
 @dataclass(frozen=True, eq=False)

@@ -15,9 +15,8 @@ term.
 A validated density is its ``support`` (the states of its nonzero
 entries) and its ``matrix`` over the support; its dict view over (bra, ket)
 pairs is ``SparseOperator.from_arrays(rho.support, rho.matrix)``.
-``DensityOperator.validate``, ``DensityOperator.from_entries``, ``outer``,
-``mixture`` and ``dynamics.evolve_density`` all end in the same check over
-the two arrays.
+``DensityOperator.validate``, ``DensityOperator.from_entries``, ``outer``
+and ``mixture`` all end in the same check over the two arrays.
 
 The standard states live here too: ``basis_ket``, the seeded
 ``sample_sphere_state`` on the photon-number-cutoff subspace, its

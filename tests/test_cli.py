@@ -1,6 +1,8 @@
 """Command-line surface: state files, reports, exit codes, determinism."""
 
+import contextlib
 import hashlib
+import io
 import json
 import math
 import os
@@ -15,11 +17,13 @@ from hypothesis import strategies as st
 
 from orbitdim import (
     DensityOperator,
+    EvolutionConfig,
     GeneratorDescriptor,
     Group,
     SparseKet,
+    ValidationError,
+    apply_group_word,
     basis_ket,
-    evolve_density,
     lie_basis,
     mixture,
     normalize,
@@ -184,10 +188,10 @@ def test_density_state_file_round_trip(tmp_path):
     "build",
     [
         lambda: mixture([(0.3, normalize(SparseKet(2, {(2, 0): 1.0, (0, 1): -0.5j, (1, 1): 0.25}))), (0.7, basis_ket((0, 0)))]),
-        lambda: evolve_density(outer(basis_ket((1, 0))), GeneratorDescriptor("R", (1, 2)), 0.2),
+        lambda: outer(apply_group_word(basis_ket((1, 0)), [(GeneratorDescriptor("R", (1, 2)), 0.2)])),
         lambda: mixture([(0.4, sample_sphere_state(3, 3, 1)), (0.6, sample_sphere_state(3, 3, 2))]),
     ],
-    ids=["mixture", "evolve_density", "rank2_m3_N3"],
+    ids=["mixture", "group_word", "rank2_m3_N3"],
 )
 def test_density_file_lists_the_sorted_entries(tmp_path, build):
     """The file is the document of the operator's entries in sorted
@@ -604,6 +608,20 @@ def test_estimate_small_deviation(capsys, density1):
     assert doc["max_abs_deviation"] < 1e-4
 
 
+def test_estimate_defaults_are_the_evolution_config_defaults(capsys, density1, monkeypatch):
+    """Without --h, --buffer and --leakage-tol, estimate evolves under
+    ``EvolutionConfig()``."""
+    configs = []
+
+    def refuse(state, group, cfg):
+        configs.append(cfg)
+        raise ValidationError("evolution config recorded")
+
+    monkeypatch.setattr(cli, "estimate_gram_matrix", refuse)
+    code, _, _ = run(capsys, "estimate", "--state", density1, "--group", "go")
+    assert (code, configs) == (EXIT_INVALID, [EvolutionConfig()])
+
+
 def test_estimate_details(capsys, density1):
     code, out, _ = run(capsys, "estimate", "--state", density1, "--group", "plo", "--details", "--json")
     assert code == EXIT_OK
@@ -909,6 +927,88 @@ def test_only_the_ranking_commands_take_tol(capsys, tmp_path, fock11, density1, 
         code, out, _ = run(capsys, *argv)
         assert code == EXIT_OK
         assert json.loads(out)["command"] == name
+
+
+# ------------------------------------------------------------------- fuzzing
+
+
+def _samples(modes):
+    return st.builds(sample_sphere_state, modes, st.integers(0, 3), st.integers(0, 2**32 - 1))
+
+
+_SAMPLE = _samples(st.integers(1, 3))
+_MIXTURE = st.integers(1, 3).flatmap(
+    lambda m: st.builds(
+        lambda w, a, b: mixture([(w, a), (1.0 - w, b)]), st.floats(0.05, 0.95), _samples(st.just(m)), _samples(st.just(m))
+    )
+)
+_GROUP_ARG = st.sampled_from(cli._GROUPS).map(lambda g: ["--group", g])
+_PICTURE_ARG = st.sampled_from(cli._PICTURES).map(lambda p: ["--picture", p])
+#: the values an argv draws for a size (--m, --N, --m-max), a ranking
+#: tolerance and an estimate's options, well formed or at an edge
+_WELL_FORMED = {
+    "size": st.integers(1, 3),
+    "tol": st.sampled_from([[], ["--tol", "1e-6"]]),
+    "estimate": st.sampled_from([[], ["--h", "0.01"], ["--buffer", "0"], ["--buffer", "2"], ["--details"]]),
+}
+_EDGE = {
+    "size": st.integers(-1, 0),
+    "tol": st.sampled_from([["--tol", "-1"], ["--tol", "inf"]]),
+    "estimate": st.sampled_from([["--buffer", "-1"], ["--h", "1e-300"]]),
+}
+
+
+@st.composite
+def _invocations(draw):
+    """An argv of any command, with "{state}" and "{out}" for the paths of
+    its state file and output file, and the state file's contents: a
+    sphere sample, a mixture of two, or a document near a state file. Half
+    the argvs draw their options at an edge: a size of -1 or 0 (each size
+    at an edge or not), a negative or infinite tolerance, a negative
+    buffer or an underflowing step."""
+    name = draw(st.sampled_from(sorted(_COMMANDS)))
+    state = draw(draw(st.sampled_from([_SAMPLE, _MIXTURE, _DOCUMENT])))
+    values = draw(st.sampled_from([_WELL_FORMED, _EDGE]))
+    m, n = (str(draw(draw(st.sampled_from([_WELL_FORMED, values]))["size"])) for _ in range(2))
+    group, picture, tol = draw(_GROUP_ARG), draw(_PICTURE_ARG), draw(values["tol"])
+    argv = {
+        "dim": ["--state", "{state}", *group, *picture, *tol],
+        "gram": ["--state", "{state}", *group, *picture, *tol],
+        "table2": ["--m-max", m, *tol],
+        "generic": [*group, *picture, "--m", m, "--N", n, "--seeds", str(draw(st.integers(0, 2))), *tol],
+        "closure": [*group, "--m", m],
+        "witness": ["--state", "{state}", *tol],
+        "estimate": ["--state", "{state}", *group, *draw(values["estimate"])],
+        "sample": ["--m", m, "--N", n, "--seed", str(draw(st.integers(0, 9))), "--out", "{out}"],
+        "cnot-demo": [*group, *tol],
+    }[name]
+    return [name, *argv, *draw(st.sampled_from([[], ["--json"]]))], state
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(invocation=_invocations())
+def test_fuzzed_commands_exit_0_to_4_without_traceback(tmp_path_factory, invocation):
+    """Every command at m <= 3 and N <= 3, on sphere samples, mixtures and
+    documents near a state file, with edge arguments among its options:
+    the exit code is in 0..4, stderr holds no traceback, and --json stdout
+    parses whenever the command ran (exit 0 or 1)."""
+    argv, state = invocation
+    base = tmp_path_factory.getbasetemp()
+    paths = {"state": str(base / "fuzzed.json"), "out": str(base / "fuzzed_out.json")}
+    if isinstance(state, (SparseKet, DensityOperator)):
+        write_state_file(paths["state"], state)
+    else:
+        Path(paths["state"]).write_text(json.dumps(state))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main([arg.format(**paths) for arg in argv])
+        except SystemExit as exc:  # argparse's refusals
+            code = exc.code
+    assert code in range(5)
+    assert "Traceback" not in err.getvalue()
+    if "--json" in argv and code in (EXIT_OK, EXIT_MISMATCH):
+        json.loads(out.getvalue())
 
 
 # ------------------------------------------------- bulk reading, one-pass rendering

@@ -1,6 +1,5 @@
 """Truncated evolution, beta overlaps, the Gram estimator, and sampling."""
 
-import functools
 import math
 import re
 import sys
@@ -23,11 +22,9 @@ from orbitdim import (
     ValidationError,
     apply_group_word,
     basis_ket,
-    beta,
     dense_hamiltonian,
     enumerate_occupations,
     estimate_gram_matrix,
-    evolve_density,
     gram_mixed,
     lie_basis,
     mixture,
@@ -41,8 +38,8 @@ from orbitdim import (
 )
 from orbitdim import dynamics, generators
 from orbitdim.dynamics import _Workspace
-from _helpers import assert_entries_close, assert_terms_close
-from _oracle import basis_states, connected_blocks, dense_density, dense_ket, density_op, generator_matrix, inner
+from _helpers import assert_terms_close
+from _oracle import basis_states, connected_blocks, dense_density, dense_ket, generator_matrix, inner
 
 
 # ----------------------------------------------------------- TruncatedBasis
@@ -234,22 +231,23 @@ def _rows_per_block(monkeypatch, height, generators, columns):
 
 
 @pytest.mark.parametrize("g, m", _EVERY_KIND, ids=lambda x: getattr(x, "label", str(x)))
-def test_evolve_density_matches_dense_propagator(monkeypatch, g, m):
-    """evolve_density conjugates by the dense propagator, also when the
+def test_one_generator_overlaps_match_dense_propagator(monkeypatch, g, m):
+    """The overlaps of a density and its copy under one generator equal
+    those of the copy conjugated by the dense propagator, also when the
     copy's overlap Gram is summed over blocks of two rows."""
     # rank two, with coherences between the two kets' supports
     rho = mixture([(0.6, sample_sphere_state(m, 1, seed=3)), (0.4, sample_sphere_state(m, 2, seed=4))])
     cutoff = _cutoff(g, 2)
     _, index = basis_states(m, cutoff)
-    occs = list(index)
     u = _dense_propagator(g, m, cutoff, 0.4)
-    expected = u @ dense_density(rho, index) @ u.conj().T
-    reference = {(a, b): expected[i, j] for i, a in enumerate(occs) for j, b in enumerate(occs)}
+    dense = dense_density(rho, index)
+    copies = [dense, u @ dense @ u.conj().T]
+    expected = np.array([[np.trace(a @ b).real for b in copies] for a in copies])
     for height in (None, 2):
         if height is not None:
             _rows_per_block(monkeypatch, height, 1, len(rho.support))
-        out = evolve_density(rho, g, 0.4, _SMALL_BUFFER)
-        assert_entries_close(density_op(out).entries, reference, tol=1e-12)
+        got = dynamics._DensityWorkspace(rho, (g,), _SMALL_BUFFER).beta_matrix(np.array([0.4]))[0]
+        assert np.abs(got - expected).max() <= 1e-12
 
 
 _SUPPORTS = {
@@ -303,31 +301,6 @@ def test_word_matches_the_product_of_dense_propagators(group, m):
         expected = _dense_propagator(g, m, cutoff, t) @ expected
     out = apply_group_word(psi, word, _SMALL_BUFFER)
     assert_terms_close(out.terms, dict(zip(index, expected)), tol=1e-12)
-
-
-def _assert_beta_entries_equal_the_estimate_stencils(state, group):
-    """Each entry ``beta`` evolves on its own gives the estimate's coarse
-    and fine stencils bit for bit, and beta_ij = beta_ji."""
-    d = len(lie_basis(group, state.modes))
-    est = estimate_gram_matrix(state, group)
-
-    @functools.cache
-    def b(i, j, t):
-        return beta(state, i, j, t, group)
-
-    def dd(i, j, h):
-        return (b(i, j, h) - 2.0 * b(i, j, 0.0) + b(i, j, -h)) / (h * h)
-
-    for i in range(1, d + 1):
-        for j in range(1, d + 1):
-            assert b(i, j, est.step) == b(j, i, est.step)
-            for h, stencil in ((est.step, est.coarse), (est.step / 2.0, est.fine)):
-                assert 0.5 * (dd(i, j, h) - (dd(i, 0, h) + dd(0, j, h))) == stencil[i - 1, j - 1]
-
-
-def test_beta_entry_and_matrix_estimates_agree_bitwise():
-    rho = mixture([(0.7, normalize(SparseKet(1, {(0,): 1.0, (2,): 0.5j}))), (0.3, basis_ket((1,)))])
-    _assert_beta_entries_equal_the_estimate_stencils(rho, Group.GO)
 
 
 def test_go_estimate_allocates_less_than_its_copies_on_the_whole_basis():
@@ -386,55 +359,42 @@ def test_warm_m3_word_copies_no_cached_block(empty_cache):
     assert peak < per_chain
 
 
-# ------------------------------------------------------------ evolve_density
+# ------------------------------------------------------ one-generator copies
 
 
-def test_evolve_zero_time_returns_input_unchanged():
-    rho = outer(basis_ket((1,)))
-    assert evolve_density(rho, GeneratorDescriptor("q", (1,)), 0.0) is rho
-
-
-def test_evolve_number_operator_fixes_fock_projector():
-    rho = outer(basis_ket((1,)))
-    out = evolve_density(rho, GeneratorDescriptor("N", (1,)), 0.7)
-    assert_entries_close(density_op(out).entries, density_op(rho).entries, tol=1e-12)
-
-
-def test_evolve_density_support_is_the_states_of_its_nonzero_entries():
-    """A PLO beam splitter moves |1,0> within the one-photon states; the
-    vacuum, part of the working basis, carries no entry and stays out."""
-    out = evolve_density(outer(basis_ket((1, 0))), GeneratorDescriptor("e", (1, 2)), 0.3)
-    assert out.support.tolist() == [[0, 1], [1, 0]]
-    nonzero = out.matrix != 0
-    assert (nonzero.any(axis=0) | nonzero.any(axis=1)).all()
+def _one_generator_overlaps(rho, g, times, cfg=EvolutionConfig()):
+    """The beta matrix of rho and its copy under ``g`` at each time, and
+    the working space it was evolved in."""
+    ws = dynamics._DensityWorkspace(rho, (g,), cfg)
+    return ws.beta_matrix(np.array(times)), ws
 
 
 def test_evolve_displacement_keeps_trace():
-    rho = outer(basis_ket((0,)))
-    out = evolve_density(rho, GeneratorDescriptor("q", (1,)), 1e-2)
-    assert out.trace_residual <= 1e-10
+    _, ws = _one_generator_overlaps(outer(basis_ket((0,))), GeneratorDescriptor("q", (1,)), [1e-2])
+    assert ws.worst["trace_deviation"] <= 1e-10
 
 
 def test_evolve_detects_leakage_with_tiny_buffer():
-    rho = outer(basis_ket((0,)))
     cfg = EvolutionConfig(buffer=2, leakage_tolerance=1e-10)
     with pytest.raises(LeakageError):
-        evolve_density(rho, GeneratorDescriptor("s", (1,)), 0.5, cfg)
+        _one_generator_overlaps(outer(basis_ket((0,))), GeneratorDescriptor("s", (1,)), [0.5], cfg)
 
 
 def test_active_evolution_leakage_within_tolerance_at_default_buffer():
     rho = outer(basis_ket((1,)))
     for kind in ("s", "q"):
-        out = evolve_density(rho, GeneratorDescriptor(kind, (1,)), 0.1)
-        assert out.trace_residual <= 1e-6
+        _, ws = _one_generator_overlaps(rho, GeneratorDescriptor(kind, (1,)), [0.1])
+        assert ws.worst["boundary_weight"] <= 1e-6 and ws.worst["trace_deviation"] <= 1e-6
 
 
 @pytest.mark.parametrize("kind, modes, t", [("e", (1, 2), 0.7), ("r", (1, 2), 0.05)])
-def test_evolve_density_matches_group_word_on_the_projector(kind, modes, t):
+def test_projector_overlap_matches_the_group_word(kind, modes, t):
+    """beta_01 = Tr[rho U rho U^dag] of a ket's projector is |<psi|U psi>|^2
+    of the ket that ``apply_group_word`` evolves."""
     psi = normalize(SparseKet(2, {(1, 0): 1.0, (0, 2): 0.5j, (1, 1): -0.25}))
     g = GeneratorDescriptor(kind, modes)
-    out = evolve_density(outer(psi), g, t)
-    assert_entries_close(density_op(out).entries, density_op(outer(apply_group_word(psi, [(g, t)]))).entries, tol=1e-12)
+    b, _ = _one_generator_overlaps(psi, g, [t])
+    assert abs(b[0, 0, 1] - abs(inner(psi, apply_group_word(psi, [(g, t)]))) ** 2) <= 1e-12
 
 
 def test_evolution_config_rejects_nan():
@@ -469,61 +429,40 @@ def test_non_finite_times_raise_value_error(kind, modes, t):
     psi = basis_ket((1, 0))
     with pytest.raises(ValueError, match="finite"):
         apply_group_word(psi, [(g, 0.1), (g, t)])
-    with pytest.raises(ValueError, match="finite"):
-        evolve_density(outer(psi), g, t)
-    with pytest.raises(ValueError, match="finite"):
-        beta(outer(psi), 1, 1, t, Group.GO)
 
 
 def test_number_preserving_evolution_exact_at_long_times():
     rho = outer(normalize(SparseKet(2, {(1, 0): 1.0, (0, 1): 0.5j})))
     for kind, modes in (("e", (1, 2)), ("N", (1,))):
-        out = evolve_density(rho, GeneratorDescriptor(kind, modes), 50.0)
-        assert out.trace_residual <= 1e-10
-        assert out.hermiticity_residual <= 1e-12
+        _, ws = _one_generator_overlaps(rho, GeneratorDescriptor(kind, modes), [50.0])
+        assert ws.worst["trace_deviation"] <= 1e-10
 
 
-# -------------------------------------------------------------------- beta
+# ------------------------------------------------------------- beta matrix
 
 
 def test_beta_at_zero_time_is_purity():
     cases = [
-        (mixture([(0.5, basis_ket((0,))), (0.5, basis_ket((1,)))]), 1, 2, Group.GO, 0.5),
-        (outer(basis_ket((0,))), 0, 0, Group.PLO, 1.0),
+        (mixture([(0.5, basis_ket((0,))), (0.5, basis_ket((1,)))]), Group.GO, 0.5),
+        (outer(basis_ket((0,))), Group.PLO, 1.0),
     ]
-    for rho, i, j, group, purity in cases:
-        assert abs(beta(rho, i, j, 0.0, group) - purity) < 1e-12
+    for rho, group, purity in cases:
+        ws = dynamics._DensityWorkspace(rho, lie_basis(group, 1).elements, EvolutionConfig())
+        assert np.abs(ws.beta_matrix(np.array([0.0])) - purity).max() < 1e-12
 
 
 def test_beta_constant_for_commuting_generator():
-    rho = outer(basis_ket((1,)))
-    basis = lie_basis(Group.GO, 1)
-    n_idx = basis.index_of("N[1]") + 1
-    for t in (0.05, 0.2):
-        assert abs(beta(rho, n_idx, 0, t, Group.GO) - 1.0) < 1e-10
+    """N[1] fixes the projector on |1>, so its copy overlaps rho and itself
+    with 1 at every time."""
+    b, _ = _one_generator_overlaps(outer(basis_ket((1,))), GeneratorDescriptor("N", (1,)), [0.05, 0.2, 0.7])
+    assert np.abs(b - 1.0).max() < 1e-10
 
 
 def test_beta_symmetric_in_indices():
     rho = outer(normalize(SparseKet(1, {(0,): 1.0, (1,): 0.5j})))
-    for t in (1e-3, 5e-2):
-        a = beta(rho, 2, 3, t, Group.GO)
-        b = beta(rho, 3, 2, t, Group.GO)
-        assert abs(a - b) < 1e-12
-
-
-def test_beta_index_validation():
-    rho = outer(basis_ket((0,)))
-    with pytest.raises(ValueError):
-        beta(rho, 0, 99, 1e-3, Group.PLO)
-
-
-@pytest.mark.parametrize("i, j", [(1.5, 0), (True, 0), (0, np.float64(1.0)), (0, -1), ("1", 0)])
-def test_beta_refuses_an_index_that_is_no_generator_before_evolving(monkeypatch, i, j):
-    """An index that is not an integer in 0..d is refused before any
-    working space is built, so before any copy is evolved."""
-    monkeypatch.setattr(dynamics, "_DensityWorkspace", lambda *args: pytest.fail("working space built"))
-    with pytest.raises(ValueError, match="is not an integer in 0..4"):
-        beta(outer(basis_ket((1, 0))), i, j, 0.1, Group.PLO)
+    ws = dynamics._DensityWorkspace(rho, lie_basis(Group.GO, 1).elements, EvolutionConfig())
+    b = ws.beta_matrix(np.array([1e-3, 5e-2]))
+    assert np.array_equal(b, b.transpose(0, 2, 1))
 
 
 def test_overlaps_and_gram_that_overflow_are_refused():
@@ -532,8 +471,6 @@ def test_overlaps_and_gram_that_overflow_are_refused():
     refuses them, with no warning."""
     keys = np.array([[[1, 0], [1, 0]], [[1, 0], [0, 1]], [[0, 1], [1, 0]], [[0, 1], [0, 1]]], dtype=np.int64)
     rho = DensityOperator.from_entries(keys, np.array([0.5, 1e160, 1e160, 0.5]))
-    with pytest.raises(ValidationError, match="beta overlap is not finite"):
-        beta(rho, 0, 0, 0.0, Group.GO)
     with pytest.raises(ValidationError, match="beta overlap is not finite"):
         estimate_gram_matrix(rho, Group.PLO).values[0, 0]
     with pytest.raises(ValidationError, match="Gram matrix is not finite"):
@@ -672,11 +609,6 @@ def test_ket_estimate_matches_its_outer_product(group, state):
     assert ket.hermiticity_residual == 0.0
 
 
-@pytest.mark.parametrize("group", [Group.PLO, Group.GO])
-def test_ket_beta_entries_equal_the_ket_estimate_stencils_bitwise(group):
-    _assert_beta_entries_equal_the_estimate_stencils(sample_sphere_state(1, 2, seed=4), group)
-
-
 def test_leaking_ket_raises_as_its_outer_product():
     """A Fock ket's one column is its projector's support column, so the
     leakage check measures the same numbers and names the same copy."""
@@ -703,15 +635,12 @@ def test_unnormalized_ket_estimates_as_its_normalized_version(group):
     for factor in (3.0, 1e-200):
         est = estimate_gram_matrix(scale(factor, psi), group)
         assert np.abs(est.values - unit.values).max() <= 1e-7
-    assert beta(scale(3.0, psi), 1, 2, 0.1, group) == pytest.approx(beta(psi, 1, 2, 0.1, group), abs=1e-12)
 
 
 def test_zero_ket_is_refused():
     zero = SparseKet(2, {})
     with pytest.raises(ValidationError, match="zero ket"):
         estimate_gram_matrix(zero, Group.GO)
-    with pytest.raises(ValidationError, match="zero ket"):
-        beta(zero, 0, 1, 0.1, Group.PLO)
 
 
 def test_go_ket_estimate_traces_no_support_columns():
@@ -975,15 +904,14 @@ def _refused_before_evolving(monkeypatch, budget, message, call):
 
 def test_copies_past_the_budget_are_refused_before_they_are_evolved(empty_cache, monkeypatch):
     """A rank-3 m = 2 GO density evolves its 6 columns on 522 nodes, 50,112
-    bytes a time. Under a budget one byte short of them, an estimate and an
-    overlap are refused before any copy is evolved; the layout was stored
-    before the budget fell."""
+    bytes a time. Under a budget one byte short of them, an estimate is
+    refused before any copy is evolved; the layout was stored before the
+    budget fell."""
     rho = _rank3_density()
     ws = dynamics._DensityWorkspace(rho, lie_basis(Group.GO, 2).elements, EvolutionConfig())
     assert (len(ws.nodes), ws.phi.shape[1]) == (522, 6)
     message = r"^working space of 190 states \(cutoff 18\) too large: its evolved copies on 522 nodes would take"
     _refused_before_evolving(monkeypatch, 50_112 - 1, message, lambda: estimate_gram_matrix(rho, Group.GO))
-    _refused_before_evolving(monkeypatch, 50_112 - 1, message, lambda: beta(rho, 1, 2, 0.1, Group.GO))
 
 
 def test_overlap_gram_past_the_budget_is_refused_before_copies_are_evolved(empty_cache, monkeypatch):

@@ -18,9 +18,9 @@ from orbitdim import (
     SparseOperator,
     ValidationError,
     add,
+    apply_group_word,
     basis_ket,
     enumerate_occupations,
-    evolve_density,
     mixture,
     normalize,
     outer,
@@ -317,9 +317,9 @@ def _parsed_density(tmp_path):
         _parsed_density,
         lambda _: outer(normalize(SparseKet(2, {(1, 1): 1.0, (2, 0): 0.5 - 0.5j, (0, 0): 0.25}))),
         lambda _: mixture([(0.25, basis_ket((3,))), (0.75, normalize(SparseKet(1, {(0,): 1.0, (1,): 1j})))]),
-        lambda _: evolve_density(outer(basis_ket((1, 0))), GeneratorDescriptor("e", (1, 2)), 0.3),
+        lambda _: outer(apply_group_word(basis_ket((1, 0)), [(GeneratorDescriptor("e", (1, 2)), 0.3)])),
     ],
-    ids=["parsed", "outer", "mixture", "evolve_density"],
+    ids=["parsed", "outer", "mixture", "group_word"],
 )
 def test_density_support_and_matrix_rebuild_the_operator(tmp_path, build):
     rho = build(tmp_path)
