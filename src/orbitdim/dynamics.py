@@ -454,9 +454,13 @@ def apply_group_word(
     through the rows of the factor before it, all at the word's cutoff: the
     support's photon number, plus the buffer when any factor shifts photon
     number. Photon-number-preserving words are sector-exact; shifting words
-    are guard-band checked after every factor."""
+    are guard-band checked after every factor. A generator past the ket's
+    register is refused, also at t = 0."""
     for _, t in word:
         _check_time(t)
+    reach = max((k for g, _ in word for k in g.modes), default=0)
+    if reach > psi.modes:
+        raise ValueError(f"generator mode index {reach} exceeds the {psi.modes}-mode register")
     if not word:
         return psi
     if psi.is_zero():

@@ -1,5 +1,6 @@
 """Truncated evolution, beta overlaps, the Gram estimator, and sampling."""
 
+import functools
 import math
 import re
 import sys
@@ -38,8 +39,8 @@ from orbitdim import (
 )
 from orbitdim import dynamics, generators
 from orbitdim.dynamics import _Workspace
-from _helpers import assert_terms_close
-from _oracle import basis_states, connected_blocks, dense_density, dense_ket, generator_matrix, inner
+from _helpers import assert_entries_close, assert_terms_close
+from _oracle import basis_states, connected_blocks, dense_density, dense_ket, density_op, generator_matrix, inner
 
 
 # ----------------------------------------------------------- TruncatedBasis
@@ -303,6 +304,32 @@ def test_word_matches_the_product_of_dense_propagators(group, m):
     assert_terms_close(out.terms, dict(zip(index, expected)), tol=1e-12)
 
 
+def _assert_beta_entries_equal_the_estimate_stencils(state, group):
+    """The entries of beta matrices evolved one time each give the
+    estimate's coarse and fine stencils bit for bit, and beta_ij = beta_ji."""
+    d = len(lie_basis(group, state.modes))
+    est = estimate_gram_matrix(state, group)
+    ws = dynamics._DensityWorkspace(state, lie_basis(group, state.modes).elements, EvolutionConfig())
+
+    @functools.cache
+    def matrix(t):
+        return ws.beta_matrix(np.array([t]))[0]
+
+    def dd(i, j, h):
+        return (matrix(h)[i, j] - 2.0 * matrix(0.0)[i, j] + matrix(-h)[i, j]) / (h * h)
+
+    for i in range(1, d + 1):
+        for j in range(1, d + 1):
+            assert matrix(est.step)[i, j] == matrix(est.step)[j, i]
+            for h, stencil in ((est.step, est.coarse), (est.step / 2.0, est.fine)):
+                assert 0.5 * (dd(i, j, h) - (dd(i, 0, h) + dd(0, j, h))) == stencil[i - 1, j - 1]
+
+
+def test_beta_entry_and_matrix_estimates_agree_bitwise():
+    rho = mixture([(0.7, normalize(SparseKet(1, {(0,): 1.0, (2,): 0.5j}))), (0.3, basis_ket((1,)))])
+    _assert_beta_entries_equal_the_estimate_stencils(rho, Group.GO)
+
+
 def test_go_estimate_allocates_less_than_its_copies_on_the_whole_basis():
     """The copies, their leakage check and their overlaps live on the rows
     the support's blocks reach, so a GO estimate of |1,0,0> allocates less
@@ -387,7 +414,20 @@ def test_active_evolution_leakage_within_tolerance_at_default_buffer():
         assert ws.worst["boundary_weight"] <= 1e-6 and ws.worst["trace_deviation"] <= 1e-6
 
 
-@pytest.mark.parametrize("kind, modes, t", [("e", (1, 2), 0.7), ("r", (1, 2), 0.05)])
+_ONE_GENERATOR_WORDS = [
+    ("e", (1, 2), 0.7),
+    ("E", (1, 2), 0.3),
+    ("N", (2,), 0.7),
+    ("q", (1,), 0.1),
+    ("p", (2,), 0.1),
+    ("r", (1, 2), 0.05),
+    ("R", (1, 2), 0.05),
+    ("s", (1,), 0.05),
+    ("S", (2,), 0.05),
+]
+
+
+@pytest.mark.parametrize("kind, modes, t", _ONE_GENERATOR_WORDS)
 def test_projector_overlap_matches_the_group_word(kind, modes, t):
     """beta_01 = Tr[rho U rho U^dag] of a ket's projector is |<psi|U psi>|^2
     of the ket that ``apply_group_word`` evolves."""
@@ -413,9 +453,10 @@ _NON_INTEGER_BUFFERS = [1.5, 16.0, math.inf, math.nan, True, "16"]
 
 @pytest.mark.parametrize(
     "knobs",
-    [{"step": math.inf}, {"leakage_tolerance": math.inf}, {"step": 1e-300}, {"step": 1e-170}]
+    [{"step": math.inf}, {"leakage_tolerance": math.inf}, {"step": 1e-300}, {"step": 1e-170}, {"buffer": -1}]
     + [{"buffer": b} for b in _NON_INTEGER_BUFFERS],
-    ids=["inf step", "inf tolerance", "step 1e-300", "step 1e-170"] + [f"buffer {b!r}" for b in _NON_INTEGER_BUFFERS],
+    ids=["inf step", "inf tolerance", "step 1e-300", "step 1e-170", "buffer -1"]
+    + [f"buffer {b!r}" for b in _NON_INTEGER_BUFFERS],
 )
 def test_evolution_config_rejects_non_finite_or_underflowing_knobs(knobs):
     with pytest.raises(ValueError):
@@ -607,6 +648,11 @@ def test_ket_estimate_matches_its_outer_product(group, state):
     assert abs(ket.max_boundary_weight - rho.max_boundary_weight) <= 1e-12
     assert abs(ket.max_trace_deviation - rho.max_trace_deviation) <= 1e-12
     assert ket.hermiticity_residual == 0.0
+
+
+@pytest.mark.parametrize("group", [Group.PLO, Group.GO])
+def test_ket_beta_entries_equal_the_ket_estimate_stencils_bitwise(group):
+    _assert_beta_entries_equal_the_estimate_stencils(sample_sphere_state(1, 2, seed=4), group)
 
 
 def test_leaking_ket_raises_as_its_outer_product():
@@ -1193,6 +1239,13 @@ def test_cache_survives_concurrent_workspaces(empty_cache, monkeypatch):
 def test_empty_word_is_identity():
     psi = basis_ket((1, 1))
     assert apply_group_word(psi, []) is psi
+
+
+def test_evolve_number_operator_fixes_fock_projector():
+    """N[1] only turns the phase of |1>, so the evolved ket's projector is
+    the Fock projector."""
+    out = apply_group_word(basis_ket((1,)), [(GeneratorDescriptor("N", (1,)), 0.7)])
+    assert_entries_close(density_op(outer(out)).entries, density_op(outer(basis_ket((1,)))).entries, tol=1e-12)
 
 
 def test_word_of_zero_times_builds_no_working_space(monkeypatch):

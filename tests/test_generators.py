@@ -236,12 +236,14 @@ def test_apply_generator_on_zero_ket(m):
         lambda g: apply_generator(g, basis_ket((1,))),
         lambda g: commutator_with_density(g, outer(basis_ket((1,)))),
         lambda g: apply_group_word(basis_ket((1,)), [(g, 0.1)]),
+        lambda g: apply_group_word(basis_ket((1,)), [(g, 0.0)]),
         lambda g: dense_hamiltonian(g, TruncatedBasis.build(1, 2)),
     ],
     ids=[
         "apply_generator",
         "commutator_with_density",
         "apply_group_word",
+        "apply_group_word-t0",
         "dense_hamiltonian",
     ],
 )
