@@ -10,12 +10,17 @@ unitary on the working space; a working space never enumerates the D
 states. Each block is a chain along the step of the generator's monomial,
 found in closed form from any of its states (``generators._chains``). A
 working space is the chains of one set of generators through one support
-at one cutoff; a group word evolves factor by factor, each factor on the
-working space of its one generator through the rows of the factor before
-it. Each chain key is eigendecomposed on its first use in the process and
-then read from the store's memo; the chains of one key are evolved as one
-group, by two products with a copy of the key's eigenvectors, and every
-one-node chain in one more group. A density evolves as the r
+at one cutoff, its states read as packed words, linear in the states, so
+that the chains are merged and the rows numbered by sorting words; a
+group word evolves factor by factor, each factor on the working space of
+its one generator through the rows of the factor before it. The two kinds
+of a family (e and E, r and R, s and S, q and p) share each chain's real
+shape, its matrix up to the phases D = diag(phi^j), phi = 1 or i: each
+shape is eigendecomposed, by a real ``eigh``, on its first use in the
+process and then read from the store's memo. The chains of one key are
+evolved as one group, by two products with the shape's eigenvectors V
+turned by the key's phases, D V (all of a layout's made in one step), and
+every one-node chain in one more group. A density evolves as the r
 eigenvectors of its matrix over its support, each weighted by its
 eigenvalue, a ket's projector as the one column psi/|psi|, each copy on
 its own nodes, its times in as few groups as their copies made dense, or
@@ -42,20 +47,20 @@ from .fock import (
     Occupation,
     SparseKet,
     ValidationError,
-    _rank_states,
-    _run_starts,
+    _rank_words,
+    _unpack,
     enumerate_occupations,
     normalize,
 )
 from .generators import (
     _CACHE_BUDGET,
-    _KIND_RISE,
     GeneratorDescriptor,
     Group,
     _blocks,
     _chains,
     _decomposed,
     _generator_action,
+    _longest_chain,
     _monomials,
     _recall,
     _remember,
@@ -170,57 +175,62 @@ def _layout(generators: tuple[GeneratorDescriptor, ...], cutoff: int, support: n
     support: each node's generator, per group its span of the nodes and its
     eigenvectors, each node's row and eigenvalue. A group holds the n
     chains of one key, of every generator, node j n + c of its span being
-    place j of its c-th chain, with a copy of the key's L x L eigenvectors;
+    place j of its c-th chain, with the L x L eigenvectors D V of the key's
+    real shape V turned by its kind's phases D (``generators._decomposed``);
     one more group holds every one-node chain, its eigenvectors [[1]]. The
-    support's and the nodes' states are built in one array and ranked once;
-    a layout is refused on a lower bound of its bytes before that array is
-    built, then on its exact bytes. Kept in the store, keyed by the
-    generators, cutoff and support."""
+    support's and the nodes' states are ranked once, as packed words, a
+    node's its chain start's plus j steps'; a layout is refused on a lower
+    bound of its bytes before they are built, then on its exact bytes.
+    Kept in the store, keyed by the generators, cutoff and support."""
     key = ("layout", generators, cutoff, support.shape, support.tobytes())
     found = _recall(key)
     if found is not None:
         _trim()  # as after a build: the budget may have changed since
         return found
     modes = support.shape[1]
-    # a chain's raised modes gain ``rise`` photons a node
-    longest = max(cutoff // rise + 1 if rise else 1 for rise in (_KIND_RISE[g.kind] for g in generators))
+    longest = _longest_chain(generators, cutoff)
     _refuse_oversized(modes, cutoff, f"{longest:,}-state block's eigenvectors", 16 * longest**2)
-    delta, gen, start, length, keys = _chains(generators, support, cutoff)
-    order = np.argsort(keys, kind="stable")  # by key, so the one-node chains first
-    gen, length, keys = (a[order] for a in (gen, length, keys))
-    first = np.flatnonzero(_run_starts(np.where(length > 1, keys, 0)))  # each group's first chain
-    bounds = np.concatenate((first, [len(keys)]))
-    count, size = bounds[1:] - bounds[:-1], length[first]
+    keys, length, gen, start, steps, words = _chains(generators, support, cutoff)
+    # each group's first chain, then its chain count: the one-node chains, first by key, are one group
+    lead = np.where(length > 1, keys, 0)
+    edges = np.empty(len(keys) + 1, dtype=bool)
+    edges[0] = edges[-1] = True
+    edges[1:-1] = lead[1:] != lead[:-1]
+    edges = edges.nonzero()[0]
+    first, count = edges[:-1], edges[1:] - edges[:-1]
+    size = length[first]
     span = count * size
-    stop = np.cumsum(span)  # each group's span of the nodes ends here
+    stop = span.cumsum()  # each group's span of the nodes ends here
     # the bytes of the arrays below besides the rows' states and guard band: 8 a support row, 24 a node
     # (generator, row, eigenvalue), 16 an eigenvector entry; the rows hold at least the nodes of any one
     # generator, whose chains are disjoint, so that many rows are refused before any is built
     nbytes = 8 * len(support) + 24 * int(span.sum()) + 16 * int(size @ size)
-    fewest = int(np.bincount(gen, weights=length, minlength=len(generators)).max())
+    fewest = int(np.bincount(gen, weights=length).max())
     _refuse_oversized(modes, cutoff, "layout of chains", (8 * modes + 1) * fewest + nbytes, least=True)
     # node i of a group's span is place i // n of its chain i % n
-    group = np.repeat(np.arange(len(first)), span)
-    i = np.arange(len(group)) - np.repeat(stop - span, span)
-    j, chain = i // count[group], first[group] + i % count[group]
-    # the support, then each node: its chain's start plus j steps, a mode at a time so that no other
-    # nodes x m array is made
-    states = np.empty((len(support) + len(chain), modes), dtype=np.int64)
-    states[: len(support)] = support
-    source, node_gen = order[chain], gen[chain]
-    for k in range(modes):
-        states[len(support) :, k] = start[source, k] + j * delta[node_gen, k]
-    del start  # a view of the chains' array, freed before the rows are ranked
-    states, rank = _rank_states(states)
+    per = np.empty((3, len(first)), dtype=np.int64)
+    per[0], per[1], per[2] = stop - span, count, first
+    begin, n, head = per.repeat(span, axis=1)
+    j, chain = np.divmod(np.arange(len(begin)) - begin, n)
+    chain += head
+    node_gen = gen[chain]
+    # the support's words, then each node's: its chain's start plus j steps
+    packed = np.empty((len(support) + len(chain), len(words.T)), dtype=np.int64)
+    packed[: len(support)] = words
+    np.multiply(j[:, None], steps.steps[node_gen], out=packed[len(support) :])
+    packed[len(support) :] += start.T[chain]
+    rank, distinct = _rank_words(packed)
+    rank.flags.writeable = False  # before the support's and the nodes' rows are read from it
+    states = _unpack(packed[distinct], modes, steps.width)
     nbytes += states.nbytes + len(states)
     _refuse_oversized(modes, cutoff, "layout of chains", nbytes)
-    eigenvalues, eigenvectors, at, square_at = _decomposed(keys)
-    squares = [eigenvectors[s : s + n * n].reshape(n, n).copy() for s, n in zip(square_at[first].tolist(), size.tolist())]
-    band, rows, nodes = states.sum(axis=1) > cutoff - 2, rank[: len(support)].copy(), rank[len(support) :].copy()
-    arrays = (states, band, rows, node_gen, nodes, eigenvalues[at[chain] + j])
-    ends = [0, *stop.tolist()]
-    found = (*arrays[:4], [(slice(lo, hi), v) for lo, hi, v in zip(ends, ends[1:], squares)], *arrays[4:])
-    _remember(key, found, (*arrays, *squares))
+    eigenvalues, at, vectors = _decomposed(keys, first)  # every group's squares, one after another
+    bounds = zip((stop - span).tolist(), stop.tolist(), (size * size).cumsum().tolist(), size.tolist())
+    groups = [(slice(lo, hi), vectors[a - n * n : a].reshape(n, n)) for lo, hi, a, n in bounds]
+    band, rows, nodes = states.sum(axis=1) > cutoff - 2, rank[: len(support)], rank[len(support) :]
+    values = eigenvalues[at[chain] + j]
+    found = (states, band, rows, node_gen, groups, nodes, values)
+    _remember(key, found, (states, band, rank, node_gen, values, vectors))
     _trim()
     return found
 

@@ -113,26 +113,49 @@ def _dense_rank(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return rank, order[first]
 
 
+@functools.lru_cache(maxsize=None)
+def _packing(modes: int, width: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """How rows of ``modes`` occupations below 2^width pack into K words:
+    as many occupations a 63-bit word as the width allows, the first mode
+    highest, so that rows of words compare as the rows they pack, and a
+    sum of rows packs into the sum of their words. Returns the m x K
+    weights that pack them, and each mode's word and shift that unpack
+    them; read-only, one set per (modes, width)."""
+    per = 63 // width
+    mode = np.arange(modes)
+    word, shift = mode // per, width * (per - 1 - mode % per)
+    weights = np.zeros((modes, (modes - 1) // per + 1), dtype=np.int64)
+    weights[mode, word] = np.left_shift(1, shift)
+    return _frozen(weights, word, shift)
+
+
+def _unpack(words: np.ndarray, modes: int, width: int) -> np.ndarray:
+    """The rows (n x m) that ``_packing`` packed into words (n x K)."""
+    _, word, shift = _packing(modes, width)
+    rows = np.right_shift(words[:, word], shift)
+    return np.bitwise_and(rows, (1 << width) - 1, out=rows)
+
+
+def _rank_words(words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's rank among the distinct rows of an n x K array of words,
+    compared word by word, and the position of one occurrence of each
+    distinct row, in ascending order: ranked word by word, carrying the
+    rank of the words before."""
+    rank, first = _dense_rank(words[:, 0])
+    for k in range(1, words.shape[1]):
+        # both ranks are below n, so the combined key fits
+        rank, first = _dense_rank(rank * len(words) + _dense_rank(words[:, k])[0])
+    return rank, first
+
+
 def _rank_states(states: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The distinct rows of a nonnegative int64 array, in numeric
     lexicographic order, and each row's rank among them."""
     rows = np.ascontiguousarray(states, dtype=np.int64)
     if not len(rows):
         return rows, np.zeros(0, dtype=np.intp)
-    # pack as many columns into each 63-bit word as the largest entry
-    # allows, the first column highest, so that words compare as the columns
-    # they hold; then rank word by word, carrying the rank of the words before
-    width = max(int(rows.max()).bit_length(), 1)
-    weights = np.left_shift(1, width * np.arange(63 // width - 1, -1, -1, dtype=np.int64))
-
-    def word(start: int) -> np.ndarray:
-        block = rows[:, start : start + len(weights)]
-        return block @ weights[: block.shape[1]]
-
-    rank, first = _dense_rank(word(0))
-    for start in range(len(weights), rows.shape[1], len(weights)):
-        # both ranks are below len(rows), so the combined key fits
-        rank, first = _dense_rank(rank * len(rows) + _dense_rank(word(start))[0])
+    # packed as tightly as the largest entry allows
+    rank, first = _rank_words(rows @ _packing(rows.shape[1], max(int(rows.max()).bit_length(), 1))[0])
     return rows[first], rank
 
 

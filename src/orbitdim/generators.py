@@ -41,13 +41,17 @@ all pairs are solved with one factorisation of the normal matrix, and the
 residuals are taken block by block in a second pass.
 
 On a truncated basis each generator's blocks are chains along the step of
-its monomial, and ``_chain_matrices`` gives their matrices with the same
-amplitudes, from the kind, the length and the start alone.
+its monomial, found from packed words of the states (``_chains``), and
+``_chain_matrices`` gives their matrices with the same amplitudes, from
+the kind, the length and the start alone. The two kinds of a family (e
+and E, r and R, s and S, q and p) differ only by the phase of c, 1 or i,
+so their chains are D T D^dag for one real shape T, D = diag(phi^j): the
+memo of ``_decomposed`` keeps real eigenpairs by shape.
 
 Arrays that depend on no amplitude are built once per process and kept,
 read-only, in one store under a fixed budget of 64 MiB (least recently used
-first out): the plans and closure joins here, and the decomposed chains
-and working-space layouts of ``dynamics``.
+first out): the plans and closure joins here, and the decomposed chain
+shapes and working-space layouts of ``dynamics``.
 """
 
 from __future__ import annotations
@@ -61,6 +65,7 @@ from collections import OrderedDict
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
 from enum import Enum
+from typing import NamedTuple
 
 import numpy as np
 
@@ -68,6 +73,7 @@ from .fock import (
     DensityOperator,
     SparseKet,
     SparseOperator,
+    _packing,
     _rank_states,
     _run_starts,
     basis_ket,
@@ -309,71 +315,172 @@ def _generator_action(
 
 #: One generator of each kind, in ``_KINDS`` order, on modes 1 (and 2),
 #: whose monomials give the amplitudes of every chain of that kind; each
-#: kind's index there, the step of its X on each of its modes, and the
-#: positive part of that step, summed.
+#: kind's index there, and the step of its X on each of its modes.
 _KIND_GENERATORS = tuple(GeneratorDescriptor(kind, tuple(range(1, n + 1))) for kind, (n, *_) in _KINDS.items())
 _KIND_INDEX = {kind: k for k, kind in enumerate(_KINDS)}
 _KIND_STEP = np.array([[sum(s for slot, s in steps if slot == i) for i in (0, 1)] for _, _, steps in _KINDS.values()])
-_KIND_RISE = {kind: int(np.maximum(step, 0).sum()) for kind, step in zip(_KINDS, _KIND_STEP)}
+
+#: Each kind's family and turn. Kinds with one X and one |c| (e and E, r and
+#: R, s and S, q and p) differ by the phase phi = c / |c|, 1 or i = i^turn,
+#: so a chain of either kind has the matrix D T D^dag, D = diag(phi^j), for
+#: one real shape T: the chain's matrix under the family, the first such
+#: kind, whose c is real.
+_KIND_FAMILY = np.array(
+    [
+        next(f for f, (_, c2, s2) in enumerate(_KINDS.values()) if s2 == s and abs(c2 or 1) == abs(c or 1))
+        for _, c, s in _KINDS.values()
+    ]
+)
+_KIND_TURN = np.array([int(c is not None and c.imag != 0) for _, c, _ in _KINDS.values()])
+#: What a key's kind field (bits 46 to 49) gains to become its family's.
+_KIND_SHAPE = (_KIND_FAMILY - np.arange(len(_KINDS))) << 46
+#: i^turn for turn 0..3.
+_TURNS = np.array([1, 1j, -1, -1j])
+#: Past any cutoff (a chain key holds occupations below 2^23).
+_BEYOND = 1 << 30
 
 
-def _steps(generators: Sequence[GeneratorDescriptor], modes: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Each generator's kind (its ``_KINDS`` index), the modes its X steps
-    (-1 for none), and its step delta over the register (G x m)."""
-    kinds = np.array([_KIND_INDEX[g.kind] for g in generators], dtype=np.int64)
+class _Walk(NamedTuple):
+    """What a chain walk reads of generators' kinds, each array over the
+    kinds (its first axis): the step of X on each of a kind's (up to) two
+    modes, and per mode the divisor and bias that take the steps back (a
+    raising step, else 1 and past any cutoff) and the nodes ahead (a
+    lowering step, likewise) from the occupation (K x 2 x 1); the weights
+    that put the two occupations in a key (K x 1 x 2: 2^23 and 1, 0 for no
+    mode); the photons a step adds, and the divisor and bias that take the
+    nodes below the cutoff from the photons left (K x 1; a kind that does
+    not move, N or the identity, takes 0 steps either way); and its kind
+    in a key's bit field plus one node. A kind whose two steps mirror (r
+    and R) steps back until one of its occupations is 0, so it keys them
+    as (min, max) = (0, x + y) by the weights 1 and 1."""
+
+    step: np.ndarray
+    back: np.ndarray
+    back_bias: np.ndarray
+    ahead: np.ndarray
+    ahead_bias: np.ndarray
+    key_weights: np.ndarray
+    rise: np.ndarray
+    below: np.ndarray
+    below_bias: np.ndarray
+    kind: np.ndarray
+
+
+@functools.cache
+def _every_walk() -> _Walk:
+    """The ``_Walk`` of every kind, in ``_KINDS`` order, built on first use:
+    a process that never evolves does not pay the memory numpy takes on its
+    first calls here."""
+    step = _KIND_STEP
+    up, down, rise = step > 0, step < 0, step.sum(axis=1)
+    moves = up.any(axis=1, keepdims=True)
+    acts = np.array([n for n, *_ in _KINDS.values()])[:, None] > [0, 1]
+    mirror = (step[:, 0] == step[:, 1]) & up[:, 0]
+    return _Walk(
+        step=step[:, :, None],
+        back=np.where(up, step, np.where(moves, 1, _BEYOND))[:, :, None],
+        back_bias=np.where(up | ~moves, 0, _BEYOND)[:, :, None],
+        ahead=np.maximum(-step, 1)[:, :, None],
+        ahead_bias=np.where(down, 0, _BEYOND)[:, :, None],
+        key_weights=np.where(acts, np.where(mirror[:, None], 1, [1 << 23, 1]), 0)[:, None],
+        rise=rise[:, None],
+        below=np.where(rise > 0, rise, np.where(moves[:, 0], 1, _BEYOND))[:, None],
+        below_bias=np.where((rise > 0) | ~moves[:, 0], 0, _BEYOND)[:, None],
+        kind=(np.arange(len(_KINDS))[:, None] << 46) + (1 << 50),
+    )
+
+
+def _longest_chain(generators: Iterable[GeneratorDescriptor], cutoff: int) -> int:
+    """The most nodes a chain of any of the generators can have at a cutoff,
+    reckoned in Python ints, so that a layout can refuse any cutoff, however
+    large, before its chains are walked in int64."""
+    below = _every_walk().below
+    least = min(int(below[_KIND_INDEX[g.kind], 0]) for g in generators)
+    return 1 if least == _BEYOND else cutoff // least + 1  # N and the identity have chains of one
+
+
+class _Steps(NamedTuple):
+    """What a walk reads of G generators on a register, its states packed
+    ``width`` bits an occupation: the ``_Walk`` of their kinds; the modes
+    each X steps (G x 2, -1 for none, which reads the last mode, where the
+    step is 0) and each generator's index (G x 1); and the width, the
+    weights that pack a state (``fock._packing``) and each step delta
+    packed (G x K)."""
+
+    walk: _Walk
+    acted: np.ndarray
+    index: np.ndarray
+    width: int
+    weights: np.ndarray
+    steps: np.ndarray
+
+
+@functools.lru_cache(maxsize=None)
+def _steps(generators: tuple[GeneratorDescriptor, ...], modes: int, width: int) -> _Steps:
+    """The ``_Steps`` of generators on a register of ``modes`` packed at a
+    width; read-only, one set per generator tuple, register and width (at
+    most 23 widths, as a chain key holds occupations below 2^23), as
+    ``_monomials`` keeps its table."""
     acted = np.array([(*(k - 1 for k in g.modes), -1, -1)[:2] for g in generators], dtype=np.int64).reshape(-1, 2)
     if acted.size and acted.max() >= modes:
         raise ValueError(f"generator mode index {acted.max() + 1} exceeds the {modes}-mode register")
+    kinds = [_KIND_INDEX[g.kind] for g in generators]
+    walk = _Walk(*(a[kinds] for a in _every_walk()))
     delta = np.zeros((len(generators), modes + 1), dtype=np.int64)  # the last column is no mode
-    delta[np.arange(len(generators))[:, None], acted] = _KIND_STEP[kinds]
-    return kinds, acted, delta[:, :-1]
+    delta[np.arange(len(generators))[:, None], acted] = walk.step[:, :, 0]
+    weights = _packing(modes, width)[0]
+    found = _Steps(walk, acted, np.arange(len(generators))[:, None], width, weights, delta[:, :-1] @ weights)
+    for array in (*walk, acted, found.index, found.steps):
+        array.setflags(write=False)
+    return found
 
 
-def _walk(kinds: np.ndarray, acted: np.ndarray, delta: np.ndarray, states: np.ndarray, cutoff: int) -> np.ndarray:
-    """The chain of each generator (``_steps``) through each state (S x m),
-    at most ``cutoff`` photons, as one row of its generator, length and
-    start, generator by generator (G S x (m + 2)): it starts as many steps
-    back as keep every occupation >= 0 (a step back adds no photons) and
-    runs until a lowered mode empties or the cutoff is reached. N and the
-    identity (delta 0) give chains of one. The walk reads only the acted
-    modes, and the rows are written into one array."""
-    step = _KIND_STEP[kinds][:, :, None]  # each generator's step on its (up to) two acted modes, G x 2 x 1
-    # G x 2 x S; no mode (-1) reads the last, where the step is 0 and nothing reads it
-    x = states.T[acted]
-    up = step > 0
-    moves = up.any(axis=1)
-    back = np.where(up, x // np.maximum(step, 1), cutoff).min(axis=1) * moves
-    rows = np.empty((len(kinds), len(states), states.shape[1] + 2), dtype=np.int64)
-    start = rows[:, :, 2:]
-    np.multiply(back[:, :, None], delta[:, None], out=start)
-    np.subtract(states, start, out=start)
-    room = np.where(step < 0, (x - back[:, None] * step) // np.maximum(-step, 1), cutoff).min(axis=1)
-    rise = step.sum(axis=1)
-    top = np.where(rise > 0, (cutoff - start.sum(axis=2)) // np.maximum(rise, 1), cutoff)
-    rows[:, :, 0] = np.arange(len(kinds))[:, None]
-    rows[:, :, 1] = np.where(moves, np.minimum(room, top) + 1, 1)
-    return rows.reshape(-1, states.shape[1] + 2)
-
-
-def _chains(generators: Sequence[GeneratorDescriptor], states: np.ndarray, cutoff: int) -> tuple[np.ndarray, ...]:
+def _chains(generators: Sequence[GeneratorDescriptor], states: np.ndarray, cutoff: int) -> tuple:
     """The blocks of every generator through every state (S x m), at most
-    ``cutoff`` photons. H = c X + conj(c) X^dag moves a state only by the
-    step delta of X, so its blocks are chains x + j delta in basis order
-    (``_walk``). Returns the steps (G x m) and per distinct chain, by
-    generator, length, then start:
-    its generator, start, length and key, as ``_chain_matrices`` reads it.
-    An r or R chain keys its start's two occupations as (min, max): the
-    mirrored chains' matrices are equal bit for bit, each amplitude's two
-    square roots only swapping."""
-    kinds, acted, delta = _steps(generators, states.shape[1])
-    # the distinct chains, by generator, length, then start
-    chains = _rank_states(_walk(kinds, acted, delta, states, cutoff))[0]
-    gen, length, start = chains[:, 0], chains[:, 1], chains[:, 2:]
-    x = np.where(acted[gen] >= 0, start[np.arange(len(gen))[:, None], acted[gen]], 0)
-    d = _KIND_STEP[kinds[gen]]
-    x = np.where((d[:, :1] == d[:, 1:]) & (d > 0), np.sort(x, axis=1), x)
-    key = length << 50 | kinds[gen] << 46 | x[:, 0] << 23 | x[:, 1]  # the size refusal keeps x below 2^23
-    return delta, gen, start, length, key
+    ``cutoff`` photons (below 2^23). H = c X + conj(c) X^dag moves a state
+    only by the step delta of X, so its blocks are chains x + j delta in
+    basis order: a chain starts as many steps back as keep every occupation
+    >= 0 (a step back adds no photons) and runs until a lowered mode empties
+    or the cutoff is reached; N and the identity (delta 0) give chains of
+    one.
+
+    States are read as packed words (``fock._packing`` at the cutoff's
+    width), which are linear in them, so that a chain's start is its state's
+    word less its steps back's, and the distinct chains are found by sorting
+    words, not states. Returns per distinct chain, in order of key, then
+    generator, then start: its key, length, generator and start's words
+    (K x n); then the generators' ``_Steps`` and the states' words (S x K).
+    A key is L << 50 | kind (its ``_KINDS`` index) << 46 | the start's
+    occupations of the kind's modes << 23 and as they are, as
+    ``_chain_matrices`` reads it, so the one-node chains come first; an r or
+    R chain keys them as (min, max): the mirrored chains' matrices are equal
+    bit for bit, each amplitude's two square roots only swapping."""
+    steps = _steps(tuple(generators), states.shape[1], max(int(cutoff).bit_length(), 1))
+    walk = steps.walk
+    words = states @ steps.weights
+    # each generator's (up to) two acted occupations of each state, G x 2 x S, then its chain start's
+    x = states.T[steps.acted]
+    back = (x + walk.back_bias) // walk.back
+    back = np.minimum(back[:, 0], back[:, 1])
+    x -= back[:, None] * walk.step
+    # the steps from the start to the chain's last node: within the cutoff, and no lowered mode below 0
+    ahead = (x + walk.ahead_bias) // walk.ahead
+    last = (back * walk.rise + walk.below_bias + (cutoff - states.sum(axis=1))) // walk.below
+    np.minimum(last, ahead[:, 0], out=last)
+    np.minimum(last, ahead[:, 1], out=last)
+    table = np.empty((2 + words.shape[1], *back.shape), dtype=np.int64)  # key, generator, start's words
+    np.matmul(walk.key_weights, x, out=table[0, :, None])
+    table[0] += last << 50
+    table[0] += walk.kind
+    table[1] = steps.index
+    np.subtract(words.T[:, None], back * steps.steps.T[:, :, None], out=table[2:])
+    table = table.reshape(len(table), -1)
+    table = table[:, np.lexsort(table[::-1])]
+    distinct = np.empty(table.shape[1], dtype=bool)
+    distinct[:1] = True
+    np.not_equal(table[:, 1:], table[:, :-1]).any(axis=0, out=distinct[1:])
+    table = table[:, distinct]
+    return table[0], table[0] >> 50, table[1], table[2:], steps, words
 
 
 def _chain_matrices(keys: np.ndarray) -> list[np.ndarray]:
@@ -451,28 +558,54 @@ def _trim() -> None:
             _cache.nbytes -= size
 
 
-def _decomposed(key: np.ndarray) -> tuple[np.ndarray, ...]:
-    """A memo by chain key, kept as one store entry read only to build a
-    layout: the eigenvalues and the eigenvectors (L x L, row-major) of every
-    chain decomposed so far, each flat, and the offsets in them of the given
-    chains' own. The keys it lacks are decomposed on first use, one stacked
-    ``eigh`` per length; a one-node chain is its own eigenpair, its entry and 1."""
+def _shapes(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each chain key's shape, the key under its kind's family, and its
+    kind's turn (``_KIND_FAMILY``, ``_KIND_TURN``)."""
+    kind = keys >> 46 & 0xF
+    return keys + _KIND_SHAPE[kind], _KIND_TURN[kind]
+
+
+def _decomposed(keys: np.ndarray, first: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The eigenpairs of chains given by key (``_chains``): the eigenvalues
+    of every shape decomposed so far, flat, and each chain's offset in them;
+    and the eigenvectors D V of the chains ``first``, each its shape's real
+    eigenvectors V (L x L) with row j turned by its kind's phi^j, one
+    row-major square after another in one flat read-only array. A shape is
+    a key under its kind's family (``_KIND_FAMILY``); the shapes are kept as
+    one store entry, a memo read only to build a layout, of their
+    eigenvalues and real eigenvectors. The shapes it lacks are decomposed
+    on first use, one stacked real ``eigh`` per length; a one-node shape is
+    its own eigenpair, its entry and 1."""
+    shape, turn = _shapes(keys)
     empty = np.zeros(0, dtype=np.int64)
-    keys, begin, values, vectors = _recall(("chains",)) or (empty, empty.reshape(0, 2), empty, empty)
-    fresh = np.sort(key[np.append(keys, -1)[np.searchsorted(keys, key)] != key])  # by length: L leads the key
-    if len(fresh):
+    known, begin, values, vectors = _recall(("chains",)) or (empty, empty.reshape(2, 0), empty, empty)
+    found = known.searchsorted(shape)
+    missing = known.take(found, mode="clip") != shape if len(known) else np.ones(len(shape), dtype=bool)
+    if missing.any():
+        fresh = np.sort(shape[missing])  # by length: L leads the key
         fresh = fresh[_run_starts(fresh)]
-        sizes = (fresh >> 50)[:, None] ** [1, 2]  # L eigenvalues and L^2 eigenvector entries per chain
-        offsets = [len(values), len(vectors)] + np.cumsum(sizes, axis=0) - sizes
-        stacks = _chain_matrices(fresh)
-        pairs = [np.linalg.eigh(h) if h.shape[1] > 1 else (h[:, 0].real, np.ones_like(h)) for h in stacks]
+        sizes = (fresh >> 50)[:, None] ** [1, 2]  # L eigenvalues and L^2 eigenvector entries per shape
+        offsets = ([len(values), len(vectors)] + np.cumsum(sizes, axis=0) - sizes).T
+        stacks = [h.real for h in _chain_matrices(fresh)]
+        pairs = [np.linalg.eigh(h) if h.shape[1] > 1 else (h[:, 0], np.ones_like(h)) for h in stacks]
         values, vectors = (np.concatenate([a, *(p[i].ravel() for p in pairs)]) for i, a in enumerate((values, vectors)))
-        keys, begin = np.concatenate([keys, fresh]), np.concatenate([begin, offsets])
-        order = np.argsort(keys)
-        keys, begin = keys[order], begin[order]
-        _remember(("chains",), (keys, begin, values, vectors), (keys, begin, values, vectors))
-    at = np.searchsorted(keys, key)
-    return values, vectors, begin[at, 0], begin[at, 1]
+        known, begin = np.concatenate([known, fresh]), np.concatenate([begin, offsets], axis=1)
+        order = np.argsort(known)
+        known, begin = known[order], begin[:, order]
+        _remember(("chains",), (known, begin, values, vectors), (known, begin, values, vectors))
+        found = known.searchsorted(shape)
+    at, square_at = begin[:, found]
+    # entry e of a chain's square is its shape's, on row j = e // L, times phi^j = i^(j & 3) if turned, else 1:
+    # exactly, phi being 1 or i
+    size = keys[first] >> 50
+    area = size * size
+    per = np.empty((4, len(first)), dtype=np.int64)
+    per[0], per[1], per[2], per[3] = area.cumsum() - area, square_at[first], size, 3 * turn[first]
+    start, offset, side, turn = per.repeat(area, axis=1)
+    e = np.arange(len(start)) - start
+    turned = vectors[offset + e] * _TURNS[e // side & turn]
+    turned.flags.writeable = False
+    return values, at, turned
 
 
 #: A monomial table's action on one support, as ``_directions`` applies it:

@@ -954,7 +954,7 @@ _WELL_FORMED = {
 _EDGE = {
     "size": st.integers(-1, 0),
     "tol": st.sampled_from([["--tol", "-1"], ["--tol", "inf"]]),
-    "estimate": st.sampled_from([["--buffer", "-1"], ["--h", "1e-300"]]),
+    "estimate": st.sampled_from([["--buffer", "-1"], ["--buffer", str(2**63)], ["--h", "1e-300"]]),
 }
 
 
@@ -965,7 +965,7 @@ def _invocations(draw):
     sphere sample, a mixture of two, or a document near a state file. Half
     the argvs draw their options at an edge: a size of -1 or 0 (each size
     at an edge or not), a negative or infinite tolerance, a negative
-    buffer or an underflowing step."""
+    buffer or one past int64, or an underflowing step."""
     name = draw(st.sampled_from(sorted(_COMMANDS)))
     state = draw(draw(st.sampled_from([_SAMPLE, _MIXTURE, _DOCUMENT])))
     values = draw(st.sampled_from([_WELL_FORMED, _EDGE]))

@@ -39,6 +39,7 @@ from orbitdim import (
 )
 from orbitdim import dynamics, generators
 from orbitdim.dynamics import _Workspace
+from orbitdim.fock import _unpack as unpack
 from _helpers import assert_entries_close, assert_terms_close
 from _oracle import basis_states, connected_blocks, dense_density, dense_ket, density_op, generator_matrix, inner
 
@@ -99,19 +100,26 @@ def test_dense_hamiltonian_matches_dense_oracle(group, m, cutoff_above):
 # ------------------------------------------------- block-diagonal evolution
 
 
+#: i^k for k = 0..3, exactly.
+_PHASES = np.array([1, 1j, -1, -1j])
+
+
 def _chain_blocks(elements, basis):
     """Every chain of every generator on the basis, as (generator index,
-    basis indices in chain order, block matrix), its states looked up in
-    the basis's index."""
+    basis indices in chain order, block matrix): the block is D T D^dag,
+    T the matrix of its real shape (its key under its kind's family) and
+    D = diag(phi^j) its kind's phases, its states unpacked from its start's
+    words plus j steps and looked up in the basis's index."""
     states = np.array(basis.states, dtype=np.int64)
-    delta, gen, start, length, key = generators._chains(elements, states, basis.cutoff)  # through every state
-    order = np.argsort(key, kind="stable")
-    blocks = [None] * len(key)
-    for c, h in zip(order, (h for stack in generators._chain_matrices(key[order]) for h in stack), strict=True):
-        blocks[c] = h
-    for c, block in enumerate(blocks):
-        nodes = [basis.index[tuple((start[c] + j * delta[gen[c]]).tolist())] for j in range(length[c])]
-        yield int(gen[c]), nodes, block
+    key, _, gen, start, steps, _ = generators._chains(elements, states, basis.cutoff)  # through every state
+    shape, turn = generators._shapes(key)
+    shapes = generators._chain_matrices(shape)  # by key, so by length
+    for c, t in enumerate(h for stack in shapes for h in stack):
+        n, length = int(gen[c]), len(t)
+        d = _PHASES[np.arange(length) * turn[c] % 4]
+        words = start[:, c] + np.arange(length)[:, None] * steps.steps[n]
+        nodes = [basis.index[tuple(occ)] for occ in unpack(words, basis.modes, steps.width).tolist()]
+        yield n, nodes, d[:, None] * t * d.conj()
 
 
 @pytest.mark.parametrize("group, m, cutoff", [(Group.GO, 2, 5), (Group.PLO, 3, 4)])
@@ -149,6 +157,46 @@ def test_chains_are_the_connected_blocks_of_the_hamiltonian(group, m):
             assert sorted(nodes for nodes, _ in found) == connected_blocks(h), (g.label, cutoff)
             for nodes, block in found:
                 assert np.array_equal(block, h[np.ix_(nodes, nodes)]), (g.label, cutoff)
+
+
+@pytest.mark.parametrize("pair", ["eE", "rR", "sS", "qp"])
+def test_the_two_kinds_of_a_family_share_one_real_shape(empty_cache, pair):
+    """The chain memo is keyed by shape: a chain of either kind of a family
+    has the matrix D T D^dag of one real shape T, the chain's matrix under
+    the family's first kind (c = |c|), with D = diag(phi^j) and
+    phi = c / |c| (1 for the first kind, i for the second). For every
+    distinct chain of both kinds of 2 to 19 nodes on m = 2 at cutoff 36
+    (every length for each kind), D^dag H D equals T entry for entry, its
+    imaginary parts zero, and D V diag(lambda) (D V)^dag from the
+    eigenpairs the memo keeps for the shape gives the kind's matrix within
+    1e-14 of its largest entry."""
+    first, second = (generators._KIND_INDEX[kind] for kind in pair)
+    assert generators._KIND_FAMILY[[first, second]].tolist() == [first, first]
+    assert generators._KIND_TURN[[first, second]].tolist() == [0, 1]
+    elements = [g for g in lie_basis(Group.GO, 2).elements if g.kind in pair]
+    states = np.array(TruncatedBasis.build(2, 36).states, dtype=np.int64)
+    key, length, gen, *_ = generators._chains(elements, states, 36)
+    kept = (length > 1) & (length <= 19)
+    key, length, gen = key[kept], length[kept], gen[kept]
+    shape, turn = generators._shapes(key)
+    for kind, phase in zip(pair, (0, 1)):
+        of_kind = np.array([elements[n].kind == kind for n in gen.tolist()])
+        assert sorted(set(length[of_kind].tolist())) == list(range(2, 20))
+        assert (turn[of_kind] == phase).all()
+    # one stack per length, in key order (so by length), and the shapes in that order
+    matrices = [h for stack in generators._chain_matrices(key) for h in stack]
+    shapes = [t for stack in generators._chain_matrices(shape) for t in stack]
+    # the eigenvalues, and every chain's eigenvectors D V, one square after another
+    values, at, vectors = generators._decomposed(key, np.arange(len(key)))
+    ends = np.cumsum(length * length).tolist()
+    for c, (h, t) in enumerate(zip(matrices, shapes, strict=True)):
+        size, a = len(h), int(at[c])
+        d = _PHASES[np.arange(size) * turn[c] % 4]
+        turned = d.conj()[:, None] * h * d
+        assert np.array_equal(turned, t) and not turned.imag.any() and not t.imag.any()
+        v = vectors[ends[c] - size * size : ends[c]].reshape(size, size)
+        rebuilt = (v * values[a : a + size]) @ v.conj().T
+        assert np.abs(rebuilt - h).max() <= 1e-14 * max(1.0, np.abs(h).max())
 
 
 @pytest.mark.parametrize("group, m, cutoff", [(Group.GO, 2, 5), (Group.PLO, 3, 4)])
@@ -832,7 +880,7 @@ def test_layout_past_its_lower_bound_is_refused_before_its_rows_are_ranked(empty
     ranked, saying it would take at least that much."""
     monkeypatch.setattr(dynamics, "_CACHE_BUDGET", 8 << 10)  # past its longest block's 5,776 bytes
     ranked = []
-    monkeypatch.setattr(dynamics, "_rank_states", lambda states: ranked.append(states))
+    monkeypatch.setattr(dynamics, "_rank_words", lambda words: ranked.append(words))
     message = r"^working space of 190 states \(cutoff 18\) too large: its layout of chains would take at least "
     with pytest.raises(ValidationError, match=message):
         estimate_gram_matrix(sample_sphere_state(2, 2, seed=1), Group.GO)
@@ -856,6 +904,25 @@ def test_layout_builds_its_node_states_once(empty_cache):
         tracemalloc.stop()
     assert len(layout[0]) == len(support) == 92_378
     assert peak < 4 * _stored_bytes(layout)
+
+
+def test_a_word_on_fourteen_modes_packs_each_state_in_two_words(empty_cache):
+    """At m = 14 and cutoff 17 an occupation takes five bits, so a state
+    takes two packed words: a GO round trip of factors on modes 1 and 2 of
+    a 2-mode sphere ket times Fock spectators on modes 3..14 gives the
+    2-mode round trip's terms times the spectators, bit for bit."""
+    spectators = (0, 1, 0, 0, 2, 0, 0, 0, 0, 0, 0, 1)
+    psi = sample_sphere_state(2, 1, seed=7)
+    assert generators._packing(14, 5)[0].shape == (14, 2)
+    labels = ["q[1]", "p[2]", "s[1]", "S[2]", "r[1,2]", "R[1,2]", "e[1,2]", "E[1,2]", "N[1]"]
+    outs = []
+    for m, ket in ((2, psi), (14, SparseKet(14, {k + spectators: v for k, v in psi.terms.items()}))):
+        basis = lie_basis(Group.GO, m)
+        word = [(basis.elements[basis.index_of(label)], 0.02 * (k + 1) * (-1) ** k) for k, label in enumerate(labels)]
+        outs.append(apply_group_word(ket, [(g, -t) for g, t in reversed(word)] + word).terms)
+    two, fourteen = outs
+    assert list(fourteen) == [k + spectators for k in two]
+    assert np.array(list(fourteen.values())).tobytes() == np.array(list(two.values())).tobytes()
 
 
 def _rank3_density():
@@ -976,10 +1043,28 @@ def test_overlap_gram_past_the_budget_is_refused_before_copies_are_evolved(empty
 def test_photons_past_a_chain_key_are_refused():
     """A chain's key holds each occupation in 23 bits. A one-mode PLO
     working space has only N[1]'s one-node chains, as small as layouts
-    get, and is refused from 2^23 photons on."""
+    get, and is refused from 2^23 photons on, for the key even at 2^50,
+    where its chains are still one node long."""
     assert estimate_gram_matrix(basis_ket(((1 << 23) - 1,)), Group.PLO).cutoff == (1 << 23) - 1
     with pytest.raises(ValidationError, match=r"\(cutoff 8388608\) too large: a chain key holds occupations below 2\^23"):
         estimate_gram_matrix(basis_ket((1 << 23,)), Group.PLO)
+    with pytest.raises(ValidationError, match=r"\(cutoff 1125899906842624\) too large: a chain key holds"):
+        estimate_gram_matrix(basis_ket((1 << 50,)), Group.PLO)
+
+
+@pytest.mark.parametrize("group, label", [(Group.DPLO, "q[1]"), (Group.ALO, "S[1]"), (Group.GO, "p[1]")])
+def test_a_cutoff_past_int64_is_refused_before_its_chains_are_walked(group, label):
+    """A buffer of 2^63 puts the cutoff past int64, where a state would pack
+    no occupation into a 63-bit word: an estimate, and a word of one
+    generator that moves photons, are refused on their longest chain's
+    bytes, reckoned in Python ints, not stopped by a numpy error."""
+    config = EvolutionConfig(buffer=2**63)
+    message = r"\(cutoff 9223372036854775809\) too large: its [\d,]+-state block's eigenvectors would take"
+    with pytest.raises(ValidationError, match=message):
+        estimate_gram_matrix(basis_ket((1,)), group, config)
+    basis = lie_basis(group, 1)
+    with pytest.raises(ValidationError, match=message):
+        apply_group_word(basis_ket((1,)), [(basis.elements[basis.index_of(label)], 0.1)], config)
 
 
 # ----------------------------------------------------------------- sampling
@@ -1060,23 +1145,27 @@ def test_second_workspace_calls_no_eigh(empty_cache, eigh_calls):
 
 def test_eigh_decomposes_each_distinct_chain_once(empty_cache, eigh_calls):
     """Decomposing every chain of m = 2 GO at cutoff 17, then at 18, hands
-    ``eigh`` each distinct chain (kind, its modes' occupations at the
+    ``eigh`` each distinct shape (family, its modes' occupations at the
     start, length) of more than one node once in all, counting stacked
-    matrices: 156 matrices for the 1,737 blocks of the two cutoffs, the
-    second decomposing only the 24 chains the first lacked. Mirrored r
-    and R starts share a key, so the 1,737 blocks have 190 keys."""
+    matrices, as its real matrix: 78 matrices for the 1,737 blocks of the
+    two cutoffs, the second decomposing only the 12 shapes the first
+    lacked. Mirrored r and R starts share a key, so the 1,737 blocks have
+    190 keys, and the two kinds of a family share a shape, so the keys have
+    105 shapes."""
     elements = lie_basis(Group.GO, 2).elements
-    keys, blocks, received = set(), 0, []
+    keys, shapes, blocks, received = set(), set(), 0, []
     for cutoff in (17, 18):
         states = np.array(TruncatedBasis.build(2, cutoff).states)
-        chains = generators._chains(elements, states, cutoff)[4]
-        keys.update(chains.tolist())
-        blocks += len(chains)
-        generators._decomposed(chains)
+        key = generators._chains(elements, states, cutoff)[0]
+        keys.update(key.tolist())
+        shapes.update(generators._shapes(key)[0].tolist())
+        blocks += len(key)
+        generators._decomposed(key, np.arange(len(key)))
         received.append(sum(len(a) for a in eigh_calls))
-    assert received == [132, 156] and len(keys) == 190 and blocks == 1737
-    expected = [h for stack in generators._chain_matrices(np.array(sorted(keys))) for h in stack if len(h) > 1]
+    assert received == [66, 78] and len(shapes) == 105 and len(keys) == 190 and blocks == 1737
+    expected = [h.real for stack in generators._chain_matrices(np.array(sorted(shapes))) for h in stack if len(h) > 1]
     given = [h for stack in eigh_calls for h in stack]
+    assert all(h.dtype == float for h in given)
     assert sorted((h.shape, h.tobytes()) for h in given) == sorted((h.shape, h.tobytes()) for h in expected)
 
 
@@ -1097,10 +1186,11 @@ def test_cold_estimates_and_words_hand_eigh_no_matrix_twice(empty_cache, eigh_ca
 
 
 def test_a_word_after_an_estimate_decomposes_only_the_chains_the_store_lacked(empty_cache, eigh_calls):
-    """The store is a memo by chain key: after an estimate, a GO word on
-    another state hands ``eigh`` exactly the matrices of more than one node
-    among the chain keys the store lacked, each once: 46 matrices for 58
-    new keys."""
+    """The store is a memo by chain shape: after an estimate, a GO word on
+    another state hands ``eigh`` exactly the real matrices of more than one
+    node among the shapes the store lacked, each once: 46 matrices for 58
+    new shapes (the estimate's chains of the two kinds of a family have one
+    set of shapes, and the word holds one kind of each family)."""
     estimate_gram_matrix(outer(basis_ket((1, 0))), Group.GO)
     before = set(generators._recall(("chains",))[0].tolist())
     eigh_calls.clear()
@@ -1109,7 +1199,7 @@ def test_a_word_after_an_estimate_decomposes_only_the_chains_the_store_lacked(em
     out = apply_group_word(sample_sphere_state(2, 1, seed=3), word)
     after = set(generators._recall(("chains",))[0].tolist())
     new = np.array(sorted(after - before))
-    expected = [h for stack in generators._chain_matrices(new) for h in stack if len(h) > 1]
+    expected = [h.real for stack in generators._chain_matrices(new) for h in stack if len(h) > 1]
     given = [h for stack in eigh_calls for h in stack]
     assert before <= after and len(new) == 58 and len(given) == 46
     assert sorted((h.shape, h.tobytes()) for h in given) == sorted((h.shape, h.tobytes()) for h in expected)
@@ -1139,6 +1229,64 @@ def test_cold_and_warm_cache_give_identical_results(empty_cache, monkeypatch):
             assert np.array_equal(x, y)
         assert np.array_equal(cold[1], other[1])
         assert cold[2] == other[2]
+
+
+def _layouts():
+    """The layouts in the store, by key."""
+    return {key: value for key, (value, _) in generators._cache.items() if key[0] == "layout"}
+
+
+def _evolved(group, rho):
+    """An estimate on rho's working space and, for a ket, a word of every
+    generator of the group (each factor on its own working space): their
+    bytes, and the layouts they left in the store."""
+    est = estimate_gram_matrix(rho, group)
+    out = [est.values.tobytes(), est.coarse.tobytes(), est.fine.tobytes()]
+    if isinstance(rho, SparseKet):
+        word = [(g, 0.03 * (-1) ** k) for k, g in enumerate(lie_basis(group, rho.modes).elements)]
+        terms = apply_group_word(rho, word).terms
+        out += [list(terms), np.array(list(terms.values())).tobytes()]
+    return out, _layouts()
+
+
+def _same_layout(x, y):
+    """Two layouts equal array for array, each group's span and eigenvectors
+    byte for byte."""
+    *arrays, groups = (*x[:4], *x[5:], x[4])
+    *others, other_groups = (*y[:4], *y[5:], y[4])
+    for a, b in zip(arrays, others, strict=True):
+        assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+    assert [at for at, _ in groups] == [at for at, _ in other_groups]
+    assert all(v.tobytes() == w.tobytes() for (_, v), (_, w) in zip(groups, other_groups, strict=True))
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+@pytest.mark.parametrize("group", list(Group))
+def test_cold_and_warm_stores_give_identical_layouts_estimates_and_words(empty_cache, group, m):
+    """From an empty store, then with only the chain memo kept (every layout
+    rebuilt from shapes that other kinds and states may have decomposed
+    first), then with everything kept: each estimate on its
+    full-basis working space and each word of every generator of the group
+    (one-generator working spaces) gives the same bytes, and every layout
+    is rebuilt equal array for array, on a Fock ket, an N = 2 sphere ket and
+    a rank-2 mixture."""
+    states = [
+        basis_ket((1,) + (0,) * (m - 1)),
+        sample_sphere_state(m, 2, seed=m),
+        mixture([(0.6, sample_sphere_state(m, 1, seed=3)), (0.4, sample_sphere_state(m, 2, seed=4))]),
+    ]
+    cold = [_evolved(group, rho) for rho in states]
+    layouts = _layouts()
+    for key in layouts:
+        generators._cache.nbytes -= generators._cache.pop(key)[1]
+    assert ("chains",) in generators._cache
+    rebuilt = [_evolved(group, rho) for rho in states]
+    warm = [_evolved(group, rho) for rho in states]
+    assert [out for out, _ in rebuilt] == [out for out, _ in cold] == [out for out, _ in warm]
+    assert _layouts().keys() == layouts.keys()
+    for key, layout in _layouts().items():
+        assert layout is not layouts[key]
+        _same_layout(layouts[key], layout)
 
 
 def test_cached_arrays_are_read_only(empty_cache):

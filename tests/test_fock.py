@@ -30,7 +30,7 @@ from orbitdim import (
     validate_occupation,
 )
 from orbitdim.cli import load_state, write_state_file
-from orbitdim.fock import MAX_OCCUPATION, _rank_states
+from orbitdim.fock import MAX_OCCUPATION, _packing, _rank_states, _unpack
 import _oracle
 from _helpers import assert_terms_close, ket_pairs, kets, random_ket
 from _oracle import apply_annihilation, apply_creation, density_op, hs_inner, inner, real_inner, zero_ket
@@ -475,6 +475,9 @@ def _check_ranking(states):
     assert list(map(tuple, union.tolist())) == sorted(set(map(tuple, states.tolist())))
     assert union.dtype == np.int64 and union.shape[1] == states.shape[1]
     assert np.array_equal(union[inverse], states)
+    # the words the rows were ranked by unpack to the rows
+    modes, width = states.shape[1], max(int(states.max(initial=0)).bit_length(), 1)
+    assert np.array_equal(_unpack(states @ _packing(modes, width)[0], modes, width), states)
 
 
 @settings(max_examples=500, deadline=None)
