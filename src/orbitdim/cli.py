@@ -259,6 +259,8 @@ def render_json(value) -> str:
         return f"{value:.17g}"
     if kind is str:
         return _quote(value)
+    if kind is _Columns:
+        return _render_columns(value)
     if isinstance(value, dict):
         return "{" + ",".join([_quote(str(k)) + ":" + render_json(v) for k, v in sorted(value.items())]) + "}"
     if isinstance(value, np.ndarray):
@@ -267,9 +269,6 @@ def render_json(value) -> str:
         # a spectrum or a Gram row: finite floats, joined in one pass
         if set(map(type, value)) <= _FLOAT_TYPES and all(map(math.isfinite, value)):
             return "[" + ",".join(map(format, value, itertools.repeat(".17g"))) + "]"
-        rows = _render_rows(value)
-        if rows is not None:
-            return rows
         return "[" + ",".join(map(render_json, value)) + "]"
     if isinstance(value, bool):
         return "true" if value else "false"
@@ -284,32 +283,26 @@ def render_json(value) -> str:
     return _quote(str(value))
 
 
-def _render_rows(value: list | tuple) -> str | None:
-    """A list of two or more dicts with one set of string keys, each
-    column all finite floats or all strings, each row rendered by one
-    %-format of a template of the keys; None for any other list."""
-    if len(value) < 2 or set(map(type, value)) != {dict}:
-        return None
-    first = value[0].keys()
-    if not all(map(first.__eq__, map(dict.keys, value))):
-        return None
-    keys = sorted(first)
-    if set(map(type, keys)) != {str}:
-        return None
-    columns, fields = [], []
-    for key in keys:
-        column = list(map(dict.__getitem__, value, itertools.repeat(key)))
-        kinds = set(map(type, column))
-        if kinds <= _FLOAT_TYPES and all(map(math.isfinite, column)):
-            fields.append("%.17g")
-        elif kinds == {str}:
-            fields.append("%s")
-            column = list(map(_quote, column))
-        else:
-            return None
-        columns.append(column)
-    template = "{" + ",".join(_quote(k).replace("%", "%%") + ":" + f for k, f in zip(keys, fields)) + "}"
-    return "[" + ",".join(map(template.__mod__, zip(*columns))) + "]"
+class _Columns(dict):
+    """Rows given by their columns: name -> a list of strings or a float
+    array, all of one length. ``render_json`` renders them as the list of
+    the rows' objects."""
+
+
+def _render_columns(columns: _Columns) -> str:
+    """The JSON list of the rows' objects, with the bytes ``render_json``
+    gives each row's dict: every row rendered by one %-format of a template
+    of the sorted names, a string quoted, a float at 17 significant digits.
+    A float that is not finite raises as ``render_json`` does, the first by
+    row, then by name."""
+    names = sorted(columns)
+    floats = [name for name in names if isinstance(columns[name], np.ndarray)]
+    table = np.array([columns[name] for name in floats], dtype=float).T
+    if not np.isfinite(table).all():
+        render_json(float(table[~np.isfinite(table)][0]))  # raises
+    template = "{" + ",".join(_quote(n).replace("%", "%%") + (":%.17g" if n in floats else ":%s") for n in names) + "}"
+    cells = [columns[n].tolist() if n in floats else list(map(_quote, columns[n])) for n in names]
+    return "[" + ",".join(map(template.__mod__, zip(*cells))) + "]"
 
 
 def _fmt(x: float) -> str:
@@ -563,11 +556,15 @@ def cmd_estimate(args) -> int:
         "hermiticity_residual": estimated.hermiticity_residual,
     }
     if args.details:
-        upper = np.triu_indices(len(labels))
-        columns = [[labels[i] for i in index.tolist()] for index in upper]
-        columns += [a[upper].tolist() for a in (direct, estimated.values, estimated.coarse, estimated.fine)]
-        names = ("I", "J", "direct", "estimate", "coarse", "fine")
-        payload["entries"] = [dict(zip(names, row)) for row in zip(*columns)]
+        upper = np.nonzero(~np.tri(len(labels), k=-1, dtype=bool))  # (I, J) over the upper triangle, row by row
+        entries = payload["entries"] = _Columns(
+            I=[labels[i] for i in upper[0].tolist()],
+            J=[labels[j] for j in upper[1].tolist()],
+            direct=direct[upper],
+            estimate=estimated.values[upper],
+            coarse=estimated.coarse[upper],
+            fine=estimated.fine[upper],
+        )
 
     def lines() -> list[str]:
         out = [
@@ -581,12 +578,10 @@ def cmd_estimate(args) -> int:
             f"hermiticity residual: {estimated.hermiticity_residual:.3e}",
         ]
         if args.details:
-            out.append(f"{'I':<8}{'J':<8}{'direct':>14}{'estimate':>14}{'|dev|':>12}")
-            for row in payload["entries"]:
-                out.append(
-                    f"{row['I']:<8}{row['J']:<8}{row['direct']:>14.6g}{row['estimate']:>14.6g}"
-                    f"{abs(row['estimate'] - row['direct']):>12.3e}"
-                )
+            width = max(8, max(map(len, labels)) + 1)  # the I and J columns: the longest label and a space
+            out.append(f"{'I':<{width}}{'J':<{width}}{'direct':>14}{'estimate':>14}{'|dev|':>12}")
+            cells = entries["I"], entries["J"], *(a.tolist() for a in (entries["direct"], entries["estimate"], dev[upper]))
+            out += map(f"%-{width}s%-{width}s%14.6g%14.6g%12.3e".__mod__, zip(*cells))
         return out
 
     _emit(args, payload, lines)

@@ -36,8 +36,9 @@ layouts and the decomposed chains are kept there.
 
 from __future__ import annotations
 
+import functools
 import math
-from collections.abc import Callable, Iterable, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -143,10 +144,17 @@ def dense_hamiltonian(g: GeneratorDescriptor, basis: TruncatedBasis) -> np.ndarr
     return h
 
 
-def _cutoff(support: np.ndarray, generators: Iterable[GeneratorDescriptor], cfg: EvolutionConfig) -> int:
-    """The photon number of a support (S x m), plus the buffer when any of
-    the generators shifts photon number."""
-    shifting = any(number_shift(g.kind) > 0 for g in generators)
+@functools.lru_cache(maxsize=None)
+def _shifting(generators: tuple[GeneratorDescriptor, ...]) -> np.ndarray:
+    """Which of the generators shift photon number, one read-only array per generator tuple."""
+    shifts = np.array([number_shift(g.kind) > 0 for g in generators], dtype=bool)
+    shifts.flags.writeable = False
+    return shifts
+
+
+def _cutoff(support: np.ndarray, shifting: bool, cfg: EvolutionConfig) -> int:
+    """The photon number of a support (S x m), plus the buffer when the
+    evolution shifts photon number."""
     return max(map(sum, support.tolist()), default=0) + (cfg.buffer if shifting else 0)
 
 
@@ -239,23 +247,22 @@ class _Workspace:
     """The truncated working space for evolving states on a support (S x m)
     under a set of generators: the cutoff (unless given, the support's
     photon number, plus the buffer when any generator shifts photon
-    number), the layout of ``_layout``, and the leakage check with the
-    largest value it has seen of each measured quantity."""
+    number), the layout of ``_layout``, and the error of its leakage
+    checks."""
 
     def __init__(
         self, support: np.ndarray, generators: Sequence[GeneratorDescriptor], cfg: EvolutionConfig, cutoff: int | None = None
     ) -> None:
         self.cfg, self.generators = cfg, tuple(generators)
-        self.cutoff = _cutoff(support, self.generators, cfg) if cutoff is None else cutoff
+        self.cutoff = _cutoff(support, _shifting(self.generators).any(), cfg) if cutoff is None else cutoff
         self.states, self.band, self.support, self.gens, self.groups, self.nodes, self.values = _layout(
             self.generators, self.cutoff, support
         )
-        self.worst: dict[str, float] = {}
 
     def evolve(self, times: np.ndarray | float, columns: np.ndarray) -> np.ndarray:
         """exp(-i H_n t) applied to an R x r block of columns at each of the
         T times, on the nodes alone: T x nodes x r, node i on row nodes[i]
-        under generator gens[i] (the columns where t = 0). One gather over
+        under generator gens[i]. One gather over
         the nodes; per group of n chains of L nodes, V^T of its L x L
         eigenvectors V applied to the L x n r block of its nodes in place;
         its conjugate (so V^dag x) times the phases; per group, V again."""
@@ -269,23 +276,15 @@ class _Workspace:
         y = np.empty_like(phased)
         for at, v in self.groups:
             np.matmul(v, phased[:, at].reshape(len(t), len(v), -1), out=y[:, at].reshape(len(t), len(v), -1))
-        y[t == 0.0] = columns[self.nodes]
         return y
 
-    def check(self, context: str | Callable[[], str], **measured: float) -> None:
-        """Raise LeakageError unless every measured deviation is within the
-        leakage tolerance; a NaN deviation fails. ``context`` names what
-        was measured, or is called to name it when a value fails."""
-        for name, value in measured.items():
-            self.worst[name] = max(self.worst.get(name, 0.0), value)
-        tol = self.cfg.leakage_tolerance
-        if not all(value <= tol for value in measured.values()):
-            context = context() if callable(context) else context
-            found = ", ".join(f"{name.replace('_', ' ')} {value:.3e}" for name, value in measured.items())
-            raise LeakageError(
-                f"{context}: {found} exceed tolerance {tol:.1e} "
-                f"(cutoff {self.cutoff}); increase the buffer or reduce |t|"
-            )
+    def leak(self, context: str, **measured: float) -> LeakageError:
+        """The error of deviations past the leakage tolerance, measured in ``context``."""
+        found = ", ".join(f"{name.replace('_', ' ')} {value:.3e}" for name, value in measured.items())
+        return LeakageError(
+            f"{context}: {found} exceed tolerance {self.cfg.leakage_tolerance:.1e} "
+            f"(cutoff {self.cutoff}); increase the buffer or reduce |t|"
+        )
 
 
 class _DensityWorkspace(_Workspace):
@@ -310,6 +309,7 @@ class _DensityWorkspace(_Workspace):
             # the residual max|rho - rho^dag| bounds each entry of rho that it leaves out
             self.hermiticity = state.hermiticity_residual
         super().__init__(support, generators, cfg)
+        self.worst: dict[str, float] = {}
         self.phi = np.zeros((len(self.states), columns.shape[1]), dtype=complex)
         self.phi[self.support] = columns
 
@@ -331,65 +331,64 @@ class _DensityWorkspace(_Workspace):
         advice = "the Gram grows with the support and the group, not the buffer"
         _refuse_oversized(modes, self.cutoff, f"overlap Gram of {k * r:,} columns", 16 * (k * r) ** 2, advice=advice)
         order = np.argsort(self.nodes, kind="stable")  # the nodes by row
+        rows = self.nodes[order]
+        slots = rows * k + self.gens[order] + 1  # each node's row and copy, flat over the rows' dense copies
         # the times whose dense copies (or Grams, if larger) fit the budget: one block of rows unless one time's do not
         step = max(_CACHE_BUDGET // (16 * k * r * max(size, k * r)), 1)
-        weights = np.outer(self.w, self.w)[:, None]  # against the Gram's two column axes
-        found = []
-        for part in (times[lo : lo + step] for lo in range(0, len(times), step)):
-            t, y = len(part), self.evolve(part, self.phi)
-            for lo, hi, at in _blocks(self.nodes[order], size, max(_CACHE_BUDGET // (16 * t * k * r), 1)):
-                at = order[at]
-                x = np.zeros((t, hi - lo, k, r), dtype=complex)
-                x[:, :, 0] = self.phi[lo:hi]
-                x[:, self.nodes[at] - lo, self.gens[at] + 1] = y[:, at]
-                flat = x.reshape(t, hi - lo, k * r)
+        weights = np.multiply.outer(self.w, self.w)[:, None]  # against the Gram's two column axes
+        beta, boundary = np.empty((len(times), k, k)), np.empty((len(times), k - 1))
+        trace = np.empty((len(times), k - 1), dtype=complex)
+        for part in (slice(lo, lo + step) for lo in range(0, len(times), step)):
+            t, y = len(times[part]), self.evolve(times[part], self.phi)[:, order]
+            y[times[part] == 0.0] = self.phi[rows]  # the columns as they are where t = 0
+            for top, bottom, at in _blocks(rows, size, max(_CACHE_BUDGET // (16 * t * k * r), 1)):
+                x = np.zeros((t, bottom - top, k, r), dtype=complex)
+                x[:, :, 0] = self.phi[top:bottom]
+                x.reshape(t, -1, r)[:, slots[at] - top * k] = y[:, at]
+                flat = x.reshape(t, bottom - top, k * r)
                 product = flat.conj().transpose(0, 2, 1) @ flat  # first, so its conjugate copy is freed before the band's
-                band = x[:, self.band[lo:hi], 1:]
+                band = x[:, self.band[top:bottom], 1:]
                 weight = np.sum((band * band.conj()).real * self.w, axis=(1, 3))
-                if lo:
+                if top:
                     gram += product
-                    boundary += weight
+                    boundary[part] += weight
                 else:
-                    gram, boundary = product, weight
+                    gram, boundary[part] = product, weight
             m = gram.reshape(t, k, r, k, r)
-            trace = np.einsum("tiaia->tia", m[:, 1:, :, 1:]) @ self.w
-            found.append((np.sum((m * m.conj()).real * weights, axis=(2, 4)), trace, boundary))
-        return tuple(np.concatenate(a) for a in zip(*found))
-
-    def check_copies(self, times: np.ndarray, trace: np.ndarray, boundary: np.ndarray) -> None:
-        """Leakage-check every copy at t != 0 from its trace and guard-band
-        weight (T x d); the first to fail, by time then generator, raises."""
-        moving = times != 0.0
-        shifts = [number_shift(g.kind) > 0 for g in self.generators]
-        measured = {
-            "trace_deviation": np.abs(trace - 1.0),
-            "hermiticity": np.full(trace.shape, self.hermiticity),
-            "boundary_weight": np.where(shifts, boundary, 0.0),
-        }
-        passed = np.logical_and.reduce([value <= self.cfg.leakage_tolerance for value in measured.values()])
-        for i, n in np.argwhere(moving[:, None] & ~passed)[:1].tolist():
-            context = f"evolving under {self.generators[n].label} for t={times[i]:g}"
-            self.check(context, **{name: float(value[i, n]) for name, value in measured.items()})
-        if moving.any():  # every copy passed, so do the largest values: record them
-            self.check("evolving", **{name: float(value[moving].max()) for name, value in measured.items()})
+            # (A_n^dag A_n)[a, a] of each copy n >= 1, read off the Gram's diagonal
+            np.matmul(gram.diagonal(0, 1, 2)[:, r:].reshape(t, k - 1, r), self.w, out=trace[part])
+            np.sum((m * m.conj()).real * weights, axis=(2, 4), out=beta[part])
+        return beta, trace, boundary
 
     def beta_matrix(self, times: np.ndarray) -> np.ndarray:
         """beta_ij = Tr[rho_i rho_j] for i, j in 0..d at each of the T times,
-        with rho_0 = rho, from ``overlaps``, every copy leakage-checked. Each
-        d + 1 square is symmetric bit for bit. An overlap that overflows
-        raises ValidationError."""
+        with rho_0 = rho, from ``overlaps``; each d + 1 square is symmetric bit
+        for bit. An overlap that overflows raises ValidationError, rho's own
+        before any copy is checked. Every copy at t != 0 is leakage-checked from
+        its trace, guard-band weight and rho's Hermiticity residual in one
+        comparison (a NaN fails): the first copy to fail, by time then generator,
+        raises; else ``worst`` records the largest values."""
+        names, moving = ("trace_deviation", "hermiticity", "boundary_weight"), times != 0.0  # in the error's order
         with np.errstate(over="ignore", invalid="ignore"):
             values, trace, boundary = self.overlaps(times)
-            _refuse_overlaps(values[times == 0.0])  # rho's own, refused before its copies are checked
-            self.check_copies(times, trace, boundary)
-            _refuse_overlaps(values[times != 0.0])
-        upper = np.triu(values)
-        return upper + np.triu(upper, 1).transpose(0, 2, 1)
+            finite = np.isfinite(values).all(axis=(1, 2))
+            _refuse_overlaps(finite[~moving])
+            shifted = np.where(_shifting(self.generators), boundary, 0.0)
+            measured = np.array([np.abs(trace - 1.0), np.full(trace.shape, self.hermiticity), shifted])
+        failed = moving[:, None] & ~(measured <= self.cfg.leakage_tolerance).all(axis=0)
+        if failed.any():
+            i, n = np.unravel_index(failed.argmax(), failed.shape)
+            context = f"evolving under {self.generators[n].label} for t={times[i]:g}"
+            raise self.leak(context, **dict(zip(names, measured[:, i, n].tolist())))
+        for name, value in zip(names, measured[:, moving].max(axis=(1, 2), initial=0.0).tolist()):
+            self.worst[name] = max(self.worst.get(name, 0.0), value)
+        _refuse_overlaps(finite)
+        return np.where(np.tri(len(values[0]), k=-1, dtype=bool), values.transpose(0, 2, 1), values)
 
 
-def _refuse_overlaps(values: np.ndarray) -> None:
-    """Refuse overlaps that are not finite."""
-    if not np.isfinite(values).all():
+def _refuse_overlaps(finite: np.ndarray) -> None:
+    """Refuse overlaps unless each is finite (``finite``, one flag a time)."""
+    if not finite.all():
         raise ValidationError("beta overlap is not finite: the density's entries are too large")
 
 
@@ -429,8 +428,8 @@ def estimate_gram_matrix(
     its normalized projector and evolves as one column. A step so small that
     a stencil overflows raises ValidationError."""
     ws = _DensityWorkspace(rho, lie_basis(group, rho.modes).elements, cfg)
-    steps = np.array([cfg.step, cfg.step / 2.0])
-    b = ws.beta_matrix(np.append(0.0, np.array([steps, -steps]).T.ravel()))  # 0, h, -h, h/2, -h/2
+    times = np.array([0.0, cfg.step, -cfg.step, cfg.step / 2.0, -cfg.step / 2.0])
+    b, steps = ws.beta_matrix(times), times[1::2]
     with np.errstate(over="ignore", invalid="ignore"):
         dd = (b[1::2] - 2.0 * b[0] + b[2::2]) / (steps * steps)[:, None, None]
         # dd is symmetric and a sum commutes, so the entries are too
@@ -479,9 +478,8 @@ def apply_group_word(
     if not math.isfinite(nrm):
         raise ValidationError(f"cannot evolve a ket of norm {nrm!r}")
     states, amps = psi.arrays()
-    generators = [g for g, _ in word]
-    shifting = any(number_shift(g.kind) > 0 for g in generators)
-    cutoff = _cutoff(states, generators, cfg)
+    shifting = any(number_shift(g.kind) > 0 for g, _ in word)
+    cutoff, tol = _cutoff(states, shifting, cfg), cfg.leakage_tolerance
     # the verdicts are relative to the ket's norm, each vector divided by it
     # before it is squared, so that no scale moves them
     peak = float(np.abs(amps).max())
@@ -498,7 +496,9 @@ def apply_group_word(
         if shifting:
             # re, im of each entry: the band's weight is its squared norm
             band = vec[ws.band].view(float).ravel() / norm0
-            ws.check(lambda: f"group word factor {g.label} (t={t:g})", boundary_weight=float(band @ band))
-    if ws is not None:  # else every time is 0, and the ket is as it came
-        ws.check("group word", norm_change=abs(float(np.linalg.norm(vec / norm0)) - 1.0))
+            if not (weight := float(band @ band)) <= tol:  # NaN fails
+                raise ws.leak(f"group word factor {g.label} (t={t:g})", boundary_weight=weight)
+    # unless every time is 0, and the ket is as it came
+    if ws is not None and not (change := abs(float(np.linalg.norm(vec / norm0)) - 1.0)) <= tol:
+        raise ws.leak("group word", norm_change=change)
     return SparseKet.from_arrays(states, vec[:, 0])

@@ -271,7 +271,8 @@ def add(phi: SparseKet, psi: SparseKet) -> SparseKet:
 
 def scale(c: complex, psi: SparseKet) -> SparseKet:
     c = complex(c)
-    return SparseKet(psi.modes, {occ: c * amp for occ, amp in psi.terms.items()})
+    # psi's occupations are valid, so only the products that are 0 are dropped
+    return _unchecked(SparseKet, modes=psi.modes, terms={occ: v for occ, amp in psi.terms.items() if (v := c * amp)})
 
 
 def normalize(psi: SparseKet) -> SparseKet:

@@ -651,30 +651,45 @@ def test_estimate_accepts_ket_file_via_projector(capsys, tmp_path):
     assert json.loads(out)["max_abs_deviation"] < 1e-4
 
 
-@pytest.mark.parametrize("kind", ["ket", "rank2"])
-def test_estimate_details_json_matches_the_recursive_renderer(capsys, tmp_path, monkeypatch, kind):
-    """The --details --json stdout of an m = 2 GO estimate, a ket's and a
-    rank-2 density's, equals the recursive renderer's bytes of the same
-    payload, its 120 entries (d = 15) rendered as rows in one pass."""
+@pytest.mark.parametrize("kind", ["ket", "rank2", "plo-ket", "plo-rank2"])
+def test_estimate_details_json_matches_the_recursive_renderer(capsys, tmp_path, kind):
+    """The --details --json stdout of an m = 2 estimate, a ket's and a
+    rank-2 density's under GO and PLO, equals the recursive renderer's bytes
+    of the document it parses to (integers parsed as floats render the
+    same), its entries rendered from columns (d = 15 under GO: 120 entries)."""
+    group, _, kind = kind.rpartition("-")
+    group = group or "go"
     state = {
         "ket": lambda: sample_sphere_state(2, 2, seed=3),
         "rank2": lambda: mixture([(0.7, sample_sphere_state(2, 1, seed=4)), (0.3, sample_sphere_state(2, 1, seed=5))]),
     }[kind]()
     path = tmp_path / f"{kind}.json"
     write_state_file(str(path), state)
-    payloads = []
-    render = cli.render_json
-
-    def recorded(value):
-        payloads.append(value)
-        return render(value)
-
-    monkeypatch.setattr(cli, "render_json", recorded)
-    code, out, _ = run(capsys, "estimate", "--state", str(path), "--group", "go", "--details", "--json")
+    code, out, _ = run(capsys, "estimate", "--state", str(path), "--group", group, "--details", "--json")
     assert code == EXIT_OK
-    payload = payloads[0]  # the outermost call; the renderer recurses by name
-    assert len(payload["entries"]) == 15 * 16 // 2 and cli._render_rows(payload["entries"]) is not None
-    assert out == _oracle.render_json(payload) + "\n"
+    d = len(lie_basis(Group(group), 2))
+    assert len(json.loads(out)["entries"]) == d * (d + 1) // 2
+    assert out == _oracle.render_json(json.loads(out, parse_int=float)) + "\n"
+
+
+def test_estimate_details_text_keeps_labels_apart_past_ten_modes(capsys, tmp_path):
+    """At m = 11 a PLO label such as e[10,11] has 8 characters, so the I
+    and J columns widen to the longest label and a space: every detail row
+    splits into its five fields."""
+    path = tmp_path / "m11.json"
+    write_state_file(str(path), sample_sphere_state(11, 1, seed=0))
+    code, out, _ = run(capsys, "estimate", "--state", str(path), "--group", "plo", "--details")
+    assert code == EXIT_OK
+    lines = out.splitlines()
+    header = next(i for i, line in enumerate(lines) if line.startswith("I "))
+    rows = lines[header + 1 : -1]  # the elapsed line closes the output
+    d = len(lie_basis(Group.PLO, 11))
+    assert len(rows) == d * (d + 1) // 2
+    labels = set(lie_basis(Group.PLO, 11).labels)
+    for row in rows:
+        fields = row.split()
+        assert len(fields) == 5 and {fields[0], fields[1]} <= labels, row
+    assert "e[10,11] e[10,11] " in out
 
 
 def test_estimate_reports_the_rows_of_its_working_space(capsys, tmp_path):
@@ -1118,41 +1133,35 @@ def test_render_json_matches_the_recursive_renderer(value):
     assert render_json(value) == expected
 
 
-_ROW_TEXT = st.text(alphabet=st.sampled_from('%ab"\\\u00e9') | st.characters(), max_size=4)
-#: The values of one column of same-keyed rows: the floats, np.float64 and
-#: strings that render in one pass (NaN and inf among the floats, which
-#: raise, and % among the strings), and the ints, bools, None, nested
-#: values and mixed columns that fall back to the recursive path.
-_ROW_COLUMNS = {
-    "float": st.floats(),
-    "float64": st.floats().map(np.float64),
-    "floats": st.floats() | st.floats().map(np.float64),
-    "str": _ROW_TEXT,
-    "int": st.integers(),
-    "bool": st.booleans(),
-    "none": st.none(),
-    "nested": st.lists(st.floats(), max_size=3) | st.dictionaries(_ROW_TEXT, st.integers(), max_size=2),
-    "mixed": _RENDER_LEAVES,
-}
+#: Labels with the characters a %-template or a JSON string must escape.
+_LABELS = ["e[1,2]", "100%", 'say "hi"', "back\\slash", "%s%%", "\u00e9"]
 
 
-@st.composite
-def _same_keyed_rows(draw):
-    keys = draw(st.lists(_ROW_TEXT, unique=True, max_size=4))
-    # half the lists draw only the columns that render in one pass
-    kinds = sorted(_ROW_COLUMNS) if draw(st.booleans()) else ["float", "float64", "floats", "str"]
-    columns = [_ROW_COLUMNS[draw(st.sampled_from(kinds))] for _ in keys]
-    return [{key: draw(column) for key, column in zip(keys, columns)} for _ in range(draw(st.integers(0, 5)))]
-
-
-@settings(max_examples=500, deadline=None)
-@given(rows=_same_keyed_rows())
-def test_render_json_renders_same_keyed_rows_as_the_recursive_renderer(rows):
+@pytest.mark.parametrize(
+    "floats",
+    [
+        [0.5, -0.0, 5e-324, -1.25e300, 1.0 / 3.0, 0.1],
+        [0.0, 1.0, 2.0, math.nan, 4.0, 5.0],
+        [0.0, math.inf, 2.0, math.nan, -math.inf, 5.0],
+        [],
+    ],
+    ids=["finite", "nan", "inf-first", "empty"],
+)
+@pytest.mark.parametrize("key", ["fine", "50%"])
+def test_columns_render_as_the_recursive_renderer_renders_their_rows(floats, key):
+    """Rows given as columns, labels quoted and floats at 17 significant
+    digits, render with the bytes of the recursive reference renderer of
+    the same rows as dicts, a key containing % included; the first
+    non-finite float by row, then by key, raises the same ValueError."""
+    n = len(floats)
+    columns = {"I": _LABELS[:n], "J": _LABELS[::-1][:n], "direct": np.array(floats), key: -np.array(floats[::-1])}
+    rows = [dict(zip(columns, row)) for row in zip(*columns.values())]
     try:
         expected = _oracle.render_json(rows)
     except ValueError as exc:
         with pytest.raises(ValueError) as raised:
-            render_json(rows)
+            render_json(cli._Columns(columns))
         assert str(raised.value) == str(exc)
         return
-    assert render_json(rows) == expected
+    assert render_json(cli._Columns(columns)) == expected
+    assert render_json({"entries": cli._Columns(columns)}) == _oracle.render_json({"entries": rows})

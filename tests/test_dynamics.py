@@ -650,6 +650,21 @@ def test_estimate_reports_the_trace_and_hermiticity_it_measures():
             estimate_gram_matrix(rho, Group.GO, EvolutionConfig(leakage_tolerance=tol))
 
 
+def test_estimate_refused_by_the_hermiticity_alone_names_all_three_values():
+    """A density whose trace is 1 and whose one coherence is off by 5e-13
+    passes validation; under a tolerance of 1e-13 its Hermiticity residual
+    alone fails, and the first copy (N[1] at t = h) names the trace
+    deviation, the residual and the guard-band weight, in that order."""
+    entries = {((0,), (0,)): 0.5, ((1,), (1,)): 0.5, ((0,), (1,)): 0.25 + 5e-13, ((1,), (0,)): 0.25}
+    rho = DensityOperator.validate(SparseOperator(1, entries))
+    with pytest.raises(LeakageError) as info:
+        estimate_gram_matrix(rho, Group.GO, EvolutionConfig(leakage_tolerance=1e-13))
+    assert str(info.value) == (
+        "evolving under N[1] for t=0.001: trace deviation 2.220e-16, hermiticity 5.000e-13, "
+        "boundary weight 0.000e+00 exceed tolerance 1.0e-13 (cutoff 17); increase the buffer or reduce |t|"
+    )
+
+
 def test_estimate_squeezing_with_tiny_buffer_raises():
     cfg = EvolutionConfig(buffer=2, leakage_tolerance=1e-10)
     with pytest.raises(LeakageError):
