@@ -43,29 +43,28 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import generators
 from .fock import (
     DensityOperator,
     Occupation,
     SparseKet,
     ValidationError,
     _rank_words,
+    _run_starts,
     _unpack,
     enumerate_occupations,
     normalize,
 )
 from .generators import (
-    _CACHE_BUDGET,
     GeneratorDescriptor,
     Group,
     _blocks,
     _chains,
     _decomposed,
     _generator_action,
+    _kept,
     _longest_chain,
     _monomials,
-    _recall,
-    _remember,
-    _trim,
     lie_basis,
     number_shift,
 )
@@ -163,9 +162,10 @@ def _refuse_oversized(modes: int, cutoff: int, what: str, nbytes: int, least: bo
     take more than the store's budget (``least``: at least ``nbytes``) or
     whose cutoff does not fit a chain's key (23 bits an occupation), with
     ``advice`` on what shrinks it (unless given, a smaller buffer)."""
-    if nbytes > _CACHE_BUDGET:
+    budget = generators._CACHE_BUDGET
+    if nbytes > budget:
         at_least = "at least " if least else ""
-        why = f"its {what} would take {at_least}{nbytes / 2**20:,.0f} MiB, over the {_CACHE_BUDGET >> 20} MiB budget"
+        why = f"its {what} would take {at_least}{nbytes / 2**20:,.0f} MiB, over the {budget >> 20} MiB budget"
     elif cutoff >> 23:
         why = "a chain key holds occupations below 2^23"
     else:
@@ -191,20 +191,17 @@ def _layout(generators: tuple[GeneratorDescriptor, ...], cutoff: int, support: n
     bound of its bytes before they are built, then on its exact bytes.
     Kept in the store, keyed by the generators, cutoff and support."""
     key = ("layout", generators, cutoff, support.shape, support.tobytes())
-    found = _recall(key)
-    if found is not None:
-        _trim()  # as after a build: the budget may have changed since
-        return found
+    return _kept(key, _laid_out, generators, cutoff, support)
+
+
+def _laid_out(generators: tuple[GeneratorDescriptor, ...], cutoff: int, support: np.ndarray) -> tuple:
+    """The layout of ``_layout`` built, and the arrays it owns."""
     modes = support.shape[1]
     longest = _longest_chain(generators, cutoff)
     _refuse_oversized(modes, cutoff, f"{longest:,}-state block's eigenvectors", 16 * longest**2)
     keys, length, gen, start, steps, words = _chains(generators, support, cutoff)
     # each group's first chain, then its chain count: the one-node chains, first by key, are one group
-    lead = np.where(length > 1, keys, 0)
-    edges = np.empty(len(keys) + 1, dtype=bool)
-    edges[0] = edges[-1] = True
-    edges[1:-1] = lead[1:] != lead[:-1]
-    edges = edges.nonzero()[0]
+    edges = np.append(_run_starts(np.where(length > 1, keys, 0)), True).nonzero()[0]
     first, count = edges[:-1], edges[1:] - edges[:-1]
     size = length[first]
     span = count * size
@@ -237,10 +234,7 @@ def _layout(generators: tuple[GeneratorDescriptor, ...], cutoff: int, support: n
     groups = [(slice(lo, hi), vectors[a - n * n : a].reshape(n, n)) for lo, hi, a, n in bounds]
     band, rows, nodes = states.sum(axis=1) > cutoff - 2, rank[: len(support)], rank[len(support) :]
     values = eigenvalues[at[chain] + j]
-    found = (states, band, rows, node_gen, groups, nodes, values)
-    _remember(key, found, (states, band, rank, node_gen, values, vectors))
-    _trim()
-    return found
+    return (states, band, rows, node_gen, groups, nodes, values), (states, band, rank, node_gen, values, vectors)
 
 
 class _Workspace:
@@ -334,14 +328,14 @@ class _DensityWorkspace(_Workspace):
         rows = self.nodes[order]
         slots = rows * k + self.gens[order] + 1  # each node's row and copy, flat over the rows' dense copies
         # the times whose dense copies (or Grams, if larger) fit the budget: one block of rows unless one time's do not
-        step = max(_CACHE_BUDGET // (16 * k * r * max(size, k * r)), 1)
+        step = max(generators._CACHE_BUDGET // (16 * k * r * max(size, k * r)), 1)
         weights = np.multiply.outer(self.w, self.w)[:, None]  # against the Gram's two column axes
         beta, boundary = np.empty((len(times), k, k)), np.empty((len(times), k - 1))
         trace = np.empty((len(times), k - 1), dtype=complex)
         for part in (slice(lo, lo + step) for lo in range(0, len(times), step)):
             t, y = len(times[part]), self.evolve(times[part], self.phi)[:, order]
             y[times[part] == 0.0] = self.phi[rows]  # the columns as they are where t = 0
-            for top, bottom, at in _blocks(rows, size, max(_CACHE_BUDGET // (16 * t * k * r), 1)):
+            for top, bottom, at in _blocks(rows, size, max(generators._CACHE_BUDGET // (16 * t * k * r), 1)):
                 x = np.zeros((t, bottom - top, k, r), dtype=complex)
                 x[:, :, 0] = self.phi[top:bottom]
                 x.reshape(t, -1, r)[:, slots[at] - top * k] = y[:, at]

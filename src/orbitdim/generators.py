@@ -41,17 +41,18 @@ all pairs are solved with one factorisation of the normal matrix, and the
 residuals are taken block by block in a second pass.
 
 On a truncated basis each generator's blocks are chains along the step of
-its monomial, found from packed words of the states (``_chains``), and
-``_chain_matrices`` gives their matrices with the same amplitudes, from
-the kind, the length and the start alone. The two kinds of a family (e
-and E, r and R, s and S, q and p) differ only by the phase of c, 1 or i,
-so their chains are D T D^dag for one real shape T, D = diag(phi^j): the
-memo of ``_decomposed`` keeps real eigenpairs by shape.
+its monomial, found from packed words of the states (``_chains``). The two
+kinds of a family (e and E, r and R, s and S, q and p) differ only by the
+phase of c, 1 or i, so their chains are D T D^dag for one real shape T,
+D = diag(phi^j), which ``_chain_matrices`` builds with the same amplitudes
+from the family, the length and the start alone: the memo of
+``_decomposed`` keeps real eigenpairs by shape.
 
 Arrays that depend on no amplitude are built once per process and kept,
-read-only, in one store under a fixed budget of 64 MiB (least recently used
-first out): the plans and closure joins here, and the decomposed chain
-shapes and working-space layouts of ``dynamics``.
+read-only, in one store entered through one call, ``_kept``, under one
+budget of 64 MiB (least recently used first out), which ``dynamics`` reads
+too: the plans and closure joins here, and the decomposed chain shapes and
+working-space layouts of ``dynamics``.
 """
 
 from __future__ import annotations
@@ -62,7 +63,7 @@ import math
 import sys
 import threading
 from collections import OrderedDict
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import NamedTuple
@@ -484,36 +485,36 @@ def _chains(generators: Sequence[GeneratorDescriptor], states: np.ndarray, cutof
 
 
 def _chain_matrices(keys: np.ndarray) -> list[np.ndarray]:
-    """The matrices of chains given in order of length, one n x L x L stack
-    per length, each in the order given. A chain's matrix depends only on
-    its key, L << 50 | kind (its ``_KINDS`` index) << 46 | the start's
+    """The real shapes T of chains given in order of length, one n x L x L
+    stack per length, each in the order given: a chain's matrix read under
+    its kind's family (``_shapes``), whose c is real. A shape depends only
+    on its key, L << 50 | kind (its ``_KINDS`` index) << 46 | the start's
     occupations of the kind's modes << 23 and as they are. A node's amplitude
     is ``_amplitudes``' on its two occupations, as in ``_generator_action``:
     X moves node j to j + 1 with a product a_j of a square root per step,
-    X^dag node j + 1 to j with the same factors; N and the identity keep it."""
+    X^dag node j + 1 to j with the same factors, so c a_j is on both
+    off-diagonals; N and the identity keep the node, on the diagonal."""
     gen, coeff, *_, delta = table = _monomials(_KIND_GENERATORS)
-    length, kinds = keys >> 50, keys >> 46 & 0xF
-    mono, adjoint = np.searchsorted(gen, kinds), np.searchsorted(gen, kinds, side="right") - 1
+    keys = _shapes(keys)[0]
+    length, mono = keys >> 50, np.searchsorted(gen, keys >> 46 & 0xF)
     chain = np.repeat(np.arange(len(keys)), length)
     j = np.arange(len(chain)) - np.repeat(np.cumsum(length) - length, length)
-    x = np.stack([keys >> 23 & 0x7FFFFF, keys & 0x7FFFFF], axis=1)[chain] + j[:, None] * delta[mono[chain]]
-    mono, adjoint = mono[chain], adjoint[chain]
-    amp = _amplitudes(table, x, mono)
-    forward, backward = coeff[mono] * amp, coeff[adjoint] * amp
-    diagonal, stacks, ends = np.where(mono == adjoint, forward, 0), [], np.cumsum(np.append(0, length)).tolist()
+    mono = mono[chain]
+    x = np.stack([keys >> 23 & 0x7FFFFF, keys & 0x7FFFFF], axis=1)[chain] + j[:, None] * delta[mono]
+    value = coeff.real[mono] * _amplitudes(table, x, mono)
+    diagonal, stacks, ends = np.where(delta[mono].any(1), 0, value), [], np.cumsum(np.append(0, length)).tolist()
     runs = np.flatnonzero(_run_starts(length)).tolist() + [len(keys)]
     for lo, hi in zip(runs, runs[1:]):
         s, nodes = int(length[lo]), slice(ends[lo], ends[hi])
-        h, j = np.zeros((hi - lo, s, s), dtype=complex), np.arange(s)
+        h, j = np.zeros((hi - lo, s, s)), np.arange(s)
         h[:, j, j] = diagonal[nodes].reshape(-1, s)
-        h[:, j[1:], j[:-1]] = forward[nodes].reshape(-1, s)[:, :-1]
-        h[:, j[:-1], j[1:]] = backward[nodes].reshape(-1, s)[:, :-1]
+        h[:, j[1:], j[:-1]] = h[:, j[:-1], j[1:]] = value[nodes].reshape(-1, s)[:, :-1]
         stacks.append(h)
     return stacks
 
 
-#: Bytes of cached arrays and key states kept per process; past it the least
-#: recently used plans, joins, decomposed chains and layouts are dropped.
+#: Bytes of cached arrays and key states kept per process, read at call time
+#: here and in ``dynamics``; past it the least recently used are dropped.
 _CACHE_BUDGET = 64 << 20
 
 
@@ -550,12 +551,21 @@ def _remember(key: tuple, value: object, arrays: Iterable[np.ndarray]) -> None:
         _cache.nbytes += size - old
 
 
-def _trim() -> None:
-    """Drop the least recently used entries until the cache fits its budget."""
-    with _cache_lock:
-        while _cache.nbytes > _CACHE_BUDGET:
-            _, (_, size) = _cache.popitem(last=False)
-            _cache.nbytes -= size
+def _kept(key: tuple, build: Callable[..., tuple[object, Iterable[np.ndarray]]], *args: object) -> object:
+    """The value the store keeps under a key: on a miss, ``build(*args)``
+    returns it and the arrays it owns, which are remembered. Every call,
+    hit or miss, then drops the least recently used entries until the store
+    fits its budget, which may have changed since the last call."""
+    value = _recall(key)
+    if value is None:
+        value, arrays = build(*args)
+        _remember(key, value, arrays)
+    if _cache.nbytes > _CACHE_BUDGET:  # read unlocked: whoever went past it trims after remembering
+        with _cache_lock:
+            while _cache.nbytes > _CACHE_BUDGET:
+                _, (_, size) = _cache.popitem(last=False)
+                _cache.nbytes -= size
+    return value
 
 
 def _shapes(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -574,8 +584,7 @@ def _decomposed(keys: np.ndarray, first: np.ndarray) -> tuple[np.ndarray, np.nda
     a key under its kind's family (``_KIND_FAMILY``); the shapes are kept as
     one store entry, a memo read only to build a layout, of their
     eigenvalues and real eigenvectors. The shapes it lacks are decomposed
-    on first use, one stacked real ``eigh`` per length; a one-node shape is
-    its own eigenpair, its entry and 1."""
+    on first use, one stacked real ``eigh`` per length, one node included."""
     shape, turn = _shapes(keys)
     empty = np.zeros(0, dtype=np.int64)
     known, begin, values, vectors = _recall(("chains",)) or (empty, empty.reshape(2, 0), empty, empty)
@@ -586,8 +595,7 @@ def _decomposed(keys: np.ndarray, first: np.ndarray) -> tuple[np.ndarray, np.nda
         fresh = fresh[_run_starts(fresh)]
         sizes = (fresh >> 50)[:, None] ** [1, 2]  # L eigenvalues and L^2 eigenvector entries per shape
         offsets = ([len(values), len(vectors)] + np.cumsum(sizes, axis=0) - sizes).T
-        stacks = [h.real for h in _chain_matrices(fresh)]
-        pairs = [np.linalg.eigh(h) if h.shape[1] > 1 else (h[:, 0], np.ones_like(h)) for h in stacks]
+        pairs = [np.linalg.eigh(h) for h in _chain_matrices(fresh)]
         values, vectors = (np.concatenate([a, *(p[i].ravel() for p in pairs)]) for i, a in enumerate((values, vectors)))
         known, begin = np.concatenate([known, fresh]), np.concatenate([begin, offsets], axis=1)
         order = np.argsort(known)
@@ -622,21 +630,21 @@ def _plan(table: _MonomialTable, occupations: np.ndarray) -> _Plan:
     support's bytes. The plan holds its table, so no other table takes
     that identity while the plan is cached."""
     occupations = np.asarray(occupations, dtype=np.int64)
-    key = ("plan", id(table), occupations.shape, occupations.tobytes())
-    plan = _recall(key)
-    if plan is None:
-        gen, src, tgt, coeff, union, rows = _generator_action(table, occupations)
-        # sum the elements landing on one cell in their order, as np.add.at
-        # would: a stable sort groups them, one reduceat adds each group
-        cell = gen * len(union) + tgt
-        order = cell.argsort(kind="stable")
-        cell = cell[order]
-        starts = _run_starts(cell).nonzero()[0]
-        # rows views the whole rank array: a copy keeps only what the store counts
-        plan = (table, src[order], coeff[order, None], starts, cell[starts], union, rows.copy())
-        _remember(key, plan, plan[1:])
-        _trim()
-    return plan
+    return _kept(("plan", id(table), occupations.shape, occupations.tobytes()), _planned, table, occupations)
+
+
+def _planned(table: _MonomialTable, occupations: np.ndarray) -> tuple[_Plan, tuple[np.ndarray, ...]]:
+    """The plan of ``_plan`` built, and the arrays it owns."""
+    gen, src, tgt, coeff, union, rows = _generator_action(table, occupations)
+    # sum the elements landing on one cell in their order, as np.add.at
+    # would: a stable sort groups them, one reduceat adds each group
+    cell = gen * len(union) + tgt
+    order = cell.argsort(kind="stable")
+    cell = cell[order]
+    starts = _run_starts(cell).nonzero()[0]
+    # rows views the whole rank array: a copy keeps only what the store counts
+    plan = (table, src[order], coeff[order, None], starts, cell[starts], union, rows.copy())
+    return plan, plan[1:]
 
 
 def _directions(
@@ -824,10 +832,10 @@ def _narrow(index: np.ndarray) -> np.ndarray:
 _Join = tuple[_MonomialTable | np.ndarray, ...]
 
 
-def _join(applied: np.ndarray, first: np.ndarray, second: _MonomialTable, pairs: int) -> _Join:
+def _join(applied: np.ndarray, first: np.ndarray, second: _MonomialTable, pairs: int) -> tuple[_Join, _Join]:
     """The join of ``_commutator_targets`` on the first unions ``first``
     with the nonzero pattern of ``applied``, built from one second
-    application to all of them.
+    application to all of them, and the arrays it owns.
 
     Every element (J, u -> v, c) of the second application meets the
     nonzeros (I, u, a) of its source u, and a c enters the target of pair
@@ -876,7 +884,8 @@ def _join(applied: np.ndarray, first: np.ndarray, second: _MonomialTable, pairs:
     cut = np.searchsorted(pair, pairs)
     row = column[key[:cut] & ((1 << v_bits) - 1)]
     on, off = np.flatnonzero(row >= 0), np.flatnonzero(row < 0)
-    return second, coeff, at, element, *map(_narrow, (runs, merge, off, pair[off], on, pair[on], row[on]))
+    join = second, coeff, at, element, *map(_narrow, (runs, merge, off, pair[off], on, pair[on], row[on]))
+    return join, join[1:]
 
 
 def _commutator_targets(
@@ -901,11 +910,7 @@ def _commutator_targets(
     with one gather-multiply from the signed table and sums them with two
     reduceats."""
     key = ("join", id(second), first.shape, first.tobytes(), np.packbits(applied != 0).tobytes())
-    join = _recall(key)
-    if join is None:
-        join = _join(applied, first, second, pairs)
-        _remember(key, join, join[1:])
-        _trim()
+    join = _kept(key, _join, applied, first, second, pairs)
     _, coeff, at, element, runs, merge, off, off_pair, take, pair, row = join
     value = applied.reshape(-1)[at] * np.concatenate([coeff, -coeff])[element]
     value = np.add.reduceat(np.add.reduceat(value, runs), merge)

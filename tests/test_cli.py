@@ -30,7 +30,7 @@ from orbitdim import (
     outer,
     sample_sphere_state,
 )
-from orbitdim import cli, dynamics, generators
+from orbitdim import cli, generators
 import _oracle
 from orbitdim.cli import (
     EXIT_INVALID,
@@ -737,7 +737,7 @@ def test_estimate_refuses_a_layout_past_the_budget(capsys, tmp_path, monkeypatch
     nothing on stdout. A layout already in the store passed the refusal
     when it was built, so the store starts empty."""
     monkeypatch.setattr(generators, "_cache", generators._Store())
-    monkeypatch.setattr(dynamics, "_CACHE_BUDGET", 56 << 10)
+    monkeypatch.setattr(generators, "_CACHE_BUDGET", 56 << 10)
     path = tmp_path / "ket.json"
     write_state_file(str(path), sample_sphere_state(2, 2, seed=1))
     code, out, err = run(capsys, "estimate", "--state", str(path), "--group", "go", "--json")
@@ -751,7 +751,7 @@ def test_estimate_refuses_copies_past_the_budget(capsys, tmp_path, monkeypatch):
     fits but one time's copies of its 10 columns on its 742 nodes (118,720
     bytes) do not: exit 2, one line, nothing on stdout."""
     monkeypatch.setattr(generators, "_cache", generators._Store())
-    monkeypatch.setattr(dynamics, "_CACHE_BUDGET", 118_000)
+    monkeypatch.setattr(generators, "_CACHE_BUDGET", 118_000)
     path = tmp_path / "rho.json"
     kets = [sample_sphere_state(2, 3, seed=s) for s in (1, 2, 3)]
     write_state_file(str(path), mixture(list(zip((0.3, 0.3, 0.4), kets))))

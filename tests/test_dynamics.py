@@ -166,34 +166,39 @@ def test_the_two_kinds_of_a_family_share_one_real_shape(empty_cache, pair):
     the family's first kind (c = |c|), with D = diag(phi^j) and
     phi = c / |c| (1 for the first kind, i for the second). For every
     distinct chain of both kinds of 2 to 19 nodes on m = 2 at cutoff 36
-    (every length for each kind), D^dag H D equals T entry for entry, its
-    imaginary parts zero, and D V diag(lambda) (D V)^dag from the
-    eigenpairs the memo keeps for the shape gives the kind's matrix within
-    1e-14 of its largest entry."""
+    (every length for each kind), D^dag H D, H the kind's projected
+    Hamiltonian on the chain's nodes, equals T entry for entry, its
+    imaginary parts zero; a chain's key gives the real T its shape gives,
+    bit for bit; and D V diag(lambda) (D V)^dag from the eigenpairs the memo
+    keeps for the shape gives H within 1e-14 of its largest entry."""
     first, second = (generators._KIND_INDEX[kind] for kind in pair)
     assert generators._KIND_FAMILY[[first, second]].tolist() == [first, first]
     assert generators._KIND_TURN[[first, second]].tolist() == [0, 1]
     elements = [g for g in lie_basis(Group.GO, 2).elements if g.kind in pair]
-    states = np.array(TruncatedBasis.build(2, 36).states, dtype=np.int64)
-    key, length, gen, *_ = generators._chains(elements, states, 36)
+    basis = TruncatedBasis.build(2, 36)
+    key, length, gen, start, steps, _ = generators._chains(elements, np.array(basis.states, dtype=np.int64), 36)
     kept = (length > 1) & (length <= 19)
-    key, length, gen = key[kept], length[kept], gen[kept]
+    key, length, gen, start = key[kept], length[kept], gen[kept], start[:, kept]
     shape, turn = generators._shapes(key)
     for kind, phase in zip(pair, (0, 1)):
         of_kind = np.array([elements[n].kind == kind for n in gen.tolist()])
         assert sorted(set(length[of_kind].tolist())) == list(range(2, 20))
         assert (turn[of_kind] == phase).all()
     # one stack per length, in key order (so by length), and the shapes in that order
-    matrices = [h for stack in generators._chain_matrices(key) for h in stack]
-    shapes = [t for stack in generators._chain_matrices(shape) for t in stack]
+    by_key, by_shape = generators._chain_matrices(key), generators._chain_matrices(shape)
+    assert [(t.dtype, t.shape, t.tobytes()) for t in by_key] == [(t.dtype, t.shape, t.tobytes()) for t in by_shape]
+    dense = [dense_hamiltonian(g, basis) for g in elements]
     # the eigenvalues, and every chain's eigenvectors D V, one square after another
     values, at, vectors = generators._decomposed(key, np.arange(len(key)))
     ends = np.cumsum(length * length).tolist()
-    for c, (h, t) in enumerate(zip(matrices, shapes, strict=True)):
-        size, a = len(h), int(at[c])
+    for c, t in enumerate(t for stack in by_shape for t in stack):
+        n, size, a = int(gen[c]), len(t), int(at[c])
+        words = start[:, c] + np.arange(size)[:, None] * steps.steps[n]
+        nodes = [basis.index[tuple(occ)] for occ in unpack(words, basis.modes, steps.width).tolist()]
+        h = dense[n][np.ix_(nodes, nodes)]
         d = _PHASES[np.arange(size) * turn[c] % 4]
         turned = d.conj()[:, None] * h * d
-        assert np.array_equal(turned, t) and not turned.imag.any() and not t.imag.any()
+        assert np.array_equal(turned, t) and not turned.imag.any() and t.dtype == float
         v = vectors[ends[c] - size * size : ends[c]].reshape(size, size)
         rebuilt = (v * values[a : a + size]) @ v.conj().T
         assert np.abs(rebuilt - h).max() <= 1e-14 * max(1.0, np.abs(h).max())
@@ -276,7 +281,7 @@ def _rows_per_block(monkeypatch, height, generators, columns):
     below its rows, the overlap Gram of ``columns`` evolved under
     ``generators`` is summed a time at a time over blocks of that many rows."""
     monkeypatch.setattr(dynamics, "_refuse_oversized", lambda *args, **kwargs: None)
-    monkeypatch.setattr(dynamics, "_CACHE_BUDGET", height * 16 * (generators + 1) * columns)
+    monkeypatch.setattr("orbitdim.generators._CACHE_BUDGET", height * 16 * (generators + 1) * columns)
 
 
 @pytest.mark.parametrize("g, m", _EVERY_KIND, ids=lambda x: getattr(x, "label", str(x)))
@@ -814,8 +819,9 @@ def test_overlaps_on_the_reached_rows_match_dense_propagators(monkeypatch, group
 def test_layout_past_the_budget_is_refused_before_it_is_allocated(empty_cache, eigh_calls, monkeypatch):
     """Under a 56 KiB budget each chain of an m = 2, N = 2 GO working space
     fits, but its layout of chains (63,154 bytes) does not: an estimate is
-    refused before any chain is decomposed or anything is stored."""
-    monkeypatch.setattr(dynamics, "_CACHE_BUDGET", 56 << 10)
+    refused before any chain is decomposed or anything is stored. The one
+    budget the store evicts by sets the refusal too."""
+    monkeypatch.setattr(generators, "_CACHE_BUDGET", 56 << 10)
     psi = sample_sphere_state(2, 2, seed=1)
     with pytest.raises(ValidationError, match=r"^working space of 190 states \(cutoff 18\) too large: its layout of chains"):
         estimate_gram_matrix(psi, Group.GO)
@@ -826,8 +832,9 @@ def test_word_whose_factors_each_fit_the_budget_runs(empty_cache, monkeypatch):
     """Under the same 56 KiB budget, a word of every m = 2 GO generator
     lays out each factor on its own (at most 48,830 bytes), though the
     layout of all its factors' chains at once would not fit: it runs and
-    equals the product of dense propagators."""
-    monkeypatch.setattr(dynamics, "_CACHE_BUDGET", 56 << 10)
+    equals the product of dense propagators, and the store is left within
+    the same budget."""
+    monkeypatch.setattr(generators, "_CACHE_BUDGET", 56 << 10)
     psi = sample_sphere_state(2, 2, seed=1)
     word = [(g, 0.01) for g in lie_basis(Group.GO, 2).elements]
     _, index = basis_states(2, 18)
@@ -835,6 +842,7 @@ def test_word_whose_factors_each_fit_the_budget_runs(empty_cache, monkeypatch):
     for g, t in reversed(word):
         expected = _dense_propagator(g, 2, 18, t) @ expected
     assert_terms_close(apply_group_word(psi, word).terms, dict(zip(index, expected)), tol=1e-12)
+    assert generators._cache.nbytes <= 56 << 10
 
 
 def test_factor_past_the_budget_is_refused_before_its_layout_is_stored(empty_cache, monkeypatch):
@@ -842,7 +850,7 @@ def test_factor_past_the_budget_is_refused_before_its_layout_is_stored(empty_cac
     word, s[2], fits (6,126 bytes), but the layout of e[1,2]'s chains
     through the rows s[2] reaches (47,678 bytes) does not: the word is
     refused before that layout is stored."""
-    monkeypatch.setattr(dynamics, "_CACHE_BUDGET", 40_000)
+    monkeypatch.setattr(generators, "_CACHE_BUDGET", 40_000)
     basis = lie_basis(Group.GO, 2)
     e, s = (basis.elements[basis.index_of(label)] for label in ("e[1,2]", "s[2]"))
     message = r"^working space of 190 states \(cutoff 18\) too large: its layout of chains would take"
@@ -870,7 +878,7 @@ def test_layout_refusal_boundary_is_its_stored_bytes(empty_cache, monkeypatch, l
     nbytes = _stored_bytes(dynamics._layout((g,), 3, support))
     for budget in (nbytes, nbytes - 1):
         monkeypatch.setattr(generators, "_cache", generators._Store())
-        monkeypatch.setattr(dynamics, "_CACHE_BUDGET", budget)
+        monkeypatch.setattr(generators, "_CACHE_BUDGET", budget)
         if budget < nbytes:
             with pytest.raises(ValidationError, match=r"too large: its layout of chains would take "):
                 dynamics._layout((g,), 3, support)
@@ -893,7 +901,7 @@ def test_layout_past_its_lower_bound_is_refused_before_its_rows_are_ranked(empty
     its generators, whose chains are disjoint: a layout whose bytes by that
     count exceed the budget is refused before its rows are built and
     ranked, saying it would take at least that much."""
-    monkeypatch.setattr(dynamics, "_CACHE_BUDGET", 8 << 10)  # past its longest block's 5,776 bytes
+    monkeypatch.setattr(generators, "_CACHE_BUDGET", 8 << 10)  # past its longest block's 5,776 bytes
     ranked = []
     monkeypatch.setattr(dynamics, "_rank_words", lambda words: ranked.append(words))
     message = r"^working space of 190 states \(cutoff 18\) too large: its layout of chains would take at least "
@@ -985,7 +993,7 @@ def test_estimate_evolves_its_times_in_chunks_that_fit_the_budget(empty_cache, m
     calls.clear()
     heights.clear()
     assert _dense_copy_bytes(rho, Group.GO) == 199_680
-    monkeypatch.setattr(dynamics, "_CACHE_BUDGET", per_chunk * 199_680)
+    monkeypatch.setattr(generators, "_CACHE_BUDGET", per_chunk * 199_680)
     part = estimate_gram_matrix(rho, Group.GO)
     assert (calls, heights) == (chunks, [130] * len(chunks))
     for name in ("values", "coarse", "fine", "max_boundary_weight", "max_trace_deviation", "hermiticity_residual"):
@@ -1024,7 +1032,7 @@ def test_overlaps_summed_over_row_blocks_match_one_block(empty_cache, monkeypatc
 def _refused_before_evolving(monkeypatch, budget, message, call):
     """``call`` is refused with ``message`` under ``budget`` before any copy
     is evolved."""
-    monkeypatch.setattr(dynamics, "_CACHE_BUDGET", budget)
+    monkeypatch.setattr(generators, "_CACHE_BUDGET", budget)
     monkeypatch.setattr(dynamics._Workspace, "evolve", lambda *args: pytest.fail("copies evolved"))
     with pytest.raises(ValidationError, match=message):
         call()
@@ -1161,12 +1169,12 @@ def test_second_workspace_calls_no_eigh(empty_cache, eigh_calls):
 def test_eigh_decomposes_each_distinct_chain_once(empty_cache, eigh_calls):
     """Decomposing every chain of m = 2 GO at cutoff 17, then at 18, hands
     ``eigh`` each distinct shape (family, its modes' occupations at the
-    start, length) of more than one node once in all, counting stacked
-    matrices, as its real matrix: 78 matrices for the 1,737 blocks of the
-    two cutoffs, the second decomposing only the 12 shapes the first
-    lacked. Mirrored r and R starts share a key, so the 1,737 blocks have
-    190 keys, and the two kinds of a family share a shape, so the keys have
-    105 shapes."""
+    start, length) once in all, one node included, counting stacked
+    matrices, as its real matrix: 105 matrices for the 1,737 blocks of the
+    two cutoffs, 27 of them one node long, the second decomposing only the
+    14 shapes the first lacked. Mirrored r and R starts share a key, so the
+    1,737 blocks have 190 keys, and the two kinds of a family share a
+    shape, so the keys have 105 shapes."""
     elements = lie_basis(Group.GO, 2).elements
     keys, shapes, blocks, received = set(), set(), 0, []
     for cutoff in (17, 18):
@@ -1177,18 +1185,20 @@ def test_eigh_decomposes_each_distinct_chain_once(empty_cache, eigh_calls):
         blocks += len(key)
         generators._decomposed(key, np.arange(len(key)))
         received.append(sum(len(a) for a in eigh_calls))
-    assert received == [66, 78] and len(shapes) == 105 and len(keys) == 190 and blocks == 1737
-    expected = [h.real for stack in generators._chain_matrices(np.array(sorted(shapes))) for h in stack if len(h) > 1]
+    assert received == [91, 105] and len(shapes) == 105 and len(keys) == 190 and blocks == 1737
+    expected = [h for stack in generators._chain_matrices(np.array(sorted(shapes))) for h in stack]
     given = [h for stack in eigh_calls for h in stack]
-    assert all(h.dtype == float for h in given)
+    assert all(h.dtype == float for h in given) and sum(len(h) == 1 for h in given) == 27
     assert sorted((h.shape, h.tobytes()) for h in given) == sorted((h.shape, h.tobytes()) for h in expected)
 
 
 def test_cold_estimates_and_words_hand_eigh_no_matrix_twice(empty_cache, eigh_calls):
-    """Mirrored r and R chain starts, (a, 0) against (0, a), share a key,
-    and a one-node chain is its own eigenpair: from an empty store, GO
-    estimates and words whose supports hold mirrored states hand ``eigh``
-    no two matrices with equal bytes."""
+    """Mirrored r and R chain starts, (a, 0) against (0, a), share a key:
+    from an empty store, GO estimates and words whose supports hold
+    mirrored states hand ``eigh`` the real matrix of each shape they keep
+    once, one node included, and no two matrices of more than one node with
+    equal bytes (one-node shapes of different kinds, such as [[0]], may
+    share them)."""
     basis = lie_basis(Group.GO, 2)
     word = [(basis.elements[basis.index_of(label)], 0.05) for label in ("q[1]", "S[2]", "E[1,2]", "N[2]", "r[1,2]")]
     for psi in (normalize(SparseKet(2, {(1, 0): 1.0, (0, 1): 0.5j})), sample_sphere_state(2, 2, seed=1)):
@@ -1196,16 +1206,21 @@ def test_cold_estimates_and_words_hand_eigh_no_matrix_twice(empty_cache, eigh_ca
         estimate_gram_matrix(outer(psi), Group.PLO)
         apply_group_word(psi, word)
     estimate_gram_matrix(basis_ket((0, 2, 1)), Group.GO)
-    given = [(h.shape, h.tobytes()) for stack in eigh_calls for h in stack]
-    assert given and len(set(given)) == len(given)
+    # chains come as stacks, a density's own matrix alone
+    given = sorted((h.shape, h.tobytes()) for stack in eigh_calls if stack.ndim == 3 for h in stack)
+    kept = generators._chain_matrices(generators._recall(("chains",))[0])
+    assert given == sorted((h.shape, h.tobytes()) for stack in kept for h in stack)
+    longer = [h for h in given if h[0] != (1, 1)]
+    assert longer and len(set(longer)) == len(longer) < len(given)
 
 
 def test_a_word_after_an_estimate_decomposes_only_the_chains_the_store_lacked(empty_cache, eigh_calls):
     """The store is a memo by chain shape: after an estimate, a GO word on
-    another state hands ``eigh`` exactly the real matrices of more than one
-    node among the shapes the store lacked, each once: 46 matrices for 58
-    new shapes (the estimate's chains of the two kinds of a family have one
-    set of shapes, and the word holds one kind of each family)."""
+    another state hands ``eigh`` exactly the real matrices of the shapes the
+    store lacked, one node included, each once: 58 matrices for 58 new
+    shapes, 12 of them one node long (the estimate's chains of the two kinds
+    of a family have one set of shapes, and the word holds one kind of each
+    family)."""
     estimate_gram_matrix(outer(basis_ket((1, 0))), Group.GO)
     before = set(generators._recall(("chains",))[0].tolist())
     eigh_calls.clear()
@@ -1214,9 +1229,9 @@ def test_a_word_after_an_estimate_decomposes_only_the_chains_the_store_lacked(em
     out = apply_group_word(sample_sphere_state(2, 1, seed=3), word)
     after = set(generators._recall(("chains",))[0].tolist())
     new = np.array(sorted(after - before))
-    expected = [h.real for stack in generators._chain_matrices(new) for h in stack if len(h) > 1]
+    expected = [h for stack in generators._chain_matrices(new) for h in stack]
     given = [h for stack in eigh_calls for h in stack]
-    assert before <= after and len(new) == 58 and len(given) == 46
+    assert before <= after and len(new) == 58 and len(given) == 58 and sum(len(h) == 1 for h in given) == 12
     assert sorted((h.shape, h.tobytes()) for h in given) == sorted((h.shape, h.tobytes()) for h in expected)
     assert abs(out.norm() - 1.0) < 1e-10
 
