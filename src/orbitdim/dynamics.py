@@ -11,27 +11,31 @@ states. Each block is a chain along the step of the generator's monomial,
 found in closed form from any of its states (``generators._chains``). A
 working space is the chains of one set of generators through one support
 at one cutoff, its states read as packed words, linear in the states, so
-that the chains are merged and the rows numbered by sorting words; a
-group word evolves factor by factor, each factor on the working space of
-its one generator through the rows of the factor before it. The two kinds
-of a family (e and E, r and R, s and S, q and p) share each chain's real
+that the chains are merged and the rows numbered by sorting words; a group
+word evolves factor by factor, each factor on the working space of its one
+generator through the rows of the factor before it, but for two exact
+shortcuts: N or the identity phases the rows it is given by its one-node
+eigenvalues, and the last working space's generator, only phases since,
+evolves on it again (a layout on its own rows is itself). The two kinds of
+a family (e and E, r and R, s and S, q and p) share each chain's real
 shape, its matrix up to the phases D = diag(phi^j), phi = 1 or i: each
 shape is eigendecomposed, by a real ``eigh``, on its first use in the
 process and then read from the store's memo. The chains of one key are
 evolved as one group, by two products with the shape's eigenvectors V
 turned by the key's phases, D V (all of a layout's made in one step), and
-every one-node chain in one more group. A density evolves as the r
-eigenvectors of its matrix over its support, each weighted by its
-eigenvalue, a ket's projector as the one column psi/|psi|, each copy on
-its own nodes, its times in as few groups as their copies made dense, or
-their Grams where larger, fit the store's budget; a time whose dense
-copies do not fit sums its Gram over blocks of rows that do. Photon-shifting
-generators get a buffer of photons above the support; the weight in the
-top two sectors (the guard band) is the truncation-leakage proxy, checked
-with trace and Hermiticity deviations. A working space whose longest
-chain, layout of chains, or one time's copies on their nodes or Gram would
-not fit the store's budget is refused before they are allocated; the
-layouts and the decomposed chains are kept there.
+every one-node chain in one more group, V = [[1]], phased with no product.
+A density evolves as the r eigenvectors of its matrix over its support,
+each weighted by its eigenvalue, a ket's projector as the one column
+psi/|psi|, each copy on its own nodes, its times != 0 (at t = 0 a copy is
+rho) in as few groups as their copies made dense, or their Grams where
+larger, fit the store's budget; a time whose dense copies do not fit sums
+its Gram over blocks of rows that do. Photon-shifting generators get a
+buffer of photons above the support; the weight in the top two sectors
+(the guard band) is the truncation-leakage proxy, checked with trace and
+Hermiticity deviations. A working space whose longest chain, layout of
+chains, or one time's copies on their nodes or Gram would not fit the
+store's budget is refused before they are allocated; the layouts and the
+decomposed chains are kept there.
 """
 
 from __future__ import annotations
@@ -56,8 +60,10 @@ from .fock import (
     normalize,
 )
 from .generators import (
+    _STILL,
     GeneratorDescriptor,
     Group,
+    _amplitudes,
     _blocks,
     _chains,
     _decomposed,
@@ -118,11 +124,6 @@ class EvolutionConfig:
         half = self.step / 2.0
         if half * half == 0.0:
             raise ValueError(f"step {self.step:g} is too small: the square of h/2 underflows to 0")
-
-
-def _check_time(t: float) -> None:
-    if not math.isfinite(t):
-        raise ValueError(f"evolution time must be finite, got {t}")
 
 
 def dense_hamiltonian(g: GeneratorDescriptor, basis: TruncatedBasis) -> np.ndarray:
@@ -256,28 +257,36 @@ class _Workspace:
     def evolve(self, times: np.ndarray | float, columns: np.ndarray) -> np.ndarray:
         """exp(-i H_n t) applied to an R x r block of columns at each of the
         T times, on the nodes alone: T x nodes x r, node i on row nodes[i]
-        under generator gens[i]. One gather over
-        the nodes; per group of n chains of L nodes, V^T of its L x L
-        eigenvectors V applied to the L x n r block of its nodes in place;
-        its conjugate (so V^dag x) times the phases; per group, V again."""
+        under generator gens[i]. One gather over the nodes; per group of n
+        chains of L nodes, V^T of its L x L eigenvectors V applied to the
+        L x n r block of its nodes in place; its conjugate (so V^dag x) times
+        the phases; per group, V again. The one-node group's V is [[1]], so
+        its nodes are copied, not multiplied, both times."""
         t = np.ravel(times)
         # V^dag x is conj(V^T conj(x)), and V^T is a view where V^dag copies V
         x = columns.conj()[self.nodes]
         z = np.empty_like(x)
         for at, v in self.groups:
-            np.matmul(v.T, x[at].reshape(len(v), -1), out=z[at].reshape(len(v), -1))
+            if len(v) > 1:
+                np.matmul(v.T, x[at].reshape(len(v), -1), out=z[at].reshape(len(v), -1))
+            else:  # the one-node chains, V = [[1]]
+                z[at] = x[at]
         phased = np.exp(np.multiply.outer(-1j * t, self.values))[:, :, None] * z.conj()
         y = np.empty_like(phased)
         for at, v in self.groups:
-            np.matmul(v, phased[:, at].reshape(len(t), len(v), -1), out=y[:, at].reshape(len(t), len(v), -1))
+            if len(v) > 1:
+                np.matmul(v, phased[:, at].reshape(len(t), len(v), -1), out=y[:, at].reshape(len(t), len(v), -1))
+            else:
+                y[:, at] = phased[:, at]
         return y
 
-    def leak(self, context: str, **measured: float) -> LeakageError:
-        """The error of deviations past the leakage tolerance, measured in ``context``."""
+    @staticmethod
+    def leak(cfg: EvolutionConfig, cutoff: int, context: str, **measured: float) -> LeakageError:
+        """The error of deviations past the leakage tolerance, measured in ``context`` at a cutoff."""
         found = ", ".join(f"{name.replace('_', ' ')} {value:.3e}" for name, value in measured.items())
         return LeakageError(
-            f"{context}: {found} exceed tolerance {self.cfg.leakage_tolerance:.1e} "
-            f"(cutoff {self.cutoff}); increase the buffer or reduce |t|"
+            f"{context}: {found} exceed tolerance {cfg.leakage_tolerance:.1e} "
+            f"(cutoff {cutoff}); increase the buffer or reduce |t|"
         )
 
 
@@ -309,9 +318,10 @@ class _DensityWorkspace(_Workspace):
 
     def overlaps(self, times: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """At each of the T times, from the copies A_n = exp(-i H_n t) Phi on
-        their nodes (``evolve``) and A_0 = Phi: beta, T x (d + 1) x (d + 1),
-        sum_ab w_a w_b |M_ij[a, b]|^2 with M_ij = A_i^dag A_j; each copy's
-        trace, T x d, sum_a w_a (A_n^dag A_n)[a, a], complex; and its
+        their nodes (``evolve``, at t != 0 alone: at t = 0 each is Phi, so a
+        chunk of t = 0 evolves nothing) and A_0 = Phi: beta, T x (d + 1) x
+        (d + 1), sum_ab w_a w_b |M_ij[a, b]|^2 with M_ij = A_i^dag A_j; each
+        copy's trace, T x d, sum_a w_a (A_n^dag A_n)[a, a], complex; and its
         guard-band weight, T x d; neither is leakage-checked. M is read from
         the Gram of the copies, (d + 1) r x (d + 1) r, formed per group of
         times whose dense copies and Grams fit the store's budget; the Gram
@@ -333,8 +343,11 @@ class _DensityWorkspace(_Workspace):
         beta, boundary = np.empty((len(times), k, k)), np.empty((len(times), k - 1))
         trace = np.empty((len(times), k - 1), dtype=complex)
         for part in (slice(lo, lo + step) for lo in range(0, len(times), step)):
-            t, y = len(times[part]), self.evolve(times[part], self.phi)[:, order]
-            y[times[part] == 0.0] = self.phi[rows]  # the columns as they are where t = 0
+            t, moving = len(times[part]), times[part] != 0.0
+            y = np.empty((t, nodes, r), dtype=complex)
+            y[~moving] = self.phi[rows]  # the columns as they are where t = 0, unevolved
+            if moving.any():
+                y[moving] = self.evolve(times[part][moving], self.phi)[:, order]
             for top, bottom, at in _blocks(rows, size, max(generators._CACHE_BUDGET // (16 * t * k * r), 1)):
                 x = np.zeros((t, bottom - top, k, r), dtype=complex)
                 x[:, :, 0] = self.phi[top:bottom]
@@ -373,7 +386,7 @@ class _DensityWorkspace(_Workspace):
         if failed.any():
             i, n = np.unravel_index(failed.argmax(), failed.shape)
             context = f"evolving under {self.generators[n].label} for t={times[i]:g}"
-            raise self.leak(context, **dict(zip(names, measured[:, i, n].tolist())))
+            raise self.leak(self.cfg, self.cutoff, context, **dict(zip(names, measured[:, i, n].tolist())))
         for name, value in zip(names, measured[:, moving].max(axis=(1, 2), initial=0.0).tolist()):
             self.worst[name] = max(self.worst.get(name, 0.0), value)
         _refuse_overlaps(finite)
@@ -456,11 +469,16 @@ def apply_group_word(
     first, each factor with t != 0 on the working space of its generator
     through the rows of the factor before it, all at the word's cutoff: the
     support's photon number, plus the buffer when any factor shifts photon
-    number. Photon-number-preserving words are sector-exact; shifting words
+    number. As its layout would, with none built, N or the identity phases
+    each row (in basis order) by exp(-i t h), h the monomial's coefficient
+    times its amplitude (sqrt(n) sqrt(n) for N), and a factor of the last
+    working space's generator, only phases since, evolves on it again.
+    Photon-number-preserving words are sector-exact; shifting words
     are guard-band checked after every factor. A generator past the ket's
     register is refused, also at t = 0."""
     for _, t in word:
-        _check_time(t)
+        if not math.isfinite(t):
+            raise ValueError(f"evolution time must be finite, got {t}")
     reach = max((k for g, _ in word for k in g.modes), default=0)
     if reach > psi.modes:
         raise ValueError(f"generator mode index {reach} exceeds the {psi.modes}-mode register")
@@ -478,21 +496,32 @@ def apply_group_word(
     # before it is squared, so that no scale moves them
     peak = float(np.abs(amps).max())
     norm0 = peak * float(np.linalg.norm(amps / peak))
-    vec, ws = amps[:, None], None
+    vec, ws, evolved = amps[:, None], None, False
     for g, t in reversed(word):
         if t == 0.0:
             continue
-        ws = _Workspace(states, (g,), cfg, cutoff)
-        x = np.zeros((len(ws.states), 1), dtype=complex)
-        x[ws.support] = vec
-        states, vec = ws.states, np.empty_like(x)
-        vec[ws.nodes] = ws.evolve(t, x)[0]  # one generator's nodes are its rows, each once
+        if g.kind in _STILL:
+            # as its one-node layout: rows in basis order, each phased by its eigenvalue; no bytes, only the key's refusal
+            _refuse_oversized(psi.modes, cutoff, "phases", 0)
+            if not evolved:
+                order = np.lexsort(states.T[::-1])  # the first mode highest
+                states, vec = states[order], vec[order]
+            table = _monomials((g,))
+            vec = np.exp(-1j * np.ravel(t) * (table[1].real * _amplitudes(table, states)[0]))[:, None] * vec
+        else:
+            if ws is None or ws.generators != (g,):  # else on its own rows, phased since: the same layout
+                ws = _Workspace(states, (g,), cfg, cutoff)
+                x = np.zeros((len(ws.states), 1), dtype=complex)
+                x[ws.support] = vec
+                states, vec = ws.states, x
+            vec[ws.nodes] = ws.evolve(t, vec)[0]  # one generator's nodes are its rows, each once
+        evolved = True
         if shifting:
-            # re, im of each entry: the band's weight is its squared norm
-            band = vec[ws.band].view(float).ravel() / norm0
+            # re, im of each entry of the guard band (the top two sectors): its weight is their squared norm
+            band = vec[states.sum(axis=1) > cutoff - 2 if ws is None else ws.band].view(float).ravel() / norm0
             if not (weight := float(band @ band)) <= tol:  # NaN fails
-                raise ws.leak(f"group word factor {g.label} (t={t:g})", boundary_weight=weight)
+                raise _Workspace.leak(cfg, cutoff, f"group word factor {g.label} (t={t:g})", boundary_weight=weight)
     # unless every time is 0, and the ket is as it came
-    if ws is not None and not (change := abs(float(np.linalg.norm(vec / norm0)) - 1.0)) <= tol:
-        raise ws.leak("group word", norm_change=change)
+    if evolved and not (change := abs(float(np.linalg.norm(vec / norm0)) - 1.0)) <= tol:
+        raise _Workspace.leak(cfg, cutoff, "group word", norm_change=change)
     return SparseKet.from_arrays(states, vec[:, 0])

@@ -320,6 +320,8 @@ def _generator_action(
 _KIND_GENERATORS = tuple(GeneratorDescriptor(kind, tuple(range(1, n + 1))) for kind, (n, *_) in _KINDS.items())
 _KIND_INDEX = {kind: k for k, kind in enumerate(_KINDS)}
 _KIND_STEP = np.array([[sum(s for slot, s in steps if slot == i) for i in (0, 1)] for _, _, steps in _KINDS.values()])
+#: The kinds whose X moves no photon (N and the identity): each state is a chain of its own.
+_STILL = frozenset(kind for kind, step in zip(_KINDS, _KIND_STEP) if not step.any())
 
 #: Each kind's family and turn. Kinds with one X and one |c| (e and E, r and
 #: R, s and S, q and p) differ by the phase phi = c / |c|, 1 or i = i^turn,
@@ -484,6 +486,13 @@ def _chains(generators: Sequence[GeneratorDescriptor], states: np.ndarray, cutof
     return table[0], table[0] >> 50, table[1], table[2:], steps, words
 
 
+@functools.cache
+def _kind_monomials() -> _MonomialTable:
+    """The monomials of ``_KIND_GENERATORS``, built on first use as
+    ``_every_walk`` is and then read without hashing the descriptors."""
+    return _monomials(_KIND_GENERATORS)
+
+
 def _chain_matrices(keys: np.ndarray) -> list[np.ndarray]:
     """The real shapes T of chains given in order of length, one n x L x L
     stack per length, each in the order given: a chain's matrix read under
@@ -494,7 +503,7 @@ def _chain_matrices(keys: np.ndarray) -> list[np.ndarray]:
     X moves node j to j + 1 with a product a_j of a square root per step,
     X^dag node j + 1 to j with the same factors, so c a_j is on both
     off-diagonals; N and the identity keep the node, on the diagonal."""
-    gen, coeff, *_, delta = table = _monomials(_KIND_GENERATORS)
+    gen, coeff, *_, delta = table = _kind_monomials()
     keys = _shapes(keys)[0]
     length, mono = keys >> 50, np.searchsorted(gen, keys >> 46 & 0xF)
     chain = np.repeat(np.arange(len(keys)), length)

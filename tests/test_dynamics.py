@@ -1,6 +1,7 @@
 """Truncated evolution, beta overlaps, the Gram estimator, and sampling."""
 
 import functools
+import itertools
 import math
 import re
 import sys
@@ -357,6 +358,117 @@ def test_word_matches_the_product_of_dense_propagators(group, m):
     assert_terms_close(out.terms, dict(zip(index, expected)), tol=1e-12)
 
 
+def test_a_generator_again_after_phases_evolves_on_its_layout(empty_cache, layouts_built):
+    """An m = 2 GO word whose e[1,2] acts again after the phases N[2] and
+    the identity, and whose q[1] acts twice in a row, equals the product of
+    dense propagators: the second e[1,2] and q[1] evolve on the layout the
+    first laid out, on its own rows, so the word lays out two."""
+    basis = lie_basis(Group.GO, 2)
+    labels = ("q[1]", "q[1]", "e[1,2]", "N[2]", "id", "e[1,2]")
+    word = [(basis.elements[basis.index_of(label)], 0.1 * (k + 1) * (-1) ** k) for k, label in enumerate(labels)]
+    psi = sample_sphere_state(2, 2, seed=4)
+    cutoff = 2 + _SMALL_BUFFER.buffer
+    _, index = basis_states(2, cutoff)
+    expected = dense_ket(psi, index)
+    for g, t in reversed(word):
+        expected = _dense_propagator(g, 2, cutoff, t) @ expected
+    out = apply_group_word(psi, word, _SMALL_BUFFER)
+    assert_terms_close(out.terms, dict(zip(index, expected)), tol=1e-12)
+    assert [gens[0].label for gens in layouts_built] == ["e[1,2]", "q[1]"]
+
+
+@pytest.fixture
+def layouts_built(monkeypatch):
+    """The generators of each layout that ``_laid_out`` builds."""
+    built, laid_out = [], dynamics._laid_out
+
+    def counted(generators, cutoff, support):
+        built.append(generators)
+        return laid_out(generators, cutoff, support)
+
+    monkeypatch.setattr(dynamics, "_laid_out", counted)
+    return built
+
+
+@pytest.mark.parametrize("n, seed", [(1, 0), (2, 1)])
+def test_a_round_trip_lays_out_and_evolves_only_what_moves(empty_cache, layouts_built, evolved_times, n, seed):
+    """From an empty store, the GO m = 2 round trip of p[2], s[1], e[1,2],
+    R[1,2], N[1] on a sphere ket builds 6 layouts and makes 8 ``evolve``
+    calls: its two N[1] phase the rows with no layout, and its centre pair
+    p[2], p[2] evolves on one layout. It returns the ket."""
+    basis = lie_basis(Group.GO, 2)
+    labels = ("p[2]", "s[1]", "e[1,2]", "R[1,2]", "N[1]")
+    word = [(basis.elements[basis.index_of(label)], 0.05 * (k + 1) * (-1) ** k) for k, label in enumerate(labels)]
+    psi = sample_sphere_state(2, n, seed)
+    out = apply_group_word(psi, [(g, -t) for g, t in reversed(word)] + word)
+    assert (len(layouts_built), len(evolved_times[0])) == (6, 8)
+    assert_terms_close(out.terms, psi.terms, tol=1e-12)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+@pytest.mark.parametrize("group", list(Group))
+def test_a_phase_factor_phases_each_amplitude_by_its_one_node_eigenvalue(layouts_built, evolved_times, group, m):
+    """A factor N[k] or the identity on a sphere ket multiplies each
+    amplitude by exp(-i t h) bit for bit, in the ket's order, h being the
+    monomial's coefficient times its amplitudes (sqrt(n) sqrt(n) for N), with
+    no layout or ``evolve`` call; h is bit for bit the one-node eigenvalue
+    the generator's layout holds."""
+    psi, t = sample_sphere_state(m, 2, seed=m), np.array([0.7])
+    states, amps = psi.arrays()
+    still = [g for g in lie_basis(group, m).elements if g.kind in ("N", "I")]
+    assert len(still) == m + (group in (Group.DPLO, Group.GO))
+    outs = [apply_group_word(psi, [(g, float(t[0]))]) for g in still]
+    assert layouts_built == evolved_times[0] == []
+    for g, out in zip(still, outs):
+        table = generators._monomials((g,))
+        h = table[1].real * generators._amplitudes(table, states)[0]
+        expected = np.exp(np.multiply.outer(-1j * t, h))[0] * amps
+        assert list(out.terms) == list(psi.terms)
+        assert np.array(list(out.terms.values())).tobytes() == expected.tobytes()
+        ws = _Workspace(states, (g,), EvolutionConfig())
+        assert np.array_equal(ws.states, states) and ws.values.tobytes() == h[ws.nodes].tobytes()
+
+
+def test_a_shifting_word_is_band_checked_after_a_first_phase_factor():
+    """A shifting word at buffer 0 whose first factor is N[1] is refused
+    right after it, the guard band (the top two sectors) holding the ket's
+    weight there: the text a layout of N[1] gave."""
+    basis = lie_basis(Group.GO, 2)
+    q, n = (basis.elements[basis.index_of(label)] for label in ("q[1]", "N[1]"))
+    message = (
+        "group word factor N[1] (t=0.3): boundary weight 9.144e-01 exceed tolerance 1.0e-06 (cutoff 2); "
+        "increase the buffer or reduce |t|"
+    )
+    with pytest.raises(LeakageError, match=f"^{re.escape(message)}$"):
+        apply_group_word(sample_sphere_state(2, 2, seed=1), [(q, 0.05), (n, 0.3)], EvolutionConfig(buffer=0))
+
+
+def test_an_all_phase_word_returns_its_rows_in_basis_order():
+    """An all-phase word on a ket whose terms are not in basis order
+    returns them in basis order, as a layout's rows came, each phased by
+    its factors in turn."""
+    basis = lie_basis(Group.GO, 3)
+    n3, identity, n1 = (basis.elements[basis.index_of(label)] for label in ("N[3]", "id", "N[1]"))
+    ket = SparseKet(3, {(0, 2, 1): 0.5, (1, 0, 0): 0.5j, (0, 0, 3): -0.5, (0, 1, 0): 0.5})
+    out = apply_group_word(ket, [(n3, 0.7), (identity, -0.2), (n1, 0.4)])
+    assert list(out.terms) == [(0, 0, 3), (0, 1, 0), (0, 2, 1), (1, 0, 0)]
+    for occ, amp in out.terms.items():
+        assert abs(amp - ket.terms[occ] * np.exp(-1j * (0.4 * occ[0] - 0.2 + 0.7 * occ[2]))) < 1e-15
+
+
+def test_a_phase_heavy_mesh_round_trips(empty_cache, layouts_built, evolved_times):
+    """The m = 4 PLO word of the six beam splitters e[k,l], each followed by
+    its phase N[k], and its inverse return an N = 2 sphere ket within 1e-12:
+    only the twelve beam splitters evolve, on one layout a generator."""
+    basis = lie_basis(Group.PLO, 4)
+    labels = [label for k, l in itertools.combinations(range(1, 5), 2) for label in (f"e[{k},{l}]", f"N[{k}]")]
+    word = [(basis.elements[basis.index_of(label)], 0.3 + 0.1 * j) for j, label in enumerate(labels)]
+    psi = sample_sphere_state(4, 2, seed=3)
+    out = apply_group_word(psi, [(g, -t) for g, t in reversed(word)] + word)
+    assert_terms_close(out.terms, psi.terms, tol=1e-12)
+    assert (len(layouts_built), len(evolved_times[0])) == (6, 12)
+
+
 def _assert_beta_entries_equal_the_estimate_stencils(state, group):
     """The entries of beta matrices evolved one time each give the
     estimate's coarse and fine stencils bit for bit, and beta_ij = beta_ji."""
@@ -418,7 +530,8 @@ def test_m3_evolution_allocates_no_dense_matrix():
 
 def test_warm_m3_word_copies_no_cached_block(empty_cache):
     """A warm m = 3 GO word evolves its factors' key groups as the store
-    holds them, one layout a factor: its traced peak stays below the bytes
+    holds them, one layout a factor that moves photons (its phase N[2]
+    has none): its traced peak stays below the bytes
     that a copy of the eigenvectors for each of its factors' chains would
     take (16 L^2 a chain of L nodes), so no cached block is copied per
     chain or per call."""
@@ -427,7 +540,7 @@ def test_warm_m3_word_copies_no_cached_block(empty_cache):
     psi = sample_sphere_state(3, 1, seed=0)
     apply_group_word(psi, word)
     layouts = [(key[1], value[4]) for key, (value, _) in generators._cache.items() if key[0] == "layout"]
-    assert [held for held, _ in layouts] == [(g,) for g, _ in reversed(word)]
+    assert [held for held, _ in layouts] == [(g,) for g, _ in reversed(word) if g.kind != "N"]
     # a group of n chains of L nodes spans n L nodes
     per_chain = sum(16 * (at.stop - at.start) * len(v) for _, groups in layouts for at, v in groups)
     tracemalloc.start()
@@ -979,23 +1092,25 @@ def _dense_copy_bytes(rho, group):
     return 16 * len(ws.states) * (len(ws.generators) + 1) * ws.phi.shape[1]
 
 
-@pytest.mark.parametrize("per_chunk, chunks", [(1, [1] * 5), (2, [2, 2, 1]), (4, [4, 1]), (5, [5])])
+@pytest.mark.parametrize("per_chunk, chunks", [(1, [1] * 4), (2, [1, 2, 1]), (4, [3, 1]), (5, [4])])
 def test_estimate_evolves_its_times_in_chunks_that_fit_the_budget(empty_cache, monkeypatch, evolved_times, per_chunk, chunks):
-    """A rank-3 m = 2 GO estimate evolves its five times in chunks whose
+    """A rank-3 m = 2 GO estimate takes its five times in chunks whose
     dense copies fit the budget, all 130 rows of a chunk in one block, and
-    each chunk gives the bits it gives when all five times are evolved at
-    once. Its five overlap Grams (737,280 bytes) pass a budget of one
-    time's dense copies (199,680), which one time's Gram (147,456) fits."""
+    evolves the four times != 0 of each chunk (t = 0, first, leaves the
+    copies as they are, so a chunk of it alone evolves nothing); each chunk
+    gives the bits it gives when all the times are taken at once. Its five
+    overlap Grams (737,280 bytes) pass a budget of one time's dense copies
+    (199,680), which one time's Gram (147,456) fits."""
     calls, heights = evolved_times
     rho = _rank3_density()
     whole = estimate_gram_matrix(rho, Group.GO)
-    assert (calls, heights, whole.working_rows) == ([5], [130], 130)
+    assert (calls, heights, whole.working_rows) == ([4], [130], 130)
     calls.clear()
     heights.clear()
     assert _dense_copy_bytes(rho, Group.GO) == 199_680
     monkeypatch.setattr(generators, "_CACHE_BUDGET", per_chunk * 199_680)
     part = estimate_gram_matrix(rho, Group.GO)
-    assert (calls, heights) == (chunks, [130] * len(chunks))
+    assert (calls, heights) == (chunks, [130] * -(-5 // per_chunk))  # one block a chunk of the five times
     for name in ("values", "coarse", "fine", "max_boundary_weight", "max_trace_deviation", "hermiticity_residual"):
         assert np.array_equal(getattr(whole, name), getattr(part, name))
 
@@ -1016,7 +1131,7 @@ def test_overlaps_summed_over_row_blocks_match_one_block(empty_cache, monkeypatc
     boundary = ws.overlaps(times)[2]
     assert boundary[1:].max() > 0.0
     rows = len(ws.states)
-    assert (calls, heights, rows) == ([5, 5], [rows] * 2, 130)
+    assert (calls, heights, rows) == ([4, 4], [rows] * 2, 130)
     for blocks in (2, 3, rows):
         calls.clear()
         heights.clear()
@@ -1024,9 +1139,25 @@ def test_overlaps_summed_over_row_blocks_match_one_block(empty_cache, monkeypatc
         _rows_per_block(monkeypatch, height, len(ws.generators), ws.phi.shape[1])
         got = ws.beta_matrix(times)
         band = ws.overlaps(times)[2]
-        assert (calls, len(heights)) == ([1] * 10, 10 * blocks)
+        assert (calls, len(heights)) == ([1] * 8, 10 * blocks)  # t = 0 is not evolved
         assert np.all(np.abs(got - whole) <= 1e-14 * np.maximum(1.0, np.abs(whole)))
         assert np.all(np.abs(band - boundary) <= 1e-12 * boundary)
+
+
+def test_overlaps_at_t_0_alone_evolve_nothing(empty_cache, evolved_times):
+    """Overlaps at t = 0 alone evolve no copy, each copy being rho: beta,
+    traces and band weights are bit for bit those t = 0 takes beside times
+    that evolve, every beta entry rho's purity."""
+    calls, _ = evolved_times
+    rho = _rank3_density()
+    ws = dynamics._DensityWorkspace(rho, lie_basis(Group.GO, 2).elements, EvolutionConfig())
+    alone = ws.overlaps(np.array([0.0]))
+    assert calls == []
+    beside = ws.overlaps(np.array([0.0, 1e-3, -1e-3]))
+    assert calls == [2]
+    for got, expected in zip(alone, beside, strict=True):
+        assert got.tobytes() == expected[:1].tobytes()
+    assert np.allclose(alone[0], np.sum(np.abs(rho.matrix) ** 2), rtol=1e-14, atol=0.0)
 
 
 def _refused_before_evolving(monkeypatch, budget, message, call):
@@ -1067,12 +1198,21 @@ def test_photons_past_a_chain_key_are_refused():
     """A chain's key holds each occupation in 23 bits. A one-mode PLO
     working space has only N[1]'s one-node chains, as small as layouts
     get, and is refused from 2^23 photons on, for the key even at 2^50,
-    where its chains are still one node long."""
+    where its chains are still one node long. A word of N[1] and the
+    identity alone, which lays out no chain, is refused at 2^23 with the
+    text its layout gave."""
     assert estimate_gram_matrix(basis_ket(((1 << 23) - 1,)), Group.PLO).cutoff == (1 << 23) - 1
     with pytest.raises(ValidationError, match=r"\(cutoff 8388608\) too large: a chain key holds occupations below 2\^23"):
         estimate_gram_matrix(basis_ket((1 << 23,)), Group.PLO)
     with pytest.raises(ValidationError, match=r"\(cutoff 1125899906842624\) too large: a chain key holds"):
         estimate_gram_matrix(basis_ket((1 << 50,)), Group.PLO)
+    phases = [(g, 0.3) for g in lie_basis(Group.GO, 1).elements if g.kind in ("N", "I")]
+    message = (
+        "working space of 8,388,609 states (cutoff 8388608) too large: a chain key holds occupations below 2^23; "
+        "use a smaller --buffer"
+    )
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+        apply_group_word(basis_ket((1 << 23,)), phases)
 
 
 @pytest.mark.parametrize("group, label", [(Group.DPLO, "q[1]"), (Group.ALO, "S[1]"), (Group.GO, "p[1]")])
@@ -1217,10 +1357,10 @@ def test_cold_estimates_and_words_hand_eigh_no_matrix_twice(empty_cache, eigh_ca
 def test_a_word_after_an_estimate_decomposes_only_the_chains_the_store_lacked(empty_cache, eigh_calls):
     """The store is a memo by chain shape: after an estimate, a GO word on
     another state hands ``eigh`` exactly the real matrices of the shapes the
-    store lacked, one node included, each once: 58 matrices for 58 new
-    shapes, 12 of them one node long (the estimate's chains of the two kinds
-    of a family have one set of shapes, and the word holds one kind of each
-    family)."""
+    store lacked, one node included, each once: 50 matrices for 50 new
+    shapes, 4 of them one node long (the estimate's chains of the two kinds
+    of a family have one set of shapes, the word holds one kind of each
+    family, and its phase N[2] lays out no chains)."""
     estimate_gram_matrix(outer(basis_ket((1, 0))), Group.GO)
     before = set(generators._recall(("chains",))[0].tolist())
     eigh_calls.clear()
@@ -1231,7 +1371,7 @@ def test_a_word_after_an_estimate_decomposes_only_the_chains_the_store_lacked(em
     new = np.array(sorted(after - before))
     expected = [h for stack in generators._chain_matrices(new) for h in stack]
     given = [h for stack in eigh_calls for h in stack]
-    assert before <= after and len(new) == 58 and len(given) == 58 and sum(len(h) == 1 for h in given) == 12
+    assert before <= after and len(new) == 50 and len(given) == 50 and sum(len(h) == 1 for h in given) == 4
     assert sorted((h.shape, h.tobytes()) for h in given) == sorted((h.shape, h.tobytes()) for h in expected)
     assert abs(out.norm() - 1.0) < 1e-10
 
