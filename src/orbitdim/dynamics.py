@@ -66,6 +66,7 @@ from .generators import (
     _amplitudes,
     _blocks,
     _chains,
+    _check_register,
     _decomposed,
     _generator_action,
     _kept,
@@ -479,9 +480,7 @@ def apply_group_word(
     for _, t in word:
         if not math.isfinite(t):
             raise ValueError(f"evolution time must be finite, got {t}")
-    reach = max((k for g, _ in word for k in g.modes), default=0)
-    if reach > psi.modes:
-        raise ValueError(f"generator mode index {reach} exceeds the {psi.modes}-mode register")
+    _check_register(max((k for g, _ in word for k in g.modes), default=0), psi.modes)
     if not word:
         return psi
     if psi.is_zero():

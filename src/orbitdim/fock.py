@@ -185,8 +185,8 @@ class SparseKet:
     """Finite complex combination of occupation-number basis states.
 
     Exact zeros are dropped at construction; an empty term map is the zero
-    ket. A ket keeps its arrays, its norm and its unit column psi/|psi|
-    once they are first asked for, so its terms must not be mutated.
+    ket. A ket keeps its arrays, its squared norm and its unit column
+    psi/|psi| once they are first asked for, so its terms must not be mutated.
     """
 
     modes: int
@@ -210,11 +210,12 @@ class SparseKet:
         return not self.terms
 
     def norm(self) -> float:
-        return self._norm
+        return math.sqrt(self._norm2)
 
     @functools.cached_property
-    def _norm(self) -> float:
-        return math.sqrt(sum(a.real * a.real + a.imag * a.imag for a in self.terms.values()))
+    def _norm2(self) -> float:
+        """The squared norm, summed term by term in term order (inf past the float range)."""
+        return sum((a.real * a.real + a.imag * a.imag for a in self.terms.values()), 0.0)
 
     def max_total(self) -> int:
         """Largest total photon number in the support (0 for the zero ket)."""
@@ -434,8 +435,7 @@ class DensityOperator:
             raise ValidationError(
                 f"diagonal entry {complex(diagonal[i])!r} at {tuple(states[i].tolist())!r} below -{DIAGONAL_FLOOR:.1e}"
             )
-        states.setflags(write=False)
-        matrix.setflags(write=False)
+        _frozen(states, matrix)
         return cls(support=states, matrix=matrix, hermiticity_residual=herm, trace_residual=trace_res)
 
 
@@ -458,9 +458,8 @@ def mixture(components: Sequence[tuple[float, SparseKet]]) -> DensityOperator:
     for _, psi in components:
         if psi.modes != modes:
             raise ValueError("all mixture components must share the mode count")
-        nrm2 = sum(a.real * a.real + a.imag * a.imag for a in psi.terms.values())
-        if not math.isfinite(nrm2):
-            raise ValidationError(f"mixture component has squared norm {nrm2!r}")
+        if not math.isfinite(psi._norm2):
+            raise ValidationError(f"mixture component has squared norm {psi._norm2!r}")
         # scaled by the power of two that brings the largest modulus into
         # [1/2, 1), so that no product of two amplitudes underflows unless
         # its normalized value does; exact, so it changes no other entry

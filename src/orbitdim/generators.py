@@ -60,6 +60,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 import sys
 import threading
 from collections import OrderedDict
@@ -74,6 +75,7 @@ from .fock import (
     DensityOperator,
     SparseKet,
     SparseOperator,
+    _frozen,
     _packing,
     _rank_states,
     _run_starts,
@@ -120,9 +122,14 @@ class GeneratorDescriptor:
         if self.kind not in _KINDS:
             raise ValueError(f"unknown generator kind {self.kind!r}")
         count = _KINDS[self.kind][0]
+        try:  # a tuple of ints, as fock.validate_occupation reads occupations: numpy's integers and bools too
+            modes = tuple(map(operator.index, self.modes))
+        except TypeError:
+            modes = None  # not a sequence of integers
         # 1 <= k (< l): each index exceeds the one before, starting from 0
-        if len(self.modes) != count or not all(a < b for a, b in zip((0, *self.modes), self.modes)):
+        if modes is None or len(modes) != count or not all(a < b for a, b in zip((0, *modes), modes)):
             raise ValueError(f"{self.kind} requires {count} increasing mode indices >= 1, got {self.modes}")
+        object.__setattr__(self, "modes", modes)
 
     @property
     def label(self) -> str:
@@ -257,16 +264,13 @@ def _monomials(generators: tuple[GeneratorDescriptor, ...]) -> _MonomialTable:
     delta = np.zeros((len(rows), int(modes.max()) + 1), dtype=np.int64)
     for slot in range(2):  # one mode per row and slot: no index repeats
         delta[np.arange(len(rows)), modes[:, slot]] += steps[:, slot]
-    table = gen, coeff, modes, steps != 0, offsets, delta
-    for array in table:
-        array.setflags(write=False)
-    return table
+    return _frozen(gen, coeff, modes, steps != 0, offsets, delta)
 
 
-def _check_register(table: _MonomialTable, modes: int) -> None:
-    """Refuse a table whose generators act past a register of ``modes``."""
-    if table[5].shape[1] > modes:
-        raise ValueError(f"generator mode index {table[5].shape[1]} exceeds the {modes}-mode register")
+def _check_register(reach: int, modes: int) -> None:
+    """Refuse generators whose highest mode index ``reach`` lies past a register of ``modes``."""
+    if reach > modes:
+        raise ValueError(f"generator mode index {reach} exceeds the {modes}-mode register")
 
 
 def _amplitudes(table: _MonomialTable, occupations: np.ndarray, mono: np.ndarray | None = None) -> np.ndarray:
@@ -300,7 +304,7 @@ def _generator_action(
     """
     occupations = np.asarray(occupations, dtype=np.int64)
     gen, coeff, _, _, _, delta = table
-    _check_register(table, occupations.shape[1])
+    _check_register(delta.shape[1], occupations.shape[1])  # a step vector is as wide as its highest mode
     amp = _amplitudes(table, occupations)
     mono, src = np.nonzero(amp)
     # each step over the whole register: whole rows are gathered and added
@@ -425,16 +429,14 @@ def _steps(generators: tuple[GeneratorDescriptor, ...], modes: int, width: int) 
     most 23 widths, as a chain key holds occupations below 2^23), as
     ``_monomials`` keeps its table."""
     acted = np.array([(*(k - 1 for k in g.modes), -1, -1)[:2] for g in generators], dtype=np.int64).reshape(-1, 2)
-    if acted.size and acted.max() >= modes:
-        raise ValueError(f"generator mode index {acted.max() + 1} exceeds the {modes}-mode register")
+    _check_register(int(acted.max(initial=-1)) + 1, modes)
     kinds = [_KIND_INDEX[g.kind] for g in generators]
     walk = _Walk(*(a[kinds] for a in _every_walk()))
     delta = np.zeros((len(generators), modes + 1), dtype=np.int64)  # the last column is no mode
     delta[np.arange(len(generators))[:, None], acted] = walk.step[:, :, 0]
     weights = _packing(modes, width)[0]
     found = _Steps(walk, acted, np.arange(len(generators))[:, None], width, weights, delta[:, :-1] @ weights)
-    for array in (*walk, acted, found.index, found.steps):
-        array.setflags(write=False)
+    _frozen(*walk, acted, found.index, found.steps)
     return found
 
 
@@ -765,10 +767,7 @@ def _stacked_probes(probes: Sequence[SparseKet]) -> tuple[np.ndarray, np.ndarray
     states taken over the stacked rows keeps each probe's states apart."""
     occupations, amps = zip(*(psi.arrays() for psi in probes))
     tag = np.repeat(np.arange(len(probes)), [len(a) for a in amps])
-    stacked = np.column_stack([np.concatenate(occupations), tag]), np.concatenate(amps)
-    for array in stacked:
-        array.setflags(write=False)
-    return stacked
+    return _frozen(np.column_stack([np.concatenate(occupations), tag]), np.concatenate(amps))
 
 
 def _checked_probes(probes: Sequence[SparseKet], m: int) -> tuple[np.ndarray, np.ndarray]:
@@ -778,24 +777,17 @@ def _checked_probes(probes: Sequence[SparseKet], m: int) -> tuple[np.ndarray, np
     that is not finite, no term, a squared norm below the normal range."""
     if not probes:
         raise ValueError("empty probe list")
-    same = next((k for k, psi in enumerate(probes) if psi.modes != m), len(probes))
-    if same:
-        occupations, amps = _stacked_probes(probes[:same])
-        # each probe's squared norm, summed term by term as SparseKet.norm
-        # sums it; past the float range it is inf, and refused
-        with np.errstate(over="ignore"):
-            norm2 = np.bincount(occupations[:, -1], weights=amps.real**2 + amps.imag**2, minlength=same)
-        refused = np.flatnonzero(~np.isfinite(norm2) | (norm2 < sys.float_info.min))
-        if len(refused):
-            k = refused[0]
-            if not np.isfinite(norm2[k]):
-                raise ValueError(f"probe has squared norm {float(norm2[k])!r}")
-            if probes[k].is_zero():
-                raise ValueError("probe is the zero ket")
-            raise ValueError(f"probe has squared norm {float(norm2[k])!r}, below the normal float range")
-    if same < len(probes):
-        raise ValueError("probe mode count does not match the basis")
-    return occupations, amps
+    for psi in probes:
+        if psi.modes != m:
+            raise ValueError("probe mode count does not match the basis")
+        # the squared norm the ket keeps; past the float range it is inf, and refused
+        if not math.isfinite(psi._norm2):
+            raise ValueError(f"probe has squared norm {psi._norm2!r}")
+        if psi.is_zero():
+            raise ValueError("probe is the zero ket")
+        if psi._norm2 < sys.float_info.min:
+            raise ValueError(f"probe has squared norm {psi._norm2!r}, below the normal float range")
+    return _stacked_probes(probes)
 
 
 #: Bytes of one block of the closure fit: the dense right-hand side of a
@@ -990,7 +982,7 @@ def verify_closure(
     for g in fit:
         index.setdefault(g, len(index))
     table = _monomials(tuple(index))
-    _check_register(table, m)  # the probe column is no mode
+    _check_register(table[5].shape[1], m)  # the probe column is no mode
     second = basis._table
 
     # the first applications, all probes' supports in one block: the union
@@ -1038,8 +1030,7 @@ def verify_closure(
         flat[re_at + (stop - start)] -= value[at].imag
         resid[start:stop] = np.sum(np.square(r, out=r), axis=0)
     resid = np.sqrt(resid + off_norm2)
-    for array in (resid, coeff):
-        array.setflags(write=False)
+    _frozen(resid, coeff)
     return ClosureReport(
         group=group,
         modes=m,

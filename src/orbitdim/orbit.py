@@ -303,6 +303,14 @@ class FockBasisState:
         return "occ=" + ",".join(str(n) for n in self.occupation)
 
 
+def _fock_tail(tail: tuple[int, ...]) -> tuple[int, ...]:
+    """A family's Fock tail as ints, refused if an occupation is negative."""
+    occ = tuple(int(n) for n in tail)
+    if any(n < 0 for n in occ):
+        raise ValidationError(f"invalid tail {tail!r}")
+    return occ
+
+
 @dataclass(frozen=True)
 class OneModeSuperposition:
     """(sum_n alpha_n |n>) on mode 1, tensored with a Fock product on the
@@ -313,11 +321,9 @@ class OneModeSuperposition:
 
     def __post_init__(self) -> None:
         amps = tuple(complex(a) for a in self.amplitudes)
-        tail = tuple(int(n) for n in self.tail)
+        tail = _fock_tail(self.tail)
         if sum(1 for a in amps if a != 0) < 2:
             raise ValidationError("a one-mode superposition needs at least two nonzero terms")
-        if any(n < 0 for n in tail):
-            raise ValidationError(f"invalid tail {self.tail!r}")
         object.__setattr__(self, "amplitudes", amps)
         object.__setattr__(self, "tail", tail)
 
@@ -355,10 +361,7 @@ class NoonState:
     def __post_init__(self) -> None:
         if self.photons < 1:
             raise ValidationError("NOON photon number must be >= 1")
-        tail = tuple(int(n) for n in self.tail)
-        if any(n < 0 for n in tail):
-            raise ValidationError(f"invalid tail {self.tail!r}")
-        object.__setattr__(self, "tail", tail)
+        object.__setattr__(self, "tail", _fock_tail(self.tail))
 
     @property
     def modes(self) -> int:

@@ -4,6 +4,7 @@ import dataclasses
 import itertools
 import math
 import pickle
+import re
 import sys
 import threading
 import tracemalloc
@@ -38,6 +39,7 @@ from orbitdim import (
     sample_sphere_state,
     verify_closure,
 )
+import orbitdim.dynamics as dynamics
 import orbitdim.generators as generators
 from orbitdim.fock import MAX_OCCUPATION
 from _helpers import assert_entries_close, assert_terms_close, random_ket
@@ -105,6 +107,26 @@ def test_descriptor_validation():
         GeneratorDescriptor("I", (1,))
     with pytest.raises(ValueError):
         GeneratorDescriptor("z", (1,))
+    # mode indices are read as fock reads occupations, through __index__:
+    # a float, a bare int or any other non-sequence of integers is refused
+    for kind, modes in [("e", (1.0, 2.5)), ("e", (1.0, 2.0)), ("q", 1), ("q", (1.5,)), ("q", None), ("e", "12")]:
+        with pytest.raises(ValueError, match=rf"^{kind} requires \d increasing mode indices >= 1, got "):
+            GeneratorDescriptor(kind, modes)
+    # numpy's integers, bools and lists canonicalise to a tuple of ints
+    for kind, modes, label in [
+        ("q", (np.int64(1),), "q[1]"),
+        ("q", (True,), "q[1]"),
+        ("q", [1], "q[1]"),
+        ("e", (True, 2), "e[1,2]"),
+        ("e", np.array([1, 2]), "e[1,2]"),
+    ]:
+        g = GeneratorDescriptor(kind, modes)
+        assert g.label == label
+        assert type(g.modes) is tuple and all(type(k) is int for k in g.modes)
+        plain = GeneratorDescriptor(kind, tuple(map(int, modes)))
+        assert g == plain and hash(g) == hash(plain)
+    # and act as the generator they name
+    assert apply_generator(GeneratorDescriptor("e", [True, 2]), basis_ket((1, 0))).terms == {(0, 1): 0.5}
 
 
 @pytest.mark.parametrize("kind", sorted(generators._KINDS))
@@ -238,6 +260,8 @@ def test_apply_generator_on_zero_ket(m):
         lambda g: apply_group_word(basis_ket((1,)), [(g, 0.1)]),
         lambda g: apply_group_word(basis_ket((1,)), [(g, 0.0)]),
         lambda g: dense_hamiltonian(g, TruncatedBasis.build(1, 2)),
+        lambda g: verify_closure(Group.GO, 1, extra_fit=[g]),
+        lambda g: dynamics._Workspace(np.array([[1]]), (g,), dynamics.EvolutionConfig()),
     ],
     ids=[
         "apply_generator",
@@ -245,10 +269,12 @@ def test_apply_generator_on_zero_ket(m):
         "apply_group_word",
         "apply_group_word-t0",
         "dense_hamiltonian",
+        "verify_closure-extra_fit",
+        "chain-walk",
     ],
 )
 def test_generator_beyond_the_register_is_refused(call):
-    with pytest.raises(ValueError, match="exceeds the 1-mode register"):
+    with pytest.raises(ValueError, match=r"^generator mode index 2 exceeds the 1-mode register$"):
         call(GeneratorDescriptor("e", (1, 2)))
 
 
@@ -465,26 +491,37 @@ def test_closure_empty_probes_rejected():
         verify_closure(Group.PLO, 2, probes=[])
 
 
+_ZERO_PROBE = SparseKet(2, {})
+_ONE_MODE_PROBE = basis_ket((1,))
+
+
 @pytest.mark.parametrize("group", [Group.PLO, Group.GO])
 @pytest.mark.parametrize(
-    "probe",
+    "probe, message",
     [
-        SparseKet(2, {}),
-        SparseKet(2, {(0, 0): math.nan}),
-        SparseKet(2, {(1, 0): 1e200}),
-        SparseKet(2, {(1, 0): 1e-200}),
+        (_ZERO_PROBE, "probe is the zero ket"),
+        (SparseKet(2, {(0, 0): math.nan}), "probe has squared norm nan"),
+        (SparseKet(2, {(1, 0): 1e200}), "probe has squared norm inf"),
+        (SparseKet(2, {(1, 0): 1e-200}), "probe has squared norm 0.0, below the normal float range"),
+        (_ONE_MODE_PROBE, "probe mode count does not match the basis"),
     ],
-    ids=["zero", "nan", "overflow", "underflow"],
+    ids=["zero", "nan", "overflow", "underflow", "modes"],
 )
-def test_closure_refuses_probes_that_support_no_verdict(group, probe):
+def test_closure_refuses_probes_that_support_no_verdict(group, probe, message):
     """The zero ket fits every commutator with residual 0, a NaN amplitude
     reads as 0 too, a squared norm past the float range breaks the
     eigensolve, and one below the normal range makes every target and
     residual square to 0: each is refused, beside a good probe as well as
-    alone."""
+    alone, with its whole message. Of two refused probes the first is
+    named."""
     for probes in ([probe], [basis_ket((1, 0)), probe]):
-        with pytest.raises(ValueError, match="probe"):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             verify_closure(group, 2, probes=probes)
+    good = basis_ket((1, 0))
+    with pytest.raises(ValueError, match="^probe is the zero ket$"):
+        verify_closure(group, 2, probes=[good, _ZERO_PROBE, _ONE_MODE_PROBE])
+    with pytest.raises(ValueError, match="^probe mode count does not match the basis$"):
+        verify_closure(group, 2, probes=[good, _ONE_MODE_PROBE, _ZERO_PROBE])
 
 
 @st.composite

@@ -485,6 +485,12 @@ def test_family_invariants():
         OneModeSuperposition((0.0, 1.0))
     with pytest.raises(ValidationError):
         NoonState(0)
+    # both families read their tail as ints and refuse a negative occupation alike
+    assert OneModeSuperposition((1.0, 1.0), tail=(np.int64(2), 0)).tail == NoonState(2, tail=[2, 0]).tail == (2, 0)
+    with pytest.raises(ValidationError, match=r"^invalid tail \(0, -1\)$"):
+        OneModeSuperposition((1.0, 1.0), tail=(0, -1))
+    with pytest.raises(ValidationError, match=r"^invalid tail \[0, -1\]$"):
+        NoonState(2, tail=[0, -1])
 
 
 def test_superposition_whose_norm_overflows_is_refused():
