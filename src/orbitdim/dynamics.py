@@ -40,7 +40,6 @@ decomposed chains are kept there.
 
 from __future__ import annotations
 
-import functools
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -60,6 +59,7 @@ from .fock import (
     normalize,
 )
 from .generators import (
+    _SHIFTING,
     _STILL,
     GeneratorDescriptor,
     Group,
@@ -73,7 +73,6 @@ from .generators import (
     _longest_chain,
     _monomials,
     lie_basis,
-    number_shift,
 )
 
 
@@ -145,14 +144,6 @@ def dense_hamiltonian(g: GeneratorDescriptor, basis: TruncatedBasis) -> np.ndarr
     return h
 
 
-@functools.lru_cache(maxsize=None)
-def _shifting(generators: tuple[GeneratorDescriptor, ...]) -> np.ndarray:
-    """Which of the generators shift photon number, one read-only array per generator tuple."""
-    shifts = np.array([number_shift(g.kind) > 0 for g in generators], dtype=bool)
-    shifts.flags.writeable = False
-    return shifts
-
-
 def _cutoff(support: np.ndarray, shifting: bool, cfg: EvolutionConfig) -> int:
     """The photon number of a support (S x m), plus the buffer when the
     evolution shifts photon number."""
@@ -175,6 +166,15 @@ def _refuse_oversized(modes: int, cutoff: int, what: str, nbytes: int, least: bo
     advice = advice or "use a smaller --buffer"
     raise ValidationError(
         f"working space of {math.comb(modes + cutoff, modes):,} states (cutoff {cutoff}) too large: {why}; {advice}"
+    )
+
+
+def _leak(cfg: EvolutionConfig, cutoff: int, context: str, **measured: float) -> LeakageError:
+    """The error of deviations past the leakage tolerance, measured in ``context`` at a cutoff."""
+    found = ", ".join(f"{name.replace('_', ' ')} {value:.3e}" for name, value in measured.items())
+    return LeakageError(
+        f"{context}: {found} exceed tolerance {cfg.leakage_tolerance:.1e} "
+        f"(cutoff {cutoff}); increase the buffer or reduce |t|"
     )
 
 
@@ -243,14 +243,13 @@ class _Workspace:
     """The truncated working space for evolving states on a support (S x m)
     under a set of generators: the cutoff (unless given, the support's
     photon number, plus the buffer when any generator shifts photon
-    number), the layout of ``_layout``, and the error of its leakage
-    checks."""
+    number), and the layout of ``_layout``."""
 
     def __init__(
         self, support: np.ndarray, generators: Sequence[GeneratorDescriptor], cfg: EvolutionConfig, cutoff: int | None = None
     ) -> None:
         self.cfg, self.generators = cfg, tuple(generators)
-        self.cutoff = _cutoff(support, _shifting(self.generators).any(), cfg) if cutoff is None else cutoff
+        self.cutoff = _cutoff(support, any(g.kind in _SHIFTING for g in self.generators), cfg) if cutoff is None else cutoff
         self.states, self.band, self.support, self.gens, self.groups, self.nodes, self.values = _layout(
             self.generators, self.cutoff, support
         )
@@ -280,15 +279,6 @@ class _Workspace:
             else:
                 y[:, at] = phased[:, at]
         return y
-
-    @staticmethod
-    def leak(cfg: EvolutionConfig, cutoff: int, context: str, **measured: float) -> LeakageError:
-        """The error of deviations past the leakage tolerance, measured in ``context`` at a cutoff."""
-        found = ", ".join(f"{name.replace('_', ' ')} {value:.3e}" for name, value in measured.items())
-        return LeakageError(
-            f"{context}: {found} exceed tolerance {cfg.leakage_tolerance:.1e} "
-            f"(cutoff {cutoff}); increase the buffer or reduce |t|"
-        )
 
 
 class _DensityWorkspace(_Workspace):
@@ -327,9 +317,9 @@ class _DensityWorkspace(_Workspace):
         the Gram of the copies, (d + 1) r x (d + 1) r, formed per group of
         times whose dense copies and Grams fit the store's budget; the Gram
         and band weights are sums over blocks of rows made dense,
-        t x rows x (d + 1) x r, as many as fit the budget, the first block's
-        products kept as they are. One time's copies on their nodes or Gram
-        past the budget are refused before any is evolved."""
+        t x rows x (d + 1) x r, as many as fit the budget, summed from
+        zeros. One time's copies on their nodes or Gram past the budget are
+        refused before any is evolved."""
         k, r = len(self.generators) + 1, self.phi.shape[1]
         modes, size, nodes = self.states.shape[1], len(self.states), len(self.nodes)
         _refuse_oversized(modes, self.cutoff, f"evolved copies on {nodes:,} nodes", 16 * nodes * r)
@@ -349,19 +339,15 @@ class _DensityWorkspace(_Workspace):
             y[~moving] = self.phi[rows]  # the columns as they are where t = 0, unevolved
             if moving.any():
                 y[moving] = self.evolve(times[part][moving], self.phi)[:, order]
+            gram, boundary[part] = np.zeros((t, k * r, k * r), dtype=complex), 0.0
             for top, bottom, at in _blocks(rows, size, max(generators._CACHE_BUDGET // (16 * t * k * r), 1)):
                 x = np.zeros((t, bottom - top, k, r), dtype=complex)
                 x[:, :, 0] = self.phi[top:bottom]
                 x.reshape(t, -1, r)[:, slots[at] - top * k] = y[:, at]
                 flat = x.reshape(t, bottom - top, k * r)
-                product = flat.conj().transpose(0, 2, 1) @ flat  # first, so its conjugate copy is freed before the band's
+                gram += flat.conj().transpose(0, 2, 1) @ flat  # first, so its conjugate copy is freed before the band's
                 band = x[:, self.band[top:bottom], 1:]
-                weight = np.sum((band * band.conj()).real * self.w, axis=(1, 3))
-                if top:
-                    gram += product
-                    boundary[part] += weight
-                else:
-                    gram, boundary[part] = product, weight
+                boundary[part] += np.sum((band * band.conj()).real * self.w, axis=(1, 3))
             m = gram.reshape(t, k, r, k, r)
             # (A_n^dag A_n)[a, a] of each copy n >= 1, read off the Gram's diagonal
             np.matmul(gram.diagonal(0, 1, 2)[:, r:].reshape(t, k - 1, r), self.w, out=trace[part])
@@ -381,13 +367,13 @@ class _DensityWorkspace(_Workspace):
             values, trace, boundary = self.overlaps(times)
             finite = np.isfinite(values).all(axis=(1, 2))
             _refuse_overlaps(finite[~moving])
-            shifted = np.where(_shifting(self.generators), boundary, 0.0)
+            shifted = np.where([g.kind in _SHIFTING for g in self.generators], boundary, 0.0)
             measured = np.array([np.abs(trace - 1.0), np.full(trace.shape, self.hermiticity), shifted])
         failed = moving[:, None] & ~(measured <= self.cfg.leakage_tolerance).all(axis=0)
         if failed.any():
             i, n = np.unravel_index(failed.argmax(), failed.shape)
             context = f"evolving under {self.generators[n].label} for t={times[i]:g}"
-            raise self.leak(self.cfg, self.cutoff, context, **dict(zip(names, measured[:, i, n].tolist())))
+            raise _leak(self.cfg, self.cutoff, context, **dict(zip(names, measured[:, i, n].tolist())))
         for name, value in zip(names, measured[:, moving].max(axis=(1, 2), initial=0.0).tolist()):
             self.worst[name] = max(self.worst.get(name, 0.0), value)
         _refuse_overlaps(finite)
@@ -489,7 +475,7 @@ def apply_group_word(
     if not math.isfinite(nrm):
         raise ValidationError(f"cannot evolve a ket of norm {nrm!r}")
     states, amps = psi.arrays()
-    shifting = any(number_shift(g.kind) > 0 for g, _ in word)
+    shifting = any(g.kind in _SHIFTING for g, _ in word)
     cutoff, tol = _cutoff(states, shifting, cfg), cfg.leakage_tolerance
     # the verdicts are relative to the ket's norm, each vector divided by it
     # before it is squared, so that no scale moves them
@@ -519,8 +505,8 @@ def apply_group_word(
             # re, im of each entry of the guard band (the top two sectors): its weight is their squared norm
             band = vec[states.sum(axis=1) > cutoff - 2 if ws is None else ws.band].view(float).ravel() / norm0
             if not (weight := float(band @ band)) <= tol:  # NaN fails
-                raise _Workspace.leak(cfg, cutoff, f"group word factor {g.label} (t={t:g})", boundary_weight=weight)
+                raise _leak(cfg, cutoff, f"group word factor {g.label} (t={t:g})", boundary_weight=weight)
     # unless every time is 0, and the ket is as it came
     if evolved and not (change := abs(float(np.linalg.norm(vec / norm0)) - 1.0)) <= tol:
-        raise _Workspace.leak(cfg, cutoff, "group word", norm_change=change)
+        raise _leak(cfg, cutoff, "group word", norm_change=change)
     return SparseKet.from_arrays(states, vec[:, 0])

@@ -55,12 +55,20 @@ class ValidationError(ValueError):
     """A state, operator, or input violates a structural invariant."""
 
 
+def _integers(values: Iterable[object]) -> tuple[int, ...] | None:
+    """The values as a tuple of ints, numpy's integers and bools counting as
+    integers, or None unless they are a sequence of integers."""
+    try:
+        return tuple(map(operator.index, values))
+    except TypeError:
+        return None
+
+
 def validate_occupation(occ: Iterable[int], modes: int) -> Occupation:
     """Canonicalize one occupation vector, checking length and nonnegativity."""
-    try:
-        out = tuple(operator.index(n) for n in occ)
-    except TypeError as exc:
-        raise ValidationError(f"occupation entries must be integers, got {occ!r}") from exc
+    out = _integers(occ)
+    if out is None:
+        raise ValidationError(f"occupation entries must be integers, got {occ!r}")
     if len(out) != modes:
         raise ValidationError(f"occupation {out!r} has length {len(out)}, expected {modes}")
     if any(n < 0 for n in out):

@@ -49,10 +49,11 @@ from the family, the length and the start alone: the memo of
 ``_decomposed`` keeps real eigenpairs by shape.
 
 Arrays that depend on no amplitude are built once per process and kept,
-read-only, in one store entered through one call, ``_kept``, under one
-budget of 64 MiB (least recently used first out), which ``dynamics`` reads
-too: the plans and closure joins here, and the decomposed chain shapes and
-working-space layouts of ``dynamics``.
+read-only, in one store under one budget of 64 MiB (least recently used
+first out), which ``dynamics`` reads too: the plans and closure joins
+here and the working-space layouts of ``dynamics``, each entered through
+``_kept``, and the decomposed chain shapes, a memo that ``_decomposed``
+updates through ``_recall`` and ``_remember``.
 """
 
 from __future__ import annotations
@@ -60,7 +61,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import operator
 import sys
 import threading
 from collections import OrderedDict
@@ -76,6 +76,7 @@ from .fock import (
     SparseKet,
     SparseOperator,
     _frozen,
+    _integers,
     _packing,
     _rank_states,
     _run_starts,
@@ -122,10 +123,7 @@ class GeneratorDescriptor:
         if self.kind not in _KINDS:
             raise ValueError(f"unknown generator kind {self.kind!r}")
         count = _KINDS[self.kind][0]
-        try:  # a tuple of ints, as fock.validate_occupation reads occupations: numpy's integers and bools too
-            modes = tuple(map(operator.index, self.modes))
-        except TypeError:
-            modes = None  # not a sequence of integers
+        modes = _integers(self.modes)  # as fock.validate_occupation reads occupations: numpy's integers and bools too
         # 1 <= k (< l): each index exceeds the one before, starting from 0
         if modes is None or len(modes) != count or not all(a < b for a, b in zip((0, *modes), modes)):
             raise ValueError(f"{self.kind} requires {count} increasing mode indices >= 1, got {self.modes}")
@@ -326,6 +324,8 @@ _KIND_INDEX = {kind: k for k, kind in enumerate(_KINDS)}
 _KIND_STEP = np.array([[sum(s for slot, s in steps if slot == i) for i in (0, 1)] for _, _, steps in _KINDS.values()])
 #: The kinds whose X moves no photon (N and the identity): each state is a chain of its own.
 _STILL = frozenset(kind for kind, step in zip(_KINDS, _KIND_STEP) if not step.any())
+#: The kinds whose X changes the photon number (``number_shift`` > 0): r, R, s, S, q and p.
+_SHIFTING = frozenset(kind for kind in _KINDS if number_shift(kind))
 
 #: Each kind's family and turn. Kinds with one X and one |c| (e and E, r and
 #: R, s and S, q and p) differ by the phase phi = c / |c|, 1 or i = i^turn,
@@ -755,26 +755,20 @@ def default_closure_probes(m: int) -> list[SparseKet]:
 @functools.lru_cache(maxsize=None)
 def _shared_closure_probes(m: int) -> tuple[tuple[SparseKet, ...], np.ndarray, np.ndarray]:
     """The default probes, built once per mode count (kets are immutable),
-    with their stacked arrays (``_stacked_probes``)."""
+    with their stacked arrays, checked as custom probes are (``_checked_probes``)."""
     probes = tuple(default_closure_probes(m))
-    return (probes, *_stacked_probes(probes))
-
-
-def _stacked_probes(probes: Sequence[SparseKet]) -> tuple[np.ndarray, np.ndarray]:
-    """The supports of one or more probes stacked, each row followed by its
-    probe's index, and their amplitudes; both read-only. The index sits in a
-    column past the register, which no generator reads, so a union of
-    states taken over the stacked rows keeps each probe's states apart."""
-    occupations, amps = zip(*(psi.arrays() for psi in probes))
-    tag = np.repeat(np.arange(len(probes)), [len(a) for a in amps])
-    return _frozen(np.column_stack([np.concatenate(occupations), tag]), np.concatenate(amps))
+    return (probes, *_checked_probes(probes, m))
 
 
 def _checked_probes(probes: Sequence[SparseKet], m: int) -> tuple[np.ndarray, np.ndarray]:
-    """The stacked arrays of closure probes (``_stacked_probes``). Refuses
-    as ``verify_closure`` states, naming the first probe that supports no
-    verdict and, for it, the first of: another mode count, a squared norm
-    that is not finite, no term, a squared norm below the normal range."""
+    """The supports of one or more closure probes stacked, each row followed
+    by its probe's index, and their amplitudes; both read-only. The index
+    sits in a column past the register, which no generator reads, so a union
+    of states taken over the stacked rows keeps each probe's states apart.
+    Refuses as ``verify_closure`` states, naming the first probe that
+    supports no verdict and, for it, the first of: another mode count, a
+    squared norm that is not finite, no term, a squared norm below the
+    normal range."""
     if not probes:
         raise ValueError("empty probe list")
     for psi in probes:
@@ -787,7 +781,9 @@ def _checked_probes(probes: Sequence[SparseKet], m: int) -> tuple[np.ndarray, np
             raise ValueError("probe is the zero ket")
         if psi._norm2 < sys.float_info.min:
             raise ValueError(f"probe has squared norm {psi._norm2!r}, below the normal float range")
-    return _stacked_probes(probes)
+    occupations, amps = zip(*(psi.arrays() for psi in probes))
+    tag = np.repeat(np.arange(len(probes)), [len(a) for a in amps])
+    return _frozen(np.column_stack([np.concatenate(occupations), tag]), np.concatenate(amps))
 
 
 #: Bytes of one block of the closure fit: the dense right-hand side of a

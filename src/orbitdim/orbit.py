@@ -20,6 +20,7 @@ from .fock import (
     DensityOperator,
     SparseKet,
     ValidationError,
+    _integers,
     basis_ket,
     normalize,
 )
@@ -282,7 +283,7 @@ class FockBasisState:
     occupation: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        occ = tuple(int(n) for n in self.occupation)
+        occ = _integers(self.occupation)
         if not occ or any(n < 0 for n in occ):
             raise ValidationError(f"invalid occupation {self.occupation!r}")
         object.__setattr__(self, "occupation", occ)
@@ -304,9 +305,9 @@ class FockBasisState:
 
 
 def _fock_tail(tail: tuple[int, ...]) -> tuple[int, ...]:
-    """A family's Fock tail as ints, refused if an occupation is negative."""
-    occ = tuple(int(n) for n in tail)
-    if any(n < 0 for n in occ):
+    """A family's Fock tail as ints, refused unless each occupation is an integer >= 0."""
+    occ = _integers(tail)
+    if occ is None or any(n < 0 for n in occ):
         raise ValidationError(f"invalid tail {tail!r}")
     return occ
 
@@ -359,8 +360,12 @@ class NoonState:
     tail: tuple[int, ...] = ()
 
     def __post_init__(self) -> None:
-        if self.photons < 1:
+        (photons,) = _integers((self.photons,)) or (None,)
+        if photons is None:
+            raise ValidationError(f"NOON photon number must be an integer, got {self.photons!r}")
+        if photons < 1:
             raise ValidationError("NOON photon number must be >= 1")
+        object.__setattr__(self, "photons", photons)
         object.__setattr__(self, "tail", _fock_tail(self.tail))
 
     @property

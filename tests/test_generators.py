@@ -524,6 +524,23 @@ def test_closure_refuses_probes_that_support_no_verdict(group, probe, message):
         verify_closure(group, 2, probes=[good, _ONE_MODE_PROBE, _ZERO_PROBE])
 
 
+def test_default_probes_pass_the_custom_probe_check_once_per_mode_count(monkeypatch):
+    """The default probes go through the same check as custom probes, once
+    per mode count: the second closure at m = 3 reads them from the cache."""
+    calls = []
+    checked = generators._checked_probes
+
+    def counted(probes, m):
+        calls.append((list(probes), m))
+        return checked(probes, m)
+
+    monkeypatch.setattr(generators, "_checked_probes", counted)
+    generators._shared_closure_probes.cache_clear()
+    for _ in range(2):
+        verify_closure(Group.GO, 3)
+    assert calls == [(default_closure_probes(3), 3)]
+
+
 @st.composite
 def _closure_cases(draw):
     """A group, m <= 3 and one to three sphere samples of at most two

@@ -491,6 +491,22 @@ def test_family_invariants():
         OneModeSuperposition((1.0, 1.0), tail=(0, -1))
     with pytest.raises(ValidationError, match=r"^invalid tail \[0, -1\]$"):
         NoonState(2, tail=[0, -1])
+    # occupations, tails and photon numbers are read as fock.validate_occupation reads occupations:
+    # numpy's integers and bools count as integers, and a float or a string is refused, not truncated
+    occupation = FockBasisState((np.int64(2), True)).occupation
+    assert occupation == (2, 1) and all(type(n) is int for n in occupation)
+    with pytest.raises(ValidationError, match=r"^invalid occupation \(1\.7, '2'\)$"):
+        FockBasisState((1.7, "2"))
+    with pytest.raises(ValidationError, match=r"^invalid tail \(1\.5,\)$"):
+        OneModeSuperposition((1, 1), (1.5,))
+    with pytest.raises(ValidationError, match=r"^invalid tail \(2\.9,\)$"):
+        NoonState(2, (2.9,))
+    with pytest.raises(ValidationError, match=r"^NOON photon number must be an integer, got 3\.5$"):
+        NoonState(3.5)
+    with pytest.raises(ValidationError, match=r"^NOON photon number must be >= 1$"):
+        NoonState(0)
+    photons = NoonState(np.int64(3)).photons
+    assert photons == 3 and type(photons) is int
 
 
 def test_superposition_whose_norm_overflows_is_refused():
