@@ -34,7 +34,6 @@ from .fock import (
     DensityOperator,
     SparseKet,
     ValidationError,
-    _unchecked,
     basis_ket,
     sample_sphere_state,
     uniform_phase_state,
@@ -121,29 +120,26 @@ def _parse_state(path: str, raw: bytes) -> SparseKet | DensityOperator:
     columns = _entry_columns(items, modes, occ_fields)
     if columns is None:
         _raise_first_entry_error(path, field, occ_fields, items, modes)
-    occs, amps = columns
-    if kind == "ket":  # every term passed the checks above, so none is checked again
-        terms = {tuple(occ): amp for occ, amp in zip(occs[0], amps) if amp}
-        return _unchecked(SparseKet, modes=modes, terms=terms)
-    keys = np.array(occs, dtype=np.int64).reshape(len(occ_fields), len(items), modes).transpose(1, 0, 2)
+    flat, amps = columns
+    keys = np.array(flat, dtype=np.int64).reshape(len(items), len(occ_fields), modes)  # E x k x m
     try:
-        return DensityOperator.from_entries(keys, np.array(amps, dtype=complex))
+        return SparseKet.from_arrays(keys[:, 0], amps) if kind == "ket" else DensityOperator.from_entries(keys, amps)
     except ValidationError as exc:
         raise StateFileError(f"{path}: {exc}") from exc
 
 
-def _entry_columns(items: list, modes: int, occ_fields: tuple[str, ...]) -> tuple[list[list], list[complex]] | None:
-    """The entries of a state file as k columns of occupation lists, one
-    per occupation field, and their amplitudes; or None if any entry fails
-    a check of ``_raise_first_entry_error``. Each check runs over a whole
-    column in C (types compare by identity, so a bool is not an int) rather
-    than entry by entry in Python."""
+def _entry_columns(items: list, modes: int, occ_fields: tuple[str, ...]) -> tuple[list[int], np.ndarray] | None:
+    """The occupations of a state file's entries as one flat list, entry
+    by entry, then field by field, and their amplitudes as an array; or
+    None if any entry fails a check of ``_raise_first_entry_error``. Each
+    check runs over a whole column in C (types compare by identity, so a
+    bool is not an int) rather than entry by entry in Python."""
     if not set(map(type, items)) <= {dict}:
         return None
     occs = [list(map(dict.get, items, itertools.repeat(name))) for name in occ_fields]
     if any(not set(map(type, col)) <= {list} or not set(map(len, col)) <= {modes} for col in occs):
         return None
-    flat = list(itertools.chain.from_iterable(itertools.chain.from_iterable(occs)))
+    flat = list(itertools.chain.from_iterable(itertools.chain.from_iterable(zip(*occs))))
     if not set(map(type, flat)) <= {int} or (flat and not (min(flat) >= 0 and max(flat) <= MAX_OCCUPATION)):
         return None
     if len(set(zip(*(map(tuple, col) for col in occs)))) < len(items):  # a duplicate entry
@@ -157,7 +153,7 @@ def _entry_columns(items: list, modes: int, occ_fields: tuple[str, ...]) -> tupl
             return None
     except OverflowError:  # an integer past the float range
         return None
-    return occs, list(map(complex, re, im))
+    return flat, np.fromiter(map(complex, re, im), dtype=complex, count=len(items))
 
 
 def _raise_first_entry_error(path: str, field: str, occ_fields: tuple[str, ...], items: list, modes: int) -> NoReturn:

@@ -178,6 +178,11 @@ def _leak(cfg: EvolutionConfig, cutoff: int, context: str, **measured: float) ->
     )
 
 
+def _guard_band(states: np.ndarray, cutoff: int) -> np.ndarray:
+    """Which states (R x m) lie in the guard band: the top two photon sectors."""
+    return states.sum(axis=1) > cutoff - 2
+
+
 def _layout(generators: tuple[GeneratorDescriptor, ...], cutoff: int, support: np.ndarray) -> tuple:
     """The working space of ``generators`` on a support (S x m): its rows'
     states in basis order, their guard band (the top two photon sectors),
@@ -234,7 +239,7 @@ def _laid_out(generators: tuple[GeneratorDescriptor, ...], cutoff: int, support:
     eigenvalues, at, vectors = _decomposed(keys, first)  # every group's squares, one after another
     bounds = zip((stop - span).tolist(), stop.tolist(), (size * size).cumsum().tolist(), size.tolist())
     groups = [(slice(lo, hi), vectors[a - n * n : a].reshape(n, n)) for lo, hi, a, n in bounds]
-    band, rows, nodes = states.sum(axis=1) > cutoff - 2, rank[: len(support)], rank[len(support) :]
+    band, rows, nodes = _guard_band(states, cutoff), rank[: len(support)], rank[len(support) :]
     values = eigenvalues[at[chain] + j]
     return (states, band, rows, node_gen, groups, nodes, values), (states, band, rank, node_gen, values, vectors)
 
@@ -336,9 +341,12 @@ class _DensityWorkspace(_Workspace):
         for part in (slice(lo, lo + step) for lo in range(0, len(times), step)):
             t, moving = len(times[part]), times[part] != 0.0
             y = np.empty((t, nodes, r), dtype=complex)
-            y[~moving] = self.phi[rows]  # the columns as they are where t = 0, unevolved
+            if not moving.all():
+                y[~moving] = self.phi[rows]  # the columns as they are where t = 0, unevolved
             if moving.any():
-                y[moving] = self.evolve(times[part][moving], self.phi)[:, order]
+                # each time's copies taken by row straight into y (unbuffered, which mode="raise" is not)
+                for i, copies in zip(np.flatnonzero(moving).tolist(), self.evolve(times[part][moving], self.phi)):
+                    np.take(copies, order, axis=0, out=y[i], mode="clip")
             gram, boundary[part] = np.zeros((t, k * r, k * r), dtype=complex), 0.0
             for top, bottom, at in _blocks(rows, size, max(generators._CACHE_BUDGET // (16 * t * k * r), 1)):
                 x = np.zeros((t, bottom - top, k, r), dtype=complex)
@@ -502,8 +510,8 @@ def apply_group_word(
             vec[ws.nodes] = ws.evolve(t, vec)[0]  # one generator's nodes are its rows, each once
         evolved = True
         if shifting:
-            # re, im of each entry of the guard band (the top two sectors): its weight is their squared norm
-            band = vec[states.sum(axis=1) > cutoff - 2 if ws is None else ws.band].view(float).ravel() / norm0
+            # re, im of each entry of the guard band: its weight is their squared norm
+            band = vec[_guard_band(states, cutoff) if ws is None else ws.band].view(float).ravel() / norm0
             if not (weight := float(band @ band)) <= tol:  # NaN fails
                 raise _leak(cfg, cutoff, f"group word factor {g.label} (t={t:g})", boundary_weight=weight)
     # unless every time is 0, and the ket is as it came

@@ -242,11 +242,22 @@ class SparseKet:
     @functools.cached_property
     def _unit(self) -> np.ndarray:
         """psi/|psi| as a read-only S x 1 column over the support of
-        ``arrays``, the squared norm summed by numpy."""
-        amps = self._arrays[1]
-        column = (amps / math.sqrt(float(np.sum(amps.real * amps.real + amps.imag * amps.imag))))[:, None]
-        column.setflags(write=False)
-        return column
+        ``arrays``: the one normalisation, ``normalize``'s, |psi| read from
+        ``_norm2`` or, below the normal float range, summed as it sums after
+        an exact power-of-two scaling that brings the largest modulus into
+        [1/2, 1). The zero ket and a ket of infinite or NaN norm are refused."""
+        amps, nrm = self._arrays[1], self.norm()
+        if not math.isfinite(nrm):
+            raise ValidationError(f"cannot normalize a ket of norm {nrm!r}")
+        re, im = amps.real, amps.imag
+        if nrm * nrm < sys.float_info.min:
+            shift = -math.frexp(np.max(np.abs(amps), initial=0.0))[1]
+            re, im = np.ldexp(re, shift), np.ldexp(im, shift)
+            nrm = math.sqrt(sum((re * re + im * im).tolist(), 0.0))
+        if nrm == 0.0:
+            raise ValidationError("cannot normalize the zero ket")
+        c = 1.0 / nrm  # complex(c) * a for each amplitude a: the products of its zero imaginary part sign zeros
+        return _frozen(np.column_stack([c * re - 0.0 * im, c * im + 0.0 * re]).view(complex))[0]
 
     @classmethod
     def from_arrays(cls, states: np.ndarray, amps: np.ndarray) -> "SparseKet":
@@ -285,20 +296,10 @@ def scale(c: complex, psi: SparseKet) -> SparseKet:
 
 
 def normalize(psi: SparseKet) -> SparseKet:
-    """psi / |psi|; the zero ket and a ket of infinite or NaN norm are
-    refused. A squared norm below the normal float range is taken after an
-    exact power-of-two scaling that brings the largest modulus into [1/2, 1)."""
-    nrm = psi.norm()
-    if not math.isfinite(nrm):
-        raise ValidationError(f"cannot normalize a ket of norm {nrm!r}")
-    if nrm * nrm < sys.float_info.min:
-        shift = -math.frexp(max(map(abs, psi.terms.values()), default=0.0))[1]
-        terms = {occ: complex(math.ldexp(a.real, shift), math.ldexp(a.imag, shift)) for occ, a in psi.terms.items()}
-        psi = SparseKet(psi.modes, terms)
-        nrm = psi.norm()
-    if nrm == 0.0:
-        raise ValidationError("cannot normalize the zero ket")
-    return scale(1.0 / nrm, psi)
+    """psi / |psi|: the ket of its unit column (``SparseKet._unit``), which
+    refuses the zero ket and a ket of infinite or NaN norm; an amplitude
+    that underflows to 0 is dropped."""
+    return SparseKet.from_arrays(psi.arrays()[0], psi._unit[:, 0])
 
 
 def sample_sphere_state(m: int, n_cutoff: int, seed: int) -> SparseKet:

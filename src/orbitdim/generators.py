@@ -277,13 +277,15 @@ def _amplitudes(table: _MonomialTable, occupations: np.ndarray, mono: np.ndarray
     is read), 0 where the monomial annihilates the row; given ``mono``, the
     one that monomial mono[i] takes on row i."""
     _, _, modes, used, offsets, _ = table
-    # the occupation each slot reads, monomials x slots x sources (or rows x
-    # slots); a state already annihilated (factor 0, n possibly -1) stays at zero
+    # the occupation each slot reads, one int64 table of monomials x slots x sources (or
+    # rows x slots); a state already annihilated (factor 0, n possibly -1) stays at zero
     if mono is None:
-        n, used = occupations.T[modes] + offsets[:, :, None], used[:, :, None]
+        n, offsets, used = occupations.T[modes], offsets[:, :, None], used[:, :, None]
     else:
-        n, used = np.take_along_axis(occupations, modes[mono], axis=1) + offsets[mono], used[mono]
-    factor = np.where(used, np.sqrt(np.maximum(n, 0)), 1.0)
+        n, offsets, used = np.take_along_axis(occupations, modes[mono], axis=1), offsets[mono], used[mono]
+    n += offsets
+    factor = np.sqrt(np.maximum(n, 0, out=n))  # the one float table, 1 where a slot holds no step
+    np.copyto(factor, 1.0, where=~used)
     return factor[:, 0] * factor[:, 1]
 
 

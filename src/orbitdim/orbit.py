@@ -52,42 +52,48 @@ class Exactness(Enum):
     UPPER_BOUND = "upper_bound"
 
 
+def _checked_gram(values: object) -> np.ndarray:
+    """The one check of a Gram matrix: a frozen float copy of ``values``,
+    refused unless it is square, finite and symmetric within ``_SYMMETRY_TOL``."""
+    values = np.array(values, dtype=float)
+    if values.ndim != 2 or values.shape[0] != values.shape[1]:
+        raise ValidationError(f"Gram matrix shape {values.shape} is not that of a square matrix")
+    # a NaN or inf entry differs from its mirror entry by NaN or inf, so
+    # all-zero differences mean finite and exactly symmetric: only a
+    # nonzero difference needs the maximum. inf - inf warns, and a
+    # warnings filter may raise that warning: it means a nonzero difference
+    try:
+        asymmetric = (values - values.T).any()
+    except (RuntimeWarning, FloatingPointError):
+        asymmetric = True
+    if asymmetric:
+        with np.errstate(invalid="ignore", over="ignore"):
+            asym = float(np.max(np.abs(values - values.T)))
+        if not asym <= _SYMMETRY_TOL:  # a non-finite entry makes asym inf or NaN
+            if not np.isfinite(values).all():
+                raise ValidationError("Gram matrix is not finite: it contains NaN or infinite entries")
+            raise ValidationError(f"Gram asymmetry {asym:.3e} exceeds {_SYMMETRY_TOL:.1e}")
+    values.setflags(write=False)
+    return values
+
+
 @dataclass(frozen=True, eq=False)
 class GramMatrix:
     """Real symmetric PSD matrix of generator-direction correlations over
     ``basis``.
 
-    The one place a Gram is validated: the input is copied to a float
-    array of the Gram's own, whose shape must be d x d for the d elements
-    of ``basis`` and whose entries must be finite and symmetric within
-    ``_SYMMETRY_TOL``; the copy is frozen, so no array of the caller can
-    write to it. Grams compare and hash by identity: they hold an array."""
+    Its values are the frozen copy that ``_checked_gram`` makes of the
+    input, d x d for the d elements of ``basis``, so no array of the caller
+    can write to them. Grams compare and hash by identity: they hold an array."""
 
     picture: Picture
     values: np.ndarray
     basis: LieBasis
 
     def __post_init__(self) -> None:
-        values = np.array(self.values, dtype=float)
-        d = len(self.basis)
-        if values.shape != (d, d):
-            raise ValidationError(f"Gram matrix shape {values.shape} does not match dimension {d}")
-        # a NaN or inf entry differs from its mirror entry by NaN or inf, so
-        # all-zero differences mean finite and exactly symmetric: only a
-        # nonzero difference needs the maximum. inf - inf warns, and a
-        # warnings filter may raise that warning: it means a nonzero difference
-        try:
-            asymmetric = (values - values.T).any()
-        except (RuntimeWarning, FloatingPointError):
-            asymmetric = True
-        if asymmetric:
-            with np.errstate(invalid="ignore", over="ignore"):
-                asym = float(np.max(np.abs(values - values.T)))
-            if not asym <= _SYMMETRY_TOL:  # a non-finite entry makes asym inf or NaN
-                if not np.isfinite(values).all():
-                    raise ValidationError("Gram matrix is not finite: a product of directions overflowed")
-                raise ValidationError(f"Gram asymmetry {asym:.3e} exceeds {_SYMMETRY_TOL:.1e}")
-        values.setflags(write=False)
+        values = _checked_gram(self.values)
+        if len(values) != len(self.basis):
+            raise ValidationError(f"Gram matrix shape {values.shape} does not match dimension {len(self.basis)}")
         object.__setattr__(self, "values", values)
 
     @property
@@ -203,25 +209,15 @@ def rank_psd(gram: GramMatrix | np.ndarray, tolerance: float | None = None) -> R
     The default tolerance is ``1e-8 * max(1, lambda_max)`` (relative with an
     absolute floor); passing ``tolerance`` uses it as an absolute threshold,
     which must be finite and non-negative. The full descending spectrum is
-    returned so callers can re-threshold. A ``GramMatrix`` was validated
-    where it was built; a raw array must be a square 2-D matrix with finite
-    entries.
+    returned so callers can re-threshold. A ``GramMatrix`` was checked
+    where it was built; a raw array passes the same check, ``_checked_gram``.
     """
-    if isinstance(gram, GramMatrix):
-        values = gram.values
-    else:
-        values = np.asarray(gram, dtype=float)
-        if values.ndim != 2 or values.shape[0] != values.shape[1]:
-            raise ValidationError(f"Gram matrix shape {values.shape} is not that of a square matrix")
-        if not np.isfinite(values).all():
-            raise ValidationError("Gram matrix contains NaN or infinite entries")
+    values = gram.values if isinstance(gram, GramMatrix) else _checked_gram(gram)
     eigs = np.linalg.eigvalsh(values)
     lam_max = float(eigs[-1]) if eigs.size else 0.0
     floor = -_PSD_FLOOR * max(1.0, lam_max)
     if eigs.size and float(eigs[0]) < floor:
-        raise ValidationError(
-            f"matrix is not PSD within tolerance: min eigenvalue {eigs[0]:.3e} < {floor:.3e}"
-        )
+        raise ValidationError(f"matrix is not PSD within tolerance: min eigenvalue {eigs[0]:.3e} < {floor:.3e}")
     if tolerance is None:
         tol = DEFAULT_RANK_TOL * max(1.0, lam_max)
         relative = True
@@ -231,12 +227,7 @@ def rank_psd(gram: GramMatrix | np.ndarray, tolerance: float | None = None) -> R
         if not (math.isfinite(tol) and tol >= 0.0):  # NaN fails too
             raise ValidationError(f"rank tolerance must be finite and >= 0, got {tol!r}")
     rank = int(np.count_nonzero(eigs > tol))
-    return RankResult(
-        rank=rank,
-        eigenvalues=tuple(eigs[::-1].tolist()),
-        tolerance_used=tol,
-        relative=relative,
-    )
+    return RankResult(rank=rank, eigenvalues=tuple(eigs[::-1].tolist()), tolerance_used=tol, relative=relative)
 
 
 def gram_matrix(

@@ -96,6 +96,19 @@ def test_state_file_round_trip(tmp_path):
     assert again.terms == psi.terms  # 17 significant digits round-trip losslessly
 
 
+def test_a_ket_file_builds_its_arrays_once(tmp_path):
+    """The reader hands its columns to ``SparseKet.from_arrays``, so the ket
+    holds the arrays of its terms from the start, not rebuilt from them."""
+    path = tmp_path / "state.json"
+    write_state_file(str(path), sample_sphere_state(2, 2, 4))
+    psi = load_state(str(path))
+    assert "_arrays" in vars(psi)
+    states, amps = psi.arrays()
+    assert np.array_equal(states, np.array(list(psi.terms))) and states.dtype == np.int64
+    assert amps.tolist() == list(psi.terms.values())
+    assert psi.arrays()[0] is states
+
+
 def test_load_rejects_duplicate_keys(tmp_path):
     path = tmp_path / "dup.json"
     path.write_text(

@@ -3,8 +3,10 @@ arithmetic (ladder actions, inner products) of ``_oracle``, which the sparse
 reference formulas there are built on."""
 
 import copy
+import itertools
 import math
 import pickle
+import sys
 
 import numpy as np
 import pytest
@@ -184,6 +186,25 @@ def test_normalize_keeps_the_bits_of_a_normal_squared_norm(seed, factor):
     psi = scale(factor, sample_sphere_state(2, 3, seed))
     expected = scale(1.0 / psi.norm(), psi)
     assert list(normalize(psi).terms.items()) == list(expected.terms.items())
+
+
+def _unit_is_normalize(psi):
+    return psi._unit[:, 0].tobytes() == normalize(psi).arrays()[1].tobytes()
+
+
+@pytest.mark.parametrize("factor", [1.0, 1.7])
+def test_unit_column_is_normalize_bit_for_bit(factor):
+    """The Grams' unit column psi/|psi| and ``normalize`` are one
+    normalisation: the squared norm summed once, by ``_norm2``."""
+    for m, n, seed in itertools.product(range(2, 5), range(2, 5), range(50)):
+        assert _unit_is_normalize(scale(factor, sample_sphere_state(m, n, seed)))
+
+
+def test_unit_column_of_a_subnormal_squared_norm_is_normalize():
+    psi = SparseKet(2, {(0, 1): 3e-161 - 1e-162j, (1, 0): -2e-161, (2, 0): 5e-162j})
+    assert 0.0 < psi._norm2 < sys.float_info.min
+    assert _unit_is_normalize(psi)
+    assert abs(np.linalg.norm(psi._unit) - 1.0) < 1e-15
 
 
 def test_normalize_zero_rejected():

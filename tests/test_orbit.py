@@ -299,6 +299,17 @@ def test_rank_psd_rejects_indefinite_matrix():
         rank_psd(np.diag([1.0, -0.5]))
 
 
+def test_rank_psd_refuses_an_asymmetric_array_as_gram_matrix_does():
+    """eigvalsh reads one triangle: [[1, 5], [0, 1]] would rank 2 with
+    eigenvalues (1, 1). A raw array passes the Gram check, so it is refused
+    with the asymmetry, and an asymmetry within the tolerance is kept."""
+    with pytest.raises(ValidationError, match="Gram asymmetry 5.000e[+]00 exceeds 1.0e-12"):
+        rank_psd(np.array([[1.0, 5.0], [0.0, 1.0]]))
+    values = np.eye(2)
+    values[0, 1] = 1e-13
+    assert rank_psd(values).rank == 2
+
+
 # --------------------------------------------------------------- GramMatrix
 
 
