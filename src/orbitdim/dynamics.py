@@ -56,7 +56,6 @@ from .fock import (
     _run_starts,
     _unpack,
     enumerate_occupations,
-    normalize,
 )
 from .generators import (
     _SHIFTING,
@@ -132,7 +131,7 @@ def dense_hamiltonian(g: GeneratorDescriptor, basis: TruncatedBasis) -> np.ndarr
     Couplings into states above the cutoff are dropped on both sides, so the
     projected matrix is Hermitian by construction.
     """
-    _, col, tgt, coeff, union, rows = _generator_action(_monomials((g,)), np.array(basis.states))
+    _, col, tgt, coeff, union, rows = _generator_action(_monomials((g,)), np.array(basis.states, dtype=np.int64))
     # rows ranks the basis states among the union of basis and targets;
     # a target above the cutoff keeps position -1 and is dropped
     position = np.full(len(union), -1)
@@ -298,8 +297,9 @@ class _DensityWorkspace(_Workspace):
         self, state: SparseKet | DensityOperator, generators: Sequence[GeneratorDescriptor], cfg: EvolutionConfig
     ) -> None:
         if isinstance(state, SparseKet):
-            support, amps = normalize(state).arrays()
-            self.w, columns = np.ones(1), amps[:, None]
+            kept = np.flatnonzero(state._unit)  # a row whose unit amplitude is 0 is dropped, as ``normalize`` drops it
+            support = state.arrays()[0][kept]
+            self.w, columns = np.ones(1), state._unit[kept]
             # a ket's projector is Hermitian by construction
             self.hermiticity = 0.0
         else:
@@ -308,7 +308,6 @@ class _DensityWorkspace(_Workspace):
             # the residual max|rho - rho^dag| bounds each entry of rho that it leaves out
             self.hermiticity = state.hermiticity_residual
         super().__init__(support, generators, cfg)
-        self.worst: dict[str, float] = {}
         self.phi = np.zeros((len(self.states), columns.shape[1]), dtype=complex)
         self.phi[self.support] = columns
 
@@ -382,8 +381,7 @@ class _DensityWorkspace(_Workspace):
             i, n = np.unravel_index(failed.argmax(), failed.shape)
             context = f"evolving under {self.generators[n].label} for t={times[i]:g}"
             raise _leak(self.cfg, self.cutoff, context, **dict(zip(names, measured[:, i, n].tolist())))
-        for name, value in zip(names, measured[:, moving].max(axis=(1, 2), initial=0.0).tolist()):
-            self.worst[name] = max(self.worst.get(name, 0.0), value)
+        self.worst = dict(zip(names, measured[:, moving].max(axis=(1, 2), initial=0.0).tolist()))
         _refuse_overlaps(finite)
         return np.where(np.tri(len(values[0]), k=-1, dtype=bool), values.transpose(0, 2, 1), values)
 

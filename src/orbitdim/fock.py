@@ -78,14 +78,32 @@ def validate_occupation(occ: Iterable[int], modes: int) -> Occupation:
     return out
 
 
-def _check_rows(states: np.ndarray) -> None:
-    """Refuse an S x m occupation array as ``validate_occupation`` refuses
-    the first of its rows with an entry outside 0..MAX_OCCUPATION."""
+def _check_rows(states: np.ndarray) -> np.ndarray:
+    """An S x m occupation array as int64 rows. Refused unless it is 2-D,
+    and as ``validate_occupation`` refuses the first row that is not
+    integers (bools count) or has an entry outside 0..MAX_OCCUPATION; an
+    array of another type than integers is read row by row."""
+    states = np.asarray(states)
+    if states.ndim != 2:
+        raise ValidationError(f"occupations must form an S x m array, got shape {states.shape}")
     if states.shape[1] < 1:
         raise ValidationError("mode count must be >= 1")
-    if states.size and not (states.min() >= 0 and states.max() <= MAX_OCCUPATION):
+    if states.dtype.kind not in "biu":
+        for row in states.tolist():
+            validate_occupation(row, states.shape[1])
+    elif states.size and not (states.min() >= 0 and states.max() <= MAX_OCCUPATION):
         first = np.flatnonzero(((states < 0) | (states > MAX_OCCUPATION)).any(axis=1))[0]
         validate_occupation(states[first].tolist(), states.shape[1])
+    return states.astype(np.int64, copy=False)
+
+
+def _check_values(values: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+    """Complex values of the given shape, one for each row (or pair of
+    rows), refused with any other shape."""
+    values = np.asarray(values, dtype=complex)
+    if values.shape != shape:
+        raise ValidationError(f"expected values of shape {shape} for the occupations, got shape {values.shape}")
+    return values
 
 
 def _unchecked(cls, **values):
@@ -159,12 +177,11 @@ def _rank_words(words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _rank_states(states: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The distinct rows of a nonnegative int64 array, in numeric
     lexicographic order, and each row's rank among them."""
-    rows = np.ascontiguousarray(states, dtype=np.int64)
-    if not len(rows):
-        return rows, np.zeros(0, dtype=np.intp)
+    if not len(states):
+        return states, np.zeros(0, dtype=np.intp)
     # packed as tightly as the largest entry allows
-    rank, first = _rank_words(rows @ _packing(rows.shape[1], max(int(rows.max()).bit_length(), 1))[0])
-    return rows[first], rank
+    rank, first = _rank_words(states @ _packing(states.shape[1], max(int(states.max()).bit_length(), 1))[0])
+    return states[first], rank
 
 
 def _occupations(modes: int, budget: int) -> Iterator[Occupation]:
@@ -264,10 +281,10 @@ class SparseKet:
         """The ket with amplitude ``amps[k]`` on the occupation ``states[k]``
         (an S x m array); zero amplitudes are dropped. The rows are checked
         as one array, not term by term."""
-        _check_rows(states)
-        amps = np.asarray(amps, dtype=complex)
+        states = _check_rows(states)
+        amps = _check_values(amps, states.shape[:1])
         kept = np.flatnonzero(amps)
-        states, amps = np.asarray(states[kept], dtype=np.int64), amps[kept]
+        states, amps = states[kept], amps[kept]
         terms = dict(zip(map(tuple, states.tolist()), amps.tolist()))
         if len(terms) < len(kept):  # a repeated row: the map keeps its last amplitude
             return _unchecked(cls, modes=states.shape[1], terms=terms)
@@ -359,9 +376,9 @@ class SparseOperator:
         """The operator with entry ``matrix[i, j]`` at (``states[i]``,
         ``states[j]``), nonzero entries in row-major order. The rows are
         checked as one array, not entry by entry."""
-        _check_rows(states)
+        states = _check_rows(states)
         rows = list(map(tuple, states.tolist()))
-        matrix = np.asarray(matrix, dtype=complex)
+        matrix = _check_values(matrix, (len(rows), len(rows)))
         bra, ket = np.nonzero(matrix)
         entries = {(rows[i], rows[j]): v for i, j, v in zip(bra.tolist(), ket.tolist(), matrix[bra, ket].tolist())}
         return _unchecked(cls, modes=states.shape[1], entries=entries)
@@ -407,8 +424,11 @@ class DensityOperator:
         """Validate the operator with entry ``values[k]`` at (``keys[k, 0]``,
         ``keys[k, 1]``), an E x 2 x m array of distinct occupation pairs.
         The pairs are checked as one array, not entry by entry."""
-        rows = keys.reshape(2 * len(keys), keys.shape[2])
-        _check_rows(rows)
+        keys = np.asarray(keys)
+        if keys.ndim != 3 or keys.shape[1] != 2:
+            raise ValidationError(f"occupation pairs must form an E x 2 x m array, got shape {keys.shape}")
+        rows = _check_rows(keys.reshape(2 * len(keys), keys.shape[2]))
+        values = _check_values(values, keys.shape[:1])
         support, inverse = _rank_states(rows)
         bra, ket = inverse.reshape(-1, 2).T
         matrix = np.zeros((len(support), len(support)), dtype=complex)

@@ -302,7 +302,6 @@ def _generator_action(
     numeric lexicographic order, and ``rows`` gives each support row's rank
     in it. For each generator and source the targets are distinct.
     """
-    occupations = np.asarray(occupations, dtype=np.int64)
     gen, coeff, _, _, _, delta = table
     _check_register(delta.shape[1], occupations.shape[1])  # a step vector is as wide as its highest mode
     amp = _amplitudes(table, occupations)
@@ -311,10 +310,14 @@ def _generator_action(
     # many times faster than a slice of their columns
     step = np.zeros((len(delta), occupations.shape[1]), dtype=np.int64)
     step[:, : delta.shape[1]] = delta
-    targets = occupations.take(src, axis=0)
-    targets += step.take(mono, axis=0)
-    union, inverse = _rank_states(np.concatenate([occupations, targets]))
+    # the support, then its targets, in the one buffer that is ranked; the
+    # targets taken straight into it (unbuffered, which mode="raise" is not)
     s_count = len(occupations)
+    states = np.empty((s_count + len(src), occupations.shape[1]), dtype=np.int64)
+    states[:s_count] = occupations
+    targets = np.take(occupations, src, axis=0, out=states[s_count:], mode="clip")
+    targets += step.take(mono, axis=0)
+    union, inverse = _rank_states(states)
     return gen[mono], src, inverse[s_count:], coeff[mono] * amp[mono, src], union, inverse[:s_count]
 
 
@@ -642,7 +645,6 @@ def _plan(table: _MonomialTable, occupations: np.ndarray) -> _Plan:
     and then kept in the cache, keyed by the table's identity and the
     support's bytes. The plan holds its table, so no other table takes
     that identity while the plan is cached."""
-    occupations = np.asarray(occupations, dtype=np.int64)
     return _kept(("plan", id(table), occupations.shape, occupations.tobytes()), _planned, table, occupations)
 
 
@@ -806,17 +808,6 @@ def _stable_sort(key: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return key[order], order
 
 
-@functools.lru_cache(maxsize=None)
-def _pair_index(d: int) -> np.ndarray:
-    """d x d: the index of the pair (I, J) or (J, I) in the row-major order
-    of the pairs I < J, and one past the last pair on the diagonal."""
-    i, j = np.triu_indices(d, 1)
-    index = np.full((d, d), len(i))
-    index[i, j] = index[j, i] = np.arange(len(i))
-    index.setflags(write=False)
-    return index
-
-
 def _narrow(index: np.ndarray) -> np.ndarray:
     """An index array as int32 when its entries fit, to keep a join compact."""
     return index.astype(np.int32) if not len(index) or index.max() < 1 << 31 else index
@@ -867,9 +858,13 @@ def _join(applied: np.ndarray, first: np.ndarray, second: _MonomialTable, pairs:
     at = _narrow(i * u_total + u[nonzero])
     swapped = i > j
     del nonzero
-    # (pair, place, swapped) in bit fields; a product with I = J keys one
-    # past the last pair and is dropped once summed
-    key = (_pair_index(d)[i, j] << v_bits | np.repeat(place[tgt], n)) << 1 | swapped
+    # (pair, place, swapped) in bit fields: the index of the pair (I, J) or
+    # (J, I) in the row-major order of the pairs I < J; a product with I = J
+    # keys one past the last pair and is dropped once summed
+    index = np.full((d, d), pairs)
+    upper = np.triu_indices(d, 1)
+    index[upper] = index.T[upper] = np.arange(pairs)
+    key = (index[i, j] << v_bits | np.repeat(place[tgt], n)) << 1 | swapped
     np.add(element, len(src), out=element, where=swapped)  # in place: the negation's entry
     del gen, src, tgt, n, i, j, swapped  # the sort's peak holds only what the join keeps
     key, order = _stable_sort(key)

@@ -16,6 +16,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from orbitdim import (
+    CnotReport,
     DensityOperator,
     EvolutionConfig,
     GeneratorDescriptor,
@@ -1178,3 +1179,39 @@ def test_columns_render_as_the_recursive_renderer_renders_their_rows(floats, key
         return
     assert render_json(cli._Columns(columns)) == expected
     assert render_json({"entries": cli._Columns(columns)}) == _oracle.render_json({"entries": rows})
+
+
+# ------------------------------------------- paths, digests and footnotes
+
+
+@pytest.mark.parametrize("kind", ["missing", "directory"])
+def test_dim_on_a_path_that_is_no_file_exits_2_naming_it(capsys, tmp_path, kind):
+    path = tmp_path / "absent.json" if kind == "missing" else tmp_path
+    code, out, err = run(capsys, "dim", "--state", str(path), "--group", "go", "--picture", "ket")
+    assert code == EXIT_INVALID
+    assert out == ""
+    assert err.startswith(f"error: {path}: ") and err.count("\n") == 1
+
+
+def test_file_digest_is_the_sha256_dim_reports(capsys, fock11):
+    code, out, _ = run(capsys, "dim", "--state", fock11, "--group", "go", "--picture", "ket", "--json")
+    assert code == EXIT_OK
+    assert cli.file_digest(fock11) == json.loads(out)["input"]["sha256"]
+
+
+def test_render_json_quotes_the_str_of_any_other_value():
+    value = Path("a") / 'b"c'
+    assert render_json(value) == json.dumps(str(value))
+
+
+def test_table2_text_footnotes_the_known_undercount(capsys):
+    code, out, _ = run(capsys, "table2", "--m-max", "2")
+    assert code == EXIT_OK
+    assert "* tabulated value undercounts by one here; the cell passes at closed + 1" in out.splitlines()
+
+
+def test_cnot_demo_exits_1_when_the_go_pair_is_not_the_reference(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "cnot_demo", lambda group, tol: CnotReport(group, 38, 38, False))
+    code, out, _ = run(capsys, "cnot-demo")
+    assert code == EXIT_MISMATCH
+    assert "verdict: orbit dimensions agree: no obstruction from this invariant" in out.splitlines()

@@ -1670,3 +1670,18 @@ def test_perturb_returns_normalized_state():
     psi = basis_ket((1, 0))
     out = perturb_state(psi, 1e-3, 2, seed=4)
     assert abs(out.norm() - 1.0) < 1e-12
+
+
+def test_apply_group_word_refuses_the_zero_ket():
+    g = lie_basis(Group.PLO, 2).elements[0]
+    with pytest.raises(ValidationError, match="cannot evolve the zero ket"):
+        apply_group_word(SparseKet(2, {}), [(g, 0.1)])
+
+
+def test_a_preserving_word_is_refused_past_its_norm_change_tolerance():
+    """A beam splitter keeps the photon number, so only the norm change
+    is checked: rounding moves it by 2.2e-16 here, past a 1e-300 tolerance."""
+    basis = lie_basis(Group.PLO, 2)
+    word = [(basis.elements[basis.index_of("e[1,2]")], 0.3)]
+    with pytest.raises(LeakageError, match=r"^group word: norm change 2\.220e-16 exceed tolerance 1\.0e-300 "):
+        apply_group_word(sample_sphere_state(2, 2, 3), word, EvolutionConfig(leakage_tolerance=1e-300))

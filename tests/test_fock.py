@@ -548,6 +548,61 @@ def test_array_constructors_refuse_rows_as_validate_occupation_does(build):
     assert build(np.array([[MAX_OCCUPATION, 0]], dtype=np.int64)).modes == 2
 
 
+_INTEGERS = r"occupation entries must be integers, got "
+_VALUES = r"expected values of shape "
+
+
+@pytest.mark.parametrize(
+    "build, error",
+    [
+        (lambda: SparseKet.from_arrays(np.array([[1.5, 0.7]]), [1.0]), _INTEGERS + r"\[1\.5, 0\.7\]"),
+        (lambda: SparseOperator.from_arrays(np.array([[1.5]]), [[1.0]]), _INTEGERS + r"\[1\.5\]"),
+        (lambda: DensityOperator.from_entries(np.array([[[0.5], [0.5]]]), [1.0]), _INTEGERS + r"\[0\.5\]"),
+        (lambda: SparseKet.from_arrays(np.array([[1, 0], [0, 1]]), [1.0]), _VALUES + r"\(2,\) .* got shape \(1,\)"),
+        (lambda: SparseKet.from_arrays(np.array([[1, 0]]), [1.0, 2.0]), _VALUES + r"\(1,\) .* got shape \(2,\)"),
+        (lambda: SparseKet.from_arrays(np.array([1, 0]), [1.0]), r"S x m array, got shape \(2,\)"),
+        (lambda: SparseKet.from_arrays(np.array([["1", "0"]]), [1.0]), _INTEGERS + r"\['1', '0'\]"),
+        (lambda: SparseOperator.from_arrays(np.array([[1], [0]]), np.eye(3)), _VALUES + r"\(2, 2\) .* \(3, 3\)"),
+        (
+            lambda: DensityOperator.from_entries(np.array([[[1], [1]], [[0], [0]]]), [1.0]),
+            _VALUES + r"\(2,\) .* got shape \(1,\)",
+        ),
+        (lambda: DensityOperator.from_entries(np.array([[1, 1]]), [1.0]), r"E x 2 x m array, got shape \(1, 2\)"),
+    ],
+    ids=[
+        "ket-float-row",
+        "operator-float-row",
+        "density-float-pair",
+        "ket-two-rows-one-amplitude",
+        "ket-one-row-two-amplitudes",
+        "ket-1d-rows",
+        "ket-string-rows",
+        "operator-matrix-of-the-wrong-size",
+        "density-keys-and-values-of-different-lengths",
+        "density-2d-pairs",
+    ],
+)
+def test_array_constructors_refuse_malformed_arrays(build, error):
+    """A row that is not integers is refused with ``validate_occupation``'s
+    text, as the dict constructors refuse it; so are rows that are not 2-D
+    and values that are not one per row (or pair of rows)."""
+    with pytest.raises(ValidationError, match=error):
+        build()
+
+
+@pytest.mark.parametrize("dtype", [np.int64, np.int32, bool])
+def test_array_constructors_read_integer_and_bool_rows_as_int64(dtype):
+    rows = np.array([[1, 0], [0, 1]], dtype=dtype)
+    psi = SparseKet.from_arrays(rows, [0.6, 0.8j])
+    assert psi.terms == {(1, 0): 0.6, (0, 1): 0.8j}
+    assert psi.arrays()[0].dtype == np.int64
+    assert all(type(n) is int for occ in psi.terms for n in occ)
+    op = SparseOperator.from_arrays(rows, np.eye(2))
+    assert op.entries == {((1, 0), (1, 0)): 1.0, ((0, 1), (0, 1)): 1.0}
+    rho = DensityOperator.from_entries(np.stack([rows, rows], axis=1), [0.5, 0.5])
+    assert rho.support.dtype == np.int64 and rho.support.tolist() == [[0, 1], [1, 0]]
+
+
 def test_density_from_entries_equals_validate():
     """Same operator, residuals, support and matrix as validating the dict,
     zero entries dropped."""
@@ -562,3 +617,25 @@ def test_density_from_entries_equals_validate():
     assert built.support.tolist() == [[0], [1]]
     real = DensityOperator.from_entries(keys[[0, 2]], np.array([0.75, 0.25]))
     assert all(type(v) is complex for v in SparseOperator.from_arrays(real.support, real.matrix).entries.values())
+
+
+@pytest.mark.parametrize(
+    "build, error, text",
+    [
+        (lambda: enumerate_occupations(2, -1), ValueError, "photon cutoff must be >= 0"),
+        (lambda: SparseKet(0, {}), ValidationError, "mode count must be >= 1"),
+        (lambda: add(basis_ket((1,)), basis_ket((1, 0))), ValueError, "mode mismatch: 1 vs 2"),
+        (lambda: SparseOperator(0, {}), ValidationError, "mode count must be >= 1"),
+        (lambda: mixture([]), ValidationError, "mixture needs at least one component"),
+        (
+            lambda: mixture([(0.5, basis_ket((1,))), (0.5, basis_ket((1, 0)))]),
+            ValueError,
+            "all mixture components must share the mode count",
+        ),
+    ],
+    ids=["negative-cutoff", "ket-without-modes", "add-across-mode-counts", "operator-without-modes",
+         "empty-mixture", "mixture-across-mode-counts"],
+)
+def test_constructors_refuse_arguments_out_of_their_domain(build, error, text):
+    with pytest.raises(error, match=text):
+        build()

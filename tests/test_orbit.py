@@ -4,12 +4,14 @@ import cmath
 import math
 import re
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 
 from orbitdim import (
+    CnotReport,
     Exactness,
     FockBasisState,
     GramMatrix,
@@ -667,3 +669,27 @@ def test_large_perturbation_cannot_lower_rank():
             orbit_dimension(group, pert, Picture.KET).rank
             >= orbit_dimension(group, psi, Picture.KET).rank
         )
+
+
+# ------------------------------------------------------- refused arguments
+
+
+def test_gram_matrix_refuses_a_picture_that_is_not_a_picture():
+    with pytest.raises(PictureError, match="unknown picture 'ket'"):
+        gram_matrix(Group.GO, basis_ket((1, 0)), "ket")
+
+
+def test_closed_form_refuses_a_state_that_is_no_family():
+    """Modes and unoccupied modes alone make no family."""
+    with pytest.raises(TypeError, match="unknown family"):
+        closed_form(SimpleNamespace(modes=2, unoccupied=1), Group.GO, Picture.KET)
+
+
+def test_generic_dimension_refuses_a_negative_cutoff():
+    with pytest.raises(ValueError, match="photon cutoff must be >= 0"):
+        generic_dimension(Group.PLO, 2, -1, Picture.KET)
+
+
+def test_cnot_report_of_equal_dimensions_finds_no_obstruction():
+    report = CnotReport(Group.PLO, 12, 12, False)
+    assert report.verdict == "orbit dimensions agree: no obstruction from this invariant"
